@@ -18,12 +18,9 @@ live outside the virtual-clock packages that lint rule R007 covers.
 
 import time
 
-import numpy as np
-
 from repro.config import smoke_config
-from repro.core import KeyRelationSelector, PKGM, PKGMServer
-from repro.data import generate_catalog
 from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.pipeline import untrained_server
 from repro.reliability import (
     AdmissionConfig,
     GatewayConfig,
@@ -49,19 +46,7 @@ MUTATORS = (
 
 def _build_server():
     """Bench-scale untrained server (serving cost is weight-agnostic)."""
-    config = smoke_config()
-    catalog = generate_catalog(config.catalog)
-    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
-    selector = KeyRelationSelector(
-        catalog.store, item_to_category, k=config.key_relations
-    )
-    model = PKGM(
-        len(catalog.entities),
-        len(catalog.relations),
-        config.pkgm,
-        rng=np.random.default_rng(SEED),
-    )
-    return PKGMServer(model, selector)
+    return untrained_server(smoke_config(), seed=SEED)[1]
 
 
 def _run_loadtest(server):

@@ -53,7 +53,7 @@ from .data import (
 )
 from .kg import holdout_incompleteness, kg_statistics
 from .lint import cli as lint_cli
-from .pipeline import build_workbench
+from .pipeline import build_workbench, untrained_server
 from .tasks import (
     ItemClassificationTask,
     ProductAlignmentTask,
@@ -267,8 +267,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     runs; under overload the gateway sheds (degraded payloads), it
     never raises.
     """
-    from .core import KeyRelationSelector, PKGMServer
-    from .data import generate_catalog
     from .reliability import (
         AdmissionConfig,
         GatewayConfig,
@@ -279,18 +277,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     )
 
     config = _load_config(args)
-    catalog = generate_catalog(config.catalog)
-    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
-    selector = KeyRelationSelector(
-        catalog.store, item_to_category, k=config.key_relations
-    )
-    model = PKGM(
-        len(catalog.entities),
-        len(catalog.relations),
-        config.pkgm,
-        rng=np.random.default_rng(config.seed),
-    )
-    server = PKGMServer(model, selector)
+    _, server = untrained_server(config)
     gateway = PKGMGateway(
         build_replicas(server, args.replicas, seed=args.load_seed),
         GatewayConfig(
@@ -355,30 +342,6 @@ def cmd_complete(args: argparse.Namespace) -> int:
     return 0
 
 
-def _untrained_server(config: ExperimentConfig):
-    """Deterministic preset-scale server (seeded weights, no training).
-
-    Index mechanics — partitioning, snapshots, byte-determinism — do
-    not depend on trained weights, so the index CLI builds this in
-    milliseconds; the gate diffing two same-seed runs relies on it.
-    """
-    from .core import KeyRelationSelector, PKGMServer
-    from .data import generate_catalog
-
-    catalog = generate_catalog(config.catalog)
-    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
-    selector = KeyRelationSelector(
-        catalog.store, item_to_category, k=config.key_relations
-    )
-    model = PKGM(
-        len(catalog.entities),
-        len(catalog.relations),
-        config.pkgm,
-        rng=np.random.default_rng(config.seed),
-    )
-    return PKGMServer(model, selector)
-
-
 def _index_params(args: argparse.Namespace, seed: int) -> dict:
     """Constructor kwargs for the requested index kind."""
     if args.kind == "flat":
@@ -404,7 +367,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     from .index import load_index, save_index
 
     config = _load_config(args)
-    server = _untrained_server(config)
+    _, server = untrained_server(config)
 
     if args.index_command == "build":
         index = server.build_tail_index(
@@ -514,7 +477,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     config = _load_config(args)
 
     if args.store_command == "build":
-        server = _untrained_server(config)
+        _, server = untrained_server(config)
         store = server.save_store(
             args.out, num_shards=args.shards, page_bytes=args.page_bytes
         )
@@ -559,7 +522,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         workdir = Path(args.dir)
         primary_dir = workdir / "primary"
         replica_dir = workdir / "replica"
-        server = _untrained_server(config)
+        _, server = untrained_server(config)
         server.save_store(
             primary_dir, num_shards=args.shards, page_bytes=args.page_bytes
         ).close()
@@ -677,7 +640,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = _load_config(args)
     workdir = Path(args.dir)
     store_dir = workdir / "store"
-    server = _untrained_server(config)
+    _, server = untrained_server(config)
     server.save_store(
         store_dir, num_shards=args.store_shards, page_bytes=args.page_bytes
     ).close()
@@ -915,8 +878,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenarios_command == "explain":
-        catalog = generate_catalog(config.catalog)
-        server = _untrained_server(config)
+        catalog, server = untrained_server(config)
         explainer = Explainer(
             catalog.store,
             miner=RuleMiner(

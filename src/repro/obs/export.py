@@ -79,11 +79,8 @@ def run_metrics_workload(
     drain+swap.  Returns ``(registry, loadtest_report)``; with the same
     seed the registry snapshot is byte-identical across runs.
     """
-    import numpy as np
-
     from ..config import PRESETS
-    from ..core import PKGM, KeyRelationSelector, PKGMServer
-    from ..data import generate_catalog
+    from ..pipeline import untrained_server
     from ..reliability import (
         AdmissionConfig,
         GatewayConfig,
@@ -93,19 +90,7 @@ def run_metrics_workload(
         run_loadtest,
     )
 
-    config = PRESETS[preset]()
-    catalog = generate_catalog(config.catalog)
-    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
-    selector = KeyRelationSelector(
-        catalog.store, item_to_category, k=config.key_relations
-    )
-    model = PKGM(
-        len(catalog.entities),
-        len(catalog.relations),
-        config.pkgm,
-        rng=np.random.default_rng(seed),
-    )
-    server = PKGMServer(model, selector)
+    _, server = untrained_server(PRESETS[preset](), seed=seed)
     registry = MetricsRegistry()
     gateway = PKGMGateway(
         build_replicas(server, 2, seed=seed, registry=registry),
@@ -148,24 +133,11 @@ def run_pool_workload(
     import numpy as np
 
     from ..config import PRESETS
-    from ..core import PKGM, KeyRelationSelector, PKGMServer
-    from ..data import generate_catalog
+    from ..pipeline import untrained_server
     from ..reliability.retry import StepClock
     from ..serving import PoolConfig, Supervisor
 
-    config = PRESETS[preset]()
-    catalog = generate_catalog(config.catalog)
-    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
-    selector = KeyRelationSelector(
-        catalog.store, item_to_category, k=config.key_relations
-    )
-    model = PKGM(
-        len(catalog.entities),
-        len(catalog.relations),
-        config.pkgm,
-        rng=np.random.default_rng(seed),
-    )
-    server = PKGMServer(model, selector)
+    _, server = untrained_server(PRESETS[preset](), seed=seed)
     items = sorted(server.known_items())
     registry = MetricsRegistry()
     clock = StepClock()
@@ -188,7 +160,7 @@ def run_pool_workload(
             for _ in range(requests):
                 draw = rng.random()
                 entity = int(items[int(rng.integers(len(items)))])
-                relation = int(rng.integers(model.num_relations))
+                relation = int(rng.integers(server.num_relations))
                 if draw < 0.5:
                     pool.submit("serve", entity)
                 elif draw < 0.8:

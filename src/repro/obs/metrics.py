@@ -365,6 +365,12 @@ class counter_view:
         self.help = help
         self._slot = "_counter_view_" + metric.replace(".", "_")
 
+    @staticmethod
+    def fields(namespace: Mapping[str, object]) -> Tuple[str, ...]:
+        """The ``counter_view`` attribute names of a class namespace, in
+        declaration order (``FIELDS = counter_view.fields(locals())``)."""
+        return tuple(n for n, v in namespace.items() if isinstance(v, counter_view))
+
     def _instrument(self, obj) -> Counter:
         cached = obj.__dict__.get(self._slot)
         if cached is None:

@@ -9,7 +9,7 @@ examples all go through here so experiments stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +52,32 @@ class Workbench:
     mlm_state: Dict[str, np.ndarray]
     mlm_losses: List[float]
     pair_pretrain_losses: List[float]
+
+
+def untrained_server(
+    config: ExperimentConfig, seed: Optional[int] = None
+) -> Tuple[Catalog, PKGMServer]:
+    """The preset's catalog and a seeded, *untrained* server over it.
+
+    Serving, index, and store mechanics — admission, partitioning,
+    snapshots, byte-determinism — do not depend on trained weights, so
+    the drills, gates, and CLI commands that exercise only mechanics
+    build this in milliseconds instead of pre-training.  ``seed``
+    seeds the model weights (default ``config.seed``); the same
+    ``(config, seed)`` gives byte-identical tables.
+    """
+    catalog = generate_catalog(config.catalog)
+    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
+    selector = KeyRelationSelector(
+        catalog.store, item_to_category, k=config.key_relations
+    )
+    model = PKGM(
+        len(catalog.entities),
+        len(catalog.relations),
+        config.pkgm,
+        rng=np.random.default_rng(config.seed if seed is None else seed),
+    )
+    return catalog, PKGMServer(model, selector)
 
 
 def build_workbench(

@@ -28,7 +28,6 @@ from .admission import (
     AdmissionAction,
     AdmissionConfig,
     AdmissionController,
-    AdmissionDecision,
     AdmissionStats,
     AIMDLimiter,
     BoundedPriorityQueue,
@@ -40,14 +39,12 @@ from .checkpoint import (
     CheckpointManager,
     atomic_save_npz,
     atomic_write_bytes,
-    atomic_write_json,
     restore_rng,
     rng_state,
 )
 from .faults import (
     CrashEvent,
     FaultPlan,
-    FaultStats,
     FaultyParameterServer,
     FlakyServingBackend,
     StorageFaultPlan,
@@ -56,9 +53,6 @@ from .faults import (
 )
 from .gateway import (
     GatewayConfig,
-    GatewayRequest,
-    GatewayResponse,
-    GatewayStats,
     LatencyModel,
     PKGMGateway,
     RetrievalPayload,
@@ -73,7 +67,6 @@ from .retry import (
     Retrier,
     RetryExhaustedError,
     RetryPolicy,
-    RetryStats,
     RPCError,
     StepClock,
 )
@@ -84,7 +77,6 @@ __all__ = [
     "AdmissionAction",
     "AdmissionConfig",
     "AdmissionController",
-    "AdmissionDecision",
     "AdmissionStats",
     "BoundedPriorityQueue",
     "CheckpointError",
@@ -96,13 +88,9 @@ __all__ = [
     "DeadlineExceededError",
     "DegradationStats",
     "FaultPlan",
-    "FaultStats",
     "FaultyParameterServer",
     "FlakyServingBackend",
     "GatewayConfig",
-    "GatewayRequest",
-    "GatewayResponse",
-    "GatewayStats",
     "LatencyModel",
     "LoadTestConfig",
     "LoadTestReport",
@@ -114,7 +102,6 @@ __all__ = [
     "Retrier",
     "RetryExhaustedError",
     "RetryPolicy",
-    "RetryStats",
     "StepClock",
     "StorageFaultPlan",
     "StorageFaultStats",
@@ -122,7 +109,6 @@ __all__ = [
     "TokenBucket",
     "atomic_save_npz",
     "atomic_write_bytes",
-    "atomic_write_json",
     "build_replicas",
     "fallback_payload",
     "inject_storage_faults",

@@ -40,9 +40,9 @@ import numpy as np
 from ..core.cache import CachedPKGMServer
 from ..core.service import ServiceVectors
 from ..obs.metrics import MetricsRegistry, counter_view
+from ..ops import OPS, RetrievalPayload
 from .admission import AdmissionConfig, AdmissionController, AdmissionAction, Deadline
 from .retry import RPCError, StepClock
-from .serving import fallback_payload
 
 #: Gateway lifecycle states (the drain/refresh state machine).
 SERVING, DRAINING, QUIESCED = "serving", "draining", "quiesced"
@@ -126,64 +126,48 @@ class TimedBackend:
     def dim(self) -> int:
         return self.server.dim
 
-    def serve_timed(
-        self, entity_id: int, budget: Optional[float] = None
-    ) -> Tuple[Optional[ServiceVectors], float, Optional[str]]:
-        """``(vectors, virtual_latency, reason)`` for one call."""
-        self.calls += 1
-        latency = self.latency.sample()
-        if budget is not None and latency >= budget:
-            self.cancelled += 1
-            return None, budget, "deadline"
-        try:
-            if self._accepts_deadline and budget is not None:
-                clock = getattr(self.server, "clock", None)
-                deadline = (
-                    Deadline(clock, budget - latency) if clock is not None else None
-                )
-                vectors = self.server.serve(entity_id, deadline=deadline)
-            else:
-                vectors = self.server.serve(entity_id)
-        except RPCError:
-            return None, latency, "rpc-error"
-        except (KeyError, IndexError):
-            return None, latency, "unknown-id"
-        return vectors, latency, None
-
-    def retrieve_timed(
+    def call_timed(
         self,
+        kind: str,
         entity_id: int,
-        relation: int,
-        k: int,
+        relation: int = -1,
+        k: int = 0,
         budget: Optional[float] = None,
-    ) -> Tuple[Optional["RetrievalPayload"], float, Optional[str]]:
-        """``(payload, virtual_latency, reason)`` for one tail search.
+        target=None,
+    ) -> Tuple[Optional[object], float, Optional[str]]:
+        """``(payload, virtual_latency, reason)`` for one call of ``kind``.
 
-        Same timing/cancellation envelope as :meth:`serve_timed`; the
-        server must expose ``nearest_tails`` (``PKGMServer`` and the
-        cached facade both do).
+        The one timing/cancellation envelope every kind shares: sample
+        this replica's latency, cancel at the budget, else run the
+        kind's :data:`~repro.ops.OPS` call on ``target`` (this
+        replica's server unless given) and map its failures onto the
+        serve path's vocabulary — :class:`RPCError` → ``"rpc-error"``,
+        unknown ids → ``"unknown-id"``.
         """
         self.calls += 1
         latency = self.latency.sample()
         if budget is not None and latency >= budget:
             self.cancelled += 1
             return None, budget, "deadline"
+        deadline = None
+        if self._accepts_deadline and budget is not None:
+            clock = getattr(self.server, "clock", None)
+            if clock is not None:
+                deadline = Deadline(clock, budget - latency)
+        backend = self.server if target is None else target
         try:
-            distances, neighbor_ids = self.server.nearest_tails(
-                entity_id, relation, k
-            )
+            payload = OPS[kind].call(backend, entity_id, relation, k, deadline)
         except RPCError:
             return None, latency, "rpc-error"
         except (KeyError, IndexError):
             return None, latency, "unknown-id"
-        payload = RetrievalPayload(
-            entity_id=entity_id,
-            relation=relation,
-            k=k,
-            distances=distances,
-            neighbor_ids=neighbor_ids,
-        )
         return payload, latency, None
+
+    def serve_timed(
+        self, entity_id: int, budget: Optional[float] = None
+    ) -> Tuple[Optional[ServiceVectors], float, Optional[str]]:
+        """``(vectors, virtual_latency, reason)`` for one serve call."""
+        return self.call_timed("serve", entity_id, budget=budget)
 
     def swap(self, server) -> None:
         """Install a refreshed snapshot on this replica.
@@ -223,9 +207,8 @@ class GatewayConfig:
 class GatewayRequest:
     """One admitted request and its timing envelope.
 
-    ``kind`` selects the backend call: ``"serve"`` (service vectors,
-    the default) or ``"retrieve"`` (nearest-tail search, with
-    ``relation``/``k`` as the query payload).
+    ``kind`` names the request's row of :data:`repro.ops.OPS`;
+    ``relation``/``k`` are the query fields that kind reads.
     """
 
     request_id: int
@@ -239,30 +222,12 @@ class GatewayRequest:
 
 
 @dataclass(frozen=True)
-class RetrievalPayload:
-    """Answer body for one ``"retrieve"`` request.
-
-    ``distances``/``neighbor_ids`` are the (k,) nearest-tail search
-    results for ``S_T(entity_id, relation)``; a ``degraded`` payload
-    (shed, deadline, backend error) carries ``(inf, -1)`` padding
-    instead of real neighbors, mirroring ``ServiceVectors.degraded``.
-    """
-
-    entity_id: int
-    relation: int
-    k: int
-    distances: np.ndarray
-    neighbor_ids: np.ndarray
-    degraded: bool = False
-
-
-@dataclass(frozen=True)
 class GatewayResponse:
     """The answer for one request — exactly one per submitted request.
 
-    ``vectors`` is a :class:`ServiceVectors` for ``"serve"`` requests
-    and a :class:`RetrievalPayload` for ``"retrieve"`` requests; both
-    expose ``degraded``, which is all :attr:`ok` needs.
+    ``vectors`` is the kind's typed payload (:class:`ServiceVectors`
+    for ``"serve"``, :class:`RetrievalPayload` for ``"retrieve"``, …);
+    every one exposes ``degraded``, which is all :attr:`ok` needs.
     """
 
     request_id: int
@@ -331,49 +296,14 @@ class GatewayStats:
         "gateway.recommendations", help="Recommendation requests"
     )
 
-    def __init__(
-        self,
-        arrived: int = 0,
-        completed_ok: int = 0,
-        completed_degraded: int = 0,
-        shed_rate_limited: int = 0,
-        shed_queue_full: int = 0,
-        shed_evicted: int = 0,
-        shed_draining: int = 0,
-        deadline_queue_misses: int = 0,
-        deadline_rejected: int = 0,
-        deadline_backend_misses: int = 0,
-        backend_errors: int = 0,
-        hedges_sent: int = 0,
-        hedge_wins: int = 0,
-        hedge_cancelled: int = 0,
-        drains: int = 0,
-        swaps: int = 0,
-        retrievals: int = 0,
-        explanations: int = 0,
-        recommendations: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    #: Every registry-backed counter attribute above, in declaration
+    #: order — derived, so a new counter cannot be missed by ``__init__``.
+    COUNTER_FIELDS = counter_view.fields(locals())
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.arrived = arrived
-        self.completed_ok = completed_ok
-        self.completed_degraded = completed_degraded
-        self.shed_rate_limited = shed_rate_limited
-        self.shed_queue_full = shed_queue_full
-        self.shed_evicted = shed_evicted
-        self.shed_draining = shed_draining
-        self.deadline_queue_misses = deadline_queue_misses
-        self.deadline_rejected = deadline_rejected
-        self.deadline_backend_misses = deadline_backend_misses
-        self.backend_errors = backend_errors
-        self.hedges_sent = hedges_sent
-        self.hedge_wins = hedge_wins
-        self.hedge_cancelled = hedge_cancelled
-        self.drains = drains
-        self.swaps = swaps
-        self.retrievals = retrievals
-        self.explanations = explanations
-        self.recommendations = recommendations
+        for name in self.COUNTER_FIELDS:
+            setattr(self, name, 0)  # creates + zeroes the instrument
 
     @property
     def shed(self) -> int:
@@ -512,19 +442,7 @@ class PKGMGateway:
         shed; otherwise ``None`` — the answer will be emitted by a
         later :meth:`step` / :meth:`drain`.
         """
-        with self._lock:
-            now = self.clock.now()
-            self._advance(now)
-            self.stats.arrived += 1
-            request = GatewayRequest(
-                request_id=self._next_id,
-                entity_id=int(entity_id),
-                priority=int(priority),
-                arrival=now,
-                deadline_at=now + self.config.deadline_budget,
-            )
-            self._next_id += 1
-            return self._offer(request, now)
+        return self._submit("serve", entity_id, priority=priority)
 
     def submit_retrieval(
         self,
@@ -539,9 +457,7 @@ class PKGMGateway:
         Identical admission, deadline, and drain treatment as
         :meth:`submit` — a shed or expired retrieval is answered with a
         degraded :class:`RetrievalPayload` (``(inf, -1)`` neighbors),
-        never an exception.  Retrieval calls are not hedged: replicas
-        lazily build their own tail index, so duplicating a cold query
-        would double the most expensive call in the system.
+        never an exception.
 
         ``budget`` overrides the configured deadline budget for this
         request (a caller propagating an upstream deadline).  A budget
@@ -550,31 +466,7 @@ class PKGMGateway:
         ``"deadline"`` answer is returned immediately and counted under
         ``deadline_rejected``.
         """
-        with self._lock:
-            now = self.clock.now()
-            self._advance(now)
-            self.stats.arrived += 1
-            self.stats.retrievals += 1
-            effective = (
-                self.config.deadline_budget if budget is None else float(budget)
-            )
-            request = GatewayRequest(
-                request_id=self._next_id,
-                entity_id=int(entity_id),
-                priority=int(priority),
-                arrival=now,
-                deadline_at=now + effective,
-                kind="retrieve",
-                relation=int(relation),
-                k=int(k),
-            )
-            self._next_id += 1
-            if effective <= 0:
-                self.stats.deadline_rejected += 1
-                return self._degraded_response(
-                    request, "deadline", now, hedged=False, hedge_won=False
-                )
-            return self._offer(request, now)
+        return self._submit("retrieve", entity_id, relation, k, priority, budget)
 
     def submit_explanation(
         self,
@@ -590,34 +482,11 @@ class PKGMGateway:
         with a degraded :class:`~repro.scenarios.ExplanationPayload`
         (empty predictions, ``degraded=True``), never an exception, and
         — the PR 3 invariant — degraded payloads are never cached by
-        the scenario backend.  Requires a scenario backend; explanation
-        calls are unhedged (the backend is one logical service).
+        the scenario backend.  Requires a scenario backend.
         """
-        with self._lock:
-            self._require_scenarios()
-            now = self.clock.now()
-            self._advance(now)
-            self.stats.arrived += 1
-            self.stats.explanations += 1
-            effective = (
-                self.config.deadline_budget if budget is None else float(budget)
-            )
-            request = GatewayRequest(
-                request_id=self._next_id,
-                entity_id=int(entity_id),
-                priority=int(priority),
-                arrival=now,
-                deadline_at=now + effective,
-                kind="explain",
-                relation=int(relation),
-            )
-            self._next_id += 1
-            if effective <= 0:
-                self.stats.deadline_rejected += 1
-                return self._degraded_response(
-                    request, "deadline", now, hedged=False, hedge_won=False
-                )
-            return self._offer(request, now)
+        return self._submit(
+            "explain", entity_id, relation=relation, priority=priority, budget=budget
+        )
 
     def submit_recommendation(
         self,
@@ -632,14 +501,36 @@ class PKGMGateway:
         distance, so a cold-start item is as answerable as a warm one.
         Degraded answers carry the ``(inf, -1)`` padded
         :class:`~repro.scenarios.RecommendationPayload` and are never
-        cached.  Requires a scenario backend; unhedged.
+        cached.  Requires a scenario backend.
         """
+        return self._submit(
+            "recommend", entity_id, k=k, priority=priority, budget=budget
+        )
+
+    def _submit(
+        self,
+        kind: str,
+        entity_id: int,
+        relation: int = -1,
+        k: int = 0,
+        priority: int = 0,
+        budget: Optional[float] = None,
+    ) -> Optional[GatewayResponse]:
+        """The one submit path behind every public endpoint."""
+        spec = OPS[kind]
+        if spec.degraded is None:
+            raise ValueError(f"the gateway has no endpoint for {kind!r} requests")
         with self._lock:
-            self._require_scenarios()
+            if spec.scenario and self.scenarios is None:
+                raise ValueError(
+                    "this gateway has no scenario backend; construct it with "
+                    "scenarios=ScenarioService(...)"
+                )
             now = self.clock.now()
             self._advance(now)
             self.stats.arrived += 1
-            self.stats.recommendations += 1
+            if spec.counter is not None:
+                self.metrics.counter(f"gateway.{spec.counter}").inc()
             effective = (
                 self.config.deadline_budget if budget is None else float(budget)
             )
@@ -649,46 +540,32 @@ class PKGMGateway:
                 priority=int(priority),
                 arrival=now,
                 deadline_at=now + effective,
-                kind="recommend",
+                kind=kind,
+                relation=int(relation),
                 k=int(k),
             )
             self._next_id += 1
             if effective <= 0:
                 self.stats.deadline_rejected += 1
-                return self._degraded_response(
-                    request, "deadline", now, hedged=False, hedge_won=False
+                return self._degraded_response(request, "deadline", now)
+            if self.state != SERVING:
+                self.stats.shed_draining += 1
+                return self._degraded_response(request, "draining", now)
+            decision = self.admission.offer(request, priority=request.priority)
+            if decision.action is AdmissionAction.SHED_RATE:
+                self.stats.shed_rate_limited += 1
+                return self._degraded_response(request, "rate-limited", now)
+            if decision.action is AdmissionAction.SHED_QUEUE_FULL:
+                self.stats.shed_queue_full += 1
+                return self._degraded_response(request, "queue-full", now)
+            if decision.evicted is not None:
+                self.stats.shed_evicted += 1
+                self._done.append(
+                    self._degraded_response(decision.evicted, "evicted", now)
                 )
-            return self._offer(request, now)
-
-    def _require_scenarios(self) -> None:
-        if self.scenarios is None:
-            raise ValueError(
-                "this gateway has no scenario backend; construct it with "
-                "scenarios=ScenarioService(...)"
-            )
-
-    def _offer(
-        self, request: GatewayRequest, now: float
-    ) -> Optional[GatewayResponse]:
-        """Shared admission flow for both request kinds."""
-        if self.state != SERVING:
-            self.stats.shed_draining += 1
-            return self._shed_response(request, "draining", now)
-        decision = self.admission.offer(request, priority=request.priority)
-        if decision.action is AdmissionAction.SHED_RATE:
-            self.stats.shed_rate_limited += 1
-            return self._shed_response(request, "rate-limited", now)
-        if decision.action is AdmissionAction.SHED_QUEUE_FULL:
-            self.stats.shed_queue_full += 1
-            return self._shed_response(request, "queue-full", now)
-        if decision.evicted is not None:
-            self.stats.shed_evicted += 1
-            self._done.append(
-                self._shed_response(decision.evicted, "evicted", now)
-            )
-        if decision.action is AdmissionAction.START:
-            self._start(request, now)
-        return None
+            if decision.action is AdmissionAction.START:
+                self._start(request, now)
+            return None
 
     def step(self) -> List[GatewayResponse]:
         """Emit every response completed up to the current virtual time."""
@@ -774,23 +651,15 @@ class PKGMGateway:
             # with the flagged fallback; the wasted wait is an overload
             # signal for the AIMD limiter.
             self.stats.deadline_queue_misses += 1
-            response = self._degraded_response(
-                request, "deadline", at, hedged=False, hedge_won=False
-            )
+            response = self._degraded_response(request, "deadline", at)
             self._schedule(at, response, overloaded=True)
             return
-        if request.kind == "retrieve":
-            outcome = self._call_retrieval(
-                request, budget=request.deadline_at - at
-            )
-        elif request.kind in ("explain", "recommend"):
-            outcome = self._call_scenario(
-                request, budget=request.deadline_at - at
-            )
-        else:
-            outcome = self._call_backend(
-                request, budget=request.deadline_at - at
-            )
+        call = (
+            self._call_backend
+            if OPS[request.kind].hedged
+            else self._call_unhedged
+        )
+        outcome = call(request, budget=request.deadline_at - at)
         completed_at = at + outcome.latency
         if outcome.reason == "deadline":
             self.stats.deadline_backend_misses += 1
@@ -836,55 +705,28 @@ class PKGMGateway:
         )
         self._seq += 1
 
-    def _call_retrieval(
+    def _call_unhedged(
         self, request: GatewayRequest, budget: float
     ) -> BackendOutcome:
-        """One unhedged nearest-tails call on the round-robin primary."""
+        """One unhedged call on the round-robin primary.
+
+        Scenario kinds run on the shared scenario backend but take
+        their timing from the primary's latency model (the scenario
+        engines run beside the replicas and see the same tail), so
+        every degraded-path invariant downstream applies unchanged.
+        """
         if budget <= 0:
-            # Defense in depth: submit_retrieval rejects spent budgets
-            # before admission, so a non-positive budget here means a
+            # Defense in depth: _submit rejects spent budgets before
+            # admission, so a non-positive budget here means a
             # scheduling bug — still never dispatch it.
             return BackendOutcome(None, 0.0, "deadline")
         primary = self.replicas[self._rr % len(self.replicas)]
         self._rr += 1
-        payload, latency, reason = primary.retrieve_timed(
-            request.entity_id, request.relation, request.k, budget=budget
+        target = self.scenarios if OPS[request.kind].scenario else None
+        payload, latency, reason = primary.call_timed(
+            request.kind, request.entity_id, request.relation, request.k, budget, target
         )
         return BackendOutcome(payload, latency, reason)
-
-    def _call_scenario(
-        self, request: GatewayRequest, budget: float
-    ) -> BackendOutcome:
-        """One unhedged scenario call through the shared backend.
-
-        Timing comes from the round-robin replica's latency model (the
-        scenario engines run beside the replicas and see the same
-        tail); failures use the serve path's vocabulary — breaker-open
-        surfaces as :class:`RPCError` → ``"rpc-error"``, unknown ids as
-        ``"unknown-id"`` — so every degraded-path invariant downstream
-        applies unchanged.
-        """
-        if budget <= 0:
-            return BackendOutcome(None, 0.0, "deadline")
-        primary = self.replicas[self._rr % len(self.replicas)]
-        self._rr += 1
-        primary.calls += 1
-        latency = primary.latency.sample()
-        if latency >= budget:
-            primary.cancelled += 1
-            return BackendOutcome(None, budget, "deadline")
-        try:
-            if request.kind == "explain":
-                payload = self.scenarios.explain(
-                    request.entity_id, request.relation
-                )
-            else:
-                payload = self.scenarios.recommend(request.entity_id, k=request.k)
-        except RPCError:
-            return BackendOutcome(None, latency, "rpc-error")
-        except (KeyError, IndexError):
-            return BackendOutcome(None, latency, "unknown-id")
-        return BackendOutcome(payload, latency, None)
 
     def _call_backend(self, request: GatewayRequest, budget: float) -> BackendOutcome:
         """One possibly-hedged call: first answer wins, loser is cancelled."""
@@ -939,55 +781,21 @@ class PKGMGateway:
     # ------------------------------------------------------------------
     # Degraded answers
     # ------------------------------------------------------------------
-    def _fallback(self, request: GatewayRequest):
-        if request.kind == "retrieve":
-            return RetrievalPayload(
-                entity_id=request.entity_id,
-                relation=request.relation,
-                k=request.k,
-                distances=np.full(request.k, np.inf),
-                neighbor_ids=np.full(request.k, -1, dtype=np.int64),
-                degraded=True,
-            )
-        if request.kind in ("explain", "recommend"):
-            # Imported lazily: repro.scenarios imports this package at
-            # module level, so the reverse edge must stay call-time.
-            from ..scenarios.service import (
-                degraded_explanation,
-                degraded_recommendation,
-            )
-
-            if request.kind == "explain":
-                return degraded_explanation(request.entity_id, request.relation)
-            return degraded_recommendation(request.entity_id, request.k)
-        return fallback_payload(request.entity_id, self.k, self.dim)
-
-    def _shed_response(
-        self, request: GatewayRequest, reason: str, now: float
-    ) -> GatewayResponse:
-        return GatewayResponse(
-            request_id=request.request_id,
-            entity_id=request.entity_id,
-            vectors=self._fallback(request),
-            reason=reason,
-            latency=max(0.0, now - request.arrival),
-            completed_at=now,
-        )
-
     def _degraded_response(
         self,
         request: GatewayRequest,
         reason: str,
         completed_at: float,
-        hedged: bool,
-        hedge_won: bool,
+        hedged: bool = False,
+        hedge_won: bool = False,
     ) -> GatewayResponse:
+        """The kind's typed ``degraded=True`` answer, flagged with why."""
         return GatewayResponse(
             request_id=request.request_id,
             entity_id=request.entity_id,
-            vectors=self._fallback(request),
+            vectors=OPS[request.kind].degraded(request, self),
             reason=reason,
-            latency=completed_at - request.arrival,
+            latency=max(0.0, completed_at - request.arrival),
             completed_at=completed_at,
             hedged=hedged,
             hedge_won=hedge_won,

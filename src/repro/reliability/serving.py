@@ -75,20 +75,6 @@ class DegradationStats:
     same numbers.
     """
 
-    #: Every registry-backed counter attribute, in declaration order —
-    #: the single list :meth:`snapshot` and :meth:`reset` iterate, so a
-    #: new counter added above cannot be silently missed by either.
-    COUNTER_FIELDS = (
-        "requests",
-        "served_live",
-        "served_stale",
-        "fallback_unknown",
-        "fallback_error",
-        "fallback_quarantined",
-        "deadline_exceeded",
-        "breaker_short_circuits",
-    )
-
     requests = counter_view("serving.requests", help="Requests offered")
     served_live = counter_view("serving.served_live", help="Live answers")
     served_stale = counter_view("serving.served_stale", help="Stale-cache answers")
@@ -108,27 +94,14 @@ class DegradationStats:
         "serving.breaker_short_circuits", help="Circuit-open short circuits"
     )
 
-    def __init__(
-        self,
-        requests: int = 0,
-        served_live: int = 0,
-        served_stale: int = 0,
-        fallback_unknown: int = 0,
-        fallback_error: int = 0,
-        fallback_quarantined: int = 0,
-        deadline_exceeded: int = 0,
-        breaker_short_circuits: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    #: Every registry-backed counter attribute above, in declaration
+    #: order — the single list :meth:`snapshot` and :meth:`reset`
+    #: iterate, derived so a new counter cannot be missed by either.
+    COUNTER_FIELDS = counter_view.fields(locals())
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.requests = requests
-        self.served_live = served_live
-        self.served_stale = served_stale
-        self.fallback_unknown = fallback_unknown
-        self.fallback_error = fallback_error
-        self.fallback_quarantined = fallback_quarantined
-        self.deadline_exceeded = deadline_exceeded
-        self.breaker_short_circuits = breaker_short_circuits
+        self.reset()  # creates + zeroes every instrument
 
     def snapshot(self) -> dict:
         """Counter name → value, a plain-int copy safe to diff or log."""

@@ -227,7 +227,8 @@ class WorkerScenarios:
     nothing.  ``explain`` needs the :data:`~repro.scenarios.explain.SIDECAR_NAME`
     sidecar in the store directory — without it the call raises
     ``RuntimeError``, which the worker reports as a ``STATUS_ERROR``
-    outcome rather than dying.
+    outcome rather than dying.  Both calls answer the engines' typed
+    payloads; the wire form is the :data:`repro.ops.OPS` row's business.
     """
 
     def __init__(self, server, store_dir: str) -> None:
@@ -237,16 +238,15 @@ class WorkerScenarios:
         self._explainer = None
         self._sidecar_loaded = False
 
-    def recommend(self, entity_id: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    def recommend(self, entity_id: int, k: int) -> RecommendationPayload:
         if self._recommender is None:
             self._recommender = ServiceRecommender(self.server)
-        payload = self._recommender.recommend(entity_id, k=k)
-        return payload.distances, payload.neighbor_ids
+        return self._recommender.recommend(entity_id, k=k)
 
-    def explain(self, entity_id: int, relation: int) -> dict:
+    def explain(self, entity_id: int, relation: int) -> ExplanationPayload:
         if not self._sidecar_loaded:
             self._explainer = load_sidecar(self.store_dir, server=self.server)
             self._sidecar_loaded = True
         if self._explainer is None:
             raise RuntimeError("store has no scenarios sidecar")
-        return self._explainer.explain(entity_id, relation).canonical_dict()
+        return self._explainer.explain(entity_id, relation)

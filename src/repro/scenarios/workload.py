@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..ops import OPS
+
 __all__ = ["ScenarioWorkloadReport", "run_scenarios_workload"]
 
 
@@ -57,9 +59,7 @@ def _crc_of(kind: str, payload) -> int:
 
     if getattr(payload, "degraded", False):
         return 0
-    if kind == "explain":
-        return payload_checksum(kind, payload.canonical_dict())
-    return payload_checksum(kind, (payload.distances, payload.neighbor_ids))
+    return payload_checksum(kind, OPS[kind].wire(payload))
 
 
 def _transcript_line(
@@ -84,10 +84,9 @@ def run_scenarios_workload(
     import numpy as np
 
     from ..config import PRESETS
-    from ..core import PKGM, KeyRelationSelector, PKGMServer
-    from ..data import generate_catalog
     from ..kg.rules import RuleMiner
     from ..obs import MetricsRegistry
+    from ..pipeline import untrained_server
     from ..reliability import (
         AdmissionConfig,
         GatewayConfig,
@@ -102,18 +101,7 @@ def run_scenarios_workload(
 
     report = ScenarioWorkloadReport()
     config = PRESETS[preset]()
-    catalog = generate_catalog(config.catalog)
-    item_to_category = {item.entity_id: item.category_id for item in catalog.items}
-    selector = KeyRelationSelector(
-        catalog.store, item_to_category, k=config.key_relations
-    )
-    model = PKGM(
-        len(catalog.entities),
-        len(catalog.relations),
-        config.pkgm,
-        rng=np.random.default_rng(seed),
-    )
-    server = PKGMServer(model, selector)
+    catalog, server = untrained_server(config, seed=seed)
     items = sorted(server.known_items())
     num_relations = len(catalog.relations)
     unknown_entity = len(catalog.entities) + 1000

@@ -10,7 +10,7 @@ their first element::
         ("shutdown",)
     worker → supervisor
         ("ready", worker_id, num_entities)
-        ("results", [(request_id, status, payload), ...])
+        ("results", worker_id, [(request_id, status, payload), ...])
         ("pong", seq, served_total)
 
 The framing is deliberately dumb: no negotiation, no versioning, no
@@ -27,19 +27,18 @@ Each batch item carries the request's remaining virtual deadline
 ``budget`` as its fourth field, so the cancellation decision the
 gateway makes up front is re-checked *inside* the worker: an item
 whose budget is already spent answers ``STATUS_DEADLINE`` without
-touching the store.  Workers still accept legacy three-field items
-(``budget`` is then treated as unbounded) — the protocol tests and any
-hand-built batch keep working unchanged.
+touching the store.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import List, Optional
+
+from ..ops import OPS
 
 _HEADER = struct.Struct(">I")
 
@@ -54,11 +53,8 @@ STATUS_QUARANTINED = "quarantined"
 STATUS_DEADLINE = "deadline"
 STATUS_ERROR = "error"
 
-#: Request kinds the pool understands.  The first three coalesce into
-#: the batched kernels ``PKGMServer`` already exposes; ``explain`` and
-#: ``recommend`` are the scenario kinds served by the per-worker
-#: engines in :mod:`repro.scenarios.service`.
-KINDS = ("serve", "retrieve", "exist", "explain", "recommend")
+#: Request kinds the pool understands: the rows of :data:`repro.ops.OPS`.
+KINDS = tuple(OPS)
 
 
 class ProtocolError(RuntimeError):
@@ -195,23 +191,7 @@ def payload_checksum(kind: str, payload: object) -> int:
     is invariant under crash/replay timing — the property that makes
     the kill-drill transcript byte-identical across runs.
     """
-    if kind == "serve":
-        key_relations, triple, relation = payload
-        data = key_relations.tobytes() + triple.tobytes() + relation.tobytes()
-    elif kind == "retrieve":
-        distances, neighbor_ids = payload
-        data = distances.tobytes() + neighbor_ids.tobytes()
-    elif kind == "exist":
-        data = struct.pack(">d", float(payload))
-    elif kind == "recommend":
-        distances, neighbor_ids = payload
-        data = distances.tobytes() + neighbor_ids.tobytes()
-    elif kind == "explain":
-        # The payload is the explanation's canonical dict; canonical
-        # JSON makes the CRC independent of dict construction order.
-        data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-    else:
+    spec = OPS.get(kind)
+    if spec is None:
         raise ValueError(f"unknown request kind {kind!r}")
-    return zlib.crc32(data) & 0xFFFFFFFF
+    return zlib.crc32(spec.crc_bytes(payload)) & 0xFFFFFFFF

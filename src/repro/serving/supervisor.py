@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.service import ServiceVectors
 from ..obs.metrics import MetricsRegistry
+from ..ops import OPS
 from ..reliability.retry import RPCError, StepClock
 from ..store import EmbeddingStore, ScrubScheduler
 from ..store.errors import QuarantinedRowError
@@ -93,10 +94,6 @@ class PoolConfig:
     start_timeout: float = 30.0  # real seconds; worker ready handshake
     restart_limit: int = 8  # restarts per worker slot before giving up
     scrub_pages_per_tick: int = 0  # 0 disables background scrubbing
-    #: Split batches larger than this across idle siblings at dispatch
-    #: (0 disables splitting).  Off by default: the serve-chaos gate
-    #: byte-diffs transcripts whose batching it pins down.
-    split_batch: int = 0
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -105,8 +102,6 @@ class PoolConfig:
             raise ValueError("max_attempts must be >= 1")
         if self.deadline_budget <= 0:
             raise ValueError("deadline_budget must be positive")
-        if self.split_batch < 0:
-            raise ValueError("split_batch must be >= 0")
 
 
 class WorkerHandle:
@@ -219,9 +214,6 @@ class Supervisor:
         self._worker_deadline_c = self.metrics.counter(
             "pool.worker_deadline_cancellations",
             help="Items a worker cancelled at its deadline check",
-        )
-        self._batch_splits_c = self.metrics.counter(
-            "pool.batch_splits", help="Giant batches split across siblings"
         )
         self._heartbeats_c = self.metrics.counter(
             "pool.heartbeats", help="Heartbeat pings sent"
@@ -440,50 +432,15 @@ class Supervisor:
             live.append(request)
         if not live:
             return
-        primary, failed_over = self._route(batch.shard)
+        handle, failed_over = self._route(batch.shard)
         if failed_over:
             self._failovers_c.inc()
-        limit = self.config.split_batch
-        if limit and len(live) > limit:
-            # A giant batch (forced flush, death replay) would serialize
-            # on one worker while its siblings sit idle; carve it into
-            # ``limit``-sized chunks and spread the surplus over idle
-            # routable siblings, keeping the primary for the first chunk
-            # (and any overflow once the idle set is spent).
-            chunks = [
-                live[start : start + limit]
-                for start in range(0, len(live), limit)
-            ]
-            idle = [
-                handle
-                for handle in self.workers
-                if handle.routable
-                and handle is not primary
-                and not handle.inflight
-            ]
-            targets = [primary] + [
-                idle.pop(0) if idle else primary for _ in chunks[1:]
-            ]
-            self._batch_splits_c.inc()
-        else:
-            chunks = [live]
-            targets = [primary]
-        for handle, chunk in zip(targets, chunks):
-            self._dispatch_to(handle, batch, chunk, now)
-
-    def _dispatch_to(
-        self,
-        handle: WorkerHandle,
-        batch: Batch,
-        requests: List[PoolRequest],
-        now: float,
-    ) -> None:
-        """Send one chunk to one worker, carrying per-item budgets."""
+        # Each item carries its remaining budget for the worker's check.
         items = [
             (r.request_id, r.entity_id, r.relation, r.deadline_at - now)
-            for r in requests
+            for r in live
         ]
-        for request in requests:
+        for request in live:
             handle.inflight[request.request_id] = request
         self._batches_c.inc()
         if self.tracer is not None:
@@ -746,7 +703,9 @@ class Supervisor:
         relation: int = -1,
         k: int = 10,
         deadline=None,
-    ) -> PoolResponse:
+    ):
+        """One synchronous request: the kind's unpacked ok payload, or
+        the failure raised the way an in-process server would."""
         budget = deadline.remaining() if deadline is not None else None
         request_id = self.submit(
             kind, entity_id, relation=relation, k=k, budget=budget
@@ -764,9 +723,9 @@ class Supervisor:
         self._emitted = [
             r for r in self._emitted if r.request_id != request_id
         ]
-        return self._terminal[request_id]
-
-    def _raise_for(self, response: PoolResponse):
+        response = self._terminal[request_id]
+        if response.outcome == STATUS_OK:
+            return OPS[kind].unpack(entity_id, response.payload)
         if response.outcome == STATUS_UNKNOWN:
             raise KeyError(response.entity_id)
         if response.outcome == STATUS_QUARANTINED and isinstance(
@@ -789,38 +748,18 @@ class Supervisor:
         budget through — worker pools get end-to-end deadline
         propagation with no gateway changes.
         """
-        response = self._call("serve", entity_id, deadline=deadline)
-        if response.outcome != STATUS_OK:
-            self._raise_for(response)
-        key_relations, triple, relation = response.payload
-        return ServiceVectors(
-            entity_id=int(entity_id),
-            key_relations=key_relations,
-            triple_vectors=triple,
-            relation_vectors=relation,
-        )
+        return self._call("serve", entity_id, deadline=deadline)
 
     def nearest_tails(
         self, entity_id: int, relation: int, k: int = 10, deadline=None
     ):
         """One nearest-tails query, answered by a worker process."""
-        response = self._call(
-            "retrieve", entity_id, relation=relation, k=k, deadline=deadline
-        )
-        if response.outcome != STATUS_OK:
-            self._raise_for(response)
-        distances, neighbor_ids = response.payload
-        return distances, neighbor_ids
+        return self._call("retrieve", entity_id, relation, k, deadline)
 
     def relation_existence_score(
         self, entity_id: int, relation: int, deadline=None
     ) -> float:
-        response = self._call(
-            "exist", entity_id, relation=relation, deadline=deadline
-        )
-        if response.outcome != STATUS_OK:
-            self._raise_for(response)
-        return float(response.payload)
+        return self._call("exist", entity_id, relation=relation, deadline=deadline)
 
     def explain(self, entity_id: int, relation: int, deadline=None) -> dict:
         """One explanation, computed worker-side from the store sidecar.
@@ -830,15 +769,8 @@ class Supervisor:
         explain with an ``"error"`` outcome, surfaced as
         :class:`PoolError`.
         """
-        response = self._call("explain", entity_id, relation=relation, deadline=deadline)
-        if response.outcome != STATUS_OK:
-            self._raise_for(response)
-        return response.payload
+        return self._call("explain", entity_id, relation=relation, deadline=deadline)
 
     def recommend(self, entity_id: int, k: int = 10, deadline=None):
         """Top-``k`` service-vector neighbors, computed worker-side."""
-        response = self._call("recommend", entity_id, k=k, deadline=deadline)
-        if response.outcome != STATUS_OK:
-            self._raise_for(response)
-        distances, neighbor_ids = response.payload
-        return distances, neighbor_ids
+        return self._call("recommend", entity_id, k=k, deadline=deadline)

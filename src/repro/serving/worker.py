@@ -7,10 +7,9 @@ quarantine set — nothing is shared with the parent), announces
 ``("ready", ...)``, then answers ``("batch", ...)`` frames until EOF
 or ``("shutdown",)``.
 
-Batches exploit the kernels the server already has: an ``"exist"``
-batch is one :meth:`PKGMServer.relation_existence_scores` call and a
-``"retrieve"`` batch one :meth:`PKGMServer.nearest_tails_batch` call
-(the coalescer groups by ``k`` so the whole batch shares one search).
+What a batch runs is its kind's row of :data:`repro.ops.OPS`: one
+fused kernel call where the server has one (the coalescer groups by
+``k`` so the whole batch shares one search), else one call per item.
 Per-item failures — unknown ids, quarantined pages — degrade that one
 item to an error status, never the batch and never the process.
 
@@ -28,6 +27,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..ops import OPS, OpSpec
 from ..store.errors import QuarantinedRowError
 from .protocol import (
     ProtocolError,
@@ -42,7 +42,7 @@ from .protocol import (
 
 #: (request_id, entity_id, relation, budget) — one wire item of a
 #: batch.  ``budget`` is the request's remaining virtual deadline at
-#: dispatch; ``None`` (or a legacy three-field item) means unbounded.
+#: dispatch; ``None`` means unbounded.
 WireItem = Tuple[int, int, int, object]
 #: (request_id, entity_id, relation) — an item past its deadline
 #: check, the shape the kernel helpers consume.
@@ -51,59 +51,25 @@ LiveItem = Tuple[int, int, int]
 WireResult = Tuple[int, str, object]
 
 
-def _normalize_items(items: Sequence) -> List[WireItem]:
-    """Accept three- or four-field wire items; missing budget = None."""
-    return [
-        (item[0], item[1], item[2], item[3] if len(item) > 3 else None)
-        for item in items
-    ]
-
-
 def _expired(budget: object) -> bool:
     return budget is not None and float(budget) <= 0.0
 
 
-def _quarantine_info(error: QuarantinedRowError) -> Tuple[str, int, int, int]:
-    """The fields needed to re-raise the error supervisor-side."""
-    return (error.table, error.row, error.shard, error.page)
-
-
-def _serve_item(server, request_id: int, entity_id: int) -> WireResult:
-    try:
-        vectors = server.serve(int(entity_id))
-    except QuarantinedRowError as error:
-        return (request_id, STATUS_QUARANTINED, _quarantine_info(error))
-    except (KeyError, IndexError):
-        return (request_id, STATUS_UNKNOWN, None)
-    return (
-        request_id,
-        STATUS_OK,
-        (vectors.key_relations, vectors.triple_vectors, vectors.relation_vectors),
-    )
-
-
-def _exist_item(server, request_id: int, entity_id: int, relation: int) -> WireResult:
-    try:
-        score = server.relation_existence_score(int(entity_id), int(relation))
-    except QuarantinedRowError as error:
-        return (request_id, STATUS_QUARANTINED, _quarantine_info(error))
-    except (KeyError, IndexError):
-        return (request_id, STATUS_UNKNOWN, None)
-    return (request_id, STATUS_OK, float(score))
-
-
-def _retrieve_item(
-    server, request_id: int, entity_id: int, relation: int, k: int
+def _run_item(
+    spec: OpSpec, target, request_id: int, entity_id: int, relation: int, k: int
 ) -> WireResult:
+    """One item through ``spec.call``; a failure degrades this item only."""
     try:
-        distances, neighbor_ids = server.nearest_tails(
-            int(entity_id), int(relation), int(k)
-        )
+        payload = spec.wire(spec.call(target, int(entity_id), int(relation), int(k)))
     except QuarantinedRowError as error:
-        return (request_id, STATUS_QUARANTINED, _quarantine_info(error))
+        # The fields needed to re-raise the error supervisor-side.
+        info = (error.table, error.row, error.shard, error.page)
+        return (request_id, STATUS_QUARANTINED, info)
     except (KeyError, IndexError):
         return (request_id, STATUS_UNKNOWN, None)
-    return (request_id, STATUS_OK, (distances, neighbor_ids))
+    except spec.errors as error:
+        return (request_id, STATUS_ERROR, str(error))
+    return (request_id, STATUS_OK, payload)
 
 
 def _valid_pairs(server, items: Sequence[LiveItem]) -> np.ndarray:
@@ -119,11 +85,14 @@ def _valid_pairs(server, items: Sequence[LiveItem]) -> np.ndarray:
     )
 
 
-def _exist_batch(server, items: Sequence[LiveItem]) -> List[WireResult]:
+def _run_fused(
+    spec: OpSpec, server, items: Sequence[LiveItem], k: int
+) -> List[WireResult]:
+    """The whole batch through ``spec.fused``, else item by item."""
     valid = _valid_pairs(server, items)
     if not valid.all():
         return [
-            _exist_item(server, rid, entity, relation)
+            _run_item(spec, server, rid, entity, relation, k)
             if ok
             else (rid, STATUS_UNKNOWN, None)
             for ok, (rid, entity, relation) in zip(valid, items)
@@ -131,112 +100,56 @@ def _exist_batch(server, items: Sequence[LiveItem]) -> List[WireResult]:
     entities = [item[1] for item in items]
     relations = [item[2] for item in items]
     try:
-        scores = server.relation_existence_scores(entities, relations)
+        payloads = spec.fused(server, entities, relations, k)
     except QuarantinedRowError:
         # One damaged page fails the fused kernel; retry item-by-item so
         # only the requests that actually touch it degrade.
-        return [_exist_item(server, *item) for item in items]
+        return [_run_item(spec, server, *item, k) for item in items]
     return [
-        (rid, STATUS_OK, float(score))
-        for (rid, _, _), score in zip(items, scores)
+        (rid, STATUS_OK, payload) for (rid, _, _), payload in zip(items, payloads)
     ]
-
-
-def _retrieve_batch(server, items: Sequence[LiveItem], k: int) -> List[WireResult]:
-    valid = _valid_pairs(server, items)
-    if not valid.all():
-        return [
-            _retrieve_item(server, rid, entity, relation, k)
-            if ok
-            else (rid, STATUS_UNKNOWN, None)
-            for ok, (rid, entity, relation) in zip(valid, items)
-        ]
-    heads = [item[1] for item in items]
-    relations = [item[2] for item in items]
-    try:
-        distances, neighbor_ids = server.nearest_tails_batch(heads, relations, k)
-    except QuarantinedRowError:
-        return [_retrieve_item(server, *item, k) for item in items]
-    return [
-        (rid, STATUS_OK, (distances[row], neighbor_ids[row]))
-        for row, (rid, _, _) in enumerate(items)
-    ]
-
-
-def _explain_item(
-    scenarios, request_id: int, entity_id: int, relation: int
-) -> WireResult:
-    if scenarios is None:
-        return (request_id, STATUS_ERROR, "worker has no scenario engines")
-    try:
-        payload = scenarios.explain(int(entity_id), int(relation))
-    except QuarantinedRowError as error:
-        return (request_id, STATUS_QUARANTINED, _quarantine_info(error))
-    except (KeyError, IndexError):
-        return (request_id, STATUS_UNKNOWN, None)
-    except RuntimeError as error:  # missing sidecar: degrade, don't die
-        return (request_id, STATUS_ERROR, str(error))
-    return (request_id, STATUS_OK, payload)
-
-
-def _recommend_item(
-    scenarios, request_id: int, entity_id: int, k: int
-) -> WireResult:
-    if scenarios is None:
-        return (request_id, STATUS_ERROR, "worker has no scenario engines")
-    try:
-        distances, neighbor_ids = scenarios.recommend(int(entity_id), int(k))
-    except QuarantinedRowError as error:
-        return (request_id, STATUS_QUARANTINED, _quarantine_info(error))
-    except (KeyError, IndexError):
-        return (request_id, STATUS_UNKNOWN, None)
-    return (request_id, STATUS_OK, (distances, neighbor_ids))
 
 
 def run_batch(
-    server, kind: str, k: int, items: Sequence, scenarios=None
+    server, kind: str, k: int, items: Sequence[WireItem], scenarios=None
 ) -> List[WireResult]:
     """Answer one coalesced batch; every item gets exactly one result.
 
     Items whose deadline budget is already spent are cancelled here —
     before any kernel or store page is touched — with
-    ``STATUS_DEADLINE``; only the still-live remainder runs.  The
-    scenario kinds (``explain`` / ``recommend``) go through the
-    optional per-process ``scenarios`` engines; without them every
-    scenario item answers ``STATUS_ERROR``.
+    ``STATUS_DEADLINE``; only the still-live remainder runs, through
+    the kind's :data:`~repro.ops.OPS` entry.  Scenario kinds go through
+    the optional per-process ``scenarios`` engines; without them every
+    scenario item answers ``STATUS_ERROR``, as does every item of a
+    kind the table does not know.
     """
-    normalized = _normalize_items(items)
     results: List[WireResult] = [
         (rid, STATUS_DEADLINE, None)
-        for rid, _, _, budget in normalized
+        for rid, _, _, budget in items
         if _expired(budget)
     ]
     live = [
         (rid, entity, relation)
-        for rid, entity, relation, budget in normalized
+        for rid, entity, relation, budget in items
         if not _expired(budget)
     ]
     if not live:
         return results
-    if kind == "serve":
-        results.extend(_serve_item(server, rid, entity) for rid, entity, _ in live)
-    elif kind == "exist":
-        results.extend(_exist_batch(server, live))
-    elif kind == "retrieve":
-        results.extend(_retrieve_batch(server, live, k))
-    elif kind == "explain":
-        results.extend(
-            _explain_item(scenarios, rid, entity, relation)
-            for rid, entity, relation in live
-        )
-    elif kind == "recommend":
-        results.extend(
-            _recommend_item(scenarios, rid, entity, k) for rid, entity, _ in live
-        )
-    else:
+    spec = OPS.get(kind)
+    if spec is None:
         results.extend(
             (rid, STATUS_ERROR, f"unknown kind {kind!r}") for rid, _, _ in live
         )
+    elif spec.scenario and scenarios is None:
+        results.extend(
+            (rid, STATUS_ERROR, "worker has no scenario engines")
+            for rid, _, _ in live
+        )
+    elif spec.fused is not None:
+        results.extend(_run_fused(spec, server, live, k))
+    else:
+        target = scenarios if spec.scenario else server
+        results.extend(_run_item(spec, target, *item, k) for item in live)
     return results
 
 
@@ -245,8 +158,8 @@ def worker_main(
 ) -> None:
     """Process entry: open the store, then serve frames until EOF."""
     # Imported here, not at module level: the fork inherits the parent's
-    # modules anyway, and keeping this file import-light keeps the
-    # protocol tests free of the numpy-heavy service stack.
+    # modules anyway, and the supervisor process never needs the
+    # scenario engines.
     from ..core.service import PKGMServer
     from ..scenarios.service import WorkerScenarios
 

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the autograd engine invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -84,9 +84,11 @@ def test_relu_output_nonnegative(data):
 
 @settings(max_examples=40, deadline=None)
 @given(small_arrays())
+@example(np.array([[-0.5]]))  # the shift below lands this row on exactly zero
 def test_normalize_produces_unit_rows(data):
-    # Skip rows that are exactly zero (normalize keeps them near zero).
+    # Skip rows that are (near) zero: normalize keeps them near zero.
     data = data + 0.5
+    data = data[np.linalg.norm(data, axis=-1) >= 1e-3]
     normed = F.normalize(Tensor(data)).data
     norms = np.linalg.norm(normed, axis=-1)
     assert np.allclose(norms, 1.0, atol=1e-6)

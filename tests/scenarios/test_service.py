@@ -162,8 +162,8 @@ class TestWorkerScenarios:
     def test_recommend_without_sidecar(self, server, tmp_path):
         scenarios = WorkerScenarios(server, str(tmp_path))
         anchor = int(sorted(server.known_items())[0])
-        distances, neighbor_ids = scenarios.recommend(anchor, 5)
-        assert len(distances) == len(neighbor_ids) == 5
+        payload = scenarios.recommend(anchor, 5)
+        assert len(payload.distances) == len(payload.neighbor_ids) == 5
         with pytest.raises(RuntimeError, match="sidecar"):
             scenarios.explain(anchor, 0)
 
@@ -175,6 +175,7 @@ class TestWorkerScenarios:
         direct = Explainer(catalog.store, rules=rules, server=server)
         item = catalog.items[0].entity_id
         relation = direct.completer.head_relations()[0]
-        assert scenarios.explain(item, relation) == direct.explain(
-            item, relation
-        ).canonical_dict()
+        assert (
+            scenarios.explain(item, relation).canonical_dict()
+            == direct.explain(item, relation).canonical_dict()
+        )

@@ -38,9 +38,9 @@ class TestRunBatch:
         )
         assert results[0][1] == STATUS_OK
 
-    def test_legacy_three_tuple_items_are_unbounded(self, reference, item_ids):
+    def test_none_budget_is_unbounded(self, reference, item_ids):
         entity = item_ids[0]
-        results = run_batch(reference, "serve", 10, [(0, entity, -1)])
+        results = run_batch(reference, "serve", 10, [(0, entity, -1, None)])
         assert results[0][1] == STATUS_OK
 
     def test_mixed_batch_cancels_only_expired(self, reference, item_ids):

@@ -161,13 +161,13 @@ class TestIdleScrub:
 
 class TestRunBatch:
     def test_run_batch_mixes_ok_and_unknown(self, reference, item_ids):
-        items = [(0, item_ids[0], -1), (1, 10_000, -1)]
+        items = [(0, item_ids[0], -1, None), (1, 10_000, -1, None)]
         results = run_batch(reference, "serve", 10, items)
         statuses = {request_id: status for request_id, status, _ in results}
         assert statuses == {0: STATUS_OK, 1: STATUS_UNKNOWN}
 
     def test_run_batch_exist_uses_fused_kernel(self, reference, item_ids):
-        items = [(i, entity, 1) for i, entity in enumerate(item_ids[:4])]
+        items = [(i, entity, 1, None) for i, entity in enumerate(item_ids[:4])]
         results = run_batch(reference, "exist", 10, items)
         expected = reference.relation_existence_scores(
             np.array(item_ids[:4]), np.ones(4, dtype=np.int64)
