@@ -6,14 +6,14 @@ writing Python:
 .. code-block:: console
 
     python -m repro.cli stats                      # Table II/III/V/IX shapes
-    python -m repro.cli pretrain --save server.npz # pre-train + export server
+    python -m repro.cli pretrain --save server     # pre-train + export server store
     python -m repro.cli classify                   # Table IV
     python -m repro.cli align                      # Tables VI-VII
     python -m repro.cli recommend                  # Table VIII
     python -m repro.cli complete                   # §II-D completion demo
     python -m repro.cli chaos --crash-epoch 4      # fault-injected training
     python -m repro.cli loadtest --profile spike   # overload-serving drill
-    python -m repro.cli index build --out idx      # ANN snapshot (byte-stable)
+    python -m repro.cli index build --out idx      # ANN snapshot dir (byte-stable)
     python -m repro.cli index search --snapshot idx # nearest-tail queries
     python -m repro.cli index eval                 # recall/cost vs exact Flat
     python -m repro.cli store build --out st       # out-of-core shard store
@@ -110,7 +110,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         f"{workbench.pkgm_history.final_loss:.3f}"
     )
     if args.save:
-        workbench.server.save(args.save)
+        workbench.server.save_store(args.save).close()
         print(f"server snapshot written to {args.save}")
     return 0
 
@@ -375,12 +375,12 @@ def cmd_index(args: argparse.Namespace) -> int:
             metric=args.metric,
             **_index_params(args, config.seed),
         )
-        manifest = save_index(index, args.out)
+        directory = save_index(index, args.out)
         print(
             f"{args.kind} index: {index.ntotal} vectors, dim {index.dim}, "
             f"{index.metric}, {index.bytes_per_vector:.0f} bytes/vector"
         )
-        print(f"snapshot -> {manifest.with_suffix('.npz')} + {manifest}")
+        print(f"snapshot -> {directory}")
         return 0
 
     items = server.known_items()
@@ -985,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("stats", help="dataset statistics tables"))
     pre = sub.add_parser("pretrain", help="pre-train PKGM, optionally save server")
     common(pre)
-    pre.add_argument("--save", type=str, default=None, help="server npz path")
+    pre.add_argument("--save", type=str, default=None, help="server store directory")
     common(sub.add_parser("classify", help="Table IV experiment"))
     align = sub.add_parser("align", help="Tables VI-VII experiment")
     common(align)
@@ -1080,14 +1080,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     index_common(build)
     build.add_argument(
-        "--out", type=str, required=True, help="snapshot path (without suffix)"
+        "--out", type=str, required=True, help="snapshot store directory"
     )
     search = isub.add_parser(
         "search", help="nearest-tail queries from a snapshot or fresh build"
     )
     index_common(search)
     search.add_argument(
-        "--snapshot", type=str, default=None, help="load this snapshot"
+        "--snapshot", type=str, default=None, help="load this snapshot directory"
     )
     index_common(
         isub.add_parser(
@@ -1214,8 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-checkpoint",
         type=str,
         default=None,
-        help="seed the pipeline tables from a trained PKGMServer .npz "
-        "snapshot (e.g. from `repro pretrain --save`)",
+        help="seed the pipeline tables from a trained PKGMServer store "
+        "directory (e.g. from `repro pretrain --save`)",
     )
     stream_common(
         stmsub.add_parser(

@@ -5,15 +5,14 @@ key-relation selection, and the service-vector API that downstream
 tasks consume instead of triple data.
 """
 
-from .cache import CachedPKGMServer, CacheStats
+from .cache import CachedPKGMServer
 from .key_relations import KeyRelationSelector
 from .modules import RelationQueryModule, TripleQueryModule
 from .pkgm import PKGM, PKGMConfig
-from .service import PKGMServer, ServiceVectors, SnapshotError
+from .service import PKGMServer, SnapshotError
 from .trainer import PKGMTrainer, TrainerConfig, TrainingHistory, pretrain_pkgm
 
 __all__ = [
-    "CacheStats",
     "CachedPKGMServer",
     "KeyRelationSelector",
     "PKGM",
@@ -21,7 +20,6 @@ __all__ = [
     "PKGMServer",
     "PKGMTrainer",
     "RelationQueryModule",
-    "ServiceVectors",
     "SnapshotError",
     "TrainerConfig",
     "TrainingHistory",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,8 +233,8 @@ class PKGMServer:
         constructor.  Returns the index, which :meth:`nearest_tails`
         uses until a new one is built.
         """
-        # Imported lazily: repro.index reaches repro.reliability (for
-        # snapshot atomics), which imports repro.core at init time.
+        # Imported lazily: repro.index reaches repro.store (its snapshot
+        # format), which imports repro.core at init time.
         from ..index import INDEX_KINDS
 
         if kind not in INDEX_KINDS:
@@ -288,122 +288,7 @@ class PKGMServer:
         return distances[0], ids[0]
 
     # ------------------------------------------------------------------
-    # Deployment: persist / restore the snapshot
-    # ------------------------------------------------------------------
-    SNAPSHOT_KEYS = (
-        "entity_table",
-        "relation_table",
-        "transfer",
-        "item_ids",
-        "key_relations",
-        "k",
-    )
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist the full service snapshot to one compressed npz file.
-
-        The saved artifact is exactly what a production deployment needs:
-        the embedding tables, transfer matrices, and the per-item key
-        relation assignments — no triple data, no training code.  The
-        write is atomic (tmp → fsync → rename), so a crash mid-save
-        cannot tear an existing deployment artifact.
-        """
-        # Imported lazily: repro.reliability imports repro.core at
-        # package-init time, so a module-scope import here would cycle.
-        from ..reliability.checkpoint import atomic_save_npz
-
-        item_ids = self._selector.items()
-        key_table = np.asarray(
-            [self._selector.for_item(item) for item in item_ids], dtype=np.int64
-        )
-        atomic_save_npz(
-            Path(path),
-            {
-                "entity_table": self._entity_table,
-                "relation_table": self._relation_table,
-                "transfer": self._transfer,
-                "item_ids": np.asarray(item_ids, dtype=np.int64),
-                "key_relations": key_table,
-                "k": np.asarray([self.k]),
-            },
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PKGMServer":
-        """Restore a server saved by :meth:`save` (no model required).
-
-        Validates the payload before constructing anything: missing
-        keys and inconsistent table shapes raise :class:`SnapshotError`
-        naming the offending key, never a raw ``KeyError``.
-        """
-        with np.load(Path(path)) as data:
-            present = set(data.files)
-            for key in cls.SNAPSHOT_KEYS:
-                if key not in present:
-                    raise SnapshotError(
-                        f"snapshot {Path(path).name} is missing key {key!r}"
-                    )
-            entity_table = data["entity_table"]
-            relation_table = data["relation_table"]
-            transfer = data["transfer"]
-            item_ids = data["item_ids"]
-            key_relations = data["key_relations"]
-            k = int(data["k"][0])
-
-        if entity_table.ndim != 2:
-            raise SnapshotError(
-                f"'entity_table' must be 2-D, got shape {entity_table.shape}"
-            )
-        dim = entity_table.shape[1]
-        if relation_table.ndim != 2 or relation_table.shape[1] != dim:
-            raise SnapshotError(
-                f"'relation_table' shape {relation_table.shape} does not "
-                f"match entity dim {dim}"
-            )
-        if transfer.shape != (relation_table.shape[0], dim, dim):
-            raise SnapshotError(
-                f"'transfer' shape {transfer.shape} != expected "
-                f"{(relation_table.shape[0], dim, dim)}"
-            )
-        if key_relations.ndim != 2 or key_relations.shape != (len(item_ids), k):
-            raise SnapshotError(
-                f"'key_relations' shape {key_relations.shape} != expected "
-                f"{(len(item_ids), k)}"
-            )
-        if len(key_relations) and key_relations.size:
-            out_of_range = (key_relations < 0) | (
-                key_relations >= relation_table.shape[0]
-            )
-            if np.any(out_of_range):
-                raise SnapshotError(
-                    "'key_relations' references relation ids outside "
-                    f"[0, {relation_table.shape[0]})"
-                )
-
-        server = cls.__new__(cls)
-        server._tail_index = None
-        server.store = None
-        server.unreadable_items = 0
-        server._entity_table = entity_table
-        server._relation_table = relation_table
-        server._transfer = transfer
-        server.k = k
-        server.dim = dim
-        server.num_entities = entity_table.shape[0]
-        server.num_relations = relation_table.shape[0]
-        server._selector = _FrozenSelector(
-            dict(
-                zip(
-                    (int(i) for i in item_ids),
-                    (list(map(int, row)) for row in key_relations),
-                )
-            ),
-            k,
-        )
-        return server
-
-    # ------------------------------------------------------------------
-    # Out-of-core deployment: the snapshot as an embedding store
+    # Deployment: the snapshot as an embedding store
     # ------------------------------------------------------------------
     def save_store(
         self,
@@ -415,45 +300,29 @@ class PKGMServer:
     ):
         """Persist the snapshot as a :class:`repro.store.EmbeddingStore`.
 
-        Same payload as :meth:`save`, different medium: checksummed
-        binary shard files under a self-verified manifest instead of
-        one npz.  A server restored with :meth:`from_store` then pages
+        The saved artifact is exactly what a production deployment
+        needs: the embedding tables, transfer matrices, and the per-item
+        key relation assignments — no triple data, no training code —
+        as checksummed binary shard files under a self-verified
+        manifest.  A server restored with :meth:`from_store` then pages
         rows in on demand, so the catalog no longer has to fit in RAM.
         Returns the built (open) store.
-
-        The tables go through the streaming build path in bounded
-        chunks, so peak build memory is one chunk — not one table —
-        while the files stay byte-identical to an in-RAM build.
         """
-        # Imported lazily: repro.store sits on repro.core.cache and
-        # repro.reliability, both of which import repro.core first.
-        from ..store import DEFAULT_PAGE_BYTES, EmbeddingStore, RowSource
-
         item_ids = self._selector.items()
         key_table = np.asarray(
             [self._selector.for_item(item) for item in item_ids], dtype=np.int64
         ).reshape(len(item_ids), self.k)
-        sources = {
-            "entity_table": np.asarray(self._entity_table),
-            "relation_table": np.asarray(self._relation_table),
-            "transfer": np.asarray(self._transfer),
-            "item_ids": np.asarray(item_ids, dtype=np.int64),
-            "key_relations": key_table,
-        }
-        return EmbeddingStore.build_from_rows(
+        return write_server_store(
             directory,
             {
-                name: RowSource.from_array(
-                    array,
-                    chunk_rows=max(
-                        1, (1 << 20) // max(1, array[:1].nbytes)
-                    ),
-                )
-                for name, array in sources.items()
+                "entity_table": self._entity_table,
+                "relation_table": self._relation_table,
+                "transfer": self._transfer,
+                "item_ids": np.asarray(item_ids, dtype=np.int64),
+                "key_relations": key_table,
             },
             num_shards=num_shards,
-            page_bytes=DEFAULT_PAGE_BYTES if page_bytes is None else page_bytes,
-            metadata={"kind": "pkgm-server", "k": self.k, "dim": self.dim},
+            page_bytes=page_bytes,
             registry=registry,
         )
 
@@ -481,45 +350,7 @@ class PKGMServer:
         store = EmbeddingStore.open(
             directory, cache_pages=cache_pages, registry=registry
         )
-        names = set(store.table_names())
-        for key in ("entity_table", "relation_table", "transfer",
-                    "item_ids", "key_relations"):
-            if key not in names:
-                raise SnapshotError(f"store is missing table {key!r}")
-        metadata = store.metadata
-        if metadata.get("kind") != "pkgm-server":
-            raise SnapshotError(
-                f"store metadata kind {metadata.get('kind')!r} is not "
-                f"'pkgm-server'"
-            )
-        entity_spec = store.spec("entity_table")
-        relation_spec = store.spec("relation_table")
-        transfer_spec = store.spec("transfer")
-        if len(entity_spec.row_shape) != 1:
-            raise SnapshotError(
-                f"'entity_table' rows must be 1-D, got {entity_spec.row_shape}"
-            )
-        dim = entity_spec.row_shape[0]
-        if relation_spec.row_shape != (dim,):
-            raise SnapshotError(
-                f"'relation_table' row shape {relation_spec.row_shape} does "
-                f"not match entity dim {dim}"
-            )
-        if transfer_spec.row_shape != (dim, dim) or (
-            transfer_spec.rows != relation_spec.rows
-        ):
-            raise SnapshotError(
-                f"'transfer' geometry {transfer_spec.shape} != expected "
-                f"{(relation_spec.rows, dim, dim)}"
-            )
-        k = int(metadata.get("k", 0))
-        item_spec = store.spec("item_ids")
-        key_spec = store.spec("key_relations")
-        if key_spec.rows != item_spec.rows or key_spec.row_shape != (k,):
-            raise SnapshotError(
-                f"'key_relations' geometry {key_spec.shape} != expected "
-                f"{(item_spec.rows, k)}"
-            )
+        k, dim, num_entities, num_relations = server_store_geometry(store)
         # Selector tables are tiny relative to the embeddings; read them
         # resident so item enumeration never faults pages.  Reads are
         # per-row and quarantine-tolerant: a damaged selector page costs
@@ -527,14 +358,21 @@ class PKGMServer:
         # until repair), never the cold start itself.
         table: Dict[int, List[int]] = {}
         unreadable = 0
-        for row in range(item_spec.rows):
+        for row in range(store.spec("item_ids").rows):
             try:
                 item = int(store.read_row("item_ids", row)[()])
                 relations = store.read_row("key_relations", row)
             except QuarantinedRowError:
                 unreadable += 1
                 continue
-            table[item] = [int(r) for r in relations]
+            keys = [int(r) for r in relations]
+            if keys and not 0 <= min(keys) <= max(keys) < num_relations:
+                store.close()
+                raise SnapshotError(
+                    "'key_relations' references relation ids outside "
+                    f"[0, {num_relations})"
+                )
+            table[item] = keys
         server = cls.__new__(cls)
         server._tail_index = None
         server._entity_table = StoreTable(store, "entity_table")
@@ -542,12 +380,119 @@ class PKGMServer:
         server._transfer = StoreTable(store, "transfer")
         server.k = k
         server.dim = dim
-        server.num_entities = entity_spec.rows
-        server.num_relations = relation_spec.rows
+        server.num_entities = num_entities
+        server.num_relations = num_relations
         server._selector = _FrozenSelector(table, k)
         server.store = store
         server.unreadable_items = unreadable
         return server
+
+
+# ----------------------------------------------------------------------
+# The "pkgm-server" store schema: one writer, one reader
+# ----------------------------------------------------------------------
+_SERVER_KIND = "pkgm-server"
+_SERVER_TABLES = (
+    "entity_table",
+    "relation_table",
+    "transfer",
+    "item_ids",
+    "key_relations",
+)
+
+
+def write_server_store(
+    directory: Union[str, Path],
+    tables: Mapping[str, np.ndarray],
+    *,
+    num_shards: int = 1,
+    page_bytes: Optional[int] = None,
+    metadata: Optional[Mapping] = None,
+    registry=None,
+):
+    """Write the five server tables + schema metadata; returns the open store.
+
+    The one writer of the schema :meth:`PKGMServer.from_store` reads:
+    :meth:`PKGMServer.save_store` and the stream layer's snapshot
+    publisher both come through here, the latter with its own extra
+    ``metadata``; ``k`` and ``dim`` are read off the table shapes, so
+    they cannot disagree with them.  The tables go through the
+    streaming build path in bounded chunks, so peak build memory is one
+    chunk — not one table — and chunking never changes the bytes.
+    """
+    # Imported lazily: repro.store sits on repro.core.cache and
+    # repro.reliability, both of which import repro.core first.
+    from ..store import DEFAULT_PAGE_BYTES, EmbeddingStore, RowSource
+
+    sources = {name: np.asarray(tables[name]) for name in _SERVER_TABLES}
+    return EmbeddingStore.build_from_rows(
+        directory,
+        {
+            name: RowSource.from_array(
+                array,
+                chunk_rows=max(1, (1 << 20) // max(1, array[:1].nbytes)),
+            )
+            for name, array in sources.items()
+        },
+        num_shards=num_shards,
+        page_bytes=DEFAULT_PAGE_BYTES if page_bytes is None else page_bytes,
+        metadata={
+            **(metadata if metadata is not None else {}),
+            "kind": _SERVER_KIND,
+            "k": int(sources["key_relations"].shape[1]),
+            "dim": int(sources["entity_table"].shape[1]),
+        },
+        registry=registry,
+    )
+
+
+def server_store_geometry(store) -> Tuple[int, int, int, int]:
+    """``(k, dim, num_entities, num_relations)`` of an opened server store.
+
+    The one reader of the schema: every table present, the right
+    ``kind``, and mutually consistent geometry — anything else raises
+    :class:`SnapshotError` naming the offending table, before a single
+    row is read.
+    """
+    names = set(store.table_names())
+    for key in _SERVER_TABLES:
+        if key not in names:
+            raise SnapshotError(f"store is missing table {key!r}")
+    metadata = store.metadata
+    if metadata.get("kind") != _SERVER_KIND:
+        raise SnapshotError(
+            f"store metadata kind {metadata.get('kind')!r} is not "
+            f"{_SERVER_KIND!r}"
+        )
+    entity_spec = store.spec("entity_table")
+    relation_spec = store.spec("relation_table")
+    transfer_spec = store.spec("transfer")
+    if len(entity_spec.row_shape) != 1:
+        raise SnapshotError(
+            f"'entity_table' rows must be 1-D, got {entity_spec.row_shape}"
+        )
+    dim = entity_spec.row_shape[0]
+    if relation_spec.row_shape != (dim,):
+        raise SnapshotError(
+            f"'relation_table' row shape {relation_spec.row_shape} does "
+            f"not match entity dim {dim}"
+        )
+    if transfer_spec.row_shape != (dim, dim) or (
+        transfer_spec.rows != relation_spec.rows
+    ):
+        raise SnapshotError(
+            f"'transfer' geometry {transfer_spec.shape} != expected "
+            f"{(relation_spec.rows, dim, dim)}"
+        )
+    k = int(metadata.get("k", 0))
+    item_spec = store.spec("item_ids")
+    key_spec = store.spec("key_relations")
+    if key_spec.rows != item_spec.rows or key_spec.row_shape != (k,):
+        raise SnapshotError(
+            f"'key_relations' geometry {key_spec.shape} != expected "
+            f"{(item_spec.rows, k)}"
+        )
+    return k, dim, entity_spec.rows, relation_spec.rows
 
 
 class _FrozenSelector:

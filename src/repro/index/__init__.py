@@ -11,24 +11,22 @@ always produce byte-identical snapshots and identical search results:
 * :class:`IVFPQIndex` — inverted-file cells over product-quantized
   codes with asymmetric distance tables; ~10x smaller per vector.
 
-:func:`save_index` / :func:`load_index` persist any of them with
-checksummed atomic snapshots in the reliability-checkpoint style.
+:func:`save_index` / :func:`load_index` persist any of them as a
+checksummed :mod:`repro.store` directory.
 """
 
-from .flat import METRICS, FlatIndex, batch_top_k, pairwise_distances, top_k
+from .flat import FlatIndex, batch_top_k, pairwise_distances, top_k
 from .ivf import IVFFlatIndex
-from .kmeans import KMeansResult, kmeans
+from .kmeans import kmeans
 from .pq import IVFPQIndex, ProductQuantizer
 from .snapshot import INDEX_KINDS, IndexSnapshotError, load_index, save_index
 
 __all__ = [
-    "METRICS",
     "FlatIndex",
     "IVFFlatIndex",
     "IVFPQIndex",
     "INDEX_KINDS",
     "IndexSnapshotError",
-    "KMeansResult",
     "ProductQuantizer",
     "batch_top_k",
     "kmeans",

@@ -1,31 +1,32 @@
-"""Checksummed atomic index snapshots.
+"""Index snapshots are embedding-store directories.
 
-An index snapshot is two files, written in the same discipline as
-:mod:`repro.reliability.checkpoint` (payload first, manifest strictly
-after, both via tmp → fsync → ``os.replace``)::
-
-    <path>.npz    arrays (compressed, atomic)
-    <path>.json   manifest: payload SHA-256 + index meta + schema
-
-Load verifies the manifest's checksum against the payload on disk and
-raises :class:`IndexSnapshotError` on any mismatch, torn pair, or
-unknown index kind — a corrupt snapshot is refused, never half-loaded.
+:func:`save_index` writes ``index.state()`` as a :mod:`repro.store`
+directory — each (rectangular) state array one table, the ``meta``
+dict the manifest metadata — so an index snapshot gets the store's
+whole discipline for free: atomic shard writes, the sealed manifest
+strictly last, a CRC per page.  :func:`load_index` opens the
+directory, reads every table back through those CRCs, and raises
+:class:`IndexSnapshotError` on a missing or damaged manifest, a torn
+or bit-flipped shard, or an unknown index kind — a corrupt snapshot is
+refused before any index object exists, never half-loaded.
 
 Because every index builds deterministically from ``(vectors, seed)``
-and ``np.savez_compressed`` is byte-stable, two same-seed builds
-produce *byte-identical* payloads and manifests; ``tools/check.sh``
-gates on exactly that.
+and the store writes byte-stable files, two same-seed builds produce
+*byte-identical* snapshot directories; ``tools/check.sh`` gates on
+exactly that.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
-from ..reliability.checkpoint import atomic_save_npz, atomic_write_json, sha256_of_file
+from ..store import (
+    EmbeddingStore,
+    QuarantinedRowError,
+    StoreManifestError,
+    StoreSchemaError,
+)
 from .flat import FlatIndex
 from .ivf import IVFFlatIndex
 from .pq import IVFPQIndex
@@ -37,72 +38,44 @@ INDEX_KINDS = {
     IVFPQIndex.kind: IVFPQIndex,
 }
 
-SNAPSHOT_VERSION = 1
-
 
 class IndexSnapshotError(RuntimeError):
     """An index snapshot is missing, torn, corrupt, or unrecognized."""
 
 
-def _paths(path: Union[str, Path]):
-    path = Path(path)
-    return path.with_suffix(".npz"), path.with_suffix(".json")
-
-
 def save_index(index, path: Union[str, Path]) -> Path:
-    """Snapshot ``index`` to ``<path>.npz`` + ``<path>.json``.
+    """Snapshot ``index`` as the store directory ``path``; returns it.
 
-    Returns the manifest path.  The payload lands before the manifest,
-    so a crash between the two leaves no manifest and the snapshot is
-    simply invisible to :func:`load_index`.
+    Shards land before the manifest, so a crash mid-save leaves no
+    manifest and the snapshot is simply invisible to :func:`load_index`.
     """
-    payload_path, manifest_path = _paths(path)
     arrays, meta = index.state()
-    digest = atomic_save_npz(payload_path, arrays)
-    manifest = {
-        "version": SNAPSHOT_VERSION,
-        "kind": meta["kind"],
-        "meta": meta,
-        "payload": payload_path.name,
-        "payload_sha256": digest,
-        "arrays": {
-            name: {"shape": list(array.shape), "dtype": str(array.dtype)}
-            for name, array in arrays.items()
-        },
-        "ntotal": index.ntotal,
-    }
-    atomic_write_json(manifest_path, manifest)
-    return manifest_path
+    EmbeddingStore.build(path, arrays, metadata=meta).close()
+    return Path(path)
 
 
 def load_index(path: Union[str, Path], registry=None):
     """Load a snapshot written by :func:`save_index`, verifying it.
 
-    Raises :class:`IndexSnapshotError` if either file is missing, the
-    payload fails its manifest checksum, or the manifest names an
+    Raises :class:`IndexSnapshotError` if ``path`` holds no store
+    manifest (an ``.npz``/``.json`` pair from before snapshots were
+    stores is refused here, not read), the manifest fails its
+    self-checksum, any page fails its CRC, or the manifest names an
     unknown index kind.
     """
-    payload_path, manifest_path = _paths(path)
-    if not manifest_path.exists():
-        raise IndexSnapshotError(f"missing manifest: {manifest_path}")
-    if not payload_path.exists():
-        raise IndexSnapshotError(f"missing payload: {payload_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as error:
-        raise IndexSnapshotError(f"unreadable manifest: {error}") from error
-    digest = sha256_of_file(payload_path)
-    expected = manifest.get("payload_sha256")
-    if digest != expected:
+        store = EmbeddingStore.open(path)
+        kind = store.metadata.get("kind")
+        if kind not in INDEX_KINDS:
+            raise IndexSnapshotError(f"unknown index kind: {kind!r}")
+        try:
+            arrays = {
+                name: store.read_table(name) for name in store.table_names()
+            }
+        finally:
+            store.close()
+    except (StoreManifestError, StoreSchemaError, QuarantinedRowError) as error:
         raise IndexSnapshotError(
-            f"checksum mismatch for {payload_path}: "
-            f"manifest says {expected}, payload is {digest}"
-        )
-    kind = manifest.get("kind")
-    if kind not in INDEX_KINDS:
-        raise IndexSnapshotError(f"unknown index kind: {kind!r}")
-    with np.load(payload_path) as payload:
-        arrays = {name: payload[name] for name in payload.files}
-    return INDEX_KINDS[kind].from_state(
-        arrays, manifest["meta"], registry=registry
-    )
+            f"{path} is not a loadable index snapshot: {error}"
+        ) from error
+    return INDEX_KINDS[kind].from_state(arrays, store.metadata, registry=registry)

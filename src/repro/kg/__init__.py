@@ -14,34 +14,24 @@ from .graph import (
     to_networkx,
 )
 from .negatives import BernoulliNegativeSampler, UniformNegativeSampler
-from .queries import (
-    QueryEngine,
-    RelationQueryResult,
-    TripleQueryResult,
-    recover_all_triples,
-)
+from .queries import QueryEngine, recover_all_triples
 from .rules import Rule, RuleCompleter, RuleMiner
-from .sampling import EdgeBatch, EdgeSampler
-from .splits import TripleSplit, holdout_incompleteness, split_triples
-from .stats import KGStatistics, kg_statistics, relation_frequency_table
+from .sampling import EdgeSampler
+from .splits import holdout_incompleteness, split_triples
+from .stats import kg_statistics, relation_frequency_table
 from .store import Triple, TripleStore
 from .vocab import EntityVocabulary, RelationVocabulary, Vocabulary
 
 __all__ = [
     "BernoulliNegativeSampler",
-    "EdgeBatch",
     "EdgeSampler",
     "EntityVocabulary",
-    "KGStatistics",
     "QueryEngine",
-    "RelationQueryResult",
     "RelationVocabulary",
     "Rule",
     "RuleCompleter",
     "RuleMiner",
     "Triple",
-    "TripleQueryResult",
-    "TripleSplit",
     "TripleStore",
     "UniformNegativeSampler",
     "connected_component_sizes",

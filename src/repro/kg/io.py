@@ -4,7 +4,8 @@ Two formats:
 
 * TSV — human-inspectable ``head\\trelation\\ttail`` label files, the
   lingua franca of public KGE datasets (FB15k-style).
-* NPZ — compact integer arrays for fast reload of large synthetic KGs.
+* NPZ — compact integer arrays for fast reload of large synthetic KGs;
+  labels are fixed-width unicode arrays, so loading never unpickles.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def save_kg_npz(
     np.savez_compressed(
         path,
         triples=store.to_array(),
-        entity_labels=np.asarray(entities.labels(), dtype=object),
+        entity_labels=np.asarray(entities.labels(), dtype=str),
         item_ids=np.asarray(entities.item_ids(), dtype=np.int64),
-        relation_labels=np.asarray(relations.labels(), dtype=object),
+        relation_labels=np.asarray(relations.labels(), dtype=str),
         property_ids=np.asarray(relations.property_ids(), dtype=np.int64),
     )
 
@@ -87,13 +88,20 @@ def save_kg_npz(
 def load_kg_npz(
     path: PathLike,
 ) -> Tuple[TripleStore, EntityVocabulary, RelationVocabulary]:
-    """Load a KG saved by :func:`save_kg_npz`."""
+    """Load a KG saved by :func:`save_kg_npz` — never unpickling: an old
+    file with object-dtype label arrays is refused with ``ValueError``."""
     path = Path(path)
-    with np.load(path, allow_pickle=True) as data:
+    with np.load(path, allow_pickle=False) as data:
         triples = data["triples"]
-        entity_labels = list(data["entity_labels"])
+        try:
+            entity_labels = list(data["entity_labels"])
+            relation_labels = list(data["relation_labels"])
+        except ValueError as error:
+            raise ValueError(
+                f"{path} stores its labels as pickled object arrays, which "
+                "are no longer loaded; re-export it with save_kg_npz"
+            ) from error
         item_ids = set(int(i) for i in data["item_ids"])
-        relation_labels = list(data["relation_labels"])
         property_ids = set(int(i) for i in data["property_ids"])
 
     entities = EntityVocabulary()

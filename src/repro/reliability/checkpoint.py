@@ -79,16 +79,9 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> str:
     and then renamed over the destination (``os.replace`` is atomic on
     POSIX and Windows).  The directory entry is fsynced too, so the
     rename itself survives power loss.
-
-    The temp name carries the pid *and* a process-wide sequence number:
-    pid alone collides when two threads checkpoint the same destination
-    concurrently (one thread's rename can then promote the other's
-    half-written bytes).
     """
     path = Path(path)
-    tmp = path.with_name(
-        f".{path.name}.tmp.{os.getpid()}.{next(_TMP_SEQUENCE)}"
-    )
+    tmp = atomic_tmp_path(path)
     try:
         with open(tmp, "wb") as handle:
             handle.write(payload)
@@ -98,15 +91,7 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> str:
     finally:
         if tmp.exists():
             tmp.unlink()
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        dir_fd = -1
-    if dir_fd >= 0:
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+    fsync_directory(path.parent)
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -115,12 +100,6 @@ def atomic_save_npz(path: Union[str, Path], arrays: Mapping[str, np.ndarray]) ->
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **dict(arrays))
     return atomic_write_bytes(path, buffer.getvalue())
-
-
-def atomic_write_json(path: Union[str, Path], document: Mapping) -> str:
-    """Atomically write a JSON document; returns the payload SHA-256."""
-    payload = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
-    return atomic_write_bytes(path, payload)
 
 
 def sha256_of_file(path: Union[str, Path]) -> str:
@@ -204,7 +183,10 @@ class CheckpointManager:
             },
             "metadata": dict(metadata) if metadata is not None else {},
         }
-        atomic_write_json(self.manifest_path(step), manifest)
+        atomic_write_bytes(
+            self.manifest_path(step),
+            json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
+        )
         self._prune()
         return payload
 

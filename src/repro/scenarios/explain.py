@@ -24,6 +24,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..kg.rules import Rule, RuleCompleter, RuleMiner
 from ..kg.store import TripleStore
+from ..reliability.checkpoint import atomic_write_bytes
+from ..store.layout import canonical_json, parse_manifest, seal_manifest
 
 __all__ = [
     "Citation",
@@ -282,13 +284,16 @@ class Explainer:
 def save_sidecar(store_dir: str, store: TripleStore, rules: Iterable[Rule]) -> str:
     """Write the scenario sidecar into ``store_dir``; returns its path.
 
-    Canonical JSON (sorted triples, rule sort order) so two same-input
+    A sealed canonical-JSON document (sorted triples, rule sort order,
+    self-checksum) written tmp → fsync → rename, so two same-input
     saves are byte-identical — the sidecar rides inside byte-compared
-    store directories.
+    store directories — and a torn or bit-flipped one is refused by
+    :func:`load_sidecar` instead of half-parsed.
     """
     path = os.path.join(store_dir, SIDECAR_NAME)
     ordered = sorted(RuleCompleter(rules).rules, key=lambda r: r.sort_key)
     payload = {
+        "version": 1,  # manifest format version (parse_manifest pins it)
         "triples": sorted(
             [int(t.head), int(t.relation), int(t.tail)] for t in store
         ),
@@ -304,21 +309,19 @@ def save_sidecar(store_dir: str, store: TripleStore, rules: Iterable[Rule]) -> s
             for rule in ordered
         ],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write_bytes(path, canonical_json(seal_manifest(payload)))
     return path
 
 
 def load_sidecar(store_dir: str, server=None, registry=None) -> Optional[Explainer]:
-    """Rebuild an :class:`Explainer` from a store's sidecar, if present."""
+    """Rebuild an :class:`Explainer` from a store's sidecar, if present;
+    a damaged one raises :class:`repro.store.StoreManifestError` (a
+    ``RuntimeError``, which the ``explain`` op degrades)."""
     path = os.path.join(store_dir, SIDECAR_NAME)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with open(path, "rb") as fh:
+        payload = parse_manifest(fh.read())
     store = TripleStore((h, r, t) for h, r, t in payload["triples"])
     rules = [
         Rule(

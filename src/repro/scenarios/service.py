@@ -29,6 +29,7 @@ import numpy as np
 
 from ..core.cache import LRUDict
 from ..reliability.retry import CircuitBreaker, CircuitOpenError, RPCError, StepClock
+from ..store.errors import StoreManifestError
 from .explain import ExplanationPayload, load_sidecar
 
 __all__ = [
@@ -225,10 +226,11 @@ class WorkerScenarios:
     Built inside ``worker_main`` after the store is opened; engines are
     constructed on first use so workers serving only core kinds pay
     nothing.  ``explain`` needs the :data:`~repro.scenarios.explain.SIDECAR_NAME`
-    sidecar in the store directory — without it the call raises
-    ``RuntimeError``, which the worker reports as a ``STATUS_ERROR``
-    outcome rather than dying.  Both calls answer the engines' typed
-    payloads; the wire form is the :data:`repro.ops.OPS` row's business.
+    sidecar in the store directory — without it (or with a damaged one,
+    refused by its seal) the call raises ``RuntimeError``, which the
+    worker reports as a ``STATUS_ERROR`` outcome rather than dying.
+    Both calls answer the engines' typed payloads; the wire form is the
+    :data:`repro.ops.OPS` row's business.
     """
 
     def __init__(self, server, store_dir: str) -> None:
@@ -237,6 +239,7 @@ class WorkerScenarios:
         self._recommender: Optional[ServiceRecommender] = None
         self._explainer = None
         self._sidecar_loaded = False
+        self._no_explainer = "store has no scenarios sidecar"
 
     def recommend(self, entity_id: int, k: int) -> RecommendationPayload:
         if self._recommender is None:
@@ -245,8 +248,12 @@ class WorkerScenarios:
 
     def explain(self, entity_id: int, relation: int) -> ExplanationPayload:
         if not self._sidecar_loaded:
-            self._explainer = load_sidecar(self.store_dir, server=self.server)
             self._sidecar_loaded = True
+            try:
+                self._explainer = load_sidecar(self.store_dir, server=self.server)
+            except StoreManifestError as error:
+                # Remembered: parsed once per worker, not once per request.
+                self._no_explainer = str(error)
         if self._explainer is None:
-            raise RuntimeError("store has no scenarios sidecar")
+            raise RuntimeError(self._no_explainer)
         return self._explainer.explain(entity_id, relation)

@@ -17,8 +17,8 @@ Two phases exercise the new endpoints end to end on virtual time:
 
 The transcript records request id, kind, outcome, and payload CRC —
 never timings or worker identities — so two same-seed runs are
-byte-identical; ``tools/check.sh`` and the ``scenarios-gate`` CI job
-run it twice and ``diff`` the output.  A cold-start split summary line
+byte-identical; ``tools/check.sh`` (and so the CI ``check`` job) runs
+it twice and diffs the output.  A cold-start split summary line
 pins the scenario's data generation into the same gate.
 """
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.service import ServiceVectors
+from ..core.service import ServiceVectors, SnapshotError, server_store_geometry
 from ..obs.metrics import MetricsRegistry
 from ..ops import OPS
 from ..reliability.retry import RPCError, StepClock
@@ -151,16 +151,15 @@ class Supervisor:
         # (workers own the data plane); the handle stays open when the
         # background scrubber needs pages to sweep.
         store = EmbeddingStore.open(self.store_dir, registry=self.metrics)
-        metadata = store.metadata
-        if metadata.get("kind") != "pkgm-server":
+        try:
+            self.k, self.dim, self.num_entities, self.num_relations = (
+                server_store_geometry(store)
+            )
+        except SnapshotError as error:
             store.close()
             raise PoolError(
-                f"store at {self.store_dir} is not a pkgm-server snapshot"
-            )
-        self.k = int(metadata["k"])
-        self.dim = int(metadata["dim"])
-        self.num_entities = store.spec("entity_table").rows
-        self.num_relations = store.spec("relation_table").rows
+                f"store at {self.store_dir} is not a pkgm-server snapshot: {error}"
+            ) from error
         self.scrubber: Optional[ScrubScheduler] = None
         if self.config.scrub_pages_per_tick > 0:
             self._store = store

@@ -36,7 +36,6 @@ from .shard import (
     ShardReader,
     StreamingShardWriter,
     page_crc32s,
-    write_shard,
 )
 from .store import EmbeddingStore, RepairReport, RowSource, ScrubReport
 from .table import StoreTable
@@ -65,5 +64,4 @@ __all__ = [
     "parse_manifest",
     "seal_manifest",
     "shard_filename",
-    "write_shard",
 ]

@@ -257,28 +257,6 @@ def specs_from_manifest(document: Mapping) -> Dict[str, TableSpec]:
     }
 
 
-def spec_for_array(
-    name: str,
-    array: np.ndarray,
-    num_shards: int,
-    layout: str,
-    page_bytes: int,
-) -> TableSpec:
-    """The :class:`TableSpec` describing an in-RAM array."""
-    array = np.asarray(array)
-    if array.ndim < 1:
-        raise StoreSchemaError(f"table {name!r} must be at least 1-D")
-    return TableSpec(
-        name=name,
-        dtype=str(array.dtype),
-        row_shape=tuple(int(d) for d in array.shape[1:]),
-        rows=int(array.shape[0]),
-        num_shards=num_shards,
-        layout=layout,
-        page_bytes=page_bytes,
-    )
-
-
 def shard_row_ids(spec: TableSpec, shard: int) -> List[int]:
     """Global row ids resident on one shard, in local-row order."""
     if spec.layout == "strided":

@@ -25,11 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ..reliability.checkpoint import (
-    atomic_tmp_path,
-    atomic_write_bytes,
-    fsync_directory,
-)
+from ..reliability.checkpoint import atomic_tmp_path, fsync_directory
 from .layout import TableSpec
 
 
@@ -70,36 +66,18 @@ class ShardInfo:
         )
 
 
-def write_shard(
-    directory: Union[str, Path],
-    filename: str,
-    data: bytes,
-    page_nbytes: int,
-) -> ShardInfo:
-    """Atomically write one shard file; returns its integrity record."""
-    path = Path(directory) / filename
-    digest = atomic_write_bytes(path, data)
-    return ShardInfo(
-        file=filename,
-        nbytes=len(data),
-        sha256=digest,
-        page_crcs=tuple(page_crc32s(data, page_nbytes)),
-    )
-
-
 class StreamingShardWriter:
-    """Incremental :func:`write_shard`: same bytes, bounded memory.
+    """The one shard writer: atomic, incremental, bounded memory.
 
     ``write`` chunks append to a same-directory temp file while the
     SHA-256 and page CRCs accumulate incrementally; a partial trailing
-    page is carried between chunks so CRC boundaries match a one-shot
-    write exactly.  ``finish`` flushes, fsyncs, renames over the
+    page is carried between chunks so CRC boundaries never depend on
+    chunk sizes (:func:`page_crc32s` of the concatenated chunks is the
+    reference).  ``finish`` flushes, fsyncs, renames over the
     destination and fsyncs the directory — the identical crash contract
     to :func:`repro.reliability.checkpoint.atomic_write_bytes` — and
-    returns a :class:`ShardInfo` byte-for-byte equal to what
-    ``write_shard`` would have produced for the concatenated chunks.
-    A crash (or ``abort``) before ``finish`` leaves only a temp file
-    the manifest never names.
+    returns the shard's :class:`ShardInfo`.  A crash (or ``abort``)
+    before ``finish`` leaves only a temp file the manifest never names.
     """
 
     def __init__(

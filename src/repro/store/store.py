@@ -50,11 +50,9 @@ from .layout import (
     seal_manifest,
     canonical_json,
     shard_filename,
-    spec_for_array,
-    shard_row_ids,
     specs_from_manifest,
 )
-from .shard import ShardInfo, ShardReader, StreamingShardWriter, write_shard
+from .shard import ShardInfo, ShardReader, StreamingShardWriter
 
 #: ``(table, shard, page)`` — the quarantine / cache addressing unit.
 PageKey = Tuple[str, int, int]
@@ -130,9 +128,9 @@ class RowSource:
     @classmethod
     def from_array(cls, array: np.ndarray, chunk_rows: int = 0) -> "RowSource":
         """Wrap an in-RAM array (optionally re-chunked for tests)."""
-        array = np.ascontiguousarray(array)
-        if array.ndim < 1:
+        if np.ndim(array) < 1:  # before ascontiguousarray, which promotes scalars
             raise StoreSchemaError("a row source must be at least 1-D")
+        array = np.ascontiguousarray(array)
         step = chunk_rows if chunk_rows > 0 else max(1, int(array.shape[0]))
 
         def _chunks() -> List[np.ndarray]:
@@ -221,48 +219,22 @@ class EmbeddingStore:
         cache_pages: int = 64,
         registry: Optional[MetricsRegistry] = None,
     ) -> "EmbeddingStore":
-        """Write a store for ``arrays`` and return it opened.
+        """Write a store for in-RAM ``arrays`` and return it opened.
 
-        Shard payloads land first (each atomically), the sealed manifest
-        strictly last — the checkpoint discipline, so a crash mid-build
-        leaves no manifest and the directory reads as "no store" rather
-        than a torn one.  Same arrays, same parameters → byte-identical
-        files, which the chaos gate diffs across runs.
+        :meth:`build_from_rows` over :meth:`RowSource.from_array` — one
+        write path, so same arrays, same parameters → byte-identical
+        files however the rows were chunked (the chaos gate diffs them
+        across runs).
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        if not arrays:
-            raise StoreSchemaError("a store needs at least one table")
-        tables: Dict[str, _Table] = {}
-        manifest_tables: Dict[str, dict] = {}
-        for name in sorted(arrays):
-            array = np.ascontiguousarray(arrays[name])
-            spec = spec_for_array(name, array, num_shards, layout, page_bytes)
-            page_nbytes = spec.rows_per_page * spec.row_nbytes
-            infos: List[ShardInfo] = []
-            for shard in range(spec.num_shards):
-                rows = shard_row_ids(spec, shard)
-                data = array[rows].tobytes() if rows else b""
-                infos.append(
-                    write_shard(
-                        directory,
-                        shard_filename(name, shard),
-                        data,
-                        page_nbytes,
-                    )
-                )
-            entry = spec.to_manifest()
-            entry["shards"] = [info.to_manifest() for info in infos]
-            manifest_tables[name] = entry
-            tables[name] = _Table(spec=spec, shards=infos)
-        return cls._finalize_build(
+        return cls.build_from_rows(
             directory,
-            tables,
-            manifest_tables,
-            page_bytes,
-            metadata,
-            cache_pages,
-            registry,
+            {name: RowSource.from_array(array) for name, array in arrays.items()},
+            num_shards=num_shards,
+            layout=layout,
+            page_bytes=page_bytes,
+            metadata=metadata,
+            cache_pages=cache_pages,
+            registry=registry,
         )
 
     @classmethod
@@ -278,18 +250,20 @@ class EmbeddingStore:
         cache_pages: int = 64,
         registry: Optional[MetricsRegistry] = None,
     ) -> "EmbeddingStore":
-        """:meth:`build` from row iterators — bounded by chunk size, not
-        table size.
+        """Write a store from row iterators and return it opened —
+        bounded by chunk size, not table size.
 
         Each table streams through one pass of its source: chunks are
         routed to per-shard :class:`StreamingShardWriter`\\ s (contiguous
         spans or strided masks), so peak memory is one chunk plus one
-        partial page per shard.  The resulting shard files, manifest,
-        and checksums are byte-identical to an in-RAM :meth:`build` of
-        the concatenated chunks — the storage-chaos gate relies on it.
-        Dtype, row shape, and row count are enforced against the
-        declared geometry; any mismatch aborts every open temp file and
-        leaves no manifest.
+        partial page per shard, and chunk sizes never change the bytes
+        on disk — the storage-chaos gate relies on it.  Shard payloads
+        land first (each atomically), the sealed manifest strictly
+        last — the checkpoint discipline, so a crash mid-build leaves
+        no manifest and the directory reads as "no store" rather than
+        a torn one.  Dtype, row shape, and row count are enforced
+        against the declared geometry; any mismatch aborts every open
+        temp file and leaves no manifest.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -313,15 +287,28 @@ class EmbeddingStore:
             entry["shards"] = [info.to_manifest() for info in infos]
             manifest_tables[name] = entry
             tables[name] = _Table(spec=spec, shards=infos)
-        return cls._finalize_build(
+        document = seal_manifest(
+            {
+                "version": STORE_VERSION,
+                "page_bytes": page_bytes,
+                "metadata": dict(metadata) if metadata is not None else {},
+                "tables": manifest_tables,
+            }
+        )
+        atomic_write_bytes(
+            directory / MANIFEST_NAME,
+            canonical_json(document),
+        )
+        store = cls(
             directory,
             tables,
-            manifest_tables,
+            document["metadata"],
             page_bytes,
-            metadata,
-            cache_pages,
-            registry,
+            cache_pages=cache_pages,
+            registry=registry,
         )
+        store._attach_readers()
+        return store
 
     @staticmethod
     def _stream_table(
@@ -387,41 +374,6 @@ class EmbeddingStore:
         return [writer.finish() for writer in writers]
 
     @classmethod
-    def _finalize_build(
-        cls,
-        directory: Path,
-        tables: Dict[str, _Table],
-        manifest_tables: Dict[str, dict],
-        page_bytes: int,
-        metadata: Optional[Mapping],
-        cache_pages: int,
-        registry: Optional[MetricsRegistry],
-    ) -> "EmbeddingStore":
-        """Seal the manifest (strictly last) and open the built store."""
-        document = seal_manifest(
-            {
-                "version": STORE_VERSION,
-                "page_bytes": page_bytes,
-                "metadata": dict(metadata) if metadata is not None else {},
-                "tables": manifest_tables,
-            }
-        )
-        atomic_write_bytes(
-            directory / MANIFEST_NAME,
-            canonical_json(document),
-        )
-        store = cls(
-            directory,
-            tables,
-            document["metadata"],
-            page_bytes,
-            cache_pages=cache_pages,
-            registry=registry,
-        )
-        store._attach_readers()
-        return store
-
-    @classmethod
     def open(
         cls,
         directory: Union[str, Path],
@@ -439,7 +391,10 @@ class EmbeddingStore:
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
         if not manifest_path.exists():
-            raise StoreManifestError(f"no store manifest under {directory}")
+            raise StoreManifestError(
+                f"no store manifest under {directory} (a store is a "
+                f"directory of shard files plus {MANIFEST_NAME})"
+            )
         document = parse_manifest(manifest_path.read_bytes())
         specs = specs_from_manifest(document)
         tables: Dict[str, _Table] = {}

@@ -64,7 +64,8 @@ class StoreTable:
             return self._store.read_row(self.name, int(key))
         return self._store.read_rows(self.name, np.asarray(key))
 
-    def __array__(self, dtype=None) -> np.ndarray:
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # numpy 2's ``copy`` is moot: gathering rows out of pages always copies.
         full = self._store.read_table(self.name)
         return full.astype(dtype) if dtype is not None else full
 

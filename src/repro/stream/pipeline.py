@@ -151,7 +151,7 @@ class StreamPipeline:
             # Seed every table from a trained snapshot instead of the
             # untrained smoke model: the published stream snapshots then
             # serve the trained embeddings from batch zero.
-            server = PKGMServer.load(from_checkpoint)
+            server = PKGMServer.from_store(from_checkpoint)
             mismatches = []
             if server.num_entities != len(catalog.entities):
                 mismatches.append(
@@ -168,6 +168,7 @@ class StreamPipeline:
                     f"{experiment.key_relations}"
                 )
             if mismatches:
+                server.store.close()
                 raise ValueError(
                     f"checkpoint {from_checkpoint!s} does not match the "
                     "experiment catalog: " + "; ".join(mismatches)
@@ -178,6 +179,7 @@ class StreamPipeline:
             )
             self.transfer = np.array(server.transfer_tensor, dtype=np.float64)
             entity_table = np.array(server.entity_table, dtype=np.float64)
+            server.store.close()
         else:
             model = PKGM(
                 len(catalog.entities),
@@ -377,8 +379,6 @@ class StreamPipeline:
             },
             self.index.index,
             seq=self.state.next_seq - 1,
-            k=self.selector.k,
-            dim=self.dim,
             num_shards=self.config.num_shards,
         )
         self.publishes += 1

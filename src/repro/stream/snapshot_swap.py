@@ -4,7 +4,7 @@ The stream pipeline periodically freezes its live state into a
 *version*::
 
     <root>/versions/v000003/store/...      repro.store (streamed build)
-    <root>/versions/v000003/index.npz/.json  ANN snapshot
+    <root>/versions/v000003/index/...      ANN snapshot (also a store)
     <root>/versions/v000003/version.json   sealed: seq, counts, checksums
     <root>/CURRENT                         the promoted version name
 
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..core.service import PKGMServer
+from ..core.service import PKGMServer, write_server_store
 from ..index.snapshot import load_index, save_index
 from ..obs.metrics import MetricsRegistry
 from ..reliability.checkpoint import atomic_write_bytes, sha256_of_file
@@ -40,7 +40,6 @@ from ..store.layout import (
     parse_manifest,
     seal_manifest,
 )
-from ..store.store import EmbeddingStore, RowSource
 
 CURRENT_NAME = "CURRENT"
 VERSION_RE = re.compile(r"v(\d{6})$")
@@ -93,8 +92,6 @@ class SnapshotVersioner:
         index,
         *,
         seq: int,
-        k: int,
-        dim: int,
         num_shards: int = 1,
         extra: Optional[Dict] = None,
     ) -> Path:
@@ -102,30 +99,21 @@ class SnapshotVersioner:
 
         ``tables`` must be the five pkgm-server tables that
         :meth:`repro.core.PKGMServer.from_store` expects.  The store
-        goes through the streamed build path (bounded memory), the
-        index through the checksummed snapshot writer, and CURRENT is
+        goes through the server's own schema writer (streamed build,
+        bounded memory), the index through :func:`save_index` (a store
+        directory too, pinned by its manifest SHA), and CURRENT is
         rewritten only after the sealed version manifest lands.
         Deterministic inputs → byte-identical version directories,
         even when re-published over a torn previous attempt.
         """
         directory = self.version_dir(version)
         store_dir = directory / "store"
-        store = EmbeddingStore.build_from_rows(
+        write_server_store(
             store_dir,
-            {
-                name: RowSource.from_array(np.ascontiguousarray(array))
-                for name, array in tables.items()
-            },
+            tables,
             num_shards=num_shards,
-            metadata={
-                "kind": "pkgm-server",
-                "k": int(k),
-                "dim": int(dim),
-                "stream_version": int(version),
-                "stream_seq": int(seq),
-            },
-        )
-        store.close()
+            metadata={"stream_version": int(version), "stream_seq": int(seq)},
+        ).close()
         save_index(index, directory / "index")
         manifest = seal_manifest(
             {
@@ -135,8 +123,8 @@ class SnapshotVersioner:
                 "store_manifest_sha256": sha256_of_file(
                     store_dir / MANIFEST_NAME
                 ),
-                "index_payload_sha256": sha256_of_file(
-                    directory / "index.npz"
+                "index_manifest_sha256": sha256_of_file(
+                    directory / "index" / MANIFEST_NAME
                 ),
                 "extra": dict(extra) if extra is not None else {},
             }
@@ -179,16 +167,12 @@ class SnapshotVersioner:
                 f"version {version}: manifest claims snapshot "
                 f"{manifest.get('snapshot_version')!r}"
             )
-        actual = sha256_of_file(directory / "store" / MANIFEST_NAME)
-        if actual != manifest["store_manifest_sha256"]:
-            raise SnapshotSwapError(
-                f"version {version}: store manifest checksum mismatch"
-            )
-        actual = sha256_of_file(directory / "index.npz")
-        if actual != manifest["index_payload_sha256"]:
-            raise SnapshotSwapError(
-                f"version {version}: index payload checksum mismatch"
-            )
+        for part in ("store", "index"):
+            actual = sha256_of_file(directory / part / MANIFEST_NAME)
+            if actual != manifest[f"{part}_manifest_sha256"]:
+                raise SnapshotSwapError(
+                    f"version {version}: {part} manifest checksum mismatch"
+                )
         return manifest
 
     def load_server(

@@ -11,6 +11,7 @@ from repro.index import (
     load_index,
     save_index,
 )
+from repro.store import MANIFEST_NAME
 
 K = 5
 
@@ -29,6 +30,10 @@ def build(kind, base):
     return index
 
 
+def directory_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 @pytest.mark.parametrize("kind", ["flat", "ivf", "ivfpq"])
 class TestRoundtrip:
     def test_search_results_survive_reload(
@@ -36,8 +41,8 @@ class TestRoundtrip:
     ):
         base, queries = clustered_catalog
         index = build(kind, base)
-        manifest = save_index(index, tmp_path / "idx")
-        assert manifest.exists()
+        directory = save_index(index, tmp_path / "idx")
+        assert (directory / MANIFEST_NAME).exists()
         loaded = load_index(tmp_path / "idx")
         assert loaded.kind == kind
         assert loaded.ntotal == index.ntotal
@@ -50,89 +55,102 @@ class TestRoundtrip:
         self, tmp_path, clustered_catalog, kind
     ):
         """Two independent same-seed builds must write identical bytes —
-        the property tools/check.sh gates on.  The payload basename is
-        embedded in the manifest, so both runs use the same one."""
+        the property tools/check.sh gates on (``diff -r``)."""
         base, _ = clustered_catalog
         for run in ("r1", "r2"):
-            (tmp_path / run).mkdir()
             save_index(build(kind, base), tmp_path / run / "idx")
-        for suffix in (".npz", ".json"):
-            a = (tmp_path / "r1" / "idx").with_suffix(suffix).read_bytes()
-            b = (tmp_path / "r2" / "idx").with_suffix(suffix).read_bytes()
-            assert a == b, f"{kind}{suffix} differs between same-seed builds"
+        first = directory_bytes(tmp_path / "r1" / "idx")
+        assert MANIFEST_NAME in first and len(first) > 1
+        assert first == directory_bytes(tmp_path / "r2" / "idx"), kind
 
 
 class TestRefusal:
     @pytest.fixture()
     def saved(self, tmp_path, clustered_catalog):
         base, _ = clustered_catalog
-        save_index(build("ivf", base), tmp_path / "idx")
-        return tmp_path / "idx"
+        return save_index(build("ivf", base), tmp_path / "idx")
 
     def test_corrupted_payload_is_refused(self, saved):
-        payload = saved.with_suffix(".npz")
+        payload = saved / "vectors-0000.bin"
         blob = bytearray(payload.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         payload.write_bytes(bytes(blob))
-        with pytest.raises(IndexSnapshotError, match="checksum"):
+        with pytest.raises(IndexSnapshotError, match="failed its CRC"):
             load_index(saved)
 
     def test_missing_manifest_is_refused(self, saved):
-        saved.with_suffix(".json").unlink()
+        (saved / MANIFEST_NAME).unlink()
         with pytest.raises(IndexSnapshotError, match="manifest"):
             load_index(saved)
 
     def test_missing_payload_is_refused(self, saved):
-        saved.with_suffix(".npz").unlink()
-        with pytest.raises(IndexSnapshotError, match="payload"):
+        (saved / "ids-0000.bin").unlink()
+        with pytest.raises(IndexSnapshotError, match="'ids' is quarantined"):
             load_index(saved)
 
     def test_garbled_manifest_is_refused(self, saved):
-        saved.with_suffix(".json").write_text("{not json")
+        (saved / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(IndexSnapshotError, match="unreadable"):
             load_index(saved)
 
     def test_unknown_kind_is_refused(self, saved):
+        """A well-sealed store that is not an index (here: a kind no
+        index class claims) is refused before any table is read."""
         import json
 
-        manifest_path = saved.with_suffix(".json")
+        from repro.store import seal_manifest
+
+        manifest_path = saved / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        manifest["kind"] = "hnsw"
-        manifest_path.write_text(json.dumps(manifest))
+        manifest["metadata"]["kind"] = "hnsw"
+        manifest_path.write_text(json.dumps(seal_manifest(manifest)))
         with pytest.raises(IndexSnapshotError, match="unknown index kind"):
+            load_index(saved)
+        # ...and an edit that does not re-seal fails the self-checksum.
+        manifest_path.write_text(json.dumps(manifest))  # checksum still says "ivf"
+        with pytest.raises(IndexSnapshotError, match="self-checksum"):
             load_index(saved)
 
     def test_nothing_saved_is_refused(self, tmp_path):
         with pytest.raises(IndexSnapshotError, match="manifest"):
             load_index(tmp_path / "never-written")
 
+    def test_old_npz_pair_is_refused_naming_the_store_format(self, tmp_path):
+        """``idx.npz`` + ``idx.json`` from before snapshots were store
+        directories: refused by either spelling, never read
+        (ROADMAP [9](d))."""
+        np.savez_compressed(tmp_path / "idx.npz", ids=np.arange(3))
+        (tmp_path / "idx.json").write_text('{"kind": "flat"}')
+        for spelling in ("idx", "idx.npz"):
+            with pytest.raises(IndexSnapshotError, match="a store is a directory"):
+                load_index(tmp_path / spelling)
+
     def test_truncated_payload_is_refused(self, saved):
-        """Torn write: the payload stops mid-file.  The checksum gate
-        must refuse it before any array is materialized."""
-        payload = saved.with_suffix(".npz")
+        """Torn write: a shard stops mid-file.  The page CRCs must
+        refuse it before any index object exists."""
+        payload = saved / "vectors-0000.bin"
         blob = payload.read_bytes()
         payload.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(IndexSnapshotError, match="checksum"):
+        with pytest.raises(IndexSnapshotError, match="failed its CRC"):
             load_index(saved)
 
     def test_post_checksum_bit_flip_is_refused(self, saved):
-        """Bit rot after save: one flipped bit anywhere in the payload
-        (here near the tail, past where headers would mask it) must
-        fail the manifest checksum."""
-        payload = saved.with_suffix(".npz")
+        """Bit rot after save: one flipped bit anywhere in a shard
+        (here near the tail of the last page) must fail its page CRC."""
+        payload = saved / "vectors-0000.bin"
         blob = bytearray(payload.read_bytes())
         blob[-3] ^= 0x01
         payload.write_bytes(bytes(blob))
-        with pytest.raises(IndexSnapshotError, match="checksum"):
+        with pytest.raises(IndexSnapshotError, match="failed its CRC"):
             load_index(saved)
 
-    def test_refusal_leaves_no_partial_state(self, saved, tmp_path):
+    def test_refusal_leaves_no_partial_state(self, saved):
         """A refused load mutates nothing on disk — no temp files, no
         partially written artifacts a retry could trip over."""
-        payload = saved.with_suffix(".npz")
+        payload = saved / "vectors-0000.bin"
         blob = payload.read_bytes()
         payload.write_bytes(blob[: len(blob) // 2])
-        before = sorted(p.name for p in tmp_path.iterdir())
+        before = directory_bytes(saved)
         with pytest.raises(IndexSnapshotError):
             load_index(saved)
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert directory_bytes(saved) == before

@@ -107,3 +107,27 @@ class TestNpzRoundtrip:
         assert e2.item_ids() == entities.item_ids()
         assert r2.labels() == relations.labels()
         assert r2.property_ids() == relations.property_ids()
+
+    def test_labels_are_stored_pickle_free(self, kg, tmp_path):
+        store, entities, relations = kg
+        path = tmp_path / "kg.npz"
+        save_kg_npz(path, store, entities, relations)
+        with np.load(path, allow_pickle=False) as data:
+            assert data["entity_labels"].dtype.kind == "U"
+            assert data["relation_labels"].dtype.kind == "U"
+
+    def test_old_object_dtype_file_is_refused(self, kg, tmp_path):
+        """The pre-unicode format pickled its label arrays; loading one
+        must refuse (asking for a re-export), never unpickle."""
+        store, entities, relations = kg
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            triples=store.to_array(),
+            entity_labels=np.asarray(entities.labels(), dtype=object),
+            item_ids=np.asarray(entities.item_ids(), dtype=np.int64),
+            relation_labels=np.asarray(relations.labels(), dtype=object),
+            property_ids=np.asarray(relations.property_ids(), dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="re-export"):
+            load_kg_npz(path)

@@ -16,6 +16,7 @@ from repro.scenarios import (
     load_sidecar,
     save_sidecar,
 )
+from repro.store import StoreManifestError
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,33 @@ class TestSidecar:
 
     def test_missing_sidecar_loads_none(self, tmp_path):
         assert load_sidecar(str(tmp_path)) is None
+
+    @pytest.mark.parametrize("damage", ["torn", "bit-flip", "not-json"])
+    def test_damaged_sidecar_is_a_typed_refusal(
+        self, tmp_path, catalog, rules, damage
+    ):
+        """The sidecar is sealed: damage is a ``StoreManifestError`` (a
+        ``RuntimeError`` the explain op degrades), never a raw
+        ``JSONDecodeError`` and never a half-parsed rule set."""
+        path = tmp_path / "scenarios.json"
+        save_sidecar(str(tmp_path), catalog.store, rules)
+        blob = bytearray(path.read_bytes())
+        if damage == "torn":
+            blob = blob[: len(blob) // 2]
+        elif damage == "bit-flip":
+            digit = next(i for i, b in enumerate(blob) if chr(b).isdigit())
+            blob[digit] ^= 0x01  # still valid JSON, different number
+        else:
+            blob = bytearray(b"{not json")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreManifestError) as refusal:
+            load_sidecar(str(tmp_path))
+        assert isinstance(refusal.value, RuntimeError)
+        assert not isinstance(refusal.value, ValueError)
+
+    def test_save_leaves_no_temp_file(self, tmp_path, catalog, rules):
+        save_sidecar(str(tmp_path), catalog.store, rules)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenarios.json"]
 
 
 class TestRuleTransfer:

@@ -1,6 +1,8 @@
 """Tests for the scenario op kinds on the pool wire protocol and the
 forked worker pool (explain/recommend end to end)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,35 @@ class TestRunBatch:
         assert (rid, status) == (2, STATUS_OK)
         assert payload == explainer.explain(item, relation).canonical_dict()
 
+    def test_refused_sidecar_is_parsed_once_per_worker(
+        self, server, catalog, rules, tmp_path, monkeypatch
+    ):
+        from repro.scenarios import service
+
+        sidecar = Path(save_sidecar(str(tmp_path), catalog.store, rules))
+        sidecar.write_bytes(sidecar.read_bytes()[:-40])
+        parses = []
+        real = service.load_sidecar
+        monkeypatch.setattr(
+            service,
+            "load_sidecar",
+            lambda *args, **kwargs: parses.append(1) or real(*args, **kwargs),
+        )
+        scenarios = WorkerScenarios(server, str(tmp_path))
+        item = catalog.items[0].entity_id
+        results = run_batch(
+            server,
+            "explain",
+            0,
+            [(1, item, 0, None), (2, item, 0, None)],
+            scenarios=scenarios,
+        )
+        assert [status for _, status, _ in results] == [STATUS_ERROR] * 2
+        # Same refusal text whichever request a worker sees first.
+        assert results[0][2] == results[1][2]
+        assert "manifest" in results[0][2]
+        assert len(parses) == 1
+
     def test_unknown_ids_degrade_per_item(self, server, catalog, tmp_path):
         scenarios = WorkerScenarios(server, str(tmp_path))
         item = catalog.items[0].entity_id
@@ -125,6 +156,33 @@ class TestForkedPool:
             assert np.array_equal(neighbor_ids, direct.neighbor_ids)
             with pytest.raises(KeyError):
                 pool.explain(10**6, relation)
+        finally:
+            pool.shutdown()
+
+    def test_torn_sidecar_degrades_explain_and_kills_no_worker(
+        self, tmp_path, server, catalog, rules
+    ):
+        """Regression: a half-written ``scenarios.json`` used to raise
+        ``JSONDecodeError`` inside the worker (not in the op's error
+        set), killing it; the replay then killed its sibling, and a
+        dozen explains spent every restart — the whole pool gone."""
+        path = tmp_path / "store"
+        server.save_store(path, num_shards=2, page_bytes=4096).close()
+        sidecar = Path(save_sidecar(str(path), catalog.store, rules))
+        blob = sidecar.read_bytes()
+        sidecar.write_bytes(blob[: len(blob) // 2])
+        item = catalog.items[0].entity_id
+        pool = Supervisor(path, PoolConfig(num_workers=2))
+        pool.start()
+        try:
+            for _ in range(12):
+                with pytest.raises(PoolError, match="error"):
+                    pool.explain(item, 0)
+            assert pool.metrics.counter("pool.worker_deaths").value == 0
+            assert pool.alive_workers() == 2
+            assert np.array_equal(
+                pool.serve(item).triple_vectors, server.serve(item).triple_vectors
+            )
         finally:
             pool.shutdown()
 

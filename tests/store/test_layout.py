@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.store import (
+    RowSource,
     STORE_VERSION,
     StoreManifestError,
     StoreSchemaError,
@@ -13,7 +14,7 @@ from repro.store import (
     seal_manifest,
     shard_filename,
 )
-from repro.store.layout import canonical_json, shard_row_ids, spec_for_array
+from repro.store.layout import canonical_json, shard_row_ids
 
 
 def make_spec(**overrides):
@@ -102,9 +103,9 @@ class TestTableSpec:
         spec = make_spec()
         assert TableSpec.from_manifest("entity_table", spec.to_manifest()) == spec
 
-    def test_spec_for_array_rejects_scalars(self):
+    def test_row_source_rejects_scalars(self):
         with pytest.raises(StoreSchemaError):
-            spec_for_array("x", np.float64(3.0), 1, "contiguous", 128)
+            RowSource.from_array(np.float64(3.0))
 
 
 class TestManifestChecksum:

@@ -1,16 +1,25 @@
 """Shard-file layer: atomic writes, CRC records, lazy mmap reads."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.store import (
     ShardInfo,
     ShardReader,
+    StreamingShardWriter,
     TableSpec,
     page_crc32s,
     shard_filename,
-    write_shard,
 )
+
+
+def write_shard(directory, filename, data, page_nbytes):
+    """One whole shard through the (only) writer."""
+    writer = StreamingShardWriter(directory, filename, page_nbytes)
+    writer.write(data)
+    return writer.finish()
 
 
 def make_spec(rows=16, page_bytes=64):
@@ -53,7 +62,9 @@ class TestWriteShard:
         )
         assert isinstance(info, ShardInfo)
         assert info.nbytes == len(data)
+        assert info.sha256 == hashlib.sha256(data).hexdigest()
         assert info.page_crcs == tuple(page_crc32s(data, spec.page_bytes))
+        assert not list(tmp_path.glob(".*.tmp.*"))  # renamed, not copied
         reader = ShardReader(tmp_path / info.file, spec, 0, info)
         for page in range(spec.shard_pages(0)):
             start, stop = spec.page_byte_range(0, page)

@@ -1,4 +1,7 @@
-"""``build_from_rows`` must be byte-for-byte ``build`` with bounded RAM."""
+"""The streaming build is the only write path: chunk sizes must never
+change the bytes on disk, and those bytes must be the rows themselves."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,7 +12,10 @@ from repro.store import (
     RowSource,
     StoreSchemaError,
     StreamingShardWriter,
+    page_crc32s,
+    shard_filename,
 )
+from repro.store.layout import shard_row_ids
 
 
 def make_arrays(rng):
@@ -34,28 +40,27 @@ def directory_bytes(directory):
 def test_streamed_build_matches_in_ram_build(
     tmp_path, layout, num_shards, chunk_rows
 ):
+    """``build`` hands each array over as one chunk; re-chunking it
+    (the parametrized size, then 1 and 7 rows) writes identical files,
+    and every shard file is exactly its rows' bytes — the reference
+    gather the deleted in-RAM loop used to do."""
     arrays = make_arrays(np.random.default_rng(7))
-    EmbeddingStore.build(
-        tmp_path / "ram",
-        arrays,
-        num_shards=num_shards,
-        layout=layout,
-        page_bytes=256,
-    ).close()
-    sources = {
-        name: RowSource.from_array(array, chunk_rows=chunk_rows)
-        for name, array in arrays.items()
-    }
-    EmbeddingStore.build_from_rows(
-        tmp_path / "stream",
-        sources,
-        num_shards=num_shards,
-        layout=layout,
-        page_bytes=256,
-    ).close()
-    assert directory_bytes(tmp_path / "ram") == directory_bytes(
-        tmp_path / "stream"
-    )
+    geometry = dict(num_shards=num_shards, layout=layout, page_bytes=256)
+    store = EmbeddingStore.build(tmp_path / "ram", arrays, **geometry)
+    for name, array in arrays.items():
+        for shard in range(num_shards):
+            rows = shard_row_ids(store.spec(name), shard)
+            on_disk = (tmp_path / "ram" / shard_filename(name, shard)).read_bytes()
+            assert on_disk == array[rows].tobytes(), (name, shard)
+    store.close()
+    for rows_per_chunk in (chunk_rows, 1, 7):
+        target = tmp_path / f"stream{rows_per_chunk}"
+        sources = {
+            name: RowSource.from_array(array, chunk_rows=rows_per_chunk)
+            for name, array in arrays.items()
+        }
+        EmbeddingStore.build_from_rows(target, sources, **geometry).close()
+        assert directory_bytes(tmp_path / "ram") == directory_bytes(target)
 
 
 def test_streamed_store_reads_back_rows(tmp_path):
@@ -77,20 +82,22 @@ def test_streamed_store_reads_back_rows(tmp_path):
 
 
 def test_streaming_writer_matches_one_shot_shard(tmp_path):
-    from repro.store import write_shard
-
     payload = bytes(range(256)) * 5
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
-    one_shot = write_shard(tmp_path / "a", "shard.bin", payload, 128)
+    whole = StreamingShardWriter(tmp_path / "a", "shard.bin", 128)
+    whole.write(payload)
+    one_shot = whole.finish()
     writer = StreamingShardWriter(tmp_path / "b", "shard.bin", 128)
-    for start in range(0, len(payload), 100):
+    for start in range(0, len(payload), 100):  # straddles page boundaries
         writer.write(payload[start : start + 100])
     streamed = writer.finish()
     assert streamed == one_shot
+    assert streamed.sha256 == hashlib.sha256(payload).hexdigest()
+    assert streamed.page_crcs == tuple(page_crc32s(payload, 128))
     assert (tmp_path / "a" / "shard.bin").read_bytes() == (
         tmp_path / "b" / "shard.bin"
-    ).read_bytes()
+    ).read_bytes() == payload
 
 
 def test_empty_table_streams(tmp_path):

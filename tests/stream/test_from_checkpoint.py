@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import KeyRelationSelector, PKGM, PKGMServer
+from repro.store import StoreManifestError
 from repro.stream import StreamPipeline, StreamRunConfig
 
 
@@ -39,8 +40,8 @@ def trained_server(experiment, catalog):
 
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory, trained_server):
-    path = tmp_path_factory.mktemp("ckpt") / "server.npz"
-    trained_server.save(path)
+    path = tmp_path_factory.mktemp("ckpt") / "server"
+    trained_server.save_store(path).close()
     return path
 
 
@@ -138,9 +139,22 @@ class TestFromCheckpoint:
             experiment.pkgm,
             rng=np.random.default_rng(0),
         )
-        path = tmp_path / "small.npz"
-        PKGMServer(model, selector).save(path)
+        path = tmp_path / "small"
+        PKGMServer(model, selector).save_store(path).close()
         with pytest.raises(ValueError, match="entities"):
+            StreamPipeline(
+                experiment,
+                tmp_path / "run",
+                StreamRunConfig(batches=2),
+                from_checkpoint=path,
+            )
+
+    def test_old_npz_checkpoint_is_refused(self, experiment, tmp_path):
+        """A pre-store ``server.npz`` names the store format in its
+        refusal instead of being read (ROADMAP [9](d))."""
+        path = tmp_path / "server.npz"
+        np.savez_compressed(path, entity_table=np.zeros((3, 2)))
+        with pytest.raises(StoreManifestError, match="a store is a directory"):
             StreamPipeline(
                 experiment,
                 tmp_path / "run",

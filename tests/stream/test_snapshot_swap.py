@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.index.ivf import IVFFlatIndex
+from repro.index import IndexSnapshotError, IVFFlatIndex
 from repro.reliability import PKGMGateway, build_replicas
 from repro.stream import (
     SnapshotSwapError,
@@ -38,9 +38,7 @@ def index(tables):
 
 
 def publish(versioner, tables, index, version=0, seq=41):
-    return versioner.publish(
-        version, tables, index, seq=seq, k=2, dim=4
-    )
+    return versioner.publish(version, tables, index, seq=seq)
 
 
 class TestPublish:
@@ -72,11 +70,18 @@ class TestPublish:
     def test_verify_catches_index_tampering(self, tmp_path, tables, index):
         versioner = SnapshotVersioner(tmp_path)
         directory = publish(versioner, tables, index)
-        payload = directory / "index.npz"
-        blob = bytearray(payload.read_bytes())
+        # The version pins the index by its store-manifest SHA, and that
+        # manifest pins every page: a flipped shard byte is refused at
+        # load, a touched manifest already at verify.
+        shard = directory / "index" / "vectors-0000.bin"
+        blob = bytearray(shard.read_bytes())
         blob[10] ^= 0xFF
-        payload.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotSwapError, match="index payload"):
+        shard.write_bytes(bytes(blob))
+        with pytest.raises(IndexSnapshotError, match="failed its CRC"):
+            versioner.load_index(0)
+        manifest = directory / "index" / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes() + b" ")
+        with pytest.raises(SnapshotSwapError, match="index manifest"):
             versioner.verify(0)
 
     def test_missing_version_raises(self, tmp_path):

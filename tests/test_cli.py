@@ -54,9 +54,9 @@ class TestParser:
 
     def test_stream_from_checkpoint_flag(self):
         args = build_parser().parse_args(
-            ["stream", "run", "--dir", "/tmp/x", "--from-checkpoint", "ckpt.npz"]
+            ["stream", "run", "--dir", "/tmp/x", "--from-checkpoint", "ckpt"]
         )
-        assert args.from_checkpoint == "ckpt.npz"
+        assert args.from_checkpoint == "ckpt"
 
 
 class TestCommands:
@@ -67,13 +67,14 @@ class TestCommands:
         assert "Table IX" in out
 
     def test_pretrain_saves_server(self, tmp_path, capsys):
-        path = tmp_path / "server.npz"
+        path = tmp_path / "server"
         assert main(["pretrain", "--preset", "smoke", "--save", str(path)]) == 0
-        assert path.exists()
+        assert (path / "manifest.json").exists()
         from repro.core import PKGMServer
 
-        server = PKGMServer.load(path)
+        server = PKGMServer.from_store(path)
         assert server.dim >= 1
+        server.store.close()
 
     def test_complete_runs(self, capsys):
         assert main(["complete", "--preset", "smoke", "--fraction", "0.2"]) == 0
@@ -250,9 +251,11 @@ class TestIndexCommand:
             "--out", str(out),
         ]
         assert main(argv) == 0
-        assert out.with_suffix(".npz").exists()
-        assert out.with_suffix(".json").exists()
-        assert "ivf index:" in capsys.readouterr().out
+        assert (out / "manifest.json").exists()
+        assert not out.with_suffix(".npz").exists()
+        printed = capsys.readouterr().out
+        assert "ivf index:" in printed
+        assert f"snapshot -> {out}" in printed
         from repro.index import load_index
 
         index = load_index(out)

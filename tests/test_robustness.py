@@ -24,6 +24,7 @@ from repro.kg import TripleStore
 from repro.kg.io import load_kg_npz, load_triples_tsv
 from repro.nn import no_grad
 from repro.reliability import CrashEvent, FaultPlan, RetryPolicy
+from repro.store import EmbeddingStore
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -54,10 +55,11 @@ class TestCorruptArtifacts:
             load_kg_npz(path)
 
     def test_load_server_with_missing_keys_raises(self, tmp_path):
-        path = tmp_path / "bad_server.npz"
-        np.savez_compressed(path, entity_table=np.zeros((3, 2)))
+        EmbeddingStore.build(
+            tmp_path / "bad_server", {"entity_table": np.zeros((3, 2))}
+        ).close()
         with pytest.raises(SnapshotError, match="relation_table"):
-            PKGMServer.load(path)
+            PKGMServer.from_store(tmp_path / "bad_server")
 
     def test_tsv_with_embedded_tabs_raises(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -27,41 +27,49 @@ echo "== overload smoke (repro loadtest) =="
 # instead of raising, and finish in well under a minute.
 python -m repro.cli loadtest --profile spike --requests 2000
 
+OBS_TMP="$(mktemp -d)"
+trap 'rm -rf "$OBS_TMP"' EXIT
+
+# byte_gate <name> <verdict-regex> <command...>
+# The determinism gate every seeded drill shares: run the command
+# twice — two separate processes, never one interpreter — and require
+# byte-identical stdout; a non-empty verdict regex must match it too.
+# Every step returns its own failure, so the gate does not lean on
+# errexit (which bash suspends inside `if`/`&&`/`||` contexts).
+# A literal {run} in an argument becomes a per-run scratch directory
+# ($OBS_TMP/<name>1, $OBS_TMP/<name>2) for drills that write files.
+byte_gate() {
+    local name="$1" verdict="$2" run
+    shift 2
+    for run in 1 2; do
+        "${@//\{run\}/$OBS_TMP/$name$run}" > "$OBS_TMP/$name$run.txt" || return
+    done
+    diff "$OBS_TMP/${name}1.txt" "$OBS_TMP/${name}2.txt" || return
+    [ -z "$verdict" ] || grep -q "$verdict" "$OBS_TMP/${name}1.txt"
+}
+
 echo
 echo "== obs determinism (repro metrics / repro trace, byte-diffed) =="
 # Telemetry must be as reproducible as the computation it measures:
 # the same seeded workload exported twice has to be byte-identical,
 # for the Prometheus text and the Chrome trace JSON alike.
-OBS_TMP="$(mktemp -d)"
-trap 'rm -rf "$OBS_TMP"' EXIT
-python -m repro.cli metrics --preset smoke --requests 400 > "$OBS_TMP/metrics1.txt"
-python -m repro.cli metrics --preset smoke --requests 400 > "$OBS_TMP/metrics2.txt"
-diff "$OBS_TMP/metrics1.txt" "$OBS_TMP/metrics2.txt"
-python -m repro.cli trace --preset smoke --format chrome > "$OBS_TMP/trace1.json"
-python -m repro.cli trace --preset smoke --format chrome > "$OBS_TMP/trace2.json"
-diff "$OBS_TMP/trace1.json" "$OBS_TMP/trace2.json"
+byte_gate metrics "" python -m repro.cli metrics --preset smoke --requests 400
+byte_gate trace "" python -m repro.cli trace --preset smoke --format chrome
 # The worker-pool workload surfaces per-worker pool.* and
 # store.scrub.* series; it forks real processes, yet the export must
 # still be byte-identical across reruns.
-python -m repro.cli metrics --workload pool --requests 240 > "$OBS_TMP/pool1.txt"
-python -m repro.cli metrics --workload pool --requests 240 > "$OBS_TMP/pool2.txt"
-diff "$OBS_TMP/pool1.txt" "$OBS_TMP/pool2.txt"
+byte_gate pool "" python -m repro.cli metrics --workload pool --requests 240
 echo "telemetry exports are byte-identical across reruns"
 
 echo
 echo "== index determinism (repro index, byte-diffed snapshots) =="
-# Two independent same-seed builds must write byte-identical snapshots
-# (payload .npz and manifest .json — the manifest embeds the payload
-# basename, so both runs use the same basename in different dirs),
-# and the search CLI must print byte-identical results across reruns.
-mkdir -p "$OBS_TMP/r1" "$OBS_TMP/r2"
+# Two independent same-seed builds must write byte-identical snapshot
+# directories (every shard and the sealed manifest), and the search
+# CLI must print byte-identical results across reruns.
 python -m repro.cli index build --preset smoke --kind ivf --out "$OBS_TMP/r1/idx" > /dev/null
 python -m repro.cli index build --preset smoke --kind ivf --out "$OBS_TMP/r2/idx" > /dev/null
-cmp "$OBS_TMP/r1/idx.npz" "$OBS_TMP/r2/idx.npz"
-cmp "$OBS_TMP/r1/idx.json" "$OBS_TMP/r2/idx.json"
-python -m repro.cli index search --preset smoke --kind ivf > "$OBS_TMP/search1.txt"
-python -m repro.cli index search --preset smoke --kind ivf > "$OBS_TMP/search2.txt"
-diff "$OBS_TMP/search1.txt" "$OBS_TMP/search2.txt"
+diff -r "$OBS_TMP/r1/idx" "$OBS_TMP/r2/idx"
+byte_gate search "" python -m repro.cli index search --preset smoke --kind ivf
 echo "index snapshots and search results are byte-identical across reruns"
 
 echo
@@ -72,12 +80,8 @@ echo "== storage chaos (repro store, byte-diffed recovery) =="
 # mismatches, zero escaped exceptions) and the full report — fault
 # offsets, scrub/repair accounting, store.* metrics — must be
 # byte-identical across two runs.
-python -m repro.cli store chaos --preset smoke --dir "$OBS_TMP/chaos1" \
-    --torn 1 --flips 2 --torn-manifest > "$OBS_TMP/chaos1.txt"
-python -m repro.cli store chaos --preset smoke --dir "$OBS_TMP/chaos2" \
-    --torn 1 --flips 2 --torn-manifest > "$OBS_TMP/chaos2.txt"
-diff "$OBS_TMP/chaos1.txt" "$OBS_TMP/chaos2.txt"
-grep -q "chaos drill: RECOVERED" "$OBS_TMP/chaos1.txt"
+byte_gate chaos "chaos drill: RECOVERED" python -m repro.cli store chaos \
+    --preset smoke --dir "{run}" --torn 1 --flips 2 --torn-manifest
 # Recovery is byte-deterministic on disk too: both repaired stores
 # must match a fresh build file-for-file.
 python -m repro.cli store build --preset smoke --out "$OBS_TMP/chaos-ref" > /dev/null
@@ -95,12 +99,8 @@ echo "== serve chaos (repro serve, SIGKILL drill, byte-diffed) =="
 # and restarted) and the transcript — request ids, kinds, outcomes,
 # payload CRCs — must be byte-identical across two runs even though
 # crash timing and replay counts vary between them.
-python -m repro.cli serve chaos --preset smoke --dir "$OBS_TMP/serve1" \
-    > "$OBS_TMP/serve1.txt"
-python -m repro.cli serve chaos --preset smoke --dir "$OBS_TMP/serve2" \
-    > "$OBS_TMP/serve2.txt"
-diff "$OBS_TMP/serve1.txt" "$OBS_TMP/serve2.txt"
-grep -q "drill: RECOVERED" "$OBS_TMP/serve1.txt"
+byte_gate serve "drill: RECOVERED" python -m repro.cli serve chaos \
+    --preset smoke --dir "{run}"
 echo "serve-chaos transcript is byte-identical across reruns"
 
 echo
@@ -112,12 +112,8 @@ echo "== stream chaos (repro stream, crash-mid-ingest drill) =="
 # recovered directory and an uninterrupted reference run — it must end
 # RECOVERED with zero mismatches, and its transcript must be
 # byte-identical across two independent drills.
-python -m repro.cli stream chaos --preset smoke --dir "$OBS_TMP/stream1" \
-    > "$OBS_TMP/stream1.txt"
-python -m repro.cli stream chaos --preset smoke --dir "$OBS_TMP/stream2" \
-    > "$OBS_TMP/stream2.txt"
-diff "$OBS_TMP/stream1.txt" "$OBS_TMP/stream2.txt"
-grep -q "stream drill: RECOVERED" "$OBS_TMP/stream1.txt"
+byte_gate stream "stream drill: RECOVERED" python -m repro.cli stream chaos \
+    --preset smoke --dir "{run}"
 echo "stream-chaos recovery is byte-identical across reruns"
 
 echo
@@ -129,13 +125,18 @@ echo "== scenarios workload (explain + recommend, byte-diffed) =="
 # explanation entailed by its cited triples) and the transcript —
 # request ids, outcomes, payload digests, scenarios.* metrics — must
 # be byte-identical across two runs.
-python -m repro.cli scenarios workload --requests 120 --pool-requests 48 \
-    > "$OBS_TMP/scenarios1.txt"
-python -m repro.cli scenarios workload --requests 120 --pool-requests 48 \
-    > "$OBS_TMP/scenarios2.txt"
-diff "$OBS_TMP/scenarios1.txt" "$OBS_TMP/scenarios2.txt"
-grep -q "scenarios workload: PASS" "$OBS_TMP/scenarios1.txt"
+byte_gate scenarios "scenarios workload: PASS" python -m repro.cli \
+    scenarios workload --requests 120 --pool-requests 48
 echo "scenario workload transcript is byte-identical across reruns"
+
+echo
+echo "== pickle seam (no allow_pickle=True under src/) =="
+# Every array file is loaded pickle-free; the full lint rule waits for
+# ROADMAP [6](c), when serving/protocol.py stops importing pickle.
+if grep -rn --include='*.py' 'allow_pickle=True' src/; then
+    echo "allow_pickle=True is banned under src/" >&2
+    exit 1
+fi
 
 echo
 echo "== repro.lint (per-file + whole-program) =="
