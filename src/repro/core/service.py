@@ -345,7 +345,7 @@ class PKGMServer:
         :class:`repro.store.QuarantinedRowError` for the resilient
         facade to resolve.  Schema damage raises :class:`SnapshotError`.
         """
-        from ..store import EmbeddingStore, QuarantinedRowError, StoreTable
+        from ..store import EmbeddingStore, StoreTable
 
         store = EmbeddingStore.open(
             directory, cache_pages=cache_pages, registry=registry
@@ -353,26 +353,21 @@ class PKGMServer:
         k, dim, num_entities, num_relations = server_store_geometry(store)
         # Selector tables are tiny relative to the embeddings; read them
         # resident so item enumeration never faults pages.  Reads are
-        # per-row and quarantine-tolerant: a damaged selector page costs
-        # only the items on it (they serve the unknown-item fallback
-        # until repair), never the cold start itself.
-        table: Dict[int, List[int]] = {}
-        unreadable = 0
-        for row in range(store.spec("item_ids").rows):
-            try:
-                item = int(store.read_row("item_ids", row)[()])
-                relations = store.read_row("key_relations", row)
-            except QuarantinedRowError:
-                unreadable += 1
-                continue
-            keys = [int(r) for r in relations]
-            if keys and not 0 <= min(keys) <= max(keys) < num_relations:
-                store.close()
-                raise SnapshotError(
-                    "'key_relations' references relation ids outside "
-                    f"[0, {num_relations})"
-                )
-            table[item] = keys
+        # page-sized and quarantine-tolerant: a damaged selector page
+        # costs only the items on it (they serve the unknown-item
+        # fallback until repair), never the cold start itself.
+        item_ids, ids_readable = _read_readable_rows(store, "item_ids")
+        key_table, keys_readable = _read_readable_rows(store, "key_relations")
+        readable = ids_readable & keys_readable
+        key_table = key_table[readable]
+        if key_table.size and not (
+            0 <= key_table.min() and key_table.max() < num_relations
+        ):
+            store.close()
+            raise SnapshotError(
+                "'key_relations' references relation ids outside "
+                f"[0, {num_relations})"
+            )
         server = cls.__new__(cls)
         server._tail_index = None
         server._entity_table = StoreTable(store, "entity_table")
@@ -382,9 +377,9 @@ class PKGMServer:
         server.dim = dim
         server.num_entities = num_entities
         server.num_relations = num_relations
-        server._selector = _FrozenSelector(table, k)
+        server._selector = _FrozenSelector(item_ids[readable], key_table, k)
         server.store = store
-        server.unreadable_items = unreadable
+        server.unreadable_items = int((~readable).sum())
         return server
 
 
@@ -495,31 +490,63 @@ def server_store_geometry(store) -> Tuple[int, int, int, int]:
     return k, dim, entity_spec.rows, relation_spec.rows
 
 
+def _read_readable_rows(store, name: str) -> Tuple[np.ndarray, np.ndarray]:
+    """A whole table read one page per ``read_rows`` call, tolerating
+    quarantine: ``(rows, readable)``, where the rows of a damaged page
+    are zeros marked ``False``."""
+    from ..store import QuarantinedRowError
+
+    spec = store.spec(name)
+    rows = np.zeros(spec.shape, dtype=spec.dtype)
+    readable = np.ones(spec.rows, dtype=bool)
+    for shard, page in spec.pages():
+        held = spec.page_global_rows(shard, page)
+        on_page = slice(held.start, held.stop, held.step)
+        try:
+            rows[on_page] = store.read_rows(
+                name, np.arange(held.start, held.stop, held.step)
+            )
+        except QuarantinedRowError:
+            readable[on_page] = False
+    return rows, readable
+
+
 class _FrozenSelector:
     """Key-relation lookup restored from a saved snapshot.
 
     Implements the subset of :class:`KeyRelationSelector` the server
     uses (``k``, ``for_item``, ``for_items``, ``items``,
     ``key_relation_table``) — in particular the public enumeration API,
-    so a loaded server can be saved again (save → load → save).
+    so a loaded server can be saved again (save → load → save).  Held
+    as a sorted id array beside an ``(N, k)`` relation table, so a
+    batch lookup is one ``searchsorted`` and one take.
     """
 
-    def __init__(self, table: Dict[int, List[int]], k: int) -> None:
-        self._table = table
+    def __init__(self, item_ids: np.ndarray, key_table: np.ndarray, k: int) -> None:
+        order = np.argsort(item_ids, kind="stable")
+        self._ids = item_ids[order]
+        self._key_table = key_table[order]
         self.k = k
 
     def for_item(self, entity_id: int) -> List[int]:
-        if entity_id not in self._table:
+        row = int(np.searchsorted(self._ids, entity_id))
+        if row == self._ids.size or self._ids[row] != entity_id:
             raise KeyError(f"entity {entity_id} is not a known item")
-        return list(self._table[entity_id])
+        return self._key_table[row].tolist()
 
     def for_items(self, entity_ids: Sequence[int]) -> np.ndarray:
-        return np.asarray([self.for_item(int(e)) for e in entity_ids], dtype=np.int64)
+        ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
+        rows = np.searchsorted(self._ids, ids)
+        known = rows < self._ids.size
+        known[known] = self._ids[rows[known]] == ids[known]
+        if not known.all():
+            raise KeyError(f"entity {int(ids[~known][0])} is not a known item")
+        return self._key_table[rows]
 
     def items(self) -> List[int]:
         """All known item entity ids, ascending."""
-        return sorted(self._table)
+        return self._ids.tolist()
 
     def key_relation_table(self) -> Dict[int, List[int]]:
         """The full item → key-relations mapping as plain data."""
-        return {item: self.for_item(item) for item in self.items()}
+        return dict(zip(self._ids.tolist(), self._key_table.tolist()))

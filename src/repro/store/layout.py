@@ -35,7 +35,8 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -86,12 +87,15 @@ class TableSpec:
         object.__setattr__(self, "row_shape", tuple(int(d) for d in self.row_shape))
 
     # -- row geometry ---------------------------------------------------
-    @property
+    # The four derived values the read path divides by are computed once
+    # per spec (``cached_property`` fills the instance dict of a frozen
+    # dataclass), so a page fault does integer work only.
+    @cached_property
     def row_nbytes(self) -> int:
         """Bytes per row (dtype itemsize times the row element count)."""
         return int(np.dtype(self.dtype).itemsize * self.row_elems)
 
-    @property
+    @cached_property
     def row_elems(self) -> int:
         count = 1
         for dim in self.row_shape:
@@ -106,13 +110,13 @@ class TableSpec:
     def nbytes(self) -> int:
         return self.rows * self.row_nbytes
 
-    @property
+    @cached_property
     def rows_per_page(self) -> int:
         """Whole rows per page — at least one, even for oversized rows."""
         return max(1, self.page_bytes // max(self.row_nbytes, 1))
 
     # -- shard geometry -------------------------------------------------
-    @property
+    @cached_property
     def rows_per_contiguous_shard(self) -> int:
         return -(-self.rows // self.num_shards) if self.rows else 0
 
@@ -130,6 +134,12 @@ class TableSpec:
     def shard_pages(self, shard: int) -> int:
         rows = self.shard_rows(shard)
         return -(-rows // self.rows_per_page) if rows else 0
+
+    def pages(self) -> Iterator[Tuple[int, int]]:
+        """Every ``(shard, page)`` of the table, in file order."""
+        for shard in range(self.num_shards):
+            for page in range(self.shard_pages(shard)):
+                yield shard, page
 
     def locate(self, row: int) -> Tuple[int, int]:
         """Global row → ``(shard, local_row)``."""
@@ -158,6 +168,13 @@ class TableSpec:
         start = page * self.rows_per_page
         stop = min(self.shard_rows(shard), start + self.rows_per_page)
         return start, stop
+
+    def page_global_rows(self, shard: int, page: int) -> range:
+        """Global row ids held by one page, in local-row order."""
+        start, stop = self.page_rows(shard, page)
+        step = self.num_shards if self.layout == "strided" else 1
+        first = self.global_row(shard, start)
+        return range(first, first + (stop - start) * step, step)
 
     def page_byte_range(self, shard: int, page: int) -> Tuple[int, int]:
         """Byte ``[start, stop)`` range of one page inside its shard file."""

@@ -164,9 +164,11 @@ class ShardReader:
     def __init__(self, path: Union[str, Path], spec: TableSpec, shard: int,
                  info: ShardInfo) -> None:
         self.path = Path(path)
-        self.spec = spec
-        self.shard = shard
         self.info = info
+        # All a fault needs of the spec, in bytes and derived once: a
+        # fault is a multiplication and a ``min``, never a walk over it.
+        self._page_nbytes = spec.rows_per_page * spec.row_nbytes
+        self._nbytes = spec.shard_nbytes(shard)
         self._mmap: Optional[mmap.mmap] = None
         self._file = None
         self._size = 0
@@ -203,9 +205,10 @@ class ShardReader:
     # -- page access ----------------------------------------------------
     def read_page(self, page: int) -> Tuple[bytes, bool]:
         """``(bytes, ok)`` for one page, verified against its CRC."""
-        start, stop = self.spec.page_byte_range(self.shard, page)
         if not 0 <= page < len(self.info.page_crcs):
             return b"", False
+        start = page * self._page_nbytes
+        stop = min(start + self._page_nbytes, self._nbytes)
         self._ensure_open()
         if self._mmap is None or stop > self._size:
             # Torn write / truncation: the page is (partly) gone.

@@ -30,6 +30,7 @@ produce byte-identical metrics, which the storage-chaos gate diffs.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -469,11 +470,7 @@ class EmbeddingStore:
         for key_name, shard, page in self.quarantine:
             if key_name != name:
                 continue
-            start, stop = table.spec.page_rows(shard, page)
-            rows.extend(
-                table.spec.global_row(shard, local)
-                for local in range(start, stop)
-            )
+            rows.extend(table.spec.page_global_rows(shard, page))
         return sorted(rows)
 
     # ------------------------------------------------------------------
@@ -483,35 +480,33 @@ class EmbeddingStore:
         """One page through the cache; quarantines CRC failures."""
         key: PageKey = (name, shard, page)
         if key in self.quarantine:
-            self._quarantined_reads_c.inc()
-            raise QuarantinedRowError(
-                name, self._tables[name].spec.global_row(
-                    shard, page * self._tables[name].spec.rows_per_page
-                ), shard, page
-            )
+            raise self._denied(key)
         cached = self._cache.get(key)
         if cached is not None:
             self._hits_c.inc()
             return cached
-        table = self._tables[name]
-        data, ok = table.readers[shard].read_page(page)
+        data, ok = self._tables[name].readers[shard].read_page(page)
         self._faults_c.inc()
         self._bytes_read_c.inc(len(data))
         if not ok:
             self._crc_failures_c.inc()
             self._quarantine_page(key)
-            self._quarantined_reads_c.inc()
-            raise QuarantinedRowError(
-                name,
-                table.spec.global_row(shard, page * table.spec.rows_per_page),
-                shard,
-                page,
-            )
+            raise self._denied(key)
         evicted = self._cache.put(key, data)
         if evicted:
             self._evictions_c.inc(evicted)
         self._cache_g.set(len(self._cache))
         return data
+
+    def _denied(self, key: PageKey) -> QuarantinedRowError:
+        """Count one read refused by quarantine; the error names the
+        first row of the page."""
+        name, shard, page = key
+        spec = self._tables[name].spec
+        self._quarantined_reads_c.inc()
+        return QuarantinedRowError(
+            name, spec.global_row(shard, page * spec.rows_per_page), shard, page
+        )
 
     def _quarantine_page(self, key: PageKey) -> None:
         if key not in self.quarantine:
@@ -520,55 +515,130 @@ class EmbeddingStore:
             self._quarantine_g.set(len(self.quarantine))
         self._cache.discard(key)
 
+    def _page_rows(
+        self, spec: TableSpec, shard: int, page: int, reads: int
+    ) -> np.ndarray:
+        """One page as a ``(rows, row_elems)`` view of its cached bytes.
+
+        The one way rows leave a page: a single :meth:`_load_page`
+        however many of the page's rows the caller wants, charged as
+        ``reads`` row reads — the load counts the first (a hit or a
+        fault), the rest are hits on the page it just made resident.
+        """
+        data = self._load_page(spec.name, shard, page)
+        if reads > 1:
+            self._hits_c.inc(reads - 1)
+        return np.frombuffer(data, dtype=spec.dtype).reshape(-1, spec.row_elems)
+
+    def _row(self, spec: TableSpec, index: int) -> np.ndarray:
+        """In-range row ``index`` as a flat view of its page."""
+        shard, local = spec.locate(index)
+        page, slot = divmod(local, spec.rows_per_page)
+        return self._page_rows(spec, shard, page, 1)[slot]
+
     def read_row(self, name: str, row: int) -> np.ndarray:
         """One row as a fresh array of the table's row shape."""
-        table = self._table(name)
-        spec = table.spec
-        if row < 0:
-            row += spec.rows
-        shard, local = spec.locate(int(row))
-        page = spec.page_of(local)
-        data = self._load_page(name, shard, page)
-        offset = (local - page * spec.rows_per_page) * spec.row_nbytes
-        out = np.frombuffer(
-            data, dtype=spec.dtype, count=spec.row_elems, offset=offset
-        ).reshape(spec.row_shape)
-        return out.copy()
+        spec = self._table(name).spec
+        index = operator.index(row)
+        if index < 0:
+            index += spec.rows
+        if not 0 <= index < spec.rows:
+            raise IndexError(
+                f"row {row} out of range for table {name!r} ({spec.rows} rows)"
+            )
+        return self._row(spec, index).reshape(spec.row_shape).copy()
 
     def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Gather ``rows`` (any integer shape) → ``rows.shape + row_shape``.
 
-        Damage surfaces per-request: the first quarantined page touched
-        raises :class:`QuarantinedRowError` naming a row on it.
+        Page-grouped: every distinct page is loaded once per call, in
+        the order the request first touches it, and its rows leave in
+        one fancy-index copy.  Damage surfaces per-request: the first
+        quarantined page in request order raises
+        :class:`QuarantinedRowError` naming a row on it, with the pages
+        before it read (and cached) and nothing after it touched;
+        ``store.quarantined_reads`` advances by the distinct rows the
+        request wanted from that page.
         """
-        table = self._table(name)
-        spec = table.spec
+        spec = self._table(name).spec
         index = np.asarray(rows)
         if index.dtype == np.bool_:
             raise TypeError("boolean masks are not supported by the store")
-        flat = index.reshape(-1).astype(np.int64)
-        flat = np.where(flat < 0, flat + spec.rows, flat)
-        if flat.size and (flat.min() < 0 or flat.max() >= spec.rows):
-            bad = flat[(flat < 0) | (flat >= spec.rows)][0]
+        out = np.empty((index.size, spec.row_elems), dtype=spec.dtype)
+        if not index.size:
+            return out.reshape(index.shape + spec.row_shape)
+        if index.dtype.kind not in "iu":
             raise IndexError(
-                f"row {int(bad)} out of range for table {name!r} "
+                "arrays used as indices must be of integer (or boolean) type"
+            )
+        requested = index.reshape(-1)
+        lowest, highest = int(requested.min()), int(requested.max())
+        if lowest < -spec.rows or highest >= spec.rows:
+            bad = requested[(requested < -spec.rows) | (requested >= spec.rows)]
+            raise IndexError(
+                f"row {int(bad[0])} out of range for table {name!r} "
                 f"({spec.rows} rows)"
             )
-        out = np.empty((flat.size, spec.row_elems), dtype=spec.dtype)
-        for position, row in enumerate(flat):
-            shard, local = spec.locate(int(row))
-            page = spec.page_of(local)
-            data = self._load_page(name, shard, page)
-            offset = (local - page * spec.rows_per_page) * spec.row_nbytes
-            out[position] = np.frombuffer(
-                data, dtype=spec.dtype, count=spec.row_elems, offset=offset
-            )
+        flat = requested.astype(np.int64)
+        if lowest < 0:
+            flat[flat < 0] += spec.rows
+        if flat.size == 1:  # nothing to group: the sort would be all it costs
+            out[0] = self._row(spec, int(flat[0]))
+            return out.reshape(index.shape + spec.row_shape)
+        # (shard, page, slot-in-page) of every requested row at once.
+        if spec.layout == "strided":
+            local, shard = np.divmod(flat, spec.num_shards)
+        else:
+            shard, local = np.divmod(flat, spec.rows_per_contiguous_shard)
+        page, slot = np.divmod(local, spec.rows_per_page)
+        # Group request positions by page: a stable sort keeps each
+        # group in request order, so its first member is the page's
+        # first touch and groups are visited by that.
+        span = spec.shard_pages(0)
+        page_id = shard * span + page
+        order = np.argsort(page_id, kind="stable")
+        page_id, slot = page_id[order], slot[order]
+        cuts = np.flatnonzero(page_id[1:] != page_id[:-1]) + 1
+        starts = [0, *cuts.tolist()]
+        stops = [*starts[1:], flat.size]
+        pages = page_id[starts].tolist()
+        for group in np.argsort(order[starts]).tolist():
+            first, last = starts[group], stops[group]
+            shard_no, page_no = divmod(pages[group], span)
+            try:
+                page_rows = self._page_rows(spec, shard_no, page_no, last - first)
+            except QuarantinedRowError:
+                # Denials are per row like hits: one was counted with
+                # the error, the rest are the other rows the caller
+                # goes without (a row asked for twice is one row).
+                self._quarantined_reads_c.inc(
+                    np.unique(slot[first:last]).size - 1
+                )
+                raise
+            if spec.rows_per_page == 1:
+                # The page is the row: broadcast it.  Indexing would
+                # first build a (rows wanted x row) temporary, and with
+                # rows this wide those rival the gather itself.
+                out[order[first:last]] = page_rows[0]
+            else:
+                out[order[first:last]] = page_rows[slot[first:last]]
         return out.reshape(index.shape + spec.row_shape)
 
     def read_table(self, name: str) -> np.ndarray:
-        """Materialize a whole table (through the page cache)."""
+        """Materialize a whole table (through the page cache).
+
+        Pages are walked in file order and each lands in the output as
+        one strided slice — no index array, no sort, and every page is
+        loaded exactly once whatever the cache budget.
+        """
         spec = self._table(name).spec
-        return self.read_rows(name, np.arange(spec.rows, dtype=np.int64))
+        out = np.empty((spec.rows, spec.row_elems), dtype=spec.dtype)
+        for shard, page in spec.pages():
+            held = spec.page_global_rows(shard, page)
+            out[held.start : held.stop : held.step] = self._page_rows(
+                spec, shard, page, len(held)
+            )
+        return out.reshape(spec.shape)
 
     # ------------------------------------------------------------------
     # Scrub / verify
@@ -579,13 +649,11 @@ class EmbeddingStore:
         The canonical enumeration shared by the eager sweeps below and
         the incremental :class:`~repro.store.scrub.ScrubScheduler`.
         """
-        keys: List[PageKey] = []
-        for name in self.table_names():
-            spec = self._tables[name].spec
-            for shard in range(spec.num_shards):
-                for page in range(spec.shard_pages(shard)):
-                    keys.append((name, shard, page))
-        return keys
+        return [
+            (name, shard, page)
+            for name in self.table_names()
+            for shard, page in self._tables[name].spec.pages()
+        ]
 
     def check_page(self, key: PageKey, *, quarantine: bool = True) -> bool:
         """CRC-verify one page without touching the row-read path.

@@ -54,7 +54,17 @@ class StoreTable:
             # Row gather first, then the in-row component lookup — the
             # ``table[ids, j]`` idiom used by scoring paths.
             rows = self[key[0]]
-            return rows[(slice(None),) + key[1:]] if len(key) > 1 else rows
+            if len(key) == 1:
+                return rows
+            if isinstance(key[0], slice):
+                return rows[(slice(None),) + key[1:]]
+            # A scalar or array row key is an advanced index: its
+            # stand-in over the gathered rows must have its shape (none,
+            # for a scalar), so the row axis collapses and in-row arrays
+            # broadcast against it the way numpy would have them.
+            gathered = np.arange(np.size(key[0])).reshape(np.shape(key[0]))
+            flat = rows.reshape((-1,) + self._spec.row_shape)
+            return flat[(gathered,) + key[1:]]
         if isinstance(key, slice):
             start, stop, step = key.indices(self._spec.rows)
             return self._store.read_rows(

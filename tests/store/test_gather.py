@@ -1,0 +1,531 @@
+"""The page-grouped gather against its oracles.
+
+``EmbeddingStore.read_rows`` groups a request by page and loads each
+page once.  Three independent references pin it down:
+
+* numpy itself — ``array[idx]``, bytes and shape, over a hypothesis
+  sweep of dtypes, row shapes, layouts, page sizes and index shapes;
+* :func:`reference_read_rows` — the per-row loop the gather replaced,
+  kept here verbatim and run on a second handle over the same
+  directory: same outputs, same per-row accounting, never more faults
+  from an equal cache state, and the same quarantine behaviour;
+* exact work counts — ``_load_page`` calls per gather and per full
+  table read.
+
+The cold open (``PKGMServer.from_store``) reads its selector tables
+through the same gather; its quarantine tolerance is checked last.
+"""
+
+import itertools
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import KeyRelationSelector, PKGM, PKGMConfig, PKGMServer
+from repro.kg import TripleStore
+from repro.store import EmbeddingStore, QuarantinedRowError, shard_filename
+
+
+def reference_read_rows(store, name, rows):
+    """The per-row gather ``read_rows`` used to be — the oracle."""
+    table = store._table(name)
+    spec = table.spec
+    index = np.asarray(rows)
+    flat = index.reshape(-1).astype(np.int64)
+    flat = np.where(flat < 0, flat + spec.rows, flat)
+    out = np.empty((flat.size, spec.row_elems), dtype=spec.dtype)
+    for position, row in enumerate(flat):
+        shard, local = spec.locate(int(row))
+        page = spec.page_of(local)
+        data = store._load_page(name, shard, page)
+        offset = (local - page * spec.rows_per_page) * spec.row_nbytes
+        out[position] = np.frombuffer(
+            data, dtype=spec.dtype, count=spec.row_elems, offset=offset
+        )
+    return out.reshape(index.shape + spec.row_shape)
+
+
+def counters(store):
+    snapshot = store.metrics.snapshot()
+    return {
+        key: snapshot[f"store.{key}"]
+        for key in ("page_hits", "page_faults", "bytes_read")
+    }
+
+
+def make_array(rows, row_shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    if dtype == "int64":
+        return rng.integers(-(2**40), 2**40, size=(rows, *row_shape), dtype=np.int64)
+    return rng.standard_normal((rows, *row_shape)).astype(dtype)
+
+
+geometries = st.fixed_dictionaries(
+    {
+        "dtype": st.sampled_from(["float64", "float32", "int64"]),
+        "row_shape": st.sampled_from([(), (3,), (2, 3)]),
+        "rows": st.integers(0, 200),
+        "num_shards": st.integers(1, 5),
+        "layout": st.sampled_from(["contiguous", "strided"]),
+        # From smaller than any row to larger than any table.
+        "page_bytes": st.sampled_from([1, 7, 24, 64, 100, 512, 4096, 1 << 16]),
+        "cache_pages": st.sampled_from([1, 2, 64]),
+    }
+)
+
+
+def index_arrays(draw, rows):
+    """Duplicates, negatives, and 0-/1-/2-D shapes over ``rows`` rows."""
+    shape = draw(
+        st.sampled_from([(), (0,), (1,), (7,), (40,), (3, 5), (2, 0), (1, 1)])
+    )
+    size = int(np.prod(shape, dtype=np.int64))
+    flat = draw(
+        st.lists(st.integers(-rows, rows - 1), min_size=size, max_size=size)
+    )
+    return np.asarray(flat, dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def gather_cases(draw):
+    geometry = draw(geometries)
+    rows = geometry["rows"]
+    if rows:
+        indices = [index_arrays(draw, rows) for _ in range(draw(st.integers(1, 4)))]
+    else:
+        indices = [np.zeros(shape, dtype=np.int64) for shape in ((0,), (2, 0))]
+    return geometry, indices
+
+
+def build(directory, array, geometry):
+    return EmbeddingStore.build(
+        directory,
+        {"t": array},
+        num_shards=geometry["num_shards"],
+        layout=geometry["layout"],
+        page_bytes=geometry["page_bytes"],
+        cache_pages=geometry["cache_pages"],
+    )
+
+
+class TestAgainstNumpy:
+    @settings(max_examples=80, deadline=None)
+    @given(gather_cases())
+    def test_reads_equal_the_source_array(self, case):
+        geometry, indices = case
+        array = make_array(geometry["rows"], geometry["row_shape"], geometry["dtype"])
+        with tempfile.TemporaryDirectory() as directory:
+            store = build(directory, array, geometry)
+            try:
+                for index in indices:
+                    got = store.read_rows("t", index)
+                    want = array[index]
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                full = store.read_table("t")
+                assert full.shape == array.shape and full.dtype == array.dtype
+                assert full.tobytes() == array.tobytes()
+                for row in {0, geometry["rows"] // 2, -1} if geometry["rows"] else ():
+                    got = store.read_row("t", row)
+                    assert got.shape == array[row].shape
+                    assert got.tobytes() == array[row].tobytes()
+                assert len(store._cache) <= geometry["cache_pages"]
+            finally:
+                store.close()
+
+
+class TestAgainstThePerRowLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(gather_cases())
+    def test_outputs_and_accounting(self, case):
+        geometry, indices = case
+        array = make_array(geometry["rows"], geometry["row_shape"], geometry["dtype"])
+        with tempfile.TemporaryDirectory() as directory:
+            build(directory, array, geometry).close()
+            grouped = EmbeddingStore.open(
+                directory, cache_pages=geometry["cache_pages"]
+            )
+            per_row = EmbeddingStore.open(
+                directory, cache_pages=geometry["cache_pages"]
+            )
+            try:
+                for step, index in enumerate(indices):
+                    got = grouped.read_rows("t", index)
+                    want = reference_read_rows(per_row, "t", index)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    new, old = counters(grouped), counters(per_row)
+                    # Accounting is per row, whatever the grouping.
+                    assert (
+                        new["page_hits"] + new["page_faults"]
+                        == old["page_hits"] + old["page_faults"]
+                    )
+                    if step == 0:
+                        # Both caches were empty: a page loaded once per
+                        # call can only fault less than one loaded once
+                        # per row.  (Across a sequence recency differs —
+                        # refreshed per page, not per row — and the
+                        # counts may part by a few either way.)
+                        assert new["page_faults"] <= old["page_faults"]
+                        assert new["bytes_read"] <= old["bytes_read"]
+            finally:
+                grouped.close()
+                per_row.close()
+
+
+@pytest.fixture()
+def damaged(tmp_path):
+    """A 2-shard, 40-row table (4 rows per page) with one flipped bit on
+    page 1 of shard 0 and one on page 2 of shard 1."""
+    array = make_array(40, (4,), "float64", seed=3)
+    EmbeddingStore.build(
+        tmp_path / "s", {"t": array}, num_shards=2, page_bytes=128
+    ).close()
+    for shard, page in ((0, 1), (1, 2)):
+        path = tmp_path / "s" / shard_filename("t", shard)
+        blob = bytearray(path.read_bytes())
+        blob[page * 128 + 5] ^= 0x10
+        path.write_bytes(bytes(blob))
+    return tmp_path / "s", array
+
+
+class TestQuarantineParity:
+    #: Rows 4–7 sit on the bad page (0, 1), rows 28–31 on the bad page
+    #: (1, 2); everything else is clean.
+    ORDERS = [
+        [0, 5, 1],  # clean page first, then a bad one
+        [5, 0],  # bad page first
+        [0, 1, 2, 3, 8, 9],  # never touches damage
+        [0, 29, 5],  # two bad pages: the first in request order wins
+        [0, 6, 29, 1],
+        [29, 29, 0, 5],
+        [[12, 5], [0, 30]],
+        [39, 38, 31, 4],
+    ]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_same_error_same_quarantine(self, damaged, order):
+        directory, array = damaged
+        grouped = EmbeddingStore.open(directory, cache_pages=8)
+        per_row = EmbeddingStore.open(directory, cache_pages=8)
+        try:
+            outcomes = []
+            for read in (
+                grouped.read_rows,
+                lambda name, rows: reference_read_rows(per_row, name, rows),
+            ):
+                try:
+                    outcomes.append(read("t", np.asarray(order)).tobytes())
+                except QuarantinedRowError as error:
+                    outcomes.append(
+                        (error.table, error.row, error.shard, error.page)
+                    )
+            assert outcomes[0] == outcomes[1]
+            assert grouped.quarantined_pages() == per_row.quarantined_pages()
+            for name in ("crc_failures", "pages_quarantined", "quarantined_reads"):
+                assert (
+                    grouped.metrics.snapshot()[f"store.{name}"]
+                    == per_row.metrics.snapshot()[f"store.{name}"]
+                ), name
+        finally:
+            grouped.close()
+            per_row.close()
+
+    def test_pages_before_the_bad_one_are_cached_and_nothing_after(self, damaged):
+        directory, _ = damaged
+        store = EmbeddingStore.open(directory, cache_pages=8)
+        try:
+            with pytest.raises(QuarantinedRowError) as raised:
+                store.read_rows("t", np.array([0, 12, 5, 36, 1]))
+            assert (raised.value.shard, raised.value.page) == (0, 1)
+            assert raised.value.row == 4  # first row of the page
+            # Pages (0,0) and (0,3) were first touched before the bad
+            # page; (1,4) — row 36 — after it.
+            assert set(store._cache._entries) == {("t", 0, 0), ("t", 0, 3)}
+            assert store.quarantined_pages() == [("t", 0, 1)]
+        finally:
+            store.close()
+
+    def test_a_denied_gather_counts_the_distinct_rows_it_wanted(self, damaged):
+        directory, _ = damaged
+        store = EmbeddingStore.open(directory, cache_pages=8)
+        try:
+            with pytest.raises(QuarantinedRowError):
+                store.read_rows("t", np.array([0, 4, 5, 5, 6, 29]))
+            # Rows 4, 5, 6 of the first bad page; 29 was never reached.
+            assert store.metrics.snapshot()["store.quarantined_reads"] == 3
+            with pytest.raises(QuarantinedRowError):
+                store.read_rows("t", np.array([7] * 10))
+            assert store.metrics.snapshot()["store.quarantined_reads"] == 4
+        finally:
+            store.close()
+
+    def test_every_order_of_one_gather_agrees(self, damaged):
+        directory, _ = damaged
+        for order in itertools.permutations([0, 5, 29, 13]):
+            grouped = EmbeddingStore.open(directory, cache_pages=8)
+            per_row = EmbeddingStore.open(directory, cache_pages=8)
+            try:
+                with pytest.raises(QuarantinedRowError) as new:
+                    grouped.read_rows("t", np.asarray(order))
+                with pytest.raises(QuarantinedRowError) as old:
+                    reference_read_rows(per_row, "t", np.asarray(order))
+                assert (new.value.row, new.value.shard, new.value.page) == (
+                    old.value.row,
+                    old.value.shard,
+                    old.value.page,
+                )
+                assert grouped.quarantined_pages() == per_row.quarantined_pages()
+            finally:
+                grouped.close()
+                per_row.close()
+
+
+def count_page_loads(store, monkeypatch):
+    """Count ``_load_page`` calls per page key from here on."""
+    loads = Counter()
+    original = store._load_page
+
+    def counted(name, shard, page):
+        loads[(name, shard, page)] += 1
+        return original(name, shard, page)
+
+    monkeypatch.setattr(store, "_load_page", counted)
+    return loads
+
+
+class TestExactWork:
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_one_load_per_distinct_page(self, tmp_path, monkeypatch, layout):
+        array = make_array(600, (8,), "float64")
+        store = EmbeddingStore.build(
+            tmp_path / "s",
+            {"t": array},
+            num_shards=3,
+            layout=layout,
+            page_bytes=256,  # 4 rows per page
+            cache_pages=256,
+        )
+        try:
+            spec = store.spec("t")
+            # The service shape: 64 heads, each repeated k = 10 times.
+            heads = np.random.default_rng(5).integers(0, 600, size=64)
+            index = np.repeat(heads[:, None], 10, axis=1)
+            distinct = {
+                (shard, spec.page_of(local))
+                for shard, local in (spec.locate(int(row)) for row in heads)
+            }
+            loads = count_page_loads(store, monkeypatch)
+            before = counters(store)
+            got = store.read_rows("t", index)
+            assert np.array_equal(got, array[index])
+            assert sum(loads.values()) == len(distinct)
+            assert set(loads) == {("t", shard, page) for shard, page in distinct}
+            after = counters(store)
+            assert after["page_faults"] - before["page_faults"] == len(distinct)
+            assert (
+                after["page_hits"] - before["page_hits"]
+                == index.size - len(distinct)
+            )
+            # Warm: the same gather is all hits, still one load a page.
+            loads.clear()
+            store.read_rows("t", index)
+            assert sum(loads.values()) == len(distinct)
+            assert counters(store)["page_faults"] == after["page_faults"]
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_read_table_loads_every_page_once(self, tmp_path, monkeypatch, layout):
+        array = make_array(203, (8,), "float64")
+        store = EmbeddingStore.build(
+            tmp_path / "s",
+            {"t": array},
+            num_shards=3,
+            layout=layout,
+            page_bytes=256,
+            cache_pages=1,
+        )
+        try:
+            loads = count_page_loads(store, monkeypatch)
+            assert np.array_equal(store.read_table("t"), array)
+            assert sorted(loads) == store.iter_page_keys()
+            assert set(loads.values()) == {1}
+            after = counters(store)
+            assert after["page_faults"] == len(loads)
+            assert after["page_hits"] + after["page_faults"] == 203
+        finally:
+            store.close()
+
+
+# ----------------------------------------------------------------------
+# Cold open: the selector tables come through page-sized gathers
+# ----------------------------------------------------------------------
+ITEMS = 24
+
+
+@pytest.fixture(scope="module")
+def resident():
+    triples = [(item, item % 3, 100 + item) for item in range(ITEMS)]
+    triples += [(item, (item + 1) % 3, 130 + item) for item in range(ITEMS)]
+    selector = KeyRelationSelector(
+        TripleStore(triples), {item: item % 4 for item in range(ITEMS)}, k=2
+    )
+    model = PKGM(160, 3, PKGMConfig(dim=4), rng=np.random.default_rng(0))
+    return PKGMServer(model, selector)
+
+
+def save(resident, directory):
+    # 64-byte pages: 8 item ids or 4 key-relation rows to a page.
+    resident.save_store(directory, num_shards=2, page_bytes=64).close()
+    return directory
+
+
+def flip(directory, table, shard, offset):
+    path = Path(directory) / shard_filename(table, shard)
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x04
+    path.write_bytes(bytes(blob))
+
+
+class TestColdOpen:
+    def test_clean_open_knows_every_item(self, tmp_path, resident):
+        server = PKGMServer.from_store(save(resident, tmp_path / "s"))
+        try:
+            assert server.unreadable_items == 0
+            assert server.known_items() == resident.known_items()
+            items = resident.known_items()
+            assert np.array_equal(
+                server._selector.for_items(items), resident._selector.for_items(items)
+            )
+            assert (
+                server._selector.key_relation_table()
+                == resident._selector.key_relation_table()
+            )
+            assert server._selector.for_item(5) == resident._selector.for_item(5)
+            assert isinstance(server._selector.for_item(5), list)
+        finally:
+            server.store.close()
+
+    @pytest.mark.parametrize(
+        "table, shard, offset, lost",
+        [
+            # item_ids: 12 rows a shard, 8 a page → page 1 of shard 0 is rows 8–11.
+            ("item_ids", 0, 64 + 3, range(8, 12)),
+            # key_relations: 4 rows a page → page 2 of shard 1 is rows 20–23.
+            ("key_relations", 1, 2 * 64 + 9, range(20, 24)),
+            ("key_relations", 0, 1, range(0, 4)),
+        ],
+    )
+    def test_a_bad_selector_page_costs_exactly_its_items(
+        self, tmp_path, resident, table, shard, offset, lost
+    ):
+        directory = save(resident, tmp_path / "s")
+        flip(directory, table, shard, offset)
+        server = PKGMServer.from_store(directory, cache_pages=3)
+        try:
+            items = resident.known_items()
+            assert server.unreadable_items == len(lost)
+            assert server.known_items() == [
+                item for row, item in enumerate(items) if row not in lost
+            ]
+            assert len(server.store.quarantined_pages()) == 1
+            assert server.store.quarantined_pages()[0][0] == table
+            # Each item lost is one denied row read, as when the cold
+            # open asked for them one by one.
+            snapshot = server.store.metrics.snapshot()
+            assert snapshot["store.quarantined_reads"] == len(lost)
+            survivor = server.known_items()[0]
+            assert np.array_equal(
+                server.serve(survivor).triple_vectors,
+                resident.serve(survivor).triple_vectors,
+            )
+            with pytest.raises(KeyError, match=f"entity {items[lost[0]]} is not"):
+                server.serve(items[lost[0]])
+        finally:
+            server.store.close()
+
+    def test_damage_in_both_tables_is_a_union(self, tmp_path, resident):
+        directory = save(resident, tmp_path / "s")
+        flip(directory, "item_ids", 0, 3)  # rows 0–7
+        flip(directory, "key_relations", 0, 64 + 1)  # rows 4–7
+        flip(directory, "key_relations", 1, 1)  # rows 12–15
+        server = PKGMServer.from_store(directory)
+        try:
+            assert server.unreadable_items == 12
+            assert server.known_items() == resident.known_items()[8:12] + (
+                resident.known_items()[16:]
+            )
+        finally:
+            server.store.close()
+
+    def test_unknown_id_raises_the_same_key_error(self, tmp_path, resident):
+        server = PKGMServer.from_store(save(resident, tmp_path / "s"))
+        try:
+            for lookup in (
+                lambda: server._selector.for_items([3, 99, 4]),
+                lambda: server._selector.for_item(99),
+                lambda: resident._selector.for_item(99),
+            ):
+                with pytest.raises(KeyError) as raised:
+                    lookup()
+                assert raised.value.args == ("entity 99 is not a known item",)
+            with pytest.raises(KeyError, match="entity -1 is not a known item"):
+                server.serve_sequence_batch([-1])
+        finally:
+            server.store.close()
+
+    def test_cold_open_makes_no_per_row_reads(self, tmp_path, resident, monkeypatch):
+        directory = save(resident, tmp_path / "s")
+        calls = Counter()
+        original = EmbeddingStore.read_rows
+
+        def counted(self, name, rows):
+            calls[name] += 1
+            return original(self, name, rows)
+
+        monkeypatch.setattr(EmbeddingStore, "read_rows", counted)
+        monkeypatch.setattr(
+            EmbeddingStore,
+            "read_row",
+            lambda *args: pytest.fail("the cold open read a single row"),
+        )
+        server = PKGMServer.from_store(directory)
+        try:
+            # One gather per page: 2 shards × ⌈12/8⌉ and 2 × ⌈12/4⌉.
+            assert calls == {"item_ids": 4, "key_relations": 6}
+        finally:
+            server.store.close()
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, resident):
+        first = save(resident, tmp_path / "first")
+        server = PKGMServer.from_store(first)
+        try:
+            second = save(server, tmp_path / "second")
+        finally:
+            server.store.close()
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_key_relation_range_check_still_closes_the_store(self, tmp_path):
+        from repro.core.service import SnapshotError, write_server_store
+
+        write_server_store(
+            tmp_path / "s",
+            {
+                "entity_table": np.zeros((4, 2)),
+                "relation_table": np.zeros((3, 2)),
+                "transfer": np.zeros((3, 2, 2)),
+                "item_ids": np.arange(2, dtype=np.int64),
+                "key_relations": np.array([[0], [3]], dtype=np.int64),
+            },
+        ).close()
+        with pytest.raises(SnapshotError, match=r"outside \[0, 3\)"):
+            PKGMServer.from_store(tmp_path / "s")

@@ -1,5 +1,6 @@
 """Engine behaviour: roundtrips, cache, quarantine, scrub, repair."""
 
+import itertools
 import os
 
 import numpy as np
@@ -91,6 +92,50 @@ class TestReads:
         with pytest.raises(IndexError):
             store.read_rows("entity_table", np.array([0, 99]))
 
+    def test_out_of_range_names_the_requested_row(self, store):
+        table = StoreTable(store, "entity_table")
+        for read in (
+            lambda row: store.read_row("entity_table", row),
+            lambda row: store.read_rows("entity_table", [0, row]),
+            lambda row: table[np.int64(row)],
+        ):
+            for row in (37, -38, -1000):
+                with pytest.raises(IndexError, match=f"row {row} out of range"):
+                    read(row)
+
+    def test_out_of_range_is_refused_before_any_page_is_touched(self, store):
+        with pytest.raises(IndexError):
+            store.read_rows("entity_table", np.array([0, 1, 99]))
+        snapshot = store.metrics.snapshot()
+        assert snapshot["store.page_faults"] == snapshot["store.page_hits"] == 0
+
+    @pytest.mark.parametrize(
+        "index",
+        [[1.7, 2.2], np.array([1.0]), np.array(2.0), np.array(["1"]), [None]],
+    )
+    def test_non_integer_index_is_refused_like_numpy(self, store, arrays, index):
+        message = "arrays used as indices must be of integer"
+        with pytest.raises(IndexError, match=message):
+            arrays["entity_table"][np.asarray(index)]
+        with pytest.raises(IndexError, match=message):
+            store.read_rows("entity_table", index)
+        with pytest.raises(TypeError):
+            store.read_row("entity_table", 1.7)
+
+    def test_bool_mask_is_still_a_type_error(self, store):
+        with pytest.raises(TypeError, match="boolean masks"):
+            store.read_rows("entity_table", np.ones(37, dtype=bool))
+
+    def test_unsigned_and_narrow_integer_indices(self, store, arrays):
+        for dtype in (np.uint64, np.uint8, np.int8, np.int32):
+            index = np.array([0, 36, 5], dtype=dtype)
+            assert np.array_equal(
+                store.read_rows("entity_table", index),
+                arrays["entity_table"][index],
+            )
+        with pytest.raises(IndexError, match="row 18446744073709551615 out of"):
+            store.read_rows("entity_table", np.array([2**64 - 1], dtype=np.uint64))
+
     def test_unknown_table_raises_schema_error(self, store):
         with pytest.raises(StoreSchemaError, match="no table"):
             store.read_row("nope", 0)
@@ -129,6 +174,47 @@ class TestStoreTable:
         source = arrays["transfer"]
         index = np.array([0, 3, 1])
         assert np.array_equal(table[index, 1], source[index, 1])
+
+    #: Every kind of row key numpy takes, against a 37-row table
+    #: (``table[3, 2]`` used to raise "too many indices for array").
+    ROW_KEYS = [
+        3,
+        -1,
+        np.int64(36),
+        slice(2, 30, 5),
+        slice(None),
+        slice(10, 2, -3),
+        [4, 1, 4],
+        [],
+        np.array([7, -2]),
+        np.array([[0, 1], [36, -37]]),
+        np.array(5),
+    ]
+
+    @pytest.mark.parametrize("name", ["entity_table", "transfer"])
+    def test_tuple_indexing_matches_numpy(self, store, arrays, name):
+        table = StoreTable(store, name)
+        source = arrays[name]
+        in_row_keys = [(), (2,), (-1,), (slice(1, 3),), ([0, 3],), (np.array([1, 0]),)]
+        if source.ndim == 3:
+            in_row_keys += [(1, 2), (slice(None), 0), (0, [0, 2]), ([0, 1], slice(1, 4))]
+            row_keys = [
+                key % 5 if isinstance(key, (int, np.integer, np.ndarray)) else key
+                for key in self.ROW_KEYS
+            ]
+        else:
+            row_keys = self.ROW_KEYS
+        for row_key, in_row in itertools.product(row_keys, in_row_keys):
+            key = (row_key, *in_row)
+            try:
+                want = source[key]
+            except IndexError:
+                with pytest.raises(IndexError):
+                    table[key]
+                continue
+            got = table[key]
+            assert np.shape(got) == np.shape(want), key
+            assert np.array_equal(got, want), key
 
 
 class TestQuarantine:
