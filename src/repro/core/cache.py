@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, List, Optional, Sequence
+from typing import Any, Hashable, List, Optional
 
 import numpy as np
 
-from .service import PKGMServer, ServiceVectors
+from .service import BatchOverServe, PKGMServer, ServiceVectors
 
 
 class LRUDict:
@@ -101,7 +101,7 @@ class CacheStats:
         )
 
 
-class CachedPKGMServer:
+class CachedPKGMServer(BatchOverServe):
     """LRU-cached facade over a :class:`PKGMServer`.
 
     Only :meth:`serve` results are cached (they dominate production
@@ -174,15 +174,6 @@ class CachedPKGMServer:
                 self._evictions_c.inc(evicted)
             self._size_g.set(len(self._cache))
         return vectors
-
-    def serve_batch(self, entity_ids: Sequence[int]) -> List[ServiceVectors]:
-        return [self.serve(int(e)) for e in entity_ids]
-
-    def serve_sequence_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
-        return np.stack([self.serve(int(e)).sequence() for e in entity_ids])
-
-    def serve_condensed_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
-        return np.stack([self.serve(int(e)).condensed() for e in entity_ids])
 
     def triple_service(self, heads, relations) -> np.ndarray:
         return self._server.triple_service(heads, relations)

@@ -6,7 +6,9 @@ account for the frequency of properties in those items, then select
 top 10 most frequent properties as key relations."
 
 :class:`KeyRelationSelector` computes exactly that table from the KG and
-an item→category map, and answers per-item lookups during servicing.
+an item→category map; :meth:`KeyRelationSelector.freeze` hands it to
+a server as a :class:`KeyRelationTable`, the array form that answers
+lookups during servicing and is what a snapshot persists.
 Categories with fewer than ``k`` observed relations are padded by
 cycling their own list (so service batches stay rectangular) — the
 padding choice is covered by tests and called out in EXPERIMENTS.md.
@@ -81,6 +83,48 @@ class KeyRelationSelector:
         and fallback computation must not reach into internals)."""
         return sorted(self._item_to_category)
 
-    def key_relation_table(self) -> Dict[int, List[int]]:
-        """The full item → key-relations mapping as plain data."""
-        return {item: self.for_item(item) for item in self.items()}
+    def freeze(self) -> "KeyRelationTable":
+        """The selection as the table a server holds: one row per item
+        whose category has observed relations (an item of any other
+        category cannot be answered for, so it is not in the table)."""
+        categories = self.categories()
+        rows = np.asarray(
+            [self._table[category] for category in categories], dtype=np.int64
+        ).reshape(-1, self.k)
+        count = len(self._item_to_category)
+        items = np.fromiter(self._item_to_category, np.int64, count)
+        of_item = np.fromiter(self._item_to_category.values(), np.int64, count)
+        answerable = np.isin(of_item, categories)
+        return KeyRelationTable(
+            items[answerable],
+            rows[np.searchsorted(categories, of_item[answerable])],
+        )
+
+
+class KeyRelationTable:
+    """The served key relations: item ids ascending beside their rows.
+
+    ``item_ids`` is (N,) and ``key_relations`` (N, k), both int64 — the
+    two tables of that name in a server snapshot — so a batch lookup is
+    one ``searchsorted`` and one take.
+    """
+
+    def __init__(self, item_ids: np.ndarray, key_relations: np.ndarray) -> None:
+        order = np.argsort(item_ids, kind="stable")
+        self.item_ids = item_ids[order]
+        self.key_relations = key_relations[order]
+
+    def for_items(self, entity_ids: np.ndarray) -> np.ndarray:
+        """Key relations of a (B,) int64 array of item ids, shape (B, k)."""
+        rows = self.item_ids.searchsorted(entity_ids)
+        # An id past the last known one lands on row N: clipped, it is
+        # compared with the last id, which it cannot equal.
+        known = (
+            self.item_ids.take(rows, mode="clip") == entity_ids
+            if self.item_ids.size
+            else np.zeros(entity_ids.shape, dtype=bool)
+        )
+        if not known.all():
+            unknown = int(entity_ids[~known][0])
+            raise KeyError(f"entity {unknown} is not a known item")
+        return self.key_relations.take(rows, axis=0)

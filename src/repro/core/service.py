@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .key_relations import KeyRelationSelector
+from .key_relations import KeyRelationSelector, KeyRelationTable
 from .pkgm import PKGM
 
 
@@ -74,39 +74,93 @@ class ServiceVectors:
         return paired.mean(axis=0)
 
 
+class BatchOverServe:
+    """The batch helpers of a facade that answers one item at a time.
+
+    Each is a loop over ``self.serve``, so whatever that method does
+    for an item — cache it, retry it, degrade it — it does for every
+    item of a batch.
+    """
+
+    def serve_batch(self, entity_ids: Sequence[int]) -> List[ServiceVectors]:
+        return [self.serve(int(e)) for e in entity_ids]
+
+    def serve_sequence_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
+        """(batch, 2k, d) payload, in paper order."""
+        return np.stack([v.sequence() for v in self.serve_batch(entity_ids)])
+
+    def serve_condensed_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
+        """(batch, 2d) payload (Eq. 20)."""
+        return np.stack([v.condensed() for v in self.serve_batch(entity_ids)])
+
+
+def _index_arrays(
+    heads: np.ndarray, relations: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``heads`` and ``relations`` as index arrays, negative ids refused.
+
+    The one check the tables cannot make themselves: an array and a
+    :class:`repro.store.StoreTable` both read a negative index from the
+    end, which would answer for another entity.  Ids past the end they
+    refuse on their own, with the same ``IndexError``.
+    """
+    heads, relations = np.asarray(heads), np.asarray(relations)
+    for kind, ids in (("entity", heads), ("relation", relations)):
+        if ids.size and ids.min() < 0:
+            raise IndexError(f"{kind} id {int(ids.min())} is negative")
+    return heads, relations
+
+
 class PKGMServer:
     """Serves PKGM vectors without access to the triple store.
 
-    Construction copies the embedding tables, transfer matrices and key
-    relation table out of the trained model; the store itself is *not*
-    retained (data protection / triple independence, §II-D).
+    A server is five tables — the ``pkgm-server`` store schema:
+    ``entity_table`` (E, d), ``relation_table`` (R, d), ``transfer``
+    (R, d, d), and the key relations as ``item_ids`` (N,) ascending
+    beside ``key_relations`` (N, k).  Construction copies the first
+    three out of the trained model and freezes the selector into the
+    last two; the triple store itself is *not* retained (data
+    protection / triple independence, §II-D).  :meth:`from_store`
+    serves the same five tables paged in from disk, through the same
+    code.
     """
 
-    def __init__(
-        self,
-        model: PKGM,
-        selector: KeyRelationSelector,
-    ) -> None:
-        self.dim = model.config.dim
-        self.k = selector.k
-        self.num_entities = model.num_entities
-        self.num_relations = model.num_relations
+    def __init__(self, model: PKGM, selector: KeyRelationSelector) -> None:
         # Snapshot parameters: the server must keep working even if the
         # model is further trained or discarded.
-        self._entity_table = model.triple_module.entity_embeddings.weight.data.copy()
-        self._relation_table = (
-            model.triple_module.relation_embeddings.weight.data.copy()
+        self._hold(
+            model.triple_module.entity_embeddings.weight.data.copy(),
+            model.triple_module.relation_embeddings.weight.data.copy(),
+            model.relation_module.transfer_matrices.data.copy(),
+            selector.freeze(),
         )
-        self._transfer = model.relation_module.transfer_matrices.data.copy()
-        self._selector = selector
+
+    def _hold(
+        self,
+        entity_table,
+        relation_table,
+        transfer,
+        key_table: KeyRelationTable,
+        store=None,
+        unreadable_items: int = 0,
+    ) -> None:
+        """The one way to become a server: hold the tables (arrays, or
+        :class:`repro.store.StoreTable` views of an open ``store``)."""
+        self._entity_table = entity_table
+        self._relation_table = relation_table
+        self._transfer = transfer
+        self._key_table = key_table
+        self.num_entities, self.dim = entity_table.shape
+        self.num_relations = relation_table.shape[0]
+        self.k = key_table.key_relations.shape[1]
         self._tail_index = None
         #: The backing :class:`repro.store.EmbeddingStore`, when the
         #: server was restored via :meth:`from_store`; ``None`` for
         #: resident servers.
-        self.store = None
+        self.store = store
         #: Items whose selector rows were quarantined at
         #: :meth:`from_store` time (0 for resident servers).
-        self.unreadable_items = 0
+        self.unreadable_items = unreadable_items
 
     # ------------------------------------------------------------------
     # Snapshot table views (read-only by convention)
@@ -134,12 +188,12 @@ class PKGMServer:
     # ------------------------------------------------------------------
     def triple_service(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         """``S_T(h, r) = h + r`` on the snapshot."""
-        heads, relations = np.asarray(heads), np.asarray(relations)
+        heads, relations = _index_arrays(heads, relations)
         return self._entity_table[heads] + self._relation_table[relations]
 
     def relation_service(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
         """``S_R(h, r) = M_r h - r`` on the snapshot."""
-        heads, relations = np.asarray(heads), np.asarray(relations)
+        heads, relations = _index_arrays(heads, relations)
         h = self._entity_table[heads]
         transformed = np.einsum("...ij,...j->...i", self._transfer[relations], h)
         return transformed - self._relation_table[relations]
@@ -147,39 +201,49 @@ class PKGMServer:
     # ------------------------------------------------------------------
     # Item-level service with key relations
     # ------------------------------------------------------------------
+    def _block(
+        self, entity_ids
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The block kernel: ``(ids, key relations, S_T, S_R)`` of a
+        batch of items — shapes (B,), (B, k), (B, k, d), (B, k, d).
+
+        One key-relation lookup, then one gather per table.  The
+        arithmetic runs on the per-item formulas' operand layout (every
+        head repeated k times), so each row is bit-identical to
+        ``S_T``/``S_R`` of that item alone.  An id is judged once: the
+        lookup raises ``KeyError`` for an item the table does not hold,
+        the gathers ``IndexError`` for a row a table does not have.
+        """
+        ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
+        relations = self._key_table.for_items(ids)
+        h = self._entity_table[ids]
+        r = self._relation_table[relations]
+        transfer = self._transfer[relations]
+        heads = h.repeat(self.k, axis=0).reshape(r.shape)
+        transformed = np.einsum("...ij,...j->...i", transfer, heads)
+        return ids, relations, heads + r, transformed - r
+
     def serve(self, entity_id: int) -> ServiceVectors:
-        """All 2k service vectors for one item."""
-        relations = np.asarray(self._selector.for_item(entity_id), dtype=np.int64)
-        heads = np.full(len(relations), entity_id, dtype=np.int64)
-        return ServiceVectors(
-            entity_id=entity_id,
-            key_relations=relations,
-            triple_vectors=self.triple_service(heads, relations),
-            relation_vectors=self.relation_service(heads, relations),
-        )
+        """All 2k service vectors for one item: a block of one."""
+        _, relations, triple, relation = self._block(entity_id)
+        return ServiceVectors(entity_id, relations[0], triple[0], relation[0])
 
     def serve_batch(self, entity_ids: Sequence[int]) -> List[ServiceVectors]:
-        """Service vectors for a batch of items."""
-        return [self.serve(int(e)) for e in entity_ids]
+        """Service vectors for a batch of items (views of one block)."""
+        ids, relations, triple, relation = self._block(entity_ids)
+        return [
+            ServiceVectors(*item)
+            for item in zip(ids.tolist(), relations, triple, relation)
+        ]
 
     def serve_sequence_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
         """Sequence-model payload: (batch, 2k, d) in paper order."""
-        relations = self._selector.for_items(entity_ids)  # (B, k)
-        heads = np.repeat(
-            np.asarray(entity_ids, dtype=np.int64)[:, None], self.k, axis=1
-        )
-        triple = self.triple_service(heads, relations)  # (B, k, d)
-        relation = self.relation_service(heads, relations)  # (B, k, d)
+        _, _, triple, relation = self._block(entity_ids)
         return np.concatenate([triple, relation], axis=1)
 
     def serve_condensed_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
         """Single-embedding payload (Eq. 20): (batch, 2d)."""
-        relations = self._selector.for_items(entity_ids)
-        heads = np.repeat(
-            np.asarray(entity_ids, dtype=np.int64)[:, None], self.k, axis=1
-        )
-        triple = self.triple_service(heads, relations)  # (B, k, d)
-        relation = self.relation_service(heads, relations)  # (B, k, d)
+        _, _, triple, relation = self._block(entity_ids)
         paired = np.concatenate([triple, relation], axis=2)  # (B, k, 2d)
         return paired.mean(axis=1)
 
@@ -209,7 +273,7 @@ class PKGMServer:
 
     def known_items(self) -> List[int]:
         """All item ids this server can answer for, ascending."""
-        return self._selector.items()
+        return self._key_table.item_ids.tolist()
 
     # ------------------------------------------------------------------
     # Retrieval: turn inferred tail embeddings back into entities
@@ -274,12 +338,13 @@ class PKGMServer:
         the candidate-generation primitive behind link prediction and
         "similar items".
         """
-        if self._tail_index is None:
-            self.build_tail_index()
+        # Queries first: a refused id must not cost an index build.
         queries = self.triple_service(
             np.asarray(heads, dtype=np.int64),
             np.asarray(relations, dtype=np.int64),
         )
+        if self._tail_index is None:
+            self.build_tail_index()
         return self._tail_index.search(np.atleast_2d(queries), k)
 
     def nearest_tails(self, head: int, relation: int, k: int = 10):
@@ -308,18 +373,14 @@ class PKGMServer:
         rows in on demand, so the catalog no longer has to fit in RAM.
         Returns the built (open) store.
         """
-        item_ids = self._selector.items()
-        key_table = np.asarray(
-            [self._selector.for_item(item) for item in item_ids], dtype=np.int64
-        ).reshape(len(item_ids), self.k)
         return write_server_store(
             directory,
             {
                 "entity_table": self._entity_table,
                 "relation_table": self._relation_table,
                 "transfer": self._transfer,
-                "item_ids": np.asarray(item_ids, dtype=np.int64),
-                "key_relations": key_table,
+                "item_ids": self._key_table.item_ids,
+                "key_relations": self._key_table.key_relations,
             },
             num_shards=num_shards,
             page_bytes=page_bytes,
@@ -350,7 +411,7 @@ class PKGMServer:
         store = EmbeddingStore.open(
             directory, cache_pages=cache_pages, registry=registry
         )
-        k, dim, num_entities, num_relations = server_store_geometry(store)
+        *_, num_relations = server_store_geometry(store)
         # Selector tables are tiny relative to the embeddings; read them
         # resident so item enumeration never faults pages.  Reads are
         # page-sized and quarantine-tolerant: a damaged selector page
@@ -368,19 +429,22 @@ class PKGMServer:
                 "'key_relations' references relation ids outside "
                 f"[0, {num_relations})"
             )
-        server = cls.__new__(cls)
-        server._tail_index = None
-        server._entity_table = StoreTable(store, "entity_table")
-        server._relation_table = StoreTable(store, "relation_table")
-        server._transfer = StoreTable(store, "transfer")
-        server.k = k
-        server.dim = dim
-        server.num_entities = num_entities
-        server.num_relations = num_relations
-        server._selector = _FrozenSelector(item_ids[readable], key_table, k)
-        server.store = store
-        server.unreadable_items = int((~readable).sum())
-        return server
+        return _StoreBackedServer(
+            StoreTable(store, "entity_table"),
+            StoreTable(store, "relation_table"),
+            StoreTable(store, "transfer"),
+            KeyRelationTable(item_ids[readable], key_table),
+            store=store,
+            unreadable_items=int((~readable).sum()),
+        )
+
+
+class _StoreBackedServer(PKGMServer):
+    """How :meth:`PKGMServer.from_store` reaches :meth:`PKGMServer._hold`:
+    tables that are already tables have no model to be copied out of."""
+
+    def __init__(self, *tables, store, unreadable_items: int) -> None:
+        self._hold(*tables, store, unreadable_items)
 
 
 # ----------------------------------------------------------------------
@@ -509,44 +573,3 @@ def _read_readable_rows(store, name: str) -> Tuple[np.ndarray, np.ndarray]:
         except QuarantinedRowError:
             readable[on_page] = False
     return rows, readable
-
-
-class _FrozenSelector:
-    """Key-relation lookup restored from a saved snapshot.
-
-    Implements the subset of :class:`KeyRelationSelector` the server
-    uses (``k``, ``for_item``, ``for_items``, ``items``,
-    ``key_relation_table``) — in particular the public enumeration API,
-    so a loaded server can be saved again (save → load → save).  Held
-    as a sorted id array beside an ``(N, k)`` relation table, so a
-    batch lookup is one ``searchsorted`` and one take.
-    """
-
-    def __init__(self, item_ids: np.ndarray, key_table: np.ndarray, k: int) -> None:
-        order = np.argsort(item_ids, kind="stable")
-        self._ids = item_ids[order]
-        self._key_table = key_table[order]
-        self.k = k
-
-    def for_item(self, entity_id: int) -> List[int]:
-        row = int(np.searchsorted(self._ids, entity_id))
-        if row == self._ids.size or self._ids[row] != entity_id:
-            raise KeyError(f"entity {entity_id} is not a known item")
-        return self._key_table[row].tolist()
-
-    def for_items(self, entity_ids: Sequence[int]) -> np.ndarray:
-        ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
-        rows = np.searchsorted(self._ids, ids)
-        known = rows < self._ids.size
-        known[known] = self._ids[rows[known]] == ids[known]
-        if not known.all():
-            raise KeyError(f"entity {int(ids[~known][0])} is not a known item")
-        return self._key_table[rows]
-
-    def items(self) -> List[int]:
-        """All known item entity ids, ascending."""
-        return self._ids.tolist()
-
-    def key_relation_table(self) -> Dict[int, List[int]]:
-        """The full item → key-relations mapping as plain data."""
-        return dict(zip(self._ids.tolist(), self._key_table.tolist()))

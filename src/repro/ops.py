@@ -90,6 +90,10 @@ def _serve(server, entity_id, relation, k, deadline=None):
     return server.serve(entity_id, deadline=deadline)
 
 
+def _serve_wire(vectors):
+    return (vectors.key_relations, vectors.triple_vectors, vectors.relation_vectors)
+
+
 def _retrieve(server, entity_id, relation, k, deadline=None):
     return RetrievalPayload(
         entity_id, relation, k, *server.nearest_tails(entity_id, relation, k)
@@ -134,7 +138,7 @@ def _recommend_degraded(request, gateway):
 
 
 #: kind → spec, in the order ``protocol.KINDS`` has always listed them.
-#: ``retrieve`` and ``exist`` coalesce into the batched kernels
+#: ``serve``, ``retrieve`` and ``exist`` coalesce into the batched kernels
 #: ``PKGMServer`` already exposes; ``explain`` and ``recommend`` are
 #: the scenario kinds served by :mod:`repro.scenarios.service`.  Only
 #: ``serve`` is hedged: replicas lazily build their own tail index, so
@@ -143,7 +147,10 @@ def _recommend_degraded(request, gateway):
 OPS: Dict[str, OpSpec] = {
     "serve": OpSpec(
         call=_serve,
-        wire=lambda v: (v.key_relations, v.triple_vectors, v.relation_vectors),
+        fused=lambda server, entities, relations, k: [
+            _serve_wire(vectors) for vectors in server.serve_batch(entities)
+        ],
+        wire=_serve_wire,
         crc_bytes=_array_bytes,
         unpack=lambda entity_id, payload: ServiceVectors(int(entity_id), *payload),
         degraded=_serve_degraded,

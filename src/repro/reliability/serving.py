@@ -7,8 +7,7 @@ flaky backend into a caller-visible exception.  The contract of
 
 * ``serve`` **never raises** — unknown / out-of-range entity ids and
   backend failures return a *flagged* fallback payload
-  (``ServiceVectors.degraded`` is ``True``) with well-defined vectors:
-  zeros, or the catalog-mean service vectors (``fallback="mean"``);
+  (``ServiceVectors.degraded`` is ``True``) of all-zero vectors;
 * transient backend errors are retried under a
   :class:`repro.reliability.retry.RetryPolicy`, and repeated failures
   trip a :class:`repro.reliability.retry.CircuitBreaker` so a dying
@@ -22,12 +21,12 @@ flaky backend into a caller-visible exception.  The contract of
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..core.cache import CachedPKGMServer
-from ..core.service import ServiceVectors
+from ..core.service import BatchOverServe, ServiceVectors
 from ..obs.metrics import MetricsRegistry, counter_view
 from ..store.errors import QuarantinedRowError
 from .retry import (
@@ -41,26 +40,18 @@ from .retry import (
     StepClock,
 )
 
-FALLBACK_MODES = ("zero", "mean")
 
+def fallback_payload(entity_id: int, k: int, dim: int) -> ServiceVectors:
+    """A flagged, all-zeros payload for an unanswerable request.
 
-def fallback_payload(
-    entity_id: int, k: int, dim: int, vectors: Optional[np.ndarray] = None
-) -> ServiceVectors:
-    """A flagged, well-defined payload for an unanswerable request.
-
-    ``vectors`` is an optional (2, k, d) substitute (e.g. the catalog
-    mean); without one the payload is all-zeros.  Shared by the
-    resilient facade and the overload gateway so every degraded answer
-    in the stack has the same shape and flag semantics.
+    Shared by the resilient facade and the overload gateway so every
+    degraded answer in the stack has the same shape and flag semantics.
     """
-    if vectors is None:
-        vectors = np.zeros((2, k, dim))
     return ServiceVectors(
         entity_id=int(entity_id),
         key_relations=np.full(k, -1, dtype=np.int64),
-        triple_vectors=vectors[0].copy(),
-        relation_vectors=vectors[1].copy(),
+        triple_vectors=np.zeros((k, dim)),
+        relation_vectors=np.zeros((k, dim)),
         degraded=True,
     )
 
@@ -142,7 +133,7 @@ class DegradationStats:
         )
 
 
-class ResilientPKGMServer:
+class ResilientPKGMServer(BatchOverServe):
     """Never-raising serving facade with retry, breaker, and fallbacks.
 
     ``backend`` may be a plain ``PKGMServer``-surface object or an
@@ -167,15 +158,10 @@ class ResilientPKGMServer:
         backend,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        fallback: str = "zero",
         cache_capacity: int = 1024,
         clock: Optional[StepClock] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if fallback not in FALLBACK_MODES:
-            raise ValueError(
-                f"fallback must be one of {FALLBACK_MODES}, got {fallback!r}"
-            )
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._resolution = {
             outcome: self.metrics.counter(
@@ -199,9 +185,7 @@ class ResilientPKGMServer:
         if self.breaker.clock is not self.clock:
             # One clock drives backoff and recovery windows together.
             self.breaker.clock = self.clock
-        self.fallback = fallback
         self.stats = DegradationStats(registry=self.metrics)
-        self._mean_payload: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Surface passthrough
@@ -227,39 +211,6 @@ class ResilientPKGMServer:
 
     def retry_stats(self):
         return self._retrier.stats
-
-    # ------------------------------------------------------------------
-    # Fallback payloads
-    # ------------------------------------------------------------------
-    def _mean_vectors(self) -> Optional[np.ndarray]:
-        """Catalog-mean (2, k, d) payload, computed once and memoized.
-
-        Averages the true service vectors over every known item; if the
-        backend cannot enumerate items (or is down), returns ``None``
-        and the caller degrades to zeros.
-        """
-        if self._mean_payload is not None:
-            return self._mean_payload
-        try:
-            item_ids = self._cached.known_items()
-            if not item_ids:
-                return None
-            total = np.zeros((2, self.k, self.dim))
-            for item in item_ids:
-                vectors = self._cached.serve(int(item))
-                total[0] += vectors.triple_vectors
-                total[1] += vectors.relation_vectors
-            self._mean_payload = total / len(item_ids)
-        except (RPCError, KeyError, IndexError, AttributeError, QuarantinedRowError):
-            return None
-        return self._mean_payload
-
-    def _fallback_payload(self, entity_id: int) -> ServiceVectors:
-        """A flagged, well-defined payload for an unanswerable request."""
-        vectors = None
-        if self.fallback == "mean":
-            vectors = self._mean_vectors()
-        return fallback_payload(entity_id, self.k, self.dim, vectors)
 
     # ------------------------------------------------------------------
     # Serving
@@ -295,7 +246,7 @@ class ResilientPKGMServer:
         except DeadlineExceededError:
             self.stats.deadline_exceeded += 1
             self._resolution["deadline"].inc()
-            return self._fallback_payload(entity_id)
+            return fallback_payload(entity_id, self.k, self.dim)
         except (RPCError, RetryExhaustedError):
             return self._stale_or_fallback(entity_id, error=True)
         except QuarantinedRowError:
@@ -307,7 +258,7 @@ class ResilientPKGMServer:
         except (KeyError, IndexError):
             self.stats.fallback_unknown += 1
             self._resolution["fallback-unknown"].inc()
-            return self._fallback_payload(entity_id)
+            return fallback_payload(entity_id, self.k, self.dim)
         self.stats.served_live += 1
         self._resolution["live"].inc()
         return vectors
@@ -329,18 +280,7 @@ class ResilientPKGMServer:
         else:
             self.stats.fallback_unknown += 1
             self._resolution["fallback-unknown"].inc()
-        return self._fallback_payload(entity_id)
-
-    def serve_batch(self, entity_ids: Sequence[int]) -> List[ServiceVectors]:
-        return [self.serve(int(e)) for e in entity_ids]
-
-    def serve_sequence_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
-        """(batch, 2k, d) payload; degraded rows are fallback vectors."""
-        return np.stack([self.serve(int(e)).sequence() for e in entity_ids])
-
-    def serve_condensed_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
-        """(batch, 2d) payload; degraded rows are fallback vectors."""
-        return np.stack([self.serve(int(e)).condensed() for e in entity_ids])
+        return fallback_payload(entity_id, self.k, self.dim)
 
     def relation_existence_score(self, entity_id: int, relation: int) -> float:
         """Existence score, or ``nan`` when it cannot be computed."""

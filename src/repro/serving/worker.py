@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from ..ops import OPS, OpSpec
 from ..store.errors import QuarantinedRowError
 from .protocol import (
@@ -72,38 +70,18 @@ def _run_item(
     return (request_id, STATUS_OK, payload)
 
 
-def _valid_pairs(server, items: Sequence[LiveItem]) -> np.ndarray:
-    """Mask of items whose (entity, relation) indices are in range —
-    the precondition for running the whole batch through one kernel."""
-    entities = np.asarray([item[1] for item in items], dtype=np.int64)
-    relations = np.asarray([item[2] for item in items], dtype=np.int64)
-    return (
-        (entities >= 0)
-        & (entities < server.num_entities)
-        & (relations >= 0)
-        & (relations < server.num_relations)
-    )
-
-
 def _run_fused(
     spec: OpSpec, server, items: Sequence[LiveItem], k: int
 ) -> List[WireResult]:
     """The whole batch through ``spec.fused``, else item by item."""
-    valid = _valid_pairs(server, items)
-    if not valid.all():
-        return [
-            _run_item(spec, server, rid, entity, relation, k)
-            if ok
-            else (rid, STATUS_UNKNOWN, None)
-            for ok, (rid, entity, relation) in zip(valid, items)
-        ]
     entities = [item[1] for item in items]
     relations = [item[2] for item in items]
     try:
         payloads = spec.fused(server, entities, relations, k)
-    except QuarantinedRowError:
-        # One damaged page fails the fused kernel; retry item-by-item so
-        # only the requests that actually touch it degrade.
+    except (QuarantinedRowError, KeyError, IndexError):
+        # One damaged page or one id the server refuses fails the fused
+        # kernel; retry item-by-item so only the requests that actually
+        # touch it degrade.
         return [_run_item(spec, server, *item, k) for item in items]
     return [
         (rid, STATUS_OK, payload) for (rid, _, _), payload in zip(items, payloads)

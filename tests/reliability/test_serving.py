@@ -59,20 +59,6 @@ class TestUnknownIds:
         vectors = resilient.serve(server.num_entities + 5)
         assert vectors.degraded
 
-    def test_mean_fallback_uses_catalog_mean(self, server):
-        resilient = ResilientPKGMServer(server, fallback="mean")
-        items = server.known_items()
-        expected_triple = np.mean(
-            [server.serve(i).triple_vectors for i in items], axis=0
-        )
-        vectors = resilient.serve(10**9)
-        assert vectors.degraded
-        assert np.allclose(vectors.triple_vectors, expected_triple)
-
-    def test_invalid_fallback_mode_rejected(self, server):
-        with pytest.raises(ValueError):
-            ResilientPKGMServer(server, fallback="elaborate")
-
     def test_never_raises_over_many_bad_ids(self, resilient):
         for bad in (-1, 10**6, 10**9):
             vectors = resilient.serve(bad)

@@ -401,14 +401,12 @@ class TestColdOpen:
             assert server.known_items() == resident.known_items()
             items = resident.known_items()
             assert np.array_equal(
-                server._selector.for_items(items), resident._selector.for_items(items)
+                [vectors.key_relations for vectors in server.serve_batch(items)],
+                [vectors.key_relations for vectors in resident.serve_batch(items)],
             )
-            assert (
-                server._selector.key_relation_table()
-                == resident._selector.key_relation_table()
+            assert np.array_equal(
+                server.serve(5).key_relations, resident.serve(5).key_relations
             )
-            assert server._selector.for_item(5) == resident._selector.for_item(5)
-            assert isinstance(server._selector.for_item(5), list)
         finally:
             server.store.close()
 
@@ -468,9 +466,9 @@ class TestColdOpen:
         server = PKGMServer.from_store(save(resident, tmp_path / "s"))
         try:
             for lookup in (
-                lambda: server._selector.for_items([3, 99, 4]),
-                lambda: server._selector.for_item(99),
-                lambda: resident._selector.for_item(99),
+                lambda: server.serve_batch([3, 99, 4]),
+                lambda: server.serve(99),
+                lambda: resident.serve(99),
             ):
                 with pytest.raises(KeyError) as raised:
                     lookup()

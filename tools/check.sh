@@ -21,12 +21,6 @@ echo
 echo "== chaos tests (REPRO_CHAOS_SEED=$REPRO_CHAOS_SEED) =="
 python -m pytest -x -q "tests/test_robustness.py::TestChaosTraining" tests/reliability
 
-echo
-echo "== overload smoke (repro loadtest) =="
-# A seeded 8x traffic spike through the serving gateway: must shed
-# instead of raising, and finish in well under a minute.
-python -m repro.cli loadtest --profile spike --requests 2000
-
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 
@@ -47,6 +41,13 @@ byte_gate() {
     diff "$OBS_TMP/${name}1.txt" "$OBS_TMP/${name}2.txt" || return
     [ -z "$verdict" ] || grep -q "$verdict" "$OBS_TMP/${name}1.txt"
 }
+
+echo
+echo "== overload smoke (repro loadtest, byte-diffed) =="
+# A seeded 8x traffic spike through the serving gateway: must shed
+# instead of raising, finish in well under a minute, and print the
+# same report on a rerun.
+byte_gate loadtest "" python -m repro.cli loadtest --profile spike --requests 2000
 
 echo
 echo "== obs determinism (repro metrics / repro trace, byte-diffed) =="
