@@ -17,6 +17,7 @@ import numpy as np
 
 from ..kg import EdgeSampler, TripleStore
 from ..nn import Adam, no_grad, sanitizer
+from .margin_kernel import MarginGradients, check_finite_loss
 from .pkgm import PKGM, PKGMConfig
 
 
@@ -203,28 +204,25 @@ class PKGMTrainer:
                         break
                     with self._phase("forward", units=len(batch)):
                         self.optimizer.zero_grad()
-                        loss = self.model.margin_loss(
+                        step = self.model.margin_step(
                             batch.positives, batch.negatives
                         )
-                    if not np.isfinite(loss.item()):
-                        raise FloatingPointError(
-                            "non-finite margin loss during pre-training; "
-                            "lower the learning rate or check the input KG"
-                        )
+                    loss = step.loss
+                    check_finite_loss(loss)
                     with self._phase("backward"):
-                        loss.backward()
+                        self._set_gradients(step.gradients())
                     with self._phase("optimizer"):
                         self.optimizer.step()
                         if self.config.entity_max_norm is not None:
                             self.model.renormalize_entities(
                                 self.config.entity_max_norm
                             )
-                    epoch_loss += loss.item()
+                    epoch_loss += loss
                     count += len(batch)
                     if self._batches_c is not None:
                         self._batches_c.inc()
                         self._examples_c.inc(len(batch))
-                        if loss.item() > 0.0:
+                        if loss > 0.0:
                             # The margin ranking loss is a sum of hinge
                             # terms: positive loss ⇔ at least one pair
                             # still violates the margin.
@@ -244,6 +242,25 @@ class PKGMTrainer:
                 self._save_checkpoint(completed, rng, history)
         return history
 
+    def _set_gradients(self, grads: MarginGradients) -> None:
+        """Scatter the row-sparse packet into the dense ``.grad`` Adam reads."""
+        triple = self.model.triple_module
+        for param, rows, values in (
+            (triple.entity_embeddings.weight, grads.entity_rows, grads.entity_grads),
+            (
+                triple.relation_embeddings.weight,
+                grads.relation_rows,
+                grads.relation_grads,
+            ),
+            (
+                self.model.relation_module.transfer_matrices,
+                grads.relation_rows,
+                grads.transfer_grads,
+            ),
+        ):
+            param.grad = np.zeros_like(param.data)
+            param.grad[rows] = values
+
     # ------------------------------------------------------------------
     # Crash-consistent checkpointing (repro.reliability.checkpoint)
     # ------------------------------------------------------------------
@@ -252,23 +269,18 @@ class PKGMTrainer:
     ) -> None:
         from ..reliability.checkpoint import rng_state
 
+        state = self.optimizer.state_dict()
         arrays = {}
         for index, param in enumerate(self.optimizer.parameters):
             arrays[f"param{index}"] = param.data
-            moment = self.optimizer._m.get(id(param))
-            velocity = self.optimizer._v.get(id(param))
-            arrays[f"m{index}"] = (
-                moment if moment is not None else np.zeros_like(param.data)
-            )
-            arrays[f"v{index}"] = (
-                velocity if velocity is not None else np.zeros_like(param.data)
-            )
+            arrays[f"m{index}"] = state["m"][index]
+            arrays[f"v{index}"] = state["v"][index]
         self._manager.save(
             completed_epochs,
             arrays,
             metadata={
                 "epoch": completed_epochs,
-                "adam_step": self.optimizer._step_count,
+                "adam_step": state["step"],
                 "rng": rng_state(rng),
                 "losses": list(history.epoch_losses),
             },
@@ -278,12 +290,17 @@ class PKGMTrainer:
         from ..reliability.checkpoint import restore_rng
 
         arrays, metadata = self._manager.load()
+        count = len(self.optimizer.parameters)
         with no_grad():
             for index, param in enumerate(self.optimizer.parameters):
                 param.data = arrays[f"param{index}"]
-                self.optimizer._m[id(param)] = arrays[f"m{index}"]
-                self.optimizer._v[id(param)] = arrays[f"v{index}"]
-        self.optimizer._step_count = int(metadata["adam_step"])
+        self.optimizer.load_state_dict(
+            {
+                "step": metadata["adam_step"],
+                "m": [arrays[f"m{index}"] for index in range(count)],
+                "v": [arrays[f"v{index}"] for index in range(count)],
+            }
+        )
         restore_rng(rng, metadata["rng"])
         history.epoch_losses.extend(float(x) for x in metadata["losses"])
         return int(metadata["epoch"])

@@ -7,10 +7,10 @@ architecture single-process, faithfully enough to study its behaviour:
 * :class:`ParameterServer` — row-sharded parameter storage with
   pull/push RPC semantics and server-side Adam state (the standard PS
   design: optimizers live with the shards);
-* :class:`PKGMWorker` — computes *closed-form* sub-gradients of PKGM's
-  margin loss on pulled rows (production PS pipelines hand-code
-  gradients exactly like this; tests verify them against the autograd
-  engine);
+* :class:`PKGMWorker` — runs the closed-form margin-gradient kernel
+  (:mod:`repro.core.margin_kernel`, the one ``PKGMTrainer`` uses) on
+  pulled rows (production PS pipelines hand-code gradients exactly
+  like this; tests verify them against the autograd engine);
 * :class:`DistributedPKGMTrainer` — round-robin scheduling of logical
   workers over edge-sampler batches with configurable gradient
   staleness, mirroring asynchronous PS training.
@@ -31,6 +31,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import PKGM
+from ..core.margin_kernel import MarginStep, check_finite_loss
 from ..nn import no_grad
 from ..kg import EdgeSampler, TripleStore
 from ..obs.metrics import MetricsRegistry, counter_view
@@ -296,12 +297,11 @@ class GradientPacket:
 
 
 class PKGMWorker:
-    """Computes closed-form PKGM margin-loss gradients on pulled rows.
+    """Pulls a batch's rows and differentiates Eq. 4 on them.
 
-    The score is ``f(h,r,t) = ||h + r - t||_1 + ||M_r h - r||_1`` and the
-    loss per pair is ``[f(pos) + margin - f(neg)]_+``; sub-gradients use
-    ``sign`` for the L1 terms.  Verified against the autograd engine in
-    the test suite.
+    The gradient is :class:`repro.core.margin_kernel.MarginStep`'s — one
+    derivation for both trainers, verified against the autograd engine
+    in the test suite.
     """
 
     ENTITY, RELATION, MATRIX = "entities", "relations", "matrices"
@@ -340,66 +340,40 @@ class PKGMWorker:
         )
 
     def compute(self, positives: np.ndarray, negatives: np.ndarray) -> GradientPacket:
-        """Gradient packet for one (positives, negatives) batch pair."""
+        """Gradient packet for one batch: pull its rows, run the kernel.
+
+        ``negatives`` is ``(B, 3)`` or ``(K, B, 3)``.  The packet lists
+        every pulled row — zeros where no active pair touched it — so the
+        server's per-row Adam step counts advance with the pulls.
+        """
         positives = np.asarray(positives, dtype=np.int64)
         negatives = np.asarray(negatives, dtype=np.int64)
-        if positives.shape != negatives.shape:
+        if positives.ndim != 2 or negatives.shape[-2:] != positives.shape:
             raise ValueError("positives and negatives must align")
+        triples = np.concatenate([positives, negatives.reshape(-1, 3)])
+        e_unique = np.unique(triples[:, [0, 2]])
+        r_unique = np.unique(triples[:, 1])
 
-        entity_rows = np.concatenate(
-            [positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]]
+        # Ids become positions among the pulled rows.
+        local = np.stack(
+            [
+                np.searchsorted(e_unique, triples[:, 0]),
+                np.searchsorted(r_unique, triples[:, 1]),
+                np.searchsorted(e_unique, triples[:, 2]),
+            ],
+            axis=1,
         )
-        relation_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
-        e_unique = np.unique(entity_rows)
-        r_unique = np.unique(relation_rows)
-        e_index = {int(row): i for i, row in enumerate(e_unique)}
-        r_index = {int(row): i for i, row in enumerate(r_unique)}
-
-        entities = self._pull(self.ENTITY, e_unique)
-        relations = self._pull(self.RELATION, r_unique)
-        matrices = self._pull(self.MATRIX, r_unique)
-
-        def score_parts(triples):
-            h = entities[[e_index[int(x)] for x in triples[:, 0]]]
-            r = relations[[r_index[int(x)] for x in triples[:, 1]]]
-            t = entities[[e_index[int(x)] for x in triples[:, 2]]]
-            m = matrices[[r_index[int(x)] for x in triples[:, 1]]]
-            diff_t = h + r - t
-            diff_r = np.einsum("bij,bj->bi", m, h) - r
-            score = np.abs(diff_t).sum(axis=1) + np.abs(diff_r).sum(axis=1)
-            return h, r, t, m, diff_t, diff_r, score
-
-        hp, rp, tp, mp, dtp, drp, pos_score = score_parts(positives)
-        hn, rn, tn, mn, dtn, drn, neg_score = score_parts(negatives)
-        active = (pos_score + self.margin - neg_score) > 0
-        loss = float(np.sum((pos_score + self.margin - neg_score)[active]))
-
-        grad_e = np.zeros_like(entities)
-        grad_r = np.zeros_like(relations)
-        grad_m = np.zeros_like(matrices)
-
-        def accumulate(triples, m, dt, dr, sign):
-            mask = active
-            st = np.sign(dt) * sign
-            sr = np.sign(dr) * sign
-            st[~mask] = 0.0
-            sr[~mask] = 0.0
-            h_rows = [e_index[int(x)] for x in triples[:, 0]]
-            r_rows = [r_index[int(x)] for x in triples[:, 1]]
-            t_rows = [e_index[int(x)] for x in triples[:, 2]]
-            h_vals = entities[h_rows]
-            # f_T gradients.
-            np.add.at(grad_e, h_rows, st)
-            np.add.at(grad_r, r_rows, st)
-            np.add.at(grad_e, t_rows, -st)
-            # f_R gradients: d||Mh - r|| -> dM = s h^T, dh = M^T s, dr = -s.
-            np.add.at(grad_m, r_rows, np.einsum("bi,bj->bij", sr, h_vals))
-            np.add.at(grad_e, h_rows, np.einsum("bij,bi->bj", m, sr))
-            np.add.at(grad_r, r_rows, -sr)
-
-        accumulate(positives, mp, dtp, drp, +1.0)
-        accumulate(negatives, mn, dtn, drn, -1.0)
-
+        step = MarginStep(
+            self._pull(self.ENTITY, e_unique),
+            self._pull(self.RELATION, r_unique),
+            self._pull(self.MATRIX, r_unique),
+            local[: len(positives)],
+            local[len(positives) :].reshape(negatives.shape),
+            self.margin,
+        )
+        # Every pulled row is in the batch, so the kernel's rows are
+        # 0..n-1 and its gradients already align with the pulled ids.
+        grads = step.gradients()
         return GradientPacket(
             rows={
                 self.ENTITY: e_unique,
@@ -407,11 +381,11 @@ class PKGMWorker:
                 self.MATRIX: r_unique,
             },
             gradients={
-                self.ENTITY: grad_e,
-                self.RELATION: grad_r,
-                self.MATRIX: grad_m,
+                self.ENTITY: grads.entity_grads,
+                self.RELATION: grads.relation_grads,
+                self.MATRIX: grads.transfer_grads,
             },
-            loss=loss,
+            loss=step.loss,
         )
 
 
@@ -609,12 +583,13 @@ class DistributedPKGMTrainer:
                         # No checkpoint: keep training on the damaged state.
                     worker = self.workers[batch_index % len(self.workers)]
                     try:
-                        packet = worker.compute(batch.positives, batch.negatives[0])
+                        packet = worker.compute(batch.positives, batch.negatives)
                     except (RetryExhaustedError, DeadlineExceededError):
                         # Exhausted retries or a blown pull deadline: the
                         # batch is abandoned either way (a worker timeout).
                         self.abandoned_batches += 1
                         continue
+                    check_finite_loss(packet.loss)
                     pending.append(packet)
                     epoch_loss += packet.loss
                     count += len(batch)

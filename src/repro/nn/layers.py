@@ -51,6 +51,18 @@ class Linear(Module):
         return out
 
 
+def check_embedding_ids(ids: np.ndarray, size: int) -> None:
+    """Raise ``IndexError`` for an id outside ``[0, size)``.
+
+    numpy would read a negative id from the end of the table.
+    """
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise IndexError(
+            f"embedding ids out of range [0, {size}): "
+            f"min={ids.min()}, max={ids.max()}"
+        )
+
+
 class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors.
 
@@ -74,11 +86,7 @@ class Embedding(Module):
 
     def forward(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
-            raise IndexError(
-                f"embedding ids out of range [0, {self.num_embeddings}): "
-                f"min={ids.min()}, max={ids.max()}"
-            )
+        check_embedding_ids(ids, self.num_embeddings)
         return self.weight.take_rows(ids)
 
     def renormalize(self, max_norm: float = 1.0) -> None:
@@ -88,10 +96,14 @@ class Embedding(Module):
         inherits the constraint via its TransE triple query module.
         Operates in-place on the raw parameter data.
         """
-        norms = np.linalg.norm(self.weight.data, axis=1, keepdims=True)
-        scale = np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
+        data = self.weight.data
+        norms = np.linalg.norm(data, axis=1, keepdims=True)
+        # Rows inside the ball would be multiplied by 1.0; a NaN norm is
+        # not "inside", so a poisoned row is rescaled (to NaN) as before.
+        rows = np.flatnonzero(~(norms[:, 0] <= max_norm))
+        scale = np.minimum(1.0, max_norm / np.maximum(norms[rows], 1e-12))
         with no_grad():
-            self.weight.data = self.weight.data * scale
+            data[rows] *= scale
 
 
 class LayerNorm(Module):

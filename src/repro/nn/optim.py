@@ -7,7 +7,7 @@ Adam, and AdamW, plus gradient clipping and a simple warmup scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,10 +105,17 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        # Per parameter: first moment, second moment and two scratch
+        # buffers, allocated the first time it has a gradient.
+        self._state: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     def step(self) -> None:
+        """One update, in place and without a temporary.
+
+        Evaluates ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
+        ``p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)`` in that order of
+        operations, so the result is the bytes the one-line formulas give.
+        """
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
@@ -120,20 +127,69 @@ class Adam(Optimizer):
                 grad = param.grad
                 if _sanitizer.ENABLED:
                     _sanitizer.check_update("Adam.step", param, grad=grad)
+                state = self._state.get(id(param))
+                if state is None:
+                    state = self._state[id(param)] = tuple(
+                        np.zeros_like(param.data) for _ in range(4)
+                    )
+                m, v, num, den = state
                 if self.weight_decay:
                     # L2-style decay folded into the gradient (classic Adam).
-                    grad = grad + self.weight_decay * param.data
-                key = id(param)
-                m = self._m.get(key)
-                v = self._v.get(key)
-                m = self.beta1 * m + (1 - self.beta1) * grad if m is not None else (1 - self.beta1) * grad
-                v = self.beta2 * v + (1 - self.beta2) * grad**2 if v is not None else (1 - self.beta2) * grad**2
-                self._m[key], self._v[key] = m, v
-                m_hat = m / bias1
-                v_hat = v / bias2
-                param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                    np.multiply(param.data, self.weight_decay, out=den)
+                    grad = np.add(grad, den, out=den)
+                np.multiply(m, self.beta1, out=m)
+                np.multiply(grad, 1 - self.beta1, out=num)
+                np.add(m, num, out=m)
+                np.multiply(v, self.beta2, out=v)
+                np.multiply(grad, grad, out=num)
+                np.multiply(num, 1 - self.beta2, out=num)
+                np.add(v, num, out=v)
+                np.divide(m, bias1, out=num)
+                np.multiply(num, self.lr, out=num)
+                np.divide(v, bias2, out=den)
+                np.sqrt(den, out=den)
+                np.add(den, self.eps, out=den)
+                np.divide(num, den, out=num)
+                np.subtract(param.data, num, out=param.data)
                 if _sanitizer.ENABLED:
                     _sanitizer.check_update("Adam.step", param, update=param.data)
+
+    def state_dict(self) -> Dict[str, object]:
+        """Step count and copies of both moments, in parameter order.
+
+        A parameter that has not been stepped yet reports zero moments.
+        """
+        first, second = [], []
+        for param in self.parameters:
+            state = self._state.get(id(param))
+            if state is None:
+                first.append(np.zeros_like(param.data))
+                second.append(np.zeros_like(param.data))
+            else:
+                first.append(state[0].copy())
+                second.append(state[1].copy())
+        return {"step": self._step_count, "m": first, "v": second}
+
+    def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Restore what :meth:`state_dict` returned (scratch is rebuilt)."""
+        if not len(state["m"]) == len(state["v"]) == len(self.parameters):
+            raise ValueError(
+                f"optimizer state holds {len(state['m'])} moments for "
+                f"{len(self.parameters)} parameters"
+            )
+        self._step_count = int(state["step"])
+        for param, m, v in zip(self.parameters, state["m"], state["v"]):
+            if np.shape(m) != param.shape or np.shape(v) != param.shape:
+                raise ValueError(
+                    f"moment shapes {np.shape(m)}, {np.shape(v)} "
+                    f"!= parameter shape {param.shape}"
+                )
+            self._state[id(param)] = (
+                np.array(m, dtype=param.data.dtype),
+                np.array(v, dtype=param.data.dtype),
+                np.empty_like(param.data),
+                np.empty_like(param.data),
+            )
 
 
 class AdamW(Adam):

@@ -1,0 +1,350 @@
+"""The closed-form margin kernel against the autograd tape it replaced.
+
+``PKGM.margin_loss(...).backward()`` is the oracle: on any batch the
+kernel's loss and its three gradients must agree with the tape to
+1e-10, and every guard the tape had (NaN-propagating loss, id range and
+shape errors, the numeric guard naming a stage, the op hook) must still
+fire.  The two whole-table passes the training step keeps — ``Adam.step``
+and ``Embedding.renormalize`` — were rewritten in place; the one-line
+formulas they replaced stay here and must give the same bytes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import PKGM, PKGMConfig, PKGMTrainer, TrainerConfig
+from repro.core.margin_kernel import STAGES, MarginStep
+from repro.kg import EdgeSampler, TripleStore
+from repro.nn import (
+    Adam,
+    Embedding,
+    NumericGuardError,
+    Parameter,
+    no_grad,
+    sanitizer,
+    set_op_hook,
+)
+
+TOLERANCE = 1e-10
+
+
+def parameters(model):
+    return (
+        model.triple_module.entity_embeddings.weight,
+        model.triple_module.relation_embeddings.weight,
+        model.relation_module.transfer_matrices,
+    )
+
+
+def taped(model, positives, negatives):
+    """(loss, entity grad, relation grad, transfer grad) from the tape."""
+    model.zero_grad()
+    loss = model.margin_loss(positives, negatives)
+    loss.backward()
+    return (loss.item(), *(param.grad for param in parameters(model)))
+
+
+def closed_form(model, positives, negatives):
+    """The same four from the kernel, gradients scattered to dense."""
+    step = model.margin_step(positives, negatives)
+    grads = step.gradients()
+    dense = [np.zeros_like(param.data) for param in parameters(model)]
+    dense[0][grads.entity_rows] = grads.entity_grads
+    dense[1][grads.relation_rows] = grads.relation_grads
+    dense[2][grads.relation_rows] = grads.transfer_grads
+    return (step.loss, *dense)
+
+
+def assert_matches_tape(model, positives, negatives):
+    expected = taped(model, positives, negatives)
+    actual = closed_form(model, positives, negatives)
+    assert actual[0] == pytest.approx(expected[0], rel=TOLERANCE, abs=TOLERANCE)
+    for got, want in zip(actual[1:], expected[1:]):
+        assert np.allclose(got, want, rtol=0.0, atol=TOLERANCE)
+
+
+def small_model(entities=6, relations=3, dim=4, margin=2.0, seed=0):
+    return PKGM(
+        entities,
+        relations,
+        PKGMConfig(dim=dim, margin=margin),
+        rng=np.random.default_rng(seed),
+    )
+
+
+class TestAgainstTheTape:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 16),
+        batch=st.integers(1, 64),
+        corruptions=st.sampled_from([None, 1, 2, 3]),
+        entities=st.integers(2, 9),
+        relations=st.integers(1, 5),
+        margin=st.sampled_from([0.05, 2.0, 50.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_and_gradients(
+        self, dim, batch, corruptions, entities, relations, margin, seed
+    ):
+        """Few entities, so ids repeat heavily within and across triples;
+        the last relation is never drawn, so one is absent from the batch."""
+        rng = np.random.default_rng(seed)
+        model = PKGM(
+            entities,
+            relations + 1,
+            PKGMConfig(dim=dim, margin=margin),
+            rng=rng,
+        )
+        # Initial tables sit inside the unit ball; spread them so both
+        # active and inactive pairs occur.
+        with no_grad():
+            model.triple_module.entity_embeddings.weight.data *= rng.uniform(0.5, 20.0)
+        bounds = [entities, relations, entities]
+        positives = rng.integers(0, bounds, size=(batch, 3))
+        shape = (batch, 3) if corruptions is None else (corruptions, batch, 3)
+        negatives = rng.integers(0, bounds, size=shape)
+        assert_matches_tape(model, positives, negatives)
+
+    def test_head_equals_tail(self):
+        model = small_model()
+        positives = np.array([[1, 0, 1], [2, 1, 2]])
+        negatives = np.array([[3, 0, 3], [2, 1, 4]])
+        assert_matches_tape(model, positives, negatives)
+
+    def test_batch_of_one(self):
+        model = small_model()
+        assert_matches_tape(model, np.array([[0, 2, 5]]), np.array([[[0, 2, 1]]]))
+
+    def test_absent_relation_is_not_listed(self):
+        model = small_model(relations=4)
+        step = model.margin_step(np.array([[0, 3, 1], [1, 0, 2]]), np.array([[0, 3, 4], [5, 0, 2]]))
+        grads = step.gradients()
+        assert grads.relation_rows.tolist() == [0, 3]
+        assert grads.entity_rows.tolist() == [0, 1, 2, 4, 5]
+        assert grads.transfer_grads.shape == (2, 4, 4)
+
+    def test_all_inactive_batch_has_zero_gradients(self):
+        """Zero arrays for every mentioned row, not a missing gradient."""
+        model = small_model(margin=0.1)
+        model.triple_module.entity_embeddings.weight.data[2] = 1e6
+        positives, negatives = np.array([[0, 0, 1]]), np.array([[0, 0, 2]])
+        step = model.margin_step(positives, negatives)
+        grads = step.gradients()
+        assert step.loss == 0.0
+        assert grads.entity_rows.tolist() == [0, 1, 2]
+        for array in (grads.entity_grads, grads.relation_grads, grads.transfer_grads):
+            assert array.shape[0] > 0 and not array.any()
+        assert_matches_tape(model, positives, negatives)
+
+    def test_trainer_tracks_the_taped_loop(self):
+        """Three epochs of ``PKGMTrainer`` against the loop it used to be."""
+        rng = np.random.default_rng(7)
+        store = TripleStore(
+            map(tuple, rng.integers(0, [30, 4, 30], size=(200, 3)))
+        )
+        config = TrainerConfig(epochs=3, batch_size=32, negatives_per_edge=2, seed=5)
+        model, twin = small_model(30, 4, 8, seed=1), small_model(30, 4, 8, seed=1)
+        history = PKGMTrainer(model, config).train(store)
+
+        optimizer = Adam(twin.parameters(), lr=config.learning_rate)
+        sampler = EdgeSampler.with_uniform(
+            store,
+            batch_size=config.batch_size,
+            num_entities=30,
+            num_relations=4,
+            rng=np.random.default_rng(config.seed),
+            negatives_per_edge=config.negatives_per_edge,
+            corrupt_relation_prob=config.corrupt_relation_prob,
+        )
+        losses = []
+        for _ in range(config.epochs):
+            total = 0.0
+            for batch in sampler.epoch():
+                optimizer.zero_grad()
+                loss = twin.margin_loss(batch.positives, batch.negatives)
+                loss.backward()
+                optimizer.step()
+                twin.renormalize_entities(config.entity_max_norm)
+                total += loss.item()
+            losses.append(total / len(store))
+        assert np.allclose(history.epoch_losses, losses, rtol=0.0, atol=1e-9)
+        for ours, theirs in zip(parameters(model), parameters(twin)):
+            assert np.allclose(ours.data, theirs.data, rtol=0.0, atol=1e-9)
+
+
+class TestGuards:
+    POSITIVES = np.array([[0, 0, 1], [2, 1, 3]])
+    NEGATIVES = np.array([[0, 0, 4], [5, 1, 3]])
+
+    @pytest.mark.parametrize("table", [0, 1, 2])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_poisoned_table_gives_non_finite_loss(self, table, poison):
+        model = small_model()
+        parameters(model)[table].data[0, ..., 0] = poison
+        with np.errstate(invalid="ignore"):
+            step = model.margin_step(self.POSITIVES, self.NEGATIVES)
+        assert not np.isfinite(step.loss)
+
+    @pytest.mark.parametrize(
+        "triple", [[-1, 0, 1], [6, 0, 1], [0, 0, -1], [0, 0, 6], [0, -1, 1], [0, 3, 1]]
+    )
+    def test_id_out_of_range_raises_index_error(self, triple):
+        model = small_model()
+        with pytest.raises(IndexError, match="out of range"):
+            model.margin_step(np.array([triple]), self.NEGATIVES[:1])
+        with pytest.raises(IndexError, match="out of range"):
+            model.margin_step(self.POSITIVES[:1], np.array([[triple]]))
+
+    @pytest.mark.parametrize(
+        "positives, negatives",
+        [
+            (np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int)),
+            (np.zeros(3, dtype=int), np.zeros(3, dtype=int)),
+            (np.zeros((0, 3), dtype=int), np.zeros((0, 3), dtype=int)),
+            (np.zeros((2, 3), dtype=int), np.zeros((3, 3), dtype=int)),
+            (np.zeros((2, 3), dtype=int), np.zeros((2, 3, 3), dtype=int)),
+            (np.zeros((2, 3), dtype=int), np.zeros((1, 1, 2, 3), dtype=int)),
+        ],
+    )
+    def test_bad_shapes_raise_value_error(self, positives, negatives):
+        with pytest.raises(ValueError):
+            small_model().margin_step(positives, negatives)
+
+    def test_guard_names_the_stage(self):
+        def stage_of(model, margin=2.0):
+            tables = [param.data for param in parameters(model)]
+            with sanitizer.guard(), np.errstate(all="ignore"):
+                with pytest.raises(NumericGuardError) as info:
+                    MarginStep(*tables, self.POSITIVES, self.NEGATIVES, margin)
+            return info.value.op
+
+        model = small_model()
+        model.triple_module.entity_embeddings.weight.data[0, 0] = np.nan
+        assert stage_of(model) == "margin.translate"
+        model = small_model()
+        model.relation_module.transfer_matrices.data[0, 0, 0] = np.inf
+        assert stage_of(model) == "margin.transfer"
+        # Finite differences whose L1 sum overflows.
+        model = small_model()
+        model.triple_module.entity_embeddings.weight.data[0] = 1e308
+        assert stage_of(model) == "margin.score"
+        # Finite scores, and a margin that overflows the second gap.
+        model = small_model()
+        model.triple_module.entity_embeddings.weight.data[2, 0] = 5e307
+        assert stage_of(model, margin=1e308) == "margin.gap"
+
+    def test_guard_off_checks_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sanitizer, "check_op", lambda *a, **k: calls.append(a))
+        model = small_model()
+        model.margin_step(self.POSITIVES, self.NEGATIVES)
+        assert calls == []
+        with sanitizer.guard():
+            model.margin_step(self.POSITIVES, self.NEGATIVES)
+        assert [call[0] for call in calls] == list(STAGES)
+
+    def test_op_hook_sees_the_forward_stages(self):
+        seen = []
+        set_op_hook(lambda op, data: seen.append(op))
+        try:
+            step = small_model().margin_step(self.POSITIVES, self.NEGATIVES)
+            step.gradients()
+        finally:
+            set_op_hook(None)
+        assert seen == list(STAGES)
+
+
+def reference_adam_step(params, grads, moments, t, lr, betas, eps, weight_decay):
+    """``Adam.step`` as it was: the one-line formulas, a fresh array each."""
+    beta1, beta2 = betas
+    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for index, grad in enumerate(grads):
+        if grad is None:
+            continue
+        if weight_decay:
+            grad = grad + weight_decay * params[index]
+        m, v = moments.get(index, (None, None))
+        m = beta1 * m + (1 - beta1) * grad if m is not None else (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad**2 if v is not None else (1 - beta2) * grad**2
+        moments[index] = (m, v)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        params[index] = params[index] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestInPlacePassesKeepTheBytes:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adam_step_equals_the_formula(self, weight_decay):
+        rng = np.random.default_rng(11)
+        shapes = [(40, 8), (5, 8), (5, 8, 8), (3,)]
+        reference = [rng.normal(size=shape) for shape in shapes]
+        params = [Parameter(array.copy()) for array in reference]
+        lr, betas, eps = 0.02, (0.9, 0.999), 1e-8
+        optimizer = Adam(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        moments = {}
+        for t in range(1, 26):
+            grads = []
+            for index, shape in enumerate(shapes):
+                # The last parameter never has a gradient; the first has
+                # none on the first steps; gradients are row-sparse.
+                if index == 3 or (index == 0 and t < 4):
+                    grads.append(None)
+                    continue
+                grad = np.zeros(shape)
+                rows = rng.choice(shape[0], size=max(1, shape[0] // 4), replace=False)
+                grad[rows] = rng.normal(size=(len(rows), *shape[1:])) * 10.0 ** rng.integers(-6, 3)
+                grads.append(grad)
+            for param, grad in zip(params, grads):
+                param.grad = None if grad is None else grad.copy()
+            optimizer.step()
+            reference_adam_step(reference, grads, moments, t, lr, betas, eps, weight_decay)
+            state = optimizer.state_dict()
+            assert state["step"] == t
+            for index, param in enumerate(params):
+                assert np.array_equal(param.data, reference[index])
+                m, v = moments.get(index, (np.zeros(shapes[index]),) * 2)
+                assert np.array_equal(state["m"][index], m)
+                assert np.array_equal(state["v"][index], v)
+
+    def test_adam_state_round_trip_resumes_exactly(self):
+        rng = np.random.default_rng(3)
+        grads = rng.normal(size=(10, 6, 4))
+        straight = Parameter(np.ones((6, 4)))
+        optimizer = Adam([straight], lr=0.05)
+        for grad in grads[:5]:
+            straight.grad = grad
+            optimizer.step()
+        state = optimizer.state_dict()
+        resumed = Parameter(straight.data.copy())
+        other = Adam([resumed], lr=0.05)
+        other.load_state_dict(state)
+        for grad in grads[5:]:
+            straight.grad = resumed.grad = grad
+            optimizer.step()
+            other.step()
+        assert np.array_equal(straight.data, resumed.data)
+        # The state is a copy: stepping on does not reach back into it.
+        assert not np.array_equal(state["m"][0], optimizer.state_dict()["m"][0])
+        with pytest.raises(ValueError):
+            other.load_state_dict({"step": 1, "m": [], "v": []})
+        with pytest.raises(ValueError):
+            other.load_state_dict({"step": 1, "m": [np.zeros(3)], "v": [np.zeros(3)]})
+
+    @pytest.mark.parametrize("max_norm", [1.0, 0.25, 1e-13])
+    def test_renormalize_equals_the_expression(self, max_norm):
+        rng = np.random.default_rng(2)
+        table = Embedding(50, 6, rng=rng)
+        data = table.weight.data
+        data *= rng.uniform(0.0, 4.0, size=(50, 1))
+        data[3] = 0.0
+        data[4] /= np.linalg.norm(data[4])  # on the sphere, give or take an ulp
+        data[5, 2] = np.nan
+        data[6, 0] = np.inf
+        norms = np.linalg.norm(data, axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            expected = data * np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
+            table.renormalize(max_norm)
+        assert np.array_equal(table.weight.data, expected, equal_nan=True)
+        assert table.weight.data is data

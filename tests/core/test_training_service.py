@@ -47,9 +47,13 @@ class TestTraining:
         )
         a = pretrain_pkgm(catalog.store, **kwargs)
         b = pretrain_pkgm(catalog.store, **kwargs)
-        assert np.allclose(
+        assert np.array_equal(
             a.triple_module.entity_embeddings.weight.data,
             b.triple_module.entity_embeddings.weight.data,
+        )
+        assert np.array_equal(
+            a.relation_module.transfer_matrices.data,
+            b.relation_module.transfer_matrices.data,
         )
 
     def test_trainer_config_validation(self):

@@ -167,6 +167,33 @@ class TestWorkerGradients:
         assert np.allclose(dense_r, relation_grad, atol=1e-10)
         assert np.allclose(dense_m, matrix_grad, atol=1e-10)
 
+    def test_several_corruptions_per_positive(self):
+        """(K, B, 3) negatives, each compared against its positive."""
+        model = PKGM(10, 3, PKGMConfig(dim=4, margin=2.0), rng=np.random.default_rng(3))
+        ps = ParameterServer(num_shards=2, learning_rate=0.01)
+        ps.register("entities", model.triple_module.entity_embeddings.weight.data)
+        ps.register("relations", model.triple_module.relation_embeddings.weight.data)
+        ps.register("matrices", model.relation_module.transfer_matrices.data)
+        rng = np.random.default_rng(8)
+        positives = rng.integers(0, [10, 3, 10], size=(6, 3))
+        negatives = rng.integers(0, [10, 3, 10], size=(3, 6, 3))
+
+        packet = PKGMWorker(ps, margin=2.0).compute(positives, negatives)
+
+        loss = model.margin_loss(positives, negatives)
+        loss.backward()
+        assert packet.loss == pytest.approx(loss.item())
+        for name, param in (
+            ("entities", model.triple_module.entity_embeddings.weight),
+            ("relations", model.triple_module.relation_embeddings.weight),
+            ("matrices", model.relation_module.transfer_matrices),
+        ):
+            dense = np.zeros_like(param.grad)
+            dense[packet.rows[name]] = packet.gradients[name]
+            assert np.allclose(dense, param.grad, atol=1e-10)
+            # Every pulled row is pushed, touched by an active pair or not.
+            assert len(packet.gradients[name]) == len(packet.rows[name])
+
     def test_inactive_pairs_contribute_nothing(self):
         model = PKGM(10, 2, PKGMConfig(dim=4, margin=0.1), rng=np.random.default_rng(1))
         ps = ParameterServer(num_shards=1, learning_rate=0.01)

@@ -39,6 +39,26 @@ class TestTrainerGuards:
         with pytest.raises(FloatingPointError):
             trainer.train(store)
 
+    def test_poisoned_table_fails_both_trainers(self):
+        """The PS trainer used to sum ``gap[gap > 0]``: a NaN gap is not
+        ``> 0``, so a poisoned table read as a converged one."""
+        store = TripleStore([(0, 0, 1), (1, 0, 2), (2, 0, 3)])
+
+        def poisoned():
+            model = PKGM(5, 1, PKGMConfig(dim=4), rng=np.random.default_rng(0))
+            model.triple_module.entity_embeddings.weight.data[0] = np.nan
+            return model
+
+        single = PKGMTrainer(poisoned(), TrainerConfig(epochs=2, batch_size=4))
+        with pytest.raises(FloatingPointError, match="non-finite margin loss"):
+            single.train(store)
+        sharded = DistributedPKGMTrainer(
+            poisoned(), DistributedConfig(epochs=2, batch_size=4, num_workers=2)
+        )
+        with pytest.raises(FloatingPointError, match="non-finite margin loss"):
+            sharded.train(store)
+        assert sharded.server.push_count == 0  # raised before pushing
+
     def test_training_on_single_triple_store(self):
         """Degenerate but valid input: one triple still trains."""
         store = TripleStore([(0, 0, 1)])
@@ -277,8 +297,12 @@ class TestChaosTraining:
         resumed = PKGMTrainer(
             resumed_model, config6, checkpoint_dir=tmp_path
         ).train(store)
-        assert np.allclose(full.epoch_losses, resumed.epoch_losses)
-        assert np.allclose(
+        assert full.epoch_losses == resumed.epoch_losses
+        assert np.array_equal(
             full_model.triple_module.entity_embeddings.weight.data,
             resumed_model.triple_module.entity_embeddings.weight.data,
+        )
+        assert np.array_equal(
+            full_model.relation_module.transfer_matrices.data,
+            resumed_model.relation_module.transfer_matrices.data,
         )
