@@ -14,7 +14,6 @@ import numpy as np
 
 from ..nn import Module, Tensor
 from ..nn import functional as F
-from .margin_kernel import MarginStep
 from .modules import RelationQueryModule, TripleQueryModule
 
 
@@ -100,20 +99,6 @@ class PKGM(Module):
             )
             total = term if total is None else total + term
         return total
-
-    def margin_step(self, positives: np.ndarray, negatives: np.ndarray) -> MarginStep:
-        """Eq. 4 on this model's tables in closed form, without a tape.
-
-        What the trainers run; :meth:`margin_loss` is its oracle.
-        """
-        return MarginStep(
-            self.triple_module.entity_embeddings.weight.data,
-            self.triple_module.relation_embeddings.weight.data,
-            self.relation_module.transfer_matrices.data,
-            positives,
-            negatives,
-            self.config.margin,
-        )
 
     # ------------------------------------------------------------------
     # Servicing (Table I, right column) — numpy, no autograd

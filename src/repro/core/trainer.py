@@ -17,7 +17,7 @@ import numpy as np
 
 from ..kg import EdgeSampler, TripleStore
 from ..nn import Adam, no_grad, sanitizer
-from .margin_kernel import MarginGradients, check_finite_loss
+from .margin_kernel import MarginGradients, MarginStep, check_finite_loss
 from .pkgm import PKGM, PKGMConfig
 
 
@@ -204,8 +204,11 @@ class PKGMTrainer:
                         break
                     with self._phase("forward", units=len(batch)):
                         self.optimizer.zero_grad()
-                        step = self.model.margin_step(
-                            batch.positives, batch.negatives
+                        step = MarginStep(
+                            *(param.data for param in self._tables()),
+                            batch.positives,
+                            batch.negatives,
+                            self.model.config.margin,
                         )
                     loss = step.loss
                     check_finite_loss(loss)
@@ -242,21 +245,22 @@ class PKGMTrainer:
                 self._save_checkpoint(completed, rng, history)
         return history
 
+    def _tables(self):
+        """The entity, relation and transfer parameters, in kernel order."""
+        triple = self.model.triple_module
+        return (
+            triple.entity_embeddings.weight,
+            triple.relation_embeddings.weight,
+            self.model.relation_module.transfer_matrices,
+        )
+
     def _set_gradients(self, grads: MarginGradients) -> None:
         """Scatter the row-sparse packet into the dense ``.grad`` Adam reads."""
-        triple = self.model.triple_module
+        entities, relations, transfer = self._tables()
         for param, rows, values in (
-            (triple.entity_embeddings.weight, grads.entity_rows, grads.entity_grads),
-            (
-                triple.relation_embeddings.weight,
-                grads.relation_rows,
-                grads.relation_grads,
-            ),
-            (
-                self.model.relation_module.transfer_matrices,
-                grads.relation_rows,
-                grads.transfer_grads,
-            ),
+            (entities, grads.entity_rows, grads.entity_grads),
+            (relations, grads.relation_rows, grads.relation_grads),
+            (transfer, grads.relation_rows, grads.transfer_grads),
         ):
             param.grad = np.zeros_like(param.data)
             param.grad[rows] = values

@@ -94,7 +94,9 @@ class Embedding(Module):
 
         TransE constrains entity embeddings to the unit sphere; PKGM
         inherits the constraint via its TransE triple query module.
-        Operates in-place on the raw parameter data.
+        Writes ``weight.data`` in place (the array keeps its identity, so
+        anything holding it sees the projection) and touches only the rows
+        outside the ball.
         """
         data = self.weight.data
         norms = np.linalg.norm(data, axis=1, keepdims=True)

@@ -115,6 +115,10 @@ class Adam(Optimizer):
         Evaluates ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
         ``p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)`` in that order of
         operations, so the result is the bytes the one-line formulas give.
+
+        ``param.data`` is written in place, never rebound: an array handed
+        to ``Parameter(array)`` or read earlier as ``param.data`` aliases
+        the live table and sees every step.  Copy it to keep a snapshot.
         """
         self._step_count += 1
         t = self._step_count

@@ -46,9 +46,15 @@ def taped(model, positives, negatives):
     return (loss.item(), *(param.grad for param in parameters(model)))
 
 
+def margin_step(model, positives, negatives):
+    """The kernel on a model's tables, as ``PKGMTrainer`` builds it."""
+    tables = (param.data for param in parameters(model))
+    return MarginStep(*tables, positives, negatives, model.config.margin)
+
+
 def closed_form(model, positives, negatives):
     """The same four from the kernel, gradients scattered to dense."""
-    step = model.margin_step(positives, negatives)
+    step = margin_step(model, positives, negatives)
     grads = step.gradients()
     dense = [np.zeros_like(param.data) for param in parameters(model)]
     dense[0][grads.entity_rows] = grads.entity_grads
@@ -119,7 +125,7 @@ class TestAgainstTheTape:
 
     def test_absent_relation_is_not_listed(self):
         model = small_model(relations=4)
-        step = model.margin_step(np.array([[0, 3, 1], [1, 0, 2]]), np.array([[0, 3, 4], [5, 0, 2]]))
+        step = margin_step(model, np.array([[0, 3, 1], [1, 0, 2]]), np.array([[0, 3, 4], [5, 0, 2]]))
         grads = step.gradients()
         assert grads.relation_rows.tolist() == [0, 3]
         assert grads.entity_rows.tolist() == [0, 1, 2, 4, 5]
@@ -130,7 +136,7 @@ class TestAgainstTheTape:
         model = small_model(margin=0.1)
         model.triple_module.entity_embeddings.weight.data[2] = 1e6
         positives, negatives = np.array([[0, 0, 1]]), np.array([[0, 0, 2]])
-        step = model.margin_step(positives, negatives)
+        step = margin_step(model, positives, negatives)
         grads = step.gradients()
         assert step.loss == 0.0
         assert grads.entity_rows.tolist() == [0, 1, 2]
@@ -184,7 +190,7 @@ class TestGuards:
         model = small_model()
         parameters(model)[table].data[0, ..., 0] = poison
         with np.errstate(invalid="ignore"):
-            step = model.margin_step(self.POSITIVES, self.NEGATIVES)
+            step = margin_step(model, self.POSITIVES, self.NEGATIVES)
         assert not np.isfinite(step.loss)
 
     @pytest.mark.parametrize(
@@ -193,9 +199,9 @@ class TestGuards:
     def test_id_out_of_range_raises_index_error(self, triple):
         model = small_model()
         with pytest.raises(IndexError, match="out of range"):
-            model.margin_step(np.array([triple]), self.NEGATIVES[:1])
+            margin_step(model, np.array([triple]), self.NEGATIVES[:1])
         with pytest.raises(IndexError, match="out of range"):
-            model.margin_step(self.POSITIVES[:1], np.array([[triple]]))
+            margin_step(model, self.POSITIVES[:1], np.array([[triple]]))
 
     @pytest.mark.parametrize(
         "positives, negatives",
@@ -210,7 +216,7 @@ class TestGuards:
     )
     def test_bad_shapes_raise_value_error(self, positives, negatives):
         with pytest.raises(ValueError):
-            small_model().margin_step(positives, negatives)
+            margin_step(small_model(), positives, negatives)
 
     def test_guard_names_the_stage(self):
         def stage_of(model, margin=2.0):
@@ -239,17 +245,17 @@ class TestGuards:
         calls = []
         monkeypatch.setattr(sanitizer, "check_op", lambda *a, **k: calls.append(a))
         model = small_model()
-        model.margin_step(self.POSITIVES, self.NEGATIVES)
+        margin_step(model, self.POSITIVES, self.NEGATIVES)
         assert calls == []
         with sanitizer.guard():
-            model.margin_step(self.POSITIVES, self.NEGATIVES)
+            margin_step(model, self.POSITIVES, self.NEGATIVES)
         assert [call[0] for call in calls] == list(STAGES)
 
     def test_op_hook_sees_the_forward_stages(self):
         seen = []
         set_op_hook(lambda op, data: seen.append(op))
         try:
-            step = small_model().margin_step(self.POSITIVES, self.NEGATIVES)
+            step = margin_step(small_model(), self.POSITIVES, self.NEGATIVES)
             step.gradients()
         finally:
             set_op_hook(None)
@@ -283,6 +289,7 @@ class TestInPlacePassesKeepTheBytes:
         params = [Parameter(array.copy()) for array in reference]
         lr, betas, eps = 0.02, (0.9, 0.999), 1e-8
         optimizer = Adam(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        tables = [param.data for param in params]
         moments = {}
         for t in range(1, 26):
             grads = []
@@ -303,6 +310,9 @@ class TestInPlacePassesKeepTheBytes:
             state = optimizer.state_dict()
             assert state["step"] == t
             for index, param in enumerate(params):
+                # In place: the table keeps its identity and stays writable.
+                assert param.data is tables[index]
+                assert param.data.flags.writeable
                 assert np.array_equal(param.data, reference[index])
                 m, v = moments.get(index, (np.zeros(shapes[index]),) * 2)
                 assert np.array_equal(state["m"][index], m)
