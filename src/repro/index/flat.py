@@ -13,9 +13,12 @@ Determinism contract (shared by every index in this package):
 * distances are computed with one fixed formula per metric (a
   broadcast difference reduced over the coordinate axis), so two runs
   on the same inputs produce bit-identical floats — and the reduction
-  never spans the base axis, so blocking cannot perturb them;
+  never spans the base or the query axis, so blocking either one
+  (:class:`FlatIndex` the base, :func:`pairwise_distances` the
+  queries) cannot perturb them;
 * ties are broken by ascending vector id — neighbor lists are sorted by
-  ``(distance, id)`` (:func:`top_k`), never by partition order;
+  ``(distance, id)`` (:func:`top_k`), never by partition order:
+  :func:`batch_top_k`'s threshold keeps every tie at the k-th distance;
 * the only stochastic choice anywhere downstream (k-means init) comes
   from an explicit seed.
 
@@ -36,6 +39,10 @@ import numpy as np
 #: PKGM service space); ``l2`` is the conventional ANN benchmark metric.
 METRICS = ("l1", "l2")
 
+#: Elements of one query block's broadcast difference: 2^15 float64 =
+#: 256 KiB stays in cache, where a whole k-means round's runs to 17 MB.
+_BLOCK_ELEMENTS = 1 << 15
+
 
 def pairwise_distances(
     queries: np.ndarray, base: np.ndarray, metric: str
@@ -45,18 +52,22 @@ def pairwise_distances(
     One formula per metric, used by every index in the package, so Flat
     / IVF / IVF-PQ rankings are comparable bit-for-bit.  Both metrics
     reduce the broadcast difference over the coordinate axis only —
-    never over the base axis — so each (query, vector) distance is a
-    fixed-length reduction whose result cannot depend on how the base
-    table was blocked.  (The BLAS-backed ``||q||^2 - 2 q.b + ||b||^2``
+    never over the base or the query axis — so each (query, vector)
+    distance is a fixed-length reduction whose result cannot depend on
+    how either table was blocked (queries are taken a cache-sized block
+    at a time).  (The BLAS-backed ``||q||^2 - 2 q.b + ||b||^2``
     expansion would be faster, but gemm's reduction order varies with
     operand shape, which would break blocked-search bit-invariance.)
     """
-    if metric == "l1":
-        return np.abs(queries[:, None, :] - base[None, :, :]).sum(axis=2)
-    if metric == "l2":
-        diff = queries[:, None, :] - base[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
-    raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    power = np.abs if metric == "l1" else np.square
+    out = np.empty((len(queries), len(base)), np.result_type(queries, base))
+    step = max(1, _BLOCK_ELEMENTS // max(1, base.size))
+    for start in range(0, len(queries), step):
+        diff = queries[start : start + step, None, :] - base[None, :, :]
+        power(diff, out=diff).sum(axis=2, out=out[start : start + step])
+    return out if metric == "l1" else np.sqrt(out)
 
 
 def top_k(
@@ -86,7 +97,26 @@ def batch_top_k(
     sort by distance realizes the lexicographic order without a Python
     loop.  Pad candidates — id ``-1`` at distance ``inf`` — sink to the
     end of every row, so callers can pre-pad freely.
+
+    Rows wider than a few k are thresholded first: every candidate at
+    or under the row's k-th smallest distance survives (ties straddling
+    the k-th place are still broken by id), the rest are never sorted.
     """
+    n_q, n_c = distances.shape
+    if n_c < k:  # short rows pad to k columns, like top_k
+        pad = ((0, 0), (0, k - n_c))
+        distances = np.pad(distances, pad, constant_values=np.inf)
+        ids = np.pad(np.broadcast_to(ids, (n_q, n_c)), pad, constant_values=-1)
+    elif n_c > 4 * k:  # narrower (probe selection) is cheaper sorted whole
+        kth = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
+        rows, cols = np.nonzero(distances <= kth)
+        starts = np.searchsorted(rows, np.arange(n_q + 1))
+        slots = np.arange(len(rows)) - starts[rows]
+        kept_d = np.full((n_q, int(np.diff(starts).max(initial=k))), np.inf)
+        kept_i = np.full(kept_d.shape, -1, dtype=np.int64)
+        kept_d[rows, slots] = distances[rows, cols]
+        kept_i[rows, slots] = np.broadcast_to(ids, distances.shape)[rows, cols]
+        distances, ids = kept_d, kept_i
     id_order = np.argsort(ids, axis=1, kind="stable")
     d_by_id = np.take_along_axis(distances, id_order, axis=1)
     rank = np.argsort(d_by_id, axis=1, kind="stable")[:, :k]

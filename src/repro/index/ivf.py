@@ -17,7 +17,7 @@ Same seed, same vectors ⇒ byte-identical snapshots and search results.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Collection, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class IVFFlatIndex:
         self.centroids: Optional[np.ndarray] = None
         self._list_vectors: List[np.ndarray] = []
         self._list_ids: List[np.ndarray] = []
+        self._ntotal = 0
 
     # ------------------------------------------------------------------
     # Build
@@ -94,7 +95,7 @@ class IVFFlatIndex:
     @property
     def ntotal(self) -> int:
         """Number of vectors across all inverted lists."""
-        return int(sum(len(ids) for ids in self._list_ids))
+        return self._ntotal
 
     @property
     def bytes_per_vector(self) -> float:
@@ -124,9 +125,14 @@ class IVFFlatIndex:
         self._list_ids = [
             np.empty(0, dtype=np.int64) for _ in range(self.nlist)
         ]
+        self._set_ntotal(0)
 
-    def add(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
-        """Assign ``vectors`` to their nearest cell and store them."""
+    def _set_ntotal(self, ntotal: int) -> None:
+        self._ntotal = ntotal
+        self._size_g.set(ntotal)
+
+    def add(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Store ``vectors`` in their nearest cells; returns those cells."""
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before add()")
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -146,15 +152,31 @@ class IVFFlatIndex:
             pairwise_distances(vectors, self.centroids, self.metric), axis=1
         )
         self._build_dc.inc(len(vectors) * self.nlist)
-        for cell in np.unique(cells):
-            members = cells == cell
+        # One stable sort groups the batch by cell, input order kept.
+        order = np.argsort(cells, kind="stable")
+        counts = np.bincount(cells, minlength=self.nlist)
+        start = 0
+        for cell in np.flatnonzero(counts).tolist():
+            members = order[start : start + counts[cell]]
+            start += counts[cell]
             self._list_vectors[cell] = np.concatenate(
                 [self._list_vectors[cell], vectors[members]], axis=0
             )
             self._list_ids[cell] = np.concatenate(
                 [self._list_ids[cell], ids[members]]
             )
-        self._size_g.set(self.ntotal)
+        self._set_ntotal(self._ntotal + len(ids))
+        return cells
+
+    def remove(self, cell: int, ids: Collection[int]) -> int:
+        """Strike the rows of ``cell`` whose id is in ``ids``; returns count."""
+        # kind="sort": the table method's set-up outweighs one short list.
+        keep = ~np.isin(self._list_ids[cell], list(ids), kind="sort")
+        self._list_ids[cell] = self._list_ids[cell][keep]
+        self._list_vectors[cell] = self._list_vectors[cell][keep]
+        struck = len(keep) - len(self._list_ids[cell])
+        self._set_ntotal(self._ntotal - struck)
+        return struck
 
     def build(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
         """Train on ``vectors`` and add them — the common one-shot path."""
@@ -168,24 +190,23 @@ class IVFFlatIndex:
         """(Q, nprobe) nearest cell ids per query, ties by cell id."""
         centroid_d = pairwise_distances(queries, self.centroids, self.metric)
         self._search_dc.inc(queries.shape[0] * self.nlist)
-        cell_ids = np.broadcast_to(
-            np.arange(self.nlist, dtype=np.int64), centroid_d.shape
-        )
-        _, probes = batch_top_k(centroid_d, cell_ids, nprobe)
-        return probes
+        cell_ids = np.arange(self.nlist, dtype=np.int64)[None, :]
+        return batch_top_k(centroid_d, cell_ids, nprobe)[1]
 
     def search(
         self,
         queries: np.ndarray,
         k: int,
         nprobe: Optional[int] = None,
+        drop: Optional[Collection[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Approximate ``(distances, ids)`` over the probed cells.
 
         Distances inside a probed cell are exact; recall is governed by
         how often the true neighbors' cells are among the ``nprobe``
         probes.  Rows pad with ``(inf, -1)`` when the probed cells hold
-        fewer than ``k`` vectors.
+        fewer than ``k`` vectors.  Ids in ``drop`` are scanned, and
+        counted, like any stored row, then left out of the ranking.
         """
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before search()")
@@ -201,29 +222,29 @@ class IVFFlatIndex:
             raise ValueError("nprobe must be in [1, nlist]")
         self._queries_c.inc(len(queries))
         probes = self.probe_cells(queries, nprobe)
-        out_d = np.full((len(queries), k), np.inf)
-        out_i = np.full((len(queries), k), -1, dtype=np.int64)
-        for row, row_probes in enumerate(probes):
-            cand_vectors = [self._list_vectors[c] for c in row_probes]
-            cand_ids = [self._list_ids[c] for c in row_probes]
-            vectors = np.concatenate(cand_vectors, axis=0)
-            ids = np.concatenate(cand_ids)
-            if not len(ids):
-                continue
-            distances = pairwise_distances(
+        sizes = np.asarray([len(ids) for ids in self._list_ids])
+        scanned = sizes[probes].sum(axis=1)
+        self._search_dc.inc(int(scanned.sum()))
+        # One (Q, widest scan) candidate matrix, ranked once.
+        shape = (len(queries), int(scanned.max(initial=0)))
+        cand_d = np.full(shape, np.inf)
+        cand_i = np.full(shape, -1, dtype=np.int64)
+        for row, row_probes in enumerate(probes.tolist()):
+            count = scanned[row]
+            vectors = np.concatenate(
+                [self._list_vectors[c] for c in row_probes], axis=0
+            )
+            np.concatenate(
+                [self._list_ids[c] for c in row_probes], out=cand_i[row, :count]
+            )
+            cand_d[row, :count] = pairwise_distances(
                 queries[row : row + 1], vectors, self.metric
-            )
-            self._search_dc.inc(len(ids))
-            pad = max(0, k - len(ids))
-            if pad:
-                distances = np.pad(
-                    distances, ((0, 0), (0, pad)), constant_values=np.inf
-                )
-                ids = np.pad(ids, (0, pad), constant_values=-1)
-            out_d[row], out_i[row] = batch_top_k(
-                distances, ids[None, :], k
-            )
-        return out_d, out_i
+            )[0]
+        if drop:
+            dropped = np.isin(cand_i, np.fromiter(drop, np.int64, len(drop)))
+            cand_d[dropped] = np.inf
+            cand_i[dropped] = -1
+        return batch_top_k(cand_d, cand_i, k)
 
     # ------------------------------------------------------------------
     # Snapshot surface (see repro.index.snapshot)
@@ -242,16 +263,8 @@ class IVFFlatIndex:
             offsets[cell + 1] = offsets[cell] + len(self._list_ids[cell])
         arrays = {
             "centroids": self.centroids,
-            "vectors": (
-                np.concatenate(self._list_vectors, axis=0)
-                if self.ntotal
-                else np.empty((0, self.dim))
-            ),
-            "ids": (
-                np.concatenate(self._list_ids)
-                if self.ntotal
-                else np.empty(0, dtype=np.int64)
-            ),
+            "vectors": np.concatenate(self._list_vectors, axis=0),
+            "ids": np.concatenate(self._list_ids),
             "offsets": offsets,
         }
         meta = {
@@ -287,5 +300,5 @@ class IVFFlatIndex:
         index._list_ids = [
             ids[offsets[c] : offsets[c + 1]] for c in range(index.nlist)
         ]
-        index._size_g.set(index.ntotal)
+        index._set_ntotal(len(ids))
         return index

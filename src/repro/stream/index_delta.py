@@ -1,14 +1,14 @@
 """Delta-aware IVF maintenance: appends, tombstones, re-clustering.
 
 A full IVF rebuild over a billion vectors for every catalog tick is
-absurd; this module gives :class:`repro.index.IVFFlatIndex` (and the
-PQ variant, which shares the inverted-list shape) an incremental
-surface:
+absurd; this module gives :class:`repro.index.IVFFlatIndex` an
+incremental surface:
 
 * **inserts** append to the nearest centroid's list — exactly what
   ``add`` already does, now tracked per-id so later ops can find rows;
-* **deletes** tombstone the id: searches overfetch and filter, and the
-  bytes stay until a compaction sweep strikes them out of the lists;
+* **deletes** tombstone the id: searches still scan the row but drop
+  it before ranking, and the bytes stay until a compaction sweep
+  rewrites each touched list once;
 * **updates** remove the old row in place and re-insert, because a
   tombstone keyed by id would also kill the replacement;
 * **maintenance** runs seeded triggers — compaction when the tombstone
@@ -63,10 +63,7 @@ class DeltaIndex:
         self.config = config if config is not None else DeltaIndexConfig()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.tombstones: Set[int] = set()
-        self._cell_of: Dict[int, int] = {}
-        for cell, ids in enumerate(base._list_ids):
-            for vector_id in ids:
-                self._cell_of[int(vector_id)] = cell
+        self._cell_of = self._map_cells()
         self.recluster_count = 0
         self._inserts_c = self.metrics.counter(
             "stream.index.inserts", help="Vectors absorbed via list appends"
@@ -115,6 +112,17 @@ class DeltaIndex:
             return 1.0
         return float(live.max() / live.mean())
 
+    def is_live(self, vector_id: int) -> bool:
+        """Whether ``vector_id`` is indexed and not tombstoned."""
+        return vector_id in self._cell_of and vector_id not in self.tombstones
+
+    def _map_cells(self) -> Dict[int, int]:
+        return {
+            vector_id: cell
+            for cell, cell_ids in enumerate(self.index._list_ids)
+            for vector_id in cell_ids.tolist()
+        }
+
     def _update_gauges(self) -> None:
         self._tombstones_g.set(len(self.tombstones))
         self._live_g.set(self.live_count)
@@ -128,23 +136,22 @@ class DeltaIndex:
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         if not len(ids):
             return
-        for vector_id in ids:
-            if int(vector_id) in self._cell_of:
-                raise ValueError(f"id {int(vector_id)} is already indexed")
-        before = [len(cell_ids) for cell_ids in self.index._list_ids]
-        self.index.add(vectors, ids)
-        for cell, cell_ids in enumerate(self.index._list_ids):
-            for vector_id in cell_ids[before[cell] :]:
-                self._cell_of[int(vector_id)] = cell
+        id_list = ids.tolist()
+        seen: Set[int] = set()
+        for vector_id in id_list:  # an earlier row of the batch claims its id too
+            if vector_id in self._cell_of or vector_id in seen:
+                raise ValueError(f"id {vector_id} is already indexed")
+            seen.add(vector_id)
+        cells = self.index.add(vectors, ids)
+        self._cell_of.update(zip(id_list, cells.tolist()))
         self._inserts_c.inc(len(ids))
         self._update_gauges()
 
     def delete(self, ids: np.ndarray) -> int:
         """Tombstone ids; returns how many were actually present."""
         removed = 0
-        for vector_id in np.atleast_1d(np.asarray(ids, dtype=np.int64)):
-            vector_id = int(vector_id)
-            if vector_id in self._cell_of and vector_id not in self.tombstones:
+        for vector_id in np.atleast_1d(np.asarray(ids, dtype=np.int64)).tolist():
+            if self.is_live(vector_id):
                 self.tombstones.add(vector_id)
                 removed += 1
         self._deletes_c.inc(removed)
@@ -162,27 +169,12 @@ class DeltaIndex:
         cell = self._cell_of.get(vector_id)
         if cell is None:
             raise KeyError(f"id {vector_id} is not indexed")
-        self._strike(cell, vector_id)
+        self.index.remove(cell, [vector_id])
         self.tombstones.discard(vector_id)
-        del self._cell_of[vector_id]
-        before = [len(cell_ids) for cell_ids in self.index._list_ids]
-        self.index.add(
-            np.asarray(vector, dtype=np.float64)[None, :],
-            np.asarray([vector_id], dtype=np.int64),
-        )
-        for new_cell, cell_ids in enumerate(self.index._list_ids):
-            for moved_id in cell_ids[before[new_cell] :]:
-                self._cell_of[int(moved_id)] = new_cell
+        cells = self.index.add(np.asarray(vector)[None, :], [vector_id])
+        self._cell_of[vector_id] = int(cells[0])
         self._updates_c.inc(1)
         self._update_gauges()
-
-    def _strike(self, cell: int, vector_id: int) -> None:
-        """Physically remove one row from one inverted list."""
-        ids = self.index._list_ids[cell]
-        keep = ids != vector_id
-        self.index._list_ids[cell] = ids[keep]
-        self.index._list_vectors[cell] = self.index._list_vectors[cell][keep]
-        self.index._size_g.set(self.index.ntotal)
 
     # ------------------------------------------------------------------
     # Search (tombstone-aware)
@@ -195,26 +187,11 @@ class DeltaIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(distances, ids)`` with tombstoned ids filtered out.
 
-        Overfetches by the tombstone count so a fully-poisoned probe
-        set still yields ``k`` live answers when they exist; rows pad
-        with ``(inf, -1)`` like the base index.
+        The base search drops tombstoned rows before it ranks, so a
+        fully-poisoned probe set still yields ``k`` live answers when
+        they exist; rows pad with ``(inf, -1)`` like the base index.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        overfetch = k + len(self.tombstones)
-        distances, ids = self.index.search(queries, overfetch, nprobe=nprobe)
-        out_d = np.full((len(queries), k), np.inf)
-        out_i = np.full((len(queries), k), -1, dtype=np.int64)
-        for row in range(len(queries)):
-            keep = [
-                col
-                for col in range(overfetch)
-                if ids[row, col] >= 0
-                and int(ids[row, col]) not in self.tombstones
-            ][:k]
-            for position, col in enumerate(keep):
-                out_d[row, position] = distances[row, col]
-                out_i[row, position] = ids[row, col]
-        return out_d, out_i
+        return self.index.search(queries, k, nprobe=nprobe, drop=self.tombstones)
 
     # ------------------------------------------------------------------
     # Maintenance triggers
@@ -237,14 +214,13 @@ class DeltaIndex:
         return actions
 
     def compact(self) -> int:
-        """Strike every tombstoned row out of its list; returns count."""
-        struck = 0
-        for vector_id in sorted(self.tombstones):
-            cell = self._cell_of.pop(vector_id, None)
-            if cell is None:
-                continue
-            self._strike(cell, vector_id)
-            struck += 1
+        """Strike every tombstoned row, one rewrite per touched list."""
+        by_cell: Dict[int, List[int]] = {}
+        for vector_id in self.tombstones:
+            by_cell.setdefault(self._cell_of.pop(vector_id), []).append(vector_id)
+        struck = sum(
+            self.index.remove(cell, by_cell[cell]) for cell in sorted(by_cell)
+        )
         self.tombstones.clear()
         self._compactions_c.inc(1)
         self._update_gauges()
@@ -277,33 +253,14 @@ class DeltaIndex:
         )
         rebuilt.build(vectors, ids)
         self.index = rebuilt
-        self._cell_of = {
-            int(vector_id): cell
-            for cell, cell_ids in enumerate(rebuilt._list_ids)
-            for vector_id in cell_ids
-        }
+        self._cell_of = self._map_cells()
         self.recluster_count += 1
         self._reclusters_c.inc(1)
         self._update_gauges()
 
     def _live_rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """All live vectors and ids, sorted by id (rebuild input)."""
-        pairs = []
-        for cell, cell_ids in enumerate(self.index._list_ids):
-            for position, vector_id in enumerate(cell_ids):
-                if int(vector_id) not in self.tombstones:
-                    pairs.append(
-                        (
-                            int(vector_id),
-                            self.index._list_vectors[cell][position],
-                        )
-                    )
-        pairs.sort(key=lambda pair: pair[0])
-        if not pairs:
-            return (
-                np.zeros((0, self.index.dim), dtype=np.float64),
-                np.zeros((0,), dtype=np.int64),
-            )
-        ids = np.asarray([pair[0] for pair in pairs], dtype=np.int64)
-        vectors = np.asarray([pair[1] for pair in pairs], dtype=np.float64)
-        return vectors, ids
+        ids = np.concatenate(self.index._list_ids)
+        live = np.flatnonzero(~np.isin(ids, list(self.tombstones)))
+        order = live[np.argsort(ids[live], kind="stable")]
+        return np.concatenate(self.index._list_vectors, axis=0)[order], ids[order]

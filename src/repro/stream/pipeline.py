@@ -328,10 +328,7 @@ class StreamPipeline:
                 # A re-described live item gets its row re-embedded; a
                 # tombstone cannot express that (it would also hide the
                 # replacement).
-                if (
-                    op.head in self.index._cell_of
-                    and op.head not in self.index.tombstones
-                ):
+                if self.index.is_live(op.head):
                     self.index.update(
                         op.head, self.trainer.entity_table[op.head]
                     )

@@ -33,6 +33,19 @@ class TestMutations:
                 rng.standard_normal((1, 4)), np.asarray([5], dtype=np.int64)
             )
 
+    @pytest.mark.parametrize("batch", [[500, 500], [500, 501, 500], [500, 5]])
+    def test_insert_refuses_a_bad_batch_before_touching_the_lists(self, batch):
+        """An id repeated within the batch used to be filed twice."""
+        rng = np.random.default_rng(0)
+        index, _ = build_delta_index(rng)
+        before = index.index.state()[0]
+        with pytest.raises(ValueError, match="already indexed"):
+            index.insert(rng.standard_normal((len(batch), 4)), np.asarray(batch))
+        after = index.index.state()[0]
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+        assert index.index.ntotal == index.live_count == 64
+        assert not index.is_live(500)
+
     def test_delete_hides_id_from_search(self):
         rng = np.random.default_rng(1)
         index, vectors = build_delta_index(rng)
