@@ -7,10 +7,11 @@ Measures what the storage engine trades for crash safety (repro.store):
   sizes with a cache budget far below the table bytes, in two shapes:
   *uniform* (64 independent draws: about one row per page, so every
   row pays a page fault and grouping by page cannot help) and
-  *service* (64 heads each repeated k = 10 times — the index
-  ``serve_sequence_batch`` issues — where a page is loaded once for
-  the ten rows wanted from it); plus the full-table ``read_table``
-  rate, the sequential best case;
+  *service* (64 heads each repeated k = 10 times — the per-pair access
+  shape a block had until the server gathered each head once; kept as
+  the repeated-row case, where a page is loaded once for the ten rows
+  wanted from it); plus the full-table ``read_table`` rate, the
+  sequential best case;
 * **cold start** — ``EmbeddingStore.open`` reads and verifies only the
   manifest, so start cost is proportional to the page-CRC list, not
   the catalog; compared against materializing the full table;
@@ -53,7 +54,8 @@ def _query_ids(rows):
 
 
 def _service_index(heads):
-    """The ``(B, k)`` index ``serve_sequence_batch`` gathers heads with."""
+    """A ``(B, k)`` index with every head repeated k times: the per-pair
+    shape blocks once gathered heads in (they read each head once now)."""
     return np.repeat(heads[:, None], KEY_RELATIONS, axis=1)
 
 

@@ -111,6 +111,12 @@ def _index_arrays(
     return heads, relations
 
 
+#: Pairs per relation held from which sorting a call's pairs by relation
+#: beats copying a matrix per pair — blocks at k = 10, R = 17, d = 32, ms
+#: gathered / grouped: 14 items 0.118 / 0.151, 16 0.151 / 0.153, 20 0.223 / 0.172.
+_GROUP_AT_PAIRS_PER_RELATION = 10
+
+
 class PKGMServer:
     """Serves PKGM vectors without access to the triple store.
 
@@ -192,11 +198,34 @@ class PKGMServer:
         return self._entity_table[heads] + self._relation_table[relations]
 
     def relation_service(self, heads: np.ndarray, relations: np.ndarray) -> np.ndarray:
-        """``S_R(h, r) = M_r h - r`` on the snapshot."""
+        """``S_R(h, r) = M_r h - r`` on the snapshot, via :meth:`_project`."""
         heads, relations = _index_arrays(heads, relations)
-        h = self._entity_table[heads]
-        transformed = np.einsum("...ij,...j->...i", self._transfer[relations], h)
+        transformed = self._project(self._entity_table[heads], relations)
         return transformed - self._relation_table[relations]
+
+    def _project(self, h: np.ndarray, relations: np.ndarray) -> np.ndarray:
+        """``M_r h`` per pair of ``h`` (..., d) and ``relations`` (...).
+
+        Few pairs per relation: gather one matrix per pair.  Otherwise
+        stable-sort the pairs by relation, gather each *distinct* matrix
+        once and reduce a run of pairs at a time (``MarginStep``'s forward
+        shape).  An output row is the same einsum reduction either way.
+        """
+        if relations.size < _GROUP_AT_PAIRS_PER_RELATION * self.num_relations:
+            return np.einsum("...ij,...j->...i", self._transfer[relations], h)
+        shape = np.broadcast_shapes(h.shape[:-1], relations.shape)
+        rels = np.broadcast_to(relations, shape).reshape(-1)
+        order = np.argsort(rels, kind="stable")
+        rels = rels[order]
+        heads = np.broadcast_to(h, shape + (self.dim,))[np.unravel_index(order, shape)]
+        bounds = np.r_[0, np.flatnonzero(rels[1:] != rels[:-1]) + 1, len(rels)]
+        grouped = np.empty_like(heads)
+        runs = zip(self._transfer[rels[bounds[:-1]]], bounds[:-1], bounds[1:])
+        for matrix, lo, hi in runs:
+            np.einsum("ij,nj->ni", matrix, heads[lo:hi], out=grouped[lo:hi])
+        transformed = np.empty(shape + (self.dim,), dtype=grouped.dtype)
+        transformed.reshape(-1, self.dim)[order] = grouped
+        return transformed
 
     # ------------------------------------------------------------------
     # Item-level service with key relations
@@ -207,21 +236,20 @@ class PKGMServer:
         """The block kernel: ``(ids, key relations, S_T, S_R)`` of a
         batch of items — shapes (B,), (B, k), (B, k, d), (B, k, d).
 
-        One key-relation lookup, then one gather per table.  The
-        arithmetic runs on the per-item formulas' operand layout (every
-        head repeated k times), so each row is bit-identical to
-        ``S_T``/``S_R`` of that item alone.  An id is judged once: the
-        lookup raises ``KeyError`` for an item the table does not hold,
-        the gathers ``IndexError`` for a row a table does not have.
+        One key-relation lookup, then one gather per table: B heads,
+        B·k relation rows, and a matrix per pair of a small block or per
+        *distinct* key relation of a large one (:meth:`_project`).  The
+        arithmetic is the per-item formulas' — a broadcast add, an einsum
+        reduction per row — so each row is bit-identical to ``S_T``/``S_R``
+        of that item alone.  An id is judged once: the lookup raises
+        ``KeyError`` for an item the table does not hold, the gathers
+        ``IndexError`` for a row a table does not have.
         """
         ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
         relations = self._key_table.for_items(ids)
-        h = self._entity_table[ids]
+        h = self._entity_table[ids][:, None, :]
         r = self._relation_table[relations]
-        transfer = self._transfer[relations]
-        heads = h.repeat(self.k, axis=0).reshape(r.shape)
-        transformed = np.einsum("...ij,...j->...i", transfer, heads)
-        return ids, relations, heads + r, transformed - r
+        return ids, relations, h + r, self._project(h, relations) - r
 
     def serve(self, entity_id: int) -> ServiceVectors:
         """All 2k service vectors for one item: a block of one."""
@@ -244,13 +272,12 @@ class PKGMServer:
     def serve_condensed_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
         """Single-embedding payload (Eq. 20): (batch, 2d)."""
         _, _, triple, relation = self._block(entity_ids)
-        paired = np.concatenate([triple, relation], axis=2)  # (B, k, 2d)
-        return paired.mean(axis=1)
+        return np.concatenate([triple.mean(axis=1), relation.mean(axis=1)], axis=1)
 
     def relation_existence_scores(
         self, entity_ids: Sequence[int], relations: Sequence[int]
     ) -> np.ndarray:
-        """Batched L1 norms of ``S_R`` — one einsum pass, no item loop.
+        """L1 norms of ``S_R``: one pass per distinct relation, no item loop.
 
         ``entity_ids`` and ``relations`` pair up elementwise; the result
         is one score per pair.  Small means the relation (should) EXIST

@@ -169,9 +169,12 @@ class DeltaIndex:
         cell = self._cell_of.get(vector_id)
         if cell is None:
             raise KeyError(f"id {vector_id} is not indexed")
+        vector = np.asarray(vector)
+        if vector.shape != (self.index.dim,):  # refuse before striking the old row
+            raise ValueError(f"vector is {vector.shape}, not ({self.index.dim},)")
         self.index.remove(cell, [vector_id])
         self.tombstones.discard(vector_id)
-        cells = self.index.add(np.asarray(vector)[None, :], [vector_id])
+        cells = self.index.add(vector[None, :], [vector_id])
         self._cell_of[vector_id] = int(cells[0])
         self._updates_c.inc(1)
         self._update_gauges()

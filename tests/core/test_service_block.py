@@ -6,10 +6,8 @@ item's key relations, every head repeated k times.  Every serve-shaped
 method must equal it byte for byte, on a resident server and on
 ``from_store`` with a one-page cache, for id batches with duplicates,
 empty, and 0-/1-/2-D; and a block must cost exactly one gather per
-table.
+table, the transfer gather as wide as the block's strategy makes it.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +21,7 @@ from repro.core import (
     PKGMConfig,
     PKGMServer,
 )
+from repro.core.service import _GROUP_AT_PAIRS_PER_RELATION
 from repro.kg import TripleStore
 from repro.store import EmbeddingStore
 
@@ -31,6 +30,9 @@ ITEMS = list(range(1, 37, 2))
 #: Mapped to a category of its own and head of no triple: the selector
 #: knows the entity, but its category has no key relations.
 UNANSWERABLE = 40
+#: Pairs in a call from which this fixture's projections are grouped by
+#: relation: the ``ITEMS``-wide block (54 pairs) is, a 7-item one is not.
+GROUPS_AT = _GROUP_AT_PAIRS_PER_RELATION * RELATIONS
 
 
 def reference_serve(tables, key_table, item):
@@ -225,37 +227,53 @@ class TestABlockIsNotPinned:
                 assert array.base is None or array.base.nbytes == array.nbytes
 
 
+@pytest.fixture
+def gathers(monkeypatch):
+    """Every ``read_rows`` call made while the test runs, in order, as
+    ``(table, rows asked for)``; a ``read_row`` fails the test."""
+    seen = []
+    original = EmbeddingStore.read_rows
+
+    def counted(self, name, rows):
+        seen.append((name, np.asarray(rows).size))
+        return original(self, name, rows)
+
+    monkeypatch.setattr(EmbeddingStore, "read_rows", counted)
+    monkeypatch.setattr(
+        EmbeddingStore,
+        "read_row",
+        lambda *args: pytest.fail("a gather read a single row"),
+    )
+    return seen
+
+
 class TestOneGatherPerTable:
-    @pytest.mark.parametrize("ids", [[7], [1, 3, 5, 7], [9, 9, 9], list(ITEMS)])
-    def test_a_block_reads_each_table_once(self, store_backed, monkeypatch, ids):
-        calls, rows_read = Counter(), Counter()
-        original = EmbeddingStore.read_rows
+    """Entity, relation, transfer — in that order, one ``read_rows``
+    each.  The transfer gather holds a matrix per pair below
+    ``GROUPS_AT`` pairs and a matrix per distinct key relation from it."""
 
-        def counted(self, name, rows):
-            calls[name] += 1
-            rows_read[name] += np.asarray(rows).size
-            return original(self, name, rows)
-
-        monkeypatch.setattr(EmbeddingStore, "read_rows", counted)
-        monkeypatch.setattr(
-            EmbeddingStore,
-            "read_row",
-            lambda *args: pytest.fail("a block read a single row"),
-        )
+    @pytest.mark.parametrize(
+        "ids",
+        [[7], [1, 3, 5, 7], [9, 9, 9], list(ITEMS), (ITEMS * 15)[:256]],
+    )
+    def test_a_block_reads_each_table_once(self, store_backed, selector, gathers, ids):
+        pairs = len(ids) * K
+        transfer_rows = pairs
+        if pairs >= GROUPS_AT:
+            transfer_rows = len(np.unique([selector.for_item(item) for item in ids]))
+            assert transfer_rows <= RELATIONS
         for call in (
             store_backed.serve_batch,
             store_backed.serve_sequence_batch,
             store_backed.serve_condensed_batch,
         ):
-            calls.clear()
-            rows_read.clear()
+            gathers.clear()
             call(ids)
-            assert calls == {"entity_table": 1, "relation_table": 1, "transfer": 1}
-            assert rows_read == {
-                "entity_table": len(ids),
-                "relation_table": len(ids) * K,
-                "transfer": len(ids) * K,
-            }
-        calls.clear()
+            assert gathers == [
+                ("entity_table", len(ids)),
+                ("relation_table", pairs),
+                ("transfer", transfer_rows),
+            ]
+        gathers.clear()
         store_backed.serve(ids[0])
-        assert calls == {"entity_table": 1, "relation_table": 1, "transfer": 1}
+        assert gathers == [("entity_table", 1), ("relation_table", K), ("transfer", K)]

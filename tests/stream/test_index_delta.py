@@ -76,6 +76,30 @@ class TestMutations:
         with pytest.raises(KeyError):
             index.update(999, np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (1, 4), ()])
+    @pytest.mark.parametrize("tombstoned", [False, True])
+    def test_update_refuses_a_bad_vector_before_striking_the_old_row(
+        self, shape, tombstoned
+    ):
+        """The old row used to be removed (and its tombstone dropped)
+        before ``add`` refused the replacement."""
+        rng = np.random.default_rng(2)
+        index, vectors = build_delta_index(rng)
+        if tombstoned:
+            index.delete(np.asarray([3]))
+        before = index.index.state()[0]
+        found = index.search(vectors[3][None, :], k=1)
+        with pytest.raises(ValueError, match=r"not \(4,\)"):
+            index.update(3, np.zeros(shape))
+        after = index.index.state()[0]
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+        assert index.index.ntotal == 64
+        assert index.live_count == 64 - tombstoned
+        assert index.is_live(3) is not tombstoned
+        for was, now in zip(found, index.search(vectors[3][None, :], k=1)):
+            assert np.array_equal(was, now)
+        assert index.metrics.counter("stream.index.updates").value == 0
+
 
 class TestMaintenance:
     def test_compaction_trigger_on_tombstone_ratio(self):
