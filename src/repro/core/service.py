@@ -332,11 +332,12 @@ class PKGMServer:
             raise ValueError(
                 f"kind must be one of {sorted(INDEX_KINDS)}, got {kind!r}"
             )
-        if entity_ids is None:
+        if entity_ids is None:  # the whole table, read in file order
             ids = np.arange(self.num_entities, dtype=np.int64)
+            vectors = np.asarray(self._entity_table)
         else:
             ids = np.asarray(entity_ids, dtype=np.int64)
-        vectors = self._entity_table[ids]
+            vectors = self._entity_table[ids]
         index = INDEX_KINDS[kind](
             dim=self.dim, metric=metric, registry=registry, **params
         )

@@ -2,11 +2,14 @@
 
 The retrieval layer that turns PKGM's inferred tail embeddings
 (``S_T = h + r``) back into entities.  Three index kinds share one
-determinism contract — fixed distance formulas, ``(distance, id)``
-tie-breaking, seeded k-means — so that the same seed and vectors
-always produce byte-identical snapshots and identical search results:
+determinism contract — every distance's terms added in one fixed order
+whatever the memory layout (stated in :mod:`repro.index.flat`),
+``(distance, id)`` tie-breaking, seeded k-means — so that the same seed
+and vectors always produce byte-identical snapshots and identical
+search results:
 
-* :class:`FlatIndex` — blocked exact scan; the recall oracle.
+* :class:`FlatIndex` — exact scan of a coordinate-major table in
+  column blocks, memory bounded whatever its size; the recall oracle.
 * :class:`IVFFlatIndex` — inverted-file cells, exact in-cell distances.
 * :class:`IVFPQIndex` — inverted-file cells over product-quantized
   codes with asymmetric distance tables; ~10x smaller per vector.

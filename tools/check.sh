@@ -67,10 +67,13 @@ echo "== index determinism (repro index, byte-diffed snapshots) =="
 # Two independent same-seed builds must write byte-identical snapshot
 # directories (every shard and the sealed manifest), and the search
 # CLI must print byte-identical results across reruns.
-python -m repro.cli index build --preset smoke --kind ivf --out "$OBS_TMP/r1/idx" > /dev/null
-python -m repro.cli index build --preset smoke --kind ivf --out "$OBS_TMP/r2/idx" > /dev/null
-diff -r "$OBS_TMP/r1/idx" "$OBS_TMP/r2/idx"
+for kind in ivf flat; do
+    python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r1/$kind" > /dev/null
+    python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r2/$kind" > /dev/null
+    diff -r "$OBS_TMP/r1/$kind" "$OBS_TMP/r2/$kind"
+done
 byte_gate search "" python -m repro.cli index search --preset smoke --kind ivf
+byte_gate search_flat "" python -m repro.cli index search --preset smoke --kind flat
 echo "index snapshots and search results are byte-identical across reruns"
 
 echo

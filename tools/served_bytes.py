@@ -5,7 +5,8 @@ catalog ``bulk_ram`` serves (24 categories, 200 products each, k = 10,
 d = 32) with untrained tables drawn from ``--seed``, then answers
 ``--calls`` rotations of ``serve_sequence_batch`` / ``serve_condensed_batch``
 / ``relation_existence_scores`` at B in {1, 8, 64, 256}, plus ``serve``,
-``serve_batch`` and ``nearest_tails``, from the resident server and from
+``serve_batch``, ``nearest_tails`` and ``nearest_tails_batch`` (B in
+{2, 8, 64} x k in {1, 10, 50}), from the resident server and from
 ``PKGMServer.from_store(cache_pages=64)``.  To compare with another
 commit, point ``PYTHONPATH`` at that checkout's ``src``.
 
@@ -29,6 +30,8 @@ from repro.data import CatalogConfig, generate_catalog
 BATCHES = (1, 8, 64, 256)
 #: Single-item calls made per rotation.
 SINGLES = 8
+#: ``nearest_tails_batch`` shapes: queries per call, neighbours per query.
+RETRIEVALS = [(batch, k) for batch in (2, 8, 64) for k in (1, 10, 50)]
 
 
 def build_resident(seed: int) -> PKGMServer:
@@ -71,6 +74,14 @@ def answers(server: PKGMServer, seed: int, calls: int) -> Iterator[Tuple[str, by
         for head, relation in zip(ids.tolist(), relations.tolist()):
             distances, neighbours = server.nearest_tails(head, relation, 10)
             yield "nearest_tails", distances.tobytes() + neighbours.tobytes()
+    # Its own stream: a retrieval shape added here moves no line above.
+    rng = np.random.default_rng([seed, 3])
+    for _ in range(calls):
+        for batch, k in RETRIEVALS:
+            heads = items[rng.integers(0, len(items), batch)]
+            relations = rng.integers(0, server.num_relations, batch)
+            distances, neighbours = server.nearest_tails_batch(heads, relations, k)
+            yield f"tails B={batch} k={k}", distances.tobytes() + neighbours.tobytes()
 
 
 def digests(server: PKGMServer, seed: int, calls: int) -> Dict[str, str]:
