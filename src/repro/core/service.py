@@ -441,12 +441,12 @@ class PKGMServer:
         )
         *_, num_relations = server_store_geometry(store)
         # Selector tables are tiny relative to the embeddings; read them
-        # resident so item enumeration never faults pages.  Reads are
-        # page-sized and quarantine-tolerant: a damaged selector page
-        # costs only the items on it (they serve the unknown-item
-        # fallback until repair), never the cold start itself.
-        item_ids, ids_readable = _read_readable_rows(store, "item_ids")
-        key_table, keys_readable = _read_readable_rows(store, "key_relations")
+        # resident so item enumeration never faults pages.  Each is one
+        # quarantine-tolerant page walk: a damaged selector page costs
+        # only the items on it (they serve the unknown-item fallback
+        # until repair), never the cold start itself.
+        item_ids, ids_readable = store.salvage_table("item_ids")
+        key_table, keys_readable = store.salvage_table("key_relations")
         readable = ids_readable & keys_readable
         key_table = key_table[readable]
         if key_table.size and not (
@@ -580,24 +580,3 @@ def server_store_geometry(store) -> Tuple[int, int, int, int]:
             f"{(item_spec.rows, k)}"
         )
     return k, dim, entity_spec.rows, relation_spec.rows
-
-
-def _read_readable_rows(store, name: str) -> Tuple[np.ndarray, np.ndarray]:
-    """A whole table read one page per ``read_rows`` call, tolerating
-    quarantine: ``(rows, readable)``, where the rows of a damaged page
-    are zeros marked ``False``."""
-    from ..store import QuarantinedRowError
-
-    spec = store.spec(name)
-    rows = np.zeros(spec.shape, dtype=spec.dtype)
-    readable = np.ones(spec.rows, dtype=bool)
-    for shard, page in spec.pages():
-        held = spec.page_global_rows(shard, page)
-        on_page = slice(held.start, held.stop, held.step)
-        try:
-            rows[on_page] = store.read_rows(
-                name, np.arange(held.start, held.stop, held.step)
-            )
-        except QuarantinedRowError:
-            readable[on_page] = False
-    return rows, readable

@@ -34,7 +34,7 @@ import operator
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -476,27 +476,66 @@ class EmbeddingStore:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _load_page(self, name: str, shard: int, page: int) -> bytes:
-        """One page through the cache; quarantines CRC failures."""
-        key: PageKey = (name, shard, page)
-        if key in self.quarantine:
-            raise self._denied(key)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits_c.inc()
-            return cached
-        data, ok = self._tables[name].readers[shard].read_page(page)
-        self._faults_c.inc()
-        self._bytes_read_c.inc(len(data))
-        if not ok:
-            self._crc_failures_c.inc()
-            self._quarantine_page(key)
-            raise self._denied(key)
-        evicted = self._cache.put(key, data)
-        if evicted:
-            self._evictions_c.inc(evicted)
-        self._cache_g.set(len(self._cache))
-        return data
+    def _pages(
+        self,
+        spec: TableSpec,
+        keys: Iterable[Tuple[int, int]],
+        reads: Iterable[int],
+        *,
+        tolerant: bool = False,
+    ) -> Iterator[Optional[bytes]]:
+        """The one fault loop: each ``(shard, page)`` of ``keys``, in
+        order, through the quarantine set, the LRU and the CRC check.
+
+        ``reads`` pairs each page with the row reads the caller makes
+        from it: a resident page charges them all as hits, a faulted
+        one a fault and the rest as hits.  A damaged page — quarantined
+        already, or failing its CRC now and quarantined — counts one
+        denied read, then raises :class:`QuarantinedRowError` naming its
+        first row or, when ``tolerant``, yields ``None`` and walks on.
+        Hits, faults, bytes and evictions are charged once, when the
+        walk ends or raises, with the totals a page-at-a-time walk
+        reaches; ``store.cached_pages`` is set if a page was inserted.
+        """
+        name = spec.name
+        readers = self._tables[name].readers
+        cache, quarantine = self._cache, self.quarantine
+        hits = faults = nbytes = evicted = 0
+        resident: Optional[int] = None
+        try:
+            for (shard, page), wanted in zip(keys, reads):
+                key: PageKey = (name, shard, page)
+                if key not in quarantine:
+                    data = cache.get(key)
+                    if data is not None:
+                        hits += wanted
+                        yield data
+                        continue
+                    data, ok = readers[shard].read_page(page)
+                    faults += 1
+                    nbytes += len(data)
+                    if ok:
+                        hits += wanted - 1
+                        evicted += cache.put(key, data)
+                        resident = len(cache)
+                        yield data
+                        continue
+                    self._crc_failures_c.inc()
+                    self._quarantine_page(key)
+                denied = self._denied(key)
+                if not tolerant:
+                    raise denied
+                yield None
+        finally:
+            if hits:
+                self._hits_c.inc(hits)
+            if faults:
+                self._faults_c.inc(faults)
+                self._bytes_read_c.inc(nbytes)
+            if evicted:
+                self._evictions_c.inc(evicted)
+            if resident is not None:
+                self._cache_g.set(resident)
 
     def _denied(self, key: PageKey) -> QuarantinedRowError:
         """Count one read refused by quarantine; the error names the
@@ -515,26 +554,18 @@ class EmbeddingStore:
             self._quarantine_g.set(len(self.quarantine))
         self._cache.discard(key)
 
-    def _page_rows(
-        self, spec: TableSpec, shard: int, page: int, reads: int
-    ) -> np.ndarray:
-        """One page as a ``(rows, row_elems)`` view of its cached bytes.
-
-        The one way rows leave a page: a single :meth:`_load_page`
-        however many of the page's rows the caller wants, charged as
-        ``reads`` row reads — the load counts the first (a hit or a
-        fault), the rest are hits on the page it just made resident.
-        """
-        data = self._load_page(spec.name, shard, page)
-        if reads > 1:
-            self._hits_c.inc(reads - 1)
-        return np.frombuffer(data, dtype=spec.dtype).reshape(-1, spec.row_elems)
-
     def _row(self, spec: TableSpec, index: int) -> np.ndarray:
-        """In-range row ``index`` as a flat view of its page."""
+        """In-range row ``index`` as a flat read-only view of its page."""
         shard, local = spec.locate(index)
         page, slot = divmod(local, spec.rows_per_page)
-        return self._page_rows(spec, shard, page, 1)[slot]
+        # Unpacking runs the walk to its end, where it charges the counters.
+        (data,) = self._pages(spec, ((shard, page),), (1,))
+        return np.frombuffer(
+            data,
+            dtype=spec.dtype,
+            count=spec.row_elems,
+            offset=slot * spec.row_nbytes,
+        )
 
     def read_row(self, name: str, row: int) -> np.ndarray:
         """One row as a fresh array of the table's row shape."""
@@ -551,10 +582,13 @@ class EmbeddingStore:
     def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Gather ``rows`` (any integer shape) → ``rows.shape + row_shape``.
 
-        Page-grouped: every distinct page is loaded once per call, in
-        the order the request first touches it, and its rows leave in
-        one fancy-index copy.  Damage surfaces per-request: the first
-        quarantined page in request order raises
+        One fault loop per call: the request is grouped by page, the
+        distinct pages are walked once each in the order the request
+        first touches them, and every row leaves their joined bytes in
+        one fancy-index copy.  The counters are charged once per call,
+        with the totals of one read per row (a page's first read a hit
+        or a fault, the rest hits).  Damage surfaces per request: the
+        first quarantined page in request order raises
         :class:`QuarantinedRowError` naming a row on it, with the pages
         before it read (and cached) and nothing after it touched;
         ``store.quarantined_reads`` advances by the distinct rows the
@@ -564,9 +598,9 @@ class EmbeddingStore:
         index = np.asarray(rows)
         if index.dtype == np.bool_:
             raise TypeError("boolean masks are not supported by the store")
-        out = np.empty((index.size, spec.row_elems), dtype=spec.dtype)
+        shape = index.shape + spec.row_shape
         if not index.size:
-            return out.reshape(index.shape + spec.row_shape)
+            return np.empty(shape, dtype=spec.dtype)
         if index.dtype.kind not in "iu":
             raise IndexError(
                 "arrays used as indices must be of integer (or boolean) type"
@@ -583,8 +617,7 @@ class EmbeddingStore:
         if lowest < 0:
             flat[flat < 0] += spec.rows
         if flat.size == 1:  # nothing to group: the sort would be all it costs
-            out[0] = self._row(spec, int(flat[0]))
-            return out.reshape(index.shape + spec.row_shape)
+            return self._row(spec, int(flat[0])).reshape(shape).copy()
         # (shard, page, slot-in-page) of every requested row at once.
         if spec.layout == "strided":
             local, shard = np.divmod(flat, spec.num_shards)
@@ -598,47 +631,86 @@ class EmbeddingStore:
         page_id = shard * span + page
         order = np.argsort(page_id, kind="stable")
         page_id, slot = page_id[order], slot[order]
-        cuts = np.flatnonzero(page_id[1:] != page_id[:-1]) + 1
-        starts = [0, *cuts.tolist()]
-        stops = [*starts[1:], flat.size]
-        pages = page_id[starts].tolist()
-        for group in np.argsort(order[starts]).tolist():
-            first, last = starts[group], stops[group]
-            shard_no, page_no = divmod(pages[group], span)
-            try:
-                page_rows = self._page_rows(spec, shard_no, page_no, last - first)
-            except QuarantinedRowError:
-                # Denials are per row like hits: one was counted with
-                # the error, the rest are the other rows the caller
-                # goes without (a row asked for twice is one row).
-                self._quarantined_reads_c.inc(
-                    np.unique(slot[first:last]).size - 1
+        # Group boundaries in the sorted positions, both ends included.
+        bounds = np.empty(flat.size + 1, dtype=bool)
+        bounds[0] = bounds[-1] = True
+        np.not_equal(page_id[1:], page_id[:-1], out=bounds[1:-1])
+        bounds = np.flatnonzero(bounds)
+        starts, reads = bounds[:-1], bounds[1:] - bounds[:-1]
+        visit = np.argsort(order[starts])
+        shards, pages = np.divmod(page_id[starts[visit]], span)
+        try:
+            data = list(
+                self._pages(
+                    spec,
+                    zip(shards.tolist(), pages.tolist()),
+                    reads[visit].tolist(),
                 )
-                raise
-            if spec.rows_per_page == 1:
-                # The page is the row: broadcast it.  Indexing would
-                # first build a (rows wanted x row) temporary, and with
-                # rows this wide those rival the gather itself.
-                out[order[first:last]] = page_rows[0]
-            else:
-                out[order[first:last]] = page_rows[slot[first:last]]
-        return out.reshape(index.shape + spec.row_shape)
+            )
+        except QuarantinedRowError as error:
+            # Denials are per row like hits: the walk counted one, the
+            # rest are the other rows the caller goes without (a row
+            # asked for twice is one row).
+            denied = page_id == error.shard * span + error.page
+            self._quarantined_reads_c.inc(np.unique(slot[denied]).size - 1)
+            raise
+        # One copy out of the joined pages.  Each sits there at full
+        # size (a shard's short last page padded), so the v-th page
+        # visited starts at row v * rows_per_page.
+        per_page = spec.rows_per_page
+        page_nbytes = per_page * spec.row_nbytes
+        joined = b"".join(data)
+        if len(joined) < len(data) * page_nbytes:
+            joined = b"".join([page.ljust(page_nbytes, b"\0") for page in data])
+        first_row = np.empty_like(visit)
+        first_row[visit] = np.arange(0, visit.size * per_page, per_page)
+        take = np.empty_like(flat)
+        take[order] = np.repeat(first_row, reads) + slot
+        table = np.frombuffer(joined, dtype=spec.dtype).reshape(-1, spec.row_elems)
+        return table[take].reshape(shape)
 
     def read_table(self, name: str) -> np.ndarray:
         """Materialize a whole table (through the page cache).
 
-        Pages are walked in file order and each lands in the output as
-        one strided slice — no index array, no sort, and every page is
-        loaded exactly once whatever the cache budget.
+        One walk of the table's pages in file order through the same
+        fault loop as :meth:`read_rows`: each page lands in the output
+        as one strided slice — no index array, no sort — is loaded
+        exactly once whatever the cache budget, and is let go before
+        the next, so nothing beyond the output and one page is held.
+        The first damaged page raises :class:`QuarantinedRowError`.
         """
+        rows, _ = self._walk_table(name, tolerant=False)
+        return rows
+
+    def salvage_table(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`read_table`, tolerating damage: ``(rows, readable)``.
+
+        The same walk, but a damaged page is reported, not raised: its
+        rows read as zeros, are marked ``False`` in ``readable`` and
+        count as denied reads, one per row, and the walk goes on.
+        """
+        return self._walk_table(name, tolerant=True)
+
+    def _walk_table(
+        self, name: str, *, tolerant: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
         spec = self._table(name).spec
         out = np.empty((spec.rows, spec.row_elems), dtype=spec.dtype)
-        for shard, page in spec.pages():
-            held = spec.page_global_rows(shard, page)
-            out[held.start : held.stop : held.step] = self._page_rows(
-                spec, shard, page, len(held)
-            )
-        return out.reshape(spec.shape)
+        readable = np.ones(spec.rows, dtype=bool)
+        held = [spec.page_global_rows(shard, page) for shard, page in spec.pages()]
+        walk = self._pages(spec, spec.pages(), map(len, held), tolerant=tolerant)
+        for position, data in enumerate(walk):
+            rows = held[position]
+            on_page = slice(rows.start, rows.stop, rows.step)
+            if data is None:
+                out[on_page] = 0
+                readable[on_page] = False
+                self._quarantined_reads_c.inc(len(rows) - 1)
+            else:
+                out[on_page] = np.frombuffer(data, dtype=spec.dtype).reshape(
+                    -1, spec.row_elems
+                )
+        return out.reshape(spec.shape), readable
 
     # ------------------------------------------------------------------
     # Scrub / verify
@@ -658,8 +730,8 @@ class EmbeddingStore:
     def check_page(self, key: PageKey, *, quarantine: bool = True) -> bool:
         """CRC-verify one page without touching the row-read path.
 
-        Reads go through the shard reader directly — never
-        ``_load_page`` — so a background sweep neither pollutes the LRU
+        Reads go through the shard reader directly — never the fault
+        loop — so a background sweep neither pollutes the LRU
         page cache nor shows up in the foreground hit/fault counters.
         An already-quarantined page reports ``False`` without a read;
         a fresh CRC failure is quarantined when ``quarantine`` is set.

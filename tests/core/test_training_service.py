@@ -76,6 +76,16 @@ class TestTraining:
         )
         assert [e for e, _ in seen] == [0, 1, 2]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP [12](b): PKGM shares its triple module, so Adam "
+        "steps the entity and relation tables twice per update",
+    )
+    def test_optimizer_holds_distinct_parameters(self):
+        model = PKGM(10, 3, PKGMConfig(dim=4), rng=np.random.default_rng(0))
+        params = PKGMTrainer(model, TrainerConfig(epochs=1)).optimizer.parameters
+        assert len(params) == len({id(param) for param in params}) == 3
+
 
 class TestServiceSemantics:
     def test_triple_service_close_to_true_tail(self, catalog, trained_pkgm):

@@ -1,40 +1,168 @@
 """The page-grouped gather against its oracles.
 
-``EmbeddingStore.read_rows`` groups a request by page and loads each
-page once.  Three independent references pin it down:
+``EmbeddingStore.read_rows`` groups a request by page and walks the
+distinct pages in one fault loop.  Four independent references pin it
+down:
 
 * numpy itself — ``array[idx]``, bytes and shape, over a hypothesis
   sweep of dtypes, row shapes, layouts, page sizes and index shapes;
-* :func:`reference_read_rows` — the per-row loop the gather replaced,
-  kept here verbatim and run on a second handle over the same
-  directory: same outputs, same per-row accounting, never more faults
+* :class:`PageLoop` — the page policy as a page-at-a-time loader over
+  an ``OrderedDict`` LRU that charges every counter as it goes, with
+  the grouped gather the fault loop replaced on top of it: after every
+  call of a random sequence, the same bytes, counters, LRU order and
+  errors;
+* :func:`reference_read_rows` — the per-row loop before that, over the
+  same loader: same outputs, same per-row accounting, never more faults
   from an equal cache state, and the same quarantine behaviour;
-* exact work counts — ``_load_page`` calls per gather and per full
-  table read.
+* exact work counts — shard-file reads plus cache refreshes per gather
+  and per full table read.
 
 The cold open (``PKGMServer.from_store``) reads its selector tables
-through the same gather; its quarantine tolerance is checked last.
+through the same walk; its quarantine tolerance is checked last.
 """
 
 import itertools
 import tempfile
-from collections import Counter
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import KeyRelationSelector, PKGM, PKGMConfig, PKGMServer
 from repro.kg import TripleStore
+from repro.obs.metrics import MetricsRegistry
 from repro.store import EmbeddingStore, QuarantinedRowError, shard_filename
 
+#: The read-path counters the oracles compare (and ``store.cached_pages``).
+STORE_COUNTERS = (
+    "page_hits",
+    "page_faults",
+    "bytes_read",
+    "page_evictions",
+    "crc_failures",
+    "pages_quarantined",
+    "quarantined_reads",
+)
 
-def reference_read_rows(store, name, rows):
-    """The per-row gather ``read_rows`` used to be — the oracle."""
-    table = store._table(name)
-    spec = table.spec
+
+class PageLoop:
+    """The store's page policy, one page at a time — the oracle.
+
+    A page comes through :meth:`load_page`: quarantine check, then an
+    ``OrderedDict`` LRU, then a CRC-checked read from the shard readers
+    of its own handle on the store directory, charging each counter the
+    moment it happens.  :meth:`read_rows` is the grouped gather built on
+    it (one load per distinct page in first-touch order, rows copied out
+    page by page); :meth:`read_table` and :meth:`salvage_table` walk
+    every page in file order, one load each.
+    """
+
+    def __init__(self, directory, cache_pages):
+        self.store = EmbeddingStore.open(directory)  # specs and readers only
+        self.capacity = max(1, cache_pages)
+        self.lru = OrderedDict()
+        self.quarantine = set()
+        self.metrics = MetricsRegistry()
+        for name in STORE_COUNTERS:
+            self.metrics.counter(f"store.{name}")
+        self.metrics.gauge("store.cached_pages")
+
+    def close(self):
+        self.store.close()
+
+    def quarantined_pages(self):
+        return sorted(self.quarantine)
+
+    def _inc(self, name, amount=1):
+        self.metrics.counter(f"store.{name}").inc(amount)
+
+    def denied(self, key):
+        name, shard, page = key
+        spec = self.store.spec(name)
+        self._inc("quarantined_reads")
+        return QuarantinedRowError(
+            name, spec.global_row(shard, page * spec.rows_per_page), shard, page
+        )
+
+    def load_page(self, name, shard, page):
+        key = (name, shard, page)
+        if key in self.quarantine:
+            raise self.denied(key)
+        if key in self.lru:
+            self.lru.move_to_end(key)
+            self._inc("page_hits")
+            return self.lru[key]
+        data, ok = self.store._table(name).readers[shard].read_page(page)
+        self._inc("page_faults")
+        self._inc("bytes_read", len(data))
+        if not ok:
+            self._inc("crc_failures")
+            if key not in self.quarantine:
+                self.quarantine.add(key)
+                self._inc("pages_quarantined")
+            raise self.denied(key)
+        self.lru[key] = data
+        while len(self.lru) > self.capacity:
+            self.lru.popitem(last=False)
+            self._inc("page_evictions")
+        self.metrics.gauge("store.cached_pages").set(len(self.lru))
+        return data
+
+    def _page_rows(self, spec, shard, page, reads):
+        data = self.load_page(spec.name, shard, page)
+        self._inc("page_hits", reads - 1)
+        return np.frombuffer(data, dtype=spec.dtype).reshape(-1, spec.row_elems)
+
+    def read_rows(self, name, rows):
+        spec = self.store.spec(name)
+        index = np.asarray(rows)
+        flat = index.reshape(-1).astype(np.int64)
+        flat = np.where(flat < 0, flat + spec.rows, flat)
+        out = np.empty((flat.size, spec.row_elems), dtype=spec.dtype)
+        groups = {}  # (shard, page) → [(position, slot)], first touch first
+        for position, row in enumerate(flat.tolist()):
+            shard, local = spec.locate(row)
+            page, slot = divmod(local, spec.rows_per_page)
+            groups.setdefault((shard, page), []).append((position, slot))
+        for (shard, page), members in groups.items():
+            try:
+                page_rows = self._page_rows(spec, shard, page, len(members))
+            except QuarantinedRowError:
+                self._inc("quarantined_reads", len({s for _, s in members}) - 1)
+                raise
+            for position, slot in members:
+                out[position] = page_rows[slot]
+        return out.reshape(index.shape + spec.row_shape)
+
+    def read_row(self, name, row):
+        return self.read_rows(name, np.asarray(row))
+
+    def salvage_table(self, name, tolerant=True):
+        spec = self.store.spec(name)
+        out = np.zeros((spec.rows, spec.row_elems), dtype=spec.dtype)
+        readable = np.ones(spec.rows, dtype=bool)
+        for shard, page in spec.pages():
+            held = spec.page_global_rows(shard, page)
+            on_page = slice(held.start, held.stop, held.step)
+            try:
+                out[on_page] = self._page_rows(spec, shard, page, len(held))
+            except QuarantinedRowError:
+                if not tolerant:
+                    raise
+                self._inc("quarantined_reads", len(held) - 1)
+                readable[on_page] = False
+        return out.reshape(spec.shape), readable
+
+    def read_table(self, name):
+        return self.salvage_table(name, tolerant=False)[0]
+
+
+def reference_read_rows(loop, name, rows):
+    """The per-row gather before page grouping, over :class:`PageLoop`."""
+    spec = loop.store.spec(name)
     index = np.asarray(rows)
     flat = index.reshape(-1).astype(np.int64)
     flat = np.where(flat < 0, flat + spec.rows, flat)
@@ -42,7 +170,7 @@ def reference_read_rows(store, name, rows):
     for position, row in enumerate(flat):
         shard, local = spec.locate(int(row))
         page = spec.page_of(local)
-        data = store._load_page(name, shard, page)
+        data = loop.load_page(name, shard, page)
         offset = (local - page * spec.rows_per_page) * spec.row_nbytes
         out[position] = np.frombuffer(
             data, dtype=spec.dtype, count=spec.row_elems, offset=offset
@@ -150,9 +278,7 @@ class TestAgainstThePerRowLoop:
             grouped = EmbeddingStore.open(
                 directory, cache_pages=geometry["cache_pages"]
             )
-            per_row = EmbeddingStore.open(
-                directory, cache_pages=geometry["cache_pages"]
-            )
+            per_row = PageLoop(directory, geometry["cache_pages"])
             try:
                 for step, index in enumerate(indices):
                     got = grouped.read_rows("t", index)
@@ -212,7 +338,7 @@ class TestQuarantineParity:
     def test_same_error_same_quarantine(self, damaged, order):
         directory, array = damaged
         grouped = EmbeddingStore.open(directory, cache_pages=8)
-        per_row = EmbeddingStore.open(directory, cache_pages=8)
+        per_row = PageLoop(directory, 8)
         try:
             outcomes = []
             for read in (
@@ -269,7 +395,7 @@ class TestQuarantineParity:
         directory, _ = damaged
         for order in itertools.permutations([0, 5, 29, 13]):
             grouped = EmbeddingStore.open(directory, cache_pages=8)
-            per_row = EmbeddingStore.open(directory, cache_pages=8)
+            per_row = PageLoop(directory, 8)
             try:
                 with pytest.raises(QuarantinedRowError) as new:
                     grouped.read_rows("t", np.asarray(order))
@@ -286,16 +412,186 @@ class TestQuarantineParity:
                 per_row.close()
 
 
+# ----------------------------------------------------------------------
+# The fault loop against the page-at-a-time loop, call after call
+# ----------------------------------------------------------------------
+REQUEST_SHAPES = [(), (0,), (1,), (2,), (9,), (3, 4), (2, 0), (2, 2, 3), (1, 1, 1)]
+
+
+@st.composite
+def call_sequences(draw):
+    """A small damaged store and the calls made on it.
+
+    Pages hold one row or several (page sizes are not row multiples, so
+    the slack is real), shards end on short pages, and caches are small
+    enough that pages evict mid-call.  Damage is drawn as positions in
+    the table's page list: bit flips fail a page's CRC on first read, a
+    torn shard loses its last page, quarantined pages are refused
+    before any read.
+    """
+    row_shape = draw(st.sampled_from([(3,), (2, 3)]))
+    row_nbytes = 8 * int(np.prod(row_shape))
+    rows_per_page = draw(st.sampled_from([1, 2, 3, 5]))
+    geometry = {
+        "dtype": "float64",
+        "row_shape": row_shape,
+        "rows": draw(st.integers(1, 60)),
+        "num_shards": draw(st.integers(1, 3)),
+        "layout": draw(st.sampled_from(["contiguous", "strided"])),
+        "page_bytes": rows_per_page * row_nbytes
+        + draw(st.integers(0, row_nbytes - 1)),
+        "cache_pages": draw(st.integers(1, 4)),
+    }
+    rows = geometry["rows"]
+    damage = {
+        "flips": draw(st.lists(st.integers(0, 999), max_size=3)),
+        "quarantined": draw(st.lists(st.integers(0, 999), max_size=2)),
+        "torn": draw(st.booleans()),
+    }
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["rows", "rows", "rows", "row", "table", "salvage"]))
+        if kind == "rows":
+            shape = draw(st.sampled_from(REQUEST_SHAPES))
+            size = int(np.prod(shape, dtype=np.int64))
+            ids = draw(
+                st.lists(st.integers(-rows, rows - 1), min_size=size, max_size=size)
+            )
+            calls.append((kind, np.asarray(ids, dtype=np.int64).reshape(shape)))
+        elif kind == "row":
+            calls.append((kind, draw(st.integers(-rows, rows - 1))))
+        else:
+            calls.append((kind, None))
+    return geometry, damage, calls
+
+
+def call(target, kind, argument):
+    if kind == "rows":
+        return target.read_rows("t", argument)
+    if kind == "row":
+        return target.read_row("t", argument)
+    if kind == "table":
+        return target.read_table("t")
+    return target.salvage_table("t")
+
+
+def outcome(target, kind, argument):
+    """What one call returned — each array's shape, dtype and bytes — or
+    the table, row, shard and page its :class:`QuarantinedRowError` named."""
+    try:
+        result = call(target, kind, argument)
+    except QuarantinedRowError as error:
+        return ("denied", error.table, error.row, error.shard, error.page)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(array.shape, array.dtype.str, array.tobytes()) for array in arrays]
+
+
+def state(target):
+    """Counters, the cached-pages gauge, LRU order and the quarantine."""
+    snapshot = target.metrics.snapshot()
+    cache = target._cache._entries if isinstance(target, EmbeddingStore) else target.lru
+    return (
+        {name: snapshot[f"store.{name}"] for name in STORE_COUNTERS},
+        snapshot["store.cached_pages"],
+        list(cache),
+        target.quarantined_pages(),
+    )
+
+
+def damage_store(directory, spec, damage):
+    keys = list(spec.pages())
+    for position in damage["flips"]:
+        shard, page = keys[position % len(keys)]
+        path = Path(directory) / shard_filename("t", shard)
+        blob = bytearray(path.read_bytes())
+        blob[spec.page_byte_range(shard, page)[0]] ^= 0x20
+        path.write_bytes(bytes(blob))
+    if damage["torn"]:
+        path = Path(directory) / shard_filename("t", 0)
+        path.write_bytes(path.read_bytes()[:-1])
+    return [("t", *keys[position % len(keys)]) for position in damage["quarantined"]]
+
+
+class TestAgainstThePageLoop:
+    @settings(max_examples=120, deadline=None)
+    @given(call_sequences())
+    @example(
+        (
+            # Two shards of 5 rows, 3 to a page: each ends on a short page.
+            {"dtype": "float64", "row_shape": (3,), "rows": 10, "num_shards": 2,
+             "layout": "contiguous", "page_bytes": 80, "cache_pages": 2},
+            {"flips": [1], "quarantined": [2], "torn": False},
+            [
+                ("rows", np.array([0, -1, 4, 4, 2, 1])),
+                ("rows", np.array([[9, 8], [0, 0]])),
+                ("salvage", None),
+                ("rows", np.array([[[6]], [[3]]])),
+                ("row", -10),
+                ("table", None),
+                ("rows", np.array([1, 4])),
+            ],
+        )
+    )
+    @example(
+        (
+            # One row a page, strided over three shards, a one-page cache.
+            {"dtype": "float64", "row_shape": (2, 3), "rows": 7, "num_shards": 3,
+             "layout": "strided", "page_bytes": 48, "cache_pages": 1},
+            {"flips": [4], "quarantined": [], "torn": True},
+            [
+                ("rows", np.array([0, 3, 6, 0, -7, 5])),
+                ("rows", np.array([1, 2, 4])),
+                ("row", 4),
+                ("salvage", None),
+                ("rows", np.array([5, 2, 2])),
+            ],
+        )
+    )
+    def test_every_call_matches_the_page_loop(self, case):
+        geometry, damage, calls = case
+        array = make_array(geometry["rows"], geometry["row_shape"], "float64")
+        with tempfile.TemporaryDirectory() as directory:
+            built = build(directory, array, geometry)
+            spec = built.spec("t")
+            built.close()
+            quarantined = damage_store(directory, spec, damage)
+            store = EmbeddingStore.open(directory, cache_pages=geometry["cache_pages"])
+            loop = PageLoop(directory, geometry["cache_pages"])
+            store.quarantine.update(quarantined)
+            loop.quarantine.update(quarantined)
+            try:
+                for kind, argument in calls:
+                    assert outcome(store, kind, argument) == outcome(
+                        loop, kind, argument
+                    ), kind
+                    assert state(store) == state(loop), kind
+            finally:
+                store.close()
+                loop.close()
+
+
 def count_page_loads(store, monkeypatch):
-    """Count ``_load_page`` calls per page key from here on."""
+    """Count page loads per page key from here on: reads from a shard
+    file (``ShardReader.read_page``) plus refreshes of a resident page
+    (a page-cache ``get`` that finds it)."""
     loads = Counter()
-    original = store._load_page
+    for name in store.table_names():
+        for shard, reader in store._table(name).readers.items():
 
-    def counted(name, shard, page):
-        loads[(name, shard, page)] += 1
-        return original(name, shard, page)
+            def read_page(page, key=(name, shard), original=reader.read_page):
+                loads[(*key, page)] += 1
+                return original(page)
 
-    monkeypatch.setattr(store, "_load_page", counted)
+            monkeypatch.setattr(reader, "read_page", read_page)
+    lookup = store._cache.get
+
+    def get(key):
+        data = lookup(key)
+        if data is not None:
+            loads[key] += 1
+        return data
+
+    monkeypatch.setattr(store._cache, "get", get)
     return loads
 
 
@@ -481,22 +777,22 @@ class TestColdOpen:
     def test_cold_open_makes_no_per_row_reads(self, tmp_path, resident, monkeypatch):
         directory = save(resident, tmp_path / "s")
         calls = Counter()
-        original = EmbeddingStore.read_rows
+        original = EmbeddingStore.salvage_table
 
-        def counted(self, name, rows):
+        def counted(self, name):
             calls[name] += 1
-            return original(self, name, rows)
+            return original(self, name)
 
-        monkeypatch.setattr(EmbeddingStore, "read_rows", counted)
-        monkeypatch.setattr(
-            EmbeddingStore,
-            "read_row",
-            lambda *args: pytest.fail("the cold open read a single row"),
-        )
+        def refuse(*args):
+            pytest.fail("the cold open gathered rows")
+
+        monkeypatch.setattr(EmbeddingStore, "salvage_table", counted)
+        monkeypatch.setattr(EmbeddingStore, "read_rows", refuse)
+        monkeypatch.setattr(EmbeddingStore, "read_row", refuse)
         server = PKGMServer.from_store(directory)
         try:
-            # One gather per page: 2 shards × ⌈12/8⌉ and 2 × ⌈12/4⌉.
-            assert calls == {"item_ids": 4, "key_relations": 6}
+            # One page walk per selector table, not one gather per page.
+            assert calls == {"item_ids": 1, "key_relations": 1}
         finally:
             server.store.close()
 

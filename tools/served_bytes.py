@@ -7,8 +7,10 @@ d = 32) with untrained tables drawn from ``--seed``, then answers
 / ``relation_existence_scores`` at B in {1, 8, 64, 256}, plus ``serve``,
 ``serve_batch``, ``nearest_tails`` and ``nearest_tails_batch`` (B in
 {2, 8, 64} x k in {1, 10, 50}), from the resident server and from
-``PKGMServer.from_store(cache_pages=64)``.  To compare with another
-commit, point ``PYTHONPATH`` at that checkout's ``src``.
+``PKGMServer.from_store(cache_pages=64)``; then the store's page faults,
+hits, bytes read, evictions and quarantined reads after all of them.
+To compare with another commit, point ``PYTHONPATH`` at that checkout's
+``src``: equal lines = same bytes and same store counters.
 
 Usage:  PYTHONPATH=src python tools/served_bytes.py --seed 0 --calls 4
 """
@@ -32,6 +34,14 @@ BATCHES = (1, 8, 64, 256)
 SINGLES = 8
 #: ``nearest_tails_batch`` shapes: queries per call, neighbours per query.
 RETRIEVALS = [(batch, k) for batch in (2, 8, 64) for k in (1, 10, 50)]
+#: The store's read-path counters, printed after every call has run.
+COUNTERS = (
+    "store.page_faults",
+    "store.page_hits",
+    "store.bytes_read",
+    "store.page_evictions",
+    "store.quarantined_reads",
+)
 
 
 def build_resident(seed: int) -> PKGMServer:
@@ -105,6 +115,9 @@ def main(argv=None) -> int:
             for path, server in (("resident", resident), ("store", stored)):
                 for kind, digest in digests(server, args.seed, args.calls).items():
                     print(f"{path:8s} {kind:16s} {digest}")
+            for name in COUNTERS:
+                value = stored.store.metrics.counter(name).value
+                print(f"{'store':8s} {name:24s} {value}")
         finally:
             stored.store.close()
     return 0
