@@ -127,8 +127,8 @@ class PKGMServer:
     three out of the trained model and freezes the selector into the
     last two; the triple store itself is *not* retained (data
     protection / triple independence, §II-D).  :meth:`from_store`
-    serves the same five tables paged in from disk, through the same
-    code.
+    serves the same five tables from disk, through the same code: the
+    entity table paged in on demand, the other four read at open.
     """
 
     def __init__(self, model: PKGM, selector: KeyRelationSelector) -> None:
@@ -425,14 +425,18 @@ class PKGMServer:
     ) -> "PKGMServer":
         """Cold-start a server over a store written by :meth:`save_store`.
 
-        Only the manifest and the (small) key-relation tables are read
-        eagerly; the embedding tables stay on disk behind
-        :class:`repro.store.StoreTable` views, paged in through an LRU
-        cache of ``cache_pages`` pages.  Service results are
-        bit-identical to the in-RAM server the store was built from —
-        unless a page is quarantined, in which case lookups raise
-        :class:`repro.store.QuarantinedRowError` for the resilient
-        facade to resolve.  Schema damage raises :class:`SnapshotError`.
+        Only the entity table — the one table that grows with the
+        catalog — stays on disk, behind a :class:`repro.store.StoreTable`
+        view paged in through an LRU cache of ``cache_pages`` pages.
+        The manifest, the key-relation tables and the O(R·d²) relation
+        and transfer tables are read eagerly, each in one CRC-checked
+        page walk; the last two are held as read-only arrays, or — when
+        a page of one is damaged — as a view like the entity table's.
+        Service results are bit-identical to the in-RAM server the store
+        was built from — unless a page is quarantined, in which case
+        lookups raise :class:`repro.store.QuarantinedRowError` for the
+        resilient facade to resolve.  Schema damage raises
+        :class:`SnapshotError`.
         """
         from ..store import EmbeddingStore, StoreTable
 
@@ -440,6 +444,15 @@ class PKGMServer:
             directory, cache_pages=cache_pages, registry=registry
         )
         *_, num_relations = server_store_geometry(store)
+
+        def resident(name: str):
+            """``name`` as a read-only array if every page of it reads."""
+            rows, readable = store.salvage_table(name)
+            if not readable.all():
+                return StoreTable(store, name)
+            rows.flags.writeable = False
+            return rows
+
         # Selector tables are tiny relative to the embeddings; read them
         # resident so item enumeration never faults pages.  Each is one
         # quarantine-tolerant page walk: a damaged selector page costs
@@ -457,10 +470,12 @@ class PKGMServer:
                 "'key_relations' references relation ids outside "
                 f"[0, {num_relations})"
             )
+        # A relation or transfer table with a damaged page stays behind
+        # its view, so its quarantined rows still raise at serve time.
         return _StoreBackedServer(
             StoreTable(store, "entity_table"),
-            StoreTable(store, "relation_table"),
-            StoreTable(store, "transfer"),
+            resident("relation_table"),
+            resident("transfer"),
             KeyRelationTable(item_ids[readable], key_table),
             store=store,
             unreadable_items=int((~readable).sum()),

@@ -5,8 +5,9 @@ used to be — ``E[h] + R[r]`` and ``einsum(T[r], E[h]) − R[r]`` over an
 item's key relations, every head repeated k times.  Every serve-shaped
 method must equal it byte for byte, on a resident server and on
 ``from_store`` with a one-page cache, for id batches with duplicates,
-empty, and 0-/1-/2-D; and a block must cost exactly one gather per
-table, the transfer gather as wide as the block's strategy makes it.
+empty, and 0-/1-/2-D; and a store-backed block must cost exactly one
+store gather, on the entity table, the transfer gather as wide as the
+block's strategy makes it.
 """
 
 import numpy as np
@@ -21,9 +22,15 @@ from repro.core import (
     PKGMConfig,
     PKGMServer,
 )
-from repro.core.service import _GROUP_AT_PAIRS_PER_RELATION
+from repro.core.key_relations import KeyRelationTable
+from repro.core.service import _GROUP_AT_PAIRS_PER_RELATION, _StoreBackedServer
 from repro.kg import TripleStore
-from repro.store import EmbeddingStore
+from repro.store import (
+    EmbeddingStore,
+    QuarantinedRowError,
+    StoreTable,
+    shard_filename,
+)
 
 ENTITIES, RELATIONS, DIM, K = 48, 5, 6, 3
 ITEMS = list(range(1, 37, 2))
@@ -247,16 +254,35 @@ def gathers(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def transfer_gathers(store_backed, monkeypatch):
+    """The rows of every gather from the store-backed server's transfer
+    array while the test runs, in order."""
+    seen = []
+    transfer = store_backed.transfer_tensor
+
+    class Counted:
+        def __getitem__(self, rows):
+            seen.append(np.asarray(rows).size)
+            return transfer[rows]
+
+    monkeypatch.setattr(store_backed, "_transfer", Counted())
+    return seen
+
+
 class TestOneGatherPerTable:
-    """Entity, relation, transfer — in that order, one ``read_rows``
-    each.  The transfer gather holds a matrix per pair below
-    ``GROUPS_AT`` pairs and a matrix per distinct key relation from it."""
+    """One ``read_rows`` per block, on the entity table: the relation
+    and transfer tables were read at open.  The transfer gather holds a
+    matrix per pair below ``GROUPS_AT`` pairs and a matrix per distinct
+    key relation from it."""
 
     @pytest.mark.parametrize(
         "ids",
         [[7], [1, 3, 5, 7], [9, 9, 9], list(ITEMS), (ITEMS * 15)[:256]],
     )
-    def test_a_block_reads_each_table_once(self, store_backed, selector, gathers, ids):
+    def test_a_block_reads_each_table_once(
+        self, store_backed, selector, gathers, transfer_gathers, ids
+    ):
         pairs = len(ids) * K
         transfer_rows = pairs
         if pairs >= GROUPS_AT:
@@ -268,12 +294,103 @@ class TestOneGatherPerTable:
             store_backed.serve_condensed_batch,
         ):
             gathers.clear()
+            transfer_gathers.clear()
             call(ids)
-            assert gathers == [
-                ("entity_table", len(ids)),
-                ("relation_table", pairs),
-                ("transfer", transfer_rows),
-            ]
+            assert gathers == [("entity_table", len(ids))]
+            assert transfer_gathers == [transfer_rows]
         gathers.clear()
+        transfer_gathers.clear()
         store_backed.serve(ids[0])
-        assert gathers == [("entity_table", 1), ("relation_table", K), ("transfer", K)]
+        assert gathers == [("entity_table", 1)]
+        assert transfer_gathers == [K]
+
+
+class TestOnlyTheEntityTableIsPaged:
+    """``from_store`` holds ``relation_table`` and ``transfer`` as
+    read-only arrays; a table with a damaged page stays behind its view
+    and refuses what a server holding three views refuses."""
+
+    def test_a_clean_store_holds_read_only_arrays(self, store_backed, resident):
+        assert isinstance(store_backed.entity_table, StoreTable)
+        for held, own in (
+            (store_backed.relation_table, resident.relation_table),
+            (store_backed.transfer_tensor, resident.transfer_tensor),
+        ):
+            assert type(held) is np.ndarray
+            assert not held.flags.writeable
+            assert same_bytes(held, own)
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+
+    @pytest.mark.parametrize(
+        "table, offset",
+        [
+            # Two 48-byte relation rows to a 96-byte page: page 1 of shard 0.
+            ("relation_table", 96 + 5),
+            # One 288-byte matrix to a page: page 1 of shard 0.
+            ("transfer", 288 + 5),
+        ],
+    )
+    def test_a_damaged_table_stays_a_view(self, resident, tmp_path, table, offset):
+        directory = tmp_path / "store"
+        resident.save_store(directory, num_shards=2, page_bytes=96).close()
+        path = directory / shard_filename(table, 0)
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x04
+        path.write_bytes(bytes(blob))
+
+        server = PKGMServer.from_store(directory, cache_pages=1)
+        # Every table paged: the damage is found at serve time.
+        store = EmbeddingStore.open(directory, cache_pages=1)
+        views = _StoreBackedServer(
+            *(
+                StoreTable(store, name)
+                for name in ("entity_table", "relation_table", "transfer")
+            ),
+            KeyRelationTable(
+                store.read_table("item_ids"), store.read_table("key_relations")
+            ),
+            store=store,
+            unreadable_items=0,
+        )
+        try:
+            # Found at open, not at the first serve that touches it.
+            assert server.store.quarantined_pages() == [(table, 0, 1)]
+            assert server.unreadable_items == 0
+            held = {
+                "relation_table": server.relation_table,
+                "transfer": server.transfer_tensor,
+            }
+            assert isinstance(held[table], StoreTable)
+            (clean,) = (array for name, array in held.items() if name != table)
+            assert type(clean) is np.ndarray
+
+            def outcome(call, *args):
+                try:
+                    return np.asarray(call(*args)).tobytes()
+                except QuarantinedRowError as error:
+                    return (error.table, error.row, error.shard, error.page)
+
+            served = [
+                outcome(lambda item: srv.serve(item).sequence(), item)
+                for srv in (server, views)
+                for item in ITEMS
+            ]
+            assert served[: len(ITEMS)] == served[len(ITEMS) :]
+            scored = [
+                outcome(srv.relation_existence_scores, [item], [relation])
+                for srv in (server, views)
+                for item in ITEMS
+                for relation in range(RELATIONS)
+            ]
+            half = len(scored) // 2
+            assert scored[:half] == scored[half:]
+            refused = [answer for answer in scored[:half] if isinstance(answer, tuple)]
+            assert 0 < len(refused) < half
+            assert {answer[0] for answer in refused} == {table}
+            assert outcome(server.serve_sequence_batch, ITEMS) == outcome(
+                views.serve_sequence_batch, ITEMS
+            )
+        finally:
+            server.store.close()
+            store.close()

@@ -31,6 +31,7 @@ from .test_service_block import (  # the fixtures are used by name
     selector,
     server,
     store_backed,
+    transfer_gathers,
 )
 
 #: Always gathered, whatever it is cut from.
@@ -130,18 +131,15 @@ class TestEachStrategyIsTheOthersOracle:
 
     @pytest.mark.parametrize("size", SIZES)
     def test_the_pair_count_alone_picks_the_strategy(
-        self, store_backed, gathers, size
+        self, store_backed, gathers, transfer_gathers, size
     ):
         rng = np.random.default_rng(size)
         heads = rng.integers(0, ENTITIES, size)
         relations = rng.integers(0, RELATIONS, size)
         store_backed.relation_service(heads, relations)
         matrices = size if size < GROUPS_AT else len(np.unique(relations))
-        assert gathers == [
-            ("entity_table", size),
-            ("transfer", matrices),
-            ("relation_table", size),
-        ]
+        assert gathers == [("entity_table", size)]
+        assert transfer_gathers == [matrices]
 
 
 class TestBatchCompositionNeverChangesAnItemsBytes:
@@ -177,10 +175,10 @@ class TestBatchCompositionNeverChangesAnItemsBytes:
 
 
 def test_the_page_cache_sees_the_traffic_it_saw(tmp_path):
-    """The tables of a call are touched in the order they were, so an LRU
-    faults, reads and evicts what it did before blocks were grouped:
-    30 seeded 64-item calls at ``bulk_store``'s shape through 64 pages.
-    Only the hits fall — 49,967 when a transfer row was read per pair."""
+    """Exact page traffic of 30 seeded 64-item calls at ``bulk_store``'s
+    shape through 64 pages, the cold open included.  The relation and
+    transfer tables are walked once at open, so every later fault is an
+    entity page."""
     catalog = generate_catalog(
         CatalogConfig(num_categories=24, products_per_category=200, seed=2021)
     )
@@ -213,8 +211,8 @@ def test_the_page_cache_sees_the_traffic_it_saw(tmp_path):
     finally:
         server.store.close()
     assert counted == {
-        "page_faults": 2685,
-        "bytes_read": 12_704_656,
-        "page_evictions": 2621,
-        "page_hits": 37_507,
+        "page_faults": 2063,
+        "bytes_read": 8_480_912,
+        "page_evictions": 1999,
+        "page_hits": 23_743,
     }

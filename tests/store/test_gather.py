@@ -791,8 +791,14 @@ class TestColdOpen:
         monkeypatch.setattr(EmbeddingStore, "read_row", refuse)
         server = PKGMServer.from_store(directory)
         try:
-            # One page walk per selector table, not one gather per page.
-            assert calls == {"item_ids": 1, "key_relations": 1}
+            # One page walk per table held resident, not one gather per
+            # page: the selector tables, the relation table and transfer.
+            assert calls == {
+                "item_ids": 1,
+                "key_relations": 1,
+                "relation_table": 1,
+                "transfer": 1,
+            }
         finally:
             server.store.close()
 

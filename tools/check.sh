@@ -77,6 +77,31 @@ byte_gate search_flat "" python -m repro.cli index search --preset smoke --kind 
 echo "index snapshots and search results are byte-identical across reruns"
 
 echo
+echo "== served bytes, path to path (tools/served_bytes.py) =="
+# Every call kind answered from the store — through a 64-page cache and
+# through a one-page cache that evicts on every page — must hash to the
+# resident server's digest for that kind.  Paths are compared with each
+# other, not with frozen digests, so a change to what is served (a new
+# kernel, a narrower dtype) still has to agree across paths.
+# served_paths_agree <seed>
+served_paths_agree() {
+    python tools/served_bytes.py --seed "$1" --calls 4 > "$OBS_TMP/served$1.txt" || return
+    awk '$NF ~ /^[0-9a-f]+$/ && length($NF) == 64 {
+            kind = $0
+            sub(/^[^ ]+ +/, "", kind)
+            sub(/ +[0-9a-f]+$/, "", kind)
+            if ($1 == "resident") { want[kind] = $NF; kinds++; next }
+            checked++
+            if (want[kind] != $NF) { print "seed '"$1"': " $1 " " kind " differs from resident"; bad++ }
+        }
+        END { exit (bad || kinds == 0 || checked != 2 * kinds) }' "$OBS_TMP/served$1.txt"
+}
+for seed in 0 13; do
+    served_paths_agree "$seed"
+done
+echo "store and one-page-store answers are the resident bytes at seeds 0 and 13"
+
+echo
 echo "== storage chaos (repro store, byte-diffed recovery) =="
 # Seeded torn-write + bit-flip + torn-manifest drill over a small
 # store: the run must end RECOVERED (manifest refused then restored,

@@ -6,11 +6,15 @@ d = 32) with untrained tables drawn from ``--seed``, then answers
 ``--calls`` rotations of ``serve_sequence_batch`` / ``serve_condensed_batch``
 / ``relation_existence_scores`` at B in {1, 8, 64, 256}, plus ``serve``,
 ``serve_batch``, ``nearest_tails`` and ``nearest_tails_batch`` (B in
-{2, 8, 64} x k in {1, 10, 50}), from the resident server and from
-``PKGMServer.from_store(cache_pages=64)``; then the store's page faults,
-hits, bytes read, evictions and quarantined reads after all of them.
-To compare with another commit, point ``PYTHONPATH`` at that checkout's
-``src``: equal lines = same bytes and same store counters.
+{2, 8, 64} x k in {1, 10, 50}), from three paths: the resident server,
+``PKGMServer.from_store(cache_pages=64)`` (``store``) and the same store
+opened with ``cache_pages=1`` (``store1``), which evicts on every page;
+then the ``store`` path's page faults, hits, bytes read, evictions and
+quarantined reads after all of them.
+Every path must print the resident digest of each call kind
+(``tools/check.sh`` fails otherwise).  To compare with another commit,
+point ``PYTHONPATH`` at that checkout's ``src``: equal lines = same bytes
+and same store counters.
 
 Usage:  PYTHONPATH=src python tools/served_bytes.py --seed 0 --calls 4
 """
@@ -111,8 +115,13 @@ def main(argv=None) -> int:
         directory = Path(scratch) / "store"
         resident.save_store(directory, num_shards=4, page_bytes=4096).close()
         stored = PKGMServer.from_store(directory, cache_pages=64)
+        one_page = PKGMServer.from_store(directory, cache_pages=1)
         try:
-            for path, server in (("resident", resident), ("store", stored)):
+            for path, server in (
+                ("resident", resident),
+                ("store", stored),
+                ("store1", one_page),
+            ):
                 for kind, digest in digests(server, args.seed, args.calls).items():
                     print(f"{path:8s} {kind:16s} {digest}")
             for name in COUNTERS:
@@ -120,6 +129,7 @@ def main(argv=None) -> int:
                 print(f"{'store':8s} {name:24s} {value}")
         finally:
             stored.store.close()
+            one_page.store.close()
     return 0
 
 
