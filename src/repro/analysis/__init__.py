@@ -1,8 +1,6 @@
 """Embedding-space diagnostics for pre-trained PKGM models."""
 
 from .embeddings import (
-    PurityReport,
-    SiblingReport,
     embedding_norm_summary,
     item_embedding_matrix,
     knn_category_purity,
@@ -10,8 +8,6 @@ from .embeddings import (
 )
 
 __all__ = [
-    "PurityReport",
-    "SiblingReport",
     "embedding_norm_summary",
     "item_embedding_matrix",
     "knn_category_purity",

@@ -7,19 +7,13 @@ protocol — used to validate the KGE substrate and to ablate PKGM's
 triple-scorer choice.
 """
 
-from .conve import ConvE, conv2d_3x3, pad2d
-from .hyperbolic import MuRP, artanh, expmap0, logmap0, mobius_add, poincare_distance, project_to_ball
-from .link_prediction import (
-    ANNLinkPredictionResult,
-    LinkPredictionResult,
-    evaluate_link_prediction,
-    evaluate_link_prediction_ann,
-)
+from .conve import ConvE
+from .hyperbolic import MuRP
+from .link_prediction import evaluate_link_prediction, evaluate_link_prediction_ann
 from .scorers import (
     SCORERS,
     ComplEx,
     DistMult,
-    KGEModel,
     RESCAL,
     TranSparse,
     TransD,
@@ -36,14 +30,11 @@ SCORERS["conve"] = ConvE
 SCORERS["murp"] = MuRP
 
 __all__ = [
-    "ANNLinkPredictionResult",
     "ComplEx",
     "ConvE",
     "DistMult",
-    "KGEModel",
     "KGETrainer",
     "KGETrainerConfig",
-    "LinkPredictionResult",
     "MuRP",
     "RESCAL",
     "SCORERS",
@@ -54,13 +45,5 @@ __all__ = [
     "TransR",
     "evaluate_link_prediction",
     "evaluate_link_prediction_ann",
-    "conv2d_3x3",
     "make_scorer",
-    "pad2d",
-    "artanh",
-    "expmap0",
-    "logmap0",
-    "mobius_add",
-    "poincare_distance",
-    "project_to_ball",
 ]

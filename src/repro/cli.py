@@ -346,14 +346,7 @@ def _index_params(args: argparse.Namespace, seed: int) -> dict:
     """Constructor kwargs for the requested index kind."""
     if args.kind == "flat":
         return {"block_size": args.block_size}
-    params = {
-        "nlist": args.nlist,
-        "nprobe": args.nprobe,
-        "seed": seed,
-    }
-    if args.kind == "ivfpq":
-        params.update(m=args.m, ksub=args.ksub)
-    return params
+    return {"nlist": args.nlist, "nprobe": args.nprobe, "seed": seed}
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -418,31 +411,27 @@ def cmd_index(args: argparse.Namespace) -> int:
             "bytes/vector"
         )
         print(f"flat | 1.000 | {flat_dc} | 1.0x | {flat.bytes_per_vector:.0f}")
-        for kind in ("ivf", "ivfpq"):
-            index = server.build_tail_index(
-                kind=kind,
-                metric=args.metric,
-                **_index_params(
-                    argparse.Namespace(**{**vars(args), "kind": kind}),
-                    config.seed,
-                ),
+        index = server.build_tail_index(
+            kind="ivf",
+            metric=args.metric,
+            nlist=args.nlist,
+            nprobe=args.nprobe,
+            seed=config.seed,
+        )
+        _, ann_ids = server.nearest_tails_batch(heads, relations, k=args.k)
+        dc = index.metrics.counter("index.search.distance_computations").value
+        recall = float(
+            np.mean(
+                [
+                    len(set(exact_ids[r]) & set(ann_ids[r])) / args.k
+                    for r in range(len(heads))
+                ]
             )
-            _, ann_ids = server.nearest_tails_batch(heads, relations, k=args.k)
-            dc = index.metrics.counter(
-                "index.search.distance_computations"
-            ).value
-            recall = float(
-                np.mean(
-                    [
-                        len(set(exact_ids[r]) & set(ann_ids[r])) / args.k
-                        for r in range(len(heads))
-                    ]
-                )
-            )
-            print(
-                f"{kind} | {recall:.3f} | {dc} | {flat_dc / dc:.1f}x | "
-                f"{index.bytes_per_vector:.0f}"
-            )
+        )
+        print(
+            f"ivf | {recall:.3f} | {dc} | {flat_dc / dc:.1f}x | "
+            f"{index.bytes_per_vector:.0f}"
+        )
         return 0
 
     raise ValueError(f"unknown index subcommand {args.index_command!r}")
@@ -1060,15 +1049,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def index_common(p: argparse.ArgumentParser) -> None:
         common(p)
-        p.add_argument(
-            "--kind", choices=("flat", "ivf", "ivfpq"), default="ivf"
-        )
+        p.add_argument("--kind", choices=("flat", "ivf"), default="ivf")
         p.add_argument("--metric", choices=("l1", "l2"), default="l1")
         p.add_argument("--block-size", type=int, default=1024)
         p.add_argument("--nlist", type=int, default=16)
         p.add_argument("--nprobe", type=int, default=4)
-        p.add_argument("--m", type=int, default=8)
-        p.add_argument("--ksub", type=int, default=16)
         p.add_argument("-k", type=int, default=10, help="neighbors per query")
         p.add_argument(
             "--queries", type=int, default=8, help="number of item queries"

@@ -320,7 +320,7 @@ class PKGMServer:
         under.  ``entity_ids`` restricts the retrieval corpus (e.g. to
         :meth:`known_items` for item-to-item queries); the default
         indexes every entity.  Extra ``params`` (``nlist``, ``nprobe``,
-        ``m``, ``ksub``, ``seed``, …) pass through to the index
+        ``seed``, ``block_size``) pass through to the index
         constructor.  Returns the index, which :meth:`nearest_tails`
         uses until a new one is built.
         """

@@ -12,27 +12,15 @@ from .alignment import (
     RankingCase,
     build_alignment_dataset,
 )
-from .catalog import (
-    Catalog,
-    CatalogConfig,
-    ItemRecord,
-    ProductRecord,
-    generate_catalog,
-)
+from .catalog import Catalog, CatalogConfig, generate_catalog
 from .classification import (
     ClassificationDataset,
     ClassificationExample,
     build_classification_dataset,
 )
-from .interactions import (
-    Interaction,
-    InteractionConfig,
-    InteractionDataset,
-    generate_interactions,
-)
+from .interactions import InteractionConfig, InteractionDataset, generate_interactions
 from .schema import (
     AttributeSpec,
-    CategorySpec,
     build_default_schema,
     make_brand_pool,
     make_series_pool,
@@ -45,15 +33,11 @@ __all__ = [
     "AttributeSpec",
     "Catalog",
     "CatalogConfig",
-    "CategorySpec",
     "ClassificationDataset",
     "ClassificationExample",
-    "Interaction",
     "InteractionConfig",
     "InteractionDataset",
-    "ItemRecord",
     "MARKETING_WORDS",
-    "ProductRecord",
     "RankingCase",
     "TitleConfig",
     "TitleGenerator",

@@ -9,7 +9,6 @@ standard :class:`repro.core.PKGM`.
 from .parameter_server import (
     DistributedConfig,
     DistributedPKGMTrainer,
-    GradientPacket,
     ParameterServer,
     PKGMWorker,
 )
@@ -17,7 +16,6 @@ from .parameter_server import (
 __all__ = [
     "DistributedConfig",
     "DistributedPKGMTrainer",
-    "GradientPacket",
     "PKGMWorker",
     "ParameterServer",
 ]

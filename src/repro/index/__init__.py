@@ -1,7 +1,7 @@
-"""repro.index — deterministic vector retrieval (Flat / IVF / IVF-PQ).
+"""repro.index — deterministic vector retrieval (Flat / IVF).
 
 The retrieval layer that turns PKGM's inferred tail embeddings
-(``S_T = h + r``) back into entities.  Three index kinds share one
+(``S_T = h + r``) back into entities.  Two index kinds share one
 determinism contract — every distance's terms added in one fixed order
 whatever the memory layout (stated in :mod:`repro.index.flat`),
 ``(distance, id)`` tie-breaking, seeded k-means — so that the same seed
@@ -11,26 +11,21 @@ search results:
 * :class:`FlatIndex` — exact scan of a coordinate-major table in
   column blocks, memory bounded whatever its size; the recall oracle.
 * :class:`IVFFlatIndex` — inverted-file cells, exact in-cell distances.
-* :class:`IVFPQIndex` — inverted-file cells over product-quantized
-  codes with asymmetric distance tables; ~10x smaller per vector.
 
-:func:`save_index` / :func:`load_index` persist any of them as a
+:func:`save_index` / :func:`load_index` persist either as a
 checksummed :mod:`repro.store` directory.
 """
 
 from .flat import FlatIndex, batch_top_k, pairwise_distances, top_k
 from .ivf import IVFFlatIndex
 from .kmeans import kmeans
-from .pq import IVFPQIndex, ProductQuantizer
 from .snapshot import INDEX_KINDS, IndexSnapshotError, load_index, save_index
 
 __all__ = [
     "FlatIndex",
     "IVFFlatIndex",
-    "IVFPQIndex",
     "INDEX_KINDS",
     "IndexSnapshotError",
-    "ProductQuantizer",
     "batch_top_k",
     "kmeans",
     "load_index",

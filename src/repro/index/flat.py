@@ -75,7 +75,7 @@ def pairwise_distances(
     """Exact (Q, B) distance matrix under ``metric``.
 
     One formula per metric, used by every index in the package, so Flat
-    / IVF / IVF-PQ rankings are comparable bit-for-bit.  Both metrics
+    and IVF rankings are comparable bit-for-bit.  Both metrics
     reduce the broadcast difference over the coordinate axis only —
     never over the base or the query axis — so each (query, vector)
     distance is a fixed-length reduction whose result cannot depend on
@@ -202,7 +202,7 @@ class FlatIndex:
     column block at a time, and merges a per-query running top-k once
     per ``_MERGE_ELEMENTS`` distances — ``block_size`` is the fewest
     rows a merge takes, not a scan width.  Being exact, this index
-    doubles as the recall oracle for IVF / IVF-PQ.
+    doubles as the recall oracle for IVF.
     """
 
     kind = "flat"

@@ -1,8 +1,7 @@
 """Seeded Lloyd's k-means with deterministic init and tie-breaking.
 
-The coarse quantizer behind IVF and the per-subspace codebooks behind
-PQ both reduce to k-means, and both inherit this module's determinism
-guarantees:
+The coarse quantizer behind IVF is k-means, and it inherits this
+module's determinism guarantees:
 
 * **init** — centroids start from ``k`` distinct rows drawn by an
   explicit ``np.random.default_rng(seed)`` permutation; no wall clock,
@@ -20,7 +19,7 @@ guarantees:
   rounds.
 
 Two calls with identical inputs therefore return bit-identical
-centroids, which is what makes IVF / IVF-PQ snapshots byte-identical
+centroids, which is what makes IVF snapshots byte-identical
 across same-seed builds.
 """
 

@@ -29,13 +29,11 @@ from ..store import (
 )
 from .flat import FlatIndex
 from .ivf import IVFFlatIndex
-from .pq import IVFPQIndex
 
 #: Index classes by their ``kind`` tag, for load-time dispatch.
 INDEX_KINDS = {
     FlatIndex.kind: FlatIndex,
     IVFFlatIndex.kind: IVFFlatIndex,
-    IVFPQIndex.kind: IVFPQIndex,
 }
 
 

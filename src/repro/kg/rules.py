@@ -166,10 +166,6 @@ class RuleCompleter:
         """Relations this rule set can predict, ascending."""
         return sorted(self._by_head_relation)
 
-    def rules_for_head(self, relation: int) -> List[Rule]:
-        """Rules concluding about ``relation``, best first (copy)."""
-        return list(self._by_head_relation.get(relation, ()))
-
     def prune(self, valid_relations: Iterable[int]) -> "RuleCompleter":
         """A new completer without rules touching retired relations.
 

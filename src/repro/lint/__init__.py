@@ -12,49 +12,14 @@ extend it by subclassing :class:`~repro.lint.registry.Rule` and
 decorating with :func:`~repro.lint.registry.register`.
 """
 
-from .baseline import Baseline
-from .engine import Linter, LintResult, ModuleContext, discover_files
-from .program import (
-    AnalysisCache,
-    ProgramAnalyzer,
-    ProgramIndex,
-    ProgramPass,
-    ProgramStats,
-    create_passes,
-    get_pass_class,
-    pass_names,
-    register_pass,
-)
-from .registry import Rule, create_rules, get_rule_class, register, rule_names
-from .reporters import JSONReporter, Reporter, TextReporter, get_reporter
+from .engine import Linter, LintResult
 from .suppress import Suppressions
 from .violations import Severity, Violation
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
-    "JSONReporter",
     "LintResult",
     "Linter",
-    "ModuleContext",
-    "ProgramAnalyzer",
-    "ProgramIndex",
-    "ProgramPass",
-    "ProgramStats",
-    "Reporter",
-    "Rule",
     "Severity",
     "Suppressions",
-    "TextReporter",
     "Violation",
-    "create_passes",
-    "create_rules",
-    "discover_files",
-    "get_pass_class",
-    "get_reporter",
-    "get_rule_class",
-    "pass_names",
-    "register",
-    "register_pass",
-    "rule_names",
 ]

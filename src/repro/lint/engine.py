@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .registry import Rule, create_rules
 from .suppress import Suppressions
@@ -140,10 +140,6 @@ class Linter:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def lint_paths(self, paths: Iterable[str]) -> LintResult:
-        """Lint files/directories; returns the aggregated result."""
-        return self.lint_files(discover_files([Path(p) for p in paths]))
-
     def lint_files(self, files: Sequence[Path]) -> LintResult:
         """Lint an explicit file list (already discovered/filtered)."""
         result = LintResult()

@@ -13,29 +13,17 @@ re-parse only changed files while producing byte-identical reports.
 Run it as ``repro lint --program <paths>``.
 """
 
-from .cache import AnalysisCache
-from .engine import ProgramAnalyzer, ProgramStats
+from .engine import ProgramAnalyzer
 from .index import ProgramIndex
-from .passes import (
-    ProgramPass,
-    create_passes,
-    get_pass_class,
-    pass_names,
-    register_pass,
-)
-from .summary import ModuleSummary, module_name_for, summarize_source
+from .passes import create_passes, get_pass_class, pass_names
+from .summary import module_name_for, summarize_source
 
 __all__ = [
-    "AnalysisCache",
-    "ModuleSummary",
     "ProgramAnalyzer",
     "ProgramIndex",
-    "ProgramPass",
-    "ProgramStats",
     "create_passes",
     "get_pass_class",
     "module_name_for",
     "pass_names",
-    "register_pass",
     "summarize_source",
 ]

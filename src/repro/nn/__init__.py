@@ -7,34 +7,19 @@ and the optimizers the paper uses.
 
 from . import functional, init, sanitizer
 from .attention import MultiHeadAttention
-from .gradcheck import check_gradients, numeric_gradient
-from .layers import (
-    MLP,
-    Dropout,
-    Embedding,
-    GELU,
-    LayerNorm,
-    Linear,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
+from .gradcheck import check_gradients
+from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Sequential
 from .module import Module, Parameter
-from .optim import SGD, Adam, AdamW, Optimizer, WarmupLinearSchedule
+from .optim import SGD, Adam, AdamW, WarmupLinearSchedule
 from .sanitizer import NumericGuardError
 from .tensor import (
     Tensor,
     concat,
-    ensure_tensor,
     get_op_hook,
-    is_grad_enabled,
     no_grad,
-    ones,
     set_op_hook,
     stack,
     where,
-    zeros,
 )
 from .transformer import TransformerConfig, TransformerEncoder, TransformerEncoderLayer
 
@@ -43,20 +28,15 @@ __all__ = [
     "AdamW",
     "Dropout",
     "Embedding",
-    "GELU",
     "LayerNorm",
     "Linear",
     "MLP",
     "Module",
     "MultiHeadAttention",
     "NumericGuardError",
-    "Optimizer",
     "Parameter",
-    "ReLU",
     "SGD",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
     "Tensor",
     "TransformerConfig",
     "TransformerEncoder",
@@ -64,17 +44,12 @@ __all__ = [
     "WarmupLinearSchedule",
     "check_gradients",
     "concat",
-    "ensure_tensor",
     "functional",
     "get_op_hook",
     "init",
-    "is_grad_enabled",
     "no_grad",
-    "numeric_gradient",
-    "ones",
     "sanitizer",
     "set_op_hook",
     "stack",
     "where",
-    "zeros",
 ]

@@ -47,11 +47,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        """Explicitly register a parameter (used for dynamic names)."""
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def add_module(self, name: str, module: "Module") -> None:
         """Explicitly register a child module (used for dynamic names)."""
         self._modules[name] = module

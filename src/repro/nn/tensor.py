@@ -79,11 +79,6 @@ class no_grad:
         return wrapper
 
 
-def is_grad_enabled() -> bool:
-    """Whether ops currently record the autograd graph."""
-    return _GRAD_ENABLED
-
-
 def _as_array(value: ArrayLike, dtype=np.float64) -> np.ndarray:
     """Coerce ``value`` to a numpy array of the requested dtype."""
     if isinstance(value, np.ndarray):

@@ -28,16 +28,9 @@ back.  ``metrics`` is imported first because :mod:`repro.core.cache`
 reaches for it during partial initialization.
 """
 
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter_view,
-)
-from .trace import Span, SpanStore, Tracer
-from .profile import PhaseTotals, Profiler, profile_report
+from .metrics import MetricsRegistry, counter_view
+from .trace import SpanStore, Tracer
+from .profile import Profiler, profile_report
 from .export import (
     run_metrics_workload,
     run_pool_workload,
@@ -47,14 +40,8 @@ from .export import (
 )
 
 __all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "PhaseTotals",
     "Profiler",
-    "Span",
     "SpanStore",
     "Tracer",
     "counter_view",

@@ -67,10 +67,6 @@ class Span:
             return 0.0
         return self.end - self.start
 
-    def set_attribute(self, key: str, value: object) -> None:
-        """Attach a key/value attribute to the span."""
-        self.attributes[key] = value
-
     def add_event(self, name: str, at: Optional[float] = None) -> None:
         """Record a point-in-time event inside the span.
 

@@ -206,9 +206,6 @@ class ResilientPKGMServer(BatchOverServe):
     def num_relations(self) -> int:
         return self._cached.num_relations
 
-    def cache_stats(self):
-        return self._cached.stats()
-
     def retry_stats(self):
         return self._retrier.stats
 

@@ -5,28 +5,19 @@
 * :mod:`repro.tasks.recommendation` — NCF recommendation (Table VIII).
 """
 
-from .alignment import AlignmentResult, ProductAlignmentTask
-from .attribute_prediction import AttributePredictionResult, AttributePredictionTask
-from .classification import ClassificationResult, ItemClassificationTask
+from .alignment import ProductAlignmentTask
+from .attribute_prediction import AttributePredictionTask
+from .classification import ItemClassificationTask
 from .common import FineTuneConfig, minibatches
-from .recommendation import (
-    NCF,
-    NCFConfig,
-    RecommendationResult,
-    RecommendationTask,
-)
+from .recommendation import NCF, NCFConfig, RecommendationTask
 
 __all__ = [
-    "AlignmentResult",
-    "AttributePredictionResult",
     "AttributePredictionTask",
-    "ClassificationResult",
     "FineTuneConfig",
     "ItemClassificationTask",
     "NCF",
     "NCFConfig",
     "ProductAlignmentTask",
-    "RecommendationResult",
     "RecommendationTask",
     "minibatches",
 ]

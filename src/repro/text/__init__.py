@@ -16,26 +16,20 @@ from .integration import (
     validate_variant,
     vectors_per_item,
 )
-from .mlm import MLMConfig, MLMHead, MLMTrainer, mask_tokens
+from .mlm import MLMConfig, MLMTrainer, mask_tokens
 from .pair_pretrain import PairPretrainConfig, PairPretrainer
-from .tokenizer import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, UNK, WordTokenizer
+from .tokenizer import SPECIAL_TOKENS, WordTokenizer
 
 __all__ = [
-    "CLS",
-    "MASK",
     "MLMConfig",
-    "MLMHead",
     "MLMTrainer",
     "MiniBert",
     "MiniBertConfig",
-    "PAD",
     "PairClassifier",
     "PairPretrainConfig",
     "PairPretrainer",
-    "SEP",
     "SPECIAL_TOKENS",
     "TextClassifier",
-    "UNK",
     "VARIANTS",
     "WordTokenizer",
     "mask_tokens",

@@ -208,10 +208,13 @@ class TestANNEvaluation:
     def test_non_transe_rejected(self, transe):
         from repro.baselines import evaluate_link_prediction_ann
 
-        _, test = transe
+        model, test = transe
         oracle = OracleModel([], num_entities=120)
         with pytest.raises(TypeError, match="TransE"):
             evaluate_link_prediction_ann(oracle, test, k=5)
+        # "ivfpq" names the deleted IVF-PQ index.
+        with pytest.raises(ValueError, match=r"\['flat', 'ivf'\]"):
+            evaluate_link_prediction_ann(model, test, k=5, index_kind="ivfpq")
 
     def test_max_queries_subsamples(self, transe):
         from repro.baselines import evaluate_link_prediction_ann

@@ -70,8 +70,10 @@ class TestNearestTails:
         small_server._tail_index = None
 
     def test_unknown_kind_rejected(self, small_server):
-        with pytest.raises(ValueError, match="kind"):
-            small_server.build_tail_index(kind="hnsw")
+        # "ivfpq" names the deleted IVF-PQ index.
+        for kind in ("hnsw", "ivfpq"):
+            with pytest.raises(ValueError, match=r"\['flat', 'ivf'\]"):
+                small_server.build_tail_index(kind=kind)
 
 
 class TestExistenceScores:

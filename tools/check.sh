@@ -161,7 +161,7 @@ echo "scenario workload transcript is byte-identical across reruns"
 echo
 echo "== pickle seam (no allow_pickle=True under src/) =="
 # Every array file is loaded pickle-free; the full lint rule waits for
-# ROADMAP [6](c), when serving/protocol.py stops importing pickle.
+# ROADMAP [17], when serving/protocol.py stops importing pickle.
 if grep -rn --include='*.py' 'allow_pickle=True' src/; then
     echo "allow_pickle=True is banned under src/" >&2
     exit 1
@@ -171,9 +171,8 @@ echo
 echo "== repro.lint (per-file + whole-program) =="
 # One pass over every Python tree: per-file rules plus the
 # whole-program passes (import/call graphs, determinism taint,
-# concurrency safety, contract checks).  Known unused-export debt is
-# tolerated through the committed baseline and ratchets down as it is
-# paid off; anything new fails the gate.
+# concurrency safety, contract checks).  The committed baseline is
+# empty and stays the ratchet: anything new fails the gate.
 LINT_FLAGS=()
 if [ "${REPRO_CHECK_STRICT:-0}" = "1" ]; then
     LINT_FLAGS+=(--strict)
