@@ -220,8 +220,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     plan = FaultPlan(
         seed=args.fault_seed,
         push_drop_prob=args.push_drop,
-        push_duplicate_prob=args.push_duplicate,
-        pull_delay_prob=args.pull_delay,
         rpc_error_prob=args.rpc_error,
         crashes=crashes,
     )
@@ -443,7 +441,7 @@ def _store_dir_summary(store) -> None:
         spec = store.spec(name)
         print(
             f"  {name}: shape {spec.shape} {spec.dtype} | "
-            f"{spec.nbytes} bytes | {spec.num_shards} shards ({spec.layout}) | "
+            f"{spec.nbytes} bytes | {spec.num_shards} shards (contiguous) | "
             f"{spec.rows_per_page} rows/page"
         )
 
@@ -991,8 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--shards", type=int, default=4)
     chaos.add_argument("--workers", type=int, default=8)
     chaos.add_argument("--push-drop", type=float, default=0.1)
-    chaos.add_argument("--push-duplicate", type=float, default=0.0)
-    chaos.add_argument("--pull-delay", type=float, default=0.0)
     chaos.add_argument("--rpc-error", type=float, default=0.02)
     chaos.add_argument("--crash-epoch", type=int, default=None)
     chaos.add_argument("--crash-batch", type=int, default=0)

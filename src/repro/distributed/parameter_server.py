@@ -206,79 +206,6 @@ class ParameterServer:
         self._v[name][:] = state["v"]
         self._step[name][:] = state["step"]
 
-    # ------------------------------------------------------------------
-    # Out-of-core persistence: shard state as an embedding store
-    # ------------------------------------------------------------------
-    def save_to_store(self, directory, *, page_bytes: Optional[int] = None,
-                      registry=None):
-        """Persist every table (values + Adam moments) as a
-        :class:`repro.store.EmbeddingStore`.
-
-        Uses the ``strided`` layout with this server's shard count, so
-        store shard ``s`` holds exactly the rows ``shard_of`` assigns to
-        PS shard ``s`` — each shard file is one PS shard's state, and a
-        damaged shard quarantines only that shard's rows.  Returns the
-        built (open) store.
-        """
-        # Imported lazily: repro.store pulls in repro.reliability, which
-        # this training-side module otherwise never needs.
-        from ..store import DEFAULT_PAGE_BYTES, EmbeddingStore
-
-        arrays: Dict[str, np.ndarray] = {}
-        for name in sorted(self._tables):
-            arrays[f"{name}.table"] = self._tables[name]
-            arrays[f"{name}.m"] = self._m[name]
-            arrays[f"{name}.v"] = self._v[name]
-            arrays[f"{name}.step"] = self._step[name]
-        return EmbeddingStore.build(
-            directory,
-            arrays,
-            num_shards=self.num_shards,
-            layout="strided",
-            page_bytes=DEFAULT_PAGE_BYTES if page_bytes is None else page_bytes,
-            metadata={
-                "kind": "parameter-server",
-                "num_shards": self.num_shards,
-                "tables": sorted(self._tables),
-            },
-            registry=registry,
-        )
-
-    def restore_from_store(self, directory, *, cache_pages: int = 64,
-                           registry=None) -> None:
-        """Restore every registered table from :meth:`save_to_store`.
-
-        Tables must already be registered (shapes come from
-        registration, values from the store); missing store tables raise
-        ``KeyError``, geometry mismatches ``ValueError`` — the
-        :meth:`load_state` contract.  Reads stream through the store's
-        page cache, so restoring stays within the cache budget.
-        """
-        from ..store import EmbeddingStore, StoreSchemaError
-
-        store = EmbeddingStore.open(
-            directory, cache_pages=cache_pages, registry=registry
-        )
-        try:
-            if store.metadata.get("kind") != "parameter-server":
-                raise KeyError(
-                    f"store metadata kind {store.metadata.get('kind')!r} "
-                    f"is not 'parameter-server'"
-                )
-            for name in sorted(self._tables):
-                state = {}
-                for part in ("table", "m", "v", "step"):
-                    try:
-                        state[part] = store.read_table(f"{name}.{part}")
-                    except StoreSchemaError as error:
-                        raise KeyError(
-                            f"store has no state for parameter {name!r} "
-                            f"({error})"
-                        ) from error
-                self.load_state(name, state)
-        finally:
-            store.close()
-
     def renormalize_rows(self, name: str, max_norm: float = 1.0) -> None:
         """Project rows onto the L2 ball (TransE's entity constraint)."""
         table = self._tables[name]
@@ -311,33 +238,19 @@ class PKGMWorker:
         server: ParameterServer,
         margin: float,
         retrier=None,
-        pull_budget: Optional[float] = None,
     ) -> None:
         if margin <= 0:
             raise ValueError("margin must be positive")
-        if pull_budget is not None and pull_budget <= 0:
-            raise ValueError("pull_budget must be positive when set")
         self.server = server
         self.margin = margin
         # Optional repro.reliability.retry.Retrier wrapping the pull RPCs
         # (transient RPCErrors from an injected fault plan get retried).
         self.retrier = retrier
-        # Optional per-pull deadline budget (virtual seconds on the
-        # retrier's clock): a pull whose retries cannot fit the budget
-        # raises DeadlineExceededError instead of backing off past it.
-        self.pull_budget = pull_budget
 
     def _pull(self, name: str, rows: np.ndarray) -> np.ndarray:
         if self.retrier is None:
             return self.server.pull(name, rows)
-        if self.pull_budget is None:
-            return self.retrier.call(self.server.pull, name, rows)
-        from ..reliability.admission import Deadline
-
-        deadline = Deadline(self.retrier.clock, self.pull_budget)
-        return self.retrier.call_with_deadline(
-            deadline, self.server.pull, name, rows
-        )
+        return self.retrier.call(self.server.pull, name, rows)
 
     def compute(self, positives: np.ndarray, negatives: np.ndarray) -> GradientPacket:
         """Gradient packet for one batch: pull its rows, run the kernel.
@@ -424,8 +337,8 @@ class DistributedPKGMTrainer:
     Reliability wiring (all optional, :mod:`repro.reliability`):
 
     * ``faults`` — a ``FaultPlan``; the server is wrapped in a
-      ``FaultyParameterServer`` injecting seeded drops / duplicates /
-      staleness spikes / transient RPC errors / shard crashes;
+      ``FaultyParameterServer`` injecting seeded push drops / transient
+      RPC errors / shard crashes;
     * ``retry`` — a ``RetryPolicy``; workers retry faulted pulls and
       the trainer retries faulted pushes (a push that exhausts its
       retries is abandoned and counted, like a worker timing out);
@@ -457,7 +370,6 @@ class DistributedPKGMTrainer:
         checkpoint_dir=None,
         checkpoint_every: int = 1,
         resume: bool = True,
-        pull_budget: Optional[float] = None,
         registry=None,
         tracer=None,
     ) -> None:
@@ -508,12 +420,7 @@ class DistributedPKGMTrainer:
             PKGMWorker.MATRIX, model.relation_module.transfer_matrices.data
         )
         self.workers = [
-            PKGMWorker(
-                self.server,
-                margin=self.config.margin,
-                retrier=self._retrier,
-                pull_budget=pull_budget,
-            )
+            PKGMWorker(self.server, margin=self.config.margin, retrier=self._retrier)
             for _ in range(self.config.num_workers)
         ]
 
@@ -529,7 +436,7 @@ class DistributedPKGMTrainer:
 
     def train(self, store: TripleStore) -> List[float]:
         """Run the asynchronous loop; returns per-epoch mean losses."""
-        from ..reliability.retry import DeadlineExceededError, RetryExhaustedError
+        from ..reliability.retry import RetryExhaustedError
 
         rng = np.random.default_rng(self.config.seed)
         sampler = EdgeSampler.with_uniform(
@@ -584,9 +491,9 @@ class DistributedPKGMTrainer:
                     worker = self.workers[batch_index % len(self.workers)]
                     try:
                         packet = worker.compute(batch.positives, batch.negatives)
-                    except (RetryExhaustedError, DeadlineExceededError):
-                        # Exhausted retries or a blown pull deadline: the
-                        # batch is abandoned either way (a worker timeout).
+                    except RetryExhaustedError:
+                        # A pull that exhausted its retries: the batch is
+                        # abandoned (a worker timeout).
                         self.abandoned_batches += 1
                         continue
                     check_finite_loss(packet.loss)

@@ -273,7 +273,7 @@ class FlatIndex:
                 raise ValueError("ids must be one id per vector")
         # Filled in place (``concatenate`` would keep the transposed
         # input's row-major memory when the table starts empty), a
-        # cache-sized run of rows at a time: one strided copy of the
+        # cache-sized run of rows at a time: one transposing copy of the
         # whole input re-reads each of its cache lines for every
         # coordinate they hold.
         columns = np.empty((self.dim, self.ntotal + len(vectors)))

@@ -5,8 +5,8 @@ service calls) treats failure as the steady state; this package makes
 the reproduction survive the same weather, deterministically:
 
 * :mod:`repro.reliability.faults` — seeded fault injection on the PS
-  pull/push channel (drops, duplicates, staleness spikes, transient
-  RPC errors, shard crashes) and a flaky serving backend;
+  pull/push channel (push drops, transient RPC errors, shard crashes),
+  on-disk store damage, and a flaky serving backend;
 * :mod:`repro.reliability.retry` — exponential backoff with seeded
   jitter, retry budgets, and a closed/open/half-open circuit breaker
   over a virtual clock;

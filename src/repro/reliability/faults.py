@@ -1,21 +1,18 @@
 """Deterministic, seeded fault injection for the PS pull/push channel.
 
 The paper's deployment (50 parameter servers, 200 workers, billions of
-service calls) lives with dropped RPCs, duplicated retries, stale
-reads, and crashed shards as routine events.  This module injects
-exactly those faults into the :class:`repro.distributed.ParameterServer`
-channel — *deterministically*: a :class:`FaultPlan` is seeded, so the
-same plan over the same workload produces the same fault sequence,
-making chaos tests and ablation benches reproducible.
+service calls) lives with dropped RPCs, failed calls and crashed shards
+as routine events.  This module injects those faults into the
+:class:`repro.distributed.ParameterServer` channel —
+*deterministically*: a :class:`FaultPlan` is seeded, so the same plan
+over the same workload produces the same fault sequence, making chaos
+tests and ablation benches reproducible.  (Stale reads are not a fault
+family here: ``DistributedConfig.staleness`` models them.)
 
 Fault classes modeled:
 
 * **push drop** — the update RPC is lost; the server never applies it
   (silent, like a lost UDP datagram or a timed-out write after commit);
-* **push duplicate** — an at-least-once channel redelivers the same
-  gradient (the server applies it twice);
-* **pull delay** — a read is served from a stale replica refreshed
-  only every ``stale_refresh_every`` pushes (a staleness spike);
 * **transient RPC error** — :class:`repro.reliability.retry.RPCError`
   surfaces to the caller, who is expected to retry;
 * **shard crash** — a shard process dies and restarts empty-handed:
@@ -58,24 +55,14 @@ class FaultPlan:
 
     seed: int = 0
     push_drop_prob: float = 0.0
-    push_duplicate_prob: float = 0.0
-    pull_delay_prob: float = 0.0
-    stale_refresh_every: int = 8
     rpc_error_prob: float = 0.0
     crashes: Tuple[CrashEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "push_drop_prob",
-            "push_duplicate_prob",
-            "pull_delay_prob",
-            "rpc_error_prob",
-        ):
+        for name in ("push_drop_prob", "rpc_error_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.stale_refresh_every < 1:
-            raise ValueError("stale_refresh_every must be >= 1")
         object.__setattr__(self, "crashes", tuple(self.crashes))
 
     def describe(self) -> str:
@@ -83,8 +70,6 @@ class FaultPlan:
         parts = [
             f"seed={self.seed}",
             f"drop={self.push_drop_prob:.0%}",
-            f"dup={self.push_duplicate_prob:.0%}",
-            f"delay={self.pull_delay_prob:.0%}",
             f"rpc-err={self.rpc_error_prob:.0%}",
             f"crashes={len(self.crashes)}",
         ]
@@ -96,18 +81,13 @@ class FaultStats:
     """What the harness actually injected (for reports and asserts)."""
 
     pushes_dropped: int = 0
-    pushes_duplicated: int = 0
-    pulls_delayed: int = 0
     rpc_errors: int = 0
     shard_crashes: int = 0
-    crash_log: List[Tuple[int, int]] = field(default_factory=list)
 
     def as_row(self) -> str:
         return (
             f"faults: dropped {self.pushes_dropped} | "
-            f"duplicated {self.pushes_duplicated} | "
-            f"delayed {self.pulls_delayed} | rpc-errors {self.rpc_errors} | "
-            f"crashes {self.shard_crashes}"
+            f"rpc-errors {self.rpc_errors} | crashes {self.shard_crashes}"
         )
 
 
@@ -126,9 +106,6 @@ class FaultyParameterServer:
         self.plan = plan
         self.stats = FaultStats()
         self._rng = np.random.default_rng(plan.seed)
-        # Stale replica tables for delayed pulls, refreshed lazily.
-        self._stale: Dict[str, np.ndarray] = {}
-        self._pushes_since_refresh = 0
         # Initial registered values: what a crashed shard restarts with.
         self._initial: Dict[str, np.ndarray] = {}
 
@@ -148,7 +125,6 @@ class FaultyParameterServer:
     def register(self, name: str, table: np.ndarray) -> None:
         self.server.register(name, table)
         self._initial[name] = self.server.snapshot(name)
-        self._stale[name] = self.server.snapshot(name)
 
     def shard_of(self, row: int) -> int:
         return self.server.shard_of(row)
@@ -181,16 +157,6 @@ class FaultyParameterServer:
 
     def pull(self, name: str, rows: np.ndarray) -> np.ndarray:
         self._maybe_rpc_error(f"pull({name})")
-        if self.plan.pull_delay_prob and (
-            float(self._rng.random()) < self.plan.pull_delay_prob
-        ):
-            self.stats.pulls_delayed += 1
-            rows = np.asarray(rows, dtype=np.int64)
-            # Account the RPC on the real server, serve stale payload.
-            self.server.pull_count += len(
-                set(self.shard_of(int(r)) for r in np.unique(rows))
-            )
-            return self._stale[name][rows].copy()
         return self.server.pull(name, rows)
 
     def push(self, name: str, rows: np.ndarray, gradients: np.ndarray) -> None:
@@ -201,16 +167,6 @@ class FaultyParameterServer:
             self.stats.pushes_dropped += 1
             return
         self.server.push(name, rows, gradients)
-        if self.plan.push_duplicate_prob and (
-            float(self._rng.random()) < self.plan.push_duplicate_prob
-        ):
-            self.stats.pushes_duplicated += 1
-            self.server.push(name, rows, gradients)
-        self._pushes_since_refresh += 1
-        if self._pushes_since_refresh >= self.plan.stale_refresh_every:
-            self._pushes_since_refresh = 0
-            for table in self._stale:
-                self._stale[table] = self.server.snapshot(table)
 
     # -- crash model ----------------------------------------------------
     def crash_shard(self, shard: int) -> None:

@@ -63,7 +63,7 @@ class ProtocolError(RuntimeError):
 
 def shard_of(entity_id: int, num_workers: int) -> int:
     """Worker affinity for an entity — same modulo rule as the
-    parameter-server and strided-store shard maps.
+    parameter-server shard map.
 
     Every worker opens the *full* store read-only, so the shard map is
     an affinity (page-cache locality) choice, not a correctness one —

@@ -6,8 +6,8 @@ a self-checksummed manifest, reads them through an mmap + LRU page
 cache with lazy per-page CRC verification, quarantines damaged pages
 instead of crashing, and repairs them byte-exactly from a replica —
 the storage layer beneath :class:`repro.core.PKGMServer` cold starts,
-:class:`repro.distributed.ParameterServer` shard persistence, and the
-resilient serving facade's degraded reads.
+index and stream snapshots, and the resilient serving facade's
+degraded reads.
 
 Import order note: ``.errors`` must come first — it is dependency-free
 and is what :mod:`repro.reliability.serving` imports from us, keeping

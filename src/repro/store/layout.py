@@ -13,15 +13,11 @@ pages are *row-aligned*: a page holds ``rows_per_page`` whole rows
 (``max(1, page_bytes // row_nbytes)``), so a single CRC failure
 quarantines a known row range instead of tearing rows in half.
 
-Two row→shard layouts are supported:
-
-* ``contiguous`` — shard ``s`` holds the dense row range
-  ``[s * per, (s + 1) * per)`` (``per = ceil(rows / num_shards)``);
-  the default for serving tables, where scans stay sequential;
-* ``strided`` — shard ``s`` holds rows ``r`` with
-  ``r % num_shards == s``, matching
-  :meth:`repro.distributed.ParameterServer.shard_of`, so a PS shard
-  maps onto exactly one file.
+Rows are sharded contiguously: shard ``s`` holds the dense row range
+``[s * per, (s + 1) * per)`` (``per = ceil(rows / num_shards)``), so
+scans stay sequential.  Every table's manifest entry says
+``"layout": "contiguous"``, and an entry naming any other layout is
+refused with :class:`StoreSchemaError`.
 
 The manifest carries a ``checksum`` field: the SHA-256 of its own
 canonical JSON with that field removed.  A truncated or bit-flipped
@@ -36,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -45,7 +41,8 @@ from .errors import StoreManifestError, StoreSchemaError
 MANIFEST_NAME = "manifest.json"
 STORE_VERSION = 1
 DEFAULT_PAGE_BYTES = 4096
-LAYOUTS = ("contiguous", "strided")
+#: The one row→shard layout, named in every manifest table entry.
+_LAYOUT = "contiguous"
 
 #: Table names become file-name stems, so keep them path-safe.
 _TABLE_NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
@@ -65,7 +62,6 @@ class TableSpec:
     row_shape: Tuple[int, ...]
     rows: int
     num_shards: int
-    layout: str
     page_bytes: int
 
     def __post_init__(self) -> None:
@@ -77,11 +73,6 @@ class TableSpec:
             raise StoreSchemaError(f"table {self.name!r}: rows must be >= 0")
         if self.num_shards < 1:
             raise StoreSchemaError(f"table {self.name!r}: num_shards must be >= 1")
-        if self.layout not in LAYOUTS:
-            raise StoreSchemaError(
-                f"table {self.name!r}: layout must be one of {LAYOUTS}, "
-                f"got {self.layout!r}"
-            )
         if self.page_bytes < 1:
             raise StoreSchemaError(f"table {self.name!r}: page_bytes must be >= 1")
         object.__setattr__(self, "row_shape", tuple(int(d) for d in self.row_shape))
@@ -123,8 +114,6 @@ class TableSpec:
     def shard_rows(self, shard: int) -> int:
         """Local row count of one shard."""
         self._check_shard(shard)
-        if self.layout == "strided":
-            return len(range(shard, self.rows, self.num_shards))
         per = self.rows_per_contiguous_shard
         return max(0, min(self.rows, (shard + 1) * per) - shard * per)
 
@@ -148,16 +137,12 @@ class TableSpec:
                 f"row {row} out of range for table {self.name!r} "
                 f"({self.rows} rows)"
             )
-        if self.layout == "strided":
-            return row % self.num_shards, row // self.num_shards
         per = self.rows_per_contiguous_shard
         return row // per, row % per
 
     def global_row(self, shard: int, local_row: int) -> int:
         """``(shard, local_row)`` → global row (inverse of :meth:`locate`)."""
         self._check_shard(shard)
-        if self.layout == "strided":
-            return local_row * self.num_shards + shard
         return shard * self.rows_per_contiguous_shard + local_row
 
     def page_of(self, local_row: int) -> int:
@@ -172,9 +157,8 @@ class TableSpec:
     def page_global_rows(self, shard: int, page: int) -> range:
         """Global row ids held by one page, in local-row order."""
         start, stop = self.page_rows(shard, page)
-        step = self.num_shards if self.layout == "strided" else 1
         first = self.global_row(shard, start)
-        return range(first, first + (stop - start) * step, step)
+        return range(first, first + stop - start)
 
     def page_byte_range(self, shard: int, page: int) -> Tuple[int, int]:
         """Byte ``[start, stop)`` range of one page inside its shard file."""
@@ -195,26 +179,31 @@ class TableSpec:
             "row_shape": list(self.row_shape),
             "rows": self.rows,
             "num_shards": self.num_shards,
-            "layout": self.layout,
+            "layout": _LAYOUT,
             "page_bytes": self.page_bytes,
         }
 
     @classmethod
     def from_manifest(cls, name: str, doc: Mapping) -> "TableSpec":
         try:
-            return cls(
+            layout = doc["layout"]
+            spec = cls(
                 name=name,
                 dtype=str(doc["dtype"]),
                 row_shape=tuple(doc["row_shape"]),
                 rows=int(doc["rows"]),
                 num_shards=int(doc["num_shards"]),
-                layout=str(doc["layout"]),
                 page_bytes=int(doc["page_bytes"]),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise StoreSchemaError(
                 f"table {name!r}: malformed manifest entry ({error})"
             ) from error
+        if layout != _LAYOUT:
+            raise StoreSchemaError(
+                f"table {name!r}: layout must be {_LAYOUT!r}, got {layout!r}"
+            )
+        return spec
 
 
 # ----------------------------------------------------------------------
@@ -272,11 +261,3 @@ def specs_from_manifest(document: Mapping) -> Dict[str, TableSpec]:
         name: TableSpec.from_manifest(name, entry)
         for name, entry in sorted(tables.items())
     }
-
-
-def shard_row_ids(spec: TableSpec, shard: int) -> List[int]:
-    """Global row ids resident on one shard, in local-row order."""
-    if spec.layout == "strided":
-        return list(range(shard, spec.rows, spec.num_shards))
-    per = spec.rows_per_contiguous_shard
-    return list(range(shard * per, min(spec.rows, (shard + 1) * per)))

@@ -214,7 +214,6 @@ class EmbeddingStore:
         arrays: Mapping[str, np.ndarray],
         *,
         num_shards: int = 1,
-        layout: str = "contiguous",
         page_bytes: int = DEFAULT_PAGE_BYTES,
         metadata: Optional[Mapping] = None,
         cache_pages: int = 64,
@@ -231,7 +230,6 @@ class EmbeddingStore:
             directory,
             {name: RowSource.from_array(array) for name, array in arrays.items()},
             num_shards=num_shards,
-            layout=layout,
             page_bytes=page_bytes,
             metadata=metadata,
             cache_pages=cache_pages,
@@ -245,7 +243,6 @@ class EmbeddingStore:
         sources: Mapping[str, "RowSource"],
         *,
         num_shards: int = 1,
-        layout: str = "contiguous",
         page_bytes: int = DEFAULT_PAGE_BYTES,
         metadata: Optional[Mapping] = None,
         cache_pages: int = 64,
@@ -255,9 +252,9 @@ class EmbeddingStore:
         bounded by chunk size, not table size.
 
         Each table streams through one pass of its source: chunks are
-        routed to per-shard :class:`StreamingShardWriter`\\ s (contiguous
-        spans or strided masks), so peak memory is one chunk plus one
-        partial page per shard, and chunk sizes never change the bytes
+        split at shard boundaries into per-shard
+        :class:`StreamingShardWriter`\\ s, so peak memory is one chunk
+        plus one partial page per shard, and chunk sizes never change the bytes
         on disk — the storage-chaos gate relies on it.  Shard payloads
         land first (each atomically), the sealed manifest strictly
         last — the checkpoint discipline, so a crash mid-build leaves
@@ -280,7 +277,6 @@ class EmbeddingStore:
                 row_shape=tuple(int(d) for d in source.row_shape),
                 rows=int(source.rows),
                 num_shards=num_shards,
-                layout=layout,
                 page_bytes=page_bytes,
             )
             infos = cls._stream_table(directory, spec, source)
@@ -347,21 +343,14 @@ class EmbeddingStore:
                         f"table {spec.name!r}: source yielded more than the "
                         f"declared {spec.rows} rows"
                     )
-                if spec.layout == "strided":
-                    globals_ = offset + np.arange(n)
-                    for shard, writer in enumerate(writers):
-                        part = chunk[globals_ % spec.num_shards == shard]
-                        if part.shape[0]:
-                            writer.write(np.ascontiguousarray(part).tobytes())
-                else:
-                    start = 0
-                    while start < n:
-                        shard = (offset + start) // per
-                        stop = min(n, (shard + 1) * per - offset)
-                        writers[shard].write(
-                            np.ascontiguousarray(chunk[start:stop]).tobytes()
-                        )
-                        start = stop
+                start = 0
+                while start < n:
+                    shard = (offset + start) // per
+                    stop = min(n, (shard + 1) * per - offset)
+                    writers[shard].write(
+                        np.ascontiguousarray(chunk[start:stop]).tobytes()
+                    )
+                    start = stop
                 offset += n
             if offset != spec.rows:
                 raise StoreSchemaError(
@@ -619,10 +608,7 @@ class EmbeddingStore:
         if flat.size == 1:  # nothing to group: the sort would be all it costs
             return self._row(spec, int(flat[0])).reshape(shape).copy()
         # (shard, page, slot-in-page) of every requested row at once.
-        if spec.layout == "strided":
-            local, shard = np.divmod(flat, spec.num_shards)
-        else:
-            shard, local = np.divmod(flat, spec.rows_per_contiguous_shard)
+        shard, local = np.divmod(flat, spec.rows_per_contiguous_shard)
         page, slot = np.divmod(local, spec.rows_per_page)
         # Group request positions by page: a stable sort keeps each
         # group in request order, so its first member is the page's
@@ -674,7 +660,7 @@ class EmbeddingStore:
 
         One walk of the table's pages in file order through the same
         fault loop as :meth:`read_rows`: each page lands in the output
-        as one strided slice — no index array, no sort — is loaded
+        as one row slice — no index array, no sort — is loaded
         exactly once whatever the cache budget, and is let go before
         the next, so nothing beyond the output and one page is held.
         The first damaged page raises :class:`QuarantinedRowError`.
@@ -701,7 +687,7 @@ class EmbeddingStore:
         walk = self._pages(spec, spec.pages(), map(len, held), tolerant=tolerant)
         for position, data in enumerate(walk):
             rows = held[position]
-            on_page = slice(rows.start, rows.stop, rows.step)
+            on_page = slice(rows.start, rows.stop)
             if data is None:
                 out[on_page] = 0
                 readable[on_page] = False

@@ -47,19 +47,35 @@ class TestParameterServer:
         after = server.snapshot("entities")[5]
         assert np.all(after < before)  # positive grad -> decrease
 
-    def test_store_roundtrip_preserves_full_state(self, server, tmp_path):
-        """save_to_store / restore_from_store carry values AND Adam
-        moments, so training resumes bit-exactly after a restore."""
+    def test_checkpoint_roundtrip_preserves_full_state(self, server, tmp_path):
+        """state / load_state through a CheckpointManager — the trainer's
+        persistence path — carry values AND Adam moments, so training
+        resumes bit-exactly after a restore."""
+        from repro.reliability import CheckpointManager
+
         rng = np.random.default_rng(3)
         server.push("entities", np.array([1, 4, 7]), rng.normal(size=(3, 4)))
         server.push("relations", np.array([0]), rng.normal(size=(1, 4)))
-        server.save_to_store(tmp_path / "ps", page_bytes=64).close()
+        manager = CheckpointManager(tmp_path / "ckpt")
+        manager.save(
+            1,
+            {
+                f"{name}.{part}": value
+                for name in server.table_names()
+                for part, value in server.state(name).items()
+            },
+        )
+        arrays, _ = manager.load()
 
         restored = ParameterServer(num_shards=3, learning_rate=0.01)
         restored.register("entities", np.zeros((10, 4)))
         restored.register("relations", np.zeros((3, 4)))
         restored.register("matrices", np.zeros((3, 4, 4)))
-        restored.restore_from_store(tmp_path / "ps")
+        for name in restored.table_names():
+            restored.load_state(
+                name,
+                {part: arrays[f"{name}.{part}"] for part in ("table", "m", "v", "step")},
+            )
         for name in ("entities", "relations", "matrices"):
             a, b = server.state(name), restored.state(name)
             for part in ("table", "m", "v", "step"):
@@ -72,24 +88,10 @@ class TestParameterServer:
             server.snapshot("entities"), restored.snapshot("entities")
         )
 
-    def test_store_shard_files_follow_ps_sharding(self, server, tmp_path):
-        """Strided layout: store shard s holds exactly the rows
-        ``shard_of`` maps to PS shard s."""
-        store = server.save_to_store(tmp_path / "ps", page_bytes=64)
-        spec = store.spec("entities.table")
-        assert spec.layout == "strided"
-        assert spec.num_shards == server.num_shards
-        for row in range(spec.rows):
-            shard, _ = spec.locate(row)
-            assert shard == server.shard_of(row)
-        store.close()
-
-    def test_restore_missing_table_raises(self, server, tmp_path):
-        server.save_to_store(tmp_path / "ps").close()
+    def test_restore_missing_table_raises(self, server):
         restored = ParameterServer(num_shards=3)
-        restored.register("unheard_of", np.zeros((4, 2)))
         with pytest.raises(KeyError, match="unheard_of"):
-            restored.restore_from_store(tmp_path / "ps")
+            restored.load_state("unheard_of", server.state("entities"))
 
     def test_push_accumulates_duplicate_rows(self):
         ps1 = ParameterServer(num_shards=2, learning_rate=0.01)
@@ -288,58 +290,7 @@ class TestDistributedTraining:
         with pytest.raises(ValueError):
             DistributedConfig(epochs=0)
 
-
-class TestPullDeadlines:
-    @pytest.fixture
-    def store(self):
-        triples = []
-        for h in range(20):
-            for r in range(3):
-                triples.append((h, r, 20 + (h + 2 * r) % 8))
-        return TripleStore(triples)
-
-    def test_pull_budget_validation(self, server):
-        with pytest.raises(ValueError):
-            PKGMWorker(server, margin=1.0, pull_budget=0.0)
-        model = PKGM(28, 3, PKGMConfig(dim=4), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            DistributedPKGMTrainer(model, pull_budget=-1.0)
-
-    def test_blown_pull_deadline_raises_deadline_error(self, server):
-        from repro.reliability import (
-            DeadlineExceededError,
-            FaultPlan,
-            FaultyParameterServer,
-            Retrier,
-            RetryPolicy,
-        )
-
-        faulty = FaultyParameterServer(server, FaultPlan(seed=0, rpc_error_prob=1.0))
-        retrier = Retrier(RetryPolicy(base_delay=1.0, jitter=0.0, seed=0))
-        worker = PKGMWorker(faulty, margin=1.0, retrier=retrier, pull_budget=0.5)
-        positives = np.array([[0, 0, 5]])
-        negatives = np.array([[0, 0, 6]])
-        with pytest.raises(DeadlineExceededError):
-            worker.compute(positives, negatives)
-        assert retrier.stats.deadline_denials == 1
-        assert retrier.stats.virtual_sleep == 0.0  # refused to backoff
-
-    def test_generous_budget_leaves_training_unchanged(self, store):
-        from repro.reliability import RetryPolicy
-
-        def run(pull_budget):
-            model = PKGM(28, 3, PKGMConfig(dim=8), rng=np.random.default_rng(0))
-            trainer = DistributedPKGMTrainer(
-                model,
-                DistributedConfig(num_shards=2, num_workers=2, epochs=3, batch_size=16),
-                retry=RetryPolicy(seed=0),
-                pull_budget=pull_budget,
-            )
-            return trainer.train(store)
-
-        assert run(None) == run(10**6)
-
-    def test_trainer_abandons_batches_on_blown_deadlines(self, store):
+    def test_trainer_abandons_batches_on_exhausted_retries(self, store):
         from repro.reliability import FaultPlan, RetryPolicy
 
         model = PKGM(28, 3, PKGMConfig(dim=8), rng=np.random.default_rng(0))
@@ -347,10 +298,9 @@ class TestPullDeadlines:
             model,
             DistributedConfig(num_shards=2, num_workers=2, epochs=2, batch_size=16),
             faults=FaultPlan(seed=0, rpc_error_prob=0.5),
-            retry=RetryPolicy(base_delay=1.0, jitter=0.0, seed=0),
-            pull_budget=0.5,
+            retry=RetryPolicy(max_attempts=2, seed=0),
         )
         losses = trainer.train(store)  # must not raise
         assert len(losses) == 2
         assert trainer.abandoned_batches > 0
-        assert trainer.retry_stats.deadline_denials > 0
+        assert trainer.retry_stats.failures > 0

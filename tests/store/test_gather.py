@@ -5,7 +5,7 @@ distinct pages in one fault loop.  Four independent references pin it
 down:
 
 * numpy itself — ``array[idx]``, bytes and shape, over a hypothesis
-  sweep of dtypes, row shapes, layouts, page sizes and index shapes;
+  sweep of dtypes, row shapes, shard counts, page sizes and index shapes;
 * :class:`PageLoop` — the page policy as a page-at-a-time loader over
   an ``OrderedDict`` LRU that charges every counter as it goes, with
   the grouped gather the fault loop replaced on top of it: after every
@@ -199,7 +199,6 @@ geometries = st.fixed_dictionaries(
         "row_shape": st.sampled_from([(), (3,), (2, 3)]),
         "rows": st.integers(0, 200),
         "num_shards": st.integers(1, 5),
-        "layout": st.sampled_from(["contiguous", "strided"]),
         # From smaller than any row to larger than any table.
         "page_bytes": st.sampled_from([1, 7, 24, 64, 100, 512, 4096, 1 << 16]),
         "cache_pages": st.sampled_from([1, 2, 64]),
@@ -235,7 +234,6 @@ def build(directory, array, geometry):
         directory,
         {"t": array},
         num_shards=geometry["num_shards"],
-        layout=geometry["layout"],
         page_bytes=geometry["page_bytes"],
         cache_pages=geometry["cache_pages"],
     )
@@ -436,8 +434,9 @@ def call_sequences(draw):
         "dtype": "float64",
         "row_shape": row_shape,
         "rows": draw(st.integers(1, 60)),
+        # Contiguous shards of ceil(rows / num_shards) rows: the last
+        # one is shorter (or empty) unless the count divides evenly.
         "num_shards": draw(st.integers(1, 3)),
-        "layout": draw(st.sampled_from(["contiguous", "strided"])),
         "page_bytes": rows_per_page * row_nbytes
         + draw(st.integers(0, row_nbytes - 1)),
         "cache_pages": draw(st.integers(1, 4)),
@@ -519,7 +518,7 @@ class TestAgainstThePageLoop:
         (
             # Two shards of 5 rows, 3 to a page: each ends on a short page.
             {"dtype": "float64", "row_shape": (3,), "rows": 10, "num_shards": 2,
-             "layout": "contiguous", "page_bytes": 80, "cache_pages": 2},
+             "page_bytes": 80, "cache_pages": 2},
             {"flips": [1], "quarantined": [2], "torn": False},
             [
                 ("rows", np.array([0, -1, 4, 4, 2, 1])),
@@ -534,9 +533,10 @@ class TestAgainstThePageLoop:
     )
     @example(
         (
-            # One row a page, strided over three shards, a one-page cache.
+            # One row a page, three uneven shards (3, 3 and 1 rows), a
+            # one-page cache.
             {"dtype": "float64", "row_shape": (2, 3), "rows": 7, "num_shards": 3,
-             "layout": "strided", "page_bytes": 48, "cache_pages": 1},
+             "page_bytes": 48, "cache_pages": 1},
             {"flips": [4], "quarantined": [], "torn": True},
             [
                 ("rows", np.array([0, 3, 6, 0, -7, 5])),
@@ -596,14 +596,12 @@ def count_page_loads(store, monkeypatch):
 
 
 class TestExactWork:
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_one_load_per_distinct_page(self, tmp_path, monkeypatch, layout):
+    def test_one_load_per_distinct_page(self, tmp_path, monkeypatch):
         array = make_array(600, (8,), "float64")
         store = EmbeddingStore.build(
             tmp_path / "s",
             {"t": array},
             num_shards=3,
-            layout=layout,
             page_bytes=256,  # 4 rows per page
             cache_pages=256,
         )
@@ -636,14 +634,12 @@ class TestExactWork:
         finally:
             store.close()
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_read_table_loads_every_page_once(self, tmp_path, monkeypatch, layout):
+    def test_read_table_loads_every_page_once(self, tmp_path, monkeypatch):
         array = make_array(203, (8,), "float64")
         store = EmbeddingStore.build(
             tmp_path / "s",
             {"t": array},
             num_shards=3,
-            layout=layout,
             page_bytes=256,
             cache_pages=1,
         )

@@ -14,7 +14,7 @@ from repro.store import (
     seal_manifest,
     shard_filename,
 )
-from repro.store.layout import canonical_json, shard_row_ids
+from repro.store.layout import canonical_json
 
 
 def make_spec(**overrides):
@@ -24,7 +24,6 @@ def make_spec(**overrides):
         row_shape=(4,),
         rows=37,
         num_shards=3,
-        layout="contiguous",
         page_bytes=128,
     )
     base.update(overrides)
@@ -44,29 +43,29 @@ class TestTableSpec:
         spec = make_spec(row_shape=(8, 8), page_bytes=64)  # 512-byte rows
         assert spec.rows_per_page == 1
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_locate_and_global_row_are_inverse(self, layout):
-        spec = make_spec(layout=layout)
+    def test_locate_and_global_row_are_inverse(self):
+        spec = make_spec()
         for row in range(spec.rows):
             shard, local = spec.locate(row)
             assert 0 <= shard < spec.num_shards
             assert spec.global_row(shard, local) == row
 
-    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
-    def test_shards_partition_rows(self, layout):
-        spec = make_spec(layout=layout)
+    def test_shards_partition_rows(self):
+        """Pages in file order hold every row once, in row order, each
+        shard its ``shard_rows`` and each row where ``locate`` says."""
+        spec = make_spec()
         seen = []
-        for shard in range(spec.num_shards):
-            rows = shard_row_ids(spec, shard)
-            assert len(rows) == spec.shard_rows(shard)
+        per_shard = [0] * spec.num_shards
+        for shard, page in spec.pages():
+            rows = spec.page_global_rows(shard, page)
+            per_shard[shard] += len(rows)
+            for row in rows:
+                assert spec.locate(row) == (
+                    shard, page * spec.rows_per_page + row - rows.start
+                )
             seen.extend(rows)
-        assert sorted(seen) == list(range(spec.rows))
-
-    def test_strided_matches_parameter_server_sharding(self):
-        spec = make_spec(layout="strided")
-        for row in range(spec.rows):
-            shard, _ = spec.locate(row)
-            assert shard == row % spec.num_shards
+        assert seen == list(range(spec.rows))
+        assert per_shard == [spec.shard_rows(s) for s in range(spec.num_shards)]
 
     def test_page_byte_range_covers_shard(self):
         spec = make_spec()
@@ -93,11 +92,14 @@ class TestTableSpec:
             {"num_shards": 0},
             {"layout": "mirrored"},
             {"page_bytes": 0},
+            # A store written with the row-modulo layout fails closed.
+            {"layout": "strided"},
         ],
     )
     def test_invalid_specs_are_rejected(self, overrides):
+        entry = {**make_spec().to_manifest(), **overrides}
         with pytest.raises(StoreSchemaError):
-            make_spec(**overrides)
+            TableSpec.from_manifest(entry.pop("name", "entity_table"), entry)
 
     def test_manifest_roundtrip(self):
         spec = make_spec()

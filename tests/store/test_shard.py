@@ -29,7 +29,6 @@ def make_spec(rows=16, page_bytes=64):
         row_shape=(4,),
         rows=rows,
         num_shards=1,
-        layout="contiguous",
         page_bytes=page_bytes,
     )
 

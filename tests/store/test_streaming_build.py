@@ -15,7 +15,6 @@ from repro.store import (
     page_crc32s,
     shard_filename,
 )
-from repro.store.layout import shard_row_ids
 
 
 def make_arrays(rng):
@@ -34,22 +33,21 @@ def directory_bytes(directory):
     }
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "strided"])
 @pytest.mark.parametrize("num_shards", [1, 3])
 @pytest.mark.parametrize("chunk_rows", [0, 4])
-def test_streamed_build_matches_in_ram_build(
-    tmp_path, layout, num_shards, chunk_rows
-):
+def test_streamed_build_matches_in_ram_build(tmp_path, num_shards, chunk_rows):
     """``build`` hands each array over as one chunk; re-chunking it
     (the parametrized size, then 1 and 7 rows) writes identical files,
     and every shard file is exactly its rows' bytes — the reference
     gather the deleted in-RAM loop used to do."""
     arrays = make_arrays(np.random.default_rng(7))
-    geometry = dict(num_shards=num_shards, layout=layout, page_bytes=256)
+    geometry = dict(num_shards=num_shards, page_bytes=256)
     store = EmbeddingStore.build(tmp_path / "ram", arrays, **geometry)
     for name, array in arrays.items():
+        spec = store.spec(name)
         for shard in range(num_shards):
-            rows = shard_row_ids(store.spec(name), shard)
+            first = spec.global_row(shard, 0)
+            rows = slice(first, first + spec.shard_rows(shard))
             on_disk = (tmp_path / "ram" / shard_filename(name, shard)).read_bytes()
             assert on_disk == array[rows].tobytes(), (name, shard)
     store.close()
@@ -71,7 +69,6 @@ def test_streamed_store_reads_back_rows(tmp_path):
         tmp_path,
         {"table": RowSource.from_array(array, chunk_rows=6)},
         num_shards=2,
-        layout="strided",
         page_bytes=128,
     )
     try:

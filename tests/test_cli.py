@@ -12,6 +12,12 @@ class TestParser:
         for command in ("stats", "pretrain", "classify", "align", "recommend", "complete"):
             args = parser.parse_args([command])
             assert args.command == command
+        # chaos injects push drops, RPC errors and crashes only; flags
+        # for any other fault family are refused.
+        assert parser.parse_args(["chaos", "--push-drop", "0.1"]).push_drop == 0.1
+        for flag in ("--pull-delay", "--push-duplicate"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["chaos", flag, "0.1"])
 
     def test_preset_choices(self):
         parser = build_parser()

@@ -21,7 +21,6 @@ from repro.core import (
 )
 from repro.distributed import DistributedConfig, DistributedPKGMTrainer
 from repro.kg import TripleStore
-from repro.kg.io import load_kg_npz, load_triples_tsv
 from repro.nn import no_grad
 from repro.reliability import CrashEvent, FaultPlan, RetryPolicy
 from repro.store import EmbeddingStore
@@ -68,24 +67,12 @@ class TestTrainerGuards:
 
 
 class TestCorruptArtifacts:
-    def test_load_truncated_npz_raises(self, tmp_path):
-        path = tmp_path / "broken.npz"
-        path.write_bytes(b"PK\x03\x04 not a real archive")
-        with pytest.raises(Exception):
-            load_kg_npz(path)
-
     def test_load_server_with_missing_keys_raises(self, tmp_path):
         EmbeddingStore.build(
             tmp_path / "bad_server", {"entity_table": np.zeros((3, 2))}
         ).close()
         with pytest.raises(SnapshotError, match="relation_table"):
             PKGMServer.from_store(tmp_path / "bad_server")
-
-    def test_tsv_with_embedded_tabs_raises(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("a\tr\tb\textra\n")
-        with pytest.raises(ValueError):
-            load_triples_tsv(path)
 
 
 class TestNumericEdgeCases:
