@@ -751,7 +751,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .stream import (
-        StreamChaosConfig,
         StreamPipeline,
         StreamRunConfig,
         run_stream_chaos,
@@ -804,7 +803,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             config,
             workdir,
             stream_config,
-            StreamChaosConfig(kill_batch=args.kill_batch),
+            kill_batch=args.kill_batch,
         )
         for line in report.lines():
             print(line)

@@ -86,15 +86,15 @@ class RelationQueryModule(Module):
     """Relation-existence encoder (Eq. 2 / Eq. 7).
 
     Owns one ``dim x dim`` transfer matrix per relation, initialized
-    near the identity so early scores stay well conditioned.  Shares the
-    entity and relation embeddings of a :class:`TripleQueryModule`.
+    near the identity (noise std 0.01) so early scores stay well
+    conditioned.  Shares the entity and relation embeddings of a
+    :class:`TripleQueryModule`.
     """
 
     def __init__(
         self,
         triple_module: TripleQueryModule,
         rng: Optional[np.random.Generator] = None,
-        init_noise: float = 0.01,
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -103,7 +103,7 @@ class RelationQueryModule(Module):
         self.num_relations = triple_module.num_relations
         self.transfer_matrices = Parameter(
             init.identity_stack(
-                self.num_relations, self.dim, noise_std=init_noise, rng=rng
+                self.num_relations, self.dim, noise_std=0.01, rng=rng
             )
         )
 

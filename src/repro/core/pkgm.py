@@ -29,7 +29,6 @@ class PKGMConfig:
 
     dim: int = 64
     margin: float = 2.0
-    relation_matrix_init_noise: float = 0.01
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -56,11 +55,7 @@ class PKGM(Module):
         self.triple_module = TripleQueryModule(
             num_entities, num_relations, self.config.dim, rng=rng
         )
-        self.relation_module = RelationQueryModule(
-            self.triple_module,
-            rng=rng,
-            init_noise=self.config.relation_matrix_init_noise,
-        )
+        self.relation_module = RelationQueryModule(self.triple_module, rng=rng)
 
     # ------------------------------------------------------------------
     # Pre-training scores

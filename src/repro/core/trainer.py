@@ -30,7 +30,6 @@ class TrainerConfig:
     learning_rate: float = 1e-2
     negatives_per_edge: int = 1
     corrupt_relation_prob: float = 0.1
-    filtered_negatives: bool = False
     entity_max_norm: Optional[float] = 1.0
     numeric_guard: bool = False
     seed: int = 0
@@ -70,8 +69,8 @@ class PKGMTrainer:
 
     With ``checkpoint_dir`` set, the trainer writes a crash-consistent
     snapshot (model parameters, Adam moments, sampler RNG state, loss
-    history — see :mod:`repro.reliability.checkpoint`) every
-    ``checkpoint_every`` epochs, and a later trainer pointed at the
+    history — see :mod:`repro.reliability.checkpoint`) after every
+    epoch, and a later trainer pointed at the
     same directory resumes the run *bit-exactly*: a killed 30-epoch job
     restarted from epoch 12 produces the same final tables as one that
     never died.
@@ -82,14 +81,11 @@ class PKGMTrainer:
         model: PKGM,
         config: Optional[TrainerConfig] = None,
         checkpoint_dir=None,
-        checkpoint_every: int = 1,
         resume: bool = True,
         registry=None,
         tracer=None,
         profiler=None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         self.model = model
         self.config = config if config is not None else TrainerConfig()
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
@@ -98,7 +94,6 @@ class PKGMTrainer:
             from ..reliability.checkpoint import CheckpointManager
 
             self._manager = CheckpointManager(checkpoint_dir)
-        self.checkpoint_every = checkpoint_every
         self.resume = resume
         # Observability wiring (repro.obs) — all optional, all no-ops
         # when absent.  The tracer and profiler share one virtual
@@ -177,7 +172,6 @@ class PKGMTrainer:
             num_relations=self.model.num_relations,
             rng=rng,
             negatives_per_edge=self.config.negatives_per_edge,
-            filtered=self.config.filtered_negatives,
             corrupt_relation_prob=self.config.corrupt_relation_prob,
         )
         history = TrainingHistory()
@@ -237,12 +231,8 @@ class PKGMTrainer:
                 self._epochs_c.inc()
             if progress is not None:
                 progress(epoch, mean_loss)
-            completed = epoch + 1
-            if self._manager is not None and (
-                completed % self.checkpoint_every == 0
-                or completed == self.config.epochs
-            ):
-                self._save_checkpoint(completed, rng, history)
+            if self._manager is not None:
+                self._save_checkpoint(epoch + 1, rng, history)
         return history
 
     def _tables(self):

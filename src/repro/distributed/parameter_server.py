@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class ParameterServer:
         self,
         num_shards: int,
         learning_rate: float = 1e-2,
-        betas: Tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         registry=None,
     ) -> None:
         if num_shards < 1:
@@ -69,8 +67,6 @@ class ParameterServer:
         self.metrics = registry
         self.num_shards = num_shards
         self.learning_rate = learning_rate
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._tables: Dict[str, np.ndarray] = {}
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
@@ -161,11 +157,12 @@ class ParameterServer:
         m, v, step = self._m[name], self._v[name], self._step[name]
         step[unique] += 1
         t = step[unique].reshape(-1, *([1] * (gradients.ndim - 1)))
-        m[unique] = self.beta1 * m[unique] + (1 - self.beta1) * accumulated
-        v[unique] = self.beta2 * v[unique] + (1 - self.beta2) * accumulated**2
-        m_hat = m[unique] / (1 - self.beta1**t)
-        v_hat = v[unique] / (1 - self.beta2**t)
-        table[unique] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's published defaults
+        m[unique] = beta1 * m[unique] + (1 - beta1) * accumulated
+        v[unique] = beta2 * v[unique] + (1 - beta2) * accumulated**2
+        m_hat = m[unique] / (1 - beta1**t)
+        v_hat = v[unique] / (1 - beta2**t)
+        table[unique] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
     def snapshot(self, name: str) -> np.ndarray:
         """Full copy of a table (checkpointing)."""
@@ -312,8 +309,6 @@ class DistributedConfig:
     epochs: int = 10
     batch_size: int = 256
     learning_rate: float = 1e-2
-    margin: float = 2.0
-    entity_max_norm: Optional[float] = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -368,13 +363,10 @@ class DistributedPKGMTrainer:
         faults=None,
         retry=None,
         checkpoint_dir=None,
-        checkpoint_every: int = 1,
         resume: bool = True,
         registry=None,
         tracer=None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         self.model = model
         self.config = config if config is not None else DistributedConfig()
         self.metrics = registry if registry is not None else MetricsRegistry()
@@ -405,7 +397,6 @@ class DistributedPKGMTrainer:
             from ..reliability.checkpoint import CheckpointManager
 
             self._manager = CheckpointManager(checkpoint_dir)
-        self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.abandoned_batches = 0
         self.abandoned_pushes = 0
@@ -420,7 +411,7 @@ class DistributedPKGMTrainer:
             PKGMWorker.MATRIX, model.relation_module.transfer_matrices.data
         )
         self.workers = [
-            PKGMWorker(self.server, margin=self.config.margin, retrier=self._retrier)
+            PKGMWorker(self.server, margin=2.0, retrier=self._retrier)
             for _ in range(self.config.num_workers)
         ]
 
@@ -510,9 +501,7 @@ class DistributedPKGMTrainer:
             self._epoch_loss_g.set(losses[-1])
             self._epochs_c.inc()
             epoch += 1
-            if self._manager is not None and (
-                epoch % self.checkpoint_every == 0 or epoch == self.config.epochs
-            ):
+            if self._manager is not None:
                 self._save_checkpoint(epoch, rng, losses)
         self.export_to_model()
         return losses
@@ -541,10 +530,7 @@ class DistributedPKGMTrainer:
                     )
                 except RetryExhaustedError:
                     self.abandoned_pushes += 1
-        if self.config.entity_max_norm is not None:
-            self.server.renormalize_rows(
-                PKGMWorker.ENTITY, self.config.entity_max_norm
-            )
+        self.server.renormalize_rows(PKGMWorker.ENTITY)
 
     # ------------------------------------------------------------------
     # Crash-consistent checkpointing

@@ -13,7 +13,7 @@ from .graph import (
     shared_value_neighbors,
     to_networkx,
 )
-from .negatives import BernoulliNegativeSampler, UniformNegativeSampler
+from .negatives import UniformNegativeSampler
 from .queries import QueryEngine, recover_all_triples
 from .rules import Rule, RuleCompleter, RuleMiner
 from .sampling import EdgeSampler
@@ -23,7 +23,6 @@ from .store import Triple, TripleStore
 from .vocab import EntityVocabulary, RelationVocabulary, Vocabulary
 
 __all__ = [
-    "BernoulliNegativeSampler",
     "EdgeSampler",
     "EntityVocabulary",
     "QueryEngine",

@@ -3,18 +3,12 @@
 The paper's loss (Eq. 4) corrupts a positive triple "by randomly sample
 an entity e ∈ E to replace h or t, or randomly sample a relation
 r' ∈ R to replace r".  :class:`UniformNegativeSampler` implements
-exactly that; :class:`BernoulliNegativeSampler` adds the TransH-style
-head/tail bias used widely in follow-up work (available for ablations).
-Both can filter false negatives against the training store.
+exactly that, unfiltered: a corruption may collide with a known positive.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
-
-from .store import TripleStore
 
 
 class UniformNegativeSampler:
@@ -30,9 +24,6 @@ class UniformNegativeSampler:
         Probability of corrupting the relation instead of an entity.
         The paper allows relation corruption; we default to a small
         share so entity corruption dominates, as in standard TransE.
-    filter_store:
-        If given, resample corruptions that collide with known positives
-        (filtered setting).  At most ``max_resample`` attempts.
     """
 
     def __init__(
@@ -41,8 +32,6 @@ class UniformNegativeSampler:
         num_relations: int,
         rng: np.random.Generator,
         corrupt_relation_prob: float = 0.1,
-        filter_store: Optional[TripleStore] = None,
-        max_resample: int = 10,
     ) -> None:
         if num_entities < 2:
             raise ValueError("need at least 2 entities to corrupt")
@@ -57,8 +46,6 @@ class UniformNegativeSampler:
         self.num_relations = num_relations
         self.rng = rng
         self.corrupt_relation_prob = corrupt_relation_prob
-        self.filter_store = filter_store
-        self.max_resample = max_resample
 
     def corrupt_batch(self, triples: np.ndarray) -> np.ndarray:
         """Return one negative per positive; input/output are (N, 3) arrays."""
@@ -82,9 +69,6 @@ class UniformNegativeSampler:
         out[corrupt_tail, 2] = self._different(
             triples[corrupt_tail, 2], self.num_entities
         )
-
-        if self.filter_store is not None:
-            self._filter_false_negatives(out, triples)
         return out
 
     def _different(self, current: np.ndarray, space: int) -> np.ndarray:
@@ -92,64 +76,3 @@ class UniformNegativeSampler:
         draws = self.rng.integers(0, space - 1, size=current.shape)
         # Shift draws >= current up by one: uniform over space \ {current}.
         return draws + (draws >= current)
-
-    def _filter_false_negatives(self, negatives: np.ndarray, positives: np.ndarray) -> None:
-        """Resample any negative that is actually a known positive, in place."""
-        for i in range(len(negatives)):
-            attempts = 0
-            while (
-                tuple(negatives[i]) in self.filter_store
-                and attempts < self.max_resample
-            ):
-                replacement = self.corrupt_batch(positives[i : i + 1])
-                negatives[i] = replacement[0]
-                attempts += 1
-
-
-class BernoulliNegativeSampler:
-    """TransH-style Bernoulli corruption.
-
-    Replaces the head with probability tph/(tph+hpt) per relation, where
-    tph is average tails-per-head and hpt heads-per-tail — reducing false
-    negatives on one-to-many / many-to-one relations.  Provided for the
-    KGE ablation benches.
-    """
-
-    def __init__(
-        self,
-        store: TripleStore,
-        num_entities: int,
-        rng: np.random.Generator,
-    ) -> None:
-        if num_entities < 2:
-            raise ValueError("need at least 2 entities to corrupt")
-        self.num_entities = num_entities
-        self.rng = rng
-        self._head_prob = self._relation_head_probabilities(store)
-
-    @staticmethod
-    def _relation_head_probabilities(store: TripleStore) -> dict:
-        probs = {}
-        for relation in store.relations():
-            triples = store.triples_with_relation(relation)
-            heads = {t.head for t in triples}
-            tails = {t.tail for t in triples}
-            tph = len(triples) / max(len(heads), 1)
-            hpt = len(triples) / max(len(tails), 1)
-            probs[relation] = tph / (tph + hpt)
-        return probs
-
-    def corrupt_batch(self, triples: np.ndarray) -> np.ndarray:
-        triples = np.asarray(triples, dtype=np.int64)
-        out = triples.copy()
-        for i, (h, r, t) in enumerate(triples):
-            p_head = self._head_prob.get(int(r), 0.5)
-            if self.rng.random() < p_head:
-                out[i, 0] = self._different(h)
-            else:
-                out[i, 2] = self._different(t)
-        return out
-
-    def _different(self, current: int) -> int:
-        draw = int(self.rng.integers(0, self.num_entities - 1))
-        return draw + (draw >= current)

@@ -85,7 +85,6 @@ class EdgeSampler:
         num_relations: int,
         rng: Optional[np.random.Generator] = None,
         negatives_per_edge: int = 1,
-        filtered: bool = False,
         corrupt_relation_prob: float = 0.1,
     ) -> "EdgeSampler":
         """Build with the paper's uniform corruption sampler."""
@@ -95,7 +94,6 @@ class EdgeSampler:
             num_relations=num_relations,
             rng=rng,
             corrupt_relation_prob=corrupt_relation_prob,
-            filter_store=store if filtered else None,
         )
         return cls(
             store,

@@ -2,10 +2,10 @@
 
 The paper's product KG distinguishes items from values within the entity
 set (E = I ∪ V) and properties from item-item relations within the
-relation set (R = P ∪ R').  :class:`EntityVocabulary` and
-:class:`RelationVocabulary` preserve those partitions so downstream
-code (key-relation selection, service vector lookup) can reason about
-them.
+relation set (R = P ∪ R').  :class:`EntityVocabulary` preserves the
+item/value partition so downstream code (key-relation selection,
+service vector lookup) can reason about it; the generated catalog has
+properties only, so :class:`RelationVocabulary` needs no partition.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class Vocabulary:
     def __iter__(self) -> Iterator[str]:
         return iter(self._labels)
 
-    def labels(self) -> List[str]:
-        """All labels in id order (a copy)."""
-        return list(self._labels)
-
 
 class EntityVocabulary(Vocabulary):
     """Entity vocabulary partitioned into items (I) and values (V)."""
@@ -87,30 +83,8 @@ class EntityVocabulary(Vocabulary):
 
 
 class RelationVocabulary(Vocabulary):
-    """Relation vocabulary partitioned into properties (P) and item-item
-    relations (R')."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._property_ids: set = set()
+    """Relation vocabulary; the catalog registers only properties (P)."""
 
     def add_property(self, label: str) -> int:
         """Register an item property (brand, color, ...)."""
-        rid = self.add(label)
-        self._property_ids.add(rid)
-        return rid
-
-    def add_item_relation(self, label: str) -> int:
-        """Register an item-item relation (same_product_as, ...)."""
         return self.add(label)
-
-    def is_property(self, index: int) -> bool:
-        return index in self._property_ids
-
-    @property
-    def num_properties(self) -> int:
-        return len(self._property_ids)
-
-    def property_ids(self) -> List[int]:
-        """All property relation ids, sorted."""
-        return sorted(self._property_ids)

@@ -152,11 +152,11 @@ class Profiler:
         self._stack.clear()
 
 
-def profile_report(profiler: Profiler, top_k: int = 10) -> str:
+def profile_report(profiler: Profiler) -> str:
     """Render a deterministic two-part profile table.
 
     Part one lists phases in first-open order (the loop's own order);
-    part two lists the top-``top_k`` tensor ops by dispatch count.
+    part two lists the top ten tensor ops by dispatch count.
     """
     lines = ["phase | calls | steps | tensor-ops | units"]
     for totals in profiler.phases.values():
@@ -164,6 +164,6 @@ def profile_report(profiler: Profiler, top_k: int = 10) -> str:
     lines.append("")
     lines.append(f"top tensor ops (of {profiler.total_ops} dispatches)")
     lines.append("op | dispatches")
-    for op, count in profiler.top_ops(top_k):
+    for op, count in profiler.top_ops():
         lines.append(f"{op} | {count}")
     return "\n".join(lines)

@@ -122,12 +122,7 @@ class Tracer:
     with the same seed emit identical ids in identical order.
     """
 
-    def __init__(
-        self,
-        clock=None,
-        capacity: int = 4096,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, clock=None, seed: int = 0) -> None:
         if clock is None:
             # Imported here, not at module level: obs is a leaf package
             # (reliability's serving facade imports obs.metrics, so a
@@ -136,7 +131,7 @@ class Tracer:
 
             clock = StepClock()
         self.clock = clock
-        self.store = SpanStore(capacity)
+        self.store = SpanStore()
         self.seed = seed
         self._next_id = 0
         self._stack: List[Span] = []

@@ -279,7 +279,7 @@ class StorageFaultPlan:
     * **truncated manifest** — the crash hit the manifest itself; the
       store must refuse to open rather than trust half a description;
     * **lost fsync tail** — a write that was acknowledged but never
-      durably flushed: the final ``tail_bytes`` of a shard file read as
+      durably flushed: the final 64 bytes of a shard file read as
       zeros after the "power loss".
 
     All target selection and offsets flow from one
@@ -293,14 +293,11 @@ class StorageFaultPlan:
     bit_flips: int = 0
     truncate_manifest: bool = False
     lost_fsync_tails: int = 0
-    tail_bytes: int = 64
 
     def __post_init__(self) -> None:
         for name in ("torn_writes", "bit_flips", "lost_fsync_tails"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.tail_bytes < 1:
-            raise ValueError("tail_bytes must be >= 1")
 
     def describe(self) -> str:
         """One-line human summary for logs and chaos reports."""
@@ -386,7 +383,7 @@ def inject_storage_faults(
     for _ in range(plan.lost_fsync_tails):
         target = shard_files[int(rng.integers(len(shard_files)))]
         size = target.stat().st_size
-        tail = min(plan.tail_bytes, size)
+        tail = min(64, size)
         with open(target, "r+b") as handle:
             handle.seek(size - tail)
             handle.write(b"\x00" * tail)

@@ -41,6 +41,7 @@ from ..core.cache import CachedPKGMServer
 from ..core.service import ServiceVectors
 from ..obs.metrics import MetricsRegistry, counter_view
 from ..ops import OPS, RetrievalPayload
+from ..store.errors import QuarantinedRowError
 from .admission import AdmissionConfig, AdmissionController, AdmissionAction, Deadline
 from .retry import RPCError, StepClock
 
@@ -51,9 +52,9 @@ SERVING, DRAINING, QUIESCED = "serving", "draining", "quiesced"
 class LatencyModel:
     """Seeded virtual-latency distribution for one replica.
 
-    ``base + uniform(0, jitter)`` for the body of the distribution,
+    ``base + uniform(0, 0.004)`` for the body of the distribution,
     plus — with probability ``tail_prob`` — an exponential tail of mean
-    ``tail_scale`` (the stragglers hedging exists to cut).  All draws
+    0.25 (the stragglers hedging exists to cut).  All draws
     come from one ``default_rng(seed)`` stream, so a replica's latency
     sequence is a pure function of its seed and call order.
     """
@@ -61,26 +62,22 @@ class LatencyModel:
     def __init__(
         self,
         base: float = 0.004,
-        jitter: float = 0.004,
         tail_prob: float = 0.03,
-        tail_scale: float = 0.25,
         seed: int = 0,
     ) -> None:
-        if base < 0 or jitter < 0 or tail_scale < 0:
+        if base < 0:
             raise ValueError("latencies must be non-negative")
         if not 0.0 <= tail_prob <= 1.0:
             raise ValueError("tail_prob must be in [0, 1]")
         self.base = base
-        self.jitter = jitter
         self.tail_prob = tail_prob
-        self.tail_scale = tail_scale
         self._rng = np.random.default_rng(seed)
 
     def sample(self) -> float:
         """One virtual service latency draw."""
-        latency = self.base + self.jitter * float(self._rng.random())
+        latency = self.base + 0.004 * float(self._rng.random())
         if self.tail_prob and float(self._rng.random()) < self.tail_prob:
-            latency += float(self._rng.exponential(self.tail_scale))
+            latency += float(self._rng.exponential(0.25))
         return latency
 
 
@@ -90,7 +87,8 @@ class BackendOutcome:
 
     vectors: Optional[ServiceVectors]
     latency: float
-    reason: Optional[str] = None  # None | "rpc-error" | "unknown-id" | "deadline"
+    # None | "rpc-error" | "unknown-id" | "quarantined" | "deadline"
+    reason: Optional[str] = None
     hedged: bool = False
     hedge_won: bool = False
 
@@ -142,7 +140,8 @@ class TimedBackend:
         kind's :data:`~repro.ops.OPS` call on ``target`` (this
         replica's server unless given) and map its failures onto the
         serve path's vocabulary — :class:`RPCError` → ``"rpc-error"``,
-        unknown ids → ``"unknown-id"``.
+        unknown ids → ``"unknown-id"``, a row on a page that failed its
+        CRC (:class:`QuarantinedRowError`) → ``"quarantined"``.
         """
         self.calls += 1
         latency = self.latency.sample()
@@ -161,6 +160,8 @@ class TimedBackend:
             return None, latency, "rpc-error"
         except (KeyError, IndexError):
             return None, latency, "unknown-id"
+        except QuarantinedRowError:
+            return None, latency, "quarantined"
         return payload, latency, None
 
     def serve_timed(
@@ -739,7 +740,9 @@ class PKGMGateway:
         if (
             hedge_after is None
             or len(self.replicas) < 2
-            or reason == "unknown-id"  # a domain error: hedging cannot help
+            # Domain errors: every replica reads the same bytes, so a
+            # hedge cannot help.
+            or reason in ("unknown-id", "quarantined")
             or (reason is None and latency <= hedge_after)
         ):
             return BackendOutcome(vectors, latency, reason)
@@ -805,11 +808,11 @@ class PKGMGateway:
 def build_replicas(
     server,
     count: int,
-    cache_capacity: int = 512,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> List[TimedBackend]:
-    """``count`` timed replicas over one snapshot, each with its own LRU.
+    """``count`` timed replicas over one snapshot, each with its own
+    512-entry LRU.
 
     Every replica gets an independent :class:`CachedPKGMServer` (so a
     swap refreshes per-replica caches) and an independently seeded
@@ -824,7 +827,7 @@ def build_replicas(
         TimedBackend(
             CachedPKGMServer(
                 server,
-                capacity=cache_capacity,
+                capacity=512,
                 registry=(
                     registry.child(f"replica_{index}")
                     if registry is not None

@@ -64,9 +64,7 @@ class LoadTestConfig:
     requests: int = 2000
     base_rate: float = 400.0  # mean arrivals per virtual second at 1x
     seed: int = 0
-    priority_levels: int = 3
     unknown_prob: float = 0.01
-    zipf_alpha: float = 1.1  # popularity skew over the item catalog
     drain_at: Optional[float] = 0.5  # run fraction for drain+swap (None: never)
 
     def __post_init__(self) -> None:
@@ -78,8 +76,6 @@ class LoadTestConfig:
             raise ValueError("requests must be >= 1")
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
-        if self.priority_levels < 1:
-            raise ValueError("priority_levels must be >= 1")
         if not 0.0 <= self.unknown_prob <= 1.0:
             raise ValueError("unknown_prob must be in [0, 1]")
         if self.drain_at is not None and not 0.0 < self.drain_at < 1.0:
@@ -136,14 +132,13 @@ def run_loadtest(
     gateway: PKGMGateway,
     item_ids: Sequence[int],
     config: Optional[LoadTestConfig] = None,
-    swap_server=None,
 ) -> LoadTestReport:
     """Drive ``gateway`` with one open-loop traffic scenario.
 
     ``item_ids`` is the catalog to draw (Zipf-skewed) requests from.
     With ``config.drain_at`` set, the run performs a mid-run
-    ``drain()`` + ``swap(swap_server)`` — ``swap_server`` defaults to
-    the replicas' current snapshot source, i.e. a same-model refresh.
+    ``drain()`` + ``swap()`` that re-installs the primary replica's
+    current snapshot source, i.e. a same-model refresh.
     Raises only on configuration errors; traffic itself can never
     raise (that is the gateway's contract, and the report asserts
     every request was answered exactly once).
@@ -154,8 +149,8 @@ def run_loadtest(
     shape = PROFILES[config.profile]
     rng = np.random.default_rng(config.seed)
     items = np.asarray(sorted(int(i) for i in item_ids), dtype=np.int64)
-    # Zipf-skewed popularity: weight 1/rank^alpha over the sorted catalog.
-    weights = 1.0 / np.arange(1, len(items) + 1, dtype=np.float64) ** config.zipf_alpha
+    # Zipf-skewed popularity: weight 1/rank^1.1 over the sorted catalog.
+    weights = 1.0 / np.arange(1, len(items) + 1, dtype=np.float64) ** 1.1
     weights /= weights.sum()
     unknown_id = int(items.max()) + 10**6
 
@@ -167,13 +162,8 @@ def run_loadtest(
     for index in range(config.requests):
         if index == drain_index:
             responses.extend(gateway.drain())
-            target = swap_server
-            if target is None:
-                # Same-model refresh: re-install the primary replica's
-                # current underlying snapshot.
-                primary = gateway.replicas[0].server
-                target = getattr(primary, "_server", primary)
-            gateway.swap(target)
+            primary = gateway.replicas[0].server
+            gateway.swap(getattr(primary, "_server", primary))
         rate = config.base_rate * shape(index / config.requests)
         gateway.clock.advance(float(rng.exponential(1.0 / rate)))
         responses.extend(gateway.step())
@@ -181,7 +171,7 @@ def run_loadtest(
             entity = unknown_id + index
         else:
             entity = int(items[int(rng.choice(len(items), p=weights))])
-        priority = int(rng.integers(0, config.priority_levels))
+        priority = int(rng.integers(0, 3))  # three priority levels
         shed = gateway.submit(entity, priority=priority)
         if shed is not None:
             responses.append(shed)

@@ -20,7 +20,7 @@ jitter sequence, which the chaos tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -117,21 +117,19 @@ class RetryStats:
 class Retrier:
     """Executes callables under a :class:`RetryPolicy`.
 
-    Only exceptions listed in ``retryable`` are retried; anything else
-    propagates immediately (a ``KeyError`` is a caller bug, not a flaky
-    network).  The final failure raises :class:`RetryExhaustedError`
-    chained to the last cause.
+    Only :class:`RPCError` is retried; anything else propagates
+    immediately (a ``KeyError`` is a caller bug, not a flaky network).
+    The final failure raises :class:`RetryExhaustedError` chained to the
+    last cause.
     """
 
     def __init__(
         self,
         policy: Optional[RetryPolicy] = None,
         clock: Optional[StepClock] = None,
-        retryable: Tuple[Type[BaseException], ...] = (RPCError,),
     ) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
         self.clock = clock if clock is not None else StepClock()
-        self.retryable = retryable
         self.stats = RetryStats()
         self._rng = np.random.default_rng(self.policy.seed)
         self._budget_left = self.policy.budget
@@ -171,7 +169,7 @@ class Retrier:
                 ) from last
             try:
                 return fn(*args, **kwargs)
-            except self.retryable as exc:
+            except RPCError as exc:
                 last = exc
                 if attempt + 1 >= self.policy.max_attempts:
                     break
@@ -207,8 +205,9 @@ class CircuitBreaker:
     ``half_open_probes`` trial calls are admitted; one success closes
     the breaker, one failure re-opens it.
 
-    Only ``failure_types`` count as failures — domain errors (unknown
-    id → ``KeyError``) pass through without moving the state machine.
+    Only :class:`RPCError` and :class:`RetryExhaustedError` count as
+    failures — domain errors (unknown id → ``KeyError``) pass through
+    without moving the state machine.
     """
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
@@ -219,10 +218,6 @@ class CircuitBreaker:
         recovery_time: float = 30.0,
         half_open_probes: int = 1,
         clock: Optional[StepClock] = None,
-        failure_types: Tuple[Type[BaseException], ...] = (
-            RPCError,
-            RetryExhaustedError,
-        ),
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
@@ -234,7 +229,6 @@ class CircuitBreaker:
         self.recovery_time = recovery_time
         self.half_open_probes = half_open_probes
         self.clock = clock if clock is not None else StepClock()
-        self.failure_types = failure_types
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.times_opened = 0
@@ -289,9 +283,9 @@ class CircuitBreaker:
             self._probes_in_flight += 1
         try:
             # Domain errors (KeyError, ...) propagate without moving the
-            # state machine — only failure_types indict the backend.
+            # state machine — only RPC failures indict the backend.
             result = fn(*args, **kwargs)
-        except self.failure_types:
+        except (RPCError, RetryExhaustedError):
             self.record_failure()
             raise
         self.record_success()

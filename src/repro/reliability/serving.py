@@ -138,7 +138,7 @@ class ResilientPKGMServer(BatchOverServe):
 
     ``backend`` may be a plain ``PKGMServer``-surface object or an
     existing :class:`CachedPKGMServer`; a plain backend is wrapped in a
-    fresh LRU (the stale-serving path needs one).
+    fresh 1024-entry LRU (the stale-serving path needs one).
     """
 
     #: Resolution outcomes (exactly one per request), pre-registered so
@@ -158,7 +158,6 @@ class ResilientPKGMServer(BatchOverServe):
         backend,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        cache_capacity: int = 1024,
         clock: Optional[StepClock] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -176,7 +175,7 @@ class ResilientPKGMServer(BatchOverServe):
             self._cached = backend
         else:
             self._cached = CachedPKGMServer(
-                backend, capacity=cache_capacity, registry=self.metrics
+                backend, capacity=1024, registry=self.metrics
             )
         self._retrier = Retrier(retry, clock=self.clock)
         self.breaker = (

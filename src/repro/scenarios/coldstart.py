@@ -54,29 +54,29 @@ __all__ = [
     "run_coldstart",
 ]
 
+#: The cut-offs every HR@k / NDCG@k column is reported at.
+KS = (1, 5, 10)
+
 
 @dataclass(frozen=True)
 class ColdStartConfig:
     """Knobs for the zero-shot scenario.
 
-    ``alignment_weight`` scales the co-occurrence pull relative to the
-    TransE updates; one alignment pass runs after every training epoch
-    (the multi-task interleave).
+    One alignment pass runs after every training epoch (the multi-task
+    interleave); it weighs the co-occurrence pull at 0.1 of the TransE
+    updates.
     """
 
     cold_fraction: float = 0.2
     seed: int = 0
-    ks: Tuple[int, ...] = (1, 5, 10)
-    alignment_weight: float = 0.1
     alignment_lr: float = 0.05
-    max_pairs: int = 4000
     min_warm_per_user: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.cold_fraction < 1.0:
             raise ValueError("cold_fraction must be in (0, 1)")
-        if self.alignment_weight < 0 or self.alignment_lr <= 0:
-            raise ValueError("alignment weight/lr must be positive")
+        if self.alignment_lr <= 0:
+            raise ValueError("alignment_lr must be positive")
         if self.min_warm_per_user < 1:
             raise ValueError("min_warm_per_user must be >= 1")
 
@@ -296,19 +296,13 @@ def pretrain_multitask(
         config=model_config,
         rng=np.random.default_rng(seed),
     )
-    aligner = CooccurrenceAligner(
-        split.interactions, item_entity_ids, max_pairs=coldstart.max_pairs
-    )
+    aligner = CooccurrenceAligner(split.interactions, item_entity_ids)
     entity_table = model.triple_module.entity_embeddings.weight.data
     alignment_losses: List[float] = []
 
     def _align(epoch: int, mean_loss: float) -> None:
         alignment_losses.append(
-            aligner.step(
-                entity_table,
-                lr=coldstart.alignment_lr,
-                weight=coldstart.alignment_weight,
-            )
+            aligner.step(entity_table, lr=coldstart.alignment_lr, weight=0.1)
         )
 
     trainer = PKGMTrainer(model, trainer_config, registry=registry)
@@ -323,25 +317,24 @@ def pretrain_multitask(
 
 @dataclass(frozen=True)
 class ColdStartReport:
-    """HR@k / NDCG@k per scoring method over the cold pool."""
+    """HR@k / NDCG@k per scoring method over the cold pool, k in :data:`KS`."""
 
     methods: Dict[str, Dict[str, float]]
     num_users: int
     num_cold: int
-    ks: Tuple[int, ...] = (1, 5, 10)
 
     def lines(self) -> List[str]:
         header = "method | " + " | ".join(
-            f"HR@{k}" for k in self.ks
-        ) + " | " + " | ".join(f"NDCG@{k}" for k in self.ks)
+            f"HR@{k}" for k in KS
+        ) + " | " + " | ".join(f"NDCG@{k}" for k in KS)
         rows = [
             f"cold-start zero-shot: {self.num_users} users x {self.num_cold} cold items",
             header,
         ]
         for method in sorted(self.methods):
             metrics = self.methods[method]
-            hr = " | ".join(f"{metrics[f'HR@{k}']:.4f}" for k in self.ks)
-            ndcg = " | ".join(f"{metrics[f'NDCG@{k}']:.4f}" for k in self.ks)
+            hr = " | ".join(f"{metrics[f'HR@{k}']:.4f}" for k in KS)
+            ndcg = " | ".join(f"{metrics[f'NDCG@{k}']:.4f}" for k in KS)
             rows.append(f"{method} | {hr} | {ndcg}")
         return rows
 
@@ -353,7 +346,6 @@ def evaluate_coldstart(
     catalog,
     config: Optional[ColdStartConfig] = None,
     ncf_model=None,
-    ncf_features: Optional[np.ndarray] = None,
 ) -> ColdStartReport:
     """Rank each user's held-out cold item among all cold items.
 
@@ -366,12 +358,11 @@ def evaluate_coldstart(
       category (cold items have no own counts by construction).
     * ``random`` — seeded uniform scores.
     * ``warm-ncf`` — optional: a trained NCF scoring via
-      :meth:`~repro.tasks.NCF.predict_unseen`; without service
-      features every cold item collapses to the mean item embedding,
-      which is exactly the failure mode the paper's vectors fix.
+      :meth:`~repro.tasks.NCF.predict_unseen` without service
+      features, so every cold item collapses to the mean item
+      embedding — exactly the failure mode the paper's vectors fix.
     """
     config = config if config is not None else ColdStartConfig()
-    ks = config.ks
     entity_ids = np.asarray(item_entity_ids, dtype=np.int64)
     cold = np.asarray(split.cold_items, dtype=np.int64)
     condensed = server.serve_condensed_batch([int(e) for e in entity_ids])
@@ -414,20 +405,18 @@ def evaluate_coldstart(
         )
         if ncf_model is not None:
             users = np.full(len(cold), user_id, dtype=np.int64)
-            service = None if ncf_features is None else ncf_features[cold]
-            scores = ncf_model.predict_unseen(users, service=service)
+            scores = ncf_model.predict_unseen(users)
             ranks["warm-ncf"].append(
                 rank_of_positive(scores, positive_index=positive_index)
             )
 
     return ColdStartReport(
         methods={
-            method: ranking_metrics(method_ranks, ks)
+            method: ranking_metrics(method_ranks, KS)
             for method, method_ranks in ranks.items()
         },
         num_users=len(split.heldout),
         num_cold=len(cold),
-        ks=ks,
     )
 
 

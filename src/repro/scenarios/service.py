@@ -69,15 +69,10 @@ def degraded_recommendation(entity_id: int, k: int) -> RecommendationPayload:
     )
 
 
-def degraded_explanation(
-    entity_id: int, relation: int, kind: str = "completion"
-) -> ExplanationPayload:
-    """The typed fallback payload for a failed explanation."""
+def degraded_explanation(entity_id: int, relation: int) -> ExplanationPayload:
+    """The typed fallback payload for a failed (completion) explanation."""
     return ExplanationPayload(
-        entity_id=int(entity_id),
-        relation=int(relation),
-        kind=kind,
-        degraded=True,
+        entity_id=int(entity_id), relation=int(relation), degraded=True
     )
 
 
@@ -137,7 +132,7 @@ class ScenarioService:
     * a :class:`CircuitBreaker` guards every engine call; when open,
       calls fail fast as :class:`RPCError` so the gateway's degraded
       path takes over;
-    * successful payloads land in a bounded LRU keyed by the full
+    * successful payloads land in a 256-entry LRU keyed by the full
       query; cache hits are served even while the breaker is open
       (stale-on-open, like :class:`ResilientPKGMServer`);
     * **degraded payloads are never cached** — the facade refuses even
@@ -150,16 +145,15 @@ class ScenarioService:
         recommender,
         clock: Optional[StepClock] = None,
         registry=None,
-        cache_capacity: int = 256,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.explainer = explainer
         self.recommender = recommender
         self.clock = clock or StepClock()
-        # Default failure_types: unknown-id KeyErrors are domain errors
-        # and must not indict the backend.
+        # Unknown-id KeyErrors are domain errors and must not indict the
+        # backend; the breaker counts only RPC failures.
         self.breaker = breaker or CircuitBreaker(clock=self.clock)
-        self._cache = LRUDict(cache_capacity)
+        self._cache = LRUDict(256)
         self._hits_c = self._misses_c = self._skips_c = self._shortcircuit_c = None
         if registry is not None:
             self._hits_c = registry.counter(

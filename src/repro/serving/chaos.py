@@ -41,14 +41,9 @@ class ChaosConfig:
     kill_workers: Tuple[int, ...] = (0, 1)  # which worker dies at each
     window: int = 8  # max outstanding requests
     seed: int = 0
-    serve_prob: float = 0.55
-    exist_prob: float = 0.2  # remainder is retrieve
-    unknown_prob: float = 0.05
     k: int = 5
-    tick: float = 0.001  # virtual seconds between arrivals
     max_batch: int = 4
     max_delay: float = 0.004
-    deadline_budget: float = 64.0
     cache_pages: int = 64
     scrub_pages_per_tick: int = 0
 
@@ -112,22 +107,29 @@ class ChaosReport:
         ]
 
 
+#: Virtual seconds between two seeded arrivals.
+ARRIVAL_TICK = 0.001
+
+
 def _pick_request(
     rng: np.random.Generator,
-    config: ChaosConfig,
     item_ids: Sequence[int],
     num_entities: int,
     num_relations: int,
+    serve_prob: float,
+    exist_prob: float,
+    unknown_prob: float,
 ) -> Tuple[str, int, int]:
-    """(kind, entity, relation) for one seeded arrival."""
+    """(kind, entity, relation) for one seeded arrival; the remainder
+    after ``serve_prob`` and ``exist_prob`` is retrieve."""
     draw = float(rng.random())
-    if draw < config.serve_prob:
+    if draw < serve_prob:
         kind = "serve"
-    elif draw < config.serve_prob + config.exist_prob:
+    elif draw < serve_prob + exist_prob:
         kind = "exist"
     else:
         kind = "retrieve"
-    if float(rng.random()) < config.unknown_prob:
+    if float(rng.random()) < unknown_prob:
         entity = num_entities + int(rng.integers(0, 1000))
     elif kind == "serve":
         entity = int(item_ids[int(rng.integers(0, len(item_ids)))])
@@ -161,7 +163,6 @@ def run_kill_drill(
             num_workers=config.workers,
             max_batch=config.max_batch,
             max_delay=config.max_delay,
-            deadline_budget=config.deadline_budget,
             cache_pages=config.cache_pages,
             scrub_pages_per_tick=config.scrub_pages_per_tick,
         ),
@@ -177,9 +178,15 @@ def run_kill_drill(
             if index in kills:
                 pool.kill_worker(kills[index])
                 kills_fired += 1
-            clock.advance(config.tick)
+            clock.advance(ARRIVAL_TICK)
             kind, entity, relation = _pick_request(
-                rng, config, item_ids, pool.num_entities, pool.num_relations
+                rng,
+                item_ids,
+                pool.num_entities,
+                pool.num_relations,
+                serve_prob=0.55,
+                exist_prob=0.2,
+                unknown_prob=0.05,
             )
             pool.submit(kind, entity, relation=relation, k=config.k)
             pool.pump()

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .chaos import _pick_request, ChaosConfig
+from .chaos import _pick_request, ARRIVAL_TICK
 from .supervisor import Supervisor
 
 
@@ -37,7 +37,6 @@ class ServeLoadConfig:
     exist_prob: float = 0.2
     unknown_prob: float = 0.0
     k: int = 10
-    tick: float = 0.001  # virtual seconds between arrivals
 
 
 @dataclass
@@ -75,15 +74,6 @@ def run_serve_loadtest(
     config = config if config is not None else ServeLoadConfig()
     clock = pool.clock
     now = timer if timer is not None else clock.now
-    mix = ChaosConfig(
-        workers=pool.config.num_workers,
-        kill_at=(),
-        kill_workers=(),
-        serve_prob=config.serve_prob,
-        exist_prob=config.exist_prob,
-        unknown_prob=config.unknown_prob,
-        k=config.k,
-    )
     rng = np.random.default_rng(config.seed)
     submitted_at: Dict[int, float] = {}
     latencies: List[float] = []
@@ -101,9 +91,15 @@ def run_serve_loadtest(
 
     started = now()
     for _ in range(config.requests):
-        clock.advance(config.tick)
+        clock.advance(ARRIVAL_TICK)
         kind, entity, relation = _pick_request(
-            rng, mix, item_ids, pool.num_entities, pool.num_relations
+            rng,
+            item_ids,
+            pool.num_entities,
+            pool.num_relations,
+            config.serve_prob,
+            config.exist_prob,
+            config.unknown_prob,
         )
         request_id = pool.submit(kind, entity, relation=relation, k=config.k)
         submitted_at[request_id] = now()

@@ -69,6 +69,14 @@ from .worker import worker_main
 #: Worker lifecycle states.
 DOWN, STARTING, UP, DEAD = "down", "starting", "up", "dead"
 
+#: Dispatches per request: the original plus one replay to a sibling.
+MAX_ATTEMPTS = 2
+#: Real seconds a blocking read (or the ready handshake) waits before
+#: the worker it waits on is treated as wedged.
+IO_TIMEOUT = 30.0
+#: Restarts per worker slot before the supervisor gives up on it.
+RESTART_LIMIT = 8
+
 
 class PoolError(RPCError):
     """The pool cannot answer (no live workers / worker-side failure).
@@ -88,18 +96,12 @@ class PoolConfig:
     max_batch: int = 16
     max_delay: float = 0.002  # virtual seconds, see Coalescer
     deadline_budget: float = 64.0  # virtual seconds per request
-    max_attempts: int = 2  # dispatches per request (1 original + replays)
     cache_pages: int = 64  # per-worker page-cache budget
-    io_timeout: float = 30.0  # real seconds; hang backstop on blocking reads
-    start_timeout: float = 30.0  # real seconds; worker ready handshake
-    restart_limit: int = 8  # restarts per worker slot before giving up
     scrub_pages_per_tick: int = 0  # 0 disables background scrubbing
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.deadline_budget <= 0:
             raise ValueError("deadline_budget must be positive")
 
@@ -281,7 +283,7 @@ class Supervisor:
         waiting = [h for h in handles if h.state == STARTING]
         while waiting:
             socks = [h.sock for h in waiting]
-            readable, _, _ = select.select(socks, [], [], self.config.start_timeout)
+            readable, _, _ = select.select(socks, [], [], IO_TIMEOUT)
             if not readable:
                 for handle in waiting:
                     self._on_worker_death(handle, reason="start-timeout")
@@ -391,7 +393,7 @@ class Supervisor:
                 for batch in batches:
                     self._dispatch(batch)
                 continue
-            self._poll(timeout=self.config.io_timeout, hang_is_death=True)
+            self._poll(timeout=IO_TIMEOUT, hang_is_death=True)
 
     def drain(self) -> List[PoolResponse]:
         """Force-flush and answer everything outstanding."""
@@ -601,12 +603,12 @@ class Supervisor:
             if now >= request.deadline_at:
                 self._failfast_deadline_c.inc()
                 self._record(self._supervisor_outcome(request, "deadline"))
-            elif request.attempts + 1 >= self.config.max_attempts:
+            elif request.attempts + 1 >= MAX_ATTEMPTS:
                 self._failfast_attempts_c.inc()
                 self._record(self._supervisor_outcome(request, "failed"))
             else:
                 replayable.append(request)
-        if not was_starting and handle.restarts < self.config.restart_limit:
+        if not was_starting and handle.restarts < RESTART_LIMIT:
             handle.restarts += 1
             self._restarts_c.inc()
             self._spawn(handle)
@@ -647,7 +649,7 @@ class Supervisor:
         seconds is declared dead (its in-flight work replays or fails
         fast exactly as for a crash).
         """
-        timeout = self.config.io_timeout if timeout is None else timeout
+        timeout = IO_TIMEOUT if timeout is None else timeout
         self._ping_seq += 1
         sequence = self._ping_seq
         targets = [h for h in self.workers if h.state == UP]
@@ -712,7 +714,7 @@ class Supervisor:
         for batch in self.coalescer.flush_all():
             self._dispatch(batch)
         while request_id not in self._terminal:
-            self._poll(timeout=self.config.io_timeout, hang_is_death=True)
+            self._poll(timeout=IO_TIMEOUT, hang_is_death=True)
             if request_id in self._terminal:
                 break
             if not self._inflight_total():

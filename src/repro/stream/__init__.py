@@ -13,7 +13,7 @@ one write-ahead loop whose crash recovery is a pure log replay, and
 :mod:`.chaos` is the drill that proves recovery byte-identical.
 """
 
-from .chaos import StreamChaosConfig, StreamChaosReport, run_stream_chaos
+from .chaos import StreamChaosReport, run_stream_chaos
 from .continual import ContinualConfig, ContinualTrainer, ReplayBuffer
 from .deltas import (
     OP_ADD,
@@ -60,7 +60,6 @@ __all__ = [
     "ReplayBuffer",
     "SnapshotSwapError",
     "SnapshotVersioner",
-    "StreamChaosConfig",
     "StreamChaosReport",
     "StreamPipeline",
     "StreamReport",

@@ -29,20 +29,6 @@ from .pipeline import StreamPipeline, StreamReport, StreamRunConfig
 
 
 @dataclass(frozen=True)
-class StreamChaosConfig:
-    """Where the simulated kill lands."""
-
-    kill_batch: int = 3
-    torn_tail_bytes: int = 48
-
-    def __post_init__(self) -> None:
-        if self.kill_batch < 1:
-            raise ValueError("kill_batch must be >= 1")
-        if self.torn_tail_bytes < 1:
-            raise ValueError("torn_tail_bytes must be >= 1")
-
-
-@dataclass(frozen=True)
 class StreamChaosReport:
     """Deterministic outcome of one drill."""
 
@@ -114,20 +100,24 @@ def run_stream_chaos(
     experiment: ExperimentConfig,
     run_dir: Union[str, Path],
     stream_config: Optional[StreamRunConfig] = None,
-    chaos: Optional[StreamChaosConfig] = None,
+    kill_batch: int = 3,
 ) -> StreamChaosReport:
-    """Run the clean/crashed pair and byte-compare everything."""
+    """Run the clean/crashed pair and byte-compare everything.
+
+    The simulated kill lands after batch ``kill_batch``.
+    """
+    if kill_batch < 1:
+        raise ValueError("kill_batch must be >= 1")
     run_dir = Path(run_dir)
     stream_config = (
         stream_config if stream_config is not None else StreamRunConfig()
     )
-    chaos = chaos if chaos is not None else StreamChaosConfig()
     if stream_config.batches < 3:
         raise ValueError("the drill needs at least 3 batches")
     # The torn segment sits at kill_batch + 1; the recovered run must
     # regenerate (and so overwrite) it, which requires the kill point
     # to land at least two batches before the end.
-    kill_batch = max(1, min(chaos.kill_batch, stream_config.batches - 2))
+    kill_batch = min(kill_batch, stream_config.batches - 2)
 
     clean_dir = run_dir / "clean"
     crashed_dir = run_dir / "crashed"
@@ -148,9 +138,8 @@ def run_stream_chaos(
              "last_seq": -1, "ops": []}
         )
     )
-    victim.log.segment_path(kill_batch + 1).write_bytes(
-        torn_doc[: chaos.torn_tail_bytes]
-    )
+    # The first 48 bytes of the segment: a write torn mid-document.
+    victim.log.segment_path(kill_batch + 1).write_bytes(torn_doc[:48])
     del victim  # the process is dead; nothing of it survives
 
     # Phase 2: a fresh process recovers from the delta log alone.

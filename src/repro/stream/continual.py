@@ -32,20 +32,19 @@ from .warmstart import warm_start
 
 @dataclass(frozen=True)
 class ContinualConfig:
-    """Bounded-update knobs for one absorbed batch."""
+    """Bounded-update knobs for one absorbed batch.
+
+    Every step trains at margin 2.0 on a batch that is half replay, drawn
+    from a 2048-triple reservoir.
+    """
 
     seed: int = 0
     learning_rate: float = 0.05
-    margin: float = 2.0
     steps_per_batch: int = 4
     step_batch_size: int = 32
-    replay_fraction: float = 0.5
-    buffer_size: int = 2048
     max_norm: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.replay_fraction <= 1.0:
-            raise ValueError("replay_fraction must be in [0, 1]")
         if self.steps_per_batch < 0:
             raise ValueError("steps_per_batch must be >= 0")
         if self.step_batch_size < 1:
@@ -111,7 +110,7 @@ class ContinualTrainer:
         self.entity_table = np.array(entity_table, dtype=np.float64, copy=True)
         self.relation_table = np.asarray(relation_table, dtype=np.float64)
         self.config = config
-        self.buffer = ReplayBuffer(config.buffer_size, config.seed)
+        self.buffer = ReplayBuffer(2048, config.seed)
         self.steps_taken = 0
         self.warm_methods: Dict[str, int] = {}
 
@@ -211,7 +210,7 @@ class ContinualTrainer:
         )
         total_loss = 0.0
         for _ in range(config.steps_per_batch):
-            n_replay = int(round(config.step_batch_size * config.replay_fraction))
+            n_replay = int(round(config.step_batch_size * 0.5))
             n_fresh = config.step_batch_size - n_replay
             parts = []
             if len(fresh_arr) and n_fresh:
@@ -236,7 +235,7 @@ class ContinualTrainer:
     ) -> float:
         """One TransE-L1 margin step on the entity table only."""
         table, relations = self.entity_table, self.relation_table
-        lr, margin = self.config.learning_rate, self.config.margin
+        lr, margin = self.config.learning_rate, 2.0
 
         def residual(triples: np.ndarray) -> np.ndarray:
             return (

@@ -143,13 +143,12 @@ class StreamState:
         category_of: Dict[int, int],
         pools: Dict[Tuple[int, int], List[int]],
         next_entity_id: int,
-        next_seq: int = 0,
     ) -> None:
         self.live = live
         self.category_of = category_of
         self.pools = pools
         self.next_entity_id = next_entity_id
-        self.next_seq = next_seq
+        self.next_seq = 0
         self.base_entity_count = next_entity_id
 
     @classmethod
@@ -259,14 +258,13 @@ class StreamState:
 
 @dataclass(frozen=True)
 class DeltaStreamConfig:
-    """Shape of the generated churn."""
+    """Shape of the generated churn: eight events per batch, and a new
+    item fills each attribute of its category with probability 0.8."""
 
     seed: int = 0
-    events_per_batch: int = 8
     add_probability: float = 0.45
     update_probability: float = 0.35
     delete_probability: float = 0.20
-    fill_probability: float = 0.8
     min_live_items: int = 4
 
     def __post_init__(self) -> None:
@@ -277,8 +275,6 @@ class DeltaStreamConfig:
         )
         if abs(total - 1.0) > 1e-9:
             raise ValueError("event probabilities must sum to 1")
-        if self.events_per_batch < 1:
-            raise ValueError("events_per_batch must be >= 1")
 
 
 class CatalogDeltaStream:
@@ -305,7 +301,7 @@ class CatalogDeltaStream:
             self.config.update_probability,
             self.config.delete_probability,
         )
-        for _ in range(self.config.events_per_batch):
+        for _ in range(8):
             kind = kinds[rng.choice(len(kinds), p=probabilities)]
             if (
                 kind == OP_DELETE
@@ -350,7 +346,7 @@ class CatalogDeltaStream:
             )
         ]
         for relation in self.state.pool_relations(category):
-            if rng.random() >= self.config.fill_probability:
+            if rng.random() >= 0.8:
                 continue
             pool = self.state.pools[(category, relation)]
             tail = int(pool[rng.integers(len(pool))])

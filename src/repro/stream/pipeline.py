@@ -30,7 +30,7 @@ precisely what ``repro stream chaos`` gates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -52,23 +52,20 @@ from .deltas import (
     DeltaStreamConfig,
     StreamState,
 )
-from .index_delta import DeltaIndex, DeltaIndexConfig
+from .index_delta import DeltaIndex
 from .snapshot_swap import SnapshotVersioner
 
 
 @dataclass(frozen=True)
 class StreamRunConfig:
-    """One stream run, end to end."""
+    """One stream run, end to end.
+
+    The delta generator, the continual trainer and the delta index run
+    at their default configs; the base index is an 8-list IVF probing 4.
+    """
 
     batches: int = 12
     publish_every: int = 4
-    num_shards: int = 1
-    nlist: int = 8
-    nprobe: int = 4
-    metric: str = "l2"
-    delta: DeltaStreamConfig = field(default_factory=DeltaStreamConfig)
-    continual: ContinualConfig = field(default_factory=ContinualConfig)
-    index: DeltaIndexConfig = field(default_factory=DeltaIndexConfig)
 
     def __post_init__(self) -> None:
         if self.batches < 1:
@@ -200,28 +197,20 @@ class StreamPipeline:
                 dtype=np.float64,
             )
         self.state = StreamState.from_catalog(catalog)
-        self.stream = CatalogDeltaStream(self.state, self.config.delta)
+        self.stream = CatalogDeltaStream(self.state, DeltaStreamConfig())
         self.log = DeltaLog(self.run_dir / "deltas")
         self.trainer = ContinualTrainer(
-            entity_table,
-            self.relation_table,
-            self.config.continual,
+            entity_table, self.relation_table, ContinualConfig()
         )
         self.trainer.seed_buffer(sorted(self.state.triples()))
 
         base_items = np.asarray(self.selector.items(), dtype=np.int64)
-        nlist = min(self.config.nlist, max(1, len(base_items)))
+        nlist = min(8, max(1, len(base_items)))
         base_index = IVFFlatIndex(
-            dim=self.dim,
-            nlist=nlist,
-            nprobe=min(self.config.nprobe, nlist),
-            metric=self.config.metric,
-            seed=experiment.seed,
+            dim=self.dim, nlist=nlist, nprobe=min(4, nlist), seed=experiment.seed
         )
         base_index.build(self.trainer.entity_table[base_items], base_items)
-        self.index = DeltaIndex(
-            base_index, self.config.index, registry=self.metrics
-        )
+        self.index = DeltaIndex(base_index, registry=self.metrics)
         self.versioner = SnapshotVersioner(self.run_dir, registry=self.metrics)
         self.publishes = 0
 
@@ -376,7 +365,6 @@ class StreamPipeline:
             },
             self.index.index,
             seq=self.state.next_seq - 1,
-            num_shards=self.config.num_shards,
         )
         self.publishes += 1
         self._stale_ops_g.set(0)

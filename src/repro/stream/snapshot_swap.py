@@ -92,7 +92,6 @@ class SnapshotVersioner:
         index,
         *,
         seq: int,
-        num_shards: int = 1,
         extra: Optional[Dict] = None,
     ) -> Path:
         """Freeze ``tables`` + ``index`` as ``version``; promote it.
@@ -111,7 +110,6 @@ class SnapshotVersioner:
         write_server_store(
             store_dir,
             tables,
-            num_shards=num_shards,
             metadata={"stream_version": int(version), "stream_seq": int(seq)},
         ).close()
         save_index(index, directory / "index")

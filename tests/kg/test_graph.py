@@ -43,7 +43,7 @@ class TestToNetworkx:
     def test_edge_labels(self, catalog):
         graph = to_networkx(catalog.store, catalog.entities, catalog.relations)
         _, _, data = next(iter(graph.edges(data=True)))
-        assert data["label"] in catalog.relations.labels()
+        assert data["label"] in catalog.relations
 
     def test_without_vocabularies(self):
         store = TripleStore([(0, 0, 1)])

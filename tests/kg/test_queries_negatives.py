@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.kg import (
-    BernoulliNegativeSampler,
     QueryEngine,
     TripleStore,
     UniformNegativeSampler,
@@ -98,24 +97,6 @@ class TestUniformNegativeSampler:
         assert negatives[:, 2].max() < 10 and negatives[:, 2].min() >= 0
         assert negatives[:, 1].max() < 3
 
-    def test_filtered_avoids_known_positives(self):
-        # Dense tiny KG: unfiltered corruption would often hit positives.
-        triples = [(h, 0, t) for h in range(4) for t in range(4, 7)]
-        store = TripleStore(triples)
-        sampler = UniformNegativeSampler(
-            num_entities=8,
-            num_relations=1,
-            rng=np.random.default_rng(2),
-            corrupt_relation_prob=0.0,
-            filter_store=store,
-            max_resample=50,
-        )
-        positives = store.to_array()
-        for _ in range(20):
-            negatives = sampler.corrupt_batch(positives)
-            hits = sum(tuple(n) in store for n in negatives)
-            assert hits == 0
-
     def test_validates_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -128,27 +109,3 @@ class TestUniformNegativeSampler:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             self.make().corrupt_batch(np.array([1, 2, 3]))
-
-
-class TestBernoulliNegativeSampler:
-    def test_corrupts_one_entity_slot(self, store):
-        sampler = BernoulliNegativeSampler(store, num_entities=20, rng=np.random.default_rng(0))
-        positives = store.to_array()
-        negatives = sampler.corrupt_batch(positives)
-        changed = (negatives != positives).sum(axis=1)
-        assert np.all(changed == 1)
-        assert np.all(negatives[:, 1] == positives[:, 1])  # never the relation
-
-    def test_one_to_many_relation_prefers_head_corruption(self):
-        # Relation 0: one head, many tails -> tph high -> corrupt head often.
-        triples = [(0, 0, t) for t in range(1, 30)]
-        store = TripleStore(triples)
-        sampler = BernoulliNegativeSampler(store, num_entities=60, rng=np.random.default_rng(1))
-        positives = np.array(triples * 10)
-        negatives = sampler.corrupt_batch(positives)
-        head_changed = (negatives[:, 0] != positives[:, 0]).mean()
-        assert head_changed > 0.8
-
-    def test_validates_entities(self, store):
-        with pytest.raises(ValueError):
-            BernoulliNegativeSampler(store, num_entities=1, rng=np.random.default_rng(0))

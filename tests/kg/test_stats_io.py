@@ -18,7 +18,7 @@ def kg():
     store = TripleStore()
     brand = relations.add_property("brandIs")
     color = relations.add_property("colorIs")
-    same = relations.add_item_relation("same_product_as")
+    same = relations.add("same_product_as")
     apple = entities.add_value("Apple")
     green = entities.add_value("Green")
     for i in range(3):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.kg import (
     EntityVocabulary,
-    RelationVocabulary,
     Triple,
     TripleStore,
     Vocabulary,
@@ -40,11 +39,6 @@ class TestVocabulary:
         assert len(vocab) == 2
         assert list(vocab) == ["a", "b"]
 
-    def test_labels_is_copy(self):
-        vocab = Vocabulary(["a"])
-        vocab.labels().append("b")
-        assert len(vocab) == 1
-
 
 class TestEntityVocabulary:
     def test_item_value_partition(self):
@@ -61,17 +55,6 @@ class TestEntityVocabulary:
         vocab.add_item("i")
         vocab.add_value("v")
         assert len(vocab) == 2
-
-
-class TestRelationVocabulary:
-    def test_property_partition(self):
-        vocab = RelationVocabulary()
-        prop = vocab.add_property("brandIs")
-        rel = vocab.add_item_relation("same_product_as")
-        assert vocab.is_property(prop)
-        assert not vocab.is_property(rel)
-        assert vocab.num_properties == 1
-        assert vocab.property_ids() == [prop]
 
 
 @pytest.fixture

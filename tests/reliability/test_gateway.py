@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import PKGMServer
 from repro.reliability import (
     AdmissionConfig,
     GatewayConfig,
@@ -146,6 +147,25 @@ class TestHedging:
         assert responses[0].reason == "unknown-id"
         assert gateway.stats.hedges_sent == 0
         assert gateway.stats.backend_errors == 1
+
+    def test_quarantined_row_degrades_not_hedged(self, server, tmp_path):
+        server.save_store(tmp_path / "st", page_bytes=64).close()
+        shard = tmp_path / "st" / "entity_table-0000.bin"
+        blob = bytearray(shard.read_bytes())
+        blob[3] ^= 0x40  # entity page 0 (rows 0 and 1) fails its CRC
+        shard.write_bytes(bytes(blob))
+        damaged = PKGMServer.from_store(tmp_path / "st")
+        try:
+            gateway = self.hedged_gateway(damaged, [0.01], [0.01])
+            gateway.submit(0)
+            gateway.submit(2)
+            responses = sorted(gateway.drain(), key=lambda r: r.entity_id)
+        finally:
+            damaged.store.close()
+        assert [r.reason for r in responses] == ["quarantined", None]
+        assert responses[0].vectors.degraded and responses[1].ok
+        assert gateway.stats.backend_errors == 1
+        assert gateway.stats.hedges_sent == 0
 
     def test_both_slow_reports_deadline_once(self, server):
         gateway = self.hedged_gateway(server, [10.0], [10.0])

@@ -81,6 +81,31 @@ class TestGatewayOverPool:
         assert backend.calls == before
         assert gateway.stats.deadline_rejected == 1
 
+    def test_quarantined_row_degrades_instead_of_raising(
+        self, tmp_path, reference, item_ids
+    ):
+        store_dir = tmp_path / "damaged"
+        reference.save_store(store_dir, num_shards=2, page_bytes=512).close()
+        shard = store_dir / "entity_table-0000.bin"
+        blob = bytearray(shard.read_bytes())
+        blob[3] ^= 0x40  # entity page 0 (rows 0-7) fails its CRC
+        shard.write_bytes(bytes(blob))
+        pool = Supervisor(
+            store_dir, PoolConfig(num_workers=1), registry=MetricsRegistry()
+        )
+        pool.start()
+        try:
+            gateway = PKGMGateway([TimedBackend(pool, latency=InstantLatency())])
+            assert gateway.submit(item_ids[0]) is None
+            assert gateway.submit(item_ids[-1]) is None
+            gateway.clock.advance(0.01)
+            responses = sorted(gateway.step(), key=lambda r: r.entity_id)
+        finally:
+            pool.shutdown()
+        assert [r.reason for r in responses] == ["quarantined", None]
+        assert not responses[0].ok and responses[1].ok
+        assert gateway.stats.backend_errors == 1
+
     def test_gateway_inherits_pool_geometry(self, gateway, pool):
         assert gateway.k == pool.k
         assert gateway.dim == pool.dim

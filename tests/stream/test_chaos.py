@@ -3,7 +3,6 @@
 import pytest
 
 from repro.stream import (
-    StreamChaosConfig,
     StreamChaosReport,
     StreamRunConfig,
     run_stream_chaos,
@@ -17,7 +16,7 @@ def drill_config():
 class TestStreamChaos:
     def test_drill_recovers_byte_identical(self, experiment, tmp_path):
         report = run_stream_chaos(
-            experiment, tmp_path, drill_config(), StreamChaosConfig(kill_batch=2)
+            experiment, tmp_path, drill_config(), kill_batch=2
         )
         assert isinstance(report, StreamChaosReport)
         assert report.ok
@@ -32,11 +31,11 @@ class TestStreamChaos:
     ):
         first = run_stream_chaos(
             experiment, tmp_path / "a", drill_config(),
-            StreamChaosConfig(kill_batch=2),
+            kill_batch=2,
         )
         second = run_stream_chaos(
             experiment, tmp_path / "b", drill_config(),
-            StreamChaosConfig(kill_batch=2),
+            kill_batch=2,
         )
         assert first.lines() == second.lines()
         assert first.lines()[-1] == "stream drill: RECOVERED"
@@ -44,7 +43,7 @@ class TestStreamChaos:
     def test_kill_point_is_clamped_into_range(self, experiment, tmp_path):
         report = run_stream_chaos(
             experiment, tmp_path, drill_config(),
-            StreamChaosConfig(kill_batch=99),
+            kill_batch=99,
         )
         assert report.ok
 
