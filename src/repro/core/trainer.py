@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class TrainerConfig:
             raise ValueError("learning_rate must be positive")
         if self.negatives_per_edge < 1:
             raise ValueError("negatives_per_edge must be >= 1")
+        if self.entity_max_norm is not None and not self.entity_max_norm > 0:
+            raise ValueError("entity_max_norm must be positive")
 
 
 @dataclass
@@ -89,6 +91,8 @@ class PKGMTrainer:
         self.model = model
         self.config = config if config is not None else TrainerConfig()
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        # Per table: the dense gradient array and the rows last scattered.
+        self._dense_grads: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._manager = None
         if checkpoint_dir is not None:
             from ..reliability.checkpoint import CheckpointManager
@@ -245,15 +249,27 @@ class PKGMTrainer:
         )
 
     def _set_gradients(self, grads: MarginGradients) -> None:
-        """Scatter the row-sparse packet into the dense ``.grad`` Adam reads."""
+        """Scatter the row-sparse packet into the dense ``.grad`` Adam reads.
+
+        Each table keeps one dense gradient array across steps: the rows
+        the previous step scattered are zeroed and this step's written, so
+        ``.grad`` equals a fresh zeros-and-scatter without allocating (and
+        page-faulting) a table-sized array every step.
+        """
         entities, relations, transfer = self._tables()
         for param, rows, values in (
             (entities, grads.entity_rows, grads.entity_grads),
             (relations, grads.relation_rows, grads.relation_grads),
             (transfer, grads.relation_rows, grads.transfer_grads),
         ):
-            param.grad = np.zeros_like(param.data)
-            param.grad[rows] = values
+            dense, scattered = self._dense_grads.get(id(param), (None, None))
+            if dense is None or dense.shape != param.shape:
+                dense = np.zeros_like(param.data)
+            else:
+                dense[scattered] = 0.0
+            dense[rows] = values
+            self._dense_grads[id(param)] = (dense, rows)
+            param.grad = dense
 
     # ------------------------------------------------------------------
     # Crash-consistent checkpointing (repro.reliability.checkpoint)

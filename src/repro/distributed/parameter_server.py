@@ -205,6 +205,8 @@ class ParameterServer:
 
     def renormalize_rows(self, name: str, max_norm: float = 1.0) -> None:
         """Project rows onto the L2 ball (TransE's entity constraint)."""
+        if not max_norm > 0:
+            raise ValueError(f"max_norm must be positive, got {max_norm}")
         table = self._tables[name]
         norms = np.linalg.norm(table.reshape(len(table), -1), axis=1)
         scale = np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))

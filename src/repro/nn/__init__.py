@@ -10,7 +10,7 @@ from .attention import MultiHeadAttention
 from .gradcheck import check_gradients
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Sequential
 from .module import Module, Parameter
-from .optim import SGD, Adam, AdamW, WarmupLinearSchedule
+from .optim import SGD, Adam
 from .sanitizer import NumericGuardError
 from .tensor import (
     Tensor,
@@ -25,7 +25,6 @@ from .transformer import TransformerConfig, TransformerEncoder, TransformerEncod
 
 __all__ = [
     "Adam",
-    "AdamW",
     "Dropout",
     "Embedding",
     "LayerNorm",
@@ -41,7 +40,6 @@ __all__ = [
     "TransformerConfig",
     "TransformerEncoder",
     "TransformerEncoderLayer",
-    "WarmupLinearSchedule",
     "check_gradients",
     "concat",
     "functional",

@@ -14,6 +14,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
+from .optim import row_blocks
 from .tensor import Tensor, no_grad
 
 
@@ -96,16 +97,25 @@ class Embedding(Module):
         inherits the constraint via its TransE triple query module.
         Writes ``weight.data`` in place (the array keeps its identity, so
         anything holding it sees the projection) and touches only the rows
-        outside the ball.
+        outside the ball.  Norms are taken one :func:`row_blocks` block at
+        a time as ``sqrt(add.reduce(x * x, axis=1))``, which is what
+        ``np.linalg.norm(x, axis=1)`` evaluates, without its ``conj()``
+        copy and its table-sized temporaries.
         """
+        if not max_norm > 0:
+            raise ValueError(f"max_norm must be positive, got {max_norm}")
         data = self.weight.data
-        norms = np.linalg.norm(data, axis=1, keepdims=True)
-        # Rows inside the ball would be multiplied by 1.0; a NaN norm is
-        # not "inside", so a poisoned row is rescaled (to NaN) as before.
-        rows = np.flatnonzero(~(norms[:, 0] <= max_norm))
-        scale = np.minimum(1.0, max_norm / np.maximum(norms[rows], 1e-12))
         with no_grad():
-            data[rows] *= scale
+            for block in row_blocks(data.shape):
+                x = data[block]
+                norms = np.sqrt(np.add.reduce(x * x, axis=1))
+                # Rows inside the ball would be multiplied by 1.0; a NaN
+                # norm is not "inside", so a poisoned row is rescaled (to
+                # NaN) as before.
+                rows = np.flatnonzero(~(norms <= max_norm))
+                if rows.size:
+                    scale = np.minimum(1.0, max_norm / np.maximum(norms[rows, None], 1e-12))
+                    x[rows] *= scale
 
 
 class LayerNorm(Module):

@@ -1,19 +1,43 @@
 """Optimizers for the numpy autograd engine.
 
 The paper trains PKGM with Adam (lr 1e-4) and fine-tunes BERT with Adam
-(lr 2e-5); NCF uses minibatch Adam.  We provide SGD (with momentum),
-Adam, and AdamW, plus gradient clipping and a simple warmup scheduler.
+(lr 2e-5); NCF uses minibatch Adam.  We provide Adam and SGD (with
+momentum).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from . import sanitizer as _sanitizer
 from .module import Parameter
 from .tensor import no_grad
+
+#: Adam's published defaults (Kingma & Ba, 2015), the only values used.
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
+#: Elements in one row block of a whole-table pass.  ``Adam.step`` runs
+#: its 15 ufuncs over six operands (parameter, gradient, both moments,
+#: two scratch arrays); at 32,768 float64 elements each is 256 KiB, so a
+#: block's six fit a 2 MiB L2 together and every ufunc after the first
+#: reads them from cache instead of streaming the whole table from L3.
+BLOCK_ELEMENTS = 32_768
+
+
+def row_blocks(shape: Tuple[int, ...]) -> List:
+    """Indices cutting an array of ``shape`` into row blocks along axis 0.
+
+    Each block holds at most ``BLOCK_ELEMENTS`` elements, and at least
+    one row; a 0-d array is one block.  Indexing with them gives views,
+    so a block of a non-contiguous array is still written in place.
+    """
+    if not shape:
+        return [Ellipsis]
+    rows = max(1, BLOCK_ELEMENTS // max(1, int(np.prod(shape[1:]))))
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
 
 
 class Optimizer:
@@ -33,23 +57,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-    def clip_grad_norm(self, max_norm: float) -> float:
-        """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-        Returns the pre-clipping norm.
-        """
-        total = 0.0
-        for param in self.parameters:
-            if param.grad is not None:
-                total += float((param.grad**2).sum())
-        norm = float(np.sqrt(total))
-        if norm > max_norm and norm > 0:
-            scale = max_norm / norm
-            for param in self.parameters:
-                if param.grad is not None:
-                    param.grad = param.grad * scale
-        return norm
 
 
 class SGD(Optimizer):
@@ -89,6 +96,18 @@ class SGD(Optimizer):
                     _sanitizer.check_update("SGD.step", param, update=param.data)
 
 
+def _adam_state(data: np.ndarray, m=None, v=None) -> Tuple[np.ndarray, ...]:
+    """Both moments (zero unless given) and two one-block scratch arrays."""
+    blocks = row_blocks(data.shape)
+    scratch = data[blocks[0]].shape if blocks else data.shape
+    return (
+        np.zeros_like(data) if m is None else np.array(m, dtype=data.dtype),
+        np.zeros_like(data) if v is None else np.array(v, dtype=data.dtype),
+        np.empty(scratch, dtype=data.dtype),
+        np.empty(scratch, dtype=data.dtype),
+    )
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) — the optimizer used throughout the paper."""
 
@@ -96,17 +115,13 @@ class Adam(Optimizer):
         self,
         parameters: Iterable[Parameter],
         lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        # Per parameter: first moment, second moment and two scratch
-        # buffers, allocated the first time it has a gradient.
+        # Per parameter: first moment, second moment and two one-block
+        # scratch buffers, allocated the first time it has a gradient.
         self._state: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     def step(self) -> None:
@@ -115,6 +130,9 @@ class Adam(Optimizer):
         Evaluates ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g**2``,
         ``p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)`` in that order of
         operations, so the result is the bytes the one-line formulas give.
+        The sequence runs one :func:`row_blocks` block at a time, so its
+        operands stay in cache from one ufunc to the next; every element
+        goes through the same expressions, so blocking changes no byte.
 
         ``param.data`` is written in place, never rebound: an array handed
         to ``Parameter(array)`` or read earlier as ``param.data`` aliases
@@ -122,41 +140,45 @@ class Adam(Optimizer):
         """
         self._step_count += 1
         t = self._step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         with no_grad():
             for param in self.parameters:
                 if param.grad is None:
                     continue
-                grad = param.grad
+                data, grad = param.data, param.grad
                 if _sanitizer.ENABLED:
                     _sanitizer.check_update("Adam.step", param, grad=grad)
                 state = self._state.get(id(param))
                 if state is None:
-                    state = self._state[id(param)] = tuple(
-                        np.zeros_like(param.data) for _ in range(4)
-                    )
-                m, v, num, den = state
-                if self.weight_decay:
-                    # L2-style decay folded into the gradient (classic Adam).
-                    np.multiply(param.data, self.weight_decay, out=den)
-                    grad = np.add(grad, den, out=den)
-                np.multiply(m, self.beta1, out=m)
-                np.multiply(grad, 1 - self.beta1, out=num)
-                np.add(m, num, out=m)
-                np.multiply(v, self.beta2, out=v)
-                np.multiply(grad, grad, out=num)
-                np.multiply(num, 1 - self.beta2, out=num)
-                np.add(v, num, out=v)
-                np.divide(m, bias1, out=num)
-                np.multiply(num, self.lr, out=num)
-                np.divide(v, bias2, out=den)
-                np.sqrt(den, out=den)
-                np.add(den, self.eps, out=den)
-                np.divide(num, den, out=num)
-                np.subtract(param.data, num, out=param.data)
+                    state = self._state[id(param)] = _adam_state(data)
+                m, v, num_buf, den_buf = state
+                for rows in row_blocks(data.shape):
+                    p, g, mb, vb = data[rows], grad[rows], m[rows], v[rows]
+                    if p.shape == num_buf.shape:
+                        num, den = num_buf, den_buf
+                    else:  # the ragged last block
+                        num, den = num_buf[: len(p)], den_buf[: len(p)]
+                    if self.weight_decay:
+                        # L2-style decay folded into the gradient (classic Adam).
+                        np.multiply(p, self.weight_decay, out=den)
+                        g = np.add(g, den, out=den)
+                    np.multiply(mb, BETA1, out=mb)
+                    np.multiply(g, 1 - BETA1, out=num)
+                    np.add(mb, num, out=mb)
+                    np.multiply(vb, BETA2, out=vb)
+                    np.multiply(g, g, out=num)
+                    np.multiply(num, 1 - BETA2, out=num)
+                    np.add(vb, num, out=vb)
+                    np.divide(mb, bias1, out=num)
+                    np.multiply(num, self.lr, out=num)
+                    np.divide(vb, bias2, out=den)
+                    np.sqrt(den, out=den)
+                    np.add(den, EPS, out=den)
+                    np.divide(num, den, out=num)
+                    np.subtract(p, num, out=p)
                 if _sanitizer.ENABLED:
-                    _sanitizer.check_update("Adam.step", param, update=param.data)
+                    _sanitizer.check_update("Adam.step", param, update=data)
 
     def state_dict(self) -> Dict[str, object]:
         """Step count and copies of both moments, in parameter order.
@@ -188,55 +210,4 @@ class Adam(Optimizer):
                     f"moment shapes {np.shape(m)}, {np.shape(v)} "
                     f"!= parameter shape {param.shape}"
                 )
-            self._state[id(param)] = (
-                np.array(m, dtype=param.data.dtype),
-                np.array(v, dtype=param.data.dtype),
-                np.empty_like(param.data),
-                np.empty_like(param.data),
-            )
-
-
-class AdamW(Adam):
-    """Adam with decoupled weight decay (Loshchilov & Hutter)."""
-
-    def step(self) -> None:
-        decay, self.weight_decay = self.weight_decay, 0.0
-        try:
-            if decay:
-                with no_grad():
-                    for param in self.parameters:
-                        if param.grad is not None:
-                            param.data = param.data * (1.0 - self.lr * decay)
-            super().step()
-        finally:
-            self.weight_decay = decay
-
-
-class WarmupLinearSchedule:
-    """Linear warmup then linear decay, as used for BERT fine-tuning.
-
-    Call :meth:`step` once per optimizer step; it mutates ``optimizer.lr``.
-    """
-
-    def __init__(self, optimizer: Optimizer, warmup_steps: int, total_steps: int) -> None:
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        if warmup_steps < 0 or warmup_steps > total_steps:
-            raise ValueError("warmup_steps must be in [0, total_steps]")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.warmup_steps = warmup_steps
-        self.total_steps = total_steps
-        self._step_count = 0
-
-    def step(self) -> float:
-        self._step_count += 1
-        t = self._step_count
-        if self.warmup_steps and t <= self.warmup_steps:
-            factor = t / self.warmup_steps
-        else:
-            remaining = max(self.total_steps - t, 0)
-            denom = max(self.total_steps - self.warmup_steps, 1)
-            factor = remaining / denom
-        self.optimizer.lr = self.base_lr * factor
-        return self.optimizer.lr
+            self._state[id(param)] = _adam_state(param.data, m, v)

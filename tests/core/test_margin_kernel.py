@@ -26,6 +26,7 @@ from repro.nn import (
     sanitizer,
     set_op_hook,
 )
+from repro.nn.optim import BLOCK_ELEMENTS, row_blocks
 
 TOLERANCE = 1e-10
 
@@ -262,9 +263,10 @@ class TestGuards:
         assert seen == list(STAGES)
 
 
-def reference_adam_step(params, grads, moments, t, lr, betas, eps, weight_decay):
-    """``Adam.step`` as it was: the one-line formulas, a fresh array each."""
-    beta1, beta2 = betas
+def reference_adam_step(params, grads, moments, t, lr, weight_decay):
+    """``Adam.step`` as it was: the one-line formulas, a fresh array each,
+    at Adam's published ``betas = (0.9, 0.999)`` and ``eps = 1e-8``."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
     for index, grad in enumerate(grads):
         if grad is None:
@@ -283,45 +285,85 @@ def reference_adam_step(params, grads, moments, t, lr, betas, eps, weight_decay)
 class TestInPlacePassesKeepTheBytes:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_adam_step_equals_the_formula(self, weight_decay):
+        """Every shape the blocked step cuts differently, against the
+        formula: several blocks with a ragged last one (0 and 4), a
+        parameter smaller than one block (1, 2), a 1-D one without a
+        gradient (3), a non-contiguous view (5) and a float32 table (6)."""
         rng = np.random.default_rng(11)
-        shapes = [(40, 8), (5, 8), (5, 8, 8), (3,)]
-        reference = [rng.normal(size=shape) for shape in shapes]
-        params = [Parameter(array.copy()) for array in reference]
-        lr, betas, eps = 0.02, (0.9, 0.999), 1e-8
-        optimizer = Adam(params, lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        ragged = 2 * (BLOCK_ELEMENTS // 8) + 37
+        shapes = [(ragged, 8), (5, 8), (5, 8, 8), (3,), (70, 32, 32), (600, 24), (40, 8)]
+        dtypes = [np.float64] * 6 + [np.float32]
+        assert len(row_blocks(shapes[0])) == len(row_blocks(shapes[4])) == 3
+        reference = [
+            rng.normal(size=shape).astype(dtype) for shape, dtype in zip(shapes, dtypes)
+        ]
+        params = [Parameter(np.zeros(1)) for _ in shapes]
+        # Every other column of a wider array: written through the view.
+        wide = np.zeros((600, 48))
+        wide[:, ::2] = reference[5]
+        with no_grad():
+            for param, array in zip(params, reference):
+                param.data = array.copy()
+            params[5].data = wide[:, ::2]
+        assert not params[5].data.flags.c_contiguous
+        lr = 0.02
+        optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
         tables = [param.data for param in params]
         moments = {}
         for t in range(1, 26):
             grads = []
-            for index, shape in enumerate(shapes):
-                # The last parameter never has a gradient; the first has
+            for index, (shape, dtype) in enumerate(zip(shapes, dtypes)):
+                # The fourth parameter never has a gradient; the first has
                 # none on the first steps; gradients are row-sparse.
                 if index == 3 or (index == 0 and t < 4):
                     grads.append(None)
                     continue
-                grad = np.zeros(shape)
+                grad = np.zeros(shape, dtype=dtype)
                 rows = rng.choice(shape[0], size=max(1, shape[0] // 4), replace=False)
                 grad[rows] = rng.normal(size=(len(rows), *shape[1:])) * 10.0 ** rng.integers(-6, 3)
                 grads.append(grad)
             for param, grad in zip(params, grads):
                 param.grad = None if grad is None else grad.copy()
             optimizer.step()
-            reference_adam_step(reference, grads, moments, t, lr, betas, eps, weight_decay)
+            reference_adam_step(reference, grads, moments, t, lr, weight_decay)
             state = optimizer.state_dict()
             assert state["step"] == t
             for index, param in enumerate(params):
                 # In place: the table keeps its identity and stays writable.
                 assert param.data is tables[index]
                 assert param.data.flags.writeable
+                assert param.data.dtype == dtypes[index]
                 assert np.array_equal(param.data, reference[index])
                 m, v = moments.get(index, (np.zeros(shapes[index]),) * 2)
                 assert np.array_equal(state["m"][index], m)
                 assert np.array_equal(state["v"][index], v)
+            assert np.array_equal(wide[:, ::2], reference[5])
+            assert not wide[:, 1::2].any()
+
+    def test_a_parameter_listed_twice_is_stepped_twice(self):
+        """Pins ROADMAP [12](b)'s double step byte for byte until it is
+        fixed: both listings share one pair of moments and one ``t``."""
+        rng = np.random.default_rng(5)
+        shape = (BLOCK_ELEMENTS // 8 + 11, 8)
+        param = Parameter(rng.normal(size=shape))
+        reference = [param.data.copy()]
+        optimizer = Adam([param, param], lr=0.02)
+        moments = {}
+        for t in range(1, 6):
+            grad = rng.normal(size=shape)
+            param.grad = grad.copy()
+            optimizer.step()
+            for _ in range(2):
+                reference_adam_step(reference, [grad], moments, t, 0.02, 0.0)
+            assert np.array_equal(param.data, reference[0])
 
     def test_adam_state_round_trip_resumes_exactly(self):
+        """Resumed mid-run on a parameter of two blocks, the last ragged."""
         rng = np.random.default_rng(3)
-        grads = rng.normal(size=(10, 6, 4))
-        straight = Parameter(np.ones((6, 4)))
+        shape = (BLOCK_ELEMENTS // 4 + 5, 4)
+        assert len(row_blocks(shape)) == 2
+        grads = rng.normal(size=(10, *shape))
+        straight = Parameter(np.ones(shape))
         optimizer = Adam([straight], lr=0.05)
         for grad in grads[:5]:
             straight.grad = grad
@@ -335,6 +377,11 @@ class TestInPlacePassesKeepTheBytes:
             optimizer.step()
             other.step()
         assert np.array_equal(straight.data, resumed.data)
+        assert all(
+            np.array_equal(a, b)
+            for key in ("m", "v")
+            for a, b in zip(optimizer.state_dict()[key], other.state_dict()[key])
+        )
         # The state is a copy: stepping on does not reach back into it.
         assert not np.array_equal(state["m"][0], optimizer.state_dict()["m"][0])
         with pytest.raises(ValueError):
@@ -344,17 +391,50 @@ class TestInPlacePassesKeepTheBytes:
 
     @pytest.mark.parametrize("max_norm", [1.0, 0.25, 1e-13])
     def test_renormalize_equals_the_expression(self, max_norm):
+        """Over three row blocks, with special rows on both sides of the
+        first block edge."""
         rng = np.random.default_rng(2)
-        table = Embedding(50, 6, rng=rng)
+        edge = BLOCK_ELEMENTS // 6
+        rows = 2 * edge + 50
+        assert len(row_blocks((rows, 6))) == 3
+        table = Embedding(rows, 6, rng=rng)
         data = table.weight.data
-        data *= rng.uniform(0.0, 4.0, size=(50, 1))
+        data *= rng.uniform(0.0, 4.0, size=(rows, 1))
         data[3] = 0.0
         data[4] /= np.linalg.norm(data[4])  # on the sphere, give or take an ulp
         data[5, 2] = np.nan
         data[6, 0] = np.inf
+        data[edge - 1, 3] = np.nan
+        data[edge] *= 100.0
+        # Exactly on the ball: left as it is.  (Below the expression's
+        # 1e-12 floor it would shrink an in-ball row that the pass skips.)
+        on_ball = [7, edge + 1] if max_norm >= 1e-12 else []
+        for row in on_ball:
+            data[row] = 0.0
+            data[row, row % 6] = max_norm
         norms = np.linalg.norm(data, axis=1, keepdims=True)
+        assert (norms[on_ball, 0] == max_norm).all()
         with np.errstate(invalid="ignore"):
             expected = data * np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
             table.renormalize(max_norm)
         assert np.array_equal(table.weight.data, expected, equal_nan=True)
         assert table.weight.data is data
+
+    def test_the_kept_gradient_equals_a_fresh_scatter(self):
+        """Two steps on disjoint rows: the second step's dense ``.grad``
+        holds nothing of the first's, and no table-sized array is made."""
+        model = small_model(30, 4, 8, seed=1)
+        trainer = PKGMTrainer(model, TrainerConfig(epochs=1))
+        batches = [
+            (np.array([[0, 0, 1], [2, 1, 3]]), np.array([[0, 0, 4], [5, 1, 3]])),
+            (np.array([[10, 2, 11], [12, 3, 13]]), np.array([[10, 2, 14], [15, 3, 13]])),
+        ]
+        kept = None
+        for positives, negatives in batches:
+            trainer._set_gradients(margin_step(model, positives, negatives).gradients())
+            expected = closed_form(model, positives, negatives)[1:]
+            for param, want in zip(parameters(model), expected):
+                assert np.array_equal(param.grad, want)
+            if kept is not None:
+                assert all(param.grad is array for param, array in zip(parameters(model), kept))
+            kept = [param.grad for param in parameters(model)]

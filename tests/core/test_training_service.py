@@ -66,6 +66,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainerConfig(negatives_per_edge=0)
 
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
+    def test_non_positive_entity_max_norm_is_refused(self, max_norm):
+        """Once accepted, -1.0 flipped the sign of every entity coordinate
+        and 0.0 zeroed every row."""
+        with pytest.raises(ValueError, match="entity_max_norm"):
+            TrainerConfig(epochs=1, entity_max_norm=max_norm)
+        TrainerConfig(epochs=1, entity_max_norm=None)  # no constraint
+
     def test_progress_callback_invoked(self, catalog):
         model = PKGM(
             len(catalog.entities), len(catalog.relations), PKGMConfig(dim=8)

@@ -125,6 +125,13 @@ class TestParameterServer:
         norms = np.linalg.norm(server.snapshot("entities"), axis=1)
         assert np.all(norms <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
+    def test_renormalize_rows_refuses_a_non_positive_max_norm(self, server, max_norm):
+        before = server.snapshot("entities")
+        with pytest.raises(ValueError, match="max_norm"):
+            server.renormalize_rows("entities", max_norm)
+        assert np.array_equal(server.snapshot("entities"), before)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ParameterServer(num_shards=0)

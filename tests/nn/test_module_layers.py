@@ -157,6 +157,14 @@ class TestEmbedding:
         emb.renormalize(max_norm=1.0)
         assert np.allclose(emb.weight.data, before)
 
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
+    def test_renormalize_refuses_a_non_positive_max_norm(self, max_norm):
+        emb = Embedding(3, 4, rng=np.random.default_rng(0))
+        before = emb.weight.data.copy()
+        with pytest.raises(ValueError, match="max_norm"):
+            emb.renormalize(max_norm=max_norm)
+        assert np.array_equal(emb.weight.data, before)
+
 
 class TestLayerNorm:
     def test_output_statistics(self):

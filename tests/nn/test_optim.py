@@ -1,9 +1,9 @@
-"""Unit tests for optimizers and the warmup schedule."""
+"""Unit tests for the optimizers."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Adam, AdamW, Linear, Parameter, SGD, Tensor, WarmupLinearSchedule
+from repro.nn import Adam, Linear, Parameter, SGD, Tensor
 from repro.nn import functional as F
 
 
@@ -84,54 +84,3 @@ class TestAdam:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(ValueError):
             Adam([quadratic_param()], lr=0.0)
-
-
-class TestAdamW:
-    def test_decay_applied_decoupled(self):
-        w = Parameter(np.array([1.0]))
-        opt = AdamW([w], lr=0.1, weight_decay=0.5)
-        w.grad = np.zeros(1)
-        opt.step()
-        # Pure decay: data * (1 - lr*decay) = 0.95 (the Adam part is ~0).
-        assert w.data[0] == pytest.approx(0.95, abs=1e-6)
-
-    def test_decay_restored_after_step(self):
-        opt = AdamW([quadratic_param()], lr=0.1, weight_decay=0.5)
-        opt.parameters[0].grad = np.ones(1)
-        opt.step()
-        assert opt.weight_decay == 0.5
-
-
-class TestGradClipping:
-    def test_clips_to_max_norm(self):
-        w = Parameter(np.array([0.0, 0.0]))
-        opt = SGD([w], lr=0.1)
-        w.grad = np.array([3.0, 4.0])  # norm 5
-        pre = opt.clip_grad_norm(1.0)
-        assert pre == pytest.approx(5.0)
-        assert np.linalg.norm(w.grad) == pytest.approx(1.0)
-
-    def test_no_clip_when_under(self):
-        w = Parameter(np.array([0.0]))
-        opt = SGD([w], lr=0.1)
-        w.grad = np.array([0.5])
-        opt.clip_grad_norm(1.0)
-        assert w.grad[0] == pytest.approx(0.5)
-
-
-class TestWarmupLinearSchedule:
-    def test_warmup_then_decay(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = WarmupLinearSchedule(opt, warmup_steps=2, total_steps=10)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] == pytest.approx(0.5)
-        assert lrs[1] == pytest.approx(1.0)
-        assert lrs[-1] == pytest.approx(0.0)
-        assert all(a >= b for a, b in zip(lrs[1:], lrs[2:]))
-
-    def test_validates_arguments(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            WarmupLinearSchedule(opt, warmup_steps=5, total_steps=0)
-        with pytest.raises(ValueError):
-            WarmupLinearSchedule(opt, warmup_steps=11, total_steps=10)

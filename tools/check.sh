@@ -102,6 +102,17 @@ done
 echo "store and one-page-store answers are the resident bytes at seeds 0 and 13"
 
 echo
+echo "== trained bytes (tools/trained_bytes.py, byte-diffed) =="
+# The training twin of the served-bytes gate: the three tables, both
+# Adam moments and every per-shard loss after 30 PKGMTrainer shards, and
+# one NCF fit with weight decay, must print the same digests on a rerun.
+# Run with PYTHONPATH at a parent checkout's src to compare two commits.
+for seed in 0 13; do
+    byte_gate "trained$seed" "" python tools/trained_bytes.py --seed "$seed"
+done
+echo "trained bytes are identical across reruns at seeds 0 and 13"
+
+echo
 echo "== storage chaos (repro store, byte-diffed recovery) =="
 # Seeded torn-write + bit-flip + torn-manifest drill over a small
 # store: the run must end RECOVERED (manifest refused then restored,
