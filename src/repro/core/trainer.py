@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,8 +91,9 @@ class PKGMTrainer:
         self.model = model
         self.config = config if config is not None else TrainerConfig()
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
-        # Per table: the dense gradient array and the rows last scattered.
-        self._dense_grads: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # Per table, in _tables() order: the dense gradient array and the
+        # rows last scattered into it; None before the first step.
+        self._dense_grads: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
         self._manager = None
         if checkpoint_dir is not None:
             from ..reliability.checkpoint import CheckpointManager
@@ -256,19 +257,22 @@ class PKGMTrainer:
         ``.grad`` equals a fresh zeros-and-scatter without allocating (and
         page-faulting) a table-sized array every step.
         """
-        entities, relations, transfer = self._tables()
-        for param, rows, values in (
-            (entities, grads.entity_rows, grads.entity_grads),
-            (relations, grads.relation_rows, grads.relation_grads),
-            (transfer, grads.relation_rows, grads.transfer_grads),
-        ):
-            dense, scattered = self._dense_grads.get(id(param), (None, None))
-            if dense is None or dense.shape != param.shape:
-                dense = np.zeros_like(param.data)
-            else:
-                dense[scattered] = 0.0
+        tables = self._tables()
+        if self._dense_grads is None:
+            self._dense_grads = [
+                (np.zeros_like(param.data), np.empty(0, dtype=np.int64))
+                for param in tables
+            ]
+        packets = (
+            (grads.entity_rows, grads.entity_grads),
+            (grads.relation_rows, grads.relation_grads),
+            (grads.relation_rows, grads.transfer_grads),
+        )
+        for index, (param, (rows, values)) in enumerate(zip(tables, packets)):
+            dense, scattered = self._dense_grads[index]
+            dense[scattered] = 0.0
             dense[rows] = values
-            self._dense_grads[id(param)] = (dense, rows)
+            self._dense_grads[index] = (dense, rows)
             param.grad = dense
 
     # ------------------------------------------------------------------

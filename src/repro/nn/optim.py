@@ -27,16 +27,18 @@ EPS = 1e-8
 BLOCK_ELEMENTS = 32_768
 
 
-def row_blocks(shape: Tuple[int, ...]) -> List:
-    """Indices cutting an array of ``shape`` into row blocks along axis 0.
+def _block_rows(shape: Tuple[int, ...]) -> int:
+    """Rows in one block: at most ``BLOCK_ELEMENTS`` elements, at least one row."""
+    return max(1, BLOCK_ELEMENTS // max(1, int(np.prod(shape[1:]))))
 
-    Each block holds at most ``BLOCK_ELEMENTS`` elements, and at least
-    one row; a 0-d array is one block.  Indexing with them gives views,
-    so a block of a non-contiguous array is still written in place.
+
+def row_blocks(shape: Tuple[int, ...]) -> List[slice]:
+    """Slices cutting an array of ``shape`` into row blocks along axis 0.
+
+    Indexing with them gives views, so a block of a non-contiguous array
+    is still written in place.
     """
-    if not shape:
-        return [Ellipsis]
-    rows = max(1, BLOCK_ELEMENTS // max(1, int(np.prod(shape[1:]))))
+    rows = _block_rows(shape)
     return [slice(start, start + rows) for start in range(0, shape[0], rows)]
 
 
@@ -98,8 +100,7 @@ class SGD(Optimizer):
 
 def _adam_state(data: np.ndarray, m=None, v=None) -> Tuple[np.ndarray, ...]:
     """Both moments (zero unless given) and two one-block scratch arrays."""
-    blocks = row_blocks(data.shape)
-    scratch = data[blocks[0]].shape if blocks else data.shape
+    scratch = data[: _block_rows(data.shape)].shape
     return (
         np.zeros_like(data) if m is None else np.array(m, dtype=data.dtype),
         np.zeros_like(data) if v is None else np.array(v, dtype=data.dtype),
@@ -155,10 +156,7 @@ class Adam(Optimizer):
                 m, v, num_buf, den_buf = state
                 for rows in row_blocks(data.shape):
                     p, g, mb, vb = data[rows], grad[rows], m[rows], v[rows]
-                    if p.shape == num_buf.shape:
-                        num, den = num_buf, den_buf
-                    else:  # the ragged last block
-                        num, den = num_buf[: len(p)], den_buf[: len(p)]
+                    num, den = num_buf[: len(p)], den_buf[: len(p)]
                     if self.weight_decay:
                         # L2-style decay folded into the gradient (classic Adam).
                         np.multiply(p, self.weight_decay, out=den)

@@ -2,7 +2,7 @@
 
 The training twin of ``served_bytes.py``: two checkouts, two seeds,
 equal lines = same trained bytes.  Trains one ``PKGMTrainer`` (d = 32,
-Adam lr 1e-2, one epoch per call) on ``--shards`` seeded, disjoint
+Adam lr 1e-2, one epoch per call) on ``SHARDS`` = 30 seeded, disjoint
 500-triple shards of the catalog ``train_epoch`` trains on, one
 ``train`` call per shard, then prints digests of the entity, relation
 and transfer tables, of Adam's two moments (every listed parameter, in
@@ -33,6 +33,7 @@ from repro.kg import TripleStore
 from repro.tasks import NCFConfig, RecommendationTask
 
 SHARD_TRIPLES = 500
+SHARDS = 30
 
 
 def digest(arrays) -> str:
@@ -42,7 +43,7 @@ def digest(arrays) -> str:
     return sha.hexdigest()
 
 
-def train_pkgm(catalog, seed: int, shards: int):
+def train_pkgm(catalog, seed: int):
     triples = catalog.store.to_array()
     order = np.random.default_rng([seed, 2]).permutation(len(triples))
     starts = range(0, len(order) - SHARD_TRIPLES + 1, SHARD_TRIPLES)
@@ -61,7 +62,7 @@ def train_pkgm(catalog, seed: int, shards: int):
         TrainerConfig(epochs=1, batch_size=SHARD_TRIPLES, learning_rate=1e-2, seed=seed),
     )
     losses = [
-        trainer.train(stores[index % len(stores)]).final_loss for index in range(shards)
+        trainer.train(stores[index % len(stores)]).final_loss for index in range(SHARDS)
     ]
     return model, trainer.optimizer.state_dict(), losses
 
@@ -80,12 +81,11 @@ def fit_ncf(catalog, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shards", type=int, default=30)
     args = parser.parse_args(argv)
     catalog = generate_catalog(
         CatalogConfig(num_categories=24, products_per_category=120, seed=2021)
     )
-    model, state, losses = train_pkgm(catalog, args.seed, args.shards)
+    model, state, losses = train_pkgm(catalog, args.seed)
     tables = {
         "entity_table": model.triple_module.entity_embeddings.weight.data,
         "relation_table": model.triple_module.relation_embeddings.weight.data,
