@@ -29,10 +29,9 @@ writing Python:
     python -m repro.cli scenarios transfer         # cross-category rule transfer
     python -m repro.cli metrics --format prom      # telemetry snapshot export
     python -m repro.cli trace --format chrome      # span/profile trace export
-    python -m repro.cli lint src tests             # static-analysis gate
 
 Experiment commands accept ``--preset {smoke,default,bench}`` and
-``--seed``; ``lint`` takes the :mod:`repro.lint` options.
+``--seed``.  The static-analysis gate is ``python -m repro.lint``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .data import (
     generate_interactions,
 )
 from .kg import holdout_incompleteness, kg_statistics
-from .lint import cli as lint_cli
 from .pipeline import build_workbench, untrained_server
 from .tasks import (
     ItemClassificationTask,
@@ -1250,13 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
             "transfer", help="precision/coverage of rules across categories"
         )
     )
-    lint = sub.add_parser(
-        "lint",
-        parents=[lint_cli.build_parser()],
-        add_help=False,
-        help="AST-based correctness linter (see repro.lint)",
-    )
-    lint.set_defaults(command="lint")
     return parser
 
 
@@ -1276,7 +1267,6 @@ COMMANDS = {
     "scenarios": cmd_scenarios,
     "metrics": cmd_metrics,
     "trace": cmd_trace,
-    "lint": lint_cli.run_lint,
 }
 
 

@@ -1,7 +1,7 @@
-"""Command-line front end: ``python -m repro.lint`` / ``repro lint``.
+"""Command-line front end: ``python -m repro.lint <paths>``.
 
-Exit codes: 0 clean, 1 violations at error severity (or warnings under
-``--strict``), 2 usage errors.
+File and directory paths are the only argument.  Exit codes: 0 clean,
+1 any finding, 2 usage error (including a path that does not exist).
 """
 
 from __future__ import annotations
@@ -12,24 +12,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import Baseline
-from .engine import Linter, discover_files
-from .program import ProgramAnalyzer, create_passes, get_pass_class, pass_names
-from .registry import create_rules, get_rule_class, rule_names
-from .reporters import get_reporter
-
-#: Default per-rule options applied when linting this repository.  The
-#: seeded-RNG plumbing is allowed to exist; nothing else is exempt.
-DEFAULT_RULE_OPTIONS: dict = {}
+from .engine import Linter
 
 
-def build_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
-    """Argument parser, also reused as parent by ``repro lint``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: positional paths and nothing else."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro.lint",
         description=(
-            "AST-based correctness linter for the PKGM training stack "
-            "(seeded randomness, autograd hygiene, config schema drift, ...)"
+            "AST-based correctness linter for the PKGM training stack: "
+            "per-file rules and whole-program passes; every finding fails"
         ),
     )
     parser.add_argument(
@@ -37,189 +29,22 @@ def build_parser(prog: str = "repro.lint") -> argparse.ArgumentParser:
         nargs="*",
         help="files or directories to lint (default: src)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--disable",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="disable a rule by name (repeatable)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="RULE",
-        help="run only the named rules (repeatable)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as failures",
-    )
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=None,
-        help="directory paths are reported relative to (default: cwd)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list registered rules and exit",
-    )
-    parser.add_argument(
-        "--program",
-        action="store_true",
-        help=(
-            "also run the whole-program passes (import/call graphs, "
-            "determinism taint, concurrency safety, contract checks)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "program-analysis cache file (default: .repro-lint-cache.json "
-            "under --root); warm runs re-parse only changed files"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the program-analysis cache entirely",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "demote violations fingerprinted in this baseline file to "
-            "warnings; new violations still fail (ratchet mode)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the current violations as a baseline file and exit",
-    )
     return parser
-
-
-def list_rules() -> str:
-    """Render the registered-rules table shown by ``--list-rules``."""
-    lines = []
-    for name in rule_names():
-        cls = get_rule_class(name)
-        lines.append(f"{cls.code}  {name:24s} {cls.description}")
-    for name in pass_names():
-        cls = get_pass_class(name)
-        lines.append(f"{cls.code}  {name:24s} {cls.description} [--program]")
-    return "\n".join(lines)
-
-
-def _split_known(names, known_rules, known_passes):
-    """Partition ``--select``/``--disable`` names between rules/passes."""
-    rules, passes = [], []
-    for name in names:
-        if name in known_rules:
-            rules.append(name)
-        elif name in known_passes:
-            passes.append(name)
-        else:
-            raise ValueError(
-                f"unknown rule {name!r}; known rules: "
-                f"{', '.join(sorted(set(known_rules) | set(known_passes)))}"
-            )
-    return rules, passes
-
-
-def run_lint(args: argparse.Namespace) -> int:
-    """Execute a parsed lint invocation; returns the process exit code."""
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    paths = args.paths or ["src"]
-    known_rules, known_passes = rule_names(), pass_names()
-    try:
-        select_rules, select_passes = _split_known(
-            args.select, known_rules, known_passes
-        )
-        disable_rules, disable_passes = _split_known(
-            args.disable, known_rules, known_passes
-        )
-        rules = create_rules(
-            disable=disable_rules,
-            select=select_rules,
-            options=DEFAULT_RULE_OPTIONS,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.select and not select_rules:
-        rules = []  # only program passes were selected
-    linter = Linter(rules=rules, root=args.root)
-    try:
-        files = discover_files([Path(p) for p in paths])
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = linter.lint_files(files)
-    if args.program:
-        passes = create_passes(disable=disable_passes, select=select_passes)
-        if args.select and not select_passes:
-            passes = []
-        root = args.root if args.root is not None else Path.cwd()
-        if args.no_cache:
-            cache_path = None
-        else:
-            cache_path = (
-                args.cache
-                if args.cache is not None
-                else root / ".repro-lint-cache.json"
-            )
-        analyzer = ProgramAnalyzer(passes=passes, root=args.root, cache_path=cache_path)
-        program_result, stats = analyzer.analyze_files(files)
-        # Merge, dropping exact duplicates (e.g. syntax-error reported
-        # by both engines); cache stats go to stderr so stdout stays
-        # byte-identical across cold and warm runs.
-        result.violations = sorted(set(result.violations + program_result.violations))
-        print(stats.format(), file=sys.stderr)
-    if args.write_baseline is not None:
-        count = Baseline.write(args.write_baseline, result)
-        print(
-            f"baseline written to {args.write_baseline}: {count} tolerated "
-            "violation(s)",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline is not None:
-        try:
-            result = Baseline.load(args.baseline).apply(result)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    print(get_reporter(args.format).render(result))
-    return result.exit_code(strict=args.strict)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.lint`` entry point."""
+    args = build_parser().parse_args(argv)
     try:
-        return run_lint(build_parser().parse_args(argv))
+        result = Linter().lint_paths([Path(p) for p in args.paths or ["src"]])
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(result.report())
     except BrokenPipeError:
-        # Reader (e.g. `... | head`) closed the pipe: not a lint failure,
-        # but stdout is unusable, so flush quietly and report "violations".
+        # Reader (e.g. `... | head`) closed the pipe: stdout is
+        # unusable, so silence it and still report the findings' status.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 1
+    return result.exit_code()

@@ -1,15 +1,25 @@
-"""The lint engine: file discovery, parsing, and rule execution."""
+"""The lint engine: file discovery, one parse per file, every rule.
+
+Each file is read and parsed once.  The per-file rules run on that
+tree, and the same tree is reduced to a
+:class:`~repro.lint.program.summary.ModuleSummary`; the summaries of
+every file build one :class:`~repro.lint.program.index.ProgramIndex`,
+over which the whole-program passes run.  Inline suppressions apply to
+both kinds of finding alike.
+"""
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .program.index import ProgramIndex
+from .program.summary import ModuleSummary, module_name_for, summarize_tree
 from .registry import Rule, create_rules
 from .suppress import Suppressions
-from .violations import Severity, Violation
+from .violations import Violation
 
 #: Directory names never descended into during discovery.
 EXCLUDED_DIRS = {
@@ -34,13 +44,12 @@ IGNORE_MARKER = ".repro-lint-ignore"
 
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to know about one parsed module."""
+    """Everything a per-file rule needs to know about one parsed module."""
 
     path: Path
     display_path: str
     source: str
     tree: ast.Module
-    suppressions: Suppressions
 
     @property
     def is_package_init(self) -> bool:
@@ -54,28 +63,19 @@ class LintResult:
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
 
-    @property
-    def error_count(self) -> int:
-        return sum(1 for v in self.violations if v.severity >= Severity.ERROR)
+    def report(self) -> str:
+        """One ``path:line:col: [rule] message`` line each, then a total."""
+        lines = [violation.format() for violation in self.violations]
+        noun = "file" if self.files_checked == 1 else "files"
+        lines.append(
+            f"checked {self.files_checked} {noun}: "
+            f"{len(self.violations)} finding(s)"
+        )
+        return "\n".join(lines)
 
-    @property
-    def warning_count(self) -> int:
-        return sum(1 for v in self.violations if v.severity == Severity.WARNING)
-
-    def exit_code(self, strict: bool = False) -> int:
-        """0 when clean; 1 when errors (or, under strict, warnings) exist.
-
-        Baselined violations never fail the run: they are tolerated
-        debt, visible in reports until the baseline ratchets down.
-        """
-        if self.error_count:
-            return 1
-        if strict and any(
-            v.severity == Severity.WARNING and not v.baselined
-            for v in self.violations
-        ):
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        """0 when clean; 1 when there is any finding at all."""
+        return 1 if self.violations else 0
 
 
 def _is_excluded(path: Path) -> bool:
@@ -98,7 +98,8 @@ def _under_ignore_marker(candidate: Path, root: Path) -> bool:
 def discover_files(paths: Sequence[Path]) -> List[Path]:
     """Expand ``paths`` (files or directories) into sorted ``.py`` files.
 
-    All candidates — including files passed directly — go through the
+    A path that does not exist raises :class:`FileNotFoundError`.  All
+    candidates — including files passed directly — go through the
     same ``EXCLUDED_DIRS``/``.egg-info`` filters, and overlapping path
     arguments (``src src/repro`` or relative/absolute spellings of the
     same file) are deduplicated by resolved path.
@@ -106,28 +107,34 @@ def discover_files(paths: Sequence[Path]) -> List[Path]:
     found: List[Path] = []
     seen = set()
     for path in paths:
-        if path.is_dir():
-            for candidate in sorted(path.rglob("*.py")):
-                if _is_excluded(candidate) or _under_ignore_marker(candidate, path):
-                    continue
-                resolved = candidate.resolve()
-                if resolved not in seen:
-                    seen.add(resolved)
-                    found.append(candidate)
-        elif path.suffix == ".py":
-            if _is_excluded(path):
-                continue
-            resolved = path.resolve()
-            if resolved not in seen:
-                seen.add(resolved)
-                found.append(path)
-        elif not path.exists():
+        if not path.exists():
             raise FileNotFoundError(f"no such file or directory: {path}")
+        if path.is_dir():
+            candidates = [
+                candidate
+                for candidate in sorted(path.rglob("*.py"))
+                if not _under_ignore_marker(candidate, path)
+            ]
+        elif path.suffix == ".py":
+            candidates = [path]
+        else:
+            continue
+        for candidate in candidates:
+            resolved = candidate.resolve()
+            if not _is_excluded(candidate) and resolved not in seen:
+                seen.add(resolved)
+                found.append(candidate)
     return sorted(found)
 
 
+def _syntax_error(display: str, line: int, col: int, message: str) -> Violation:
+    return Violation(
+        path=display, line=line, col=col, rule="syntax-error", message=message
+    )
+
+
 class Linter:
-    """Runs a set of rules over files and collects violations."""
+    """Runs every rule and program pass over a set of files."""
 
     def __init__(
         self,
@@ -140,51 +147,73 @@ class Linter:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
+    def lint_paths(self, paths: Sequence[Path]) -> LintResult:
+        """Discover the ``.py`` files under ``paths`` and lint them."""
+        return self.lint_files(discover_files(paths))
+
     def lint_files(self, files: Sequence[Path]) -> LintResult:
         """Lint an explicit file list (already discovered/filtered)."""
-        result = LintResult()
-        for file_path in files:
-            result.files_checked += 1
-            result.violations.extend(self.lint_file(file_path))
-        result.violations.sort()
+        sources: List[Tuple[Path, str]] = []
+        undecodable: List[Violation] = []
+        for path in files:
+            data = path.read_bytes()
+            try:
+                sources.append((path, data.decode("utf-8")))
+            except UnicodeDecodeError as exc:
+                line = data[: exc.start].count(b"\n") + 1
+                message = f"cannot decode file as UTF-8: {exc.reason}"
+                undecodable.append(
+                    _syntax_error(self._display_path(path), line, 0, message)
+                )
+        result = self._lint(sources, undecodable)
+        result.files_checked = len(files)
         return result
 
-    def lint_file(self, path: Path) -> List[Violation]:
-        """Lint one file from disk."""
-        source = path.read_text(encoding="utf-8")
-        return self.lint_source(source, path=path)
-
     def lint_source(self, source: str, path: Optional[Path] = None) -> List[Violation]:
-        """Lint source text (``path`` used only for display/scoping)."""
+        """Lint source text as a one-module program (``path`` names it)."""
         path = path if path is not None else Path("<string>")
-        display = self._display_path(path)
-        try:
-            tree = ast.parse(source, filename=display)
-        except SyntaxError as exc:
-            return [
-                Violation(
-                    path=display,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule="syntax-error",
-                    message=f"cannot parse file: {exc.msg}",
-                    severity=Severity.ERROR,
+        return self._lint([(path, source)], []).violations
+
+    # ------------------------------------------------------------------
+    # The one pass
+    # ------------------------------------------------------------------
+    def _lint(
+        self, sources: Sequence[Tuple[Path, str]], violations: List[Violation]
+    ) -> LintResult:
+        summaries: List[ModuleSummary] = []
+        suppressions: Dict[str, Suppressions] = {}
+        for path, source in sources:
+            display = self._display_path(path)
+            suppressions[display] = Suppressions.from_source(source)
+            try:
+                tree = ast.parse(source, filename=display)
+            except SyntaxError as exc:
+                violations.append(
+                    _syntax_error(
+                        display,
+                        exc.lineno or 1,
+                        (exc.offset or 1) - 1,
+                        f"cannot parse file: {exc.msg}",
+                    )
                 )
-            ]
-        ctx = ModuleContext(
-            path=path,
-            display_path=display,
-            source=source,
-            tree=tree,
-            suppressions=Suppressions.from_source(source),
-        )
-        violations: List[Violation] = []
+                continue
+            ctx = ModuleContext(path=path, display_path=display, source=source, tree=tree)
+            for rule in self.rules:
+                violations.extend(rule.check(ctx))
+            module, is_package = module_name_for(path)
+            summaries.append(summarize_tree(module, display, tree, is_package))
+        index = ProgramIndex(summaries)
         for rule in self.rules:
-            for violation in rule.check(ctx):
-                if ctx.suppressions.is_suppressed(violation.rule, violation.line):
-                    continue
-                violations.append(violation)
-        return violations
+            violations.extend(rule.check_program(index))
+        kept = [
+            violation
+            for violation in violations
+            if violation.path not in suppressions
+            or not suppressions[violation.path].is_suppressed(
+                violation.rule, violation.line
+            )
+        ]
+        return LintResult(violations=sorted(kept), files_checked=len(sources))
 
     def _display_path(self, path: Path) -> str:
         try:

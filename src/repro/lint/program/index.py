@@ -1,8 +1,7 @@
 """The project index: modules, symbols, imports, and the call graph.
 
-Built once per run from :class:`~repro.lint.program.summary.ModuleSummary`
-objects (freshly parsed or loaded from the content-hash cache), the
-index answers the cross-module questions the program passes ask:
+Built once per run from the :class:`~repro.lint.program.summary.ModuleSummary`
+of every parsed file, the index answers the cross-module questions the program passes ask:
 
 * which module does a dotted expression in file X refer to, after
   following import aliases and package re-export chains;

@@ -1,19 +1,18 @@
-"""Whole-program analysis passes over a :class:`ProgramIndex`.
+"""Whole-program passes over a :class:`ProgramIndex`.
 
-A pass is the program-level analogue of a per-file rule: it has a
-``name``/``code``/``description``, a severity, and a ``run(index)``
-generator yielding :class:`~repro.lint.violations.Violation` objects.
-Passes consume summaries only (never ASTs), so cached and fresh runs
-are byte-identical, and every iteration is sorted so reports are
-deterministic.
+A pass is a :class:`~repro.lint.registry.Rule` that overrides
+``check_program(index)`` instead of ``check(ctx)``; it shares the one
+registry with the per-file rules and runs on every lint.  Passes
+consume summaries only (never ASTs), and every iteration is sorted so
+reports are deterministic.
 
 Built-in passes:
 
-* ``determinism-taint`` (P101) — generalizes R001/R007 across call
-  chains: wall-clock and global/unseeded RNG primitives taint the
-  functions that call them, taint propagates up the call graph, and a
-  tainted function inside the deterministic boundary is reported with
-  the full chain down to the primitive.
+* ``determinism-taint`` (P101) — wall-clock and global/unseeded RNG
+  primitives taint the functions that call them (a default argument
+  or decorator taints the scope that defines it), taint propagates up
+  the call graph, and a tainted function inside the deterministic
+  boundary is reported with the full chain down to the primitive.
 * ``concurrent-mutation`` (P102) — module-level mutable state mutated
   by functions reachable from a concurrency entry point (a
   ``threading``/``multiprocessing``/executor spawn target, or the
@@ -22,18 +21,18 @@ Built-in passes:
   callee, excess positional args, and missing required args.
 * ``unresolved-import`` (P104) — ``from M import name`` where the
   project module ``M`` never binds ``name``.
-* ``unused-export`` (P105, warning) — a package ``__all__`` entry no
-  other analyzed module imports or references.
+* ``unused-export`` (P105) — a package ``__all__`` entry no other
+  analyzed module imports or references.
 """
 
 from __future__ import annotations
 
-from fnmatch import fnmatch
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..violations import Severity, Violation
+from ..registry import Rule, register
+from ..violations import Violation
 from .index import KIND_CLASS, KIND_FUNCTION, KIND_MODULE, ProgramIndex
-from .summary import MODULE_BODY, FunctionInfo, ModuleSummary, SignatureInfo
+from .summary import MODULE_BODY, FunctionInfo, ModuleSummary
 
 #: Module prefixes forming the deterministic boundary: anything inside
 #: must stay bit-reproducible for the serving/eval contracts to hold.
@@ -54,90 +53,11 @@ DETERMINISTIC_BOUNDARY = (
 CONCURRENT_ROOTS = ("repro.distributed",)
 
 
-class ProgramPass:
-    """Base class for whole-program passes."""
-
-    name: str = ""
-    code: str = ""
-    description: str = ""
-    default_severity: Severity = Severity.ERROR
-
-    def __init__(self) -> None:
-        self.severity = self.default_severity
-
-    def configure(self, **options) -> "ProgramPass":
-        """Override pass attributes by keyword; unknown keys raise."""
-        for key, value in options.items():
-            if key == "severity":
-                self.severity = Severity.parse(value)
-                continue
-            if not hasattr(self, key) or key.startswith("_"):
-                raise ValueError(f"pass {self.name!r} has no option {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def run(self, index: ProgramIndex) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def violation(
-        self, path: str, line: int, message: str, col: int = 0
-    ) -> Violation:
-        return Violation(
-            path=path,
-            line=line,
-            col=col,
-            rule=self.name,
-            message=message,
-            severity=self.severity,
-        )
-
-
-_PASSES: Dict[str, Type[ProgramPass]] = {}
-
-
-def register_pass(cls: Type[ProgramPass]) -> Type[ProgramPass]:
-    """Class decorator adding ``cls`` to the program-pass registry."""
-    if not cls.name or not cls.code:
-        raise ValueError(f"pass {cls.__name__} must define 'name' and 'code'")
-    existing = _PASSES.get(cls.name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"duplicate pass name {cls.name!r}")
-    _PASSES[cls.name] = cls
-    return cls
-
-
-def pass_names() -> List[str]:
-    """All registered pass names, sorted."""
-    return sorted(_PASSES)
-
-
-def get_pass_class(name: str) -> Type[ProgramPass]:
-    """Look up one registered pass class by name."""
-    try:
-        return _PASSES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown pass {name!r}; known passes: {', '.join(sorted(_PASSES))}"
-        ) from None
-
-
-def create_passes(
-    disable: Sequence[str] = (), select: Sequence[str] = ()
-) -> List[ProgramPass]:
-    """Instantiate registered passes, honoring select/disable by name.
-
-    Unlike :func:`repro.lint.registry.create_rules`, unknown names in
-    ``select``/``disable`` are ignored here — the CLI shares one
-    ``--select``/``--disable`` namespace between rules and passes.
-    """
-    chosen = []
-    for name in sorted(_PASSES):
-        if select and name not in select:
-            continue
-        if name in disable:
-            continue
-        chosen.append(_PASSES[name]())
-    return chosen
+def _under(module: str, prefixes: Tuple[str, ...]) -> bool:
+    """Whether ``module`` is one of ``prefixes`` or inside one."""
+    return any(
+        module == prefix or module.startswith(prefix + ".") for prefix in prefixes
+    )
 
 
 def _chain_to_primitive(
@@ -158,8 +78,8 @@ def _chain_to_primitive(
         hops.append(index.display(node))
 
 
-@register_pass
-class DeterminismTaintPass(ProgramPass):
+@register
+class DeterminismTaintPass(Rule):
     """Call-chain taint from nondeterminism primitives into the boundary."""
 
     name = "determinism-taint"
@@ -169,21 +89,7 @@ class DeterminismTaintPass(ProgramPass):
         "deterministic-boundary function"
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Module prefixes forming the deterministic boundary.
-        self.boundary: Tuple[str, ...] = DETERMINISTIC_BOUNDARY
-        #: Fq-function glob patterns exempt from reporting (sanctioned
-        #: plumbing, e.g. a CLI shim living inside a boundary package).
-        self.exempt: Tuple[str, ...] = ()
-
-    def _in_boundary(self, module: str) -> bool:
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.boundary
-        )
-
-    def run(self, index: ProgramIndex) -> Iterator[Violation]:
+    def check_program(self, index: ProgramIndex) -> Iterator[Violation]:
         # Seed: functions calling a primitive directly.  ``via`` maps a
         # tainted node to ("source", NondetSite) or (tainted_callee, line).
         via: Dict[str, Tuple[str, object]] = {}
@@ -206,14 +112,9 @@ class DeterminismTaintPass(ProgramPass):
             frontier = sorted(next_frontier)
         for node in sorted(via):
             module, qualname = index.functions[node]
-            if not self._in_boundary(module):
-                continue
-            if any(fnmatch(node, pattern) for pattern in self.exempt):
+            if not _under(module, DETERMINISTIC_BOUNDARY):
                 continue
             path, line = index.location(node)
-            summary = index.modules[module]
-            if summary.is_suppressed(self.name, line):
-                continue
             chain = _chain_to_primitive(index, node, via)
             what = (
                 "module import" if qualname == MODULE_BODY else f"{qualname!r}"
@@ -226,8 +127,8 @@ class DeterminismTaintPass(ProgramPass):
             )
 
 
-@register_pass
-class ConcurrentMutationPass(ProgramPass):
+@register
+class ConcurrentMutationPass(Rule):
     """Module-level mutable state mutated from concurrent call paths."""
 
     name = "concurrent-mutation"
@@ -237,21 +138,12 @@ class ConcurrentMutationPass(ProgramPass):
         "a thread/process spawn target or repro.distributed"
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Module prefixes whose public functions count as entry points.
-        self.concurrent_roots: Tuple[str, ...] = CONCURRENT_ROOTS
-
     def _entries(self, index: ProgramIndex) -> Dict[str, str]:
         """Entry node -> human-readable reason, deterministically."""
         entries: Dict[str, str] = {}
         for fqn in sorted(index.modules):
             summary = index.modules[fqn]
-            in_root = any(
-                fqn == prefix or fqn.startswith(prefix + ".")
-                for prefix in self.concurrent_roots
-            )
-            if in_root:
+            if _under(fqn, CONCURRENT_ROOTS):
                 for qualname, info in sorted(summary.functions.items()):
                     if qualname == MODULE_BODY:
                         continue
@@ -273,7 +165,7 @@ class ConcurrentMutationPass(ProgramPass):
                     )
         return entries
 
-    def run(self, index: ProgramIndex) -> Iterator[Violation]:
+    def check_program(self, index: ProgramIndex) -> Iterator[Violation]:
         entries = self._entries(index)
         # Forward BFS with deterministic parent pointers for chains.
         parent: Dict[str, Optional[str]] = {n: None for n in sorted(entries)}
@@ -295,8 +187,6 @@ class ConcurrentMutationPass(ProgramPass):
                 if owner is None:
                     continue
                 owner_summary, global_name, def_line = owner
-                if summary.is_suppressed(self.name, mutation.line):
-                    continue
                 chain = self._chain(index, node, parent)
                 entry = chain[0]
                 yield self.violation(
@@ -350,8 +240,8 @@ class ConcurrentMutationPass(ProgramPass):
         return None
 
 
-@register_pass
-class SignatureMismatchPass(ProgramPass):
+@register
+class SignatureMismatchPass(Rule):
     """Call sites whose arguments cannot bind the resolved signature."""
 
     name = "signature-mismatch"
@@ -364,14 +254,12 @@ class SignatureMismatchPass(ProgramPass):
     #: Decorators we still understand; anything else skips the check.
     _BINDING_DECORATORS = {"staticmethod", "classmethod"}
 
-    def run(self, index: ProgramIndex) -> Iterator[Violation]:
+    def check_program(self, index: ProgramIndex) -> Iterator[Violation]:
         for fqn in sorted(index.modules):
             summary = index.modules[fqn]
             for qualname, info in sorted(summary.functions.items()):
                 for site in info.calls:
                     for message in self._check_site(index, summary, info, site):
-                        if summary.is_suppressed(self.name, site.line):
-                            continue
                         yield self.violation(summary.path, site.line, message)
 
     def _check_site(
@@ -448,8 +336,8 @@ class SignatureMismatchPass(ProgramPass):
                 )
 
 
-@register_pass
-class UnresolvedImportPass(ProgramPass):
+@register
+class UnresolvedImportPass(Rule):
     """``from M import name`` where project module M never binds name."""
 
     name = "unresolved-import"
@@ -458,7 +346,7 @@ class UnresolvedImportPass(ProgramPass):
         "from-import of a name the resolved project module never binds"
     )
 
-    def run(self, index: ProgramIndex) -> Iterator[Violation]:
+    def check_program(self, index: ProgramIndex) -> Iterator[Violation]:
         for fqn in sorted(index.modules):
             summary = index.modules[fqn]
             for imp in summary.from_imports:
@@ -469,8 +357,6 @@ class UnresolvedImportPass(ProgramPass):
                     continue  # external module: out of scope
                 if "__getattr__" in target.functions:
                     continue  # PEP 562 dynamic attributes
-                if summary.is_suppressed(self.name, imp.line):
-                    continue
                 if index.resolve_symbol(imp.module, imp.name) is not None:
                     continue
                 yield self.violation(
@@ -481,8 +367,8 @@ class UnresolvedImportPass(ProgramPass):
                 )
 
 
-@register_pass
-class UnusedExportPass(ProgramPass):
+@register
+class UnusedExportPass(Rule):
     """Package ``__all__`` entries nothing in the program references."""
 
     name = "unused-export"
@@ -490,9 +376,8 @@ class UnusedExportPass(ProgramPass):
     description = (
         "package __all__ entry no analyzed module imports or references"
     )
-    default_severity = Severity.WARNING
 
-    def run(self, index: ProgramIndex) -> Iterator[Violation]:
+    def check_program(self, index: ProgramIndex) -> Iterator[Violation]:
         used: Dict[str, Set[str]] = {}  # package fqn -> used export names
         star_imported: Set[str] = set()
         for fqn in sorted(index.modules):
@@ -519,12 +404,9 @@ class UnusedExportPass(ProgramPass):
             for name in summary.dunder_all:
                 if name in used_names:
                     continue
-                line = summary.top_assigns.get(name, 1)
-                if summary.is_suppressed(self.name, line):
-                    continue
                 yield self.violation(
                     summary.path,
-                    line,
+                    summary.top_assigns.get(name, 1),
                     f"__all__ export {name!r} of package {fqn} is never "
                     "imported or referenced by any analyzed module",
                 )

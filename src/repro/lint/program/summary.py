@@ -1,26 +1,19 @@
-"""Per-file analysis summaries for the whole-program engine.
+"""Per-file analysis summaries for the whole-program passes.
 
-One parse of a module produces a :class:`ModuleSummary`: its imports
-(aliases resolved to absolute module names), top-level symbol table,
-function bodies reduced to the facts the program passes need (call
-sites, module-global mutations, nondeterminism primitives, concurrency
-spawns), ``__all__``, and inline suppressions.  Summaries are plain
-data — JSON round-trippable — so the analysis cache can persist them
-keyed by content SHA-256 and warm runs skip parsing entirely
-(:mod:`repro.lint.program.cache`).  Every program pass operates on
-summaries only, never on live ASTs, which is what makes cached and
-fresh runs byte-identical.
+The tree the engine parsed once for the per-file rules is reduced to a
+:class:`ModuleSummary`: its imports (aliases resolved to absolute
+module names), top-level symbol table, function bodies reduced to the
+facts the program passes need (call sites, module-global mutations,
+nondeterminism primitives, concurrency spawns), and ``__all__``.
+Every program pass works on summaries only, never on live ASTs.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
-
-from ..suppress import Suppressions
 
 #: Qualified name used for statements executed at import time.
 MODULE_BODY = "<module>"
@@ -211,7 +204,6 @@ class ModuleSummary:
 
     module: str
     path: str
-    sha256: str
     is_package: bool = False
     module_imports: List[ModuleImport] = field(default_factory=list)
     from_imports: List[FromImport] = field(default_factory=list)
@@ -220,68 +212,6 @@ class ModuleSummary:
     top_assigns: Dict[str, int] = field(default_factory=dict)
     mutable_globals: Dict[str, int] = field(default_factory=dict)
     dunder_all: Optional[List[str]] = None
-    suppress_file: List[str] = field(default_factory=list)
-    suppress_lines: Dict[str, List[str]] = field(default_factory=dict)
-
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """Inline-suppression check mirroring :class:`Suppressions`."""
-        if "all" in self.suppress_file or rule in self.suppress_file:
-            return True
-        rules = self.suppress_lines.get(str(line), ())
-        return "all" in rules or rule in rules
-
-    # -- (de)serialization ----------------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        summary = cls(
-            module=data["module"],
-            path=data["path"],
-            sha256=data["sha256"],
-            is_package=data["is_package"],
-            top_assigns=dict(data["top_assigns"]),
-            mutable_globals=dict(data["mutable_globals"]),
-            dunder_all=data["dunder_all"],
-            suppress_file=list(data["suppress_file"]),
-            suppress_lines={k: list(v) for k, v in data["suppress_lines"].items()},
-        )
-        summary.module_imports = [ModuleImport(**d) for d in data["module_imports"]]
-        summary.from_imports = [FromImport(**d) for d in data["from_imports"]]
-        for name, fdata in data["functions"].items():
-            summary.functions[name] = _function_from_dict(fdata)
-        for name, cdata in data["classes"].items():
-            summary.classes[name] = ClassInfo(
-                name=cdata["name"],
-                line=cdata["line"],
-                bases=list(cdata["bases"]),
-                methods={
-                    m: SignatureInfo(**s) for m, s in cdata["methods"].items()
-                },
-                decorated=cdata["decorated"],
-            )
-        return summary
-
-
-def _function_from_dict(data: dict) -> FunctionInfo:
-    sig = SignatureInfo(**data["sig"]) if data["sig"] is not None else None
-    return FunctionInfo(
-        qualname=data["qualname"],
-        line=data["line"],
-        sig=sig,
-        calls=[CallSite(**d) for d in data["calls"]],
-        attr_reads=list(data["attr_reads"]),
-        mutations=[MutationSite(**d) for d in data["mutations"]],
-        nondet=[NondetSite(**d) for d in data["nondet"]],
-        spawns=[SpawnSite(**d) for d in data["spawns"]],
-        local_names=list(data["local_names"]),
-    )
-
-
-def content_sha256(source: str) -> str:
-    """Hex SHA-256 of a module's source text (the cache key)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def module_name_for(path: Path) -> Tuple[str, bool]:
@@ -424,7 +354,21 @@ class _Extractor(ast.NodeVisitor):
         self.try_depth -= 1
 
     # -- definitions -----------------------------------------------------
+    def _visit_definition_time(self, node) -> None:
+        """Visit what a ``def``/``class``/``lambda`` evaluates when it runs.
+
+        Decorators and default values execute once, in the enclosing
+        scope (the module body for top-level and class-level defs, the
+        outer function for nested ones), not in the defined body.
+        """
+        args = getattr(node, "args", None)
+        defaults = args.defaults + args.kw_defaults if args is not None else []
+        for expr in getattr(node, "decorator_list", []) + defaults:
+            if expr is not None:
+                self.visit(expr)
+
     def _visit_function_def(self, node) -> None:
+        self._visit_definition_time(node)
         sig = _signature(node)
         if self.depth == 0 and self.cls is None:
             qualname = node.name
@@ -470,6 +414,7 @@ class _Extractor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _visit_function_def
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._visit_definition_time(node)
         if self.depth > 0 or self.cls is not None:
             self._locals.add(node.name)
             for child in node.body:
@@ -586,6 +531,7 @@ class _Extractor(ast.NodeVisitor):
             self.visit(cond)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
+        self._visit_definition_time(node)
         shielded = set(a.arg for a in node.args.args + node.args.kwonlyargs)
         previously_local = shielded & self._locals
         self._locals |= shielded
@@ -740,28 +686,12 @@ class _Extractor(ast.NodeVisitor):
         return None
 
 
-def summarize_source(
-    module: str,
-    display_path: str,
-    source: str,
-    is_package: bool = False,
-    tree: Optional[ast.Module] = None,
+def summarize_tree(
+    module: str, display_path: str, tree: ast.Module, is_package: bool = False
 ) -> ModuleSummary:
-    """Parse (if needed) and summarize one module's source text."""
-    if tree is None:
-        tree = ast.parse(source, filename=display_path)
-    summary = ModuleSummary(
-        module=module,
-        path=display_path,
-        sha256=content_sha256(source),
-        is_package=is_package,
-    )
+    """Reduce one parsed module to its :class:`ModuleSummary`."""
+    summary = ModuleSummary(module=module, path=display_path, is_package=is_package)
     summary.dunder_all = _literal_all(tree)
-    suppressions = Suppressions.from_source(source)
-    summary.suppress_file = sorted(suppressions.file_level)
-    summary.suppress_lines = {
-        str(line): sorted(rules) for line, rules in sorted(suppressions.by_line.items())
-    }
     extractor = _Extractor(summary)
     for node in tree.body:
         extractor.visit(node)

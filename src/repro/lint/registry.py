@@ -1,8 +1,16 @@
-"""Rule base class and the global rule registry.
+"""Rule base class and the one registry of rules and program passes.
 
-A rule is a class with ``name``, ``code``, ``description``, and a
-``check(ctx)`` generator yielding :class:`~repro.lint.violations.Violation`
-objects.  Registering is one decorator::
+A rule is a class with ``name``, ``code`` and ``description`` that
+overrides one of two hooks, each a generator of
+:class:`~repro.lint.violations.Violation` objects:
+
+* ``check(ctx)`` — per-file: one parsed module
+  (:class:`~repro.lint.engine.ModuleContext`);
+* ``check_program(index)`` — whole-program: the
+  :class:`~repro.lint.program.index.ProgramIndex` built from every
+  module's summary.
+
+Registering is one decorator::
 
     @register
     class MyRule(Rule):
@@ -11,57 +19,39 @@ objects.  Registering is one decorator::
         description = "what it catches"
 
         def check(self, ctx):
-            yield self.violation(ctx, node, "message")
+            yield self.violation(ctx.display_path, node, "message")
 
-Per-rule knobs are plain instance attributes set in ``__init__``;
-:meth:`Rule.configure` overrides them by keyword (unknown keys raise,
-so configs cannot drift silently).
+Rules have no options: a rule's scope is a module constant.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type, Union
+from typing import Dict, Iterator, List, Type, Union
 
-from .violations import Severity, Violation
+from .violations import Violation
 
 
 class Rule:
-    """Base class for AST lint rules."""
+    """Base class for per-file rules and whole-program passes."""
 
     #: Stable kebab-case identifier used in reports and suppressions.
     name: str = ""
-    #: Short code (``R001``-style) for terse output and docs tables.
+    #: Short code (``R001``/``P101``-style) for docs tables.
     code: str = ""
-    #: One-line human description (shown by ``--list-rules``).
+    #: One-line human description.
     description: str = ""
-    #: Severity assigned to this rule's violations unless overridden.
-    default_severity: Severity = Severity.ERROR
-
-    def __init__(self) -> None:
-        self.severity = self.default_severity
-
-    def configure(self, **options) -> "Rule":
-        """Override rule attributes by keyword; unknown keys raise."""
-        for key, value in options.items():
-            if key == "severity":
-                self.severity = Severity.parse(value)
-                continue
-            if not hasattr(self, key) or key.startswith("_"):
-                raise ValueError(f"rule {self.name!r} has no option {key!r}")
-            setattr(self, key, value)
-        return self
 
     def check(self, ctx) -> Iterator[Violation]:
         """Yield violations for one module (see ``engine.ModuleContext``)."""
-        raise NotImplementedError
+        return iter(())
+
+    def check_program(self, index) -> Iterator[Violation]:
+        """Yield violations over the whole program's index."""
+        return iter(())
 
     def violation(
-        self,
-        ctx,
-        node: Union[ast.AST, int],
-        message: str,
-        severity: Optional[Severity] = None,
+        self, path: str, node: Union[ast.AST, int], message: str
     ) -> Violation:
         """Build a :class:`Violation` anchored at ``node`` (or a line no)."""
         if isinstance(node, int):
@@ -69,21 +59,14 @@ class Rule:
         else:
             line = getattr(node, "lineno", 1)
             col = getattr(node, "col_offset", 0)
-        return Violation(
-            path=ctx.display_path,
-            line=line,
-            col=col,
-            rule=self.name,
-            message=message,
-            severity=self.severity if severity is None else severity,
-        )
+        return Violation(path=path, line=line, col=col, rule=self.name, message=message)
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
 def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding ``cls`` to the global registry."""
+    """Class decorator adding ``cls`` to the registry."""
     if not cls.name or not cls.code:
         raise ValueError(f"rule {cls.__name__} must define 'name' and 'code'")
     existing = _REGISTRY.get(cls.name)
@@ -94,7 +77,7 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 
 def rule_names() -> List[str]:
-    """All registered rule names, sorted."""
+    """All registered rule and pass names, sorted."""
     _load_builtin_rules()
     return sorted(_REGISTRY)
 
@@ -110,34 +93,12 @@ def get_rule_class(name: str) -> Type[Rule]:
         ) from None
 
 
-def create_rules(
-    disable: Sequence[str] = (),
-    select: Sequence[str] = (),
-    options: Optional[Dict[str, Dict]] = None,
-) -> List[Rule]:
-    """Instantiate the registered rules.
-
-    ``select`` (if non-empty) whitelists rule names; ``disable`` removes
-    names; ``options`` maps rule name -> keyword overrides passed to
-    :meth:`Rule.configure`.
-    """
-    _load_builtin_rules()
-    for name in list(disable) + list(select):
-        get_rule_class(name)  # validate early with a helpful error
-    chosen = []
-    for name in sorted(_REGISTRY):
-        if select and name not in select:
-            continue
-        if name in disable:
-            continue
-        rule = _REGISTRY[name]()
-        overrides = (options or {}).get(name)
-        if overrides:
-            rule.configure(**overrides)
-        chosen.append(rule)
-    return chosen
+def create_rules() -> List[Rule]:
+    """One instance of every registered rule and pass, sorted by name."""
+    return [get_rule_class(name)() for name in rule_names()]
 
 
 def _load_builtin_rules() -> None:
     """Import the built-in rule modules so their ``@register`` runs."""
     from . import rules  # noqa: F401  (import side effect registers rules)
+    from .program import passes  # noqa: F401

@@ -12,5 +12,4 @@ from . import (  # noqa: F401
     prints,
     randomness,
     tensors,
-    wallclock,
 )

@@ -11,16 +11,17 @@ string keys used against config-ish receivers (names matching
 ``config``/``cfg``/``conf``, or attributes like ``self.config``) that do
 not exist in the schema.
 
-The schema is imported lazily from :mod:`repro.config`; tests (or other
-codebases) can inject an explicit ``keys`` set via rule options.
+The schema is imported lazily from :mod:`repro.config`, once per
+process (:func:`config_schema`).
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
-from typing import FrozenSet, Iterator, Optional
+from typing import FrozenSet, Iterator
 
 from ..registry import Rule, register
 from ..violations import Violation
@@ -28,7 +29,8 @@ from ..violations import Violation
 _CONFIG_NAME = re.compile(r"(^|_)(config|cfg|conf)(_|$)", re.IGNORECASE)
 
 
-def _schema_from_repro_config() -> FrozenSet[str]:
+@functools.lru_cache(maxsize=None)
+def config_schema() -> FrozenSet[str]:
     """Collect every field name in the ExperimentConfig dataclass tree."""
     from repro.config import ExperimentConfig
 
@@ -73,17 +75,6 @@ class ConfigKeyDriftRule(Rule):
     code = "R004"
     description = "string config key that does not exist on the config schema"
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Explicit schema override (set in tests); ``None`` = resolve
-        #: lazily from repro.config on first use.
-        self.keys: Optional[FrozenSet[str]] = None
-
-    def _schema(self) -> FrozenSet[str]:
-        if self.keys is None:
-            self.keys = _schema_from_repro_config()
-        return self.keys
-
     def check(self, ctx) -> Iterator[Violation]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
@@ -107,7 +98,7 @@ class ConfigKeyDriftRule(Rule):
                 _receiver_is_configish(receiver)
                 and isinstance(key, ast.Constant)
                 and isinstance(key.value, str)
-                and key.value not in self._schema()
+                and key.value not in config_schema()
             ):
                 yield self._drift(ctx, key, key.value)
         # dataclasses.replace(config, key=...)
@@ -115,7 +106,7 @@ class ConfigKeyDriftRule(Rule):
             receiver = node.args[0]
             if _receiver_is_configish(receiver):
                 for keyword in node.keywords:
-                    if keyword.arg is not None and keyword.arg not in self._schema():
+                    if keyword.arg is not None and keyword.arg not in config_schema():
                         yield self._drift(ctx, keyword.value, keyword.arg)
 
     def _check_subscript(self, ctx, node: ast.Subscript) -> Iterator[Violation]:
@@ -124,13 +115,13 @@ class ConfigKeyDriftRule(Rule):
             _receiver_is_configish(node.value)
             and isinstance(key, ast.Constant)
             and isinstance(key.value, str)
-            and key.value not in self._schema()
+            and key.value not in config_schema()
         ):
             yield self._drift(ctx, node, key.value)
 
     def _drift(self, ctx, node: ast.AST, key: str) -> Violation:
         return self.violation(
-            ctx,
+            ctx.display_path,
             node,
             f"config key {key!r} does not exist on the repro.config schema; "
             "likely a typo or stale key",

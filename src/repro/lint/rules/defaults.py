@@ -70,7 +70,7 @@ class MutableDefaultArgRule(Rule):
 
     def _flag(self, ctx, default: ast.expr, arg_name: str, kind: str) -> Violation:
         return self.violation(
-            ctx,
+            ctx.display_path,
             default,
             f"default for {arg_name!r} is a mutable {kind} shared across "
             "calls; default to None and create it inside the function",

@@ -9,18 +9,17 @@ mismatches) and even swallows ``KeyboardInterrupt``.  Two findings:
   ``pass``/``...``/``continue``, i.e. the error vanishes without being
   logged, re-raised, or recorded.
 
-Swallowed exceptions are errors inside the configured ``hot_paths``
-(the serving/training core: ``core/``, ``distributed/``, ``kg/``) and
-warnings elsewhere.
+Both are findings everywhere; a handler that must stay silent says
+why next to a ``# repro-lint: disable=bare-except`` comment.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from ..registry import Rule, register
-from ..violations import Severity, Violation
+from ..violations import Violation
 
 
 def _is_noop(stmt: ast.stmt) -> bool:
@@ -41,19 +40,13 @@ class BareExceptRule(Rule):
     code = "R005"
     description = "bare or silently-swallowed exception handler"
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Path fragments where swallowing is an error, not a warning.
-        self.hot_paths: Tuple[str, ...] = ("core/", "distributed/", "kg/")
-
     def check(self, ctx) -> Iterator[Violation]:
-        in_hot_path = any(fragment in ctx.display_path for fragment in self.hot_paths)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
                 yield self.violation(
-                    ctx,
+                    ctx.display_path,
                     node,
                     "bare `except:` catches SystemExit/KeyboardInterrupt; "
                     "name the exception type",
@@ -61,9 +54,8 @@ class BareExceptRule(Rule):
                 continue
             if all(_is_noop(stmt) for stmt in node.body):
                 yield self.violation(
-                    ctx,
+                    ctx.display_path,
                     node,
                     "exception handler silently swallows the error; log, "
                     "re-raise, or record it",
-                    severity=Severity.ERROR if in_hot_path else Severity.WARNING,
                 )

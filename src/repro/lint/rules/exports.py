@@ -90,7 +90,7 @@ class ExportDriftRule(Rule):
         for name in exported:
             if name not in bound:
                 yield self.violation(
-                    ctx,
+                    ctx.display_path,
                     all_assign,
                     f"__all__ exports {name!r} but the module never binds it",
                 )
@@ -98,7 +98,7 @@ class ExportDriftRule(Rule):
             if name.startswith("_") or name in exported_set:
                 continue
             yield self.violation(
-                ctx,
+                ctx.display_path,
                 lineno,
                 f"public name {name!r} is bound here but missing from __all__",
             )

@@ -16,10 +16,16 @@ flagged — only direct call expressions are.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from ..registry import Rule, register
 from ..violations import Violation
+
+#: Path fragment that puts a module inside the library.
+LIBRARY_PATH = "src/repro/"
+
+#: Path suffixes allowed to print: the CLI reporting surface.
+CLI_PATHS = ("repro/cli.py", "repro/lint/cli.py")
 
 
 @register
@@ -33,22 +39,9 @@ class NoPrintInSrcRule(Rule):
         "return values (CLI modules are allowlisted)"
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Path fragments that put a module inside the library.
-        self.scoped_paths: Tuple[str, ...] = ("src/repro/",)
-        #: Path suffixes allowed to print: the CLI reporting surface.
-        self.allowed_paths: Tuple[str, ...] = (
-            "repro/cli.py",
-            "repro/lint/cli.py",
-            "repro/lint/reporters.py",
-        )
-
     def check(self, ctx) -> Iterator[Violation]:
         path = ctx.display_path.replace("\\", "/")
-        if not any(fragment in path for fragment in self.scoped_paths):
-            return
-        if any(path.endswith(suffix) for suffix in self.allowed_paths):
+        if LIBRARY_PATH not in path or path.endswith(CLI_PATHS):
             return
         for node in ast.walk(ctx.tree):
             if (
@@ -57,7 +50,7 @@ class NoPrintInSrcRule(Rule):
                 and node.func.id == "print"
             ):
                 yield self.violation(
-                    ctx,
+                    ctx.display_path,
                     node,
                     "print() in library code; report via the repro.obs "
                     "registry or a return value",

@@ -14,16 +14,13 @@ EXPERIMENTS.md tables — silently.  This rule flags:
   ``SeedSequence``, the bit generators).
 
 ``random.Random(seed)`` / ``random.SystemRandom()`` instances are fine:
-they are explicit objects whose seed the caller controls.  Paths
-matching ``exempt_paths`` globs (the seeded-RNG plumbing itself) are
-skipped entirely.
+they are explicit objects whose seed the caller controls.
 """
 
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
-from typing import Iterator, Set, Tuple
+from typing import Iterator, Set
 
 from ..registry import Rule, register
 from ..violations import Violation
@@ -57,16 +54,7 @@ class UnseededRandomnessRule(Rule):
         "numpy Generator"
     )
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: Glob patterns (matched against the display path) to skip —
-        #: the seeded-RNG plumbing is allowed to touch module state.
-        self.exempt_paths: Tuple[str, ...] = ()
-
     def check(self, ctx) -> Iterator[Violation]:
-        if any(fnmatch(ctx.display_path, pat) for pat in self.exempt_paths):
-            return
-
         random_aliases: Set[str] = set()  # names bound to the stdlib module
         numpy_aliases: Set[str] = set()  # names bound to numpy itself
         numpy_random_aliases: Set[str] = set()  # names bound to numpy.random
@@ -113,14 +101,14 @@ class UnseededRandomnessRule(Rule):
             if isinstance(func, ast.Name):
                 if func.id in stdlib_fns:
                     yield self.violation(
-                        ctx,
+                        ctx.display_path,
                         node,
                         f"call to random.{func.id}() uses the global stdlib "
                         "RNG; pass a seeded np.random.Generator instead",
                     )
                 elif func.id in numpy_fns:
                     yield self.violation(
-                        ctx,
+                        ctx.display_path,
                         node,
                         f"call to numpy.random.{func.id}() uses the legacy "
                         "global RNG; use np.random.default_rng(seed)",
@@ -133,7 +121,7 @@ class UnseededRandomnessRule(Rule):
                     and func.attr not in SEEDABLE_STDLIB
                 ):
                     yield self.violation(
-                        ctx,
+                        ctx.display_path,
                         node,
                         f"call to random.{func.attr}() uses the global stdlib "
                         "RNG; pass a seeded np.random.Generator instead",
@@ -142,7 +130,7 @@ class UnseededRandomnessRule(Rule):
                     base, numpy_aliases, numpy_random_aliases
                 ) and func.attr not in SEEDABLE_NUMPY:
                     yield self.violation(
-                        ctx,
+                        ctx.display_path,
                         node,
                         f"call to np.random.{func.attr}() uses the legacy "
                         "global RNG; use np.random.default_rng(seed)",

@@ -61,7 +61,7 @@ class TensorInplaceGradRule(Rule):
                         and not (init_self and self._is_self_attr(target))
                     ):
                         yield self.violation(
-                            ctx,
+                            ctx.display_path,
                             node,
                             "assignment to .data bypasses autograd; wrap the "
                             "update in `with no_grad():` to make the intent "

@@ -1,71 +1,20 @@
-"""Violation and severity primitives shared by every lint rule."""
+"""The one finding type every lint rule reports."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Union
-
-
-class Severity(enum.IntEnum):
-    """How serious a violation is.
-
-    ``ERROR`` violations fail the lint run (non-zero exit); ``WARNING``
-    violations are reported but only fail under ``--strict``.
-    """
-
-    WARNING = 1
-    ERROR = 2
-
-    @classmethod
-    def parse(cls, text: Union[str, "Severity"]) -> "Severity":
-        """Parse ``"error"`` / ``"warning"`` (case-insensitive)."""
-        if isinstance(text, Severity):
-            return text
-        try:
-            return cls[str(text).strip().upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {text!r}; expected one of "
-                f"{[level.name.lower() for level in cls]}"
-            ) from None
-
-    def __str__(self) -> str:
-        return self.name.lower()
 
 
 @dataclass(frozen=True, order=True)
 class Violation:
-    """One finding: a rule, a location, and a message."""
+    """One finding: a rule, a location, and a message.  Every one fails."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-    severity: Severity = Severity.ERROR
-    #: True when a committed baseline tolerates this violation: it stays
-    #: visible in reports but never fails the run, even under --strict.
-    baselined: bool = False
 
     def format(self) -> str:
-        """Render as the classic ``path:line:col: severity [rule] msg``."""
-        suffix = " (baselined)" if self.baselined else ""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity} [{self.rule}] {self.message}{suffix}"
-        )
-
-    def to_dict(self) -> Dict[str, Union[str, int, bool]]:
-        """JSON-serializable representation (used by the JSON reporter)."""
-        payload: Dict[str, Union[str, int, bool]] = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "message": self.message,
-        }
-        if self.baselined:
-            payload["baselined"] = True
-        return payload
+        """Render as ``path:line:col: [rule] message``."""
+        return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"

@@ -10,7 +10,7 @@ from .attention import MultiHeadAttention
 from .gradcheck import check_gradients
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Sequential
 from .module import Module, Parameter
-from .optim import SGD, Adam
+from .optim import Adam
 from .sanitizer import NumericGuardError
 from .tensor import (
     Tensor,
@@ -34,7 +34,6 @@ __all__ = [
     "MultiHeadAttention",
     "NumericGuardError",
     "Parameter",
-    "SGD",
     "Sequential",
     "Tensor",
     "TransformerConfig",

@@ -1,8 +1,7 @@
 """Optimizers for the numpy autograd engine.
 
 The paper trains PKGM with Adam (lr 1e-4) and fine-tunes BERT with Adam
-(lr 2e-5); NCF uses minibatch Adam.  We provide Adam and SGD (with
-momentum).
+(lr 2e-5); NCF uses minibatch Adam.  Adam is the one optimizer here.
 """
 
 from __future__ import annotations
@@ -59,43 +58,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        with no_grad():
-            for param in self.parameters:
-                if param.grad is None:
-                    continue
-                grad = param.grad
-                if _sanitizer.ENABLED:
-                    _sanitizer.check_update("SGD.step", param, grad=grad)
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * param.data
-                if self.momentum:
-                    vel = self._velocity.get(id(param))
-                    vel = self.momentum * vel + grad if vel is not None else grad
-                    self._velocity[id(param)] = vel
-                    grad = vel
-                param.data = param.data - self.lr * grad
-                if _sanitizer.ENABLED:
-                    _sanitizer.check_update("SGD.step", param, update=param.data)
 
 
 def _adam_state(data: np.ndarray, m=None, v=None) -> Tuple[np.ndarray, ...]:

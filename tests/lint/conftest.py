@@ -26,25 +26,17 @@ def fixture_corpus():
 
 @pytest.fixture
 def analyze_corpus(fixture_corpus):
-    """Run the whole-program analyzer over one fixture corpus.
+    """Lint one fixture corpus with every rule, or only ``select``.
 
-    Each corpus is analyzed on its own (they all define a ``repro``
+    Each corpus is linted on its own (they all define a ``repro``
     package, so mixing them would collide on module names).  Returns
     the LintResult; paths are relative to the corpus root.
     """
-    from repro.lint.program import ProgramAnalyzer
 
     def _analyze(name, select=None):
-        from repro.lint.program import create_passes
-
         root = fixture_corpus(name)
-        analyzer = ProgramAnalyzer(
-            passes=create_passes(select=select or []),
-            root=root,
-            cache_path=None,
-        )
-        result, _stats = analyzer.analyze_paths([root])
-        return result
+        rules = [get_rule_class(rule)() for rule in select] if select else None
+        return Linter(rules=rules, root=root).lint_paths([root])
 
     return _analyze
 
@@ -54,15 +46,34 @@ def lint_source():
     """Lint a source snippet with a single named rule; returns violations.
 
     Usage: ``lint_source("unseeded-randomness", code, path="mod.py")``.
-    Rule options (e.g. ``keys=...`` for config-key-drift) are forwarded
-    to ``Rule.configure``.
     """
 
-    def _lint(rule_name, source, path="module.py", **options):
-        rule = get_rule_class(rule_name)()
-        if options:
-            rule.configure(**options)
-        linter = Linter(rules=[rule])
+    def _lint(rule_name, source, path="module.py"):
+        linter = Linter(rules=[get_rule_class(rule_name)()])
         return linter.lint_source(textwrap.dedent(source), Path(path))
+
+    return _lint
+
+
+@pytest.fixture
+def lint_tree(tmp_path):
+    """Lint ``{relative path: source}`` written under a temp root.
+
+    Every directory below ``src/`` gets an ``__init__.py``, so a file
+    at ``src/repro/stream/x.py`` is the module ``repro.stream.x`` and
+    the whole-program passes see it where the path says.  Returns the
+    LintResult, paths relative to the temp root.
+    """
+
+    def _lint(files, select=None):
+        for relative, source in files.items():
+            target = tmp_path / relative
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(textwrap.dedent(source))
+        for package in sorted((tmp_path / "src").rglob("*")):
+            if package.is_dir() and not (package / "__init__.py").exists():
+                (package / "__init__.py").write_text("")
+        rules = [get_rule_class(rule)() for rule in select] if select else None
+        return Linter(rules=rules, root=tmp_path).lint_paths([tmp_path])
 
     return _lint

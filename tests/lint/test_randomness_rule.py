@@ -117,16 +117,3 @@ class TestNegatives:
             """,
         )
         assert violations == []
-
-    def test_exempt_paths_glob(self, lint_source):
-        violations = lint_source(
-            RULE,
-            """
-            import numpy as np
-
-            np.random.seed(0)
-            """,
-            path="src/repro/seeding.py",
-            exempt_paths=("*/seeding.py",),
-        )
-        assert violations == []

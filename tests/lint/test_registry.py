@@ -1,9 +1,8 @@
-"""Tests for the rule registry and per-rule configuration."""
+"""Tests for the one registry of per-file rules and program passes."""
 
 import pytest
 
-from repro.lint import Severity
-from repro.lint.registry import create_rules, get_rule_class, rule_names
+from repro.lint.registry import Rule, create_rules, get_rule_class, rule_names
 
 EXPECTED_RULES = {
     "unseeded-randomness",
@@ -12,12 +11,18 @@ EXPECTED_RULES = {
     "config-key-drift",
     "bare-except",
     "export-drift",
+    "no-print-in-src",
+    "determinism-taint",
+    "concurrent-mutation",
+    "signature-mismatch",
+    "unresolved-import",
+    "unused-export",
 }
 
 
 class TestRegistry:
     def test_builtin_rules_registered(self):
-        assert EXPECTED_RULES <= set(rule_names())
+        assert set(rule_names()) == EXPECTED_RULES
 
     def test_rule_codes_unique(self):
         codes = [get_rule_class(name).code for name in rule_names()]
@@ -27,36 +32,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown rule"):
             get_rule_class("no-such-rule")
 
-    def test_create_rules_select_and_disable(self):
-        only = create_rules(select=["bare-except"])
-        assert [rule.name for rule in only] == ["bare-except"]
-        without = create_rules(disable=["bare-except"])
-        assert "bare-except" not in {rule.name for rule in without}
+    def test_create_rules_builds_every_rule_and_pass(self):
+        rules = create_rules()
+        assert [rule.name for rule in rules] == rule_names()
+        assert all(isinstance(rule, Rule) for rule in rules)
 
-    def test_create_rules_validates_names_early(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            create_rules(disable=["no-such-rule"])
-
-
-class TestConfigure:
-    def test_severity_override(self):
-        rule = get_rule_class("mutable-default-arg")()
-        rule.configure(severity="warning")
-        assert rule.severity == Severity.WARNING
-
-    def test_option_override(self):
-        rule = get_rule_class("bare-except")()
-        rule.configure(hot_paths=("serving/",))
-        assert rule.hot_paths == ("serving/",)
-
-    def test_unknown_option_raises(self):
-        rule = get_rule_class("bare-except")()
-        with pytest.raises(ValueError, match="has no option"):
-            rule.configure(not_an_option=1)
-
-    def test_create_rules_applies_options(self):
-        (rule,) = create_rules(
-            select=["bare-except"],
-            options={"bare-except": {"severity": "warning"}},
-        )
-        assert rule.severity == Severity.WARNING
+    def test_rules_take_no_options(self):
+        # A rule's scope is a module constant: nothing configures one.
+        for rule in create_rules():
+            assert not hasattr(rule, "configure")
+            assert vars(rule) == {}

@@ -1,11 +1,6 @@
-"""Tests for the text/JSON reporters and the violation model."""
+"""Tests for the text report and the exit code of a lint result."""
 
-import json
-
-import pytest
-
-from repro.lint import LintResult, Severity, Violation
-from repro.lint.reporters import JSONReporter, TextReporter, get_reporter
+from repro.lint import LintResult, Violation
 
 
 def _result():
@@ -17,7 +12,6 @@ def _result():
                 col=4,
                 rule="mutable-default-arg",
                 message="shared default",
-                severity=Severity.ERROR,
             ),
             Violation(
                 path="src/b.py",
@@ -25,7 +19,6 @@ def _result():
                 col=0,
                 rule="bare-except",
                 message="swallowed",
-                severity=Severity.WARNING,
             ),
         ],
         files_checked=2,
@@ -34,46 +27,19 @@ def _result():
 
 class TestTextReporter:
     def test_renders_lines_and_summary(self):
-        out = TextReporter().render(_result())
-        assert "src/a.py:3:4: error [mutable-default-arg] shared default" in out
-        assert out.endswith("checked 2 files: 1 error(s), 1 warning(s)")
+        out = _result().report()
+        assert "src/a.py:3:4: [mutable-default-arg] shared default" in out
+        assert out.endswith("checked 2 files: 2 finding(s)")
 
     def test_clean_result(self):
-        out = TextReporter().render(LintResult(files_checked=1))
-        assert out == "checked 1 file: 0 error(s), 0 warning(s)"
-
-
-class TestJSONReporter:
-    def test_payload_round_trips(self):
-        payload = json.loads(JSONReporter().render(_result()))
-        assert payload["files_checked"] == 2
-        assert payload["errors"] == 1
-        assert payload["warnings"] == 1
-        assert len(payload["violations"]) == 2
-        first = payload["violations"][0]
-        assert first == {
-            "path": "src/a.py",
-            "line": 3,
-            "col": 4,
-            "rule": "mutable-default-arg",
-            "message": "shared default",
-            "severity": "error",
-        }
+        out = LintResult(files_checked=1).report()
+        assert out == "checked 1 file: 0 finding(s)"
 
 
 class TestLookupAndExitCodes:
-    def test_get_reporter(self):
-        assert isinstance(get_reporter("text"), TextReporter)
-        assert isinstance(get_reporter("json"), JSONReporter)
-        with pytest.raises(ValueError):
-            get_reporter("xml")
-
     def test_exit_codes(self):
         assert _result().exit_code() == 1
-        warnings_only = LintResult(
-            violations=[v for v in _result().violations if v.severity == Severity.WARNING],
-            files_checked=1,
-        )
-        assert warnings_only.exit_code() == 0
-        assert warnings_only.exit_code(strict=True) == 1
-        assert LintResult(files_checked=1).exit_code(strict=True) == 0
+        # Every finding fails: there is no severity to demote one.
+        swallowed_only = LintResult(violations=_result().violations[1:], files_checked=1)
+        assert swallowed_only.exit_code() == 1
+        assert LintResult(files_checked=1).exit_code() == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Linear, Parameter, SGD, Tensor
+from repro.nn import Adam, Linear, Parameter, Tensor
 from repro.nn import functional as F
 
 
@@ -18,36 +18,6 @@ def run_steps(optimizer, param, steps):
         (param**2).sum().backward()
         optimizer.step()
     return float(param.data[0])
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        w = quadratic_param()
-        assert abs(run_steps(SGD([w], lr=0.1), w, 100)) < 1e-4
-
-    def test_momentum_accelerates(self):
-        w_plain, w_momentum = quadratic_param(), quadratic_param()
-        plain = abs(run_steps(SGD([w_plain], lr=0.01), w_plain, 50))
-        fast = abs(run_steps(SGD([w_momentum], lr=0.01, momentum=0.9), w_momentum, 50))
-        assert fast < plain
-
-    def test_weight_decay_shrinks_weights(self):
-        w = Parameter(np.array([1.0]))
-        opt = SGD([w], lr=0.1, weight_decay=0.5)
-        opt.zero_grad()
-        w.grad = np.zeros(1)  # pure decay step
-        opt.step()
-        assert w.data[0] < 1.0
-
-    def test_rejects_bad_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.1, momentum=1.0)
-
-    def test_skips_params_without_grad(self):
-        w = quadratic_param()
-        before = w.data.copy()
-        SGD([w], lr=0.1).step()
-        assert np.allclose(w.data, before)
 
 
 class TestAdam:
