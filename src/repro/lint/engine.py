@@ -50,6 +50,7 @@ class ModuleContext:
     display_path: str
     source: str
     tree: ast.Module
+    summary: ModuleSummary
 
     @property
     def is_package_init(self) -> bool:
@@ -197,11 +198,12 @@ class Linter:
                     )
                 )
                 continue
-            ctx = ModuleContext(path=path, display_path=display, source=source, tree=tree)
+            module, is_package = module_name_for(path)
+            summary = summarize_tree(module, display, tree, is_package)
+            summaries.append(summary)
+            ctx = ModuleContext(path, display, source, tree, summary)
             for rule in self.rules:
                 violations.extend(rule.check(ctx))
-            module, is_package = module_name_for(path)
-            summaries.append(summarize_tree(module, display, tree, is_package))
         index = ProgramIndex(summaries)
         for rule in self.rules:
             violations.extend(rule.check_program(index))

@@ -32,8 +32,8 @@ WALL_CLOCK = frozenset(
 )
 
 #: ``numpy.random`` attributes that construct explicit, seedable state
-#: (mirrors the R001 rule; ``default_rng`` is special-cased: calling it
-#: *without* a seed is itself a nondeterminism source).
+#: (``default_rng`` is special-cased: calling it *without* a seed is
+#: itself a nondeterminism source).
 SEEDABLE_NUMPY = frozenset(
     {
         "default_rng",
@@ -171,7 +171,6 @@ class ClassInfo:
     line: int
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, SignatureInfo] = field(default_factory=dict)
-    decorated: bool = False
 
 
 @dataclass
@@ -424,7 +423,6 @@ class _Extractor(ast.NodeVisitor):
             name=node.name,
             line=node.lineno,
             bases=[b for b in (dotted_name(base) for base in node.bases) if b],
-            decorated=bool(node.decorator_list),
         )
         self.s.classes[node.name] = info
         self.s.top_assigns.setdefault(node.name, node.lineno)

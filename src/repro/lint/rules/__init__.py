@@ -5,7 +5,6 @@ Importing this package registers every rule with
 """
 
 from . import (  # noqa: F401
-    config_keys,
     defaults,
     exceptions,
     exports,

@@ -4,43 +4,30 @@ Every stochastic component in this repro threads an explicit, seeded
 ``numpy.random.Generator`` (see :mod:`repro.nn.init` and the samplers in
 :mod:`repro.kg.sampling`).  A stray ``random.random()`` or
 ``np.random.rand()`` breaks run-to-run reproducibility — and with it the
-EXPERIMENTS.md tables — silently.  This rule flags:
+EXPERIMENTS.md tables — silently.  This rule flags, in every file:
 
 * calls through the stdlib ``random`` module's global instance
   (``random.random()``, ``from random import shuffle; shuffle(...)``);
 * calls through numpy's legacy global RNG (``np.random.rand()``,
   ``np.random.seed()``, ``from numpy.random import rand``), excluding
   the seedable constructors (``default_rng``, ``Generator``,
-  ``SeedSequence``, the bit generators).
+  ``SeedSequence``, the bit generators);
+* ``np.random.default_rng()`` called without a seed.
 
 ``random.Random(seed)`` / ``random.SystemRandom()`` instances are fine:
-they are explicit objects whose seed the caller controls.
+they are explicit objects whose seed the caller controls.  The call
+sites are the nondeterminism primitives the module summary already
+records for the determinism-taint pass (P101), which reports them only
+where they reach the deterministic boundary; this rule reports every
+RNG one, wherever it is.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, Set
+from typing import Iterator
 
 from ..registry import Rule, register
 from ..violations import Violation
-
-#: numpy.random attributes that construct explicit, seedable RNG state.
-SEEDABLE_NUMPY = {
-    "default_rng",
-    "Generator",
-    "RandomState",  # explicit instance; caller owns the seed
-    "SeedSequence",
-    "BitGenerator",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
-
-#: stdlib random attributes that are explicit-instance constructors.
-SEEDABLE_STDLIB = {"Random", "SystemRandom"}
 
 
 @register
@@ -55,97 +42,13 @@ class UnseededRandomnessRule(Rule):
     )
 
     def check(self, ctx) -> Iterator[Violation]:
-        random_aliases: Set[str] = set()  # names bound to the stdlib module
-        numpy_aliases: Set[str] = set()  # names bound to numpy itself
-        numpy_random_aliases: Set[str] = set()  # names bound to numpy.random
-        stdlib_fns: Set[str] = set()  # globals imported from random
-        numpy_fns: Set[str] = set()  # globals imported from numpy.random
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "random":
-                        random_aliases.add(bound)
-                    elif alias.name == "numpy":
-                        numpy_aliases.add(bound)
-                    elif alias.name == "numpy.random":
-                        if alias.asname:
-                            numpy_random_aliases.add(alias.asname)
-                        else:
-                            numpy_aliases.add(bound)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    stdlib_fns.update(
-                        alias.asname or alias.name
-                        for alias in node.names
-                        if alias.name not in SEEDABLE_STDLIB
-                    )
-                elif node.module == "numpy":
-                    numpy_random_aliases.update(
-                        alias.asname or alias.name
-                        for alias in node.names
-                        if alias.name == "random"
-                    )
-                elif node.module == "numpy.random":
-                    numpy_fns.update(
-                        alias.asname or alias.name
-                        for alias in node.names
-                        if alias.name not in SEEDABLE_NUMPY
-                    )
-
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in stdlib_fns:
-                    yield self.violation(
-                        ctx.display_path,
-                        node,
-                        f"call to random.{func.id}() uses the global stdlib "
-                        "RNG; pass a seeded np.random.Generator instead",
-                    )
-                elif func.id in numpy_fns:
-                    yield self.violation(
-                        ctx.display_path,
-                        node,
-                        f"call to numpy.random.{func.id}() uses the legacy "
-                        "global RNG; use np.random.default_rng(seed)",
-                    )
-            elif isinstance(func, ast.Attribute):
-                base = func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and base.id in random_aliases
-                    and func.attr not in SEEDABLE_STDLIB
-                ):
-                    yield self.violation(
-                        ctx.display_path,
-                        node,
-                        f"call to random.{func.attr}() uses the global stdlib "
-                        "RNG; pass a seeded np.random.Generator instead",
-                    )
-                elif self._is_numpy_random(
-                    base, numpy_aliases, numpy_random_aliases
-                ) and func.attr not in SEEDABLE_NUMPY:
-                    yield self.violation(
-                        ctx.display_path,
-                        node,
-                        f"call to np.random.{func.attr}() uses the legacy "
-                        "global RNG; use np.random.default_rng(seed)",
-                    )
-
-    @staticmethod
-    def _is_numpy_random(
-        base: ast.expr, numpy_aliases: Set[str], numpy_random_aliases: Set[str]
-    ) -> bool:
-        """Whether ``base`` is an expression naming ``numpy.random``."""
-        if isinstance(base, ast.Name):
-            return base.id in numpy_random_aliases
-        return (
-            isinstance(base, ast.Attribute)
-            and base.attr == "random"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in numpy_aliases
-        )
+        for info in ctx.summary.functions.values():
+            for site in info.nondet:
+                if site.primitive.startswith("time."):
+                    continue
+                yield self.violation(
+                    ctx.display_path,
+                    site.line,
+                    f"call to {site.primitive} uses a global or unseeded RNG; "
+                    "pass a seeded np.random.default_rng(seed) Generator instead",
+                )

@@ -237,13 +237,3 @@ class TestWallClockClean:
             {"src/repro/reliability/clocked.py": source}, select=["determinism-taint"]
         )
         assert result.violations == []
-
-    def test_shipped_boundary_is_clean(self):
-        from pathlib import Path
-
-        from repro.lint import Linter
-        from repro.lint.registry import get_rule_class
-
-        root = Path(__file__).resolve().parents[2]
-        linter = Linter(rules=[get_rule_class("determinism-taint")()], root=root)
-        assert linter.lint_paths([root / "src"]).violations == []

@@ -8,7 +8,6 @@ EXPECTED_RULES = {
     "unseeded-randomness",
     "mutable-default-arg",
     "tensor-inplace-grad",
-    "config-key-drift",
     "bare-except",
     "export-drift",
     "no-print-in-src",

@@ -3,8 +3,8 @@
 #
 # Usage: tools/check.sh   (run from the repository root)
 #
-# Fails fast: a test failure stops the run before lint; a lint error
-# (or, under REPRO_CHECK_STRICT=1, a warning) fails the gate.
+# Fails fast: a test failure stops the run before lint; any lint
+# finding fails the gate.
 
 set -euo pipefail
 
@@ -182,14 +182,9 @@ echo
 echo "== repro.lint (per-file + whole-program) =="
 # One pass over every Python tree: per-file rules plus the
 # whole-program passes (import/call graphs, determinism taint,
-# concurrency safety, contract checks).  The committed baseline is
-# empty and stays the ratchet: anything new fails the gate.
-LINT_FLAGS=()
-if [ "${REPRO_CHECK_STRICT:-0}" = "1" ]; then
-    LINT_FLAGS+=(--strict)
-fi
-python -m repro.lint --program --baseline tools/lint_baseline.json \
-    "${LINT_FLAGS[@]+"${LINT_FLAGS[@]}"}" src tests benchmarks tools
+# concurrency safety, contract checks).  No options, no baseline:
+# every finding fails the gate.
+python -m repro.lint src tests benchmarks tools
 
 echo
 echo "check.sh: all gates passed"
