@@ -103,8 +103,8 @@ class TestParser:
 
     def test_every_finding_fails_without_flags(self, tmp_path):
         # An __all__ entry nothing imports (P105) and a swallowed
-        # OSError outside core/, distributed/ and kg/ (R005) were
-        # warnings only --strict failed on; with no flags they fail.
+        # OSError outside core/, distributed/ and kg/ (R005) each fail
+        # the run with no flags at all.
         lib = tmp_path / "lib"
         lib.mkdir()
         (lib / "__init__.py").write_text(

@@ -77,6 +77,6 @@ class TestOverlapAndOrdering:
             discover_files([tree / "nope"])
 
     def test_missing_py_file_raises(self, tree):
-        # A missing path with a .py suffix used to slip past the check.
+        # A .py suffix does not make a missing path a file to lint.
         with pytest.raises(FileNotFoundError):
             discover_files([tree / "pkg" / "ghost.py"])

@@ -56,9 +56,9 @@ class TestCleanTwinsUnflagged:
 
 
 #: Wall-clock forms in one module of the boundary (``repro.stream``).
-#: The first eight were the per-file wall-clock rule's cases; P101 is
-#: the one check for them now.  The last four run when the ``def`` or
-#: ``class`` runs, so they taint the enclosing scope.
+#: The last four run when the ``def`` or ``class`` runs, so they taint
+#: the enclosing scope rather than the function they decorate or
+#: parameterise.
 WALL_CLOCK_FORMS = {
     "sleep_time_monotonic": """
         import time
@@ -180,7 +180,7 @@ class TestWallClockScope:
         "package",
         ["index", "obs", "reliability", "scenarios", "serving", "store", "stream"],
     )
-    def test_flags_inside_formerly_scoped_package(self, lint_tree, package):
+    def test_flags_inside_boundary_package(self, lint_tree, package):
         path = f"src/repro/{package}/clocked.py"
         result = lint_tree({path: self.SOURCE}, select=["determinism-taint"])
         assert [v.path for v in result.violations] == [path]
