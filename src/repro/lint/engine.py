@@ -154,50 +154,36 @@ class Linter:
 
     def lint_files(self, files: Sequence[Path]) -> LintResult:
         """Lint an explicit file list (already discovered/filtered)."""
-        sources: List[Tuple[Path, str]] = []
-        undecodable: List[Violation] = []
-        for path in files:
-            data = path.read_bytes()
-            try:
-                sources.append((path, data.decode("utf-8")))
-            except UnicodeDecodeError as exc:
-                line = data[: exc.start].count(b"\n") + 1
-                message = f"cannot decode file as UTF-8: {exc.reason}"
-                undecodable.append(
-                    _syntax_error(self._display_path(path), line, 0, message)
-                )
-        result = self._lint(sources, undecodable)
-        result.files_checked = len(files)
-        return result
+        return self._lint([(path, path.read_bytes()) for path in files])
 
     def lint_source(self, source: str, path: Optional[Path] = None) -> List[Violation]:
         """Lint source text as a one-module program (``path`` names it)."""
         path = path if path is not None else Path("<string>")
-        return self._lint([(path, source)], []).violations
+        return self._lint([(path, source.encode("utf-8"))]).violations
 
     # ------------------------------------------------------------------
     # The one pass
     # ------------------------------------------------------------------
-    def _lint(
-        self, sources: Sequence[Tuple[Path, str]], violations: List[Violation]
-    ) -> LintResult:
+    def _lint(self, files: Sequence[Tuple[Path, bytes]]) -> LintResult:
+        violations: List[Violation] = []
         summaries: List[ModuleSummary] = []
         suppressions: Dict[str, Suppressions] = {}
-        for path, source in sources:
+        for path, data in files:
             display = self._display_path(path)
-            suppressions[display] = Suppressions.from_source(source)
             try:
+                source = data.decode("utf-8")
                 tree = ast.parse(source, filename=display)
-            except SyntaxError as exc:
-                violations.append(
-                    _syntax_error(
-                        display,
-                        exc.lineno or 1,
-                        (exc.offset or 1) - 1,
-                        f"cannot parse file: {exc.msg}",
-                    )
-                )
+            except UnicodeDecodeError as exc:
+                line = data[: exc.start].count(b"\n") + 1
+                message = f"cannot decode file as UTF-8: {exc.reason}"
+                violations.append(_syntax_error(display, line, 0, message))
                 continue
+            except SyntaxError as exc:
+                message = f"cannot parse file: {exc.msg}"
+                line, col = exc.lineno or 1, (exc.offset or 1) - 1
+                violations.append(_syntax_error(display, line, col, message))
+                continue
+            suppressions[display] = Suppressions.from_source(source)
             module, is_package = module_name_for(path)
             summary = summarize_tree(module, display, tree, is_package)
             summaries.append(summary)
@@ -215,7 +201,7 @@ class Linter:
                 violation.rule, violation.line
             )
         ]
-        return LintResult(violations=sorted(kept), files_checked=len(sources))
+        return LintResult(violations=sorted(kept), files_checked=len(files))
 
     def _display_path(self, path: Path) -> str:
         try:

@@ -579,80 +579,48 @@ class _Extractor(ast.NodeVisitor):
             return
         self.generic_visit(node)
 
-    def _classify_nondet(self, site: CallSite) -> None:
-        parts = site.callee.split(".")
-        root = parts[0]
-        if root in self._locals:
-            return
-        resolved = self._resolve_external(parts)
-        if resolved is None:
-            return
-        mod, attr = resolved
-        if mod == "time" and attr in WALL_CLOCK:
-            self.fn.nondet.append(
-                NondetSite(primitive=f"time.{attr}()", line=site.line)
-            )
-        elif mod == "random" and attr not in SEEDABLE_STDLIB:
-            self.fn.nondet.append(
-                NondetSite(primitive=f"random.{attr}()", line=site.line)
-            )
-        elif mod == "numpy.random":
-            if attr == "default_rng":
-                unseeded = (
-                    site.num_pos == 0
-                    and not site.kwargs
-                    and not site.star_args
-                    and not site.star_kwargs
-                )
-                if unseeded:
-                    self.fn.nondet.append(
-                        NondetSite(
-                            primitive="np.random.default_rng() [unseeded]",
-                            line=site.line,
-                        )
-                    )
-            elif attr not in SEEDABLE_NUMPY:
-                self.fn.nondet.append(
-                    NondetSite(primitive=f"np.random.{attr}()", line=site.line)
-                )
+    def _absolute(self, dotted: str) -> Optional[str]:
+        """``dotted`` with its root import alias expanded, or ``None``.
 
-    def _resolve_external(self, parts: List[str]) -> Optional[Tuple[str, str]]:
-        """Map a dotted callee onto ``(external module, attribute)``.
-
-        Only consults this file's import aliases — the cross-module
-        resolution lives in :mod:`repro.lint.program.index`.
+        Only this file's imports are consulted, and a local name shadows
+        them; the cross-module resolution lives in
+        :mod:`repro.lint.program.index`.
         """
-        root = parts[0]
-        # from M import name [as root]
-        for imp in self.s.from_imports:
+        root, _, rest = dotted.partition(".")
+        if root in self._locals:
+            return None
+        for imp in self.s.from_imports:  # from M import name [as root]
             if imp.bound == root:
-                full = imp.module.split(".") + [imp.name] + parts[1:]
-                return self._normalize_external(full)
-        # import M [as root]
-        for imp in self.s.module_imports:
-            bound_root = imp.bound
-            if bound_root == root:
-                if imp.asname_bound():
-                    full = imp.module.split(".") + parts[1:]
-                else:
-                    full = parts  # plain `import a.b` binds `a`
-                return self._normalize_external(full)
+                return ".".join(filter(None, [imp.module, imp.name, rest]))
+        for imp in self.s.module_imports:  # import M [as root]
+            if imp.bound == root:
+                # Plain `import a.b` binds `a`, so the name is already absolute.
+                base = imp.module if imp.asname_bound() else root
+                return ".".join(filter(None, [base, rest]))
         return None
 
-    @staticmethod
-    def _normalize_external(parts: List[str]) -> Optional[Tuple[str, str]]:
-        if len(parts) < 2:
-            return None
-        mod, attr = ".".join(parts[:-1]), parts[-1]
-        if mod in ("time", "random"):
-            return mod, attr
-        if mod in ("numpy.random", "np.random"):
-            return "numpy.random", attr
-        return None
+    def _classify_nondet(self, site: CallSite) -> None:
+        full = self._absolute(site.callee)
+        if full is None:
+            return
+        mod, _, attr = full.rpartition(".")
+        if mod == "time" and attr in WALL_CLOCK:
+            primitive = f"time.{attr}()"
+        elif mod == "random" and attr not in SEEDABLE_STDLIB:
+            primitive = f"random.{attr}()"
+        elif mod in ("numpy.random", "np.random") and attr == "default_rng":
+            seeded = site.num_pos or site.kwargs or site.star_args or site.star_kwargs
+            if seeded:
+                return
+            primitive = "np.random.default_rng() [unseeded]"
+        elif mod in ("numpy.random", "np.random") and attr not in SEEDABLE_NUMPY:
+            primitive = f"np.random.{attr}()"
+        else:
+            return
+        self.fn.nondet.append(NondetSite(primitive=primitive, line=site.line))
 
     def _classify_spawn(self, node: ast.Call, callee: str) -> None:
-        parts = callee.split(".")
-        resolved = self._resolve_spawn_api(parts)
+        resolved = self._absolute(callee)
         if resolved in ("threading.Thread", "multiprocessing.Process"):
             for kw in node.keywords:
                 if kw.arg == "target":
@@ -662,26 +630,13 @@ class _Extractor(ast.NodeVisitor):
                             SpawnSite(target=target, api=resolved, line=node.lineno)
                         )
             return
-        if len(parts) >= 2 and parts[-1] in SPAWN_METHODS and node.args:
+        method = callee.rpartition(".")[2]
+        if "." in callee and method in SPAWN_METHODS and node.args:
             target = dotted_name(node.args[0])
             if target is not None:
                 self.fn.spawns.append(
-                    SpawnSite(target=target, api=parts[-1], line=node.lineno)
+                    SpawnSite(target=target, api=method, line=node.lineno)
                 )
-
-    def _resolve_spawn_api(self, parts: List[str]) -> Optional[str]:
-        root = parts[0]
-        if root in self._locals:
-            return None
-        for imp in self.s.from_imports:
-            if imp.bound == root:
-                return ".".join(imp.module.split(".") + [imp.name] + parts[1:])
-        for imp in self.s.module_imports:
-            if imp.bound == root:
-                if imp.asname_bound():
-                    return ".".join(imp.module.split(".") + parts[1:])
-                return ".".join(parts)
-        return None
 
 
 def summarize_tree(

@@ -12,6 +12,13 @@ from repro.lint.registry import get_rule_class
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def lint_root(root, select=None):
+    """Lint every file under ``root`` (paths relative to it) with every
+    rule, or only the rules named in ``select``."""
+    rules = [get_rule_class(rule)() for rule in select] if select else None
+    return Linter(rules=rules, root=root).lint_paths([root])
+
+
 @pytest.fixture
 def fixture_corpus():
     """Path factory for the known-bad programs under ``fixtures/``."""
@@ -34,9 +41,7 @@ def analyze_corpus(fixture_corpus):
     """
 
     def _analyze(name, select=None):
-        root = fixture_corpus(name)
-        rules = [get_rule_class(rule)() for rule in select] if select else None
-        return Linter(rules=rules, root=root).lint_paths([root])
+        return lint_root(fixture_corpus(name), select)
 
     return _analyze
 
@@ -73,7 +78,6 @@ def lint_tree(tmp_path):
         for package in sorted((tmp_path / "src").rglob("*")):
             if package.is_dir() and not (package / "__init__.py").exists():
                 (package / "__init__.py").write_text("")
-        rules = [get_rule_class(rule)() for rule in select] if select else None
-        return Linter(rules=rules, root=tmp_path).lint_paths([tmp_path])
+        return lint_root(tmp_path, select)
 
     return _lint
