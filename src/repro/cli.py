@@ -451,8 +451,9 @@ def cmd_store(args: argparse.Namespace) -> int:
     checksummed shard store (two same-seed builds are byte-identical);
     ``verify`` re-reads every page against its CRC without mutating
     anything; ``scrub`` additionally quarantines damage; ``chaos``
-    runs the full storage-failure drill — seeded corruption, degraded
-    serving, replica repair — and prints a byte-deterministic report
+    runs the full storage-failure drill — seeded corruption, serving
+    from the damaged store (quarantined and unknown items counted as
+    degraded), replica repair — and prints a byte-deterministic report
     the check.sh gate diffs across two runs.
     """
     from pathlib import Path
@@ -498,11 +499,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 
     if args.store_command == "chaos":
         from .obs.metrics import MetricsRegistry
-        from .reliability import (
-            ResilientPKGMServer,
-            StorageFaultPlan,
-            inject_storage_faults,
-        )
+        from .reliability import StorageFaultPlan, inject_storage_faults
+        from .store import QuarantinedRowError
 
         workdir = Path(args.dir)
         primary_dir = workdir / "primary"
@@ -547,16 +545,22 @@ def cmd_store(args: argparse.Namespace) -> int:
         print(scrub.as_row())
         print(f"unreadable selector items: {store_server.unreadable_items}")
 
-        facade = ResilientPKGMServer(store_server, registry=registry)
+        # Serve every item straight from the damaged store; the two
+        # errors it can return are counted under the gateway's names.
         items = server.known_items()
-        degraded_items = []
+        degraded = {"quarantined": 0, "unknown-id": 0}
         for item in items:
-            payload = facade.serve(item)
-            if payload.degraded:
-                degraded_items.append(item)
+            try:
+                store_server.serve(item)
+            except QuarantinedRowError:
+                degraded["quarantined"] += 1
+            except (KeyError, IndexError):
+                degraded["unknown-id"] += 1
         print(
             f"degraded serve: {len(items)} requests | "
-            f"{len(degraded_items)} degraded | {facade.stats.as_row()}"
+            f"{sum(degraded.values())} degraded | "
+            f"quarantined {degraded['quarantined']} | "
+            f"unknown-id {degraded['unknown-id']}"
         )
 
         replica = EmbeddingStore.open(replica_dir)
@@ -573,12 +577,15 @@ def cmd_store(args: argparse.Namespace) -> int:
         store_server = _PKGMServer.from_store(
             primary_dir, cache_pages=args.cache_pages, registry=registry
         )
-        facade = ResilientPKGMServer(store_server, registry=registry)
         mismatches = 0
         for item in items:
             reference = server.serve(item)
-            recovered = facade.serve(item)
-            if recovered.degraded or not (
+            try:
+                recovered = store_server.serve(item)
+            except (QuarantinedRowError, KeyError, IndexError):
+                mismatches += 1
+                continue
+            if not (
                 np.array_equal(reference.triple_vectors, recovered.triple_vectors)
                 and np.array_equal(
                     reference.relation_vectors, recovered.relation_vectors
@@ -589,7 +596,7 @@ def cmd_store(args: argparse.Namespace) -> int:
 
         print("metrics:")
         for key, value in sorted(registry.snapshot().items()):
-            if key.startswith(("store.", "serving.")):
+            if key.startswith("store."):
                 print(f"  {key} {value}")
         store_server.store.close()
         ok = repair.complete and rescrub.clean and mismatches == 0

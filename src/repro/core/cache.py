@@ -34,7 +34,7 @@ class LRUDict:
     the :mod:`repro.store` page cache: :meth:`get` refreshes an entry,
     :meth:`put` inserts and returns however many cold entries were
     evicted to stay within ``capacity``, and :meth:`peek` reads without
-    touching recency — the degraded-mode probe.
+    touching recency.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -119,8 +119,8 @@ class CachedPKGMServer(BatchOverServe):
             raise ValueError("capacity must be >= 1")
         if registry is None:
             # Local import: repro.obs is a leaf package, but this module
-            # is imported by repro.reliability (whose serving facade the
-            # obs workloads drive) — a top-level import would be a cycle.
+            # is imported by repro.reliability (whose gateway the obs
+            # workloads drive) — a top-level import would be a cycle.
             from ..obs.metrics import MetricsRegistry
 
             registry = MetricsRegistry()
@@ -224,15 +224,6 @@ class CachedPKGMServer(BatchOverServe):
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
-    def peek(self, entity_id: int) -> Optional[ServiceVectors]:
-        """The cached entry for an item, or ``None`` — without touching
-        the backing server, the LRU order, or the hit/miss counters.
-
-        This is the degraded-mode read path: when the backing server is
-        down, stale-but-valid vectors beat no vectors.
-        """
-        return self._cache.peek(int(entity_id))
-
     def refresh(self, server: PKGMServer, reset_stats: bool = True) -> None:
         """Swap in a newly trained server and drop every cached entry.
 

@@ -434,8 +434,8 @@ class PKGMServer:
         a page of one is damaged — as a view like the entity table's.
         Service results are bit-identical to the in-RAM server the store
         was built from — unless a page is quarantined, in which case
-        lookups raise :class:`repro.store.QuarantinedRowError` for the
-        resilient facade to resolve.  Schema damage raises
+        lookups raise :class:`repro.store.QuarantinedRowError`, which the
+        gateway answers degraded.  Schema damage raises
         :class:`SnapshotError`.
         """
         from ..store import EmbeddingStore, StoreTable

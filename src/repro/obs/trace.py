@@ -125,7 +125,7 @@ class Tracer:
     def __init__(self, clock=None, seed: int = 0) -> None:
         if clock is None:
             # Imported here, not at module level: obs is a leaf package
-            # (reliability's serving facade imports obs.metrics, so a
+            # (reliability's gateway imports obs.metrics, so a
             # top-level import back into reliability would be a cycle).
             from ..reliability.retry import StepClock
 

@@ -16,6 +16,8 @@ of :data:`OPS`, and every layer is a consumer of that row:
   its timed envelope, answers ``degraded`` when the request is shed /
   late / failed, hedges only ``hedged`` kinds, requires a scenario
   backend for ``scenario`` kinds, and bumps ``gateway.<counter>``.
+  ``degraded`` is the stack's one producer of flagged
+  ``degraded=True`` answers.
 
 Adding a kind is one entry here plus its handler; no other module
 names a kind.  This module is a leaf — it imports none of its
@@ -108,9 +110,22 @@ def _array_bytes(payload) -> bytes:
     return b"".join(array.tobytes() for array in payload)
 
 
-def _serve_degraded(request, gateway):
-    from .reliability.serving import fallback_payload
+def fallback_payload(entity_id: int, k: int, dim: int) -> ServiceVectors:
+    """The flagged, all-zeros ``serve`` answer for an unanswerable request.
 
+    ``key_relations`` are ``-1`` padding, the vectors ``(k, dim)``
+    zeros, so a degraded answer has the live answer's shape.
+    """
+    return ServiceVectors(
+        entity_id=int(entity_id),
+        key_relations=np.full(k, -1, dtype=np.int64),
+        triple_vectors=np.zeros((k, dim)),
+        relation_vectors=np.zeros((k, dim)),
+        degraded=True,
+    )
+
+
+def _serve_degraded(request, gateway):
     return fallback_payload(request.entity_id, gateway.k, gateway.dim)
 
 

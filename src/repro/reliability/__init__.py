@@ -5,21 +5,23 @@ service calls) treats failure as the steady state; this package makes
 the reproduction survive the same weather, deterministically:
 
 * :mod:`repro.reliability.faults` — seeded fault injection on the PS
-  pull/push channel (push drops, transient RPC errors, shard crashes),
-  on-disk store damage, and a flaky serving backend;
+  pull/push channel (push drops, transient RPC errors, shard crashes)
+  and on-disk store damage;
 * :mod:`repro.reliability.retry` — exponential backoff with seeded
-  jitter, retry budgets, and a closed/open/half-open circuit breaker
-  over a virtual clock;
+  jitter and retry budgets over a virtual clock, wrapping the PS
+  channel;
 * :mod:`repro.reliability.checkpoint` — crash-consistent checkpoints
   (atomic tmp-write → fsync → rename, checksummed manifests) with
   bit-exact RNG-state resume;
-* :mod:`repro.reliability.serving` — :class:`ResilientPKGMServer`, the
-  never-raising degraded-mode serving facade;
 * :mod:`repro.reliability.admission` — overload protection: token
   bucket, AIMD concurrency limit, bounded priority queue, deadlines;
 * :mod:`repro.reliability.gateway` — :class:`PKGMGateway`, the
   overload-safe front door with deadline propagation, hedged requests
-  and graceful drain/swap;
+  and graceful drain/swap — the one producer of degraded answers: a
+  shed, late or failed request is answered with its kind's flagged
+  ``degraded=True`` payload and a reason (``rpc-error``,
+  ``unknown-id``, ``quarantined``, ``deadline``, ...), never an
+  exception;
 * :mod:`repro.reliability.loadtest` — seeded open-loop traffic
   profiles (spike / ramp / sustained) with deterministic reports.
 """
@@ -46,7 +48,6 @@ from .faults import (
     CrashEvent,
     FaultPlan,
     FaultyParameterServer,
-    FlakyServingBackend,
     StorageFaultPlan,
     StorageFaultStats,
     inject_storage_faults,
@@ -61,16 +62,12 @@ from .gateway import (
 )
 from .loadtest import PROFILES, LoadTestConfig, LoadTestReport, run_loadtest
 from .retry import (
-    CircuitBreaker,
-    CircuitOpenError,
-    DeadlineExceededError,
     Retrier,
     RetryExhaustedError,
     RetryPolicy,
     RPCError,
     StepClock,
 )
-from .serving import DegradationStats, ResilientPKGMServer, fallback_payload
 
 __all__ = [
     "AIMDLimiter",
@@ -81,15 +78,10 @@ __all__ = [
     "BoundedPriorityQueue",
     "CheckpointError",
     "CheckpointManager",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "CrashEvent",
     "Deadline",
-    "DeadlineExceededError",
-    "DegradationStats",
     "FaultPlan",
     "FaultyParameterServer",
-    "FlakyServingBackend",
     "GatewayConfig",
     "LatencyModel",
     "LoadTestConfig",
@@ -98,7 +90,6 @@ __all__ = [
     "RetrievalPayload",
     "PROFILES",
     "RPCError",
-    "ResilientPKGMServer",
     "Retrier",
     "RetryExhaustedError",
     "RetryPolicy",
@@ -110,7 +101,6 @@ __all__ = [
     "atomic_save_npz",
     "atomic_write_bytes",
     "build_replicas",
-    "fallback_payload",
     "inject_storage_faults",
     "restore_rng",
     "rng_state",

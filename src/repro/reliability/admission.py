@@ -46,9 +46,9 @@ class Deadline:
     """An absolute virtual-time budget for one request.
 
     Created from a relative ``budget`` against a :class:`StepClock`;
-    layers pass the object down (gateway → retrier → backend call) so
-    every stage sees the *same* remaining budget instead of each
-    applying its own timeout.
+    layers pass the object down (gateway → worker-pool supervisor →
+    worker) so every stage sees the *same* remaining budget instead of
+    each applying its own timeout.
     """
 
     def __init__(self, clock: StepClock, budget: float) -> None:
@@ -120,10 +120,11 @@ class AIMDLimiter:
     """Adaptive concurrency limit: additive increase, multiplicative decrease.
 
     Healthy completions grow the limit by ``increase / limit`` (one
-    extra slot per full window of successes, TCP-style); overload
-    signals — deadline misses, latencies past the target — cut it by
-    ``decrease`` at most once per limit-window.  The limit always stays
-    within ``[min_limit, max_limit]``.
+    extra slot per full window of successes, TCP-style); every overload
+    signal — a deadline miss, a latency past the target — cuts it by
+    ``decrease``, with no per-window damping, so a burst of misses
+    drives the limit down fast.  The limit always stays within
+    ``[min_limit, max_limit]``.
     """
 
     def __init__(

@@ -20,9 +20,8 @@ Fault classes modeled:
   registered* values (what a restart without a checkpoint recovers).
   Trainers repair the damage by restoring a checkpoint.
 
-There is also :class:`FlakyServingBackend`, the serving-side analogue:
-it wraps any ``PKGMServer``-surface object and raises seeded transient
-``RPCError`` from ``serve``, to exercise breaker + stale-cache paths.
+:func:`inject_storage_faults` is the on-disk analogue: seeded torn
+writes, bit flips and lost fsync tails in a store's shard files.
 """
 
 from __future__ import annotations
@@ -189,76 +188,6 @@ class FaultyParameterServer:
             state["v"][mask] = 0.0
             state["step"][mask] = 0
             self.server.load_state(name, state)
-
-
-class FlakyServingBackend:
-    """Serving-side chaos: a PKGM server whose calls fail transiently.
-
-    Wraps any object with the ``PKGMServer`` surface; each ``serve`` /
-    ``triple_service`` / ``relation_service`` call fails with
-    probability ``error_prob`` (seeded).  Set ``fail_next`` to force a
-    run of failures regardless of probability — tests use this to trip
-    a breaker deterministically.
-    """
-
-    def __init__(self, server, error_prob: float = 0.0, seed: int = 0) -> None:
-        if not 0.0 <= error_prob <= 1.0:
-            raise ValueError("error_prob must be in [0, 1]")
-        self.server = server
-        self.error_prob = error_prob
-        self.fail_next = 0
-        self.calls = 0
-        self.errors = 0
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def k(self) -> int:
-        return self.server.k
-
-    @property
-    def dim(self) -> int:
-        return self.server.dim
-
-    @property
-    def num_entities(self) -> int:
-        return self.server.num_entities
-
-    @property
-    def num_relations(self) -> int:
-        return self.server.num_relations
-
-    def _roll(self, op: str) -> None:
-        self.calls += 1
-        if self.fail_next > 0:
-            self.fail_next -= 1
-            self.errors += 1
-            raise RPCError(f"forced failure during {op}")
-        if self.error_prob and float(self._rng.random()) < self.error_prob:
-            self.errors += 1
-            raise RPCError(f"injected transient failure during {op}")
-
-    def serve(self, entity_id: int):
-        self._roll(f"serve({entity_id})")
-        return self.server.serve(entity_id)
-
-    def serve_batch(self, entity_ids):
-        return [self.serve(int(e)) for e in entity_ids]
-
-    def triple_service(self, heads, relations):
-        self._roll("triple_service")
-        return self.server.triple_service(heads, relations)
-
-    def relation_service(self, heads, relations):
-        self._roll("relation_service")
-        return self.server.relation_service(heads, relations)
-
-    def relation_existence_score(self, entity_id: int, relation: int) -> float:
-        self._roll("relation_existence_score")
-        return self.server.relation_existence_score(entity_id, relation)
-
-    def __getattr__(self, name: str):
-        # Anything not faulted (selector access, save, ...) passes through.
-        return getattr(self.server, name)
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """The overload-safe serving gateway: deadlines, hedging, drain/swap.
 
 :class:`PKGMGateway` fronts any PKGM-serving backend (``PKGMServer``,
-``CachedPKGMServer``, ``ResilientPKGMServer``) the way a production
-edge fronts a model service:
+``CachedPKGMServer``, a worker-pool ``Supervisor``) the way a
+production edge fronts a model service:
 
 * every arrival passes the :class:`~repro.reliability.admission.AdmissionController`
   — token-bucket rate limit, AIMD concurrency limit, bounded priority
   queue — and a shed request is *answered* with the existing flagged
   ``degraded=True`` fallback payload, never an exception;
 * every admitted request carries a :class:`~repro.reliability.admission.Deadline`
-  budget that is propagated into the backend call (and, when the
-  backend supports it, into its retry loop), so work is cancelled once
-  it can no longer meet its deadline;
+  budget that is propagated into the backend call (when the backend's
+  ``serve`` takes a deadline, as the pool's does), so work is cancelled
+  once it can no longer meet its deadline;
+* a backend failure — :class:`RPCError`, an unknown id, a quarantined
+  row — is answered with the same flagged payload (reason
+  ``"rpc-error"`` / ``"unknown-id"`` / ``"quarantined"``): the gateway
+  is the stack's one producer of degraded answers;
 * slow calls are **hedged**: after ``hedge_after`` virtual seconds the
   same request is duplicated to the next replica and the first answer
   wins, with cancellation accounting for the loser (the tail-latency
@@ -101,9 +105,10 @@ class TimedBackend:
     A ``budget`` caps the call: a draw past the remaining budget is
     reported as cancelled at the budget (reason ``"deadline"``) without
     touching the server, and for backends whose ``serve`` accepts a
-    ``deadline`` (e.g. :class:`ResilientPKGMServer`) the remaining
-    budget is propagated as a :class:`Deadline` on the backend's own
-    clock.
+    ``deadline`` and that have a ``clock`` (the worker pool's
+    :class:`~repro.serving.Supervisor`) the budget left after the
+    sampled latency is handed over as a :class:`Deadline` on the
+    backend's own clock.
     """
 
     def __init__(self, server, latency: Optional[LatencyModel] = None, name: str = "") -> None:

@@ -1,17 +1,17 @@
-"""Retry policy engine: backoff, budgets, and a circuit breaker.
+"""Retry policy engine: backoff and budgets over a virtual clock.
 
-The paper's PKGM serves billions of requests from 50 parameter servers;
-at that scale transient RPC failures are the steady state, and every
-production PS/serving stack wraps its channels in exactly three
-mechanisms reproduced here:
+The paper's PKGM trains against 50 parameter servers; at that scale
+transient RPC failures are the steady state.  The PS pull/push channel,
+where :class:`repro.reliability.faults.FaultyParameterServer` injects
+:class:`RPCError` failures, is wrapped in the two mechanisms reproduced
+here:
 
 * :class:`RetryPolicy` / :class:`Retrier` — exponential backoff with
   seeded jitter, per-call attempt caps, and a global retry *budget*
   (so a dying backend cannot trap every caller in retry loops);
-* :class:`CircuitBreaker` — closed/open/half-open state machine that
-  stops hammering a failing dependency and probes for recovery;
 * a **virtual clock** (:class:`StepClock`) — delays are accounted, not
-  slept, so fault-injection runs stay fast *and* deterministic.
+  slept, so fault-injection runs stay fast *and* deterministic.  The
+  serving gateway and the worker pool run on the same clock.
 
 Everything is seeded: two runs with the same policy observe the same
 jitter sequence, which the chaos tests rely on.
@@ -33,21 +33,12 @@ class RetryExhaustedError(RuntimeError):
     """Raised when a call fails after exhausting attempts or budget."""
 
 
-class CircuitOpenError(RuntimeError):
-    """Raised when the breaker short-circuits a call without trying it."""
-
-
-class DeadlineExceededError(RuntimeError):
-    """Raised when a call's :class:`~repro.reliability.admission.Deadline`
-    budget runs out before (or between) attempts."""
-
-
 class StepClock:
     """Deterministic monotonic clock: advances only when told to.
 
     The reliability stack never sleeps; backoff delays advance this
-    clock instead, so breaker recovery windows are reproducible and
-    tests run at full speed.
+    clock instead, so fault-injection runs are reproducible and tests
+    run at full speed.
     """
 
     def __init__(self) -> None:
@@ -102,14 +93,12 @@ class RetryStats:
     retries: int = 0
     failures: int = 0
     budget_denials: int = 0
-    deadline_denials: int = 0
     virtual_sleep: float = 0.0
 
     def as_row(self) -> str:
         return (
             f"retry calls {self.calls} | retries {self.retries} | "
             f"failures {self.failures} | budget-denials {self.budget_denials} | "
-            f"deadline-denials {self.deadline_denials} | "
             f"backoff {self.virtual_sleep:.2f}s"
         )
 
@@ -146,27 +135,10 @@ class Retrier:
 
     def call(self, fn: Callable, *args, **kwargs):
         """Run ``fn`` with retries; returns its value or raises."""
-        return self.call_with_deadline(None, fn, *args, **kwargs)
-
-    def call_with_deadline(self, deadline, fn: Callable, *args, **kwargs):
-        """Run ``fn`` with retries under an optional deadline budget.
-
-        ``deadline`` is a :class:`repro.reliability.admission.Deadline`
-        (or anything with ``expired()`` / ``remaining()``).  An expired
-        budget — on entry, or one the next backoff pause would blow —
-        raises :class:`DeadlineExceededError` instead of burning more
-        attempts: past the deadline the answer is useless, so retrying
-        only adds load to an already-struggling backend.
-        """
         self.stats.calls += 1
+        retries = 0
         last: Optional[BaseException] = None
         for attempt in range(self.policy.max_attempts):
-            if deadline is not None and deadline.expired():
-                self.stats.deadline_denials += 1
-                raise DeadlineExceededError(
-                    "deadline expired before attempt "
-                    f"{attempt + 1}/{self.policy.max_attempts}"
-                ) from last
             try:
                 return fn(*args, **kwargs)
             except RPCError as exc:
@@ -179,114 +151,12 @@ class Retrier:
                         break
                     self._budget_left -= 1
                 pause = self.delay(attempt)
-                if deadline is not None and pause >= deadline.remaining():
-                    self.stats.deadline_denials += 1
-                    raise DeadlineExceededError(
-                        f"backoff of {pause:.3f}s would overrun the "
-                        f"remaining {deadline.remaining():.3f}s budget"
-                    ) from last
                 self.clock.advance(pause)
                 self.stats.virtual_sleep += pause
                 self.stats.retries += 1
+                retries += 1
         self.stats.failures += 1
         raise RetryExhaustedError(
-            f"call failed after {self.stats.retries} retr"
-            f"{'y' if self.stats.retries == 1 else 'ies'}: {last!r}"
+            f"call failed after {retries} retr"
+            f"{'y' if retries == 1 else 'ies'}: {last!r}"
         ) from last
-
-
-class CircuitBreaker:
-    """Closed → open → half-open failure isolation.
-
-    *Closed*: calls pass through; ``failure_threshold`` consecutive
-    failures trip the breaker.  *Open*: calls raise
-    :class:`CircuitOpenError` without touching the backend until
-    ``recovery_time`` virtual seconds elapse.  *Half-open*: up to
-    ``half_open_probes`` trial calls are admitted; one success closes
-    the breaker, one failure re-opens it.
-
-    Only :class:`RPCError` and :class:`RetryExhaustedError` count as
-    failures — domain errors (unknown id → ``KeyError``) pass through
-    without moving the state machine.
-    """
-
-    CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        recovery_time: float = 30.0,
-        half_open_probes: int = 1,
-        clock: Optional[StepClock] = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if recovery_time <= 0:
-            raise ValueError("recovery_time must be positive")
-        if half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.recovery_time = recovery_time
-        self.half_open_probes = half_open_probes
-        self.clock = clock if clock is not None else StepClock()
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self.times_opened = 0
-        self.short_circuits = 0
-        self._opened_at = 0.0
-        self._probes_in_flight = 0
-
-    def _trip(self) -> None:
-        self.state = self.OPEN
-        self.times_opened += 1
-        self._opened_at = self.clock.now()
-        self._probes_in_flight = 0
-
-    def allow(self) -> bool:
-        """Whether a call would currently be admitted (no side effects
-        beyond the open→half-open transition on timeout)."""
-        if self.state == self.OPEN:
-            if self.clock.now() - self._opened_at >= self.recovery_time:
-                self.state = self.HALF_OPEN
-                self._probes_in_flight = 0
-            else:
-                return False
-        if self.state == self.HALF_OPEN:
-            return self._probes_in_flight < self.half_open_probes
-        return True
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-        if self.state == self.HALF_OPEN:
-            self.state = self.CLOSED
-            self._probes_in_flight = 0
-
-    def record_failure(self) -> None:
-        self.consecutive_failures += 1
-        if self.state == self.HALF_OPEN:
-            self._trip()
-        elif (
-            self.state == self.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
-        ):
-            self._trip()
-
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker."""
-        if not self.allow():
-            self.short_circuits += 1
-            raise CircuitOpenError(
-                f"circuit open for another "
-                f"{self.recovery_time - (self.clock.now() - self._opened_at):.2f}s"
-            )
-        if self.state == self.HALF_OPEN:
-            self._probes_in_flight += 1
-        try:
-            # Domain errors (KeyError, ...) propagate without moving the
-            # state machine — only RPC failures indict the backend.
-            result = fn(*args, **kwargs)
-        except (RPCError, RetryExhaustedError):
-            self.record_failure()
-            raise
-        self.record_success()
-        return result

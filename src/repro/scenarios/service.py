@@ -5,19 +5,19 @@ Three layers, mirroring how the main serve path is built:
 * :class:`ServiceRecommender` — the zero-shot engine itself: ranks
   items by condensed-service-vector distance, so an item needs only a
   KG presence (never an interaction) to be recommendable.
-* :class:`ScenarioService` — the resilient facade the gateway calls: a
-  circuit breaker in front of the engines plus an LRU payload cache
-  that **never caches degraded payloads** (the PR 3 invariant, here
-  extended to the two new endpoint kinds).
+* :class:`ScenarioService` — the backend the gateway calls: an LRU
+  payload cache in front of the engines that **never caches degraded
+  payloads** (the serving cache's invariant, extended to the two
+  scenario kinds).
 * :class:`WorkerScenarios` — the lazy per-process bundle a forked pool
   worker builds from its store directory (recommender from the
   embedding store, explainer from the ``scenarios.json`` sidecar).
 
 Failure vocabulary is shared with the rest of the serving stack:
-engines raise :class:`KeyError` for unknown ids and the facade raises
-:class:`~repro.reliability.retry.RPCError` when the breaker is open,
-so :class:`~repro.reliability.gateway.PKGMGateway` degrades these
-kinds exactly like serve/retrieve traffic.
+engines raise :class:`KeyError` for unknown ids, and any engine error
+propagates unchanged through the service, so
+:class:`~repro.reliability.gateway.PKGMGateway` degrades these kinds
+exactly like serve/retrieve traffic (``unknown-id`` / ``rpc-error``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.cache import LRUDict
-from ..reliability.retry import CircuitBreaker, CircuitOpenError, RPCError, StepClock
 from ..store.errors import StoreManifestError
 from .explain import ExplanationPayload, load_sidecar
 
@@ -124,37 +123,24 @@ class ServiceRecommender:
 
 
 class ScenarioService:
-    """Breaker + cache front for the scenario engines.
+    """Cache front for the scenario engines.
 
-    The gateway treats this as one logical backend for the two new
-    request kinds.  Discipline copied from the PR 3 serving stack:
+    The gateway treats this as one logical backend for the two scenario
+    request kinds:
 
-    * a :class:`CircuitBreaker` guards every engine call; when open,
-      calls fail fast as :class:`RPCError` so the gateway's degraded
-      path takes over;
     * successful payloads land in a 256-entry LRU keyed by the full
-      query; cache hits are served even while the breaker is open
-      (stale-on-open, like :class:`ResilientPKGMServer`);
-    * **degraded payloads are never cached** — the facade refuses even
-      if handed one, and the test suite pins that down for both kinds.
+      query;
+    * **degraded payloads are never cached** — the service refuses even
+      if handed one, and the test suite pins that down for both kinds;
+    * engine errors propagate unchanged, uncached, for the gateway to
+      answer degraded.
     """
 
-    def __init__(
-        self,
-        explainer,
-        recommender,
-        clock: Optional[StepClock] = None,
-        registry=None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
+    def __init__(self, explainer, recommender, registry=None) -> None:
         self.explainer = explainer
         self.recommender = recommender
-        self.clock = clock or StepClock()
-        # Unknown-id KeyErrors are domain errors and must not indict the
-        # backend; the breaker counts only RPC failures.
-        self.breaker = breaker or CircuitBreaker(clock=self.clock)
         self._cache = LRUDict(256)
-        self._hits_c = self._misses_c = self._skips_c = self._shortcircuit_c = None
+        self._hits_c = self._misses_c = self._skips_c = None
         if registry is not None:
             self._hits_c = registry.counter(
                 "scenarios.cache.hits", help="Scenario payloads served from cache"
@@ -166,10 +152,6 @@ class ScenarioService:
                 "scenarios.cache.degraded_skips",
                 help="Degraded payloads refused by the cache",
             )
-            self._shortcircuit_c = registry.counter(
-                "scenarios.breaker.short_circuits",
-                help="Scenario calls failed fast by the open breaker",
-            )
 
     def cached(self, key: Tuple) -> Optional[object]:
         """Peek the cache without touching recency (for tests)."""
@@ -178,7 +160,7 @@ class ScenarioService:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def _guarded(self, key: Tuple, call):
+    def _through_cache(self, key: Tuple, call):
         hit = self._cache.get(key)
         if hit is not None:
             if self._hits_c is not None:
@@ -186,12 +168,7 @@ class ScenarioService:
             return hit
         if self._misses_c is not None:
             self._misses_c.inc()
-        try:
-            payload = self.breaker.call(call)
-        except CircuitOpenError as exc:
-            if self._shortcircuit_c is not None:
-                self._shortcircuit_c.inc()
-            raise RPCError(f"scenario breaker open: {exc}") from exc
+        payload = call()
         if getattr(payload, "degraded", False):
             if self._skips_c is not None:
                 self._skips_c.inc()
@@ -203,13 +180,13 @@ class ScenarioService:
         self, entity_id: int, relation: int, kind: str = "completion"
     ) -> ExplanationPayload:
         key = ("explain", int(entity_id), int(relation), kind)
-        return self._guarded(
+        return self._through_cache(
             key, lambda: self.explainer.explain(entity_id, relation, kind=kind)
         )
 
     def recommend(self, entity_id: int, k: int = 10) -> RecommendationPayload:
         key = ("recommend", int(entity_id), int(k))
-        return self._guarded(
+        return self._through_cache(
             key, lambda: self.recommender.recommend(entity_id, k=k)
         )
 

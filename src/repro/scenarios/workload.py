@@ -113,9 +113,7 @@ def run_scenarios_workload(
         catalog.store, rules=rules, server=server, registry=registry
     )
     recommender = ServiceRecommender(server, registry=registry)
-    service = ScenarioService(
-        explainer, recommender, clock=clock, registry=registry
-    )
+    service = ScenarioService(explainer, recommender, registry=registry)
     gateway = PKGMGateway(
         build_replicas(server, 2, seed=seed, registry=registry),
         GatewayConfig(

@@ -1,6 +1,6 @@
 """``repro.serving`` — the supervised multi-process serving tier.
 
-The single-process stack (PKGMServer → resilient facade → gateway)
+The single-process stack (PKGMServer → cache → gateway)
 survives bad inputs and simulated faults; this package makes it
 survive *real* concurrency and *real* process death:
 

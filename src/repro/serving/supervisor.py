@@ -82,8 +82,8 @@ class PoolError(RPCError):
     """The pool cannot answer (no live workers / worker-side failure).
 
     An :class:`RPCError` subclass on purpose: the gateway's
-    ``TimedBackend`` and the resilient facade already translate
-    ``RPCError`` into degraded answers, so wrapping a pool needs no new
+    ``TimedBackend`` already translates ``RPCError`` into degraded
+    answers (reason ``"rpc-error"``), so wrapping a pool needs no new
     plumbing.
     """
 

@@ -6,12 +6,13 @@ a self-checksummed manifest, reads them through an mmap + LRU page
 cache with lazy per-page CRC verification, quarantines damaged pages
 instead of crashing, and repairs them byte-exactly from a replica —
 the storage layer beneath :class:`repro.core.PKGMServer` cold starts,
-index and stream snapshots, and the resilient serving facade's
-degraded reads.
+index and stream snapshots, and the gateway's ``quarantined``
+degraded answers.
 
 Import order note: ``.errors`` must come first — it is dependency-free
-and is what :mod:`repro.reliability.serving` imports from us, keeping
-the store ↔ reliability relationship acyclic.
+and is what :mod:`repro.reliability.gateway` and
+:mod:`repro.serving.worker` import from us, keeping the store ↔
+reliability relationship acyclic.
 """
 
 from .errors import (

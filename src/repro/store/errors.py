@@ -1,8 +1,8 @@
 """Exception taxonomy for the out-of-core embedding store.
 
-Kept dependency-free on purpose: :mod:`repro.reliability.serving`
-imports :class:`QuarantinedRowError` to route damaged rows through the
-degraded-read path, and :mod:`repro.store` imports the reliability
+Kept dependency-free on purpose: :mod:`repro.reliability.gateway`
+imports :class:`QuarantinedRowError` to answer damaged rows degraded
+(reason ``"quarantined"``), and :mod:`repro.store` imports the reliability
 package for its atomic-write primitives — a module with no imports is
 what keeps that loop from becoming a real cycle.
 """
@@ -28,8 +28,10 @@ class QuarantinedRowError(StoreError, LookupError):
 
     Deliberately *not* a :class:`KeyError` and *not* an ``RPCError``:
     data damage is neither a caller bug nor a transient network fault,
-    so retries and circuit breakers must ignore it while the resilient
-    serving facade resolves it stale → fallback instead of raising.
+    so retrying would only re-read the same bad bytes.  A pool worker
+    reports it as a ``quarantined`` item, which the supervisor re-raises,
+    and the gateway answers it with a degraded payload (reason
+    ``"quarantined"``) instead of raising.
     """
 
     def __init__(self, table: str, row: int, shard: int, page: int) -> None:

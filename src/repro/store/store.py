@@ -13,8 +13,8 @@ shard files into a row-addressable table service:
   (:class:`repro.core.cache.LRUDict`, the serving-cache idiom); pages
   are CRC-verified on first fault, and a failed page joins the
   quarantine set instead of crashing the reader — subsequent touches
-  raise :class:`QuarantinedRowError`, which the resilient serving
-  facade resolves stale → fallback;
+  raise :class:`QuarantinedRowError`, which the serving gateway
+  answers degraded (reason ``"quarantined"``);
 * **scrub / verify** — an eager sweep over every page, quarantining
   (or just reporting) damage;
 * **repair** — quarantined pages are rebuilt byte-exactly from a

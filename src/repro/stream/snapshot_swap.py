@@ -92,7 +92,6 @@ class SnapshotVersioner:
         index,
         *,
         seq: int,
-        extra: Optional[Dict] = None,
     ) -> Path:
         """Freeze ``tables`` + ``index`` as ``version``; promote it.
 
@@ -124,7 +123,7 @@ class SnapshotVersioner:
                 "index_manifest_sha256": sha256_of_file(
                     directory / "index" / MANIFEST_NAME
                 ),
-                "extra": dict(extra) if extra is not None else {},
+                "extra": {},
             }
         )
         atomic_write_bytes(

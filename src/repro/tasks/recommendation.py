@@ -127,22 +127,20 @@ class NCF(Module):
         self.train()
         return 1.0 / (1.0 + np.exp(-np.clip(logits.data, -60, 60)))
 
-    def predict_unseen(
-        self,
-        user_ids: np.ndarray,
-        service: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def predict_unseen(self, user_ids: np.ndarray) -> np.ndarray:
         """Scores for items with *no trained embedding* (cold start).
 
         Every unseen item is represented by the mean of the trained
         item-embedding tables — the standard fold-in for an id the
-        model never saw.  Without a ``service`` input the item side is
-        therefore identical across candidates and the model cannot
-        rank them (the collaborative cold-start failure); with PKGM
-        service features in the MLP path (Eq. 21) the candidates
-        separate again.  This is the warm-only baseline of the
-        zero-shot scenario in :mod:`repro.scenarios.coldstart`.
+        model never saw — so the item side is identical across
+        candidates and the model cannot rank them (the collaborative
+        cold-start failure).  This is the warm-only baseline of the
+        zero-shot scenario in :mod:`repro.scenarios.coldstart`; a model
+        with PKGM service features (``service_dim``) has no service
+        input for an unseen item and is refused.
         """
+        if self.config.service_dim:
+            raise ValueError("model configured with service_dim needs service input")
         self.eval()
         user_ids = np.asarray(user_ids, dtype=np.int64)
         shape = (*user_ids.shape, 1)
@@ -151,20 +149,9 @@ class NCF(Module):
         gmf = self.gmf_user(user_ids) * Tensor(
             np.tile(gmf_mean, shape)
         )
-        parts = [self.mlp_user(user_ids), Tensor(np.tile(mlp_mean, shape))]
-        if self.config.service_dim:
-            if service is None:
-                raise ValueError("model configured with service_dim needs service input")
-            service = np.asarray(service, dtype=np.float64)
-            if service.shape != (*user_ids.shape, self.config.service_dim):
-                raise ValueError(
-                    f"service shape {service.shape} != "
-                    f"{(*user_ids.shape, self.config.service_dim)}"
-                )
-            parts.append(Tensor(service))
-        elif service is not None:
-            raise ValueError("model without service_dim got a service input")
-        z1 = concat(parts, axis=-1)
+        z1 = concat(
+            [self.mlp_user(user_ids), Tensor(np.tile(mlp_mean, shape))], axis=-1
+        )
         fused = concat([gmf, self.mlp(z1)], axis=-1)
         logits = self.prediction(fused).reshape(user_ids.shape)
         self.train()

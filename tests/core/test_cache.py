@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CachedPKGMServer
-from repro.reliability import fallback_payload
+from repro.ops import fallback_payload
 
 
 @pytest.fixture
@@ -90,16 +90,6 @@ class TestCachedServing:
         cached.serve(entity)  # still cached: a hit, not a miss
         assert cached.stats().hits == 1
         assert cached.stats().misses == 0
-
-    def test_peek_does_not_mutate_stats_or_recency(self, cached, catalog):
-        entity = catalog.items[0].entity_id
-        assert cached.peek(entity) is None
-        cached.serve(entity)
-        stats_before = cached.stats()
-        peeked = cached.peek(entity)
-        assert peeked is not None
-        assert np.allclose(peeked.sequence(), cached.serve(entity).sequence())
-        assert cached.stats().misses == stats_before.misses
 
     def test_surface_properties(self, cached, server):
         assert cached.k == server.k

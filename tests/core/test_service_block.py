@@ -229,7 +229,7 @@ class TestABlockIsNotPinned:
         cached = CachedPKGMServer(server, capacity=64)
         cached.serve_sequence_batch(ITEMS)
         for item in ITEMS:
-            held = cached.peek(item)
+            held = cached._cache.peek(item)
             for array in (held.triple_vectors, held.relation_vectors):
                 assert array.base is None or array.base.nbytes == array.nbytes
 

@@ -13,7 +13,6 @@ from repro.core import (
 from repro.distributed import ParameterServer
 from repro.kg import TripleStore
 from repro.obs import MetricsRegistry, Profiler, Tracer
-from repro.reliability import ResilientPKGMServer
 
 
 def _tiny_store(seed=0, num_entities=24, num_relations=3, num_triples=120):
@@ -108,31 +107,6 @@ class TestCacheInstrumentation:
         assert snapshot["cache.refreshes"] == 1
         assert snapshot["cache.misses"] == 0  # reset_stats=True default
         assert snapshot["cache.size"] == 0
-
-
-class TestServingInstrumentation:
-    def test_exactly_one_resolution_per_request(self, server):
-        registry = MetricsRegistry()
-        resilient = ResilientPKGMServer(server, registry=registry)
-        resilient.serve(0)  # live
-        resilient.serve(0)  # live (cache hit, still a live answer)
-        resilient.serve(9999)  # unknown id -> fallback
-        snapshot = registry.snapshot()
-        resolved = sum(
-            value
-            for key, value in snapshot.items()
-            if key.startswith("serving.resolution{")
-        )
-        assert resolved == snapshot["serving.requests"] == 3
-        assert snapshot['serving.resolution{outcome="live"}'] == 2
-        assert snapshot['serving.resolution{outcome="fallback-unknown"}'] == 1
-
-    def test_stats_views_match_registry(self, server):
-        registry = MetricsRegistry()
-        resilient = ResilientPKGMServer(server, registry=registry)
-        resilient.serve(0)
-        assert resilient.stats.requests == 1
-        assert registry.snapshot()["serving.requests"] == 1
 
 
 class TestParameterServerInstrumentation:

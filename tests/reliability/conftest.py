@@ -1,7 +1,8 @@
 """Fixtures for the reliability suite: a small, untrained PKGM server.
 
-Serving mechanics (retry, breaker, fallbacks, staleness) do not depend
-on trained weights, so the fixture skips pre-training for speed.
+Serving mechanics (admission, deadlines, hedging, degraded answers) do
+not depend on trained weights, so the fixture skips pre-training for
+speed.
 """
 
 import numpy as np

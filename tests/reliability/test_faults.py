@@ -8,7 +8,6 @@ from repro.reliability import (
     CrashEvent,
     FaultPlan,
     FaultyParameterServer,
-    FlakyServingBackend,
     RPCError,
 )
 
@@ -109,27 +108,3 @@ class TestFaultEffects:
         faulty = make_faulty(FaultPlan())
         with pytest.raises(ValueError):
             faulty.crash_shard(7)
-
-
-class TestFlakyServingBackend:
-    def test_forced_failures_then_recovery(self, server):
-        flaky = FlakyServingBackend(server, seed=0)
-        flaky.fail_next = 2
-        with pytest.raises(RPCError):
-            flaky.serve(server.known_items()[0])
-        with pytest.raises(RPCError):
-            flaky.serve(server.known_items()[0])
-        vectors = flaky.serve(server.known_items()[0])
-        assert vectors.triple_vectors.shape == (server.k, server.dim)
-        assert flaky.errors == 2
-
-    def test_error_prob_validation(self, server):
-        with pytest.raises(ValueError):
-            FlakyServingBackend(server, error_prob=2.0)
-
-    def test_passthrough_surface(self, server):
-        flaky = FlakyServingBackend(server)
-        assert flaky.k == server.k
-        assert flaky.dim == server.dim
-        assert flaky.num_entities == server.num_entities
-        assert flaky.known_items() == server.known_items()

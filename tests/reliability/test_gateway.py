@@ -8,7 +8,6 @@ from repro.reliability import (
     GatewayConfig,
     LatencyModel,
     PKGMGateway,
-    ResilientPKGMServer,
     StepClock,
     TimedBackend,
     build_replicas,
@@ -27,6 +26,39 @@ class ScriptedLatency:
         value = self._values[self._index % len(self._values)]
         self._index += 1
         return value
+
+
+class PlainRecorder:
+    """A backend whose ``serve`` takes no deadline; records each call."""
+
+    def __init__(self, server, clock):
+        self.server = server
+        self.clock = clock
+        self.calls = []
+
+    @property
+    def k(self):
+        return self.server.k
+
+    @property
+    def dim(self):
+        return self.server.dim
+
+    def serve(self, entity_id):
+        self.calls.append(entity_id)
+        return self.server.serve(entity_id)
+
+
+class DeadlineRecorder(PlainRecorder):
+    """A backend whose ``serve`` takes a deadline; records each one."""
+
+    def __init__(self, server, clock):
+        super().__init__(server, clock)
+        self.deadlines = []
+
+    def serve(self, entity_id, deadline=None):
+        self.deadlines.append(deadline)
+        return super().serve(entity_id)
 
 
 def make_gateway(server, latencies, config=None, clock=None):
@@ -85,19 +117,24 @@ class TestDeadlinePaths:
         assert gateway.admission.limiter.backoffs == 1
         assert gateway.admission.limiter.limit <= before
 
-    def test_deadline_propagates_into_resilient_backend(self, server):
-        # The resilient facade ticks its own clock 1.0 per request; a
-        # propagated budget below that expires inside the facade, which
-        # answers with its flagged fallback and counts it exactly once.
-        resilient = ResilientPKGMServer(server, clock=StepClock())
-        backend = TimedBackend(resilient, latency=ScriptedLatency([0.01]))
+    def test_deadline_handed_to_a_backend_that_takes_one(self, server):
+        clock = StepClock()
+        recorder = DeadlineRecorder(server, clock=clock)
+        backend = TimedBackend(recorder, latency=ScriptedLatency([0.1]))
         vectors, latency, reason = backend.serve_timed(0, budget=0.5)
-        assert reason is None
-        assert vectors.degraded
-        assert resilient.stats.deadline_exceeded == 1
-        vectors, _, _ = backend.serve_timed(0, budget=2.5)
-        assert not vectors.degraded
-        assert resilient.stats.deadline_exceeded == 1  # unchanged
+        assert reason is None and not vectors.degraded
+        (deadline,) = recorder.deadlines
+        # The budget left once the sampled latency is spent, on the
+        # backend's own clock.
+        assert deadline.clock is clock
+        assert deadline.remaining() == pytest.approx(0.5 - latency)
+
+    def test_no_deadline_for_a_backend_without_the_parameter(self, server):
+        plain = PlainRecorder(server, clock=StepClock())
+        backend = TimedBackend(plain, latency=ScriptedLatency([0.1]))
+        vectors, _, reason = backend.serve_timed(0, budget=0.5)
+        assert reason is None and not vectors.degraded
+        assert plain.calls == [0]  # served with the id alone
 
 
 class TestHedging:

@@ -1,11 +1,10 @@
-"""PR 8 hardening: pre-dispatch deadline rejection, stats reset,
-and genuinely concurrent drain/swap clients."""
+"""Gateway hardening: pre-dispatch deadline rejection and genuinely
+concurrent drain/swap clients."""
 
 import threading
 
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import (
-    DegradationStats,
     GatewayConfig,
     PKGMGateway,
     StepClock,
@@ -51,35 +50,6 @@ class TestDeadlineRejection:
         gateway.submit_retrieval(0, 0, k=2, budget=0.0)
         counter = registry.counter("gateway.deadline_rejected")
         assert counter.value == 1
-
-
-class TestDegradationStatsReset:
-    def test_reset_zeroes_every_counter(self):
-        stats = DegradationStats(registry=MetricsRegistry())
-        stats.requests += 5
-        stats.served_live += 3
-        stats.fallback_unknown += 2
-        stats.reset()
-        assert all(value == 0 for value in stats.snapshot().values())
-
-    def test_reset_does_not_detach_the_registry(self):
-        registry = MetricsRegistry()
-        stats = DegradationStats(registry=registry)
-        stats.requests += 7
-        stats.reset()
-        assert stats.metrics is registry
-        # Post-reset increments keep landing in the same instrument.
-        stats.requests += 2
-        assert registry.counter("serving.requests").value == 2
-        assert stats.snapshot()["requests"] == 2
-
-    def test_snapshot_matches_counter_fields(self):
-        stats = DegradationStats(registry=MetricsRegistry())
-        snapshot = stats.snapshot()
-        assert tuple(snapshot) == DegradationStats.COUNTER_FIELDS
-        stats.deadline_exceeded += 1
-        assert stats.snapshot()["deadline_exceeded"] == 1
-        assert snapshot["deadline_exceeded"] == 0  # plain-int copy
 
 
 class TestConcurrentDrainSwap:

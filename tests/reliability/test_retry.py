@@ -1,12 +1,8 @@
-"""Tests for the retry policy engine and the circuit breaker."""
+"""Tests for the retry policy engine."""
 
 import pytest
 
 from repro.reliability import (
-    CircuitBreaker,
-    CircuitOpenError,
-    Deadline,
-    DeadlineExceededError,
     Retrier,
     RetryExhaustedError,
     RetryPolicy,
@@ -60,6 +56,13 @@ class TestRetrier:
         assert isinstance(info.value.__cause__, RPCError)
         assert retrier.stats.failures == 1
 
+    def test_exhaustion_message_counts_this_calls_retries(self):
+        retrier = Retrier(RetryPolicy(max_attempts=3, jitter=0.0))
+        for _ in range(3):
+            with pytest.raises(RetryExhaustedError, match="after 2 retries:"):
+                retrier.call(Flaky(10))
+        assert retrier.stats.retries == 6  # the lifetime total still adds up
+
     def test_non_retryable_propagates_immediately(self):
         retrier = Retrier(RetryPolicy(max_attempts=5))
         flaky = Flaky(3, exc=KeyError)
@@ -101,68 +104,6 @@ class TestRetrier:
         assert clock.now() > 0
 
 
-class TestCircuitBreaker:
-    def make(self, **kw):
-        clock = StepClock()
-        defaults = dict(failure_threshold=3, recovery_time=10.0, clock=clock)
-        defaults.update(kw)
-        return CircuitBreaker(**defaults), clock
-
-    def test_opens_after_consecutive_failures(self):
-        breaker, _ = self.make()
-        for _ in range(3):
-            with pytest.raises(RPCError):
-                breaker.call(Flaky(100))
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(CircuitOpenError):
-            breaker.call(lambda: "never reached")
-        assert breaker.short_circuits == 1
-
-    def test_success_resets_failure_streak(self):
-        breaker, _ = self.make()
-        for _ in range(2):
-            with pytest.raises(RPCError):
-                breaker.call(Flaky(100))
-        breaker.call(lambda: "ok")
-        assert breaker.consecutive_failures == 0
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_closes_on_success(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            with pytest.raises(RPCError):
-                breaker.call(Flaky(100))
-        clock.advance(10.0)
-        assert breaker.call(lambda: "recovered") == "recovered"
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self.make()
-        for _ in range(3):
-            with pytest.raises(RPCError):
-                breaker.call(Flaky(100))
-        clock.advance(10.0)
-        with pytest.raises(RPCError):
-            breaker.call(Flaky(100))
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.times_opened == 2
-
-    def test_domain_errors_do_not_trip_the_breaker(self):
-        breaker, _ = self.make(failure_threshold=1)
-        for _ in range(5):
-            with pytest.raises(KeyError):
-                breaker.call(Flaky(100, exc=KeyError))
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(recovery_time=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_probes=0)
-
-
 class TestStepClock:
     def test_monotonic(self):
         clock = StepClock()
@@ -170,51 +111,3 @@ class TestStepClock:
         assert clock.now() == 1.5
         with pytest.raises(ValueError):
             clock.advance(-1.0)
-
-
-class TestCallWithDeadline:
-    def make(self, budget, **policy):
-        clock = StepClock()
-        retrier = Retrier(RetryPolicy(jitter=0.0, **policy), clock=clock)
-        return retrier, Deadline(clock, budget), clock
-
-    def test_expired_on_entry_never_calls_fn(self):
-        retrier, deadline, clock = self.make(budget=0.5)
-        clock.advance(1.0)
-        flaky = Flaky(0)
-        with pytest.raises(DeadlineExceededError):
-            retrier.call_with_deadline(deadline, flaky)
-        assert flaky.calls == 0
-        assert retrier.stats.deadline_denials == 1
-
-    def test_backoff_overrunning_budget_refused(self):
-        # base_delay=0.05: the first backoff pause would blow a 0.01s
-        # budget, so the retrier gives up instead of sleeping past it.
-        retrier, deadline, _ = self.make(budget=0.01, base_delay=0.05)
-        flaky = Flaky(10)
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            retrier.call_with_deadline(deadline, flaky)
-        assert flaky.calls == 1  # tried once, refused to backoff
-        assert isinstance(excinfo.value.__cause__, RPCError)
-        assert retrier.stats.deadline_denials == 1
-        assert retrier.stats.virtual_sleep == 0.0
-
-    def test_generous_deadline_retries_normally(self):
-        retrier, deadline, _ = self.make(budget=100.0)
-        flaky = Flaky(2)
-        assert retrier.call_with_deadline(deadline, flaky) == "ok"
-        assert retrier.stats.retries == 2
-        assert retrier.stats.deadline_denials == 0
-
-    def test_none_deadline_is_plain_call(self):
-        retrier, _, _ = self.make(budget=1.0)
-        assert retrier.call_with_deadline(None, Flaky(1)) == "ok"
-        assert retrier.stats.deadline_denials == 0
-
-    def test_denial_counted_once_per_call(self):
-        retrier, deadline, clock = self.make(budget=0.5)
-        clock.advance(1.0)
-        for _ in range(3):
-            with pytest.raises(DeadlineExceededError):
-                retrier.call_with_deadline(deadline, Flaky(0))
-        assert retrier.stats.deadline_denials == 3

@@ -1,7 +1,7 @@
 """Gateway tests for the scenario endpoints (satellite: degraded modes).
 
-The PR 3 invariants, re-proven for ``submit_explanation`` and
-``submit_recommendation``: expired budgets and open breakers are
+The serving invariants, re-proven for ``submit_explanation`` and
+``submit_recommendation``: expired budgets and engine failures are
 answered with *typed* degraded payloads — never exceptions — and
 degraded payloads are never cached by the scenario backend.
 """
@@ -15,7 +15,7 @@ from repro.reliability import (
     StepClock,
     TimedBackend,
 )
-from repro.reliability.retry import CircuitBreaker
+from repro.reliability.retry import RPCError
 from repro.scenarios import (
     Explainer,
     ExplanationPayload,
@@ -42,7 +42,6 @@ def scenario_parts(catalog, rules, server):
     service = ScenarioService(
         Explainer(catalog.store, rules=rules, server=server),
         ServiceRecommender(server),
-        clock=clock,
     )
     return clock, service
 
@@ -97,14 +96,17 @@ class TestDegradedModes:
         assert gateway.stats.recommendations == 1
         assert len(service) == 0
 
-    def test_breaker_open_degrades_both_kinds_never_raises(
-        self, server, scenario_parts, catalog
+    def test_engine_rpc_error_degrades_both_kinds_uncached(
+        self, server, scenario_parts, catalog, monkeypatch
     ):
         clock, service = scenario_parts
-        # Trip the breaker directly: every scenario call now fails fast
-        # as RPCError inside the facade.
-        service.breaker._trip()
-        assert service.breaker.state == CircuitBreaker.OPEN
+
+        def down(*args, **kwargs):
+            raise RPCError("engine down")
+
+        # Both engines fail; the service passes the error through.
+        monkeypatch.setattr(service.explainer, "explain", down)
+        monkeypatch.setattr(service.recommender, "recommend", down)
         gateway = make_gateway(server, service, clock)
         item = catalog.items[0].entity_id
         gateway.submit_explanation(item, 0)

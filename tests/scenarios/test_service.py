@@ -1,11 +1,11 @@
-"""Tests for the scenario serving facade: the zero-shot recommender,
-the breaker+cache discipline, and the worker-side engine bundle."""
+"""Tests for the scenario serving backend: the zero-shot recommender,
+the cache discipline, and the worker-side engine bundle."""
 
 import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.reliability.retry import CircuitBreaker, RPCError, StepClock
+from repro.reliability.retry import RPCError
 from repro.scenarios import (
     ScenarioService,
     ServiceRecommender,
@@ -77,14 +77,11 @@ class StaticRecommender:
         return self.payload
 
 
-def make_service(explainer, recommender=None, registry=None, breaker=None):
-    clock = StepClock()
+def make_service(explainer, recommender=None, registry=None):
     return ScenarioService(
         explainer,
         recommender if recommender is not None else StaticRecommender(None),
-        clock=clock,
         registry=registry,
-        breaker=breaker,
     )
 
 
@@ -119,43 +116,15 @@ class TestScenarioService:
         assert len(service) == 0
         assert recommender.calls == 1
 
-    def test_domain_errors_pass_through_without_tripping(self):
-        explainer = FlakyExplainer(error=KeyError(99))
-        breaker = CircuitBreaker(failure_threshold=2, clock=StepClock())
-        service = make_service(explainer, breaker=breaker)
-        for _ in range(5):
-            with pytest.raises(KeyError):
-                service.explain(99, 0)
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_breaker_opens_on_rpc_errors_then_fails_fast(self):
-        explainer = FlakyExplainer(error=RPCError("backend down"))
-        breaker = CircuitBreaker(failure_threshold=2, clock=StepClock())
-        service = make_service(explainer, breaker=breaker)
-        for _ in range(2):
-            with pytest.raises(RPCError):
-                service.explain(1, 0)
-        assert breaker.state == CircuitBreaker.OPEN
-        with pytest.raises(RPCError, match="breaker open"):
-            service.explain(1, 0)
-        assert explainer.calls == 2  # the short-circuit never hit the engine
-
-    def test_cache_hits_served_while_breaker_open(self):
-        from repro.scenarios.explain import ExplanationPayload
-
-        payload = ExplanationPayload(entity_id=1, relation=0)
-        explainer = FlakyExplainer(payload=payload)
-        breaker = CircuitBreaker(failure_threshold=1, clock=StepClock())
-        service = make_service(explainer, breaker=breaker)
-        assert service.explain(1, 0) is payload  # primed
-        explainer.error = RPCError("backend down")
-        with pytest.raises(RPCError):
-            service.explain(2, 0)
-        assert breaker.state == CircuitBreaker.OPEN
-        # Stale-on-open: the cached query still answers.
-        assert service.explain(1, 0) is payload
-        with pytest.raises(RPCError):
-            service.explain(3, 0)
+    def test_engine_errors_propagate_uncached(self):
+        for error in (KeyError(99), RPCError("backend down")):
+            explainer = FlakyExplainer(error=error)
+            service = make_service(explainer)
+            for _ in range(3):
+                with pytest.raises(type(error)):
+                    service.explain(99, 0)
+            assert explainer.calls == 3  # every call reached the engine
+            assert len(service) == 0
 
 
 class TestWorkerScenarios:

@@ -4,7 +4,8 @@ The acceptance bar for the storage engine: a server restored from a
 store with a page-cache budget *smaller than the table bytes* serves
 ``service_vectors`` and ``nearest_tails`` bit-identically to the
 in-RAM server it was built from, and seeded corruption degrades —
-never crashes — the resilient facade, with every outcome accounted.
+never crashes — the gateway in front of it, with every outcome
+accounted.
 """
 
 import numpy as np
@@ -15,9 +16,11 @@ from repro.core.service import SnapshotError
 from repro.kg import TripleStore
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import (
-    ResilientPKGMServer,
+    GatewayConfig,
+    PKGMGateway,
     StorageFaultPlan,
     StorageFaultStats,
+    build_replicas,
     inject_storage_faults,
 )
 from repro.store import EmbeddingStore, QuarantinedRowError
@@ -38,6 +41,27 @@ def reference():
     selector = KeyRelationSelector(store, {0: 0, 1: 0, 2: 1}, k=2)
     model = PKGM(16, 3, PKGMConfig(dim=4), rng=np.random.default_rng(0))
     return PKGMServer(model, selector)
+
+
+def gateway_over(server, registry=None, replicas=2):
+    """The path that answers degraded: a gateway over cached replicas of
+    ``server``, with a budget no latency draw comes near."""
+    return PKGMGateway(
+        build_replicas(server, replicas, registry=registry),
+        GatewayConfig(deadline_budget=5.0, hedge_after=None),
+        registry=registry,
+    )
+
+
+def serve_one_by_one(gateway, items):
+    """Each item through ``gateway`` to completion, in order."""
+    responses = []
+    for item in items:
+        assert gateway.submit(item) is None  # admitted, never shed
+        gateway.clock.advance(5.0)
+        responses.extend(gateway.step())
+    assert [r.entity_id for r in responses] == list(items)
+    return responses
 
 
 @pytest.fixture()
@@ -129,54 +153,48 @@ class TestDegradedServing:
             )
         server.store.close()
 
-    def test_facade_never_raises_and_accounts_everything(self, store_dir, reference):
+    def test_gateway_never_raises_and_accounts_everything(
+        self, store_dir, reference
+    ):
         self.corrupt_entities(store_dir)
         registry = MetricsRegistry()
         server = PKGMServer.from_store(store_dir, cache_pages=3, registry=registry)
         server.store.scrub()
-        facade = ResilientPKGMServer(server, registry=registry)
+        gateway = gateway_over(server, registry)
         items = reference.known_items()
-        for item in items + [99]:
-            payload = facade.serve(item)  # must not raise
-            assert payload is not None
-        stats = facade.stats
-        assert stats.requests == len(items) + 1
-        assert stats.fallback_quarantined > 0
-        resolved = (
-            stats.served_live
-            + stats.served_stale
-            + stats.fallback_unknown
-            + stats.fallback_error
-            + stats.fallback_quarantined
-            + stats.deadline_exceeded
-        )
-        assert resolved == stats.requests
+        responses = serve_one_by_one(gateway, items + [99])
+        reasons = [r.reason for r in responses]
+        assert set(reasons) <= {None, "quarantined", "unknown-id"}
+        assert "quarantined" in reasons
+        assert reasons[-1] == "unknown-id"
+        for response in responses:
+            assert response.vectors.degraded == (response.reason is not None)
+        stats = gateway.stats
+        assert stats.completed_ok == reasons.count(None)
+        assert stats.backend_errors == stats.completed_degraded
+        assert stats.completed_ok + stats.completed_degraded == len(items) + 1
         snapshot = registry.snapshot()
         assert snapshot["store.quarantined_reads"] > 0
-        assert (
-            snapshot['serving.resolution{outcome="fallback-quarantined"}']
-            == stats.fallback_quarantined
-        )
+        assert snapshot["gateway.backend_errors"] == stats.backend_errors
         server.store.close()
 
     def test_warm_serving_cache_masks_quarantine(self, store_dir, reference):
         registry = MetricsRegistry()
         server = PKGMServer.from_store(store_dir, cache_pages=8, registry=registry)
-        facade = ResilientPKGMServer(server, registry=registry)
+        gateway = gateway_over(server, registry, replicas=1)
         items = reference.known_items()
-        for item in items:  # warm the serving LRU while the disk is clean
-            assert not facade.serve(item).degraded
+        # Warm the replica's LRU while the disk is clean.
+        assert all(r.ok for r in serve_one_by_one(gateway, items))
         self.corrupt_entities(store_dir)
         server.store.close()  # drop mmaps so damage is re-read
         server.store._cache.clear()
         server.store.scrub()
-        assert server.store.quarantined_rows("entity_table")
-        for item in items:
-            # Cached payloads are valid model output — served, not
-            # degraded, even though the backing pages are quarantined.
-            assert not facade.serve(item).degraded
-        assert facade.stats.fallback_quarantined == 0
-        assert facade.stats.served_live == 2 * len(items)
+        assert set(items) & set(server.store.quarantined_rows("entity_table"))
+        # Cached payloads are valid model output — served, not degraded,
+        # even though the backing pages are quarantined.
+        assert all(r.ok for r in serve_one_by_one(gateway, items))
+        assert gateway.stats.backend_errors == 0
+        assert gateway.stats.completed_ok == 2 * len(items)
         server.store.close()
 
     def test_repair_restores_live_serving(self, tmp_path, store_dir, reference):
@@ -186,13 +204,17 @@ class TestDegradedServing:
         self.corrupt_entities(store_dir)
         server = PKGMServer.from_store(store_dir, cache_pages=3)
         assert not server.store.scrub().clean
+        gateway = gateway_over(server)
+        items = reference.known_items()
+        assert not all(r.ok for r in serve_one_by_one(gateway, items))
         replica = EmbeddingStore.open(tmp_path / "replica")
         assert server.store.repair(replica).complete
         replica.close()
-        for item in reference.known_items():
+        for response in serve_one_by_one(gateway, items):
+            assert response.ok
             assert np.array_equal(
-                reference.serve(item).triple_vectors,
-                server.serve(item).triple_vectors,
+                reference.serve(response.entity_id).triple_vectors,
+                response.vectors.triple_vectors,
             )
         server.store.close()
 
@@ -209,17 +231,16 @@ class TestSeededStorageChaos:
         registry = MetricsRegistry()
         server = PKGMServer.from_store(primary, cache_pages=3, registry=registry)
         scrub = server.store.scrub()
-        facade = ResilientPKGMServer(server, registry=registry)
-        outcomes = []
-        for item in reference.known_items():
-            outcomes.append(facade.serve(item).degraded)
+        gateway = gateway_over(server, registry)
+        responses = serve_one_by_one(gateway, reference.known_items())
+        outcomes = tuple((r.entity_id, r.reason) for r in responses)
         donor = EmbeddingStore.open(replica)
         repair = server.store.repair(donor)
         donor.close()
         result = (
             fault_stats.events,
             scrub.bad_pages,
-            tuple(outcomes),
+            outcomes,
             repair.repaired,
             registry.snapshot(),
         )
@@ -236,6 +257,13 @@ class TestSeededStorageChaos:
             tmp_path, reference, "solo"
         )
         assert events and bad_pages
+        # Every request was answered, live or with a typed reason.
+        assert [item for item, _ in outcomes] == reference.known_items()
+        assert {reason for _, reason in outcomes} <= {
+            None,
+            "quarantined",
+            "unknown-id",
+        }
         assert sorted(repaired) == sorted(bad_pages)
         assert snapshot["store.pages_repaired"] == len(bad_pages)
         assert snapshot["store.pages_unrepairable"] == 0

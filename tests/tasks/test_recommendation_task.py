@@ -65,6 +65,18 @@ class TestNCFModel:
         p2 = model.predict(users, items, service=-np.ones((1, 6)))
         assert p1[0] != pytest.approx(p2[0])
 
+    def test_predict_unseen_refuses_a_service_dim_model(self):
+        model = self.make(service_dim=6)
+        with pytest.raises(ValueError, match="needs service input"):
+            model.predict_unseen(np.array([0, 1]))
+
+    def test_predict_unseen_scores_every_user(self):
+        model = self.make()
+        scores = model.predict_unseen(np.array([0, 1, 2]))
+        assert scores.shape == (3,)
+        assert np.all((scores > 0) & (scores < 1))
+        assert model.training  # eval mode is restored
+
     def test_misaligned_inputs_rejected(self):
         model = self.make()
         with pytest.raises(ValueError):

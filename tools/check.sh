@@ -116,10 +116,11 @@ echo
 echo "== storage chaos (repro store, byte-diffed recovery) =="
 # Seeded torn-write + bit-flip + torn-manifest drill over a small
 # store: the run must end RECOVERED (manifest refused then restored,
-# every quarantined page repaired from the replica, zero serving
-# mismatches, zero escaped exceptions) and the full report — fault
-# offsets, scrub/repair accounting, store.* metrics — must be
-# byte-identical across two runs.
+# every quarantined page repaired from the replica, every item served
+# from the repaired store equal to the in-RAM reference) and the full
+# report — fault offsets, the degraded serves counted by reason
+# (quarantined / unknown-id), scrub/repair accounting, store.* metrics
+# — must be byte-identical across two runs.
 byte_gate chaos "chaos drill: RECOVERED" python -m repro.cli store chaos \
     --preset smoke --dir "{run}" --torn 1 --flips 2 --torn-manifest
 # Recovery is byte-deterministic on disk too: both repaired stores
