@@ -4,21 +4,29 @@ The paper trained with TensorFlow + Graph-learn on 50 parameter servers
 and 200 workers (88 GB of parameters, 15 h, 2 epochs, Adam lr 1e-4,
 batch 1000, 1 negative per edge).  :class:`PKGMTrainer` reproduces the
 same optimization — edge sampling, uniform negatives, margin loss,
-Adam — as a single-process loop sized for the synthetic KG.
+Adam — as a single-process loop sized for the synthetic KG.  Like a
+parameter server, a step moves only the rows its batch mentions: one
+:class:`~repro.nn.LazyAdam` per table, the update the PS simulation
+(:mod:`repro.distributed`) applies per push.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..kg import EdgeSampler, TripleStore
-from ..nn import Adam, no_grad, sanitizer
+from ..nn import LazyAdam, sanitizer
 from .margin_kernel import MarginGradients, MarginStep, check_finite_loss
 from .pkgm import PKGM, PKGMConfig
+
+#: Checkpoint names of the entity, relation and transfer tables, in
+#: :class:`MarginStep`'s order.  Both trainers save every table ``name``
+#: as ``name.table``, ``name.m``, ``name.v`` and ``name.step``.
+TABLES = ("entities", "relations", "matrices")
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,15 @@ class TrainingHistory:
 class PKGMTrainer:
     """Pre-trains a :class:`PKGM` on a triple store.
 
+    ``optimizer`` maps each of :data:`TABLES` to the :class:`LazyAdam`
+    that updates the model's array in place; a step writes the rows its
+    batch mentions and projects only the entity rows it wrote back onto
+    the ``entity_max_norm`` ball.  The first step of the optimizer state
+    also projects the whole entity table, before its update, so every
+    row is inside the ball after every step.
+
     With ``checkpoint_dir`` set, the trainer writes a crash-consistent
-    snapshot (model parameters, Adam moments, sampler RNG state, loss
+    snapshot (every table's :meth:`LazyAdam.state`, sampler RNG state, loss
     history — see :mod:`repro.reliability.checkpoint`) after every
     epoch, and a later trainer pointed at the
     same directory resumes the run *bit-exactly*: a killed 30-epoch job
@@ -90,10 +105,16 @@ class PKGMTrainer:
     ) -> None:
         self.model = model
         self.config = config if config is not None else TrainerConfig()
-        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
-        # Per table, in _tables() order: the dense gradient array and the
-        # rows last scattered into it; None before the first step.
-        self._dense_grads: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+        triple = model.triple_module
+        tables = (
+            triple.entity_embeddings.weight.data,
+            triple.relation_embeddings.weight.data,
+            model.relation_module.transfer_matrices.data,
+        )
+        self.optimizer = {
+            name: LazyAdam(table, self.config.learning_rate, name)
+            for name, table in zip(TABLES, tables)
+        }
         self._manager = None
         if checkpoint_dir is not None:
             from ..reliability.checkpoint import CheckpointManager
@@ -202,9 +223,8 @@ class PKGMTrainer:
                     if batch is None:
                         break
                     with self._phase("forward", units=len(batch)):
-                        self.optimizer.zero_grad()
                         step = MarginStep(
-                            *(param.data for param in self._tables()),
+                            *(adam.table for adam in self.optimizer.values()),
                             batch.positives,
                             batch.negatives,
                             self.model.config.margin,
@@ -212,13 +232,9 @@ class PKGMTrainer:
                     loss = step.loss
                     check_finite_loss(loss)
                     with self._phase("backward"):
-                        self._set_gradients(step.gradients())
+                        grads = step.gradients()
                     with self._phase("optimizer"):
-                        self.optimizer.step()
-                        if self.config.entity_max_norm is not None:
-                            self.model.renormalize_entities(
-                                self.config.entity_max_norm
-                            )
+                        self._update(grads)
                     epoch_loss += loss
                     count += len(batch)
                     if self._batches_c is not None:
@@ -240,40 +256,21 @@ class PKGMTrainer:
                 self._save_checkpoint(epoch + 1, rng, history)
         return history
 
-    def _tables(self):
-        """The entity, relation and transfer parameters, in kernel order."""
-        triple = self.model.triple_module
-        return (
-            triple.entity_embeddings.weight,
-            triple.relation_embeddings.weight,
-            self.model.relation_module.transfer_matrices,
-        )
-
-    def _set_gradients(self, grads: MarginGradients) -> None:
-        """Scatter the row-sparse packet into the dense ``.grad`` Adam reads.
-
-        Each table keeps one dense gradient array across steps: the rows
-        the previous step scattered are zeroed and this step's written, so
-        ``.grad`` equals a fresh zeros-and-scatter without allocating (and
-        page-faulting) a table-sized array every step.
-        """
-        tables = self._tables()
-        if self._dense_grads is None:
-            self._dense_grads = [
-                (np.zeros_like(param.data), np.empty(0, dtype=np.int64))
-                for param in tables
-            ]
-        packets = (
-            (grads.entity_rows, grads.entity_grads),
-            (grads.relation_rows, grads.relation_grads),
-            (grads.relation_rows, grads.transfer_grads),
-        )
-        for index, (param, (rows, values)) in enumerate(zip(tables, packets)):
-            dense, scattered = self._dense_grads[index]
-            dense[scattered] = 0.0
-            dense[rows] = values
-            self._dense_grads[index] = (dense, rows)
-            param.grad = dense
+    def _update(self, grads: MarginGradients) -> None:
+        """Adam on the rows the batch mentions, then their projection."""
+        entities, relations, matrices = self.optimizer.values()
+        max_norm = self.config.entity_max_norm
+        # Before the state's first update no relation row has a step (every
+        # batch writes one): project the whole entity table, this once.
+        if max_norm is not None and not relations.step.any():
+            self.model.renormalize_entities(max_norm)
+        entities.update(grads.entity_rows, grads.entity_grads)
+        relations.update(grads.relation_rows, grads.relation_grads)
+        matrices.update(grads.relation_rows, grads.transfer_grads)
+        if max_norm is not None:
+            self.model.triple_module.entity_embeddings.renormalize(
+                max_norm, rows=grads.entity_rows
+            )
 
     # ------------------------------------------------------------------
     # Crash-consistent checkpointing (repro.reliability.checkpoint)
@@ -283,18 +280,16 @@ class PKGMTrainer:
     ) -> None:
         from ..reliability.checkpoint import rng_state
 
-        state = self.optimizer.state_dict()
-        arrays = {}
-        for index, param in enumerate(self.optimizer.parameters):
-            arrays[f"param{index}"] = param.data
-            arrays[f"m{index}"] = state["m"][index]
-            arrays[f"v{index}"] = state["v"][index]
+        arrays = {
+            f"{name}.{key}": value
+            for name, adam in self.optimizer.items()
+            for key, value in adam.state().items()
+        }
         self._manager.save(
             completed_epochs,
             arrays,
             metadata={
                 "epoch": completed_epochs,
-                "adam_step": state["step"],
                 "rng": rng_state(rng),
                 "losses": list(history.epoch_losses),
             },
@@ -304,17 +299,14 @@ class PKGMTrainer:
         from ..reliability.checkpoint import restore_rng
 
         arrays, metadata = self._manager.load()
-        count = len(self.optimizer.parameters)
-        with no_grad():
-            for index, param in enumerate(self.optimizer.parameters):
-                param.data = arrays[f"param{index}"]
-        self.optimizer.load_state_dict(
-            {
-                "step": metadata["adam_step"],
-                "m": [arrays[f"m{index}"] for index in range(count)],
-                "v": [arrays[f"v{index}"] for index in range(count)],
-            }
-        )
+        # Every array is looked up before any is loaded: a checkpoint in
+        # another layout fails on the first name it lacks, changing nothing.
+        states = {
+            name: {key: arrays[f"{name}.{key}"] for key in LazyAdam.STATE_KEYS}
+            for name in self.optimizer
+        }
+        for name, adam in self.optimizer.items():
+            adam.load_state(states[name])
         restore_rng(rng, metadata["rng"])
         history.epoch_losses.extend(float(x) for x in metadata["losses"])
         return int(metadata["epoch"])

@@ -32,7 +32,8 @@ import numpy as np
 
 from ..core import PKGM
 from ..core.margin_kernel import MarginStep, check_finite_loss
-from ..nn import no_grad
+from ..core.trainer import TABLES
+from ..nn import LazyAdam, no_grad
 from ..kg import EdgeSampler, TripleStore
 from ..obs.metrics import MetricsRegistry, counter_view
 
@@ -68,9 +69,8 @@ class ParameterServer:
         self.num_shards = num_shards
         self.learning_rate = learning_rate
         self._tables: Dict[str, np.ndarray] = {}
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
-        self._step: Dict[str, np.ndarray] = {}
+        # Per table, the row-sparse Adam that owns its moments and steps.
+        self._adam: Dict[str, LazyAdam] = {}
         self.pull_count = 0
         self.push_count = 0
         self._pull_rows_c = registry.counter(
@@ -109,9 +109,7 @@ class ParameterServer:
         if name in self._tables:
             raise KeyError(f"parameter {name!r} already registered")
         self._tables[name] = np.array(table, dtype=np.float64)
-        self._m[name] = np.zeros_like(self._tables[name])
-        self._v[name] = np.zeros_like(self._tables[name])
-        self._step[name] = np.zeros(len(table), dtype=np.int64)
+        self._adam[name] = LazyAdam(self._tables[name], self.learning_rate, name)
         for shard, rows in enumerate(self.shard_sizes(name)):
             self._shard_rows[shard].add(rows)
 
@@ -138,7 +136,8 @@ class ParameterServer:
         """Apply sparse Adam updates to the touched rows.
 
         Duplicate rows in one push are accumulated first, matching
-        dense-gradient semantics.
+        dense-gradient semantics; :class:`repro.nn.LazyAdam` then steps
+        each distinct row once.
         """
         rows = np.asarray(rows, dtype=np.int64)
         gradients = np.asarray(gradients, dtype=np.float64)
@@ -153,16 +152,7 @@ class ParameterServer:
         for shard in shards:
             self._shard_pushes[shard].inc()
         self._push_rows_c.inc(len(unique))
-        table = self._tables[name]
-        m, v, step = self._m[name], self._v[name], self._step[name]
-        step[unique] += 1
-        t = step[unique].reshape(-1, *([1] * (gradients.ndim - 1)))
-        beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's published defaults
-        m[unique] = beta1 * m[unique] + (1 - beta1) * accumulated
-        v[unique] = beta2 * v[unique] + (1 - beta2) * accumulated**2
-        m_hat = m[unique] / (1 - beta1**t)
-        v_hat = v[unique] / (1 - beta2**t)
-        table[unique] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        self._adam[name].update(unique, accumulated)
 
     def snapshot(self, name: str) -> np.ndarray:
         """Full copy of a table (checkpointing)."""
@@ -177,31 +167,13 @@ class ParameterServer:
 
         Returns copies — the checkpoint layer owns them.
         """
-        return {
-            "table": self._tables[name].copy(),
-            "m": self._m[name].copy(),
-            "v": self._v[name].copy(),
-            "step": self._step[name].copy(),
-        }
+        return self._adam[name].state()
 
     def load_state(self, name: str, state: Dict[str, np.ndarray]) -> None:
         """Restore a table's values and Adam moments (shape-checked)."""
         if name not in self._tables:
             raise KeyError(f"parameter {name!r} is not registered")
-        for key in ("table", "m", "v", "step"):
-            if key not in state:
-                raise KeyError(f"state for {name!r} is missing {key!r}")
-            expected = (
-                self._step[name].shape if key == "step" else self._tables[name].shape
-            )
-            if state[key].shape != expected:
-                raise ValueError(
-                    f"state[{key!r}] shape {state[key].shape} != {expected}"
-                )
-        self._tables[name][:] = state["table"]
-        self._m[name][:] = state["m"]
-        self._v[name][:] = state["v"]
-        self._step[name][:] = state["step"]
+        self._adam[name].load_state(state)
 
     def renormalize_rows(self, name: str, max_norm: float = 1.0) -> None:
         """Project rows onto the L2 ball (TransE's entity constraint)."""
@@ -230,7 +202,7 @@ class PKGMWorker:
     in the test suite.
     """
 
-    ENTITY, RELATION, MATRIX = "entities", "relations", "matrices"
+    ENTITY, RELATION, MATRIX = TABLES
 
     def __init__(
         self,
@@ -561,7 +533,7 @@ class DistributedPKGMTrainer:
         arrays, metadata = self._manager.load()
         for name in self.server.table_names():
             self.server.load_state(
-                name, {key: arrays[f"{name}.{key}"] for key in ("table", "m", "v", "step")}
+                name, {key: arrays[f"{name}.{key}"] for key in LazyAdam.STATE_KEYS}
             )
         restore_rng(rng, metadata["rng"])
         return int(metadata["epoch"]), [float(x) for x in metadata["losses"]]

@@ -10,7 +10,7 @@ from .attention import MultiHeadAttention
 from .gradcheck import check_gradients
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Sequential
 from .module import Module, Parameter
-from .optim import Adam
+from .optim import Adam, LazyAdam
 from .sanitizer import NumericGuardError
 from .tensor import (
     Tensor,
@@ -28,6 +28,7 @@ __all__ = [
     "Dropout",
     "Embedding",
     "LayerNorm",
+    "LazyAdam",
     "Linear",
     "MLP",
     "Module",

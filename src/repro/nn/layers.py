@@ -90,32 +90,49 @@ class Embedding(Module):
         check_embedding_ids(ids, self.num_embeddings)
         return self.weight.take_rows(ids)
 
-    def renormalize(self, max_norm: float = 1.0) -> None:
+    def renormalize(
+        self, max_norm: float = 1.0, rows: Optional[np.ndarray] = None
+    ) -> None:
         """Project rows with L2 norm above ``max_norm`` back onto the ball.
 
         TransE constrains entity embeddings to the unit sphere; PKGM
         inherits the constraint via its TransE triple query module.
         Writes ``weight.data`` in place (the array keeps its identity, so
         anything holding it sees the projection) and touches only the rows
-        outside the ball.  Norms are taken one :func:`row_blocks` block at
-        a time as ``sqrt(add.reduce(x * x, axis=1))``, which is what
-        ``np.linalg.norm(x, axis=1)`` evaluates, without its ``conj()``
-        copy and its table-sized temporaries.
+        outside the ball.  Norms are taken as ``sqrt(add.reduce(x * x,
+        axis=1))``, which is what ``np.linalg.norm(x, axis=1)`` evaluates,
+        without its ``conj()`` copy and its table-sized temporaries.
+
+        ``rows`` (distinct ids) limits the pass to those rows, e.g. the
+        ones an optimizer step wrote; without it the whole table is
+        walked one :func:`row_blocks` block at a time.  Either way a row
+        ends with the same bytes.
         """
         if not max_norm > 0:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
         data = self.weight.data
         with no_grad():
+            if rows is not None:
+                rows = np.asarray(rows)
+                x = data[rows]
+                outside, scale = _outside_ball(x, max_norm)
+                data[rows[outside]] = x[outside] * scale
+                return
             for block in row_blocks(data.shape):
                 x = data[block]
-                norms = np.sqrt(np.add.reduce(x * x, axis=1))
-                # Rows inside the ball would be multiplied by 1.0; a NaN
-                # norm is not "inside", so a poisoned row is rescaled (to
-                # NaN) as before.
-                rows = np.flatnonzero(~(norms <= max_norm))
-                if rows.size:
-                    scale = np.minimum(1.0, max_norm / np.maximum(norms[rows, None], 1e-12))
-                    x[rows] *= scale
+                outside, scale = _outside_ball(x, max_norm)
+                x[outside] *= scale
+
+
+def _outside_ball(x: np.ndarray, max_norm: float):
+    """Positions of the rows of ``x`` outside the ball, and their scales.
+
+    Rows inside the ball would be multiplied by 1.0; a NaN norm is not
+    "inside", so a poisoned row is rescaled (to NaN) as well.
+    """
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    outside = np.flatnonzero(~(norms <= max_norm))
+    return outside, np.minimum(1.0, max_norm / np.maximum(norms[outside, None], 1e-12))
 
 
 class LayerNorm(Module):

@@ -10,7 +10,7 @@ the KGE baselines) derives from it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,11 +61,23 @@ class Module:
             yield param
 
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
-        """Yield ``(dotted_name, parameter)`` pairs recursively."""
+        """Yield ``(dotted_name, parameter)`` pairs recursively.
+
+        Each parameter is yielded once, under the first path that reaches
+        it: a submodule shared by two parents (PKGM's relation module holds
+        its triple module) is not listed, or stepped, twice.
+        """
+        return self._named_parameters(prefix, set())
+
+    def _named_parameters(
+        self, prefix: str, seen: Set[int]
+    ) -> Iterator[Tuple[str, Parameter]]:
         for name, param in self._parameters.items():
-            yield (prefix + name, param)
+            if id(param) not in seen:
+                seen.add(id(param))
+                yield (prefix + name, param)
         for name, module in self._modules.items():
-            yield from module.named_parameters(prefix=prefix + name + ".")
+            yield from module._named_parameters(prefix + name + ".", seen)
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants."""

@@ -1,7 +1,10 @@
 """Optimizers for the numpy autograd engine.
 
 The paper trains PKGM with Adam (lr 1e-4) and fine-tunes BERT with Adam
-(lr 2e-5); NCF uses minibatch Adam.  Adam is the one optimizer here.
+(lr 2e-5); NCF uses minibatch Adam.  :class:`Adam` steps whole
+parameters (the text encoders, NCF, the baselines); :class:`LazyAdam` is
+the same update on the rows of one table a batch touched, which is how
+both PKGM trainers pre-train.
 """
 
 from __future__ import annotations
@@ -171,3 +174,91 @@ class Adam(Optimizer):
                     f"!= parameter shape {param.shape}"
                 )
             self._state[id(param)] = _adam_state(param.data, m, v)
+
+
+class LazyAdam:
+    """Row-sparse ("lazy") Adam over one embedding-style table.
+
+    The parameter-server update (the paper pre-trains on a TensorFlow PS,
+    where a step touches only the rows its batch pulled): ``update``
+    moves only the rows it is given, and each row keeps its own step
+    count, so a row's bias correction counts the steps that wrote it.
+    A table of E rows costs O(rows touched) per step, not O(E).
+
+    ``table`` is held, not copied, and written in place; the moments and
+    the per-row ``step`` vector are owned here.  ``state`` /
+    ``load_state`` carry all four as ``{"table", "m", "v", "step"}``,
+    the layout both PKGM trainers checkpoint.
+    """
+
+    STATE_KEYS = ("table", "m", "v", "step")
+
+    def __init__(self, table: np.ndarray, lr: float, name: str = "") -> None:
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.table = table
+        self.lr = lr
+        self.name = name
+        self.m = np.zeros_like(table)
+        self.v = np.zeros_like(table)
+        self.step = np.zeros(len(table), dtype=np.int64)
+
+    def update(self, rows: np.ndarray, grads: np.ndarray) -> None:
+        """One Adam step on ``table[rows]``; ``rows`` must be distinct.
+
+        ``grads[i]`` is the whole gradient of row ``rows[i]`` (callers
+        with repeated rows sum them first).  Under the numeric guard a
+        non-finite gradient or result raises ``NumericGuardError``.
+        """
+        if _sanitizer.ENABLED:
+            _sanitizer.check_update("LazyAdam.update", self, grad=grads)
+        step = self.step[rows]
+        step += 1
+        self.step[rows] = step
+        t = step.reshape(-1, *([1] * (grads.ndim - 1)))
+        # The one-line formulas, evaluated in the same order on gathered
+        # rows: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, then
+        # p -= (lr * m/bias1) / (sqrt(v/bias2) + eps), bias_i = 1 - b_i**t.
+        m = self.m[rows]
+        m *= BETA1
+        num = grads * (1 - BETA1)
+        m += num
+        self.m[rows] = m
+        v = self.v[rows]
+        v *= BETA2
+        np.multiply(grads, grads, out=num)
+        num *= 1 - BETA2
+        v += num
+        self.v[rows] = v
+        np.divide(m, 1 - BETA1**t, out=num)
+        num *= self.lr
+        den = np.divide(v, 1 - BETA2**t, out=v)
+        np.sqrt(den, out=den)
+        den += EPS
+        num /= den
+        p = self.table[rows]
+        p -= num
+        self.table[rows] = p
+        if _sanitizer.ENABLED:
+            _sanitizer.check_update("LazyAdam.update", self, update=p)
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """Copies of the table, both moments and the step counts."""
+        return {key: getattr(self, key).copy() for key in self.STATE_KEYS}
+
+    def load_state(self, state: Dict[str, np.ndarray]) -> None:
+        """Restore what :meth:`state` returned, in place.
+
+        Every key and shape is checked before anything is written, so a
+        refused state leaves the table and moments as they were.
+        """
+        for key in self.STATE_KEYS:
+            if key not in state:
+                raise KeyError(f"state for {self.name!r} is missing {key!r}")
+            expected = getattr(self, key).shape
+            if np.shape(state[key]) != expected:
+                raise ValueError(
+                    f"state[{key!r}] shape {np.shape(state[key])} != {expected}"
+                )
+        for key in self.STATE_KEYS:
+            getattr(self, key)[:] = state[key]

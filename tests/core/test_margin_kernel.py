@@ -4,9 +4,11 @@
 kernel's loss and its three gradients must agree with the tape to
 1e-10, and every guard the tape had (NaN-propagating loss, id range and
 shape errors, the numeric guard naming a stage, the op hook) must still
-fire.  The two whole-table passes the training step keeps — ``Adam.step``
-and ``Embedding.renormalize`` — were rewritten in place; the one-line
-formulas they replaced stay here and must give the same bytes.
+fire.  ``PKGMTrainer`` must track the tape driving a reference lazy Adam.
+The two whole-table passes of the dense path — ``Adam.step`` and
+``Embedding.renormalize`` — were rewritten in place; the one-line
+formulas they replaced stay here and must give the same bytes, and a
+renormalisation limited to some rows must give those rows the same bytes.
 """
 
 import numpy as np
@@ -146,7 +148,9 @@ class TestAgainstTheTape:
         assert_matches_tape(model, positives, negatives)
 
     def test_trainer_tracks_the_taped_loop(self):
-        """Three epochs of ``PKGMTrainer`` against the loop it used to be."""
+        """Three epochs of ``PKGMTrainer`` against the tape driving an
+        in-test lazy Adam and a projection of the entity rows it wrote
+        (of every entity row, before the first update)."""
         rng = np.random.default_rng(7)
         store = TripleStore(
             map(tuple, rng.integers(0, [30, 4, 30], size=(200, 3)))
@@ -155,7 +159,8 @@ class TestAgainstTheTape:
         model, twin = small_model(30, 4, 8, seed=1), small_model(30, 4, 8, seed=1)
         history = PKGMTrainer(model, config).train(store)
 
-        optimizer = Adam(twin.parameters(), lr=config.learning_rate)
+        max_norm = config.entity_max_norm
+        moments = [{} for _ in range(3)]
         sampler = EdgeSampler.with_uniform(
             store,
             batch_size=config.batch_size,
@@ -169,16 +174,47 @@ class TestAgainstTheTape:
         for _ in range(config.epochs):
             total = 0.0
             for batch in sampler.epoch():
-                optimizer.zero_grad()
+                twin.zero_grad()
                 loss = twin.margin_loss(batch.positives, batch.negatives)
                 loss.backward()
-                optimizer.step()
-                twin.renormalize_entities(config.entity_max_norm)
+                triples = np.concatenate([batch.positives, batch.negatives.reshape(-1, 3)])
+                entity_rows = np.unique(triples[:, [0, 2]])
+                relation_rows = np.unique(triples[:, 1])
+                rows = (entity_rows, relation_rows, relation_rows)
+                if not moments[1]:
+                    # The first update projects the whole table first.
+                    project_rows(twin, np.arange(30), max_norm)
+                for param, state, touched in zip(parameters(twin), moments, rows):
+                    reference_lazy_adam(
+                        param.data, state, touched, param.grad[touched],
+                        config.learning_rate,
+                    )
+                project_rows(twin, entity_rows, max_norm)
                 total += loss.item()
             losses.append(total / len(store))
         assert np.allclose(history.epoch_losses, losses, rtol=0.0, atol=1e-9)
         for ours, theirs in zip(parameters(model), parameters(twin)):
             assert np.allclose(ours.data, theirs.data, rtol=0.0, atol=1e-9)
+
+
+def reference_lazy_adam(table, state, rows, grads, lr):
+    """Adam on ``table[rows]`` only, each row with its own step count, at
+    Adam's published ``betas = (0.9, 0.999)`` and ``eps = 1e-8``."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for row, grad in zip(rows, grads):
+        t, m, v = state.get(row, (0, 0.0, 0.0))
+        t += 1
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad**2
+        state[row] = (t, m, v)
+        table[row] -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+
+
+def project_rows(model, rows, max_norm):
+    """TransE's ball constraint on the given entity rows, as a formula."""
+    table = model.triple_module.entity_embeddings.weight.data
+    norms = np.linalg.norm(table[rows], axis=1, keepdims=True)
+    table[rows] *= np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
 
 
 class TestGuards:
@@ -341,8 +377,9 @@ class TestInPlacePassesKeepTheBytes:
             assert not wide[:, 1::2].any()
 
     def test_a_parameter_listed_twice_is_stepped_twice(self):
-        """Pins ROADMAP [12](b)'s double step byte for byte until it is
-        fixed: both listings share one pair of moments and one ``t``."""
+        """A list that names a parameter twice steps it twice, sharing one
+        pair of moments and one ``t``: Adam takes the list it is given
+        (``Module.parameters`` lists each parameter once)."""
         rng = np.random.default_rng(5)
         shape = (BLOCK_ELEMENTS // 8 + 11, 8)
         param = Parameter(rng.normal(size=shape))
@@ -420,21 +457,24 @@ class TestInPlacePassesKeepTheBytes:
         assert np.array_equal(table.weight.data, expected, equal_nan=True)
         assert table.weight.data is data
 
-    def test_the_kept_gradient_equals_a_fresh_scatter(self):
-        """Two steps on disjoint rows: the second step's dense ``.grad``
-        holds nothing of the first's, and no table-sized array is made."""
-        model = small_model(30, 4, 8, seed=1)
-        trainer = PKGMTrainer(model, TrainerConfig(epochs=1))
-        batches = [
-            (np.array([[0, 0, 1], [2, 1, 3]]), np.array([[0, 0, 4], [5, 1, 3]])),
-            (np.array([[10, 2, 11], [12, 3, 13]]), np.array([[10, 2, 14], [15, 3, 13]])),
-        ]
-        kept = None
-        for positives, negatives in batches:
-            trainer._set_gradients(margin_step(model, positives, negatives).gradients())
-            expected = closed_form(model, positives, negatives)[1:]
-            for param, want in zip(parameters(model), expected):
-                assert np.array_equal(param.grad, want)
-            if kept is not None:
-                assert all(param.grad is array for param, array in zip(parameters(model), kept))
-            kept = [param.grad for param in parameters(model)]
+    def test_renormalize_some_rows_gives_them_the_whole_table_bytes(self):
+        """The rows listed end as the whole-table pass leaves them (a NaN
+        row included); every other row keeps its bytes."""
+        def table():
+            rng = np.random.default_rng(4)
+            embedding = Embedding(40, 6, rng=rng)
+            data = embedding.weight.data
+            data *= rng.uniform(0.0, 4.0, size=(40, 1))
+            data[7, 1] = np.nan
+            return embedding
+
+        some, whole = table(), table()
+        before = some.weight.data.copy()
+        rows = np.array([0, 3, 7, 8, 21, 39])
+        with np.errstate(invalid="ignore"):
+            some.renormalize(0.5, rows=rows)
+            whole.renormalize(0.5)
+        others = np.setdiff1d(np.arange(40), rows)
+        assert np.array_equal(some.weight.data[rows], whole.weight.data[rows], equal_nan=True)
+        assert np.array_equal(some.weight.data[others], before[others])
+        assert not np.array_equal(before[others], whole.weight.data[others])

@@ -20,7 +20,7 @@ from repro.core import (
     TrainerConfig,
     pretrain_pkgm,
 )
-from repro.kg import holdout_incompleteness
+from repro.kg import TripleStore, holdout_incompleteness
 from repro.nn import no_grad
 
 
@@ -66,6 +66,32 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainerConfig(negatives_per_edge=0)
 
+    def test_every_entity_row_is_inside_the_ball_after_every_step(self):
+        """Only the rows a step wrote are projected; the rest were put
+        inside the ball at the first step and stay there."""
+        max_norm, num_entities = 0.5, 200
+        rng = np.random.default_rng(3)
+        store = TripleStore(map(tuple, rng.integers(0, [20, 3, 20], size=(40, 3))))
+        model = PKGM(num_entities, 3, PKGMConfig(dim=8), rng=np.random.default_rng(1))
+        table = model.triple_module.entity_embeddings.weight.data
+        assert (np.linalg.norm(table, axis=1) > max_norm).all()
+        trainer = PKGMTrainer(
+            model, TrainerConfig(epochs=3, batch_size=8, entity_max_norm=max_norm)
+        )
+        update, written, steps = trainer._update, set(), []
+
+        def checked(grads):
+            update(grads)
+            written.update(grads.entity_rows.tolist())
+            norms = np.linalg.norm(table, axis=1)
+            assert (norms <= max_norm * (1 + 1e-12)).all()
+            steps.append(len(grads.entity_rows))
+
+        trainer._update = checked
+        trainer.train(store)
+        assert len(steps) == 15
+        assert len(written) < num_entities // 2
+
     @pytest.mark.parametrize("max_norm", [-1.0, 0.0, float("nan")])
     def test_non_positive_entity_max_norm_is_refused(self, max_norm):
         """Once accepted, -1.0 flipped the sign of every entity coordinate
@@ -84,15 +110,16 @@ class TestTraining:
         )
         assert [e for e, _ in seen] == [0, 1, 2]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP [12](b): PKGM shares its triple module, so Adam "
-        "steps the entity and relation tables twice per update",
-    )
     def test_optimizer_holds_distinct_parameters(self):
+        """One row-sparse Adam per table: the entity, relation and
+        transfer arrays the model holds, each once."""
         model = PKGM(10, 3, PKGMConfig(dim=4), rng=np.random.default_rng(0))
-        params = PKGMTrainer(model, TrainerConfig(epochs=1)).optimizer.parameters
-        assert len(params) == len({id(param) for param in params}) == 3
+        optimizer = PKGMTrainer(model, TrainerConfig(epochs=1)).optimizer
+        tables = [adam.table for adam in optimizer.values()]
+        assert len({id(table) for table in tables}) == 3
+        assert [id(table) for table in tables] == [
+            id(param.data) for param in model.parameters()
+        ]
 
 
 class TestServiceSemantics:

@@ -18,6 +18,21 @@ from repro.distributed import (
 from repro.kg import TripleStore
 
 
+def inline_push(table, m, v, step, rows, gradients, lr):
+    """``ParameterServer.push``'s update as it was written inline."""
+    unique, inverse = np.unique(rows, return_inverse=True)
+    accumulated = np.zeros((len(unique), *gradients.shape[1:]))
+    np.add.at(accumulated, inverse, gradients)
+    step[unique] += 1
+    t = step[unique].reshape(-1, *([1] * (gradients.ndim - 1)))
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m[unique] = beta1 * m[unique] + (1 - beta1) * accumulated
+    v[unique] = beta2 * v[unique] + (1 - beta2) * accumulated**2
+    m_hat = m[unique] / (1 - beta1**t)
+    v_hat = v[unique] / (1 - beta2**t)
+    table[unique] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 @pytest.fixture
 def server():
     ps = ParameterServer(num_shards=3, learning_rate=0.01)
@@ -103,6 +118,36 @@ class TestParameterServer:
         ps1.push("t", np.array([1, 1]), np.ones((2, 3)))
         ps2.push("t", np.array([1]), 2 * np.ones((1, 3)))
         assert np.allclose(ps1.snapshot("t"), ps2.snapshot("t"))
+
+    def test_push_equals_the_inline_formula_it_replaced(self):
+        """``push`` (and so ``LazyAdam.update``) against the formula the
+        server used to run inline, byte for byte: repeated rows in one
+        push, rows pushed at different rates, 2-D and 3-D tables."""
+        rng = np.random.default_rng(8)
+        shapes = {"entities": (50, 6), "matrices": (7, 3, 3)}
+        server = ParameterServer(num_shards=3, learning_rate=0.02)
+        reference = {}
+        for name, shape in shapes.items():
+            table = rng.normal(size=shape)
+            server.register(name, table)
+            reference[name] = (
+                table.copy(),
+                np.zeros(shape),
+                np.zeros(shape),
+                np.zeros(shape[0], dtype=np.int64),
+            )
+        for _ in range(40):
+            for name, shape in shapes.items():
+                # Low ids more often, so steps differ row to row.
+                rows = np.minimum(rng.geometric(0.15, size=12) - 1, shape[0] - 1)
+                assert len(np.unique(rows)) < len(rows)
+                grads = rng.normal(size=(len(rows), *shape[1:]))
+                server.push(name, rows, grads)
+                inline_push(*reference[name], rows, grads, 0.02)
+        for name in shapes:
+            state = server.state(name)
+            for key, want in zip(("table", "m", "v", "step"), reference[name]):
+                assert np.array_equal(state[key], want)
 
     def test_push_misaligned_raises(self, server):
         with pytest.raises(ValueError):

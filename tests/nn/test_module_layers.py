@@ -89,11 +89,6 @@ class TestModule:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP [12](b): named_parameters yields a shared "
-        "submodule's parameters once per path",
-    )
     def test_a_shared_submodule_yields_each_parameter_once(self):
         model = Module()
         model.left = model.right = Linear(2, 2, rng=np.random.default_rng(0))

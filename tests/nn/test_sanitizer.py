@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn import (
     Adam,
+    LazyAdam,
     NumericGuardError,
     Parameter,
     Tensor,
@@ -120,6 +121,22 @@ class TestOptimizerGuard:
             with pytest.raises(NumericGuardError) as info:
                 opt.step()
         assert info.value.op == "Adam.step"
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_lazy_adam_update(self, poison):
+        """The row-sparse update guards its input as ``Adam.step`` does,
+        and refuses before writing a row."""
+        table = np.arange(12.0).reshape(4, 3)
+        adam = LazyAdam(table, lr=0.1, name="entities")
+        grads = np.ones((2, 3))
+        grads[1, 2] = poison
+        with sanitizer.guard():
+            with pytest.raises(NumericGuardError) as info:
+                adam.update(np.array([0, 2]), grads)
+        assert info.value.op == "LazyAdam.update"
+        assert "'entities'" in str(info.value)
+        assert np.array_equal(table, np.arange(12.0).reshape(4, 3))
+        assert not adam.step.any()
 
     def test_finite_step_passes(self):
         param = Parameter(np.array([1.0]))

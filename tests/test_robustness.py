@@ -23,6 +23,7 @@ from repro.distributed import DistributedConfig, DistributedPKGMTrainer
 from repro.kg import TripleStore
 from repro.nn import no_grad
 from repro.reliability import CrashEvent, FaultPlan, RetryPolicy
+from repro.reliability.checkpoint import CheckpointManager, rng_state
 from repro.store import EmbeddingStore
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -264,6 +265,55 @@ class TestChaosTraining:
             _chaos_model(), _chaos_config(8), checkpoint_dir=tmp_path
         ).train(store)
         assert np.allclose(full, resumed)
+
+    def test_both_trainers_checkpoint_one_layout(self, tmp_path):
+        store = _chaos_store()
+        PKGMTrainer(
+            _chaos_model(),
+            TrainerConfig(epochs=1, batch_size=32, seed=CHAOS_SEED),
+            checkpoint_dir=tmp_path / "single",
+        ).train(store)
+        DistributedPKGMTrainer(
+            _chaos_model(), _chaos_config(1), checkpoint_dir=tmp_path / "ps"
+        ).train(store)
+        single, metadata = CheckpointManager(tmp_path / "single").load()
+        distributed, _ = CheckpointManager(tmp_path / "ps").load()
+        assert sorted(single) == sorted(distributed) == sorted(
+            f"{name}.{key}"
+            for name in ("entities", "relations", "matrices")
+            for key in ("table", "m", "v", "step")
+        )
+        assert sorted(metadata) == ["epoch", "losses", "rng"]
+
+    def test_a_checkpoint_in_the_old_layout_is_refused(self, tmp_path):
+        """Dense Adam's per-parameter keys (``param0`` ...) and its global
+        ``adam_step`` cannot seed per-row step counts: the resume names the
+        first array it lacks and leaves the model as it was."""
+        model = _chaos_model()
+        params = [param.data for param in model.parameters()]
+        arrays = {}
+        for index, table in enumerate(params + params[:2]):
+            arrays[f"param{index}"] = table
+            arrays[f"m{index}"] = arrays[f"v{index}"] = np.zeros_like(table)
+        CheckpointManager(tmp_path).save(
+            2,
+            arrays,
+            metadata={
+                "epoch": 2,
+                "adam_step": 18,
+                "rng": rng_state(np.random.default_rng(0)),
+                "losses": [1.0, 0.5],
+            },
+        )
+        trainer = PKGMTrainer(
+            model,
+            TrainerConfig(epochs=4, batch_size=32, seed=CHAOS_SEED),
+            checkpoint_dir=tmp_path,
+        )
+        before = [table.copy() for table in params]
+        with pytest.raises(KeyError, match="entities.table"):
+            trainer.train(_chaos_store())
+        assert all(np.array_equal(a, b) for a, b in zip(params, before))
 
     def test_killed_single_process_run_resumes_bit_exactly(self, tmp_path):
         """PKGMTrainer: kill after 3 of 6 epochs, resume, same result."""

@@ -103,9 +103,10 @@ echo "store and one-page-store answers are the resident bytes at seeds 0 and 13"
 
 echo
 echo "== trained bytes (tools/trained_bytes.py, byte-diffed) =="
-# The training twin of the served-bytes gate: the three tables, both
-# Adam moments and every per-shard loss after 30 PKGMTrainer shards, and
-# one NCF fit with weight decay, must print the same digests on a rerun.
+# The training twin of the served-bytes gate: the three tables, each
+# table's row-sparse Adam state (m, v and the per-row step counts) and
+# every per-shard loss after 30 PKGMTrainer shards, and one NCF fit with
+# weight decay, must print the same digests on a rerun.
 # Run with PYTHONPATH at a parent checkout's src to compare two commits.
 for seed in 0 13; do
     byte_gate "trained$seed" "" python tools/trained_bytes.py --seed "$seed"

@@ -5,8 +5,8 @@ equal lines = same trained bytes.  Trains one ``PKGMTrainer`` (d = 32,
 Adam lr 1e-2, one epoch per call) on ``SHARDS`` = 30 seeded, disjoint
 500-triple shards of the catalog ``train_epoch`` trains on, one
 ``train`` call per shard, then prints digests of the entity, relation
-and transfer tables, of Adam's two moments (every listed parameter, in
-order) and of the per-shard losses.  Last, one NCF fit with weight
+and transfer tables, of the row-sparse Adam state of each (both moments
+and the per-row step counts) and of the per-shard losses.  Last, one NCF fit with weight
 decay on seeded interactions over the same catalog, digested over its
 parameters in name order.  To compare with another commit, point
 ``PYTHONPATH`` at that checkout's ``src``.
@@ -64,7 +64,7 @@ def train_pkgm(catalog, seed: int):
     losses = [
         trainer.train(stores[index % len(stores)]).final_loss for index in range(SHARDS)
     ]
-    return model, trainer.optimizer.state_dict(), losses
+    return model, trainer.optimizer, losses
 
 
 def fit_ncf(catalog, seed: int):
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     catalog = generate_catalog(
         CatalogConfig(num_categories=24, products_per_category=120, seed=2021)
     )
-    model, state, losses = train_pkgm(catalog, args.seed)
+    model, optimizer, losses = train_pkgm(catalog, args.seed)
     tables = {
         "entity_table": model.triple_module.entity_embeddings.weight.data,
         "relation_table": model.triple_module.relation_embeddings.weight.data,
@@ -93,9 +93,9 @@ def main(argv=None) -> int:
     }
     for name, table in tables.items():
         print(f"pkgm {name:16s} {digest([table])}")
-    print(f"pkgm {'adam.step':16s} {state['step']}")
-    print(f"pkgm {'adam.m':16s} {digest(state['m'])}")
-    print(f"pkgm {'adam.v':16s} {digest(state['v'])}")
+    for name, adam in optimizer.items():
+        for key in ("m", "v", "step"):
+            print(f"pkgm {name + '.' + key:16s} {digest([getattr(adam, key)])}")
     print(f"pkgm {'losses':16s} {digest([np.asarray(losses)])}")
     print(f"pkgm {'final_loss':16s} {losses[-1]!r}")
     ncf = fit_ncf(catalog, args.seed)
