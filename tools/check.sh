@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 tests, then the repo's own linter.
 #
-# Usage: tools/check.sh   (run from the repository root)
+# Usage: tools/check.sh             (run from the repository root)
+#        tools/check.sh --rebless   (rewrite tools/golden/ and stop)
 #
 # Fails fast: a test failure stops the run before lint; any lint
 # finding fails the gate.
@@ -14,12 +15,11 @@ export PYTHONPATH=src
 # documented fault sequence (override to explore other seeds).
 export REPRO_CHAOS_SEED="${REPRO_CHAOS_SEED:-0}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q
-
-echo
-echo "== chaos tests (REPRO_CHAOS_SEED=$REPRO_CHAOS_SEED) =="
-python -m pytest -x -q "tests/test_robustness.py::TestChaosTraining" tests/reliability
+case "${1:-}" in
+    "") REBLESS=0 ;;
+    --rebless) REBLESS=1 ;;
+    *) echo "usage: tools/check.sh [--rebless]" >&2; exit 2 ;;
+esac
 
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
@@ -41,6 +41,80 @@ byte_gate() {
     diff "$OBS_TMP/${name}1.txt" "$OBS_TMP/${name}2.txt" || return
     [ -z "$verdict" ] || grep -q "$verdict" "$OBS_TMP/${name}1.txt"
 }
+
+# golden <name>
+# Hold the first run of byte_gate <name> to tools/golden/<name>.txt: a
+# moved line prints a unified diff and fails, unless the gate was run
+# with --rebless, which rewrites the golden instead.  A golden blessed
+# under another numpy / machine / BLAS fingerprint is skipped with a
+# notice (tools/golden.py).
+golden() {
+    if [ "$REBLESS" = 1 ]; then
+        python tools/golden.py bless "$1" "$OBS_TMP/${1}1.txt"
+    else
+        python tools/golden.py compare "$1" "$OBS_TMP/${1}1.txt"
+    fi
+}
+
+# The served and trained halves of the goldens: what a server answers
+# and what training writes, each run twice and then held to the bytes
+# committed under tools/golden/.  A change that moves them on purpose
+# reblesses them in the same commit, so its diff shows the lines.
+golden_gates() {
+    echo
+    echo "== served bytes (tools/served_bytes.py, byte-diffed, path to path, golden) =="
+    # Every call kind answered from the store — through a 64-page cache and
+    # through a one-page cache that evicts on every page — must hash to the
+    # resident server's digest for that kind, at seeds 0 and 13.
+    local seed
+    for seed in 0 13; do
+        byte_gate "served_seed$seed" "" python tools/served_bytes.py --seed "$seed" --calls 4
+        served_paths_agree "$seed"
+        golden "served_seed$seed"
+    done
+    echo "store and one-page-store answers are the resident bytes at seeds 0 and 13"
+
+    echo
+    echo "== trained bytes (tools/trained_bytes.py, byte-diffed, golden) =="
+    # The training twin of the served-bytes gate: the three tables, each
+    # table's row-sparse Adam state (m, v and the per-row step counts) and
+    # every per-shard loss after 30 PKGMTrainer shards, and one NCF fit with
+    # weight decay.
+    for seed in 0 13; do
+        byte_gate "trained_seed$seed" "" python tools/trained_bytes.py --seed "$seed"
+        golden "trained_seed$seed"
+    done
+    echo "trained bytes are identical across reruns at seeds 0 and 13"
+}
+
+# served_paths_agree <seed>
+# Paths are compared with each other as well as with the goldens, so a
+# golden skipped for its fingerprint still leaves the paths held equal.
+served_paths_agree() {
+    awk '$NF ~ /^[0-9a-f]+$/ && length($NF) == 64 {
+            kind = $0
+            sub(/^[^ ]+ +/, "", kind)
+            sub(/ +[0-9a-f]+$/, "", kind)
+            if ($1 == "resident") { want[kind] = $NF; kinds++; next }
+            checked++
+            if (want[kind] != $NF) { print "seed '"$1"': " $1 " " kind " differs from resident"; bad++ }
+        }
+        END { exit (bad || kinds == 0 || checked != 2 * kinds) }' "$OBS_TMP/served_seed${1}1.txt"
+}
+
+if [ "$REBLESS" = 1 ]; then
+    golden_gates
+    echo
+    echo "check.sh --rebless: tools/golden/ rewritten; review git diff tools/golden"
+    exit 0
+fi
+
+echo "== tier-1 tests =="
+python -m pytest -x -q
+
+echo
+echo "== chaos tests (REPRO_CHAOS_SEED=$REPRO_CHAOS_SEED) =="
+python -m pytest -x -q "tests/test_robustness.py::TestChaosTraining" tests/reliability
 
 echo
 echo "== overload smoke (repro loadtest, byte-diffed) =="
@@ -76,42 +150,7 @@ byte_gate search "" python -m repro.cli index search --preset smoke --kind ivf
 byte_gate search_flat "" python -m repro.cli index search --preset smoke --kind flat
 echo "index snapshots and search results are byte-identical across reruns"
 
-echo
-echo "== served bytes, path to path (tools/served_bytes.py) =="
-# Every call kind answered from the store — through a 64-page cache and
-# through a one-page cache that evicts on every page — must hash to the
-# resident server's digest for that kind.  Paths are compared with each
-# other, not with frozen digests, so a change to what is served (a new
-# kernel, a narrower dtype) still has to agree across paths.
-# served_paths_agree <seed>
-served_paths_agree() {
-    python tools/served_bytes.py --seed "$1" --calls 4 > "$OBS_TMP/served$1.txt" || return
-    awk '$NF ~ /^[0-9a-f]+$/ && length($NF) == 64 {
-            kind = $0
-            sub(/^[^ ]+ +/, "", kind)
-            sub(/ +[0-9a-f]+$/, "", kind)
-            if ($1 == "resident") { want[kind] = $NF; kinds++; next }
-            checked++
-            if (want[kind] != $NF) { print "seed '"$1"': " $1 " " kind " differs from resident"; bad++ }
-        }
-        END { exit (bad || kinds == 0 || checked != 2 * kinds) }' "$OBS_TMP/served$1.txt"
-}
-for seed in 0 13; do
-    served_paths_agree "$seed"
-done
-echo "store and one-page-store answers are the resident bytes at seeds 0 and 13"
-
-echo
-echo "== trained bytes (tools/trained_bytes.py, byte-diffed) =="
-# The training twin of the served-bytes gate: the three tables, each
-# table's row-sparse Adam state (m, v and the per-row step counts) and
-# every per-shard loss after 30 PKGMTrainer shards, and one NCF fit with
-# weight decay, must print the same digests on a rerun.
-# Run with PYTHONPATH at a parent checkout's src to compare two commits.
-for seed in 0 13; do
-    byte_gate "trained$seed" "" python tools/trained_bytes.py --seed "$seed"
-done
-echo "trained bytes are identical across reruns at seeds 0 and 13"
+golden_gates
 
 echo
 echo "== storage chaos (repro store, byte-diffed recovery) =="
