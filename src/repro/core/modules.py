@@ -137,5 +137,5 @@ class RelationQueryModule(Module):
         h = self.triple_module.entity_embeddings.weight.data[heads]
         r = self.triple_module.relation_embeddings.weight.data[relations]
         matrices = self.transfer_matrices.data[relations]
-        transformed = np.einsum("...ij,...j->...i", matrices, h)
+        transformed = np.matvec(matrices, h)
         return transformed - r

@@ -22,6 +22,7 @@ the paper's data-independence property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -113,8 +114,8 @@ def _index_arrays(
 
 #: Pairs per relation held from which sorting a call's pairs by relation
 #: beats copying a matrix per pair — blocks at k = 10, R = 17, d = 32, ms
-#: gathered / grouped: 14 items 0.118 / 0.151, 16 0.151 / 0.153, 20 0.223 / 0.172.
-_GROUP_AT_PAIRS_PER_RELATION = 10
+#: gathered / grouped: 16 items 0.119 / 0.128, 20 0.155 / 0.148, 24 0.210 / 0.154.
+_GROUP_AT_PAIRS_PER_RELATION = 12
 
 
 class PKGMServer:
@@ -208,24 +209,30 @@ class PKGMServer:
 
         Few pairs per relation: gather one matrix per pair.  Otherwise
         stable-sort the pairs by relation, gather each *distinct* matrix
-        once and reduce a run of pairs at a time (``MarginStep``'s forward
-        shape).  An output row is the same einsum reduction either way.
+        once and project a run of pairs at a time (``MarginStep``'s forward
+        shape).  An output row is the same ``np.matvec`` of its own matrix
+        and head either way, so no row depends on what else the call holds.
         """
         if relations.size < _GROUP_AT_PAIRS_PER_RELATION * self.num_relations:
-            return np.einsum("...ij,...j->...i", self._transfer[relations], h)
+            return np.matvec(self._transfer[relations], h)
         shape = np.broadcast_shapes(h.shape[:-1], relations.shape)
         rels = np.broadcast_to(relations, shape).reshape(-1)
-        order = np.argsort(rels, kind="stable")
+        # A stable sort has one answer whatever the key's width; a key
+        # as narrow as the relation ids sorts by radix.
+        key = rels.astype(np.min_scalar_type(self.num_relations))
+        order = np.argsort(key, kind="stable")
         rels = rels[order]
-        heads = np.broadcast_to(h, shape + (self.dim,))[np.unravel_index(order, shape)]
+        head_rows = np.arange(math.prod(h.shape[:-1])).reshape(h.shape[:-1])
+        head_rows = np.broadcast_to(head_rows, shape).reshape(-1)[order]
+        heads = np.take(h.reshape(-1, self.dim), head_rows, axis=0)
         bounds = np.r_[0, np.flatnonzero(rels[1:] != rels[:-1]) + 1, len(rels)]
         grouped = np.empty_like(heads)
         runs = zip(self._transfer[rels[bounds[:-1]]], bounds[:-1], bounds[1:])
         for matrix, lo, hi in runs:
-            np.einsum("ij,nj->ni", matrix, heads[lo:hi], out=grouped[lo:hi])
-        transformed = np.empty(shape + (self.dim,), dtype=grouped.dtype)
-        transformed.reshape(-1, self.dim)[order] = grouped
-        return transformed
+            np.matvec(matrix, heads[lo:hi], out=grouped[lo:hi])
+        unsort = np.empty_like(order)
+        unsort[order] = np.arange(order.size)
+        return np.take(grouped, unsort, axis=0).reshape(shape + (self.dim,))
 
     # ------------------------------------------------------------------
     # Item-level service with key relations
@@ -239,8 +246,8 @@ class PKGMServer:
         One key-relation lookup, then one gather per table: B heads,
         B·k relation rows, and a matrix per pair of a small block or per
         *distinct* key relation of a large one (:meth:`_project`).  The
-        arithmetic is the per-item formulas' — a broadcast add, an einsum
-        reduction per row — so each row is bit-identical to ``S_T``/``S_R``
+        arithmetic is the per-item formulas' — a broadcast add, a matvec
+        per row — so each row is bit-identical to ``S_T``/``S_R``
         of that item alone.  An id is judged once: the lookup raises
         ``KeyError`` for an item the table does not hold, the gathers
         ``IndexError`` for a row a table does not have.

@@ -1,7 +1,7 @@
 """The block kernel against the per-item formulas it replaced.
 
 ``reference_serve`` is the per-item service code ``PKGMServer.serve``
-used to be — ``E[h] + R[r]`` and ``einsum(T[r], E[h]) − R[r]`` over an
+used to be — ``E[h] + R[r]`` and ``matvec(T[r], E[h]) − R[r]`` over an
 item's key relations, every head repeated k times.  Every serve-shaped
 method must equal it byte for byte, on a resident server and on
 ``from_store`` with a one-page cache, for id batches with duplicates,
@@ -38,7 +38,7 @@ ITEMS = list(range(1, 37, 2))
 #: knows the entity, but its category has no key relations.
 UNANSWERABLE = 40
 #: Pairs in a call from which this fixture's projections are grouped by
-#: relation: the ``ITEMS``-wide block (54 pairs) is, a 7-item one is not.
+#: relation: a block of ``ITEMS`` twice (108 pairs) is, ``ITEMS`` once (54) is not.
 GROUPS_AT = _GROUP_AT_PAIRS_PER_RELATION * RELATIONS
 
 
@@ -48,9 +48,7 @@ def reference_serve(tables, key_table, item):
     relations = np.asarray(key_table[item], dtype=np.int64)
     heads = np.full(len(relations), item, dtype=np.int64)
     triple = entity_table[heads] + relation_table[relations]
-    transformed = np.einsum(
-        "...ij,...j->...i", transfer[relations], entity_table[heads]
-    )
+    transformed = np.matvec(transfer[relations], entity_table[heads])
     return relations, triple, transformed - relation_table[relations]
 
 
@@ -388,8 +386,8 @@ class TestOnlyTheEntityTableIsPaged:
             refused = [answer for answer in scored[:half] if isinstance(answer, tuple)]
             assert 0 < len(refused) < half
             assert {answer[0] for answer in refused} == {table}
-            assert outcome(server.serve_sequence_batch, ITEMS) == outcome(
-                views.serve_sequence_batch, ITEMS
+            assert outcome(server.serve_sequence_batch, ITEMS * 2) == outcome(
+                views.serve_sequence_batch, ITEMS * 2
             )
         finally:
             server.store.close()

@@ -20,6 +20,7 @@ from repro.core import KeyRelationSelector, PKGM, PKGMConfig, PKGMServer
 from repro.data import CatalogConfig, generate_catalog
 
 from .test_service_block import (  # the fixtures are used by name
+    DIM,
     ENTITIES,
     GROUPS_AT,
     ITEMS,
@@ -44,10 +45,8 @@ BLOCKS = [1, GROUPS_AT // K, GROUPS_AT // K + 1, 40, 256]
 
 def formula(resident, heads, relations):
     """``M_r h − r`` as the raw service computed it before it had a choice."""
-    transformed = np.einsum(
-        "...ij,...j->...i",
-        resident.transfer_tensor[relations],
-        resident.entity_table[heads],
+    transformed = np.matvec(
+        resident.transfer_tensor[relations], resident.entity_table[heads]
     )
     return transformed - resident.relation_table[relations]
 
@@ -216,3 +215,49 @@ def test_the_page_cache_sees_the_traffic_it_saw(tmp_path):
         "page_evictions": 1999,
         "page_hits": 23_743,
     }
+
+
+class TestOneFormulaForSR:
+    """``S_R = M_r h − r`` is one ``np.matvec`` per pair wherever it is
+    computed; ``einsum`` stays here only as the numeric reference."""
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_the_model_serves_the_servers_bytes(self, selector, size):
+        model = PKGM(
+            ENTITIES, RELATIONS, PKGMConfig(dim=DIM), rng=np.random.default_rng(0)
+        )
+        server = PKGMServer(model, selector)
+        rng = np.random.default_rng(size)
+        heads = rng.integers(0, ENTITIES, size)
+        relations = rng.integers(0, RELATIONS, size)
+        assert np.array_equal(
+            model.service_relation(heads, relations),
+            server.relation_service(heads, relations),
+        )
+
+    def test_a_bulk_block_is_the_einsum_formula_to_1e_13(self):
+        """A seeded 256-item block at ``bulk_ram``'s shape (k = 10, d = 32,
+        17 relations), grouped by relation, against the einsum it replaced."""
+        catalog = generate_catalog(
+            CatalogConfig(num_categories=24, products_per_category=20, seed=2021)
+        )
+        model = PKGM(
+            len(catalog.entities),
+            len(catalog.relations),
+            PKGMConfig(dim=32),
+            rng=np.random.default_rng(4),
+        )
+        categories = {item.entity_id: item.category_id for item in catalog.items}
+        server = PKGMServer(model, KeyRelationSelector(catalog.store, categories, k=10))
+        items = np.asarray(server.known_items())
+        ids = items[np.random.default_rng(4).integers(0, len(items), 256)]
+        relations = np.stack([server.serve(int(item)).key_relations for item in ids])
+        heads = np.repeat(ids[:, None], 10, axis=1)
+        einsum = np.einsum(
+            "...ij,...j->...i",
+            server.transfer_tensor[relations],
+            server.entity_table[heads],
+        )
+        expected = einsum - server.relation_table[relations]
+        served = server.serve_sequence_batch(ids)[:, 10:]
+        assert np.allclose(served, expected, rtol=0.0, atol=1e-13)

@@ -12,9 +12,10 @@ opened with ``cache_pages=1`` (``store1``), which evicts on every page;
 then the ``store`` path's page faults, hits, bytes read, evictions and
 quarantined reads after all of them.
 Every path must print the resident digest of each call kind
-(``tools/check.sh`` fails otherwise).  To compare with another commit,
-point ``PYTHONPATH`` at that checkout's ``src``: equal lines = same bytes
-and same store counters.
+(``tools/check.sh`` fails otherwise), and at seeds 0 and 13 the whole
+output must equal ``tools/golden/served_seed{0,13}.txt``.  To compare
+with another commit, point ``PYTHONPATH`` at that checkout's ``src``:
+equal lines = same bytes and same store counters.
 
 Usage:  PYTHONPATH=src python tools/served_bytes.py --seed 0 --calls 4
 """

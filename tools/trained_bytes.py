@@ -8,8 +8,9 @@ Adam lr 1e-2, one epoch per call) on ``SHARDS`` = 30 seeded, disjoint
 and transfer tables, of the row-sparse Adam state of each (both moments
 and the per-row step counts) and of the per-shard losses.  Last, one NCF fit with weight
 decay on seeded interactions over the same catalog, digested over its
-parameters in name order.  To compare with another commit, point
-``PYTHONPATH`` at that checkout's ``src``.
+parameters in name order.  ``tools/check.sh`` holds the output at
+seeds 0 and 13 to ``tools/golden/trained_seed{0,13}.txt``.  To compare
+with another commit, point ``PYTHONPATH`` at that checkout's ``src``.
 
 Usage:  PYTHONPATH=src python tools/trained_bytes.py --seed 0
 """
