@@ -15,9 +15,10 @@ export PYTHONPATH=src
 # documented fault sequence (override to explore other seeds).
 export REPRO_CHAOS_SEED="${REPRO_CHAOS_SEED:-0}"
 
+# What the golden gates do with tools/golden/: compare, or rewrite.
 case "${1:-}" in
-    "") REBLESS=0 ;;
-    --rebless) REBLESS=1 ;;
+    "") GOLDEN=compare ;;
+    --rebless) GOLDEN=bless ;;
     *) echo "usage: tools/check.sh [--rebless]" >&2; exit 2 ;;
 esac
 
@@ -49,11 +50,7 @@ byte_gate() {
 # under another numpy / machine / BLAS fingerprint is skipped with a
 # notice (tools/golden.py).
 golden() {
-    if [ "$REBLESS" = 1 ]; then
-        python tools/golden.py bless "$1" "$OBS_TMP/${1}1.txt"
-    else
-        python tools/golden.py compare "$1" "$OBS_TMP/${1}1.txt"
-    fi
+    python tools/golden.py "$GOLDEN" "$1" "$OBS_TMP/${1}1.txt"
 }
 
 # The served and trained halves of the goldens: what a server answers
@@ -102,7 +99,7 @@ served_paths_agree() {
         END { exit (bad || kinds == 0 || checked != 2 * kinds) }' "$OBS_TMP/served_seed${1}1.txt"
 }
 
-if [ "$REBLESS" = 1 ]; then
+if [ "$GOLDEN" = bless ]; then
     golden_gates
     echo
     echo "check.sh --rebless: tools/golden/ rewritten; review git diff tools/golden"
