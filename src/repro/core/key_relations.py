@@ -16,8 +16,7 @@ padding choice is covered by tests and called out in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -36,43 +35,85 @@ class KeyRelationSelector:
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self._item_to_category = dict(item_to_category)
-        self._table = self._build_table(store)
+        count = len(item_to_category)
+        items = np.fromiter(item_to_category, np.int64, count)
+        of_item = np.fromiter(item_to_category.values(), np.int64, count)
+        order = np.argsort(items)
+        # Items ascending beside their category ids.
+        self._items, self._item_category = items[order], of_item[order]
+        category_ids, category_of_item = np.unique(
+            self._item_category, return_inverse=True
+        )
+        observed, self._rows = self._rank(store, category_of_item, len(category_ids))
+        self._categories = category_ids[observed]
+        # Each item's row of ``_rows``; -1 when its category has none.
+        row_of_category = np.full(len(category_ids), -1)
+        row_of_category[observed] = np.arange(len(observed))
+        self._row_of_item = row_of_category[category_of_item]
 
-    def _build_table(self, store: TripleStore) -> Dict[int, List[int]]:
-        frequency: Dict[int, Counter] = defaultdict(Counter)
-        for entity_id, category_id in self._item_to_category.items():
-            for triple in store.triples_with_head(entity_id):
-                frequency[category_id][triple.relation] += 1
+    def _rank(
+        self, store: TripleStore, category_of_item: np.ndarray, num_categories: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The categories with observed relations, as ascending indexes
+        into the items' sorted category ids, beside their (C, k) key
+        relations.
 
-        table: Dict[int, List[int]] = {}
-        for category_id, counts in frequency.items():
-            # Sort by frequency desc, then relation id asc for determinism.
-            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            chosen = [relation for relation, _ in ranked[: self.k]]
-            if not chosen:
-                continue
-            while len(chosen) < self.k:  # pad rare categories by cycling
-                chosen.append(chosen[len(chosen) % len(ranked)])
-            table[category_id] = chosen
-        return table
+        Each triple whose head is an item counts once for (the item's
+        category, its relation).  A category ranks its relations by count
+        descending, then relation id ascending, and one with L < k
+        relations repeats its ranking cyclically: row position j holds
+        rank j % L.  Categories are counted by their index and relations
+        by their offset from the smallest, so nothing is sized by an id.
+        """
+        triples = store.to_array()
+        heads, relations = triples[:, 0], triples[:, 1]
+        # An item's triples mostly arrive together: look each run of one
+        # head up once, then spread its category over the run.  A head
+        # that is not an item gets category index ``num_categories``.
+        first = np.flatnonzero(np.diff(heads, prepend=heads[:1] - 1))
+        run_heads = heads[first]
+        rows = self._items.searchsorted(run_heads)
+        # Row N (past the last item) is "not an item" whatever the padding
+        # it is compared with.
+        hit = np.append(self._items, 0)[rows] == run_heads
+        rows[~hit] = len(self._items)
+        category = np.repeat(
+            np.append(category_of_item, num_categories)[rows],
+            np.diff(first, append=len(heads)),
+        )
+        low = int(relations.min(initial=0))
+        span = int(relations.max(initial=0)) - low + 1
+        if (num_categories + 1) * span > np.iinfo(np.int64).max:
+            raise OverflowError("(category, relation) keys do not fit in int64")
+        # One count over (category, relation) pairs, then each category's
+        # pairs ranked by (-count, relation id) into one contiguous run.
+        pairs, counts = np.unique(category * span + (relations - low), return_counts=True)
+        category, relation = np.divmod(pairs, span)
+        ranked = np.lexsort((relation, -counts, category))
+        ranked = ranked[category[ranked] < num_categories]
+        category, relation = category[ranked], relation[ranked]
+        starts = np.flatnonzero(np.diff(category, prepend=-1))
+        lengths = np.diff(starts, append=len(category))
+        cycle = np.arange(self.k) % lengths[:, None]
+        return category[starts], low + relation[starts[:, None] + cycle]
 
     def categories(self) -> List[int]:
         """Categories with at least one observed relation."""
-        return sorted(self._table)
+        return self._categories.tolist()
 
     def for_category(self, category_id: int) -> List[int]:
         """The k key relation ids of ``category_id``."""
-        if category_id not in self._table:
+        row = self._categories.searchsorted(category_id)
+        if row == len(self._categories) or self._categories[row] != category_id:
             raise KeyError(f"category {category_id} has no observed relations")
-        return list(self._table[category_id])
+        return self._rows[row].tolist()
 
     def for_item(self, entity_id: int) -> List[int]:
         """The k key relation ids of the item's category."""
-        category_id = self._item_to_category.get(entity_id)
-        if category_id is None:
+        row = self._items.searchsorted(entity_id)
+        if row == len(self._items) or self._items[row] != entity_id:
             raise KeyError(f"entity {entity_id} is not a known item")
-        return self.for_category(category_id)
+        return self.for_category(self._item_category[row])
 
     def for_items(self, entity_ids: Sequence[int]) -> np.ndarray:
         """Key relations for a batch of items, shape (batch, k)."""
@@ -81,23 +122,15 @@ class KeyRelationSelector:
     def items(self) -> List[int]:
         """All known item entity ids, ascending (public: serialization
         and fallback computation must not reach into internals)."""
-        return sorted(self._item_to_category)
+        return self._items.tolist()
 
     def freeze(self) -> "KeyRelationTable":
         """The selection as the table a server holds: one row per item
         whose category has observed relations (an item of any other
         category cannot be answered for, so it is not in the table)."""
-        categories = self.categories()
-        rows = np.asarray(
-            [self._table[category] for category in categories], dtype=np.int64
-        ).reshape(-1, self.k)
-        count = len(self._item_to_category)
-        items = np.fromiter(self._item_to_category, np.int64, count)
-        of_item = np.fromiter(self._item_to_category.values(), np.int64, count)
-        answerable = np.isin(of_item, categories)
+        answerable = self._row_of_item >= 0
         return KeyRelationTable(
-            items[answerable],
-            rows[np.searchsorted(categories, of_item[answerable])],
+            self._items[answerable], self._rows[self._row_of_item[answerable]]
         )
 
 

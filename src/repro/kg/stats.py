@@ -41,15 +41,16 @@ def kg_statistics(
     relations: RelationVocabulary,
 ) -> KGStatistics:
     """Compute Table II statistics for a product KG."""
-    item_ids = entities.item_ids()
-    triples_per_item = [len(store.triples_with_head(i)) for i in item_ids]
+    item_ids = np.asarray(entities.item_ids(), dtype=np.int64)
+    heads = store.to_array()[:, 0]
+    triples_per_item = np.bincount(heads, minlength=len(entities))[item_ids]
     relation_freq = list(store.relation_counts().values())
     return KGStatistics(
         num_items=entities.num_items,
         num_entities=len(entities),
         num_relations=len(relations),
         num_triples=len(store),
-        mean_triples_per_item=float(np.mean(triples_per_item)) if triples_per_item else 0.0,
+        mean_triples_per_item=float(np.mean(triples_per_item)) if len(item_ids) else 0.0,
         median_relation_frequency=float(np.median(relation_freq)) if relation_freq else 0.0,
     )
 

@@ -230,6 +230,13 @@ class TestKeyRelationSelector:
         batch = selector.for_items(ids)
         assert batch.shape == (7, selector.k)
 
+    def test_frozen_for_items_is_each_items_category(self, catalog, selector):
+        items = catalog.items[:7]
+        ids = np.asarray([item.entity_id for item in items], dtype=np.int64)
+        batch = selector.freeze().for_items(ids)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == [selector.for_category(item.category_id) for item in items]
+
     def test_unknown_item_raises(self, selector):
         with pytest.raises(KeyError):
             selector.for_item(10**9)

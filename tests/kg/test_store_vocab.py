@@ -115,7 +115,35 @@ class TestTripleStore:
         assert (0, 10, 100) in small_store
 
     def test_to_array_empty(self):
-        assert TripleStore().to_array().shape == (0, 3)
+        arr = TripleStore().to_array()
+        assert arr.shape == (0, 3)
+        assert arr.dtype == np.int64
+
+    def test_to_array_is_fresh_writable_in_insertion_order(self, small_store):
+        small_store.add(-7, 2**40, 5)
+        arr = small_store.to_array()
+        assert arr.dtype == np.int64
+        assert arr.flags.writeable and arr.flags.owndata
+        assert arr.tolist() == [[0, 10, 100], [0, 11, 101], [1, 10, 100], [-7, 2**40, 5]]
+        assert arr.tolist() == [list(t) for t in small_store]
+        assert not np.shares_memory(arr, small_store.to_array())
+
+    def test_writing_into_to_array_changes_nothing(self, small_store):
+        arr = small_store.to_array()
+        arr[:] = -1
+        assert small_store.to_array().tolist() == [[0, 10, 100], [0, 11, 101], [1, 10, 100]]
+        assert (0, 10, 100) in small_store
+        assert small_store.add(3, 10, 100)
+        assert small_store.to_array()[-1].tolist() == [3, 10, 100]
+        assert (arr == -1).all()
+
+    def test_rejected_duplicate_leaves_the_column(self, small_store):
+        before = small_store.to_array()
+        assert not small_store.add(1, 10, 100)
+        assert not small_store.add_all([(0, 11, 101), (0, 10, 100)])
+        after = small_store.to_array()
+        assert after.shape == (3, 3)
+        assert after.tobytes() == before.tobytes()
 
     def test_relation_counts(self, small_store):
         assert small_store.relation_counts() == {10: 2, 11: 1}

@@ -3,7 +3,8 @@
 A golden is a fingerprint header over an oracle's output.  ``bless``
 then ``compare`` of the same output passes, a moved line fails with a
 unified diff, and a golden blessed under another fingerprint is skipped
-with a notice rather than failed.
+with a notice rather than failed — on GitHub Actions also with a
+``::warning::`` annotation naming both fingerprints.
 """
 
 import importlib.util
@@ -55,12 +56,37 @@ def test_moved_line_fails_with_a_unified_diff(goldens, capsys):
     assert "+store    sequence B=1  ab" in printed
 
 
-def test_other_fingerprint_is_skipped_not_failed(goldens, capsys):
+def test_other_fingerprint_is_skipped_not_failed(goldens, capsys, monkeypatch):
+    monkeypatch.delenv("GITHUB_ACTIONS", raising=False)
     path, output = goldens
     path.write_text(path.read_text().replace("# machine ", "# machine other-"))
     output.write_text("anything else\n")
     assert golden.compare("oracle", output) == 0
-    assert "not compared" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "not compared" in printed
+    assert "::warning" not in printed
+
+
+def test_skip_is_annotated_on_github_actions(goldens, capsys, monkeypatch):
+    monkeypatch.setenv("GITHUB_ACTIONS", "true")
+    path, output = goldens
+    path.write_text(path.read_text().replace("# machine ", "# machine other-"))
+    assert golden.compare("oracle", output) == 0
+    warnings = [
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("::")
+    ]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("::warning title=golden oracle not compared::")
+    here = golden.fingerprint_text(golden.fingerprint())
+    blessed = here.replace("machine ", "machine other-")
+    assert f"blessed under {blessed}; this runner is {here}" in warnings[0]
+
+
+def test_matching_fingerprint_is_not_annotated(goldens, capsys, monkeypatch):
+    monkeypatch.setenv("GITHUB_ACTIONS", "true")
+    _, output = goldens
+    assert golden.compare("oracle", output) == 0
+    assert "::warning" not in capsys.readouterr().out
 
 
 def test_committed_goldens_carry_a_header():

@@ -6,8 +6,10 @@ header that fingerprints the float arithmetic behind it: the numpy
 version, the machine, the BLAS numpy was built against and, when ctypes
 can read it, the OpenBLAS core its ``DYNAMIC_ARCH`` build dispatched to.
 Another fingerprint can round the same formula differently, so on a
-header mismatch ``compare`` prints a notice and skips; on a matching
-header it prints a unified diff of any changed line and fails.
+header mismatch ``compare`` prints a notice and skips (on GitHub Actions,
+``GITHUB_ACTIONS=true``, also as a ``::warning::`` annotation naming both
+fingerprints, so the checks page shows the bytes were not compared); on a
+matching header it prints a unified diff of any changed line and fails.
 
 Usage:
     python tools/golden.py compare NAME OUTPUT   # exit 1 on a moved line
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import difflib
+import os
 import platform
 import sys
 from pathlib import Path
@@ -63,6 +66,11 @@ def fingerprint() -> List[str]:
     ]
 
 
+def fingerprint_text(header: List[str]) -> str:
+    """A fingerprint header on one line: ``numpy 2.4.6, machine x86_64, ...``."""
+    return ", ".join(line.lstrip("# ") for line in header)
+
+
 def split(text: str):
     lines = text.splitlines()
     header = [line for line in lines if line.startswith("#")]
@@ -76,6 +84,12 @@ def compare(name: str, output: Path) -> int:
     if header != fingerprint():
         print(f"golden {name}: blessed under another fingerprint, not compared")
         print("\n".join(["  blessed:"] + header + ["  here:"] + fingerprint()))
+        if os.environ.get("GITHUB_ACTIONS") == "true":
+            # One workflow-command line, so the skip shows on the checks page.
+            print(
+                f"::warning title=golden {name} not compared::blessed under "
+                f"{fingerprint_text(header)}; this runner is {fingerprint_text(fingerprint())}"
+            )
         return 0
     if want == have:
         print(f"golden {name}: unchanged")
