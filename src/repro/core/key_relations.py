@@ -81,8 +81,8 @@ class KeyRelationSelector:
             np.append(category_of_item, num_categories)[rows],
             np.diff(first, append=len(heads)),
         )
-        low = int(relations.min(initial=0))
-        span = int(relations.max(initial=0)) - low + 1
+        low, high = (int(relations.min()), int(relations.max())) if len(relations) else (0, 0)
+        span = high - low + 1
         if (num_categories + 1) * span > np.iinfo(np.int64).max:
             raise OverflowError("(category, relation) keys do not fit in int64")
         # One count over (category, relation) pairs, then each category's

@@ -139,3 +139,9 @@ def test_empty_inputs():
     frozen = selector.freeze()
     assert frozen.item_ids.shape == (0,)
     assert frozen.key_relations.shape == (0, 3)
+
+
+def test_relation_span_wider_than_int64_keys_is_refused():
+    store = TripleStore([(0, -(2**62), 1), (0, 2**62, 1)])
+    with pytest.raises(OverflowError):
+        KeyRelationSelector(store, {0: 3}, k=2)

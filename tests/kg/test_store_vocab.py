@@ -137,6 +137,13 @@ class TestTripleStore:
         assert small_store.to_array()[-1].tolist() == [3, 10, 100]
         assert (arr == -1).all()
 
+    def test_id_outside_int64_is_refused_whole(self, small_store):
+        with pytest.raises(OverflowError):
+            small_store.add(2, 10, 2**63)
+        assert len(small_store) == 3
+        assert (2, 10, 2**63) not in small_store
+        assert small_store.to_array().shape == (3, 3)
+
     def test_rejected_duplicate_leaves_the_column(self, small_store):
         before = small_store.to_array()
         assert not small_store.add(1, 10, 100)
