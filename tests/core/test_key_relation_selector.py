@@ -113,13 +113,6 @@ def test_ties_rank_by_relation_id():
     assert selector.for_category(5) == [4, 9, 6]
 
 
-def test_short_category_cycles_its_ranking():
-    store = TripleStore([(0, 3, 1), (0, 3, 2), (0, 8, 1)])
-    selector = KeyRelationSelector(store, {0: 10**12}, k=5)
-    assert selector.for_category(10**12) == [3, 8, 3, 8, 3]
-    assert selector.freeze().key_relations.tolist() == [[3, 8, 3, 8, 3]]
-
-
 def test_items_without_triples_and_non_item_heads():
     store = TripleStore([(0, 1, 9), (50, 2, 9), (50, 2, 8)])
     selector = KeyRelationSelector(store, {0: 1, 1: 1, 2: 2}, k=2)
