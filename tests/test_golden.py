@@ -56,6 +56,17 @@ def test_moved_line_fails_with_a_unified_diff(goldens, capsys):
     assert "+store    sequence B=1  ab" in printed
 
 
+def test_comment_lines_of_the_output_are_held_too(goldens, capsys):
+    """A Prometheus ``# TYPE`` line is output, not part of the header."""
+    path, output = goldens
+    output.write_text("# TYPE pool_requests counter\npool_requests 3\n")
+    golden.bless("oracle", output)
+    assert path.read_text().splitlines()[-2:] == output.read_text().splitlines()
+    output.write_text("# TYPE pool_requests gauge\npool_requests 3\n")
+    assert golden.compare("oracle", output) == 1
+    assert "+# TYPE pool_requests gauge" in capsys.readouterr().out
+
+
 def test_other_fingerprint_is_skipped_not_failed(goldens, capsys, monkeypatch):
     monkeypatch.delenv("GITHUB_ACTIONS", raising=False)
     path, output = goldens
@@ -92,8 +103,19 @@ def test_matching_fingerprint_is_not_annotated(goldens, capsys, monkeypatch):
 def test_committed_goldens_carry_a_header():
     paths = sorted((ROOT / "tools" / "golden").glob("*.txt"))
     assert [path.stem for path in paths] == [
+        "chaos",
+        "index_snapshots",
+        "loadtest",
+        "metrics",
+        "pool",
+        "scenarios",
+        "search",
+        "search_flat",
+        "serve",
         "served_seed0",
         "served_seed13",
+        "stream",
+        "trace",
         "trained_seed0",
         "trained_seed13",
     ]

@@ -2,7 +2,8 @@
 # Pre-merge gate: tier-1 tests, then the repo's own linter.
 #
 # Usage: tools/check.sh             (run from the repository root)
-#        tools/check.sh --rebless   (rewrite tools/golden/ and stop)
+#        tools/check.sh --rebless   (run the golden gates, rewrite
+#                                   tools/golden/ and stop)
 #
 # Fails fast: a test failure stops the run before lint; any lint
 # finding fails the gate.
@@ -44,11 +45,11 @@ byte_gate() {
 }
 
 # golden <name>
-# Hold the first run of byte_gate <name> to tools/golden/<name>.txt: a
-# moved line prints a unified diff and fails, unless the gate was run
-# with --rebless, which rewrites the golden instead.  A golden blessed
-# under another numpy / machine / BLAS fingerprint is skipped with a
-# notice (tools/golden.py).
+# Hold $OBS_TMP/<name>1.txt, the first run of byte_gate <name>, to
+# tools/golden/<name>.txt: a moved line prints a unified diff and fails,
+# unless the gate was run with --rebless, which rewrites the golden
+# instead.  A golden blessed under another numpy / machine / BLAS
+# fingerprint is skipped with a notice (tools/golden.py).
 golden() {
     python tools/golden.py "$GOLDEN" "$1" "$OBS_TMP/${1}1.txt"
 }
@@ -99,8 +100,121 @@ served_paths_agree() {
         END { exit (bad || kinds == 0 || checked != 2 * kinds) }' "$OBS_TMP/served_seed${1}1.txt"
 }
 
+# The seeded drills: each is byte-diffed across two runs and its first
+# transcript held to tools/golden/<name>.txt, so a printed byte that
+# moves between commits fails as well as one that varies between two
+# runs of one commit.
+drill_gates() {
+    echo
+    echo "== overload smoke (repro loadtest, byte-diffed) =="
+    # A seeded 8x traffic spike through the serving gateway: must shed
+    # instead of raising, finish in well under a minute, and print the
+    # same report on a rerun.
+    byte_gate loadtest "" python -m repro.cli loadtest --profile spike --requests 2000
+    golden loadtest
+
+    echo
+    echo "== obs determinism (repro metrics / repro trace, byte-diffed) =="
+    # Telemetry must be as reproducible as the computation it measures:
+    # the same seeded workload exported twice has to be byte-identical,
+    # for the Prometheus text and the Chrome trace JSON alike.
+    byte_gate metrics "" python -m repro.cli metrics --preset smoke --requests 400
+    golden metrics
+    byte_gate trace "" python -m repro.cli trace --preset smoke --format chrome
+    golden trace
+    # The worker-pool workload surfaces per-worker pool.* and
+    # store.scrub.* series; it forks real processes, yet the export must
+    # still be byte-identical across reruns.
+    byte_gate pool "" python -m repro.cli metrics --workload pool --requests 240
+    golden pool
+    echo "telemetry exports are byte-identical across reruns"
+
+    echo
+    echo "== index determinism (repro index, byte-diffed snapshots) =="
+    # Two independent same-seed builds must write byte-identical snapshot
+    # directories (every shard and the sealed manifest), and the search
+    # CLI must print byte-identical results across reruns.
+    for kind in ivf flat; do
+        python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r1/$kind" > /dev/null
+        python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r2/$kind" > /dev/null
+        diff -r "$OBS_TMP/r1/$kind" "$OBS_TMP/r2/$kind"
+    done
+    # Every snapshot file's SHA-256, held to a golden like a transcript.
+    (cd "$OBS_TMP/r1" && find flat ivf -type f | LC_ALL=C sort | xargs sha256sum) \
+        > "$OBS_TMP/index_snapshots1.txt"
+    golden index_snapshots
+    byte_gate search "" python -m repro.cli index search --preset smoke --kind ivf
+    golden search
+    byte_gate search_flat "" python -m repro.cli index search --preset smoke --kind flat
+    golden search_flat
+    echo "index snapshots and search results are byte-identical across reruns"
+
+    echo
+    echo "== storage chaos (repro store, byte-diffed recovery) =="
+    # Seeded torn-write + bit-flip + torn-manifest drill over a small
+    # store: the run must end RECOVERED (manifest refused then restored,
+    # every quarantined page repaired from the replica, every item served
+    # from the repaired store equal to the in-RAM reference) and the full
+    # report — fault offsets, the degraded serves counted by reason
+    # (quarantined / unknown-id), scrub/repair accounting, store.* metrics
+    # — must be byte-identical across two runs.
+    byte_gate chaos "chaos drill: RECOVERED" python -m repro.cli store chaos \
+        --preset smoke --dir "{run}" --torn 1 --flips 2 --torn-manifest
+    golden chaos
+    # Recovery is byte-deterministic on disk too: both repaired stores
+    # must match a fresh build file-for-file.
+    python -m repro.cli store build --preset smoke --out "$OBS_TMP/chaos-ref" > /dev/null
+    for f in "$OBS_TMP"/chaos-ref/*; do
+        cmp "$f" "$OBS_TMP/chaos1/primary/$(basename "$f")"
+        cmp "$f" "$OBS_TMP/chaos2/primary/$(basename "$f")"
+    done
+    echo "storage-chaos recovery is byte-identical across reruns"
+
+    echo
+    echo "== serve chaos (repro serve, SIGKILL drill, byte-diffed) =="
+    # Process-level chaos: a seeded mixed workload over 3 forked workers
+    # with 2 SIGKILLs mid-load.  The drill must end RECOVERED (every
+    # request answered exactly once, zero duplicates, both deaths detected
+    # and restarted) and the transcript — request ids, kinds, outcomes,
+    # payload CRCs — must be byte-identical across two runs even though
+    # crash timing and replay counts vary between them.
+    byte_gate serve "drill: RECOVERED" python -m repro.cli serve chaos \
+        --preset smoke --dir "{run}"
+    golden serve
+    echo "serve-chaos transcript is byte-identical across reruns"
+
+    echo
+    echo "== stream chaos (repro stream, crash-mid-ingest drill) =="
+    # The delta-ingest drill: run the seeded catalog-delta stream, kill it
+    # mid-batch (after segments are on disk but before the next publish),
+    # then recover by pure log replay.  The drill byte-compares every
+    # store/index/manifest file and the stream.* metrics dump between the
+    # recovered directory and an uninterrupted reference run — it must end
+    # RECOVERED with zero mismatches, and its transcript must be
+    # byte-identical across two independent drills.
+    byte_gate stream "stream drill: RECOVERED" python -m repro.cli stream chaos \
+        --preset smoke --dir "{run}"
+    golden stream
+    echo "stream-chaos recovery is byte-identical across reruns"
+
+    echo
+    echo "== scenarios workload (explain + recommend, byte-diffed) =="
+    # The seeded scenario workload: explanation and recommendation
+    # requests through the gateway (with injected unknown-id and expired
+    # budgets) and through the forked worker pool.  It must PASS (every
+    # request answered, degraded responses typed and never cached, every
+    # explanation entailed by its cited triples) and the transcript —
+    # request ids, outcomes, payload digests, scenarios.* metrics — must
+    # be byte-identical across two runs.
+    byte_gate scenarios "scenarios workload: PASS" python -m repro.cli \
+        scenarios workload --requests 120 --pool-requests 48
+    golden scenarios
+    echo "scenario workload transcript is byte-identical across reruns"
+}
+
 if [ "$GOLDEN" = bless ]; then
     golden_gates
+    drill_gates
     echo
     echo "check.sh --rebless: tools/golden/ rewritten; review git diff tools/golden"
     exit 0
@@ -113,99 +227,8 @@ echo
 echo "== chaos tests (REPRO_CHAOS_SEED=$REPRO_CHAOS_SEED) =="
 python -m pytest -x -q "tests/test_robustness.py::TestChaosTraining" tests/reliability
 
-echo
-echo "== overload smoke (repro loadtest, byte-diffed) =="
-# A seeded 8x traffic spike through the serving gateway: must shed
-# instead of raising, finish in well under a minute, and print the
-# same report on a rerun.
-byte_gate loadtest "" python -m repro.cli loadtest --profile spike --requests 2000
-
-echo
-echo "== obs determinism (repro metrics / repro trace, byte-diffed) =="
-# Telemetry must be as reproducible as the computation it measures:
-# the same seeded workload exported twice has to be byte-identical,
-# for the Prometheus text and the Chrome trace JSON alike.
-byte_gate metrics "" python -m repro.cli metrics --preset smoke --requests 400
-byte_gate trace "" python -m repro.cli trace --preset smoke --format chrome
-# The worker-pool workload surfaces per-worker pool.* and
-# store.scrub.* series; it forks real processes, yet the export must
-# still be byte-identical across reruns.
-byte_gate pool "" python -m repro.cli metrics --workload pool --requests 240
-echo "telemetry exports are byte-identical across reruns"
-
-echo
-echo "== index determinism (repro index, byte-diffed snapshots) =="
-# Two independent same-seed builds must write byte-identical snapshot
-# directories (every shard and the sealed manifest), and the search
-# CLI must print byte-identical results across reruns.
-for kind in ivf flat; do
-    python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r1/$kind" > /dev/null
-    python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r2/$kind" > /dev/null
-    diff -r "$OBS_TMP/r1/$kind" "$OBS_TMP/r2/$kind"
-done
-byte_gate search "" python -m repro.cli index search --preset smoke --kind ivf
-byte_gate search_flat "" python -m repro.cli index search --preset smoke --kind flat
-echo "index snapshots and search results are byte-identical across reruns"
-
 golden_gates
-
-echo
-echo "== storage chaos (repro store, byte-diffed recovery) =="
-# Seeded torn-write + bit-flip + torn-manifest drill over a small
-# store: the run must end RECOVERED (manifest refused then restored,
-# every quarantined page repaired from the replica, every item served
-# from the repaired store equal to the in-RAM reference) and the full
-# report — fault offsets, the degraded serves counted by reason
-# (quarantined / unknown-id), scrub/repair accounting, store.* metrics
-# — must be byte-identical across two runs.
-byte_gate chaos "chaos drill: RECOVERED" python -m repro.cli store chaos \
-    --preset smoke --dir "{run}" --torn 1 --flips 2 --torn-manifest
-# Recovery is byte-deterministic on disk too: both repaired stores
-# must match a fresh build file-for-file.
-python -m repro.cli store build --preset smoke --out "$OBS_TMP/chaos-ref" > /dev/null
-for f in "$OBS_TMP"/chaos-ref/*; do
-    cmp "$f" "$OBS_TMP/chaos1/primary/$(basename "$f")"
-    cmp "$f" "$OBS_TMP/chaos2/primary/$(basename "$f")"
-done
-echo "storage-chaos recovery is byte-identical across reruns"
-
-echo
-echo "== serve chaos (repro serve, SIGKILL drill, byte-diffed) =="
-# Process-level chaos: a seeded mixed workload over 3 forked workers
-# with 2 SIGKILLs mid-load.  The drill must end RECOVERED (every
-# request answered exactly once, zero duplicates, both deaths detected
-# and restarted) and the transcript — request ids, kinds, outcomes,
-# payload CRCs — must be byte-identical across two runs even though
-# crash timing and replay counts vary between them.
-byte_gate serve "drill: RECOVERED" python -m repro.cli serve chaos \
-    --preset smoke --dir "{run}"
-echo "serve-chaos transcript is byte-identical across reruns"
-
-echo
-echo "== stream chaos (repro stream, crash-mid-ingest drill) =="
-# The delta-ingest drill: run the seeded catalog-delta stream, kill it
-# mid-batch (after segments are on disk but before the next publish),
-# then recover by pure log replay.  The drill byte-compares every
-# store/index/manifest file and the stream.* metrics dump between the
-# recovered directory and an uninterrupted reference run — it must end
-# RECOVERED with zero mismatches, and its transcript must be
-# byte-identical across two independent drills.
-byte_gate stream "stream drill: RECOVERED" python -m repro.cli stream chaos \
-    --preset smoke --dir "{run}"
-echo "stream-chaos recovery is byte-identical across reruns"
-
-echo
-echo "== scenarios workload (explain + recommend, byte-diffed) =="
-# The seeded scenario workload: explanation and recommendation
-# requests through the gateway (with injected unknown-id and expired
-# budgets) and through the forked worker pool.  It must PASS (every
-# request answered, degraded responses typed and never cached, every
-# explanation entailed by its cited triples) and the transcript —
-# request ids, outcomes, payload digests, scenarios.* metrics — must
-# be byte-identical across two runs.
-byte_gate scenarios "scenarios workload: PASS" python -m repro.cli \
-    scenarios workload --requests 120 --pool-requests 48
-echo "scenario workload transcript is byte-identical across reruns"
+drill_gates
 
 echo
 echo "== pickle seam (no allow_pickle=True under src/) =="

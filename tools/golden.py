@@ -1,7 +1,8 @@
 """Compare a byte oracle's output with its committed golden file.
 
-``tools/golden/<name>.txt`` holds what ``served_bytes.py`` or
-``trained_bytes.py`` printed when the golden was last blessed, under a
+``tools/golden/<name>.txt`` holds what ``served_bytes.py``,
+``trained_bytes.py`` or one of ``tools/check.sh``'s seeded drills
+printed when the golden was last blessed, every line of it, under a
 header that fingerprints the float arithmetic behind it: the numpy
 version, the machine, the BLAS numpy was built against and, when ctypes
 can read it, the OpenBLAS core its ``DYNAMIC_ARCH`` build dispatched to.
@@ -72,15 +73,16 @@ def fingerprint_text(header: List[str]) -> str:
 
 
 def split(text: str):
+    """A golden file's fingerprint header and the output lines it holds."""
     lines = text.splitlines()
-    header = [line for line in lines if line.startswith("#")]
-    return header, [line for line in lines if not line.startswith("#")]
+    size = len(fingerprint())
+    return lines[:size], lines[size:]
 
 
 def compare(name: str, output: Path) -> int:
     golden = GOLDEN_DIR / f"{name}.txt"
     header, want = split(golden.read_text())
-    have = split(output.read_text())[1]
+    have = output.read_text().splitlines()
     if header != fingerprint():
         print(f"golden {name}: blessed under another fingerprint, not compared")
         print("\n".join(["  blessed:"] + header + ["  here:"] + fingerprint()))
@@ -105,7 +107,7 @@ def compare(name: str, output: Path) -> int:
 
 
 def bless(name: str, output: Path) -> int:
-    body = split(output.read_text())[1]
+    body = output.read_text().splitlines()
     GOLDEN_DIR.mkdir(exist_ok=True)
     (GOLDEN_DIR / f"{name}.txt").write_text("\n".join(fingerprint() + body) + "\n")
     print(f"golden {name}: blessed")
