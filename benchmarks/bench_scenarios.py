@@ -27,9 +27,7 @@ def test_bench_zero_shot_coldstart(benchmark, config, record_table):
     results = {}
 
     def run():
-        report, split = run_coldstart(
-            config, coldstart=ColdStartConfig(seed=7), train_ncf=True
-        )
+        report, split = run_coldstart(config, coldstart=ColdStartConfig(seed=7))
         results["report"] = report
         results["split"] = split
 

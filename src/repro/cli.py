@@ -30,8 +30,12 @@ writing Python:
     python -m repro.cli metrics --format prom      # telemetry snapshot export
     python -m repro.cli trace --format chrome      # span/profile trace export
 
-Experiment commands accept ``--preset {smoke,default,bench}`` and
-``--seed``.  The static-analysis gate is ``python -m repro.lint``.
+Every command but ``store verify`` / ``store scrub`` (which read only
+``--dir``) accepts ``--preset {smoke,default,bench}`` and ``--seed``.
+A command takes an option only if it reads it and a caller passes it
+(directory options are exempt); every other knob, such as the drills'
+shard counts, cache sizes and batching, is a literal in its ``cmd_*``
+function.  The static-analysis gate is ``python -m repro.lint``.
 """
 
 from __future__ import annotations
@@ -198,38 +202,29 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return PKGM(n_ent, n_rel, config.pkgm, rng=np.random.default_rng(config.seed))
 
     dist_config = DistributedConfig(
-        num_shards=args.shards,
-        num_workers=args.workers,
-        epochs=args.epochs,
+        epochs=8,
         batch_size=config.pkgm_trainer.batch_size,
         learning_rate=config.pkgm_trainer.learning_rate,
         seed=config.seed,
     )
-    clean = DistributedPKGMTrainer(fresh_model(), dist_config)
-    clean_losses = clean.train(store)
-
     crashes = ()
     if args.crash_epoch is not None:
-        crashes = (
-            CrashEvent(
-                epoch=args.crash_epoch, batch=args.crash_batch, shard=args.crash_shard
-            ),
-        )
+        crashes = (CrashEvent(epoch=args.crash_epoch, batch=0, shard=args.crash_shard),)
     plan = FaultPlan(
-        seed=args.fault_seed,
-        push_drop_prob=args.push_drop,
-        rpc_error_prob=args.rpc_error,
-        crashes=crashes,
+        push_drop_prob=args.push_drop, rpc_error_prob=0.02, crashes=crashes
     )
     checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-chaos-")
+    # Built first, so a crash the job can never reach is refused before
+    # the fault-free run spends its epochs.
     chaotic = DistributedPKGMTrainer(
         fresh_model(),
         dist_config,
         faults=plan,
-        retry=RetryPolicy(seed=args.fault_seed),
+        retry=RetryPolicy(),
         checkpoint_dir=checkpoint_dir,
         resume=False,
     )
+    clean_losses = DistributedPKGMTrainer(fresh_model(), dist_config).train(store)
     chaos_losses = chaotic.train(store)
 
     gap = abs(chaos_losses[-1] - clean_losses[-1]) / max(abs(clean_losses[-1]), 1e-12)
@@ -248,7 +243,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"recoveries {chaotic.recoveries} | abandoned batches "
         f"{chaotic.abandoned_batches} | abandoned pushes {chaotic.abandoned_pushes}"
     )
-    return 0 if gap <= args.tolerance else 1
+    return 0 if gap <= 0.10 else 1
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
@@ -258,7 +253,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     (overload mechanics do not depend on trained weights), fronts it
     with ``--replicas`` hedging replicas behind the admission
     controller, and replays the requested profile — including a
-    mid-run ``drain()`` + snapshot swap at ``--drain-at``.  With a
+    ``drain()`` + snapshot swap half-way through.  With a
     fixed ``--seed`` the printed metrics are byte-identical across
     runs; under overload the gateway sheds (degraded payloads), it
     never raises.
@@ -277,11 +272,10 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     gateway = PKGMGateway(
         build_replicas(server, args.replicas, seed=args.load_seed),
         GatewayConfig(
-            deadline_budget=args.deadline,
             hedge_after=args.hedge_after if args.hedge_after > 0 else None,
             admission=AdmissionConfig(
                 rate=args.admit_rate if args.admit_rate > 0 else None,
-                burst=args.admit_burst,
+                burst=64.0,
                 queue_capacity=args.queue_capacity,
             ),
         ),
@@ -295,7 +289,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             requests=args.requests,
             base_rate=args.rate,
             seed=args.load_seed,
-            drain_at=args.drain_at if 0.0 < args.drain_at < 1.0 else None,
         ),
     )
     for row in report.as_rows():
@@ -341,7 +334,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 def _index_params(args: argparse.Namespace, seed: int) -> dict:
     """Constructor kwargs for the requested index kind."""
     if args.kind == "flat":
-        return {"block_size": args.block_size}
+        return {}
     return {"nlist": args.nlist, "nprobe": args.nprobe, "seed": seed}
 
 
@@ -351,7 +344,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     ``build`` writes a checksummed snapshot (two same-seed runs are
     byte-identical — the check.sh gate diffs them); ``search`` answers
     nearest-tail queries from a snapshot or a fresh build; ``eval``
-    scores every index kind against the exact Flat baseline.
+    scores IVF against the exact Flat baseline.
     """
     from .index import load_index, save_index
 
@@ -372,9 +365,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         print(f"snapshot -> {directory}")
         return 0
 
-    items = server.known_items()
-    heads = items[: args.queries]
-    relations = [args.relation] * len(heads)
+    heads = server.known_items()[: args.queries]
+    relations = [0] * len(heads)
 
     if args.index_command == "search":
         if args.snapshot:
@@ -391,12 +383,12 @@ def cmd_index(args: argparse.Namespace) -> int:
                 f"{ids[row][j]}:{distances[row][j]:.6f}"
                 for j in range(args.k)
             )
-            print(f"S_T({head}, {args.relation}) -> {cells}")
+            print(f"S_T({head}, {relations[row]}) -> {cells}")
         return 0
 
     if args.index_command == "eval":
         flat = server.build_tail_index(kind="flat", metric=args.metric)
-        exact_d, exact_ids = server.nearest_tails_batch(
+        _, exact_ids = server.nearest_tails_batch(
             heads, relations, k=args.k
         )
         flat_dc = flat.metrics.counter(
@@ -460,13 +452,9 @@ def cmd_store(args: argparse.Namespace) -> int:
 
     from .store import EmbeddingStore, StoreManifestError
 
-    config = _load_config(args)
-
     if args.store_command == "build":
-        _, server = untrained_server(config)
-        store = server.save_store(
-            args.out, num_shards=args.shards, page_bytes=args.page_bytes
-        )
+        _, server = untrained_server(_load_config(args))
+        store = server.save_store(args.out, num_shards=2)
         print(
             f"store -> {args.out}: {len(store.table_names())} tables, "
             f"{store.nbytes} bytes"
@@ -477,7 +465,7 @@ def cmd_store(args: argparse.Namespace) -> int:
 
     if args.store_command in ("verify", "scrub"):
         try:
-            store = EmbeddingStore.open(args.dir, cache_pages=args.cache_pages)
+            store = EmbeddingStore.open(args.dir, cache_pages=16)
         except StoreManifestError as error:
             print(f"manifest: REFUSED ({error})")
             return 2
@@ -505,20 +493,14 @@ def cmd_store(args: argparse.Namespace) -> int:
         workdir = Path(args.dir)
         primary_dir = workdir / "primary"
         replica_dir = workdir / "replica"
-        _, server = untrained_server(config)
-        server.save_store(
-            primary_dir, num_shards=args.shards, page_bytes=args.page_bytes
-        ).close()
-        server.save_store(
-            replica_dir, num_shards=args.shards, page_bytes=args.page_bytes
-        ).close()
+        _, server = untrained_server(_load_config(args))
+        for directory in (primary_dir, replica_dir):
+            server.save_store(directory, num_shards=2).close()
 
         plan = StorageFaultPlan(
-            seed=args.fault_seed,
             torn_writes=args.torn,
             bit_flips=args.flips,
             truncate_manifest=args.torn_manifest,
-            lost_fsync_tails=args.lost_tails,
         )
         fault_stats = inject_storage_faults(primary_dir, plan)
         print(f"plan: {plan.describe()}")
@@ -538,9 +520,12 @@ def cmd_store(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         from .core import PKGMServer as _PKGMServer
 
-        store_server = _PKGMServer.from_store(
-            primary_dir, cache_pages=args.cache_pages, registry=registry
-        )
+        def open_primary():
+            return _PKGMServer.from_store(
+                primary_dir, cache_pages=16, registry=registry
+            )
+
+        store_server = open_primary()
         scrub = store_server.store.scrub()
         print(scrub.as_row())
         print(f"unreadable selector items: {store_server.unreadable_items}")
@@ -574,9 +559,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         # readable again, so every item must now serve live and
         # bit-identically to the in-RAM reference server.
         store_server.store.close()
-        store_server = _PKGMServer.from_store(
-            primary_dir, cache_pages=args.cache_pages, registry=registry
-        )
+        store_server = open_primary()
         mismatches = 0
         for item in items:
             reference = server.serve(item)
@@ -633,9 +616,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     workdir = Path(args.dir)
     store_dir = workdir / "store"
     _, server = untrained_server(config)
-    server.save_store(
-        store_dir, num_shards=args.store_shards, page_bytes=args.page_bytes
-    ).close()
+    server.save_store(store_dir, num_shards=2).close()
     items = server.known_items()
 
     if args.serve_command == "chaos":
@@ -652,11 +633,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 kill_at=kill_at,
                 kill_workers=kill_workers,
-                window=args.window,
                 seed=config.seed,
-                max_batch=args.max_batch,
-                max_delay=args.max_delay,
-                scrub_pages_per_tick=args.scrub_pages,
             ),
         )
         for line in report.lines():
@@ -669,11 +646,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.serve_command == "loadtest":
         pool = Supervisor(
             store_dir,
-            PoolConfig(
-                num_workers=args.workers,
-                max_batch=args.max_batch,
-                max_delay=args.max_delay,
-            ),
+            PoolConfig(num_workers=args.workers, max_batch=4, max_delay=0.004),
         )
         pool.start()
         try:
@@ -681,9 +654,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 pool,
                 items,
                 ServeLoadConfig(
-                    requests=args.requests,
-                    window=args.window,
-                    seed=config.seed,
+                    requests=args.requests, window=8, seed=config.seed
                 ),
                 timer=time.perf_counter,
             )
@@ -857,27 +828,18 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         return 0 if report.passed else 1
 
     if args.scenarios_command == "coldstart":
-        coldstart = ColdStartConfig(
-            cold_fraction=args.cold_fraction, seed=config.seed
-        )
         report, split = run_coldstart(
-            config, coldstart=coldstart, train_ncf=not args.no_ncf
+            config, coldstart=ColdStartConfig(seed=config.seed)
         )
         print(split.summary())
         for line in report.lines():
             print(line)
         return 0
 
+    miner = RuleMiner(min_support=2, min_confidence=0.6)
     if args.scenarios_command == "explain":
         catalog, server = untrained_server(config)
-        explainer = Explainer(
-            catalog.store,
-            miner=RuleMiner(
-                min_support=args.min_support,
-                min_confidence=args.min_confidence,
-            ),
-            server=server,
-        )
+        explainer = Explainer(catalog.store, miner=miner, server=server)
         print(f"mined rules: {explainer.num_rules}")
         printed = 0
         relations = explainer.completer.head_relations()
@@ -912,9 +874,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
     if args.scenarios_command == "transfer":
         catalog = generate_catalog(config.catalog)
-        miner = RuleMiner(
-            min_support=args.min_support, min_confidence=args.min_confidence
-        )
         subgraphs = category_subgraphs(catalog)
         categories = sorted(subgraphs)
         print("rule transfer across category subgraphs")
@@ -962,60 +921,57 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for every subcommand."""
+    """Construct the argument parser for every subcommand.
+
+    A subcommand takes an option only if it reads it and a caller passes
+    it; directory options are exempt.  Every other knob is a literal in
+    its ``cmd_*`` function.
+    """
     parser = argparse.ArgumentParser(
         prog="repro", description="PKGM reproduction command line"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=sorted(PRESETS), default="smoke")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--verbose", action="store_true")
+        return p
 
-    common(sub.add_parser("stats", help="dataset statistics tables"))
-    pre = sub.add_parser("pretrain", help="pre-train PKGM, optionally save server")
-    common(pre)
+    def verbose(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        common(p).add_argument("--verbose", action="store_true")
+        return p
+
+    verbose(sub.add_parser("stats", help="dataset statistics tables"))
+    pre = common(
+        sub.add_parser("pretrain", help="pre-train PKGM, optionally save server")
+    )
     pre.add_argument("--save", type=str, default=None, help="server store directory")
-    common(sub.add_parser("classify", help="Table IV experiment"))
-    align = sub.add_parser("align", help="Tables VI-VII experiment")
-    common(align)
+    verbose(sub.add_parser("classify", help="Table IV experiment"))
+    align = verbose(sub.add_parser("align", help="Tables VI-VII experiment"))
     align.add_argument("--category", type=int, default=0)
-    common(sub.add_parser("recommend", help="Table VIII experiment"))
-    comp = sub.add_parser("complete", help="completion-during-service demo")
-    common(comp)
+    verbose(sub.add_parser("recommend", help="Table VIII experiment"))
+    comp = verbose(sub.add_parser("complete", help="completion-during-service demo"))
     comp.add_argument("--fraction", type=float, default=0.15)
-    chaos = sub.add_parser(
-        "chaos", help="distributed training under an injected fault plan"
+    chaos = verbose(
+        sub.add_parser(
+            "chaos", help="distributed training under an injected fault plan"
+        )
     )
-    common(chaos)
-    chaos.add_argument("--epochs", type=int, default=8)
-    chaos.add_argument("--shards", type=int, default=4)
-    chaos.add_argument("--workers", type=int, default=8)
     chaos.add_argument("--push-drop", type=float, default=0.1)
-    chaos.add_argument("--rpc-error", type=float, default=0.02)
     chaos.add_argument("--crash-epoch", type=int, default=None)
-    chaos.add_argument("--crash-batch", type=int, default=0)
     chaos.add_argument("--crash-shard", type=int, default=0)
-    chaos.add_argument("--fault-seed", type=int, default=0)
     chaos.add_argument("--checkpoint-dir", type=str, default=None)
-    chaos.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="max final-loss gap vs the fault-free run (exit 1 beyond)",
+    load = verbose(
+        sub.add_parser(
+            "loadtest", help="seeded overload drill against the serving gateway"
+        )
     )
-    load = sub.add_parser(
-        "loadtest", help="seeded overload drill against the serving gateway"
-    )
-    common(load)
     load.add_argument(
         "--profile", choices=("sustained", "ramp", "spike"), default="spike"
     )
     load.add_argument("--requests", type=int, default=2000)
     load.add_argument("--rate", type=float, default=400.0)
     load.add_argument("--replicas", type=int, default=2)
-    load.add_argument("--deadline", type=float, default=0.25)
     load.add_argument(
         "--hedge-after",
         type=float,
@@ -1028,14 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         help="token-bucket admit rate per virtual second (<=0 disables)",
     )
-    load.add_argument("--admit-burst", type=float, default=64.0)
     load.add_argument("--queue-capacity", type=int, default=64)
-    load.add_argument(
-        "--drain-at",
-        type=float,
-        default=0.5,
-        help="run fraction for the drain+swap drill (outside (0,1) disables)",
-    )
     load.add_argument(
         "--load-seed",
         type=int,
@@ -1047,42 +996,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     isub = ind.add_subparsers(dest="index_command", required=True)
 
-    def index_common(p: argparse.ArgumentParser) -> None:
+    def index_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         common(p)
-        p.add_argument("--kind", choices=("flat", "ivf"), default="ivf")
         p.add_argument("--metric", choices=("l1", "l2"), default="l1")
-        p.add_argument("--block-size", type=int, default=1024)
         p.add_argument("--nlist", type=int, default=16)
         p.add_argument("--nprobe", type=int, default=4)
+        return p
+
+    def index_kind(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--kind", choices=("flat", "ivf"), default="ivf")
+
+    def index_queries(p: argparse.ArgumentParser) -> None:
         p.add_argument("-k", type=int, default=10, help="neighbors per query")
         p.add_argument(
             "--queries", type=int, default=8, help="number of item queries"
         )
-        p.add_argument("--relation", type=int, default=0)
 
-    build = isub.add_parser(
-        "build", help="build an index and write its checksummed snapshot"
+    build = index_common(
+        isub.add_parser(
+            "build", help="build an index and write its checksummed snapshot"
+        )
     )
-    index_common(build)
+    index_kind(build)
     build.add_argument(
         "--out", type=str, required=True, help="snapshot store directory"
     )
-    search = isub.add_parser(
-        "search", help="nearest-tail queries from a snapshot or fresh build"
+    search = index_common(
+        isub.add_parser(
+            "search", help="nearest-tail queries from a snapshot or fresh build"
+        )
     )
-    index_common(search)
+    index_kind(search)
+    index_queries(search)
     search.add_argument(
         "--snapshot", type=str, default=None, help="load this snapshot directory"
     )
-    index_common(
-        isub.add_parser(
-            "eval", help="recall/cost of every index kind vs exact Flat"
+    index_queries(
+        index_common(
+            isub.add_parser("eval", help="recall/cost of IVF vs exact Flat")
         )
     )
-    met = sub.add_parser(
-        "metrics", help="seeded serving workload, metrics snapshot export"
+    met = verbose(
+        sub.add_parser(
+            "metrics", help="seeded serving workload, metrics snapshot export"
+        )
     )
-    common(met)
     met.add_argument("--requests", type=int, default=400)
     met.add_argument("--format", choices=("prom", "json"), default="prom")
     met.add_argument(
@@ -1091,110 +1049,93 @@ def build_parser() -> argparse.ArgumentParser:
         default="serving",
         help="serving = gateway overload drill; pool = forked worker pool",
     )
-    tra = sub.add_parser(
-        "trace", help="seeded training run, span and profile export"
+    tra = verbose(
+        sub.add_parser("trace", help="seeded training run, span and profile export")
     )
-    common(tra)
     tra.add_argument("--epochs", type=int, default=2)
     tra.add_argument("--format", choices=("tree", "chrome"), default="tree")
     sto = sub.add_parser(
         "store", help="crash-safe out-of-core embedding store operations"
     )
     ssub = sto.add_subparsers(dest="store_command", required=True)
-
-    def store_common(p: argparse.ArgumentParser) -> None:
-        common(p)
-        p.add_argument("--shards", type=int, default=2)
-        p.add_argument("--page-bytes", type=int, default=4096)
-        p.add_argument("--cache-pages", type=int, default=16)
-
-    sbuild = ssub.add_parser(
-        "build", help="persist the preset server as a checksummed shard store"
+    sbuild = common(
+        ssub.add_parser(
+            "build", help="persist the preset server as a checksummed shard store"
+        )
     )
-    store_common(sbuild)
     sbuild.add_argument("--out", type=str, required=True, help="store directory")
     sverify = ssub.add_parser(
         "verify", help="CRC-check every page without mutating anything"
     )
-    store_common(sverify)
     sverify.add_argument("--dir", type=str, required=True, help="store directory")
     sscrub = ssub.add_parser(
         "scrub", help="CRC-check every page, quarantining damage"
     )
-    store_common(sscrub)
     sscrub.add_argument("--dir", type=str, required=True, help="store directory")
-    schaos = ssub.add_parser(
-        "chaos",
-        help="seeded corruption + degraded serving + replica repair drill",
+    schaos = common(
+        ssub.add_parser(
+            "chaos",
+            help="seeded corruption + degraded serving + replica repair drill",
+        )
     )
-    store_common(schaos)
     schaos.add_argument(
         "--dir", type=str, required=True, help="work directory for the drill"
     )
     schaos.add_argument("--torn", type=int, default=1, help="torn shard writes")
     schaos.add_argument("--flips", type=int, default=2, help="single-bit flips")
     schaos.add_argument(
-        "--lost-tails", type=int, default=0, help="lost-fsync tail zeroings"
-    )
-    schaos.add_argument(
         "--torn-manifest",
         action="store_true",
         help="also truncate the manifest (restored from the replica)",
     )
-    schaos.add_argument("--fault-seed", type=int, default=0)
     srv = sub.add_parser(
         "serve", help="supervised multi-process worker pool drills"
     )
     srvsub = srv.add_subparsers(dest="serve_command", required=True)
 
-    def serve_common(p: argparse.ArgumentParser) -> None:
+    def serve_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         common(p)
         p.add_argument(
             "--dir", type=str, required=True, help="work directory for the store"
         )
         p.add_argument("--workers", type=int, default=3)
         p.add_argument("--requests", type=int, default=240)
-        p.add_argument("--window", type=int, default=8)
-        p.add_argument("--max-batch", type=int, default=4)
-        p.add_argument("--max-delay", type=float, default=0.004)
-        p.add_argument("--store-shards", type=int, default=2)
-        p.add_argument("--page-bytes", type=int, default=4096)
+        return p
 
-    srvchaos = srvsub.add_parser(
-        "chaos",
-        help="SIGKILL workers mid-load; assert exactly-once responses",
+    srvchaos = serve_common(
+        srvsub.add_parser(
+            "chaos",
+            help="SIGKILL workers mid-load; assert exactly-once responses",
+        )
     )
-    serve_common(srvchaos)
+    srvchaos.add_argument("--verbose", action="store_true")
     srvchaos.add_argument(
         "--kills", type=int, default=2, help="workers to SIGKILL mid-drill"
     )
-    srvchaos.add_argument(
-        "--scrub-pages",
-        type=int,
-        default=0,
-        help="pages scrubbed per idle supervisor tick (0 disables)",
+    serve_common(
+        srvsub.add_parser(
+            "loadtest", help="wall-clock QPS and latency percentiles for the pool"
+        )
     )
-    srvload = srvsub.add_parser(
-        "loadtest", help="wall-clock QPS and latency percentiles for the pool"
-    )
-    serve_common(srvload)
     stm = sub.add_parser(
         "stream", help="deterministic catalog-delta ingest drills"
     )
     stmsub = stm.add_subparsers(dest="stream_command", required=True)
 
-    def stream_common(p: argparse.ArgumentParser) -> None:
-        common(p)
+    def stream_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        verbose(p)
         p.add_argument(
             "--dir", type=str, required=True, help="stream run directory"
         )
         p.add_argument("--batches", type=int, default=12)
         p.add_argument("--publish-every", type=int, default=4)
+        return p
 
-    stmrun = stmsub.add_parser(
-        "run", help="ingest the seeded delta stream (resumes from the log)"
+    stmrun = stream_common(
+        stmsub.add_parser(
+            "run", help="ingest the seeded delta stream (resumes from the log)"
+        )
     )
-    stream_common(stmrun)
     stmrun.add_argument(
         "--from-checkpoint",
         type=str,
@@ -1207,10 +1148,11 @@ def build_parser() -> argparse.ArgumentParser:
             "replay", help="re-run over an existing log; identical stdout"
         )
     )
-    stmchaos = stmsub.add_parser(
-        "chaos", help="crash mid-ingest, replay to byte-identical state"
+    stmchaos = stream_common(
+        stmsub.add_parser(
+            "chaos", help="crash mid-ingest, replay to byte-identical state"
+        )
     )
-    stream_common(stmchaos)
     stmchaos.add_argument(
         "--kill-batch", type=int, default=3, help="batch index the kill lands on"
     )
@@ -1219,38 +1161,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="zero-shot recommendation + explainable reasoning drills",
     )
     scnsub = scn.add_subparsers(dest="scenarios_command", required=True)
-
-    def rule_common(p: argparse.ArgumentParser) -> None:
-        common(p)
-        p.add_argument("--min-support", type=int, default=2)
-        p.add_argument("--min-confidence", type=float, default=0.6)
-
-    swork = scnsub.add_parser(
-        "workload",
-        help="seeded gateway+pool scenario drill (byte-diffed by the gate)",
+    swork = common(
+        scnsub.add_parser(
+            "workload",
+            help="seeded gateway+pool scenario drill (byte-diffed by the gate)",
+        )
     )
-    common(swork)
     swork.add_argument("--requests", type=int, default=160)
     swork.add_argument("--pool-requests", type=int, default=96)
-    scold = scnsub.add_parser(
-        "coldstart", help="zero-shot ranking of cold items vs baselines"
+    common(
+        scnsub.add_parser(
+            "coldstart", help="zero-shot ranking of cold items vs baselines"
+        )
     )
-    common(scold)
-    scold.add_argument("--cold-fraction", type=float, default=0.2)
-    scold.add_argument(
-        "--no-ncf",
-        action="store_true",
-        help="skip the warm-only NCF baseline (faster)",
+    sexp = common(
+        scnsub.add_parser(
+            "explain", help="citation-backed completion/existence explanations"
+        )
     )
-    sexp = scnsub.add_parser(
-        "explain", help="citation-backed completion/existence explanations"
-    )
-    rule_common(sexp)
     sexp.add_argument(
         "--kind", choices=("completion", "existence"), default="completion"
     )
     sexp.add_argument("--queries", type=int, default=5)
-    rule_common(
+    common(
         scnsub.add_parser(
             "transfer", help="precision/coverage of rules across categories"
         )

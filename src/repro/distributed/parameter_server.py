@@ -307,7 +307,8 @@ class DistributedPKGMTrainer:
 
     * ``faults`` — a ``FaultPlan``; the server is wrapped in a
       ``FaultyParameterServer`` injecting seeded push drops / transient
-      RPC errors / shard crashes;
+      RPC errors / shard crashes.  A crash whose epoch, batch or shard
+      the job never reaches raises ``ValueError`` before any training;
     * ``retry`` — a ``RetryPolicy``; workers retry faulted pulls and
       the trainer retries faulted pushes (a push that exhausts its
       retries is abandoned and counted, like a worker timing out);
@@ -360,6 +361,17 @@ class DistributedPKGMTrainer:
         if faults is not None:
             from ..reliability.faults import FaultyParameterServer
 
+            for event in faults.crashes:
+                if event.epoch >= self.config.epochs:
+                    raise ValueError(
+                        f"{event} can never fire: the job trains "
+                        f"{self.config.epochs} epochs"
+                    )
+                if event.shard >= self.config.num_shards:
+                    raise ValueError(
+                        f"{event} can never fire: the server has "
+                        f"{self.config.num_shards} shards"
+                    )
             self.server = FaultyParameterServer(self.server, faults)
         self._retrier = None
         if retry is not None:
@@ -411,6 +423,13 @@ class DistributedPKGMTrainer:
             num_relations=self.model.num_relations,
             rng=rng,
         )
+        crashes = list(self.fault_plan.crashes) if self.fault_plan is not None else []
+        for event in crashes:
+            if event.batch >= sampler.num_batches():
+                raise ValueError(
+                    f"{event} can never fire: an epoch has "
+                    f"{sampler.num_batches()} batches"
+                )
         losses: List[float] = []
         epoch = 0
         if self._manager is not None:
@@ -423,7 +442,6 @@ class DistributedPKGMTrainer:
                 self._manager.clear()
                 self._save_checkpoint(0, rng, losses)
         pending: Deque[GradientPacket] = deque()
-        crashes = list(self.fault_plan.crashes) if self.fault_plan is not None else []
         while epoch < self.config.epochs:
             epoch_loss, count = 0.0, 0
             recovered_mid_epoch = False

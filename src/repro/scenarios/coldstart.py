@@ -423,13 +423,12 @@ def evaluate_coldstart(
 def run_coldstart(
     experiment,
     coldstart: Optional[ColdStartConfig] = None,
-    train_ncf: bool = True,
     registry=None,
 ) -> Tuple[ColdStartReport, ColdStartSplit]:
     """End-to-end zero-shot run at an :class:`ExperimentConfig` scale.
 
     Generates the catalog and cold-start split, multi-task pre-trains
-    PKGM, optionally trains the warm-only NCF baseline, and evaluates.
+    PKGM, trains the warm-only NCF baseline, and evaluates.
     Drives the ``repro scenarios coldstart`` CLI and the committed
     bench numbers.
     """
@@ -460,17 +459,15 @@ def run_coldstart(
     )
     server = PKGMServer(model, selector)
 
-    ncf_model = None
-    if train_ncf:
-        from ..tasks import RecommendationTask
+    from ..tasks import RecommendationTask
 
-        task = RecommendationTask(
-            split.interactions,
-            item_entity_ids,
-            server=server,
-            config=experiment.ncf,
-        )
-        ncf_model, _ = task.train_model("base")
+    task = RecommendationTask(
+        split.interactions,
+        item_entity_ids,
+        server=server,
+        config=experiment.ncf,
+    )
+    ncf_model, _ = task.train_model("base")
 
     report = evaluate_coldstart(
         server,

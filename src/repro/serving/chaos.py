@@ -42,16 +42,27 @@ class ChaosConfig:
     window: int = 8  # max outstanding requests
     seed: int = 0
     k: int = 5
-    max_batch: int = 4
-    max_delay: float = 0.004
     cache_pages: int = 64
-    scrub_pages_per_tick: int = 0
 
     def __post_init__(self) -> None:
         if len(self.kill_at) != len(self.kill_workers):
             raise ValueError("kill_at and kill_workers must pair up")
         if self.workers < 2 and self.kill_at:
             raise ValueError("killing workers needs at least 2 of them")
+        # One kill per request index, each before a request that exists
+        # and aimed at a worker that exists: otherwise a kill silently
+        # never fires and the drill could pass with fewer deaths.
+        if len(set(self.kill_at)) != len(self.kill_at):
+            raise ValueError(f"kill_at repeats a request index: {self.kill_at}")
+        if any(not 0 <= index < self.requests for index in self.kill_at):
+            raise ValueError(
+                f"kill_at must lie in [0, {self.requests}), got {self.kill_at}"
+            )
+        if any(not 0 <= worker < self.workers for worker in self.kill_workers):
+            raise ValueError(
+                f"kill_workers must lie in [0, {self.workers}), "
+                f"got {self.kill_workers}"
+            )
 
 
 @dataclass
@@ -161,10 +172,9 @@ def run_kill_drill(
         store_dir,
         PoolConfig(
             num_workers=config.workers,
-            max_batch=config.max_batch,
-            max_delay=config.max_delay,
+            max_batch=4,
+            max_delay=0.004,
             cache_pages=config.cache_pages,
-            scrub_pages_per_tick=config.scrub_pages_per_tick,
         ),
         clock=clock,
         registry=registry,

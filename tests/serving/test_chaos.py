@@ -70,6 +70,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChaosConfig(workers=1, kill_at=(10,), kill_workers=(0,))
 
+    def test_a_repeated_kill_index_is_refused(self):
+        """``serve chaos --requests 2 --kills 3`` schedules (0, 1, 1): two
+        kills at one index would collapse into one that fires."""
+        with pytest.raises(ValueError, match="repeats"):
+            ChaosConfig(requests=2, kill_at=(0, 1, 1), kill_workers=(0, 1, 2))
+
+    @pytest.mark.parametrize("index", [-1, 80])
+    def test_a_kill_outside_the_requests_is_refused(self, index):
+        with pytest.raises(ValueError, match=r"\[0, 80\)"):
+            drill_config(kill_at=(20, index))
+
+    @pytest.mark.parametrize("worker", [-1, 3])
+    def test_a_kill_of_a_missing_worker_is_refused(self, worker):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            drill_config(kill_workers=(0, worker))
+
+    def test_the_edges_of_every_range_are_accepted(self):
+        config = drill_config(kill_at=(0, 79), kill_workers=(0, 2))
+        assert config.kill_at == (0, 79)
+
     def test_report_fails_without_detected_deaths(self):
         report = ChaosReport(
             requests=4,

@@ -1,9 +1,81 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.cli
 from repro.cli import PRESETS, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Options deleted because no caller passed them or their subcommand
+#: never read them, keyed by an argv that parses without them.
+REMOVED = {
+    "chaos": "--epochs --shards --workers --rpc-error --crash-batch "
+    "--fault-seed --tolerance",
+    "loadtest": "--deadline --admit-burst --drain-at",
+    "index build --out x": "--block-size --relation --verbose -k --queries",
+    "index search": "--block-size --relation --verbose",
+    "index eval": "--block-size --relation --verbose --kind",
+    "store build --out x": "--shards --page-bytes --cache-pages --verbose",
+    "store verify --dir x": "--shards --page-bytes --cache-pages --verbose "
+    "--preset --seed",
+    "store scrub --dir x": "--shards --page-bytes --cache-pages --verbose "
+    "--preset --seed",
+    "store chaos --dir x": "--shards --page-bytes --cache-pages --lost-tails "
+    "--fault-seed --verbose",
+    "serve chaos --dir x": "--window --max-batch --max-delay --store-shards "
+    "--page-bytes --scrub-pages",
+    "serve loadtest --dir x": "--window --max-batch --max-delay --store-shards "
+    "--page-bytes --verbose",
+    "scenarios workload": "--verbose",
+    "scenarios coldstart": "--cold-fraction --no-ncf --verbose",
+    "scenarios explain": "--min-support --min-confidence --verbose",
+    "scenarios transfer": "--min-support --min-confidence --verbose",
+    "pretrain": "--verbose",
+}
+#: A value each removed option would have accepted; flags take none.
+VALUES = {"--verbose": [], "--no-ncf": [], "--preset": ["smoke"], "--kind": ["flat"]}
+REMOVED_PAIRS = [
+    (base, option) for base, options in REMOVED.items() for option in options.split()
+]
+
+
+def caller_lines():
+    """Every ``python -m repro.cli`` command the docs, CI and gate run.
+
+    Backslash continuations are joined, a shell loop variable takes the
+    loop's first value and any other ``$VAR`` a placeholder, and a
+    ``{a,b}`` brace list expands to one command per choice.
+    """
+    for name in ("README.md", ".github/workflows/ci.yml", "tools/check.sh"):
+        text = (ROOT / name).read_text()
+        loops = dict(re.findall(r"for (\w+) in (\w+)", text))
+        lines = iter(enumerate(text.splitlines(), start=1))
+        for number, line in lines:
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)[1]
+            if "python -m repro.cli" not in line:
+                continue
+            command = line.split("python -m repro.cli", 1)[1].split("`")[0]
+            command = re.sub(
+                r"\$\{?(\w+)\}?", lambda m: loops.get(m.group(1), "x"), command
+            )
+            words = []
+            for word in shlex.split(command, comments=True):
+                if word in ("|", ">", "&&", ";"):
+                    break
+                words.append(word[1:-1].split(",") if word[:1] == "{" else [word])
+            for argv in product(*words):
+                yield f"{name}:{number}", list(argv)
+
+
+CALLERS = list(caller_lines())
 
 
 class TestParser:
@@ -57,6 +129,31 @@ class TestParser:
         assert args.kind == "existence"
         with pytest.raises(SystemExit):
             parser.parse_args(["scenarios"])
+
+    @pytest.mark.parametrize(
+        "base, option", REMOVED_PAIRS, ids=[" ".join(p) for p in REMOVED_PAIRS]
+    )
+    def test_a_removed_option_is_refused(self, base, option):
+        parser = build_parser()
+        parser.parse_args(base.split())
+        with pytest.raises(SystemExit):
+            parser.parse_args(base.split() + [option] + VALUES.get(option, ["1"]))
+
+    def test_sixty_seven_pairs_are_gone(self):
+        assert len(REMOVED_PAIRS) == len(set(REMOVED_PAIRS)) == 67
+
+    @pytest.mark.parametrize(
+        "argv", [argv for _, argv in CALLERS], ids=[where for where, _ in CALLERS]
+    )
+    def test_every_documented_invocation_parses(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_the_documented_invocations_are_found(self):
+        assert len(CALLERS) >= 40
+        assert ["serve", "loadtest", "--preset", "smoke", "--dir",
+                "/tmp/serveload", "--workers", "2", "--requests", "256"] in [
+            argv for _, argv in CALLERS
+        ]
 
     def test_stream_from_checkpoint_flag(self):
         args = build_parser().parse_args(
@@ -311,8 +408,7 @@ class TestStoreCommand:
         args = parser.parse_args(["store", "build", "--out", "st"])
         assert args.command == "store"
         assert args.store_command == "build"
-        assert args.shards == 2
-        assert args.page_bytes == 4096
+        assert args.out == "st"
         args = parser.parse_args(["store", "chaos", "--dir", "w"])
         assert args.torn == 1 and args.flips == 2
         assert args.torn_manifest is False
@@ -327,7 +423,7 @@ class TestStoreCommand:
         built = capsys.readouterr().out
         assert "entity_table" in built
         assert (out / "manifest.json").exists()
-        assert main(["store", "verify", "--preset", "smoke", "--dir", str(out)]) == 0
+        assert main(["store", "verify", "--dir", str(out)]) == 0
         assert "0 bad" in capsys.readouterr().out
 
     def test_scrub_flags_corruption(self, tmp_path, capsys):
@@ -338,7 +434,7 @@ class TestStoreCommand:
         blob = bytearray(target.read_bytes())
         blob[10] ^= 0xFF
         target.write_bytes(bytes(blob))
-        assert main(["store", "scrub", "--preset", "smoke", "--dir", str(out)]) == 1
+        assert main(["store", "scrub", "--dir", str(out)]) == 1
         scrubbed = capsys.readouterr().out
         assert "1 bad" in scrubbed
         assert "quarantined rows" in scrubbed
@@ -349,7 +445,7 @@ class TestStoreCommand:
         capsys.readouterr()
         manifest = out / "manifest.json"
         manifest.write_bytes(manifest.read_bytes()[:100])
-        assert main(["store", "verify", "--preset", "smoke", "--dir", str(out)]) == 2
+        assert main(["store", "verify", "--dir", str(out)]) == 2
         assert "REFUSED" in capsys.readouterr().out
 
     def test_builds_are_byte_identical(self, tmp_path, capsys):
@@ -378,3 +474,26 @@ class TestStoreCommand:
         assert "chaos drill: RECOVERED" in first
         assert "0 mismatches" in first
         assert "refused torn manifest" in first
+
+
+class TestDrillsRefuseWhatCannotFire:
+    @pytest.mark.parametrize("flag", ["--crash-epoch 99", "--crash-epoch 4 --crash-shard 9"])
+    def test_chaos_refuses_an_unreachable_crash_before_the_clean_run(
+        self, flag, monkeypatch
+    ):
+        """8 epochs over 4 shards: epoch 99 or shard 9 never comes up, so
+        the drill fails before training instead of passing fault-free."""
+        from repro.distributed import DistributedPKGMTrainer
+
+        def train(*_):
+            raise AssertionError("a job trained before the crash was refused")
+
+        monkeypatch.setattr(DistributedPKGMTrainer, "train", train)
+        with pytest.raises(ValueError, match="can never fire"):
+            main(["chaos", "--preset", "smoke", *flag.split()])
+
+    def test_serve_chaos_refuses_more_kills_than_request_slots(self, tmp_path):
+        """Three kills over two requests would land two on one index."""
+        argv = ["serve", "chaos", "--dir", str(tmp_path), "--requests", "2"]
+        with pytest.raises(ValueError, match="repeats"):
+            main(argv + ["--kills", "3"])

@@ -254,6 +254,49 @@ class TestChaosTraining:
         clean = DistributedPKGMTrainer(_chaos_model(), _chaos_config()).train(store)
         assert abs(losses_a[-1] - clean[-1]) <= 0.10 * abs(clean[-1])
 
+    @pytest.mark.parametrize("field", ["epoch", "batch", "shard"])
+    def test_a_crash_the_job_never_reaches_is_refused_before_training(
+        self, tmp_path, field
+    ):
+        """Epoch 8 of an 8-epoch job, the batch after an epoch's last and
+        shard 4 of 4 can never fire: each is refused before any training,
+        so no checkpoint is written and no epoch runs."""
+        store = _chaos_store()
+        batches = -(-len(store) // 32)  # _chaos_config's batch size
+        crash = {"epoch": 0, "batch": 0, "shard": 0}
+        crash[field] = {"epoch": 8, "batch": batches, "shard": 4}[field]
+        plan = FaultPlan(seed=CHAOS_SEED, crashes=(CrashEvent(**crash),))
+        with pytest.raises(ValueError, match="can never fire"):
+            trainer = DistributedPKGMTrainer(
+                _chaos_model(),
+                _chaos_config(),
+                faults=plan,
+                checkpoint_dir=tmp_path,
+                resume=False,
+            )
+            trainer.train(store)
+        assert list(tmp_path.iterdir()) == []
+        if field == "batch":  # refused by train(), past the constructor
+            assert trainer.metrics.counter("dist.epochs").value == 0
+
+    def test_the_last_batch_of_the_last_epoch_can_crash(self, tmp_path):
+        store = _chaos_store()
+        batches = -(-len(store) // 32)
+        plan = FaultPlan(
+            seed=CHAOS_SEED,
+            crashes=(CrashEvent(epoch=7, batch=batches - 1, shard=3),),
+        )
+        trainer = DistributedPKGMTrainer(
+            _chaos_model(),
+            _chaos_config(),
+            faults=plan,
+            checkpoint_dir=tmp_path,
+            resume=False,
+        )
+        trainer.train(store)
+        assert trainer.fault_stats.shard_crashes == 1
+        assert trainer.recoveries == 1
+
     def test_killed_distributed_run_resumes_bit_exactly(self, tmp_path):
         """Train 4 epochs, 'die', resume to 8: same as training 8."""
         store = _chaos_store()
