@@ -1,45 +1,33 @@
 """Inline suppression directives.
 
-Two forms are recognized, both as comments:
-
-* ``# repro-lint: disable=<rule>[,<rule>...]`` — suppresses the named
-  rules for violations reported **on that physical line** (put it at
-  the end of the offending line, or on the first line of a multi-line
-  statement, which is where violations anchor);
-* ``# repro-lint: disable-file=<rule>[,<rule>...]`` — suppresses the
-  named rules for the whole file, wherever the comment appears.
-
-``all`` is accepted as a rule name and matches every rule.  Per the
-project's lint policy, every suppression should carry a justifying
-comment next to it.
+One form is recognized, as a comment:
+``# repro-lint: disable=<rule>[,<rule>...]`` suppresses the named rules
+for violations reported **on that physical line** (put it at the end of
+the offending line, or on the first line of a multi-line statement,
+which is where violations anchor).  There is no file-wide form and no
+rule name that matches every rule.  Per the project's lint policy,
+every suppression should carry a justifying comment next to it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
 _DIRECTIVE = re.compile(
-    r"#\s*repro-lint:\s*(?P<kind>disable(?:-file)?)\s*=\s*(?P<rules>[A-Za-z0-9_\-, ]+)"
+    r"#\s*repro-lint:\s*disable\s*=\s*(?P<rules>[A-Za-z0-9_\-, ]+)"
 )
-
-#: Sentinel rule name matching every rule.
-ALL = "all"
 
 
 class Suppressions:
     """Parsed suppression directives for one source file."""
 
     def __init__(self) -> None:
-        self.file_level: Set[str] = set()
         self.by_line: Dict[int, Set[str]] = {}
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         """Whether ``rule`` is suppressed for a violation on ``line``."""
-        if ALL in self.file_level or rule in self.file_level:
-            return True
-        line_rules: FrozenSet[str] = frozenset(self.by_line.get(line, ()))
-        return ALL in line_rules or rule in line_rules
+        return rule in self.by_line.get(line, ())
 
     @classmethod
     def from_source(cls, source: str) -> "Suppressions":
@@ -53,10 +41,6 @@ class Suppressions:
                 continue
             rules = {part.strip() for part in match.group("rules").split(",")}
             rules.discard("")
-            if not rules:
-                continue
-            if match.group("kind") == "disable-file":
-                suppressions.file_level |= rules
-            else:
+            if rules:
                 suppressions.by_line.setdefault(lineno, set()).update(rules)
         return suppressions

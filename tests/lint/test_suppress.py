@@ -3,6 +3,8 @@
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import Linter, Suppressions
 from repro.lint.registry import get_rule_class
 
@@ -18,16 +20,6 @@ class TestParsing:
         assert supp.is_suppressed("my-rule", 1)
         assert not supp.is_suppressed("my-rule", 2)
         assert not supp.is_suppressed("other-rule", 1)
-
-    def test_file_directive(self):
-        supp = Suppressions.from_source(
-            "# repro-lint: disable-file=my-rule\nx = 1\n"
-        )
-        assert supp.is_suppressed("my-rule", 99)
-
-    def test_all_sentinel(self):
-        supp = Suppressions.from_source("x = 1  # repro-lint: disable=all\n")
-        assert supp.is_suppressed("anything", 1)
 
     def test_multiple_rules_one_directive(self):
         supp = Suppressions.from_source(
@@ -65,18 +57,22 @@ class TestEngineIntegration:
         assert len(violations) == 1
         assert violations[0].line == 5
 
-    def test_file_suppression_silences_whole_file(self):
+    @pytest.mark.parametrize(
+        "directive",
+        [
+            "# repro-lint: disable-file=mutable-default-arg",
+            "# repro-lint: disable=all",
+        ],
+    )
+    def test_file_and_all_forms_suppress_nothing(self, directive):
+        """Only ``disable=<rule>`` on the offending line silences it."""
         violations = _lint(
-            """
-            # repro-lint: disable-file=mutable-default-arg
-            def f(acc=[]):
-                return acc
-
-            def g(acc=[]):
+            f"""
+            def f(acc=[]):  {directive}
                 return acc
             """
         )
-        assert violations == []
+        assert [violation.line for violation in violations] == [2]
 
     def test_wrong_rule_name_does_not_suppress(self):
         violations = _lint(
