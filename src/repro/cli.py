@@ -921,12 +921,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for every subcommand.
-
-    A subcommand takes an option only if it reads it and a caller passes
-    it; directory options are exempt.  Every other knob is a literal in
-    its ``cmd_*`` function.
-    """
+    """Construct the argument parser for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro", description="PKGM reproduction command line"
     )
@@ -937,6 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         return p
 
+    # common() plus --verbose, for the commands that read it.
     def verbose(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         common(p).add_argument("--verbose", action="store_true")
         return p
