@@ -95,6 +95,30 @@ def pairwise_distances(
     return out if metric == "l1" else np.sqrt(out)
 
 
+def paired_distances(
+    queries: np.ndarray,
+    base: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    metric: str,
+) -> np.ndarray:
+    """``pairwise_distances(queries, base, metric)[rows, cols]``, bit for bit.
+
+    Only the listed (query, vector) pairs are evaluated: each pair's
+    difference is gathered into one contiguous row and reduced over the
+    coordinate axis, the reduction :func:`pairwise_distances` makes, so
+    every distance has the bits it has in the full matrix.
+    """
+    power = np.abs if metric == "l1" else np.square
+    out = np.empty(len(rows), np.result_type(queries, base))
+    step = max(1, _MERGE_ELEMENTS // max(1, queries.shape[1]))
+    for start in range(0, len(rows), step):
+        diff = queries[rows[start : start + step]]
+        diff -= base[cols[start : start + step]]
+        power(diff, out=diff).sum(axis=1, out=out[start : start + step])
+    return out if metric == "l1" else np.sqrt(out)
+
+
 def _scan_block(query, block, power, scratch, out) -> np.ndarray:
     """``sum_j power(query[j] - block[j])`` for every column of ``block``.
 

@@ -22,7 +22,7 @@ from typing import Collection, List, Optional, Tuple
 import numpy as np
 
 from .flat import METRICS, batch_top_k, pairwise_distances
-from .kmeans import kmeans
+from .kmeans import KMeansResult, kmeans
 
 
 class IVFFlatIndex:
@@ -104,6 +104,9 @@ class IVFFlatIndex:
 
     def train(self, vectors: np.ndarray) -> None:
         """Fit the coarse quantizer on ``vectors`` (seeded k-means)."""
+        self._train(vectors)
+
+    def _train(self, vectors: np.ndarray) -> KMeansResult:
         vectors = np.asarray(vectors, dtype=np.float64)
         nlist = min(self.nlist, len(vectors))
         if nlist < self.nlist:
@@ -117,7 +120,7 @@ class IVFFlatIndex:
             iters=self.kmeans_iters,
             seed=self.seed,
         )
-        self._build_dc.inc(result.iterations * len(vectors) * self.nlist)
+        self._build_dc.inc(result.distance_computations)
         self.centroids = result.centroids
         self._list_vectors = [
             np.empty((0, self.dim)) for _ in range(self.nlist)
@@ -126,6 +129,7 @@ class IVFFlatIndex:
             np.empty(0, dtype=np.int64) for _ in range(self.nlist)
         ]
         self._set_ntotal(0)
+        return result
 
     def _set_ntotal(self, ntotal: int) -> None:
         self._ntotal = ntotal
@@ -135,23 +139,34 @@ class IVFFlatIndex:
         """Store ``vectors`` in their nearest cells; returns those cells."""
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before add()")
+        vectors, ids = self._rows(vectors, ids)
+        cells = np.argmin(
+            pairwise_distances(vectors, self.centroids, self.metric), axis=1
+        )
+        self._build_dc.inc(len(vectors) * self.nlist)
+        self._file(vectors, ids, cells)
+        return cells
+
+    def _rows(
+        self, vectors: np.ndarray, ids: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Checked float64 vectors and their int64 ids (next free by default)."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(
                 f"expected (N, {self.dim}) vectors, got {vectors.shape}"
             )
         if ids is None:
-            ids = np.arange(
+            return vectors, np.arange(
                 self.ntotal, self.ntotal + len(vectors), dtype=np.int64
             )
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != (len(vectors),):
-                raise ValueError("ids must be one id per vector")
-        cells = np.argmin(
-            pairwise_distances(vectors, self.centroids, self.metric), axis=1
-        )
-        self._build_dc.inc(len(vectors) * self.nlist)
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape != (len(vectors),):
+            raise ValueError("ids must be one id per vector")
+        return vectors, ids
+
+    def _file(self, vectors: np.ndarray, ids: np.ndarray, cells: np.ndarray) -> None:
+        """Append each vector and id to the list of its cell."""
         # One stable sort groups the batch by cell, input order kept.
         order = np.argsort(cells, kind="stable")
         counts = np.bincount(cells, minlength=self.nlist)
@@ -166,7 +181,6 @@ class IVFFlatIndex:
                 [self._list_ids[cell], ids[members]]
             )
         self._set_ntotal(self._ntotal + len(ids))
-        return cells
 
     def remove(self, cell: int, ids: Collection[int]) -> int:
         """Strike the rows of ``cell`` whose id is in ``ids``; returns count."""
@@ -179,9 +193,14 @@ class IVFFlatIndex:
         return struck
 
     def build(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
-        """Train on ``vectors`` and add them — the common one-shot path."""
-        self.train(vectors)
-        self.add(vectors, ids)
+        """Train on ``vectors`` and add them — the common one-shot path.
+
+        Each vector is filed in the cell k-means' last assignment step
+        found nearest: the cell ``add`` would find, without its matrix.
+        """
+        result = self._train(vectors)
+        vectors, ids = self._rows(vectors, ids)
+        self._file(vectors, ids, result.nearest)
 
     # ------------------------------------------------------------------
     # Search

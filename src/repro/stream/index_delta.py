@@ -234,13 +234,16 @@ class DeltaIndex:
 
         The new seed derives from ``(config.seed, recluster_count)``,
         so the trigger history — itself deterministic — fully fixes
-        the resulting centroids and list assignment.
+        the resulting centroids and list assignment.  With no live
+        vector it raises before touching anything.
         """
+        if not self.live_count:
+            raise ValueError("no live vectors to re-cluster")
         if self.tombstones:
             self.compact()
         vectors, ids = self._live_rows()
         base = self.index
-        nlist = min(base.nlist, max(1, len(vectors)))
+        nlist = min(base.nlist, len(vectors))
         rebuilt = IVFFlatIndex(
             dim=base.dim,
             nlist=nlist,

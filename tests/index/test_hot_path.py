@@ -84,6 +84,23 @@ class TestBatchTopK:
         assert got_i.tolist() == [[13, 0, 22]]
 
 
+class TestPairedDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["l1", "l2"]),
+        st.integers(1, 300),
+        st.sampled_from([0, 1, 7, 437, 1000]),  # 437 pairs of 300 terms: two chunks
+        st.integers(0, 2**16),
+    )
+    def test_every_pair_has_its_bits_in_the_full_matrix(self, metric, dim, pairs, seed):
+        rng = np.random.default_rng(seed)
+        queries = rng.standard_normal((9, dim))
+        base = rng.integers(-2, 3, size=(6, dim)) * rng.choice([1.0, 0.5, 1e-3], dim)
+        rows, cols = rng.integers(0, 9, pairs), rng.integers(0, 6, pairs)
+        got = flat.paired_distances(queries, base, rows, cols, metric)
+        assert same_bytes(got, pairwise_distances(queries, base, metric)[rows, cols])
+
+
 class TestPairwiseDistances:
     def test_the_cases_below_straddle_the_block_size(self):
         assert flat._BLOCK_ELEMENTS == 64 * 32 * 16
@@ -144,10 +161,12 @@ class TestIVFAgainstFlat:
             dim=base.shape[1], nlist=nlist, nprobe=nprobe, seed=3, kmeans_iters=iters
         )
         ivf.build(base[:900])
-        rounds = kmeans(base[:900], nlist, iters=iters, seed=3).iterations
+        trained = kmeans(base[:900], nlist, iters=iters, seed=3).distance_computations
         ivf.add(base[900:])
         build = ivf.metrics.counter("index.build.distance_computations")
-        assert build.value == rounds * 900 * nlist + len(base) * nlist
+        # build files its training vectors from k-means' last step; add
+        # evaluates one row per vector.
+        assert build.value == trained + (len(base) - 900) * nlist
 
         sizes = np.diff(ivf.state()[0]["offsets"])
         probes = ivf.probe_cells(queries, nprobe)

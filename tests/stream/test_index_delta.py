@@ -5,6 +5,7 @@ import pytest
 
 from repro.index.ivf import IVFFlatIndex
 from repro.stream import DeltaIndex, DeltaIndexConfig
+from tests.index.test_hot_path import same_bytes
 
 
 def build_delta_index(rng, n=64, dim=4, nlist=4, **config):
@@ -124,6 +125,21 @@ class TestMaintenance:
         assert "recluster" in actions
         assert index.recluster_count == 1
         assert index.skew() < 2.0
+
+    def test_recluster_with_no_live_vector_refuses_before_compacting(self):
+        """It used to compact every list, then fail inside ``train``."""
+        rng = np.random.default_rng(7)
+        index, _ = build_delta_index(rng)
+        index.delete(np.arange(64, dtype=np.int64))
+        before = index.index.state()[0]
+        with pytest.raises(ValueError, match="no live vectors"):
+            index.recluster()
+        after = index.index.state()[0]
+        assert all(same_bytes(before[name], after[name]) for name in before)
+        assert index.tombstones == set(range(64))
+        assert index.list_sizes().sum() == 64
+        assert index.recluster_count == 0
+        assert index.metrics.counter("stream.index.compactions").value == 0
 
     def test_recluster_is_seeded_and_deterministic(self):
         results = []

@@ -42,15 +42,19 @@ class Model:
 
     def _build(self, vectors, ids):
         result = kmeans(vectors, self.nlist, self.metric, ITERS, self.seed)
-        self.build_dc += result.iterations * len(vectors) * self.nlist
+        self.build_dc += result.distance_computations
         self.centroids = result.centroids
         self.lists = [[] for _ in range(self.nlist)]
+        # A build files its training vectors without evaluating again.
         for vector, vector_id in zip(vectors, ids.tolist()):
-            self._file(vector_id, vector)
+            self._place(vector_id, vector)
 
     def _file(self, vector_id, vector):
-        distances = formula_distances(vector[None, :], self.centroids, self.metric)
         self.build_dc += self.nlist
+        self._place(vector_id, vector)
+
+    def _place(self, vector_id, vector):
+        distances = formula_distances(vector[None, :], self.centroids, self.metric)
         self.lists[int(np.argmin(distances[0]))].append(vector_id)
         self.vectors[vector_id] = vector
 
