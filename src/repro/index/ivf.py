@@ -102,11 +102,8 @@ class IVFFlatIndex:
         """Storage cost per vector (float64 coordinates + int64 id)."""
         return self.dim * 8 + 8
 
-    def train(self, vectors: np.ndarray) -> None:
-        """Fit the coarse quantizer on ``vectors`` (seeded k-means)."""
-        self._train(vectors)
-
-    def _train(self, vectors: np.ndarray) -> KMeansResult:
+    def train(self, vectors: np.ndarray) -> KMeansResult:
+        """Fit the coarse quantizer on ``vectors``; returns the k-means run."""
         vectors = np.asarray(vectors, dtype=np.float64)
         nlist = min(self.nlist, len(vectors))
         if nlist < self.nlist:
@@ -198,7 +195,7 @@ class IVFFlatIndex:
         Each vector is filed in the cell k-means' last assignment step
         found nearest: the cell ``add`` would find, without its matrix.
         """
-        result = self._train(vectors)
+        result = self.train(vectors)
         vectors, ids = self._rows(vectors, ids)
         self._file(vectors, ids, result.nearest)
 

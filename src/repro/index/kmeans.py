@@ -123,7 +123,7 @@ def kmeans(
         new_assignments = bounds.nearest.copy()
         if np.bincount(new_assignments, minlength=k).min() == 0:
             new_assignments = _fix_empty_clusters(
-                new_assignments, bounds.nearest_distances(), k
+                new_assignments, bounds.distances_to(new_assignments), k
             )
         iterations += 1
         if np.array_equal(new_assignments, assignments):
@@ -175,13 +175,6 @@ class _Bounds:
     def _pairs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         self.evaluated += len(rows)
         return paired_distances(self.vectors, self.centroids, rows, cols, self.metric)
-
-    def nearest_distances(self) -> np.ndarray:
-        """(N,) the exact distance from each point to ``nearest``."""
-        loose = np.flatnonzero(~self.tight)
-        self.exact[loose] = self.upper[loose] = self._pairs(loose, self.nearest[loose])
-        self.tight[loose] = True
-        return self.exact
 
     def distances_to(self, assignments: np.ndarray) -> np.ndarray:
         """(N,) the exact distance from each point to its assigned centroid."""
