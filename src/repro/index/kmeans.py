@@ -160,7 +160,7 @@ class _Bounds:
             and magnitude[magnitude > 0].min(initial=_SCALE) >= 1 / _SCALE
         )
         self.evaluated = 0
-        self._evaluate_all(centroids.copy())
+        self._evaluate_all(centroids)
 
     def _evaluate_all(self, centroids: np.ndarray) -> None:
         """A Lloyd round: the full distance matrix and its ``argmin``."""

@@ -139,14 +139,9 @@ drill_gates() {
         python -m repro.cli index build --preset smoke --kind "$kind" --out "$OBS_TMP/r2/$kind" > /dev/null
         diff -r "$OBS_TMP/r1/$kind" "$OBS_TMP/r2/$kind"
     done
-    # The L2 quantizer too: its k-means takes means where L1 takes medians.
-    for run in r1 r2; do
-        python -m repro.cli index build --preset smoke --kind ivf --metric l2 --out "$OBS_TMP/$run/ivf_l2" > /dev/null
-    done
-    diff -r "$OBS_TMP/r1/ivf_l2" "$OBS_TMP/r2/ivf_l2"
-    # Every snapshot file's SHA-256, held to a golden like a transcript.
-    (cd "$OBS_TMP/r1" && find flat ivf ivf_l2 -type f | LC_ALL=C sort | xargs sha256sum) \
-        > "$OBS_TMP/index_snapshots1.txt"
+    # An L2 IVF too (its k-means takes means), then every file's SHA-256 is held to a golden.
+    for run in r1 r2; do python -m repro.cli index build --preset smoke --kind ivf --metric l2 --out "$OBS_TMP/$run/ivf_l2" > /dev/null; done; diff -r "$OBS_TMP/r1/ivf_l2" "$OBS_TMP/r2/ivf_l2"
+    (cd "$OBS_TMP/r1" && find flat ivf ivf_l2 -type f | LC_ALL=C sort | xargs sha256sum) > "$OBS_TMP/index_snapshots1.txt"
     golden index_snapshots
     byte_gate search "" python -m repro.cli index search --preset smoke --kind ivf
     golden search
