@@ -37,7 +37,6 @@ from repro.stream import (
     ContinualConfig,
     ContinualTrainer,
     DeltaIndex,
-    DeltaIndexConfig,
     DeltaStreamConfig,
     StreamState,
 )
@@ -104,7 +103,7 @@ def test_incremental_absorption_beats_rebuild(record_table):
     # Incremental: one DeltaIndex absorbs every round.
     base = IVFFlatIndex(dim=DIM, nlist=NLIST, nprobe=NPROBE, seed=SEED)
     base.build(base_vectors, base_ids)
-    delta = DeltaIndex(base, DeltaIndexConfig())
+    delta = DeltaIndex(base)
     started = time.perf_counter()
     for inserts, insert_ids, delete_ids in churn:
         delta.insert(inserts, insert_ids)

@@ -598,7 +598,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (stdout carries only deterministic lines — the check.sh gate diffs
     two runs; operational counters go to stderr under ``--verbose``).
     ``loadtest`` measures real wall-clock QPS and latency percentiles,
-    so its timing lines are *not* deterministic by design.
+    so its timing lines are *not* deterministic by design; it exits 1
+    unless every request was answered ``ok``.
     """
     import time
     from pathlib import Path
@@ -662,7 +663,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             pool.shutdown()
         for row in report.as_rows():
             print(row)
-        return 0
+        return 0 if report.ok == report.requests else 1
 
     raise ValueError(f"unknown serve subcommand {args.serve_command!r}")
 

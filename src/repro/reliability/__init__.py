@@ -7,9 +7,8 @@ the reproduction survive the same weather, deterministically:
 * :mod:`repro.reliability.faults` — seeded fault injection on the PS
   pull/push channel (push drops, transient RPC errors, shard crashes)
   and on-disk store damage;
-* :mod:`repro.reliability.retry` — exponential backoff with seeded
-  jitter and retry budgets over a virtual clock, wrapping the PS
-  channel;
+* :mod:`repro.reliability.retry` — capped exponential backoff with
+  seeded jitter over a virtual clock, wrapping the PS channel;
 * :mod:`repro.reliability.checkpoint` — crash-consistent checkpoints
   (atomic tmp-write → fsync → rename, checksummed manifests) with
   bit-exact RNG-state resume;

@@ -11,9 +11,10 @@ one of them deterministic on the virtual
 * :class:`TokenBucket` — a classic rate limiter: requests spend
   tokens that refill at ``rate`` per virtual second up to ``burst``;
 * :class:`AIMDLimiter` — an adaptive concurrency limit (additive
-  increase on healthy completions, multiplicative decrease on overload
-  signals), the TCP-congestion-control shape used by gradient/Netflix
-  concurrency-limits style limiters;
+  increase of :data:`INCREASE` per window of healthy completions,
+  multiplicative decrease by :data:`DECREASE` on overload signals,
+  never below :data:`MIN_LIMIT`), the TCP-congestion-control shape used
+  by gradient/Netflix concurrency-limits style limiters;
 * :class:`BoundedPriorityQueue` — the wait queue: bounded, ordered by
   (priority desc, arrival asc), with deterministic shedding on
   overflow (a higher-priority arrival evicts the youngest
@@ -40,6 +41,13 @@ from ..obs.metrics import MetricsRegistry, counter_view
 from .retry import StepClock
 
 T = TypeVar("T")
+
+#: The AIMD limit never drops below this many concurrent requests.
+MIN_LIMIT = 1
+#: Slots a full window of healthy completions adds to the AIMD limit.
+INCREASE = 1.0
+#: Factor an overload signal multiplies the AIMD limit by.
+DECREASE = 0.5
 
 
 class Deadline:
@@ -119,32 +127,18 @@ class TokenBucket:
 class AIMDLimiter:
     """Adaptive concurrency limit: additive increase, multiplicative decrease.
 
-    Healthy completions grow the limit by ``increase / limit`` (one
+    Healthy completions grow the limit by ``INCREASE / limit`` (one
     extra slot per full window of successes, TCP-style); every overload
-    signal — a deadline miss, a latency past the target — cuts it by
-    ``decrease``, with no per-window damping, so a burst of misses
+    signal — a deadline miss, a latency past the target — multiplies it
+    by ``DECREASE``, with no per-window damping, so a burst of misses
     drives the limit down fast.  The limit always stays within
-    ``[min_limit, max_limit]``.
+    ``[MIN_LIMIT, max_limit]``.
     """
 
-    def __init__(
-        self,
-        initial: int = 8,
-        min_limit: int = 1,
-        max_limit: int = 64,
-        increase: float = 1.0,
-        decrease: float = 0.5,
-    ) -> None:
-        if not 1 <= min_limit <= initial <= max_limit:
-            raise ValueError("need 1 <= min_limit <= initial <= max_limit")
-        if increase <= 0:
-            raise ValueError("increase must be positive")
-        if not 0.0 < decrease < 1.0:
-            raise ValueError("decrease must be in (0, 1)")
-        self.min_limit = min_limit
+    def __init__(self, initial: int = 8, max_limit: int = 64) -> None:
+        if not MIN_LIMIT <= initial <= max_limit:
+            raise ValueError(f"need {MIN_LIMIT} <= initial <= max_limit")
         self.max_limit = max_limit
-        self.increase = increase
-        self.decrease = decrease
         self._limit = float(initial)
         self.raises = 0
         self.backoffs = 0
@@ -158,14 +152,14 @@ class AIMDLimiter:
         """A completion under the latency target: grow additively."""
         before = self.limit
         self._limit = min(
-            float(self.max_limit), self._limit + self.increase / max(self._limit, 1.0)
+            float(self.max_limit), self._limit + INCREASE / self._limit
         )
         if self.limit > before:
             self.raises += 1
 
     def on_overload(self) -> None:
         """An overload signal: shrink multiplicatively."""
-        self._limit = max(float(self.min_limit), self._limit * self.decrease)
+        self._limit = max(float(MIN_LIMIT), self._limit * DECREASE)
         self.backoffs += 1
 
 
@@ -336,10 +330,7 @@ class AdmissionConfig:
     rate: Optional[float] = None
     burst: float = 32.0
     initial_limit: int = 8
-    min_limit: int = 1
     max_limit: int = 64
-    increase: float = 1.0
-    decrease: float = 0.5
     queue_capacity: int = 64
 
     def __post_init__(self) -> None:
@@ -370,11 +361,7 @@ class AdmissionController(Generic[T]):
             rate=self.config.rate, burst=self.config.burst, clock=self.clock
         )
         self.limiter = AIMDLimiter(
-            initial=self.config.initial_limit,
-            min_limit=self.config.min_limit,
-            max_limit=self.config.max_limit,
-            increase=self.config.increase,
-            decrease=self.config.decrease,
+            initial=self.config.initial_limit, max_limit=self.config.max_limit
         )
         self.queue: BoundedPriorityQueue[T] = BoundedPriorityQueue(
             self.config.queue_capacity

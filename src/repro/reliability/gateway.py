@@ -7,7 +7,9 @@ production edge fronts a model service:
 * every arrival passes the :class:`~repro.reliability.admission.AdmissionController`
   — token-bucket rate limit, AIMD concurrency limit, bounded priority
   queue — and a shed request is *answered* with the existing flagged
-  ``degraded=True`` fallback payload, never an exception;
+  ``degraded=True`` fallback payload, never an exception; a completion
+  slower than :data:`LATENCY_TARGET` (or a deadline miss) is an
+  overload signal to the AIMD limit;
 * every admitted request carries a :class:`~repro.reliability.admission.Deadline`
   budget that is propagated into the backend call (when the backend's
   ``serve`` takes a deadline, as the pool's does), so work is cancelled
@@ -25,7 +27,9 @@ production edge fronts a model service:
   dropping a single in-flight request.
 
 Time is entirely virtual: the gateway is a deterministic discrete-event
-simulation over the shared :class:`~repro.reliability.retry.StepClock`.
+simulation over the shared :class:`~repro.reliability.retry.StepClock`,
+and each replica's latency is a seeded :class:`LatencyModel` draw
+(:data:`BASE_LATENCY`, :data:`TAIL_PROB`).
 The load generator advances the clock between arrivals; the gateway
 schedules starts and completions at exact virtual timestamps, so two
 runs with the same seed produce byte-identical metrics.
@@ -52,35 +56,32 @@ from .retry import RPCError, StepClock
 #: Gateway lifecycle states (the drain/refresh state machine).
 SERVING, DRAINING, QUIESCED = "serving", "draining", "quiesced"
 
+#: Smallest virtual service latency of a replica.
+BASE_LATENCY = 0.004
+#: Share of replica calls that straggle into the exponential tail.
+TAIL_PROB = 0.03
+#: A completion slower than this many virtual seconds is an overload
+#: signal to the AIMD limiter.
+LATENCY_TARGET = 0.1
+
 
 class LatencyModel:
     """Seeded virtual-latency distribution for one replica.
 
-    ``base + uniform(0, 0.004)`` for the body of the distribution,
-    plus — with probability ``tail_prob`` — an exponential tail of mean
+    ``BASE_LATENCY + uniform(0, 0.004)`` for the body of the distribution,
+    plus — with probability ``TAIL_PROB`` — an exponential tail of mean
     0.25 (the stragglers hedging exists to cut).  All draws
     come from one ``default_rng(seed)`` stream, so a replica's latency
     sequence is a pure function of its seed and call order.
     """
 
-    def __init__(
-        self,
-        base: float = 0.004,
-        tail_prob: float = 0.03,
-        seed: int = 0,
-    ) -> None:
-        if base < 0:
-            raise ValueError("latencies must be non-negative")
-        if not 0.0 <= tail_prob <= 1.0:
-            raise ValueError("tail_prob must be in [0, 1]")
-        self.base = base
-        self.tail_prob = tail_prob
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
     def sample(self) -> float:
         """One virtual service latency draw."""
-        latency = self.base + 0.004 * float(self._rng.random())
-        if self.tail_prob and float(self._rng.random()) < self.tail_prob:
+        latency = BASE_LATENCY + 0.004 * float(self._rng.random())
+        if float(self._rng.random()) < TAIL_PROB:
             latency += float(self._rng.exponential(0.25))
         return latency
 
@@ -197,7 +198,6 @@ class GatewayConfig:
 
     deadline_budget: float = 0.25
     hedge_after: Optional[float] = 0.05
-    latency_target: float = 0.1
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
 
     def __post_init__(self) -> None:
@@ -205,8 +205,6 @@ class GatewayConfig:
             raise ValueError("deadline_budget must be positive")
         if self.hedge_after is not None and self.hedge_after <= 0:
             raise ValueError("hedge_after must be positive (or None to disable)")
-        if self.latency_target <= 0:
-            raise ValueError("latency_target must be positive")
 
 
 @dataclass(frozen=True)
@@ -699,7 +697,7 @@ class PKGMGateway:
             hedged=outcome.hedged,
             hedge_won=outcome.hedge_won,
         )
-        overloaded = outcome.latency > self.config.latency_target
+        overloaded = outcome.latency > LATENCY_TARGET
         self._schedule(completed_at, response, overloaded=overloaded)
 
     def _schedule(

@@ -48,6 +48,9 @@ def _spike(frac: float) -> float:
     return 8.0 if 0.4 <= frac < 0.6 else 1.0
 
 
+#: Share of arrivals that ask for an id outside the catalog.
+UNKNOWN_PROB = 0.01
+
 #: Profile name → arrival-rate multiplier over run fraction [0, 1).
 PROFILES: Dict[str, Callable[[float], float]] = {
     "sustained": _sustained,
@@ -64,7 +67,6 @@ class LoadTestConfig:
     requests: int = 2000
     base_rate: float = 400.0  # mean arrivals per virtual second at 1x
     seed: int = 0
-    unknown_prob: float = 0.01
     drain_at: Optional[float] = 0.5  # run fraction for drain+swap (None: never)
 
     def __post_init__(self) -> None:
@@ -76,8 +78,6 @@ class LoadTestConfig:
             raise ValueError("requests must be >= 1")
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
-        if not 0.0 <= self.unknown_prob <= 1.0:
-            raise ValueError("unknown_prob must be in [0, 1]")
         if self.drain_at is not None and not 0.0 < self.drain_at < 1.0:
             raise ValueError("drain_at must be in (0, 1) when set")
 
@@ -167,7 +167,7 @@ def run_loadtest(
         rate = config.base_rate * shape(index / config.requests)
         gateway.clock.advance(float(rng.exponential(1.0 / rate)))
         responses.extend(gateway.step())
-        if config.unknown_prob and float(rng.random()) < config.unknown_prob:
+        if float(rng.random()) < UNKNOWN_PROB:
             entity = unknown_id + index
         else:
             entity = int(items[int(rng.choice(len(items), p=weights))])

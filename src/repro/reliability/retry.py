@@ -1,4 +1,4 @@
-"""Retry policy engine: backoff and budgets over a virtual clock.
+"""Retry policy engine: capped backoff over a virtual clock.
 
 The paper's PKGM trains against 50 parameter servers; at that scale
 transient RPC failures are the steady state.  The PS pull/push channel,
@@ -7,8 +7,7 @@ where :class:`repro.reliability.faults.FaultyParameterServer` injects
 here:
 
 * :class:`RetryPolicy` / :class:`Retrier` — exponential backoff with
-  seeded jitter, per-call attempt caps, and a global retry *budget*
-  (so a dying backend cannot trap every caller in retry loops);
+  seeded jitter and a per-call cap of :data:`MAX_ATTEMPTS` attempts;
 * a **virtual clock** (:class:`StepClock`) — delays are accounted, not
   slept, so fault-injection runs stay fast *and* deterministic.  The
   serving gateway and the worker pool run on the same clock.
@@ -30,7 +29,7 @@ class RPCError(RuntimeError):
 
 
 class RetryExhaustedError(RuntimeError):
-    """Raised when a call fails after exhausting attempts or budget."""
+    """Raised when a call fails on each of its :data:`MAX_ATTEMPTS` attempts."""
 
 
 class StepClock:
@@ -53,36 +52,23 @@ class StepClock:
         self._now += seconds
 
 
+#: Attempts per call, the first one included.
+MAX_ATTEMPTS = 4
+#: Backoff before retry ``a`` (0-based) is
+#: ``min(MAX_DELAY, BASE_DELAY * MULTIPLIER**a)`` virtual seconds, scaled
+#: down by up to ``JITTER`` (seeded): the standard "decorrelated-ish"
+#: jitter that prevents retry synchronization.
+BASE_DELAY = 0.05
+MAX_DELAY = 2.0
+MULTIPLIER = 2.0
+JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential-backoff knobs (delays are virtual seconds).
+    """The seed of a :class:`Retrier`'s jitter stream."""
 
-    ``delay(attempt) = min(max_delay, base_delay * multiplier**attempt)``
-    scaled down by up to ``jitter`` (seeded), the standard
-    "decorrelated-ish" jitter that prevents retry synchronization.
-    ``budget`` bounds *total* retries across all calls through one
-    :class:`Retrier`; ``None`` means unbounded.
-    """
-
-    max_attempts: int = 4
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    budget: Optional[int] = None
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < self.base_delay:
-            raise ValueError("need 0 <= base_delay <= max_delay")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0 when set")
 
 
 @dataclass
@@ -92,14 +78,12 @@ class RetryStats:
     calls: int = 0
     retries: int = 0
     failures: int = 0
-    budget_denials: int = 0
     virtual_sleep: float = 0.0
 
     def as_row(self) -> str:
         return (
             f"retry calls {self.calls} | retries {self.retries} | "
-            f"failures {self.failures} | budget-denials {self.budget_denials} | "
-            f"backoff {self.virtual_sleep:.2f}s"
+            f"failures {self.failures} | backoff {self.virtual_sleep:.2f}s"
         )
 
 
@@ -121,35 +105,24 @@ class Retrier:
         self.clock = clock if clock is not None else StepClock()
         self.stats = RetryStats()
         self._rng = np.random.default_rng(self.policy.seed)
-        self._budget_left = self.policy.budget
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jitter applied."""
-        raw = min(
-            self.policy.max_delay,
-            self.policy.base_delay * self.policy.multiplier**attempt,
-        )
-        if self.policy.jitter:
-            raw *= 1.0 - self.policy.jitter * float(self._rng.random())
-        return raw
+        raw = min(MAX_DELAY, BASE_DELAY * MULTIPLIER**attempt)
+        return raw * (1.0 - JITTER * float(self._rng.random()))
 
     def call(self, fn: Callable, *args, **kwargs):
         """Run ``fn`` with retries; returns its value or raises."""
         self.stats.calls += 1
         retries = 0
         last: Optional[BaseException] = None
-        for attempt in range(self.policy.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 return fn(*args, **kwargs)
             except RPCError as exc:
                 last = exc
-                if attempt + 1 >= self.policy.max_attempts:
+                if attempt + 1 >= MAX_ATTEMPTS:
                     break
-                if self._budget_left is not None:
-                    if self._budget_left <= 0:
-                        self.stats.budget_denials += 1
-                        break
-                    self._budget_left -= 1
                 pause = self.delay(attempt)
                 self.clock.advance(pause)
                 self.stats.virtual_sleep += pause

@@ -39,10 +39,7 @@ class ChaosConfig:
     workers: int = 3
     kill_at: Tuple[int, ...] = (60, 140)  # request indices
     kill_workers: Tuple[int, ...] = (0, 1)  # which worker dies at each
-    window: int = 8  # max outstanding requests
     seed: int = 0
-    k: int = 5
-    cache_pages: int = 64
 
     def __post_init__(self) -> None:
         if len(self.kill_at) != len(self.kill_workers):
@@ -120,6 +117,10 @@ class ChaosReport:
 
 #: Virtual seconds between two seeded arrivals.
 ARRIVAL_TICK = 0.001
+#: Most requests the drill keeps outstanding.
+WINDOW = 8
+#: Neighbours a drill ``retrieve`` asks for.
+K = 5
 
 
 def _pick_request(
@@ -174,7 +175,6 @@ def run_kill_drill(
             num_workers=config.workers,
             max_batch=4,
             max_delay=0.004,
-            cache_pages=config.cache_pages,
         ),
         clock=clock,
         registry=registry,
@@ -198,9 +198,9 @@ def run_kill_drill(
                 exist_prob=0.2,
                 unknown_prob=0.05,
             )
-            pool.submit(kind, entity, relation=relation, k=config.k)
+            pool.submit(kind, entity, relation=relation, k=K)
             pool.pump()
-            while pool.outstanding() > config.window:
+            while pool.outstanding() > WINDOW:
                 pool.wait_any()
         pool.drain()
         terminal = pool.terminal()

@@ -35,7 +35,6 @@ class ServeLoadConfig:
     seed: int = 0
     serve_prob: float = 0.55
     exist_prob: float = 0.2
-    unknown_prob: float = 0.0
     k: int = 10
 
 
@@ -99,7 +98,7 @@ def run_serve_loadtest(
             pool.num_relations,
             config.serve_prob,
             config.exist_prob,
-            config.unknown_prob,
+            unknown_prob=0.0,  # still drawn, so the request order holds
         )
         request_id = pool.submit(kind, entity, relation=relation, k=config.k)
         submitted_at[request_id] = now()

@@ -76,6 +76,8 @@ MAX_ATTEMPTS = 2
 IO_TIMEOUT = 30.0
 #: Restarts per worker slot before the supervisor gives up on it.
 RESTART_LIMIT = 8
+#: Virtual seconds a request submitted without a ``budget`` may take.
+DEADLINE_BUDGET = 64.0
 
 
 class PoolError(RPCError):
@@ -95,15 +97,12 @@ class PoolConfig:
     num_workers: int = 2
     max_batch: int = 16
     max_delay: float = 0.002  # virtual seconds, see Coalescer
-    deadline_budget: float = 64.0  # virtual seconds per request
     cache_pages: int = 64  # per-worker page-cache budget
     scrub_pages_per_tick: int = 0  # 0 disables background scrubbing
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.deadline_budget <= 0:
-            raise ValueError("deadline_budget must be positive")
 
 
 class WorkerHandle:
@@ -321,9 +320,7 @@ class Supervisor:
         pre-dispatch contract the gateway's retrieval path enforces.
         """
         now = self.clock.now()
-        effective = (
-            self.config.deadline_budget if budget is None else float(budget)
-        )
+        effective = DEADLINE_BUDGET if budget is None else float(budget)
         request_id = self._next_id
         self._next_id += 1
         self._requests_c.inc()

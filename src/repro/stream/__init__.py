@@ -30,7 +30,7 @@ from .deltas import (
     DeltaStreamConfig,
     StreamState,
 )
-from .index_delta import DeltaIndex, DeltaIndexConfig
+from .index_delta import DeltaIndex
 from .pipeline import StreamPipeline, StreamReport, StreamRunConfig
 from .snapshot_swap import SnapshotSwapError, SnapshotVersioner, swap_gateway
 from .warmstart import (
@@ -46,7 +46,6 @@ __all__ = [
     "ContinualTrainer",
     "DeltaBatch",
     "DeltaIndex",
-    "DeltaIndexConfig",
     "DeltaLog",
     "DeltaLogError",
     "DeltaOp",

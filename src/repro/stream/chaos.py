@@ -117,7 +117,11 @@ def run_stream_chaos(
     # The torn segment sits at kill_batch + 1; the recovered run must
     # regenerate (and so overwrite) it, which requires the kill point
     # to land at least two batches before the end.
-    kill_batch = min(kill_batch, stream_config.batches - 2)
+    if kill_batch > stream_config.batches - 2:
+        raise ValueError(
+            f"kill_batch must be <= batches - 2 = {stream_config.batches - 2}, "
+            f"got {kill_batch}"
+        )
 
     clean_dir = run_dir / "clean"
     crashed_dir = run_dir / "crashed"

@@ -30,19 +30,24 @@ from .deltas import OP_ADD, OP_NEW_ITEM, OP_UPDATE, DeltaBatch, StreamState
 from .warmstart import warm_start
 
 
+#: SGD step size of every continual step.
+LEARNING_RATE = 0.05
+#: Rows a step touches, and warm-started rows, are projected back into
+#: the L2 ball of this radius.
+MAX_NORM = 1.0
+
+
 @dataclass(frozen=True)
 class ContinualConfig:
     """Bounded-update knobs for one absorbed batch.
 
-    Every step trains at margin 2.0 on a batch that is half replay, drawn
-    from a 2048-triple reservoir.
+    Every step trains at margin 2.0 and :data:`LEARNING_RATE` on a batch
+    that is half replay, drawn from a 2048-triple reservoir.
     """
 
     seed: int = 0
-    learning_rate: float = 0.05
     steps_per_batch: int = 4
     step_batch_size: int = 32
-    max_norm: float = 1.0
 
     def __post_init__(self) -> None:
         if self.steps_per_batch < 0:
@@ -186,7 +191,7 @@ class ContinualTrainer:
                 self.entity_table,
                 self.relation_table,
                 self.config.seed,
-                max_norm=self.config.max_norm,
+                max_norm=MAX_NORM,
             )
             rows[position] = vector
             self.warm_methods[method] = self.warm_methods.get(method, 0) + 1
@@ -235,7 +240,7 @@ class ContinualTrainer:
     ) -> float:
         """One TransE-L1 margin step on the entity table only."""
         table, relations = self.entity_table, self.relation_table
-        lr, margin = self.config.learning_rate, 2.0
+        lr, margin = LEARNING_RATE, 2.0
 
         def residual(triples: np.ndarray) -> np.ndarray:
             return (
@@ -271,6 +276,6 @@ class ContinualTrainer:
         np.add.at(table, negatives[active][:, 0], neg_g)
         np.add.at(table, negatives[active][:, 2], -neg_g)
         norms = np.linalg.norm(table[touched], axis=1, keepdims=True)
-        scale = np.minimum(1.0, self.config.max_norm / np.maximum(norms, 1e-12))
+        scale = np.minimum(1.0, MAX_NORM / np.maximum(norms, 1e-12))
         table[touched] = table[touched] * scale
         return loss

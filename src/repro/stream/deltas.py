@@ -256,25 +256,20 @@ class StreamState:
         self.next_seq += 1
 
 
+#: Add / update / delete shares of the generated events.
+EVENT_PROBABILITIES = (0.45, 0.35, 0.20)
+#: A delete drawn with this few live items or fewer becomes an add, so
+#: the catalog never drains dry.
+MIN_LIVE_ITEMS = 4
+
+
 @dataclass(frozen=True)
 class DeltaStreamConfig:
-    """Shape of the generated churn: eight events per batch, and a new
-    item fills each attribute of its category with probability 0.8."""
+    """Seed of the generated churn: eight events per batch, drawn with
+    :data:`EVENT_PROBABILITIES`, and a new item fills each attribute of
+    its category with probability 0.8."""
 
     seed: int = 0
-    add_probability: float = 0.45
-    update_probability: float = 0.35
-    delete_probability: float = 0.20
-    min_live_items: int = 4
-
-    def __post_init__(self) -> None:
-        total = (
-            self.add_probability
-            + self.update_probability
-            + self.delete_probability
-        )
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("event probabilities must sum to 1")
 
 
 class CatalogDeltaStream:
@@ -296,18 +291,10 @@ class CatalogDeltaStream:
         base_seq = self.state.next_seq
         ops: List[DeltaOp] = []
         kinds = (OP_ADD, OP_UPDATE, OP_DELETE)
-        probabilities = (
-            self.config.add_probability,
-            self.config.update_probability,
-            self.config.delete_probability,
-        )
         for _ in range(8):
-            kind = kinds[rng.choice(len(kinds), p=probabilities)]
-            if (
-                kind == OP_DELETE
-                and self.state.live_count <= self.config.min_live_items
-            ):
-                kind = OP_ADD  # keep the catalog from draining dry
+            kind = kinds[rng.choice(len(kinds), p=EVENT_PROBABILITIES)]
+            if kind == OP_DELETE and self.state.live_count <= MIN_LIVE_ITEMS:
+                kind = OP_ADD
             if kind == OP_UPDATE and self.state.live_count == 0:
                 kind = OP_ADD
             if kind == OP_ADD:

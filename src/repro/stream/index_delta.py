@@ -16,14 +16,13 @@ incremental surface:
   when list-size skew shows the centroids have drifted from the data.
 
 Everything is deterministic: triggers fire on exact counters and the
-re-cluster seed derives from ``(seed, recluster_count)``, so a
+re-cluster seed derives from ``(RECLUSTER_SEED, recluster_count)``, so a
 replayed op history reproduces the same index bytes — the property
 the stream chaos gate diffs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -32,20 +31,15 @@ from ..index.ivf import IVFFlatIndex
 from ..obs.metrics import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class DeltaIndexConfig:
-    """Maintenance trigger thresholds."""
-
-    seed: int = 0
-    tombstone_ratio: float = 0.25
-    skew_ratio: float = 4.0
-    min_vectors_for_recluster: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tombstone_ratio <= 1.0:
-            raise ValueError("tombstone_ratio must be in (0, 1]")
-        if self.skew_ratio <= 1.0:
-            raise ValueError("skew_ratio must be > 1")
+#: Compaction runs once this share of the rows is tombstoned.
+TOMBSTONE_RATIO = 0.25
+#: Re-clustering runs once the largest list holds this many times the
+#: mean non-empty list, and at least ``MIN_VECTORS_FOR_RECLUSTER`` rows
+#: are live.
+SKEW_RATIO = 4.0
+MIN_VECTORS_FOR_RECLUSTER = 64
+#: Re-cluster ``n`` seeds its k-means from ``[RECLUSTER_SEED, n]``.
+RECLUSTER_SEED = 0
 
 
 class DeltaIndex:
@@ -54,13 +48,11 @@ class DeltaIndex:
     def __init__(
         self,
         base: IVFFlatIndex,
-        config: Optional[DeltaIndexConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if not base.is_trained:
             raise ValueError("the base index must be trained (or built)")
         self.index = base
-        self.config = config if config is not None else DeltaIndexConfig()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.tombstones: Set[int] = set()
         self._cell_of = self._map_cells()
@@ -202,16 +194,10 @@ class DeltaIndex:
     def maintenance(self) -> List[str]:
         """Run due maintenance; returns the actions taken (in order)."""
         actions: List[str] = []
-        if (
-            self.tombstones
-            and self.tombstone_fraction >= self.config.tombstone_ratio
-        ):
+        if self.tombstones and self.tombstone_fraction >= TOMBSTONE_RATIO:
             self.compact()
             actions.append("compact")
-        if (
-            self.live_count >= self.config.min_vectors_for_recluster
-            and self.skew() >= self.config.skew_ratio
-        ):
+        if self.live_count >= MIN_VECTORS_FOR_RECLUSTER and self.skew() >= SKEW_RATIO:
             self.recluster()
             actions.append("recluster")
         return actions
@@ -232,7 +218,7 @@ class DeltaIndex:
     def recluster(self) -> None:
         """Re-train the coarse quantizer on the live vectors (seeded).
 
-        The new seed derives from ``(config.seed, recluster_count)``,
+        The new seed derives from ``(RECLUSTER_SEED, recluster_count)``,
         so the trigger history — itself deterministic — fully fixes
         the resulting centroids and list assignment.  With no live
         vector it raises before touching anything.
@@ -251,7 +237,7 @@ class DeltaIndex:
             metric=base.metric,
             seed=int(
                 np.random.default_rng(
-                    [self.config.seed, self.recluster_count]
+                    [RECLUSTER_SEED, self.recluster_count]
                 ).integers(2**31)
             ),
             kmeans_iters=base.kmeans_iters,

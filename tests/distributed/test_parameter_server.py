@@ -350,7 +350,7 @@ class TestDistributedTraining:
             model,
             DistributedConfig(num_shards=2, num_workers=2, epochs=2, batch_size=16),
             faults=FaultPlan(seed=0, rpc_error_prob=0.5),
-            retry=RetryPolicy(max_attempts=2, seed=0),
+            retry=RetryPolicy(seed=0),
         )
         losses = trainer.train(store)  # must not raise
         assert len(losses) == 2

@@ -83,7 +83,7 @@ class TestAIMDLimiter:
         assert limiter.raises == 1
 
     def test_multiplicative_decrease(self):
-        limiter = AIMDLimiter(initial=16, decrease=0.5)
+        limiter = AIMDLimiter(initial=16)
         limiter.on_overload()
         assert limiter.limit == 8
         limiter.on_overload()
@@ -91,23 +91,22 @@ class TestAIMDLimiter:
         assert limiter.backoffs == 2
 
     def test_bounds_respected(self):
-        limiter = AIMDLimiter(initial=2, min_limit=2, max_limit=3)
-        for _ in range(100):
+        limiter = AIMDLimiter(initial=8, max_limit=9)
+        limits = []
+        for _ in range(6):
             limiter.on_overload()
-        assert limiter.limit == 2
+            limits.append(limiter.limit)
+        assert limits == [4, 2, 1, 1, 1, 1]  # halved down to MIN_LIMIT
+        assert limiter.backoffs == 6
         for _ in range(100):
             limiter.on_success()
-        assert limiter.limit == 3
+        assert limiter.limit == 9
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AIMDLimiter(initial=0)
         with pytest.raises(ValueError):
-            AIMDLimiter(initial=8, min_limit=9)
-        with pytest.raises(ValueError):
-            AIMDLimiter(increase=0.0)
-        with pytest.raises(ValueError):
-            AIMDLimiter(decrease=1.0)
+            AIMDLimiter(initial=9, max_limit=8)
 
 
 class TestBoundedPriorityQueue:

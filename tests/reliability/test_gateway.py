@@ -357,12 +357,6 @@ class TestLatencyModel:
         assert first == second
         assert all(s >= 0.004 for s in first)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LatencyModel(base=-0.1)
-        with pytest.raises(ValueError):
-            LatencyModel(tail_prob=1.5)
-
 
 class TestGatewayConfig:
     def test_validation(self):
@@ -370,8 +364,6 @@ class TestGatewayConfig:
             GatewayConfig(deadline_budget=0.0)
         with pytest.raises(ValueError):
             GatewayConfig(hedge_after=0.0)
-        with pytest.raises(ValueError):
-            GatewayConfig(latency_target=-1.0)
 
     def test_needs_replicas(self):
         with pytest.raises(ValueError):

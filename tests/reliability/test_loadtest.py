@@ -43,8 +43,6 @@ class TestProfiles:
         with pytest.raises(ValueError):
             LoadTestConfig(base_rate=0.0)
         with pytest.raises(ValueError):
-            LoadTestConfig(unknown_prob=1.5)
-        with pytest.raises(ValueError):
             LoadTestConfig(drain_at=1.0)
 
 

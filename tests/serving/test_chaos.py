@@ -12,10 +12,7 @@ def drill_config(**overrides):
         workers=3,
         kill_at=(20, 50),
         kill_workers=(0, 1),
-        window=6,
         seed=0,
-        k=4,
-        cache_pages=8,
     )
     base.update(overrides)
     return ChaosConfig(**base)

@@ -10,7 +10,7 @@ from repro.serving import (
 )
 
 
-def run_once(store_dir, item_ids, **overrides):
+def run_once(store_dir, item_ids):
     pool = Supervisor(
         store_dir,
         PoolConfig(num_workers=2, max_batch=4, cache_pages=8),
@@ -21,7 +21,7 @@ def run_once(store_dir, item_ids, **overrides):
         return run_serve_loadtest(
             pool,
             item_ids,
-            ServeLoadConfig(requests=60, window=8, **overrides),
+            ServeLoadConfig(requests=60, window=8),
             timer=None,  # virtual stamps: fully deterministic
         )
     finally:
@@ -33,12 +33,15 @@ class TestLoadtest:
         report = run_once(store_dir, item_ids)
         assert report.requests == 60
         assert report.ok + report.degraded == 60
-        assert report.degraded == 0  # unknown_prob defaults to 0
+        assert report.degraded == 0  # the loadtest asks for no unknown id
         assert report.batches > 0
         assert report.mean_batch >= 1.0
 
     def test_unknown_ids_count_as_degraded(self, store_dir, item_ids):
-        report = run_once(store_dir, item_ids, unknown_prob=0.3)
+        """Serve requests draw from ``item_ids``: ids past the store's
+        entities answer degraded."""
+        unknown = [10**6 + i for i in range(len(item_ids))]
+        report = run_once(store_dir, list(item_ids) + unknown)
         assert report.ok + report.degraded == 60
         assert report.degraded > 0
 

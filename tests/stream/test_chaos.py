@@ -4,6 +4,7 @@ import pytest
 
 from repro.stream import (
     StreamChaosReport,
+    StreamPipeline,
     StreamRunConfig,
     run_stream_chaos,
 )
@@ -40,12 +41,22 @@ class TestStreamChaos:
         assert first.lines() == second.lines()
         assert first.lines()[-1] == "stream drill: RECOVERED"
 
-    def test_kill_point_is_clamped_into_range(self, experiment, tmp_path):
-        report = run_stream_chaos(
-            experiment, tmp_path, drill_config(),
-            kill_batch=99,
-        )
-        assert report.ok
+    @pytest.mark.parametrize("kill_batch", [5, 99])
+    def test_a_kill_point_past_batches_minus_two_is_refused(
+        self, experiment, tmp_path, kill_batch, monkeypatch
+    ):
+        """6 batches: the torn segment at ``kill_batch + 1`` must be
+        regenerated, so the kill lands by batch 4.  A later one used to
+        be moved to batch 4 without a word."""
+
+        def run(*_):
+            raise AssertionError("a pipeline ran before the kill was refused")
+
+        monkeypatch.setattr(StreamPipeline, "run", run)
+        with pytest.raises(ValueError, match=f"batches - 2 = 4, got {kill_batch}"):
+            run_stream_chaos(
+                experiment, tmp_path, drill_config(), kill_batch=kill_batch
+            )
 
     def test_too_few_batches_rejected(self, experiment, tmp_path):
         with pytest.raises(ValueError, match="at least 3"):

@@ -17,6 +17,7 @@ from repro.stream import (
     DeltaStreamConfig,
     StreamState,
 )
+from repro.stream.deltas import EVENT_PROBABILITIES
 
 
 class TestGeneration:
@@ -51,25 +52,24 @@ class TestGeneration:
                     assert op.tail < base_entities
 
     def test_min_live_floor_holds_under_heavy_deletes(self, catalog):
+        """From MIN_LIVE_ITEMS (4) live items, a drawn delete adds instead."""
         state = StreamState.from_catalog(catalog)
-        floor = state.live_count
-        stream = CatalogDeltaStream(
-            state,
-            DeltaStreamConfig(
-                seed=0,
-                min_live_items=floor,
-                add_probability=0.1,
-                update_probability=0.1,
-                delete_probability=0.8,
-            ),
+        for head in state.live_items()[4:]:
+            for relation, tail in sorted(state.live[head].items()):
+                state.apply(DeltaOp(state.next_seq, OP_DELETE, head, relation, tail))
+            state.apply(DeltaOp(state.next_seq, OP_RETIRE, head, -1, -1))
+        assert state.live_count == 4
+        # The first seed whose first event of batch 0 is a delete.
+        seed = next(
+            seed
+            for seed in range(100)
+            if np.random.default_rng([seed, 0]).choice(3, p=EVENT_PROBABILITIES) == 2
         )
-        for i in range(8):
+        stream = CatalogDeltaStream(state, DeltaStreamConfig(seed=seed))
+        assert stream.generate(0).ops[0].op == OP_NEW_ITEM
+        for i in range(1, 8):
             stream.generate(i)
-            assert state.live_count >= floor
-
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            DeltaStreamConfig(add_probability=0.9)
+            assert state.live_count >= 4
 
 
 class TestStreamState:

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.index.ivf import IVFFlatIndex
-from repro.stream import DeltaIndex, DeltaIndexConfig
+from repro.stream import DeltaIndex
 from tests.index.test_hot_path import same_bytes
 
 
-def build_delta_index(rng, n=64, dim=4, nlist=4, **config):
+def build_delta_index(rng, n=64, dim=4, nlist=4):
     vectors = rng.standard_normal((n, dim))
     ids = np.arange(n, dtype=np.int64)
     base = IVFFlatIndex(dim=dim, nlist=nlist, nprobe=nlist, seed=0)
     base.build(vectors, ids)
-    return DeltaIndex(base, DeltaIndexConfig(**config)), vectors
+    return DeltaIndex(base), vectors
 
 
 class TestMutations:
@@ -105,26 +105,28 @@ class TestMutations:
 class TestMaintenance:
     def test_compaction_trigger_on_tombstone_ratio(self):
         rng = np.random.default_rng(3)
-        index, _ = build_delta_index(rng, tombstone_ratio=0.25)
-        index.delete(np.arange(20, dtype=np.int64))  # 20/64 > 0.25
-        actions = index.maintenance()
-        assert "compact" in actions
+        index, _ = build_delta_index(rng)
+        index.delete(np.arange(15, dtype=np.int64))  # 15/64 < 0.25
+        assert index.maintenance() == []
+        assert len(index.tombstones) == 15
+        index.delete(np.asarray([15]))  # 16/64 reaches TOMBSTONE_RATIO
+        assert index.maintenance() == ["compact"]
         assert not index.tombstones
-        assert index.index.ntotal == 44
+        assert index.index.ntotal == 48
 
     def test_recluster_trigger_on_skew(self):
         rng = np.random.default_rng(4)
-        index, _ = build_delta_index(
-            rng, skew_ratio=2.0, min_vectors_for_recluster=32
-        )
+        index, _ = build_delta_index(rng, n=16, nlist=8)
         # Pile far-away inserts into one centroid's cell to skew it.
-        crowd = rng.standard_normal((200, 4)) * 0.05 + 40.0
-        index.insert(crowd, np.arange(1000, 1200, dtype=np.int64))
-        assert index.skew() >= 2.0
-        actions = index.maintenance()
-        assert "recluster" in actions
+        crowd = rng.standard_normal((48, 4)) * 0.05 + 40.0
+        index.insert(crowd[:47], np.arange(1000, 1047, dtype=np.int64))
+        assert index.skew() >= 4.0
+        assert index.live_count == 63  # one short of MIN_VECTORS_FOR_RECLUSTER
+        assert index.maintenance() == []
+        index.insert(crowd[47:], np.asarray([1047]))
+        assert index.maintenance() == ["recluster"]
         assert index.recluster_count == 1
-        assert index.skew() < 2.0
+        assert index.skew() < 4.0
 
     def test_recluster_with_no_live_vector_refuses_before_compacting(self):
         """It used to compact every list, then fail inside ``train``."""

@@ -11,17 +11,21 @@ be the number of rows in the lists.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.index import IVFFlatIndex, kmeans, top_k
-from repro.stream import DeltaIndex, DeltaIndexConfig
+from repro.stream import DeltaIndex
+from repro.stream.index_delta import (
+    MIN_VECTORS_FOR_RECLUSTER,
+    RECLUSTER_SEED,
+    SKEW_RATIO,
+    TOMBSTONE_RATIO,
+)
 from tests.index.test_hot_path import formula_distances, same_bytes
 
-DIM, NLIST, NPROBE, ITERS, START = 3, 4, 2, 5, 40
-CONFIG = DeltaIndexConfig(
-    seed=11, tombstone_ratio=0.25, skew_ratio=1.6, min_vectors_for_recluster=16
-)
+# Eight lists, so one crowded list can reach SKEW_RATIO (4) times the mean.
+DIM, NLIST, NPROBE, ITERS, START = 3, 8, 2, 5, 64
 OPS = ["insert", "delete", "update", "maintenance", "compact", "recluster", "search"]
 
 
@@ -96,7 +100,7 @@ class Model:
         vectors = np.asarray([self.vectors[i] for i in ids.tolist()])
         self.nlist = min(self.nlist, len(ids))
         self.seed = int(
-            np.random.default_rng([CONFIG.seed, self.reclusters]).integers(2**31)
+            np.random.default_rng([RECLUSTER_SEED, self.reclusters]).integers(2**31)
         )
         self.vectors = {}
         self._build(vectors.reshape(len(ids), DIM), ids)
@@ -106,13 +110,13 @@ class Model:
     def maintenance(self):
         actions = []
         total = self.ntotal
-        if self.tombstones and len(self.tombstones) / total >= CONFIG.tombstone_ratio:
+        if self.tombstones and len(self.tombstones) / total >= TOMBSTONE_RATIO:
             self.compact()
             actions.append("compact")
         sizes = [len(ids) for ids in self.lists if ids]
         if (
-            self.ntotal - len(self.tombstones) >= CONFIG.min_vectors_for_recluster
-            and max(sizes) / (sum(sizes) / len(sizes)) >= CONFIG.skew_ratio
+            self.ntotal - len(self.tombstones) >= MIN_VECTORS_FOR_RECLUSTER
+            and max(sizes) / (sum(sizes) / len(sizes)) >= SKEW_RATIO
         ):
             self.recluster()
             actions.append("recluster")
@@ -181,7 +185,15 @@ def assert_same_index(index, model):
     assert registry.counter("index.search.distance_computations").value == model.search_dc
 
 
+#: Two crowds of 29 on 64 vectors, then 54 deletes: one ``maintenance``
+#: compacts, and with 68 rows live the crowded list still holds four
+#: times the mean, so it re-clusters too.
+BOTH_TRIGGERS = [("insert", 2949), ("insert", 2916), ("delete", 1), ("maintenance", 0)]
+
+
 @settings(max_examples=60, deadline=None)
+@example("l1", BOTH_TRIGGERS)
+@example("l2", BOTH_TRIGGERS)
 @given(
     st.sampled_from(["l1", "l2"]),
     st.lists(
@@ -195,7 +207,7 @@ def test_every_operation_leaves_the_models_bytes(metric, ops):
         dim=DIM, nlist=NLIST, nprobe=NPROBE, metric=metric, seed=0, kmeans_iters=ITERS
     )
     base.build(vectors, ids)
-    index, model = DeltaIndex(base, CONFIG), Model(metric, vectors, ids)
+    index, model = DeltaIndex(base), Model(metric, vectors, ids)
     assert_same_index(index, model)
     next_id = START
     for op, seed in ops:
@@ -205,8 +217,9 @@ def test_every_operation_leaves_the_models_bytes(metric, ops):
         live = len(known) - len(model.tombstones)
         if op == "insert":
             count = int(rng.integers(0, 30))
-            # Far-off crowds now and then, to skew one list.
-            new = draw_vectors(rng, count) + (8.0 if seed % 3 == 0 else 0.0)
+            new = draw_vectors(rng, count)
+            if seed % 3 == 0:  # a tight far-off crowd now and then, to skew one list
+                new = new * 0.25 + 8.0
             new_ids = np.arange(next_id, next_id + count, dtype=np.int64)
             next_id += count
             index.insert(new, new_ids)

@@ -497,3 +497,55 @@ class TestDrillsRefuseWhatCannotFire:
         argv = ["serve", "chaos", "--dir", str(tmp_path), "--requests", "2"]
         with pytest.raises(ValueError, match="repeats"):
             main(argv + ["--kills", "3"])
+
+    def test_stream_chaos_refuses_a_kill_past_batches_minus_two(
+        self, tmp_path, monkeypatch
+    ):
+        """12 batches: a kill at batch 99 used to be moved to batch 10."""
+        from repro.stream import StreamPipeline
+
+        def run(*_):
+            raise AssertionError("a pipeline ran before the kill was refused")
+
+        monkeypatch.setattr(StreamPipeline, "run", run)
+        argv = ["stream", "chaos", "--preset", "smoke", "--dir", str(tmp_path)]
+        with pytest.raises(ValueError, match="batches - 2 = 10, got 99"):
+            main(argv + ["--kill-batch", "99"])
+
+
+class TestServeLoadtestExitCode:
+    @pytest.mark.parametrize("degraded", [0, 1])
+    def test_exits_1_unless_every_request_is_ok(
+        self, degraded, tmp_path, monkeypatch, capsys
+    ):
+        import repro.serving
+        from repro.serving import ServeLoadReport
+
+        class Pool:
+            def __init__(self, *_, **__):
+                pass
+
+            def start(self):
+                pass
+
+            def shutdown(self):
+                pass
+
+        def loadtest(pool, items, config, timer):
+            return ServeLoadReport(
+                requests=config.requests,
+                ok=config.requests - degraded,
+                degraded=degraded,
+                elapsed=1.0,
+                qps=float(config.requests),
+                p50=0.001,
+                p99=0.002,
+                batches=8,
+                mean_batch=4.0,
+            )
+
+        monkeypatch.setattr(repro.serving, "Supervisor", Pool)
+        monkeypatch.setattr(repro.serving, "run_serve_loadtest", loadtest)
+        argv = ["serve", "loadtest", "--preset", "smoke", "--dir", str(tmp_path)]
+        assert main(argv + ["--requests", "32"]) == degraded
+        assert f"ok {32 - degraded} | degraded {degraded}" in capsys.readouterr().out
