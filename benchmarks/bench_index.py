@@ -10,7 +10,9 @@ mixture:
 * **recall@10** — mean overlap with Flat's exact top-10;
 * **distance computations** — from the ``index.search.*`` metrics
   counters, not wall-time guesses;
-* **bytes/vector** — float64 coordinates plus an int64 id;
+* **bytes/vector** — what the index holds per vector: IVF's float64
+  coordinates and int64 id; Flat's float64 coordinates, the float32
+  copy its screen reads and the id (``12 * dim + 8``);
 * **seconds** — wall time to build and to search (real cost, so
   ``time.perf_counter`` is fine here — benchmarks live outside the
   virtual-clock packages lint rule R007 covers).

@@ -79,12 +79,12 @@ def knn_category_purity(
 ) -> PurityReport:
     """Fraction of each item's k nearest items sharing its category.
 
-    Neighbors come from a blocked exact L1 scan
+    Neighbors come from an exact L1 search
     (:class:`repro.index.FlatIndex`), so peak memory is bounded by the
-    index's merge budget (2^17 distances at a time; ``block_size`` is
-    the fewest table rows one merge ranks, so only a large one raises
-    it) instead of the full item-by-item distance matrix the old
-    ``cdist`` path materialized; results are unchanged.  Neighbors
+    index's screen chunk (``O(queries * k + 8192 * dim)``; ``block_size``
+    passes through to the index and changes no result) instead of the
+    full item-by-item distance matrix the old ``cdist`` path
+    materialized; results are unchanged.  Neighbors
     at distance ≤ 1e-12 (self-matches and exact duplicates) are
     excluded, so the searched ``k`` grows adaptively until every query
     has ``k`` true neighbors or the table is exhausted.

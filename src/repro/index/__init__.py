@@ -8,8 +8,9 @@ whatever the memory layout (stated in :mod:`repro.index.flat`),
 and vectors always produce byte-identical snapshots and identical
 search results:
 
-* :class:`FlatIndex` — exact scan of a coordinate-major table in
-  column blocks, memory bounded whatever its size; the recall oracle.
+* :class:`FlatIndex` — exact search: a float32 screen of every vector,
+  float64 rescoring of those its error bound cannot rule out, memory
+  bounded whatever the table's size; the recall oracle.
 * :class:`IVFFlatIndex` — inverted-file cells, exact in-cell distances.
 
 :func:`save_index` / :func:`load_index` persist either as a

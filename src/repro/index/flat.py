@@ -1,44 +1,87 @@
-"""Blocked exact nearest-neighbor search — the ground-truth baseline.
+"""Exact nearest-neighbor search through a float32 screen — the ground truth.
 
 :class:`FlatIndex` answers k-NN queries against an in-memory vector
-table by brute force, but never materializes the full query-by-base
-distance matrix.  The table is held coordinate-major — one ``(d, N)``
-array, row ``j`` the ``j``-th coordinate of every vector — and scanned
-in column blocks a few thousand vectors wide, eight coordinates at a
-time, every step one ufunc call over whole contiguous rows; the
-distances of at most ``_MERGE_ELEMENTS`` (query, vector) pairs are then
-ranked by one :func:`batch_top_k` merge into a running top-k per query.
-Peak memory is ``O(num_queries * k + _MERGE_ELEMENTS)`` whatever the
-table size (``block_size``, the rows-per-merge floor, raises it to
-``queries-per-merge * block_size``).  That bound is what lets
+table by brute force, but ranks only the vectors a proven error bound
+cannot rule out.  It holds the table twice: the float64 vectors
+row-major, in the snapshot layout, and a coordinate-major float32 copy
+— one ``(d, N)`` array, row ``j`` the ``j``-th coordinate of every
+vector, 4 more bytes per coordinate — that the screen reads.
+
+For each query and each chunk of ``_SCREEN_WIDTH`` to twice as many
+vectors, ``search`` computes every vector's float32 *screen*: the L1
+distance, or the *squared* L2 distance, of the float32 query and
+vector, its ``d`` terms added in whatever order numpy picks.  Each
+screen ``S`` lies within ``E`` of its vector's exact float64 distance
+``D`` (squared, for L2), so a vector can be among the k nearest only
+when ``S <= s_k + 2E``, where ``s_k`` is the chunk's k-th smallest
+screen (k vectors have ``D <= s_k + E``), and ``S <= T + E``, where
+``T`` is the k-th smallest exact distance found in earlier chunks
+(``T**2`` for L2).  Every vector that passes both — and every screen
+that is NaN or ±inf — is rescored by :func:`paired_distances`, which
+gives the bits :func:`pairwise_distances` gives, and merged into the
+query's running top-k by ``(distance, id)``; the thresholds are
+computed in float64 and rounded up to float32 before comparing.
+Memory is ``O(num_queries * k + _SCREEN_WIDTH * d)`` whatever the
+table size.  That bound is what lets
 :func:`repro.analysis.embeddings.knn_category_purity` drop its O(N^2)
 pairwise matrix while returning the same answers.
+
+The bound, with ``u = 2**-24`` (float32's unit roundoff) and every
+coordinate of the query and of the table finite and either zero or of
+magnitude in ``[2**-60, 2**60]``, ``d <= 2**20``:
+
+* rounding ``q_j`` and ``x_j`` to float32 moves each by at most
+  ``u |q_j|`` and ``u |x_j|`` (both stay normal), and the float32
+  subtraction adds ``u`` of its result (exact when subnormal), so each
+  term ``t_j`` is within ``δ a_j`` of ``e_j = q_j - x_j``, where
+  ``a_j = |q_j| + |x_j|`` and ``δ = 2u + u**2``;
+* a float32 sum of ``d`` non-negative terms in any order is within
+  ``γ = (d - 1) u / (1 - (d - 1) u) <= 1.07 (d - 1) u`` of the
+  terms' sum, and the float64 distance (squared, for L2) is within a
+  relative ``d 2**-51`` of the true one;
+* **L1**: ``|S - D| <= (γ (1 + δ) + δ + d 2**-51) Σ a_j <= 3 d u R``
+  with ``R = ||q||_1 + max ||x||_1``.  The index uses
+  ``E = 4 d u R``;
+* **squared L2**: ``|t_j**2 - e_j**2| <= δ (2 + δ) a_j**2``, squaring
+  in float32 adds ``u t_j**2`` and at most ``2**-150`` on underflow,
+  and ``Σ a_j**2 <= R**2`` with ``R = ||q||_2 + max ||x||_2``
+  (Minkowski), so ``|S - D**2| <= (γ (1 + u)(1 + δ)**2 + 5.01 u
+  + d 2**-51) R**2 + d 2**-150 <= 6 d u R**2 + d 2**-150``.  A pair
+  with a nonzero coordinate has ``R**2 >= 2**-120``, so the underflow
+  term is at most ``d u R**2 / 64`` (an all-zero pair screens exactly
+  0).  The index uses ``E = 8 d u R**2``;
+* the extra ``d u R`` (L1) and ``2 d u R**2`` (L2) cover the float64
+  rounding of the norms, of ``E`` and of the thresholds, the underflow
+  term, and the square root that turns ``D**2`` into the served ``D``
+  (a relative ``2**-51``, on values at most ``R**2``).
+
+A float32 sum that overflows is +inf and always survives.  Outside
+that range — a non-finite coordinate, a nonzero magnitude past
+``2**±60`` — the bound does not hold, so a query or table with one
+skips the screen and rescores every vector, as k-means' ``bounded``
+rule does.
 
 Determinism contract (shared by every index in this package):
 
 * a distance is ``sum_j |q_j - x_j|`` (L1) or the square root of
-  ``sum_j (q_j - x_j)^2`` (L2) with the ``d`` terms added in **one
-  fixed order**: the order ``ndarray.sum`` adds a contiguous last axis
-  (numpy's pairwise sum — eight running lanes over the whole groups of
-  8, joined ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, the
-  ``d % 8`` remaining terms last, halves above 128 terms).
-  :func:`pairwise_distances` gets it from ``sum`` itself on row-major
-  operands; :func:`_scan_block` spells it out over coordinate-major
-  rows.  Same terms, same order, same bits — so two runs on the same
-  inputs agree, Flat and IVF agree, and because the reduction never
-  spans the base or the query axis, blocking either one cannot perturb
-  a float;
+  ``sum_j (q_j - x_j)^2`` (L2) with the ``d`` terms added in one fixed
+  order: the order ``ndarray.sum`` adds a contiguous last axis, which
+  :func:`pairwise_distances` and :func:`paired_distances` both use on
+  row-major operands.  Because the reduction never spans the base or
+  the query axis, blocking either one cannot perturb a float, so two
+  runs on the same inputs agree and Flat and IVF agree;
 * ties are broken by ascending vector id — neighbor lists are sorted by
-  ``(distance, id)`` (:func:`top_k`), never by partition order:
-  :func:`batch_top_k`'s threshold keeps every tie at the k-th distance;
+  ``(distance, id)`` (:func:`top_k`), never by partition order, and NaN
+  ranks after every number: :func:`batch_top_k`'s threshold and the
+  screen both keep every tie at the k-th distance;
 * the only stochastic choice anywhere downstream (k-means init) comes
   from an explicit seed.
 
 Every search also counts its work: ``index.search.queries`` and
-``index.search.distance_computations`` land in the instance's
-:class:`~repro.obs.metrics.MetricsRegistry`, which is how the bench and
-the IVF acceptance bar ("5x fewer distance computations than brute
-force") are measured rather than guessed.
+``index.search.distance_computations`` (every vector is screened, so
+Q·N) land in the instance's :class:`~repro.obs.metrics.MetricsRegistry`,
+which is how the bench and the IVF acceptance bar ("5x fewer distance
+computations than brute force") are measured rather than guessed.
 """
 
 from __future__ import annotations
@@ -55,18 +98,21 @@ METRICS = ("l1", "l2")
 #: 256 KiB stays in cache, where a whole k-means round's runs to 17 MB.
 _BLOCK_ELEMENTS = 1 << 15
 
-#: Fewest columns (vectors) of one :meth:`FlatIndex.search` scan block:
-#: a run of the table is cut into equal blocks of this many to twice as
-#: many.  Rows longer than a third of numpy's 8,192-element iterator
-#: buffer are computed in place — shorter ones are copied into the
-#: buffer first, three times the cost per element — and at under 6,144
-#: columns the two 8-lane scratch arrays (384 KiB each) and eight
-#: coordinates of the block share an L2 cache whatever ``dim`` is.
-_SCAN_WIDTH = 3072
+#: Fewest vectors of one :meth:`FlatIndex.search` screen chunk: the
+#: table is cut into equal chunks of this many to twice as many, so a
+#: short tail never costs a chunk's fixed work on its own.
+_SCREEN_WIDTH = 8192
 
-#: Distances one :func:`batch_top_k` merge ranks (1 MiB of float64);
-#: the scratch that grows with the table or the query count stops here.
-_MERGE_ELEMENTS = 1 << 17
+#: Elements one :func:`paired_distances` step gathers (1 MiB of float64).
+_GATHER_ELEMENTS = 1 << 17
+
+#: Coordinates and dimensions inside which the screen's bound holds.
+_SCALE = 2.0**60
+_MAX_DIM = 1 << 20
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+#: ``c`` in the screen bound ``E = c d 2**-24 R`` (L1) or ``R**2`` (L2).
+_SLACK = {"l1": 4.0, "l2": 8.0}
 
 
 def pairwise_distances(
@@ -111,53 +157,12 @@ def paired_distances(
     """
     power = np.abs if metric == "l1" else np.square
     out = np.empty(len(rows), np.result_type(queries, base))
-    step = max(1, _MERGE_ELEMENTS // max(1, queries.shape[1]))
+    step = max(1, _GATHER_ELEMENTS // max(1, queries.shape[1]))
     for start in range(0, len(rows), step):
         diff = queries[rows[start : start + step]]
         diff -= base[cols[start : start + step]]
         power(diff, out=diff).sum(axis=1, out=out[start : start + step])
     return out if metric == "l1" else np.sqrt(out)
-
-
-def _scan_block(query, block, power, scratch, out) -> np.ndarray:
-    """``sum_j power(query[j] - block[j])`` for every column of ``block``.
-
-    ``block`` is ``(n, W)`` coordinate-major, ``query`` ``(n, 1)``,
-    ``scratch`` ``(2, 8, W)`` and ``out`` ``(W,)``.  Column ``w`` gets the
-    bits of ``power(query[:, 0] - block[:, w]).sum()``: the terms are
-    added in the module docstring's order — halves above 128 terms,
-    eight lanes and their pairing tree, the ``n % 8`` remaining terms
-    one by one (all of them, from 0.0, when ``n < 8``) — each step one
-    ufunc call over whole rows of ``W`` columns.
-    """
-    n = len(block)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _scan_block(query[:half], block[:half], power, scratch, out)
-        out += _scan_block(
-            query[half:], block[half:], power, scratch, np.empty_like(out)
-        )
-        return out
-    lanes, terms = scratch
-    whole = n - n % 8
-    for start in range(0, whole, 8):
-        slab = terms if start else lanes
-        np.subtract(query[start : start + 8], block[start : start + 8], out=slab)
-        power(slab, out=slab)
-        if start:
-            lanes += terms
-    if whole:
-        lanes[0::2] += lanes[1::2]
-        lanes[0::4] += lanes[2::4]
-        np.add(lanes[0], lanes[4], out=out)
-    else:
-        out[...] = 0.0
-    if n > whole:
-        rest = terms[: n - whole]
-        np.subtract(query[whole:], block[whole:], out=rest)
-        for row in power(rest, out=rest):
-            out += row
-    return out
 
 
 def top_k(
@@ -183,27 +188,28 @@ def batch_top_k(
     """Row-wise deterministic top-k for (Q, C) candidate matrices.
 
     Equivalent to :func:`top_k` applied per row (``(distance, id)``
-    order), but vectorized: a stable sort by id followed by a stable
-    sort by distance realizes the lexicographic order without a Python
-    loop.  Pad candidates — id ``-1`` at distance ``inf`` — sink to the
-    end of every row, so callers can pre-pad freely.
+    order, NaN after every number), but vectorized: a stable sort by id
+    followed by a stable sort by distance realizes the lexicographic
+    order without a Python loop.  Pad candidates — id ``-1`` at distance
+    ``inf`` — sink below every finite distance, so callers can pre-pad
+    freely; rows shorter than ``k`` are padded after ranking, as
+    :func:`top_k` pads.
 
     Rows wider than a few k are thresholded first: every candidate at
     or under the row's k-th smallest distance survives (ties straddling
-    the k-th place are still broken by id), the rest are never sorted.
+    the k-th place are still broken by id; a row whose k-th distance is
+    NaN keeps everything), the rest are never sorted.
     """
     n_q, n_c = distances.shape
     ids = np.broadcast_to(ids, distances.shape)  # one shared id row is fine
-    if n_c < k:  # short rows pad to k columns, like top_k
-        pad = ((0, 0), (0, k - n_c))
-        distances = np.pad(distances, pad, constant_values=np.inf)
-        ids = np.pad(ids, pad, constant_values=-1)
-    elif n_c > 4 * k:  # narrower (probe selection) is cheaper sorted whole
+    if n_c > 4 * k:  # narrower (probe selection) is cheaper sorted whole
         kth = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
-        rows, cols = np.nonzero(distances <= kth)
+        rows, cols = np.nonzero((distances <= kth) | np.isnan(kth))
         starts = np.searchsorted(rows, np.arange(n_q + 1))
         slots = np.arange(len(rows)) - starts[rows]
-        kept_d = np.full((n_q, int(np.diff(starts).max(initial=k))), np.inf)
+        # NaN fillers rank after every kept candidate, and a row keeps
+        # at least k of those, so no filler reaches the output.
+        kept_d = np.full((n_q, int(np.diff(starts).max(initial=k))), np.nan)
         kept_i = np.full(kept_d.shape, -1, dtype=np.int64)
         kept_d[rows, slots] = distances[rows, cols]
         kept_i[rows, slots] = ids[rows, cols]
@@ -212,20 +218,49 @@ def batch_top_k(
     d_by_id = np.take_along_axis(distances, id_order, axis=1)
     rank = np.argsort(d_by_id, axis=1, kind="stable")[:, :k]
     order = np.take_along_axis(id_order, rank, axis=1)
-    return (
-        np.take_along_axis(distances, order, axis=1),
-        np.take_along_axis(ids, order, axis=1),
-    )
+    best_d = np.take_along_axis(distances, order, axis=1)
+    best_i = np.take_along_axis(ids, order, axis=1)
+    if n_c < k:
+        pad = ((0, 0), (0, k - n_c))
+        best_d = np.pad(best_d, pad, constant_values=np.inf)
+        best_i = np.pad(best_i, pad, constant_values=-1)
+    return best_d, best_i
+
+
+def _in_range(vectors: np.ndarray, axis=None) -> np.ndarray:
+    """Whether every coordinate (of each row, with ``axis=1``) is finite
+    and either zero or of magnitude within ``2**±60``."""
+    magnitude = np.abs(vectors)
+    largest = magnitude.max(axis=axis, initial=0.0)
+    smallest = magnitude.min(axis=axis, where=magnitude > 0, initial=_SCALE)
+    return (largest <= _SCALE) & (smallest >= 1 / _SCALE)
+
+
+def _round_up32(value: float) -> np.float32:
+    """The least float32 at or above ``value`` (NaN stays NaN)."""
+    rounded = np.float32(min(value, _FLOAT32_MAX))
+    if float(rounded) < value:
+        rounded = np.nextafter(rounded, np.float32(np.inf))
+    return rounded
+
+
+def _not_above(screens: np.ndarray, limit: float) -> np.ndarray:
+    """Positions of the screens not provably above ``limit``; a NaN or
+    infinite screen proves nothing."""
+    above = screens > _round_up32(limit)
+    above &= screens < np.inf
+    return np.flatnonzero(~above)
 
 
 class FlatIndex:
-    """Exact blocked k-NN over an explicit id-tagged vector table.
+    """Exact k-NN over an explicit id-tagged vector table.
 
     ``add`` appends vectors (ids default to the running row count) to
-    the one coordinate-major table; ``search`` scans every vector, a
-    column block at a time, and merges a per-query running top-k once
-    per ``_MERGE_ELEMENTS`` distances — ``block_size`` is the fewest
-    rows a merge takes, not a scan width.  Being exact, this index
+    the float64 table and its float32 screen copy; ``search`` screens
+    every vector a chunk at a time and ranks the survivors' exact
+    distances (see the module docstring).  ``block_size`` does not shape
+    the search; it stays in the constructor and the snapshot meta so
+    callers and snapshot bytes are unchanged.  Being exact, this index
     doubles as the recall oracle for IVF.
     """
 
@@ -262,10 +297,15 @@ class FlatIndex:
         self._size_g = registry.gauge(
             "index.size", help="Vectors currently indexed"
         )
-        # Coordinate-major, the only copy: row j is coordinate j of every
-        # vector, so a scan block is ``dim`` contiguous runs.
-        self._columns = np.empty((dim, 0), dtype=np.float64)
+        self._vectors = np.empty((0, dim), dtype=np.float64)
+        # Coordinate-major: row j is coordinate j of every vector, so a
+        # screen chunk is ``dim`` contiguous runs.
+        self._screens = np.empty((dim, 0), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.int64)
+        # Whether every vector is inside the bound's range, and the
+        # largest norm (L1 or L2, as the metric) the bound is scaled by.
+        self._bounded = dim <= _MAX_DIM
+        self._reach = 0.0
 
     # ------------------------------------------------------------------
     # Build
@@ -277,8 +317,12 @@ class FlatIndex:
 
     @property
     def bytes_per_vector(self) -> float:
-        """Storage cost per vector (float64 coordinates + int64 id)."""
-        return self.dim * 8 + 8
+        """Storage cost per vector: float64 row, float32 screen row, id."""
+        return self.dim * 12 + 8
+
+    def _norms(self, vectors: np.ndarray) -> np.ndarray:
+        order = 1 if self.metric == "l1" else 2
+        return np.linalg.norm(vectors, ord=order, axis=1)
 
     def add(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
         """Append ``vectors`` (and their ids) to the table."""
@@ -295,18 +339,22 @@ class FlatIndex:
             ids = np.asarray(ids, dtype=np.int64)
             if ids.shape != (len(vectors),):
                 raise ValueError("ids must be one id per vector")
-        # Filled in place (``concatenate`` would keep the transposed
-        # input's row-major memory when the table starts empty), a
-        # cache-sized run of rows at a time: one transposing copy of the
-        # whole input re-reads each of its cache lines for every
-        # coordinate they hold.
-        columns = np.empty((self.dim, self.ntotal + len(vectors)))
-        columns[:, : self.ntotal] = self._columns
-        added = columns[:, self.ntotal :]
+        # Filled a cache-sized run of rows at a time: one transposing
+        # copy of the whole input re-reads each of its cache lines for
+        # every coordinate they hold.
+        screens = np.empty((self.dim, self.ntotal + len(vectors)), np.float32)
+        screens[:, : self.ntotal] = self._screens
+        added = screens[:, self.ntotal :]
         step = max(1, _BLOCK_ELEMENTS // self.dim)
-        for start in range(0, len(vectors), step):
-            added[:, start : start + step] = vectors[start : start + step].T
-        self._columns = columns
+        with np.errstate(over="ignore"):  # out of range: never screened
+            for start in range(0, len(vectors), step):
+                rows = vectors[start : start + step]
+                added[:, start : start + step] = rows.T
+                if self._bounded:
+                    self._bounded = bool(_in_range(rows))
+                    self._reach = max(self._reach, float(self._norms(rows).max()))
+        self._screens = screens
+        self._vectors = np.concatenate([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
         self._size_g.set(self.ntotal)
 
@@ -331,59 +379,85 @@ class FlatIndex:
         n_q = len(queries)
         self._queries_c.inc(n_q)
         self._search_dc.inc(n_q * self.ntotal)
-        # Few enough queries at a time that a merge of full-width scan
-        # blocks stays within the budget; ``block_size`` is a floor.
-        group = max(1, min(n_q, _MERGE_ELEMENTS // _SCAN_WIDTH))
-        rows = max(self.block_size, _MERGE_ELEMENTS // group)
-        best_d = np.empty((n_q, k))
-        best_i = np.empty((n_q, k), dtype=np.int64)
-        for first in range(0, n_q, group):
-            part = slice(first, first + group)
-            best_d[part], best_i[part] = self._nearest(queries[part], k, rows)
-        return best_d, best_i
-
-    def _nearest(self, queries, k, rows):
-        """:meth:`search` for one group of queries, ``rows`` per merge."""
-        n_q = len(queries)
-        power = np.abs if self.metric == "l1" else np.square
-        best_d = np.full((n_q, k), np.inf)
-        best_i = np.full((n_q, k), -1, dtype=np.int64)
-        for start in range(0, self.ntotal, rows):
-            ids = self._ids[start : start + rows]
-            distances = np.empty((n_q, len(ids)))
-            # Equal blocks, none narrower than the scan width if it can
-            # be helped: a short tail would cost as much as a full one.
-            blocks = max(1, len(ids) // _SCAN_WIDTH)
-            width = -(-len(ids) // blocks)
-            scratch = np.empty((2, 8, width))
-            for low in range(0, len(ids), width):
-                high = min(low + width, len(ids))
-                block = self._columns[:, start + low : start + high]
-                spare = scratch[:, :, : high - low]
-                # Queries innermost: the block is read from memory once.
-                for query, row in zip(queries[:, :, None], distances):
-                    _scan_block(query, block, power, spare, row[low:high])
-            if self.metric == "l2":
-                np.sqrt(distances, out=distances)
-            best_d, best_i = batch_top_k(
-                np.concatenate([best_d, distances], axis=1),
-                np.concatenate(
-                    [best_i, np.broadcast_to(ids, distances.shape)], axis=1
-                ),
-                k,
+        screened = self._bounded & _in_range(queries, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # never screened
+            reach = self._norms(queries) + self._reach
+            slack = _SLACK[self.metric] * self.dim * 2.0**-24 * (
+                reach if self.metric == "l1" else reach * reach
             )
-        return best_d, best_i
+            columns = queries.astype(np.float32)[:, :, None]
+        best = [(np.empty(0), np.empty(0, dtype=np.int64))] * n_q
+        # Equal chunks, none narrower than the screen width if it can be
+        # helped: a short tail would cost a chunk's fixed work.
+        chunks = max(1, self.ntotal // _SCREEN_WIDTH)
+        width = max(1, -(-self.ntotal // chunks))
+        scratch = np.empty((2, 8, width), dtype=np.float32)
+        # An overflowing screen is +inf, which always survives.
+        with np.errstate(over="ignore"):
+            for low in range(0, self.ntotal, width):
+                block = self._screens[:, low : low + width]
+                lanes = scratch[:, :, : block.shape[1]]
+                # Queries innermost: the chunk is read from memory once.
+                for row in range(n_q):
+                    if screened[row]:
+                        screens = self._screen(columns[row], block, lanes)
+                        keep = self._survivors(screens, best[row][0], k, slack[row])
+                    else:
+                        keep = np.arange(block.shape[1])
+                    if len(keep):
+                        best[row] = self._merge(queries[row], best[row], low + keep, k)
+        out_d = np.full((n_q, k), np.inf)
+        out_i = np.full((n_q, k), -1, dtype=np.int64)
+        for row, (distances, ids) in enumerate(best):
+            out_d[row, : len(distances)] = distances
+            out_i[row, : len(ids)] = ids
+        return out_d, out_i
+
+    def _screen(self, column, block, lanes) -> np.ndarray:
+        """Every float32 screen of one chunk: L1, or squared L2.
+
+        Eight coordinates at a time into ``lanes`` (``(2, 8, width)``
+        scratch), so the scratch stays in cache whatever ``dim`` is.
+        """
+        power = np.abs if self.metric == "l1" else np.square
+        total, part = lanes[0, : len(block[:8])], lanes[1]
+        np.subtract(block[:8], column[:8], out=total)
+        power(total, out=total)
+        for start in range(8, self.dim, 8):
+            rows = part[: len(block[start : start + 8])]
+            np.subtract(block[start : start + 8], column[start : start + 8], out=rows)
+            total[: len(rows)] += power(rows, out=rows)
+        return np.add.reduce(total, axis=0)
+
+    def _survivors(self, screens, best_d, k, slack) -> np.ndarray:
+        """Positions in the chunk that may hold one of the k nearest."""
+        limit = np.inf
+        if len(best_d) == k:  # the running k-th exact distance
+            limit = best_d[-1] if self.metric == "l1" else best_d[-1] ** 2
+            limit += slack
+        if len(screens) > k:  # the chunk's own k-th screen
+            kth = np.partition(screens, k - 1)[k - 1]
+            limit = min(limit, float(kth) + 2 * slack)
+        if limit < np.inf:
+            return _not_above(screens, limit)
+        return np.arange(len(screens))
+
+    def _merge(self, query, best, cols, k):
+        """Rescore ``cols`` exactly and merge them into ``best``."""
+        exact = paired_distances(
+            query[None], self._vectors, np.zeros(len(cols), np.intp), cols, self.metric
+        )
+        distances = np.concatenate([best[0], exact])
+        ids = np.concatenate([best[1], self._ids[cols]])
+        order = np.lexsort((ids, distances))[:k]
+        return distances[order], ids[order]
 
     # ------------------------------------------------------------------
     # Snapshot surface (see repro.index.snapshot)
     # ------------------------------------------------------------------
     def state(self):
         """``(arrays, meta)`` capturing the index for serialization."""
-        # Snapshots stay row-major, whatever the scan keeps in memory.
-        arrays = {
-            "vectors": np.ascontiguousarray(self._columns.T),
-            "ids": self._ids,
-        }
+        arrays = {"vectors": self._vectors, "ids": self._ids}
         meta = {
             "kind": self.kind,
             "dim": self.dim,

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from ..core.service import PKGMServer
 from ..ops import OPS, OpSpec
+from ..scenarios.service import WorkerScenarios
 from ..store.errors import QuarantinedRowError
 from .protocol import (
     ProtocolError,
@@ -135,12 +137,6 @@ def worker_main(
     sock, store_dir: str, worker_id: int, cache_pages: int = 64
 ) -> None:
     """Process entry: open the store, then serve frames until EOF."""
-    # Imported here, not at module level: the fork inherits the parent's
-    # modules anyway, and the supervisor process never needs the
-    # scenario engines.
-    from ..core.service import PKGMServer
-    from ..scenarios.service import WorkerScenarios
-
     try:
         server = PKGMServer.from_store(store_dir, cache_pages=cache_pages)
     except Exception as error:

@@ -45,7 +45,8 @@ def formula_distances(queries, base, metric):
 @st.composite
 def candidate_rows(draw):
     """(distances, ids, k): few distinct distances, so ties straddle the
-    k-th place; shuffled ids; some rows padded with ``(inf, -1)``."""
+    k-th place; shuffled ids; some rows padded with ``(inf, -1)``; some
+    real candidates at NaN or inf, up to whole rows of NaN."""
     n_q = draw(st.integers(1, 5))
     n_c = draw(st.sampled_from([0, 1, 3, 8, 9, 33, 41, 120]))
     k = draw(st.sampled_from([1, 2, 8, 10]))
@@ -58,6 +59,8 @@ def candidate_rows(draw):
     elif draw(st.booleans()):
         pads = rng.random((n_q, n_c)) < draw(st.sampled_from([0.3, 1.0]))
         distances[pads], ids[pads] = np.inf, -1
+    odd = rng.random((n_q, n_c)) < draw(st.sampled_from([0.0, 0.3, 0.95, 1.0]))
+    distances[odd] = rng.choice([np.nan, np.inf], odd.sum())
     return distances, ids, k
 
 
@@ -82,6 +85,18 @@ class TestBatchTopK:
         got_d, got_i = batch_top_k(distances, ids, 3)
         assert got_d.tolist() == [[1.0, 2.0, 2.0]]
         assert got_i.tolist() == [[13, 0, 22]]
+
+    @pytest.mark.parametrize("width", [30, 100])  # sorted whole; thresholded
+    def test_nan_ranks_after_every_number(self, width):
+        # Five finite distances among NaNs: the k-th distance is NaN, and
+        # the five must still come first, then the NaNs by id.
+        distances = np.full((1, width), np.nan)
+        distances[0, [3, 11, 17, 22, 29]] = [4.0, 0.0, 2.0, 2.0, 1.0]
+        ids = np.arange(width, dtype=np.int64)
+        got_d, got_i = batch_top_k(distances, ids, 10)
+        assert got_i.tolist() == [[11, 29, 17, 22, 3, 0, 1, 2, 4, 5]]
+        want_d, want_i = top_k(distances[0], ids, 10)
+        assert same_bytes(got_d[0], want_d) and same_bytes(got_i[0], want_i)
 
 
 class TestPairedDistances:

@@ -1,5 +1,10 @@
 """Supervisor tests: real forked workers, real crashes, exactly-once."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +60,26 @@ class TestBitIdentity:
     def test_unknown_entity_raises_keyerror(self, pool):
         with pytest.raises(KeyError):
             pool.serve(10_000)
+
+
+class TestForkedWorkersInheritTheirModules:
+    def test_importing_the_supervisor_imports_the_scenario_engines(self):
+        # A fresh interpreter: a worker forked from it finds every module
+        # it runs already imported, so a start or restart compiles none.
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = (
+            "import sys, repro.serving.supervisor; "
+            "print('repro.scenarios.service' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "True"
 
 
 class TestLifecycle:
