@@ -380,20 +380,20 @@ class FlatIndex:
         self._queries_c.inc(n_q)
         self._search_dc.inc(n_q * self.ntotal)
         screened = self._bounded & _in_range(queries, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):  # never screened
-            reach = self._norms(queries) + self._reach
-            slack = _SLACK[self.metric] * self.dim * 2.0**-24 * (
-                reach if self.metric == "l1" else reach * reach
-            )
-            columns = queries.astype(np.float32)[:, :, None]
         best = [(np.empty(0), np.empty(0, dtype=np.int64))] * n_q
         # Equal chunks, none narrower than the screen width if it can be
         # helped: a short tail would cost a chunk's fixed work.
         chunks = max(1, self.ntotal // _SCREEN_WIDTH)
         width = max(1, -(-self.ntotal // chunks))
         scratch = np.empty((2, 8, width), dtype=np.float32)
-        # An overflowing screen is +inf, which always survives.
+        # Overflow only reaches queries that are never screened, and
+        # screens that overflow to +inf, which always survive.
         with np.errstate(over="ignore"):
+            reach = self._norms(queries) + self._reach
+            slack = _SLACK[self.metric] * self.dim * 2.0**-24 * (
+                reach if self.metric == "l1" else reach * reach
+            )
+            columns = queries.astype(np.float32)[:, :, None]
             for low in range(0, self.ntotal, width):
                 block = self._screens[:, low : low + width]
                 lanes = scratch[:, :, : block.shape[1]]
