@@ -227,10 +227,9 @@ def batch_top_k(
     return best_d, best_i
 
 
-def _in_range(vectors: np.ndarray, axis=None) -> np.ndarray:
-    """Whether every coordinate (of each row, with ``axis=1``) is finite
-    and either zero or of magnitude within ``2**±60``."""
-    magnitude = np.abs(vectors)
+def _in_range(magnitude: np.ndarray, axis=None) -> np.ndarray:
+    """Whether every coordinate's magnitude (of each row, with ``axis=1``)
+    is finite and either zero or within ``2**±60``."""
     largest = magnitude.max(axis=axis, initial=0.0)
     smallest = magnitude.min(axis=axis, where=magnitude > 0, initial=_SCALE)
     return (largest <= _SCALE) & (smallest >= 1 / _SCALE)
@@ -320,9 +319,11 @@ class FlatIndex:
         """Storage cost per vector: float64 row, float32 screen row, id."""
         return self.dim * 12 + 8
 
-    def _norms(self, vectors: np.ndarray) -> np.ndarray:
-        order = 1 if self.metric == "l1" else 2
-        return np.linalg.norm(vectors, ord=order, axis=1)
+    def _norms(self, magnitude: np.ndarray) -> np.ndarray:
+        """Each row's norm under the metric, from its ``abs``."""
+        if self.metric == "l1":
+            return magnitude.sum(axis=1)
+        return np.sqrt(np.square(magnitude).sum(axis=1))
 
     def add(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> None:
         """Append ``vectors`` (and their ids) to the table."""
@@ -351,8 +352,9 @@ class FlatIndex:
                 rows = vectors[start : start + step]
                 added[:, start : start + step] = rows.T
                 if self._bounded:
-                    self._bounded = bool(_in_range(rows))
-                    self._reach = max(self._reach, float(self._norms(rows).max()))
+                    magnitude = np.abs(rows)
+                    self._bounded = bool(_in_range(magnitude))
+                    self._reach = max(self._reach, self._norms(magnitude).max())
         self._screens = screens
         self._vectors = np.concatenate([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
@@ -379,7 +381,8 @@ class FlatIndex:
         n_q = len(queries)
         self._queries_c.inc(n_q)
         self._search_dc.inc(n_q * self.ntotal)
-        screened = self._bounded & _in_range(queries, axis=1)
+        magnitude = np.abs(queries)
+        screened = self._bounded & _in_range(magnitude, axis=1)
         best = [(np.empty(0), np.empty(0, dtype=np.int64))] * n_q
         # Equal chunks, none narrower than the screen width if it can be
         # helped: a short tail would cost a chunk's fixed work.
@@ -389,7 +392,7 @@ class FlatIndex:
         # Overflow only reaches queries that are never screened, and
         # screens that overflow to +inf, which always survive.
         with np.errstate(over="ignore"):
-            reach = self._norms(queries) + self._reach
+            reach = self._norms(magnitude) + self._reach
             slack = _SLACK[self.metric] * self.dim * 2.0**-24 * (
                 reach if self.metric == "l1" else reach * reach
             )
