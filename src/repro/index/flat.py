@@ -204,7 +204,9 @@ def batch_top_k(
     ids = np.broadcast_to(ids, distances.shape)  # one shared id row is fine
     if n_c > 4 * k:  # narrower (probe selection) is cheaper sorted whole
         kth = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
-        rows, cols = np.nonzero((distances <= kth) | np.isnan(kth))
+        kept = distances <= kth
+        kept[np.isnan(kth[:, 0])] = True
+        rows, cols = np.nonzero(kept)
         starts = np.searchsorted(rows, np.arange(n_q + 1))
         slots = np.arange(len(rows)) - starts[rows]
         # NaN fillers rank after every kept candidate, and a row keeps
