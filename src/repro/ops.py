@@ -8,8 +8,10 @@ of :data:`OPS`, and every layer is a consumer of that row:
 * the forked worker (:func:`repro.serving.worker.run_batch`) runs
   ``call`` per item — or ``fused`` for the whole batch — on the server
   (the scenario engines when ``scenario``) and sends ``wire`` of it;
-* :func:`repro.serving.protocol.payload_checksum` CRCs ``crc_bytes``
-  of that wire payload;
+* the socket frame (:mod:`repro.serving.protocol`) carries that wire
+  payload as ``crc_bytes`` of it, in the dtypes and shapes its
+  ``layout`` declares, and
+  :func:`~repro.serving.protocol.payload_checksum` CRCs the same bytes;
 * the synchronous :class:`~repro.serving.Supervisor` surface returns
   ``unpack`` of it;
 * :class:`~repro.reliability.PKGMGateway` runs the same ``call`` in
@@ -27,10 +29,13 @@ gateway are imported at call time, inside the entry that needs them.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
+import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from math import prod
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,14 +60,150 @@ class RetrievalPayload:
     degraded: bool = False
 
 
+#: (k, dim): the sizes an ``ok`` payload binds its declared shapes to.
+Geometry = Tuple[int, int]
+
+
+class ArrayLayout:
+    """A payload that is a tuple of arrays, each of a declared dtype and
+    of a shape spelled in the symbols ``"k"`` and ``"dim"``.
+
+    Its bytes are the arrays' C-order bytes back to back, so a reader
+    rebuilds each array as an ``np.ndarray`` over its slice, uncopied.
+
+    Every layout answers four calls: ``geometry(payload)`` — the
+    ``(k, dim)`` a payload binds, ``None`` when it is not of this
+    layout; ``parts(payload)`` — the buffers whose concatenation is
+    its bytes; ``write(payload, geometry)`` — those buffers and their
+    total size, or ``ValueError`` when the payload does not bind
+    ``geometry``; ``read(data, geometry)`` — the payload back from its
+    bytes, ``ValueError`` (or ``struct.error``) when they do not fit.
+    """
+
+    def __init__(self, *fields: Tuple[str, Tuple[str, ...]]) -> None:
+        self.fields = tuple((np.dtype(dtype), tuple(shape)) for dtype, shape in fields)
+        first = {}
+        for index, (_, shape) in enumerate(self.fields):
+            for axis, symbol in enumerate(shape):
+                first.setdefault(symbol, (index, axis))
+        #: The (field, axis) that binds k, then dim; None: the layout has none.
+        self._binders = (first.get("k"), first.get("dim"))
+
+    @staticmethod
+    def _facts(payload) -> list:
+        """(shape, dtype, C-contiguous) of each array of a tuple payload."""
+        if type(payload) is not tuple:
+            raise TypeError(f"a {type(payload).__name__}, not a tuple of arrays")
+        return [(a.shape, a.dtype, a.flags.c_contiguous) for a in payload]
+
+    def geometry(self, payload) -> Optional[Geometry]:
+        if type(payload) is not tuple or len(payload) != len(self.fields):
+            return None
+        try:
+            facts = self._facts(payload)
+            k, dim = [facts[at[0]][0][at[1]] if at else 0 for at in self._binders]
+        except (AttributeError, IndexError):
+            return None
+        geometry = (k, dim)
+        expected = self._plan(geometry)[0]
+        if [(shape, dtype) for shape, dtype, _ in facts] != expected:
+            return None
+        return geometry
+
+    @functools.lru_cache(maxsize=64)
+    def _plan(self, geometry: Geometry):
+        """At ``geometry``: ``(shape, dtype)`` per array, that with
+        C-contiguity, ``(shape, dtype, offset)`` per array, total bytes."""
+        sizes = dict(zip(("k", "dim"), geometry))
+        expected, placed, offset = [], [], 0
+        for dtype, symbols in self.fields:
+            shape = tuple(sizes[symbol] for symbol in symbols)
+            expected.append((shape, dtype))
+            placed.append((shape, dtype, offset))
+            offset += prod(shape) * dtype.itemsize
+        contiguous = [(shape, dtype, True) for shape, dtype in expected]
+        return expected, contiguous, tuple(placed), offset
+
+    def parts(self, payload) -> List[np.ndarray]:
+        return [np.ascontiguousarray(array) for array in payload]
+
+    def write(self, payload, geometry: Geometry):
+        expected, contiguous, _, nbytes = self._plan(geometry)
+        facts = self._facts(payload)
+        if facts == contiguous:
+            return payload, nbytes
+        if [(shape, dtype) for shape, dtype, _ in facts] != expected:
+            raise ValueError(f"payload off its layout at geometry {geometry}")
+        return self.parts(payload), nbytes
+
+    def read(self, data: memoryview, geometry: Geometry) -> tuple:
+        _, _, placed, nbytes = self._plan(geometry)
+        if nbytes != len(data):
+            raise ValueError(f"{len(data)} payload bytes, the layout needs {nbytes}")
+        return tuple(
+            [np.ndarray(shape, dtype, data, offset) for shape, dtype, offset in placed]
+        )
+
+
+class ScalarLayout:
+    """A payload that is one number, packed with a ``struct`` format."""
+
+    def __init__(self, fmt: str, kind: type) -> None:
+        self.struct = struct.Struct(fmt)
+        self.kind = kind
+
+    def geometry(self, payload) -> Optional[Geometry]:
+        return (0, 0) if isinstance(payload, self.kind) else None
+
+    def parts(self, payload) -> List[bytes]:
+        return [self.struct.pack(self.kind(payload))]
+
+    def write(self, payload, geometry: Geometry) -> Tuple[List[bytes], int]:
+        if not isinstance(payload, self.kind) or geometry != (0, 0):
+            raise ValueError(f"{payload!r} is not one {self.kind.__name__}")
+        return self.parts(payload), self.struct.size
+
+    def read(self, data: memoryview, geometry: Geometry):
+        (value,) = self.struct.unpack(data)
+        return value
+
+
+class JsonLayout:
+    """A payload that is a primitive dict, sent as canonical JSON (sorted
+    keys, no spaces), which makes its bytes independent of the order
+    the dict was built in."""
+
+    def geometry(self, payload) -> Optional[Geometry]:
+        return (0, 0) if isinstance(payload, dict) else None
+
+    def parts(self, payload) -> List[bytes]:
+        return [
+            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ]
+
+    def write(self, payload, geometry: Geometry) -> Tuple[List[bytes], int]:
+        if not isinstance(payload, dict) or geometry != (0, 0):
+            raise ValueError(f"a {type(payload).__name__} is not a JSON object")
+        (data,) = self.parts(payload)
+        return [data], len(data)
+
+    def read(self, data: memoryview, geometry: Geometry) -> dict:
+        value = json.loads(bytes(data))
+        if not isinstance(value, dict):
+            raise ValueError(f"a JSON {type(value).__name__}, not an object")
+        return value
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """Everything the serving stack knows about one request kind.
 
     ``call(backend, entity_id, relation, k, deadline=None)`` answers
     one request in the backend's own typed form; ``wire`` turns that
-    answer into the payload that crosses the worker socket and
-    ``crc_bytes`` that payload into the bytes its checksum covers.
+    answer into the payload that crosses the worker socket, and
+    ``layout`` declares that payload's bytes (:meth:`crc_bytes`, which
+    are both what the frame carries and what its checksum covers) and
+    how a reader rebuilds the payload from them.
     ``fused(server, entities, relations, k)`` answers a whole batch
     with one kernel call, as wire payloads in item order.
     ``unpack(entity_id, payload)`` is what the synchronous pool surface
@@ -74,7 +215,7 @@ class OpSpec:
 
     call: Callable
     wire: Callable
-    crc_bytes: Callable
+    layout: object  # an ArrayLayout, ScalarLayout or JsonLayout
     fused: Optional[Callable] = None
     unpack: Callable = lambda entity_id, payload: payload
     degraded: Optional[Callable] = None
@@ -82,6 +223,18 @@ class OpSpec:
     hedged: bool = False
     scenario: bool = False  # served by the scenario engines, not the server
     counter: Optional[str] = None  # gateway.<counter>, beyond gateway.arrived
+
+    def crc_bytes(self, payload) -> bytes:
+        """The bytes of a wire payload: what the frame carries and the
+        checksum covers."""
+        return b"".join(self.layout.parts(payload))
+
+    def checksum(self, payload) -> int:
+        """CRC32 of :meth:`crc_bytes`, chained over the parts uncopied."""
+        crc = 0
+        for part in self.layout.parts(payload):
+            crc = zlib.crc32(part, crc)
+        return crc
 
 
 def _serve(server, entity_id, relation, k, deadline=None):
@@ -106,8 +259,10 @@ def _neighbors_wire(payload):
     return (payload.distances, payload.neighbor_ids)
 
 
-def _array_bytes(payload) -> bytes:
-    return b"".join(array.tobytes() for array in payload)
+#: ``serve``: key relations (k,), then ``S_T`` and ``S_R`` rows (k, dim).
+_VECTORS = ArrayLayout(("<i8", ("k",)), ("<f8", ("k", "dim")), ("<f8", ("k", "dim")))
+#: ``retrieve`` / ``recommend``: (k,) distances, then (k,) neighbor ids.
+_NEIGHBORS = ArrayLayout(("<f8", ("k",)), ("<i8", ("k",)))
 
 
 def fallback_payload(entity_id: int, k: int, dim: int) -> ServiceVectors:
@@ -166,7 +321,7 @@ OPS: Dict[str, OpSpec] = {
             _serve_wire(vectors) for vectors in server.serve_batch(entities)
         ],
         wire=_serve_wire,
-        crc_bytes=_array_bytes,
+        layout=_VECTORS,
         unpack=lambda entity_id, payload: ServiceVectors(int(entity_id), *payload),
         degraded=_serve_degraded,
         hedged=True,
@@ -177,7 +332,7 @@ OPS: Dict[str, OpSpec] = {
             zip(*server.nearest_tails_batch(entities, relations, k))
         ),
         wire=_neighbors_wire,
-        crc_bytes=_array_bytes,
+        layout=_NEIGHBORS,
         degraded=_retrieve_degraded,
         counter="retrievals",
     ),
@@ -189,17 +344,14 @@ OPS: Dict[str, OpSpec] = {
             float(s) for s in server.relation_existence_scores(entities, relations)
         ],
         wire=float,
-        crc_bytes=lambda score: struct.pack(">d", float(score)),
+        layout=ScalarLayout(">d", float),
     ),
     "explain": OpSpec(
         call=lambda engines, entity_id, relation, k, deadline=None: (
             engines.explain(entity_id, relation)
         ),
         wire=lambda payload: payload.canonical_dict(),
-        # Canonical JSON makes the CRC independent of dict construction order.
-        crc_bytes=lambda payload: json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8"),
+        layout=JsonLayout(),
         degraded=_explain_degraded,
         # A store without the scenarios sidecar: degrade, don't die.
         errors=(RuntimeError,),
@@ -211,7 +363,7 @@ OPS: Dict[str, OpSpec] = {
             engines.recommend(entity_id, k=k)
         ),
         wire=_neighbors_wire,
-        crc_bytes=_array_bytes,
+        layout=_NEIGHBORS,
         degraded=_recommend_degraded,
         scenario=True,
         counter="recommendations",

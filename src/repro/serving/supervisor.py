@@ -11,9 +11,13 @@ failing a request over to the next live sibling is always correct.
 Exactly-once semantics under crashes come from three rules:
 
 1. **Terminal map.**  Every submitted request gets exactly one entry in
-   the terminal-response map, keyed by request id; a result arriving
-   for an already-terminal id (only possible through races the death
-   handler already resolved) is counted and dropped.
+   the terminal map, keyed by request id; a result arriving for an
+   already-terminal id (only possible through races the death handler
+   already resolved) is counted and dropped.  The entry is the
+   response without its payload: the payload lives only in the
+   response handed out (by :meth:`Supervisor.responses` or the
+   synchronous surface), so a long-lived pool holds no answer bytes
+   for requests it has answered.
 2. **Drain before replay.**  When a worker dies, every *complete*
    response frame still sitting in its socket buffer is credited
    first; only the requests that remain unanswered are orphans.  An
@@ -39,7 +43,7 @@ import os
 import select
 import signal
 import socket as socketlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -59,7 +63,6 @@ from .protocol import (
     STATUS_QUARANTINED,
     STATUS_UNKNOWN,
     drain_frames,
-    payload_checksum,
     recv_frame,
     send_frame,
     shard_of,
@@ -318,7 +321,11 @@ class Supervisor:
         A non-positive ``budget`` is rejected *before* any coalescing
         or dispatch with a terminal ``"deadline"`` outcome — the same
         pre-dispatch contract the gateway's retrieval path enforces.
+        A kind that is not a row of :data:`~repro.ops.OPS` has no wire
+        form and is a ``ValueError``.
         """
+        if kind not in OPS:
+            raise ValueError(f"unknown request kind {kind!r}")
         now = self.clock.now()
         effective = DEADLINE_BUDGET if budget is None else float(budget)
         request_id = self._next_id
@@ -399,7 +406,8 @@ class Supervisor:
         return self.responses()
 
     def terminal(self) -> Dict[int, PoolResponse]:
-        """A copy of the terminal-response map (request id → response)."""
+        """A copy of the terminal map: request id → its response without
+        the payload (every other field as handed out)."""
         return dict(self._terminal)
 
     def _inflight_total(self) -> int:
@@ -509,11 +517,19 @@ class Supervisor:
             return
         if tag == "results":
             _, worker_id, results = message
-            for request_id, status, payload in results:
-                self._complete(handle, int(worker_id), request_id, status, payload)
+            for request_id, status, payload, checksum in results:
+                self._complete(
+                    handle, worker_id, request_id, status, payload, checksum
+                )
 
     def _complete(
-        self, handle: WorkerHandle, worker_id: int, request_id: int, status, payload
+        self,
+        handle: WorkerHandle,
+        worker_id: int,
+        request_id: int,
+        status,
+        payload,
+        checksum: int,
     ) -> None:
         request = handle.inflight.pop(request_id, None)
         if request is None:
@@ -528,9 +544,6 @@ class Supervisor:
             return
         if status == STATUS_DEADLINE:
             self._worker_deadline_c.inc()
-        checksum = (
-            payload_checksum(request.kind, payload) if status == STATUS_OK else 0
-        )
         self._record(
             PoolResponse(
                 request_id=request_id,
@@ -540,7 +553,8 @@ class Supervisor:
                 relation=request.relation,
                 outcome=status,
                 payload=payload,
-                checksum=checksum,
+                # The CRC decode checked the received bytes against.
+                checksum=checksum if status == STATUS_OK else 0,
                 worker=worker_id,
                 replayed=request.attempts > 0,
             )
@@ -550,7 +564,9 @@ class Supervisor:
         if response.request_id in self._terminal:
             self._duplicates_c.inc()
             return
-        self._terminal[response.request_id] = response
+        self._terminal[response.request_id] = (
+            response if response.payload is None else replace(response, payload=None)
+        )
         self._pending.pop(response.request_id, None)
         self._emitted.append(response)
         self._responses_c.inc()
@@ -718,10 +734,9 @@ class Supervisor:
                 for batch in self.coalescer.flush_all():
                     self._dispatch(batch)
         # Sync calls answer inline; keep them out of the async stream.
-        self._emitted = [
-            r for r in self._emitted if r.request_id != request_id
-        ]
-        response = self._terminal[request_id]
+        response = self._emitted.pop(
+            next(i for i, r in enumerate(self._emitted) if r.request_id == request_id)
+        )
         if response.outcome == STATUS_OK:
             return OPS[kind].unpack(entity_id, response.payload)
         if response.outcome == STATUS_UNKNOWN:

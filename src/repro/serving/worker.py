@@ -47,7 +47,8 @@ WireItem = Tuple[int, int, int, object]
 #: (request_id, entity_id, relation) — an item past its deadline
 #: check, the shape the kernel helpers consume.
 LiveItem = Tuple[int, int, int]
-#: (request_id, status, payload) — one wire result.
+#: (request_id, status, payload) — one wire result; an ``ok`` payload
+#: is in the form its kind's :data:`~repro.ops.OPS` layout declares.
 WireResult = Tuple[int, str, object]
 
 
@@ -98,10 +99,10 @@ def run_batch(
     Items whose deadline budget is already spent are cancelled here —
     before any kernel or store page is touched — with
     ``STATUS_DEADLINE``; only the still-live remainder runs, through
-    the kind's :data:`~repro.ops.OPS` entry.  Scenario kinds go through
-    the optional per-process ``scenarios`` engines; without them every
-    scenario item answers ``STATUS_ERROR``, as does every item of a
-    kind the table does not know.
+    the kind's :data:`~repro.ops.OPS` entry (a batch frame names only
+    kinds the table has).  Scenario kinds go through the optional
+    per-process ``scenarios`` engines; without them every scenario item
+    answers ``STATUS_ERROR``.
     """
     results: List[WireResult] = [
         (rid, STATUS_DEADLINE, None)
@@ -115,12 +116,8 @@ def run_batch(
     ]
     if not live:
         return results
-    spec = OPS.get(kind)
-    if spec is None:
-        results.extend(
-            (rid, STATUS_ERROR, f"unknown kind {kind!r}") for rid, _, _ in live
-        )
-    elif spec.scenario and scenarios is None:
+    spec = OPS[kind]
+    if spec.scenario and scenarios is None:
         results.extend(
             (rid, STATUS_ERROR, "worker has no scenario engines")
             for rid, _, _ in live
@@ -165,9 +162,10 @@ def worker_main(
                 served += len(items)
                 send_frame(sock, ("results", int(worker_id), results))
                 continue
-            # Unknown frame tag: a protocol drift bug, not recoverable.
+            # A worker-to-supervisor tag sent the other way: protocol
+            # drift, not recoverable.
             return
     except (OSError, ProtocolError):
-        # The supervisor died or the link tore: exit quietly, the
-        # process has no state worth saving.
+        # The supervisor died, the link tore, or a payload has no wire
+        # form: exit quietly, the process has no state worth saving.
         return

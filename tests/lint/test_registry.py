@@ -11,6 +11,7 @@ EXPECTED_RULES = {
     "bare-except",
     "export-drift",
     "no-print-in-src",
+    "no-pickle-in-src",
     "determinism-taint",
     "concurrent-mutation",
     "signature-mismatch",

@@ -18,7 +18,7 @@ import pytest
 
 from repro.config import PRESETS
 from repro.kg.rules import RuleMiner
-from repro.ops import OPS, OpSpec
+from repro.ops import OPS, OpSpec, ScalarLayout
 from repro.pipeline import untrained_server
 from repro.reliability import PKGMGateway
 from repro.scenarios import (
@@ -182,7 +182,7 @@ def test_a_sixth_kind_is_one_table_entry(world, monkeypatch):
         OpSpec(
             call=lambda backend, entity_id, relation, k, deadline=None: Echo(entity_id),
             wire=lambda answer: answer.entity_id,
-            crc_bytes=lambda payload: struct.pack(">q", payload),
+            layout=ScalarLayout(">q", int),
             degraded=lambda request, gateway: Echo(request.entity_id, degraded=True),
         ),
     )

@@ -1,16 +1,31 @@
 """Supervisor tests: real forked workers, real crashes, exactly-once."""
 
+import gc
 import os
+import pickle
+import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.serving.supervisor as supervisor_module
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import PoolConfig, PoolError, Supervisor, run_batch
-from repro.serving.protocol import STATUS_OK, STATUS_UNKNOWN
+from repro.ops import OPS
+from repro.serving import (
+    PoolConfig,
+    PoolError,
+    Supervisor,
+    payload_checksum,
+    recv_frame,
+    run_batch,
+    send_frame,
+)
+from repro.serving.protocol import STATUS_OK, STATUS_UNKNOWN, encode
+from repro.serving.worker import worker_main
 from repro.store import EmbeddingStore
 
 
@@ -165,6 +180,114 @@ class TestCrashRecovery:
         assert response.worker == -1
         assert pool.metrics.counter("pool.failfast_deadline").value == 1
         assert pool.metrics.counter("pool.batches_sent").value == 0
+
+
+def _with_one_bad_answer(body, marker):
+    """A worker that answers its first batch with the frame ``body``,
+    then holds its socket until the supervisor hangs up; every restart
+    (``marker`` exists by then) is a real worker."""
+
+    def worker(sock, store_dir, worker_id, cache_pages=64):
+        if marker.exists():
+            worker_main(sock, store_dir, worker_id, cache_pages)
+            return
+        marker.touch()
+        send_frame(sock, ("ready", worker_id, 60))
+        recv_frame(sock)
+        sock.sendall(struct.pack(">I", len(body)) + body)
+        recv_frame(sock)
+
+    return worker
+
+
+_ANSWER = encode(("results", 0, [(0, "ok", 0.5)]))
+#: Well-framed bodies that are not a schema message.
+OFF_SCHEMA = {
+    "pickled-results-without-records": pickle.dumps(("results", 0), protocol=4),
+    "trailing-byte": _ANSWER + b"\x00",
+    "crc-mismatch": _ANSWER[:-1] + bytes([_ANSWER[-1] ^ 1]),
+    "results-without-worker-id": _ANSWER[:24],
+    "unknown-tag": bytes([1, 99]) + _ANSWER[2:],
+}
+
+
+class TestOffSchemaFrames:
+    @pytest.mark.parametrize("body", list(OFF_SCHEMA.values()), ids=list(OFF_SCHEMA))
+    def test_an_off_schema_frame_is_a_torn_frame_death(
+        self, store_dir, reference, item_ids, tmp_path, monkeypatch, body
+    ):
+        """Drain, replay, restart — nothing escapes ``pump``/``wait_any``."""
+        monkeypatch.setattr(
+            supervisor_module,
+            "worker_main",
+            _with_one_bad_answer(body, tmp_path / "answered"),
+        )
+        pool = Supervisor(store_dir, PoolConfig(num_workers=1, max_batch=1))
+        pool.start()
+        try:
+            entity = item_ids[0]
+            request_id = pool.submit("serve", entity)
+            pool.pump()
+            (response,) = pool.drain()
+        finally:
+            pool.shutdown()
+        assert (response.request_id, response.outcome) == (request_id, STATUS_OK)
+        assert response.replayed
+        expected = OPS["serve"].wire(reference.serve(entity))
+        assert response.checksum == payload_checksum("serve", expected)
+        for name in ("worker_deaths", "worker_restarts", "replays"):
+            assert pool.metrics.counter(f"pool.{name}").value == 1
+
+
+def _fields_but_payload(response):
+    return (
+        response.request_id,
+        response.idempotency_key,
+        response.kind,
+        response.entity_id,
+        response.relation,
+        response.outcome,
+        response.checksum,
+        response.worker,
+        response.replayed,
+    )
+
+
+class TestTerminalRecords:
+    def test_a_handed_out_payload_is_held_by_its_caller_alone(
+        self, pool, item_ids
+    ):
+        submitted = [pool.submit("serve", e) for e in item_ids[:6]]
+        submitted += [pool.submit("retrieve", e, 0, k=5) for e in item_ids[:3]]
+        responses = pool.drain()
+        assert sorted(r.request_id for r in responses) == sorted(submitted)
+        assert all(r.ok and r.payload is not None for r in responses)
+        terminal = pool.terminal()
+        assert sorted(terminal) == sorted(submitted)
+        for response in responses:
+            record = terminal[response.request_id]
+            assert record.payload is None
+            assert _fields_but_payload(record) == _fields_but_payload(response)
+        arrays = [weakref.ref(a) for r in responses for a in r.payload]
+        del responses, response
+        gc.collect()
+        assert all(array() is None for array in arrays)
+
+    def test_a_sync_call_returns_its_payload_and_keeps_only_the_record(
+        self, pool, reference, item_ids
+    ):
+        entity = item_ids[2]
+        vectors = pool.serve(entity)
+        np.testing.assert_array_equal(
+            vectors.triple_vectors, reference.serve(entity).triple_vectors
+        )
+        assert pool.responses() == []
+        (record,) = pool.terminal().values()
+        assert (record.entity_id, record.outcome, record.payload) == (
+            entity,
+            STATUS_OK,
+            None,
+        )
 
 
 class TestIdleScrub:

@@ -231,17 +231,9 @@ golden_gates
 drill_gates
 
 echo
-echo "== pickle seam (no allow_pickle=True under src/) =="
-# Every array file is loaded pickle-free; the full lint rule waits for
-# ROADMAP [17], when serving/protocol.py stops importing pickle.
-if grep -rn --include='*.py' 'allow_pickle=True' src/; then
-    echo "allow_pickle=True is banned under src/" >&2
-    exit 1
-fi
-
-echo
 echo "== repro.lint (per-file + whole-program) =="
-# One pass over every Python tree: per-file rules plus the
+# One pass over every Python tree: per-file rules (R009 bans pickle
+# imports and allow_pickle=True under src/repro/) plus the
 # whole-program passes (import/call graphs, determinism taint,
 # concurrency safety, contract checks).  No options, no baseline:
 # every finding fails the gate.
