@@ -90,11 +90,11 @@ class ArrayLayout:
         self._binders = (first.get("k"), first.get("dim"))
 
     @staticmethod
-    def _facts(payload) -> list:
+    def _facts(payload) -> tuple:
         """(shape, dtype, C-contiguous) of each array of a tuple payload."""
         if type(payload) is not tuple:
             raise TypeError(f"a {type(payload).__name__}, not a tuple of arrays")
-        return [(a.shape, a.dtype, a.flags.c_contiguous) for a in payload]
+        return tuple([(a.shape, a.dtype, a.flags.c_contiguous) for a in payload])
 
     def geometry(self, payload) -> Optional[Geometry]:
         if type(payload) is not tuple or len(payload) != len(self.fields):
@@ -106,7 +106,7 @@ class ArrayLayout:
             return None
         geometry = (k, dim)
         expected = self._plan(geometry)[0]
-        if [(shape, dtype) for shape, dtype, _ in facts] != expected:
+        if tuple([(shape, dtype) for shape, dtype, _ in facts]) != expected:
             return None
         return geometry
 
@@ -114,6 +114,8 @@ class ArrayLayout:
     def _plan(self, geometry: Geometry):
         """At ``geometry``: ``(shape, dtype)`` per array, that with
         C-contiguity, ``(shape, dtype, offset)`` per array, total bytes."""
+        if any(at is None and size for at, size in zip(self._binders, geometry)):
+            raise ValueError(f"geometry {geometry} binds a size the layout has not")
         sizes = dict(zip(("k", "dim"), geometry))
         expected, placed, offset = [], [], 0
         for dtype, symbols in self.fields:
@@ -121,8 +123,8 @@ class ArrayLayout:
             expected.append((shape, dtype))
             placed.append((shape, dtype, offset))
             offset += prod(shape) * dtype.itemsize
-        contiguous = [(shape, dtype, True) for shape, dtype in expected]
-        return expected, contiguous, tuple(placed), offset
+        contiguous = tuple((shape, dtype, True) for shape, dtype in expected)
+        return tuple(expected), contiguous, tuple(placed), offset
 
     def parts(self, payload) -> List[np.ndarray]:
         return [np.ascontiguousarray(array) for array in payload]
@@ -132,7 +134,7 @@ class ArrayLayout:
         facts = self._facts(payload)
         if facts == contiguous:
             return payload, nbytes
-        if [(shape, dtype) for shape, dtype, _ in facts] != expected:
+        if tuple([(shape, dtype) for shape, dtype, _ in facts]) != expected:
             raise ValueError(f"payload off its layout at geometry {geometry}")
         return self.parts(payload), nbytes
 
@@ -164,6 +166,8 @@ class ScalarLayout:
         return self.parts(payload), self.struct.size
 
     def read(self, data: memoryview, geometry: Geometry):
+        if geometry != (0, 0):
+            raise ValueError(f"a scalar payload binds no geometry, not {geometry}")
         (value,) = self.struct.unpack(data)
         return value
 
@@ -188,6 +192,8 @@ class JsonLayout:
         return [data], len(data)
 
     def read(self, data: memoryview, geometry: Geometry) -> dict:
+        if geometry != (0, 0):
+            raise ValueError(f"a JSON payload binds no geometry, not {geometry}")
         value = json.loads(bytes(data))
         if not isinstance(value, dict):
             raise ValueError(f"a JSON {type(value).__name__}, not an object")

@@ -37,7 +37,8 @@ and goes on by tag:
   shard and page (``<qqq``) then the UTF-8 table name, ``error`` a
   UTF-8 message, ``unknown-id`` and ``deadline`` nothing.  The header
   names the first kind whose layout fits the ok payloads (``retrieve``
-  and ``recommend`` share one), 0 when there is none;
+  and ``recommend`` share one) and their geometry, all 0 when there
+  is no ok record;
 * ``ping`` a ``<q`` sequence number; ``pong`` and ``ready`` two
   ``<q``; ``fail`` a ``<q`` worker id then a UTF-8 message;
   ``shutdown`` nothing.
@@ -286,7 +287,7 @@ def _decode_results(view: memoryview, kind: int, k: int, dim: int, count: int):
     geometry = (k, dim)
     (worker_id,) = _INT.unpack_from(view, _HEADER.size)
     end = _HEADER.size + _INT.size
-    records = []
+    records, any_ok = [], False
     for _ in range(count):
         request_id, status, crc, length = _RECORD.unpack_from(view, end)
         start = end + _RECORD.size
@@ -297,7 +298,7 @@ def _decode_results(view: memoryview, kind: int, k: int, dim: int, count: int):
         if zlib.crc32(data) != crc:
             raise ProtocolError(f"CRC mismatch on request {request_id}")
         if status == 0:
-            payload = read(data, geometry)
+            payload, any_ok = read(data, geometry), True
         elif status < len(STATUSES):
             payload = _other_payload(STATUSES[status], data)
         else:
@@ -305,6 +306,8 @@ def _decode_results(view: memoryview, kind: int, k: int, dim: int, count: int):
         records.append((request_id, STATUSES[status], payload, crc))
     if end != len(view):
         raise ProtocolError(f"{len(view) - end} bytes after the last record")
+    if not any_ok and (kind, k, dim) != (0, 0, 0):
+        raise ProtocolError("a results header with no ok record names a kind")
     return ("results", worker_id, records)
 
 

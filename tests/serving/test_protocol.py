@@ -321,6 +321,11 @@ class TestRefusals:
             body_with(SERVE, k=-3),
             body_with(SERVE, kind=list(OPS).index("retrieve")),
             body_with(SERVE, kind=list(OPS).index("exist")),
+            body_with(results((0, "ok", 0.5)), k=1),
+            body_with(results((0, "ok", OK_PAYLOADS["explain"])), dim=2),
+            body_with(results((0, "deadline", None)), kind=1),
+            body_with(results(), k=3),
+            body_with(results((0, "ok", OK_PAYLOADS["retrieve"])), dim=1),
             status_byte(len(STATUSES)),
             encode(SERVE) + b"\x00",
             encode(("ping", 1)) + b"\x00",
