@@ -297,7 +297,7 @@ def _decode_results(view: memoryview, kind: int, k: int, dim: int, count: int):
             raise ProtocolError(f"record of {length} bytes runs past the frame")
         if zlib.crc32(data) != crc:
             raise ProtocolError(f"CRC mismatch on request {request_id}")
-        if status == 0:
+        if status == 0:  # STATUSES[0] is STATUS_OK
             payload, any_ok = read(data, geometry), True
         elif status < len(STATUSES):
             payload = _other_payload(STATUSES[status], data)
