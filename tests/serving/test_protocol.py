@@ -100,6 +100,11 @@ def valid_messages():
     messages += [("fail", 1, "OSError('no store')"), ("batch", "serve", 10, [])]
     messages += [results((7, "ok", payload)) for payload in OK_PAYLOADS.values()]
     messages += [results((7, s, p)) for s, p in OTHER_PAYLOADS.items()]
+    messages += [
+        results((7, status, other), (8, "ok", payload))
+        for payload in OK_PAYLOADS.values()
+        for status, other in OTHER_PAYLOADS.items()
+    ]
     messages.append(
         results(
             (0, "ok", OK_PAYLOADS["serve"]),
@@ -197,6 +202,7 @@ class TestClosedCodec:
             assert_same(decoded, message)
             return
         assert decoded[:2] == message[:2]
+        assert len(decoded[2]) == len(message[2])
         for (rid, status, payload, crc), want in zip(decoded[2], message[2]):
             assert (rid, status) == want[:2]
             assert_same(payload, want[2])
