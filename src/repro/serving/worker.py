@@ -160,12 +160,19 @@ def worker_main(
                 _, kind, k, items = message
                 results = run_batch(server, kind, int(k), items, scenarios)
                 served += len(items)
-                send_frame(sock, ("results", int(worker_id), results))
+                try:
+                    send_frame(sock, ("results", int(worker_id), results))
+                except ProtocolError as error:
+                    # A payload off its kind's layout: answer the batch
+                    # with errors rather than die and be replayed into
+                    # the same failure on a sibling.
+                    failed = [(r[0], STATUS_ERROR, f"no wire form: {error}") for r in results]
+                    send_frame(sock, ("results", int(worker_id), failed))
                 continue
             # A worker-to-supervisor tag sent the other way: protocol
             # drift, not recoverable.
             return
     except (OSError, ProtocolError):
-        # The supervisor died, the link tore, or a payload has no wire
-        # form: exit quietly, the process has no state worth saving.
+        # The supervisor died or the link tore: exit quietly, the
+        # process has no state worth saving.
         return

@@ -14,7 +14,7 @@ import pytest
 
 import repro.serving.supervisor as supervisor_module
 from repro.obs.metrics import MetricsRegistry
-from repro.ops import OPS
+from repro.ops import OPS, ArrayLayout, OpSpec
 from repro.serving import (
     PoolConfig,
     PoolError,
@@ -24,7 +24,7 @@ from repro.serving import (
     run_batch,
     send_frame,
 )
-from repro.serving.protocol import STATUS_OK, STATUS_UNKNOWN, encode
+from repro.serving.protocol import STATUS_ERROR, STATUS_OK, STATUS_UNKNOWN, encode
 from repro.serving.worker import worker_main
 from repro.store import EmbeddingStore
 
@@ -237,6 +237,33 @@ class TestOffSchemaFrames:
         assert response.checksum == payload_checksum("serve", expected)
         for name in ("worker_deaths", "worker_restarts", "replays"):
             assert pool.metrics.counter(f"pool.{name}").value == 1
+
+
+class TestUnencodablePayloads:
+    def test_a_payload_off_its_layout_answers_error_and_kills_no_worker(
+        self, store_dir, item_ids, monkeypatch
+    ):
+        monkeypatch.setitem(
+            OPS,
+            "halfwidth",
+            OpSpec(
+                call=lambda backend, entity_id, relation, k, deadline=None: entity_id,
+                wire=lambda answer: (np.zeros(3, dtype=np.float32),),
+                layout=ArrayLayout(("<f8", ("k",))),
+            ),
+        )
+        pool = Supervisor(store_dir, PoolConfig(num_workers=1, max_batch=2))
+        pool.start()
+        try:
+            submitted = [pool.submit("halfwidth", e) for e in item_ids[:3]]
+            responses = pool.drain()
+            vectors = pool.serve(item_ids[0])
+        finally:
+            pool.shutdown()
+        assert sorted(r.request_id for r in responses) == submitted
+        assert {r.outcome for r in responses} == {STATUS_ERROR}
+        assert vectors.triple_vectors.dtype == np.float64
+        assert pool.metrics.counter("pool.worker_deaths").value == 0
 
 
 def _fields_but_payload(response):
