@@ -11,7 +11,9 @@ What a batch runs is its kind's row of :data:`repro.ops.OPS`: one
 fused kernel call where the server has one (the coalescer groups by
 ``k`` so the whole batch shares one search), else one call per item.
 Per-item failures — unknown ids, quarantined pages — degrade that one
-item to an error status, never the batch and never the process.
+item to an error status, never the batch and never the process; a
+batch whose payloads are off their kind's wire layout answers every
+item ``STATUS_ERROR``.
 
 Everything here is deliberately crash-isolated: the function touches
 no module-level state, never prints, and treats any socket error as
