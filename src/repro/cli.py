@@ -614,29 +614,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     config = _load_config(args)
-    workdir = Path(args.dir)
-    store_dir = workdir / "store"
+    if args.serve_command == "chaos":
+        # Refuse a kill schedule that cannot fire before writing the store.
+        kills = max(0, args.kills)
+        chaos = ChaosConfig(
+            requests=args.requests,
+            workers=args.workers,
+            kill_at=tuple(
+                (slot + 1) * args.requests // (kills + 1) for slot in range(kills)
+            ),
+            kill_workers=tuple(slot % args.workers for slot in range(kills)),
+            seed=config.seed,
+        )
+    store_dir = Path(args.dir) / "store"
     _, server = untrained_server(config)
     server.save_store(store_dir, num_shards=2).close()
     items = server.known_items()
 
     if args.serve_command == "chaos":
-        kills = max(0, args.kills)
-        kill_at = tuple(
-            (slot + 1) * args.requests // (kills + 1) for slot in range(kills)
-        )
-        kill_workers = tuple(slot % args.workers for slot in range(kills))
-        report = run_kill_drill(
-            store_dir,
-            items,
-            ChaosConfig(
-                requests=args.requests,
-                workers=args.workers,
-                kill_at=kill_at,
-                kill_workers=kill_workers,
-                seed=config.seed,
-            ),
-        )
+        report = run_kill_drill(store_dir, items, chaos)
         for line in report.lines():
             print(line)
         if args.verbose:

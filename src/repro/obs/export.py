@@ -119,57 +119,51 @@ def run_pool_workload(
 
     Forks a two-worker :class:`~repro.serving.Supervisor` over a
     freshly built store, drives a seeded mixed workload (serve / exist
-    / retrieve) on the virtual clock, then runs idle ticks so the
-    background scrubber sweeps the whole store.  The export surfaces
+    / retrieve) through the pool drive, unwindowed, on the virtual
+    clock, then runs idle ticks so the background scrubber sweeps the
+    whole store.  The export surfaces
     the supervision counters (``pool.*``), per-worker served totals
     (``pool.worker.served{worker=...}``), and the scrub accounting
     (``store.scrub.*``).  Routing is pure shard affinity and no worker
     dies, so the snapshot is byte-identical across same-seed runs.
     Returns ``(registry, summary_lines)``.
     """
-    import shutil
     import tempfile
 
     import numpy as np
 
     from ..config import PRESETS
     from ..pipeline import untrained_server
-    from ..reliability.retry import StepClock
     from ..serving import PoolConfig, Supervisor
+    from ..serving.loadtest import drive
 
     _, server = untrained_server(PRESETS[preset](), seed=seed)
     items = sorted(server.known_items())
+    rng = np.random.default_rng(seed)
+    calls = []
+    for _ in range(requests):
+        draw = rng.random()
+        entity = int(items[int(rng.integers(len(items)))])
+        relation = int(rng.integers(server.num_relations))
+        if draw < 0.5:
+            calls.append(("serve", entity, -1, 10))
+        elif draw < 0.8:
+            calls.append(("exist", entity, relation, 10))
+        else:
+            calls.append(("retrieve", entity, relation, 5))
     registry = MetricsRegistry()
-    clock = StepClock()
-    store_dir = tempfile.mkdtemp(prefix="repro-pool-workload-")
-    try:
+    with tempfile.TemporaryDirectory(
+        prefix="repro-pool-workload-", ignore_cleanup_errors=True
+    ) as store_dir:
         server.save_store(store_dir)
         pool = Supervisor(
             store_dir,
-            PoolConfig(
-                num_workers=2,
-                max_batch=4,
-                scrub_pages_per_tick=4,
-            ),
-            clock=clock,
+            PoolConfig(num_workers=2, max_batch=4, scrub_pages_per_tick=4),
             registry=registry,
         )
         pool.start()
         try:
-            rng = np.random.default_rng(seed)
-            for _ in range(requests):
-                draw = rng.random()
-                entity = int(items[int(rng.integers(len(items)))])
-                relation = int(rng.integers(server.num_relations))
-                if draw < 0.5:
-                    pool.submit("serve", entity)
-                elif draw < 0.8:
-                    pool.submit("exist", entity, relation=relation)
-                else:
-                    pool.submit("retrieve", entity, relation=relation, k=5)
-                clock.advance(0.001)
-                pool.pump()
-            answered = len(pool.drain())
+            answered = len(drive(pool, calls)[0])
             # Idle ticks: with nothing in flight every tick is a scrub
             # slice, so the sweep accounting is fixed by the tick count.
             for _ in range(64):
@@ -191,8 +185,6 @@ def run_pool_workload(
             ]
         finally:
             pool.shutdown()
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
     return registry, summary
 
 

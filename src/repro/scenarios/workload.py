@@ -11,12 +11,13 @@ Two phases exercise the new endpoints end to end on virtual time:
    is checked for entailment against the catalog store.
 2. **Pool phase** — the same queries as ``explain`` / ``recommend``
    op kinds over a forked two-worker
-   :class:`~repro.serving.Supervisor`, with the rule sidecar shipped
-   next to the embedding store and payload CRCs computed by the wire
-   protocol.
+   :class:`~repro.serving.Supervisor`, driven unwindowed by the one
+   pool drive (:func:`repro.serving.loadtest.drive`), with the rule
+   sidecar shipped next to the embedding store and payload CRCs
+   computed by the wire protocol.
 
-The transcript records request id, kind, outcome, and payload CRC —
-never timings or worker identities — so two same-seed runs are
+The transcript records request id, kind, entity, relation, outcome,
+and payload CRC — never timings or worker identities — so two same-seed runs are
 byte-identical; ``tools/check.sh`` (and so the CI ``check`` job) runs
 it twice and diffs the output.  A cold-start split summary line
 pins the scenario's data generation into the same gate.
@@ -30,6 +31,9 @@ from typing import Dict, List, Tuple
 from ..ops import OPS
 
 __all__ = ["ScenarioWorkloadReport", "run_scenarios_workload"]
+
+#: The kinds both phases draw.
+KINDS = ("explain", "recommend")
 
 
 @dataclass
@@ -62,15 +66,6 @@ def _crc_of(kind: str, payload) -> int:
     return payload_checksum(kind, OPS[kind].wire(payload))
 
 
-def _transcript_line(
-    request_id: int, kind: str, entity: int, relation: int, outcome: str, crc: int
-) -> str:
-    return (
-        f"{request_id:05d} {kind:<9s} entity={entity:<8d} "
-        f"rel={relation:<4d} outcome={outcome:<12s} crc={crc:08x}"
-    )
-
-
 def run_scenarios_workload(
     seed: int = 0,
     requests: int = 160,
@@ -78,7 +73,6 @@ def run_scenarios_workload(
     preset: str = "smoke",
 ) -> ScenarioWorkloadReport:
     """Run both phases; deterministic for a given (seed, sizes, preset)."""
-    import shutil
     import tempfile
 
     import numpy as np
@@ -95,6 +89,7 @@ def run_scenarios_workload(
     )
     from ..reliability.retry import StepClock
     from ..serving import PoolConfig, Supervisor
+    from ..serving.loadtest import drive, transcript_line
     from .coldstart import generate_coldstart_split
     from .explain import Explainer, save_sidecar
     from .service import ScenarioService, ServiceRecommender
@@ -175,66 +170,56 @@ def run_scenarios_workload(
             if not payload.entailed_by(catalog.store):
                 entailment_failures += 1
         report.gateway_lines.append(
-            _transcript_line(rid, kind, entity, relation, outcome, crc)
+            transcript_line(rid, kind, entity, relation, outcome, crc, KINDS)
         )
 
     # ------------------------------------------------------------------
     # Phase 2: pool op kinds over forked workers.
     # ------------------------------------------------------------------
-    store_dir = tempfile.mkdtemp(prefix="repro-scenarios-workload-")
-    pool_answered = 0
-    try:
+    pool_rng = np.random.default_rng(seed + 1)
+    pool_calls = []
+    for _ in range(pool_requests):
+        entity = (
+            unknown_entity
+            if pool_rng.random() < 0.08
+            else int(items[int(pool_rng.integers(len(items)))])
+        )
+        if pool_rng.random() < 0.5:
+            relation = int(pool_rng.integers(num_relations))
+            pool_calls.append(("explain", entity, relation, 10))
+        else:
+            pool_calls.append(("recommend", entity, -1, 5))
+    with tempfile.TemporaryDirectory(
+        prefix="repro-scenarios-workload-", ignore_cleanup_errors=True
+    ) as store_dir:
         server.save_store(store_dir)
         save_sidecar(store_dir, catalog.store, rules)
-        pool_clock = StepClock()
         pool = Supervisor(
-            store_dir,
-            PoolConfig(num_workers=2, max_batch=4),
-            clock=pool_clock,
-            registry=registry,
+            store_dir, PoolConfig(num_workers=2, max_batch=4), registry=registry
         )
         pool.start()
         try:
-            pool_rng = np.random.default_rng(seed + 1)
-            for _ in range(pool_requests):
-                entity = (
-                    unknown_entity
-                    if pool_rng.random() < 0.08
-                    else int(items[int(pool_rng.integers(len(items)))])
-                )
-                if pool_rng.random() < 0.5:
-                    relation = int(pool_rng.integers(num_relations))
-                    pool.submit("explain", entity, relation=relation)
-                else:
-                    pool.submit("recommend", entity, k=5)
-                pool_clock.advance(0.001)
-                pool.pump()
-            pool_responses = pool.drain()
-            pool_answered = len(pool_responses)
-            for response in sorted(pool_responses, key=lambda r: r.request_id):
-                report.pool_lines.append(
-                    _transcript_line(
-                        response.request_id,
-                        response.kind,
-                        response.entity_id,
-                        response.relation,
-                        response.outcome,
-                        response.checksum,
-                    )
-                )
+            pool_responses, _, _ = drive(pool, pool_calls)
         finally:
             pool.shutdown()
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
+    pool_answered = len(pool_responses)
+    report.pool_lines = [
+        transcript_line(
+            r.request_id, r.kind, r.entity_id, r.relation, r.outcome, r.checksum,
+            KINDS,
+        )
+        for r in pool_responses
+    ]
 
     # ------------------------------------------------------------------
     # Cold-start generation determinism + metrics + verdict.
     # ------------------------------------------------------------------
     split = generate_coldstart_split(catalog, config.interactions)
+    cold_items = set(split.cold_items)
     cold_leaks = sum(
         1
         for event in split.interactions.interactions
-        if event.item_id in set(split.cold_items)
+        if event.item_id in cold_items
     )
 
     snapshot = registry.snapshot()

@@ -13,7 +13,10 @@ survive *real* concurrency and *real* process death:
   under a max-batch/max-delay policy on the virtual StepClock;
 * :func:`run_kill_drill` is the process-level chaos harness (SIGKILL
   under seeded load, byte-deterministic transcript) and
-  :func:`run_serve_loadtest` the real-QPS measurement driver.
+  :func:`run_serve_loadtest` the real-QPS measurement driver; both,
+  and the obs and scenario pool workloads, run through the one seeded
+  drive :func:`repro.serving.loadtest.drive` (submit, advance one
+  tick, pump; optionally windowed).
 
 The supervisor exposes ``serve`` / ``nearest_tails`` /
 ``relation_existence_score`` plus ``k``/``dim``, so the PR 3 gateway's

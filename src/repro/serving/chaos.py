@@ -23,11 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..obs.metrics import MetricsRegistry
-from ..reliability.retry import StepClock
-from .protocol import PoolResponse
+from .loadtest import drive, mixed_requests, transcript_line
 from .supervisor import PoolConfig, Supervisor
 
 
@@ -115,48 +112,12 @@ class ChaosReport:
         ]
 
 
-#: Virtual seconds between two seeded arrivals.
-ARRIVAL_TICK = 0.001
 #: Most requests the drill keeps outstanding.
 WINDOW = 8
 #: Neighbours a drill ``retrieve`` asks for.
 K = 5
-
-
-def _pick_request(
-    rng: np.random.Generator,
-    item_ids: Sequence[int],
-    num_entities: int,
-    num_relations: int,
-    serve_prob: float,
-    exist_prob: float,
-    unknown_prob: float,
-) -> Tuple[str, int, int]:
-    """(kind, entity, relation) for one seeded arrival; the remainder
-    after ``serve_prob`` and ``exist_prob`` is retrieve."""
-    draw = float(rng.random())
-    if draw < serve_prob:
-        kind = "serve"
-    elif draw < serve_prob + exist_prob:
-        kind = "exist"
-    else:
-        kind = "retrieve"
-    if float(rng.random()) < unknown_prob:
-        entity = num_entities + int(rng.integers(0, 1000))
-    elif kind == "serve":
-        entity = int(item_ids[int(rng.integers(0, len(item_ids)))])
-    else:
-        entity = int(rng.integers(0, num_entities))
-    relation = int(rng.integers(0, num_relations))
-    return kind, entity, relation
-
-
-def _transcript_line(response: PoolResponse) -> str:
-    return (
-        f"{response.request_id:05d} {response.kind:<8s} "
-        f"entity={response.entity_id:<8d} rel={response.relation:<4d} "
-        f"outcome={response.outcome:<12s} crc={response.checksum:08x}"
-    )
+#: The kinds the drill draws.
+KINDS = ("serve", "exist", "retrieve")
 
 
 def run_kill_drill(
@@ -168,42 +129,19 @@ def run_kill_drill(
     """Run the seeded kill drill against a store directory."""
     config = config if config is not None else ChaosConfig()
     registry = registry if registry is not None else MetricsRegistry()
-    clock = StepClock()
     pool = Supervisor(
         store_dir,
-        PoolConfig(
-            num_workers=config.workers,
-            max_batch=4,
-            max_delay=0.004,
-        ),
-        clock=clock,
+        PoolConfig(num_workers=config.workers, max_batch=4, max_delay=0.004),
         registry=registry,
     )
     pool.start()
-    rng = np.random.default_rng(config.seed)
-    kills = dict(zip(config.kill_at, config.kill_workers))
-    kills_fired = 0
     try:
-        for index in range(config.requests):
-            if index in kills:
-                pool.kill_worker(kills[index])
-                kills_fired += 1
-            clock.advance(ARRIVAL_TICK)
-            kind, entity, relation = _pick_request(
-                rng,
-                item_ids,
-                pool.num_entities,
-                pool.num_relations,
-                serve_prob=0.55,
-                exist_prob=0.2,
-                unknown_prob=0.05,
-            )
-            pool.submit(kind, entity, relation=relation, k=K)
-            pool.pump()
-            while pool.outstanding() > WINDOW:
-                pool.wait_any()
-        pool.drain()
-        terminal = pool.terminal()
+        requests = mixed_requests(
+            pool, item_ids, config.requests, config.seed, K,
+            serve_prob=0.55, exist_prob=0.2, unknown_prob=0.05,
+        )
+        kills = dict(zip(config.kill_at, config.kill_workers))
+        responses, _, _ = drive(pool, requests, window=WINDOW, kills=kills)
         duplicates = int(registry.counter("pool.duplicates_dropped").value)
         operational = {
             name: int(registry.counter(f"pool.{name}").value)
@@ -218,19 +156,23 @@ def run_kill_drill(
         }
     finally:
         pool.shutdown()
-    exactly_once = sorted(terminal) == list(range(config.requests)) and len(
-        {r.idempotency_key for r in terminal.values()}
-    ) == len(terminal)
+    exactly_once = [r.request_id for r in responses] == list(
+        range(config.requests)
+    ) and len({r.idempotency_key for r in responses}) == len(responses)
     outcomes: Dict[str, int] = {}
-    transcript = []
-    for request_id in sorted(terminal):
-        response = terminal[request_id]
+    for response in responses:
         outcomes[response.outcome] = outcomes.get(response.outcome, 0) + 1
-        transcript.append(_transcript_line(response))
+    transcript = [
+        transcript_line(
+            r.request_id, r.kind, r.entity_id, r.relation, r.outcome, r.checksum,
+            KINDS,
+        )
+        for r in responses
+    ]
     return ChaosReport(
         requests=config.requests,
         workers=config.workers,
-        kills=kills_fired,
+        kills=len(config.kill_at),
         outcomes=outcomes,
         transcript=transcript,
         exactly_once=exactly_once,

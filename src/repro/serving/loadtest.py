@@ -1,29 +1,123 @@
-"""Concurrent loadtest for the worker pool: real QPS, real percentiles.
+"""The one seeded pool drive, and the real-QPS loadtest built on it.
 
-Unlike the PR 3 gateway loadtest (a pure virtual-time simulation),
-this one measures actual multi-process throughput.  Wall-clock access
-is *injected*: the caller passes a ``timer`` callable (the CLI and
-benchmarks pass ``time.perf_counter``), keeping this module inside the
-R007 no-wall-clock boundary — with ``timer=None`` the report falls
-back to virtual StepClock stamps, making the outcome accounting
-(ok/degraded counts) deterministic; latency percentiles remain
-measurements either way, since they depend on real arrival order.
+:func:`drive` is the submit loop of every seeded drill over a
+:class:`~repro.serving.supervisor.Supervisor` — the kill drill, this
+loadtest, :func:`repro.obs.run_pool_workload` and the pool phase of
+:func:`repro.scenarios.run_scenarios_workload`.  Each request is
+submit, advance the virtual clock one :data:`ARRIVAL_TICK`, pump; with
+a ``window`` the drive then blocks until at most ``window`` requests
+are outstanding, so workers compute in parallel while it keeps feeding
+batches.  Callers keep only their seeded request generators and what
+they do with the answers; :func:`transcript_line` is the one line a
+byte-diffed transcript prints per request.
 
-The driver is open-loop with a bounded window: it submits the seeded
-workload as fast as the pool accepts it, blocking only when more than
-``window`` requests are outstanding — so worker processes genuinely
-compute in parallel while the driver keeps feeding batches.
+Wall-clock access is *injected*: the caller passes a ``timer``
+callable (the CLI and benchmarks pass ``time.perf_counter``), keeping
+this module inside the R007 no-wall-clock boundary — with
+``timer=None`` the latencies are virtual StepClock stamps, making the
+outcome accounting (ok/degraded counts) deterministic; latency
+percentiles remain measurements either way, since they depend on real
+arrival order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chaos import _pick_request, ARRIVAL_TICK
+from .protocol import PoolResponse
 from .supervisor import Supervisor
+
+#: Virtual seconds between two seeded arrivals.
+ARRIVAL_TICK = 0.001
+
+#: One seeded request: ``(kind, entity, relation, k)``.
+Request = Tuple[str, int, int, int]
+
+
+def mixed_requests(
+    pool: Supervisor, item_ids: Sequence[int], count: int, seed: int, k: int,
+    serve_prob: float, exist_prob: float, unknown_prob: float = 0.0,
+) -> List[Request]:
+    """``count`` seeded serve / exist / retrieve requests; the remainder
+    after ``serve_prob`` and ``exist_prob`` is retrieve.  The unknown-id
+    draw is made even at ``unknown_prob=0``, so the request order holds;
+    an unknown id lies past the pool's entities."""
+    rng = np.random.default_rng(seed)
+    requests = []
+    for _ in range(count):
+        draw = float(rng.random())
+        if draw < serve_prob:
+            kind = "serve"
+        elif draw < serve_prob + exist_prob:
+            kind = "exist"
+        else:
+            kind = "retrieve"
+        if float(rng.random()) < unknown_prob:
+            entity = pool.num_entities + int(rng.integers(0, 1000))
+        elif kind == "serve":
+            entity = int(item_ids[int(rng.integers(0, len(item_ids)))])
+        else:
+            entity = int(rng.integers(0, pool.num_entities))
+        relation = int(rng.integers(0, pool.num_relations))
+        requests.append((kind, entity, relation, k))
+    return requests
+
+
+def drive(
+    pool: Supervisor,
+    requests: Sequence[Request],
+    window: Optional[int] = None,
+    kills: Optional[Dict[int, int]] = None,
+    timer: Optional[Callable[[], float]] = None,
+) -> Tuple[List[PoolResponse], List[float], float]:
+    """Drive a started pool through ``requests``; ``kills`` maps a
+    request index to the worker slot SIGKILLed just before its submit.
+
+    Returns every response in request-id order, the latency of each
+    (submit to collection, on ``timer`` or the pool's virtual clock)
+    and the elapsed time of the whole drive.
+    """
+    clock = pool.clock
+    now = timer if timer is not None else clock.now
+    kills = kills if kills is not None else {}
+    submitted_at: Dict[int, float] = {}
+    answered: List[Tuple[PoolResponse, float]] = []
+
+    def collect(responses: List[PoolResponse]) -> None:
+        stamp = now()
+        for response in responses:
+            answered.append((response, stamp - submitted_at.pop(response.request_id)))
+
+    started = now()
+    for index, (kind, entity, relation, k) in enumerate(requests):
+        if index in kills:
+            pool.kill_worker(kills[index])
+        submitted_at[pool.submit(kind, entity, relation=relation, k=k)] = now()
+        clock.advance(ARRIVAL_TICK)
+        pool.pump()
+        collect(pool.responses())
+        while window is not None and pool.outstanding() > window:
+            pool.wait_any()
+            collect(pool.responses())
+    collect(pool.drain())
+    elapsed = now() - started
+    answered.sort(key=lambda pair: pair[0].request_id)
+    return [r for r, _ in answered], [latency for _, latency in answered], elapsed
+
+
+def transcript_line(
+    request_id: int, kind: str, entity: int, relation: int, outcome: str, crc: int,
+    kinds: Sequence[str],
+) -> str:
+    """One request's line in a byte-diffed drill transcript; the kind
+    is padded to the longest of ``kinds``, the kinds the drill draws."""
+    return (
+        f"{request_id:05d} {kind:<{max(map(len, kinds))}s} entity={entity:<8d} "
+        f"rel={relation:<4d} outcome={outcome:<12s} crc={crc:08x}"
+    )
 
 
 @dataclass(frozen=True)
@@ -71,44 +165,14 @@ def run_serve_loadtest(
 ) -> ServeLoadReport:
     """Drive one started pool through the seeded workload."""
     config = config if config is not None else ServeLoadConfig()
-    clock = pool.clock
-    now = timer if timer is not None else clock.now
-    rng = np.random.default_rng(config.seed)
-    submitted_at: Dict[int, float] = {}
-    latencies: List[float] = []
-    ok = degraded = 0
-
-    def collect(responses=None) -> None:
-        nonlocal ok, degraded
-        stamp = now()
-        for response in pool.responses() if responses is None else responses:
-            latencies.append(stamp - submitted_at.pop(response.request_id))
-            if response.ok:
-                ok += 1
-            else:
-                degraded += 1
-
-    started = now()
-    for _ in range(config.requests):
-        clock.advance(ARRIVAL_TICK)
-        kind, entity, relation = _pick_request(
-            rng,
-            item_ids,
-            pool.num_entities,
-            pool.num_relations,
-            config.serve_prob,
-            config.exist_prob,
-            unknown_prob=0.0,  # still drawn, so the request order holds
-        )
-        request_id = pool.submit(kind, entity, relation=relation, k=config.k)
-        submitted_at[request_id] = now()
-        pool.pump()
-        collect()
-        while pool.outstanding() > config.window:
-            pool.wait_any()
-            collect()
-    collect(pool.drain())
-    elapsed = now() - started
+    requests = mixed_requests(
+        pool, item_ids, config.requests, config.seed, config.k,
+        config.serve_prob, config.exist_prob,
+    )
+    responses, latencies, elapsed = drive(
+        pool, requests, window=config.window, timer=timer
+    )
+    ok = sum(1 for response in responses if response.ok)
     batches = int(pool.metrics.counter("coalesce.batches").value)
     percentiles = (
         np.percentile(latencies, [50, 99]) if latencies else np.zeros(2)
@@ -116,7 +180,7 @@ def run_serve_loadtest(
     return ServeLoadReport(
         requests=config.requests,
         ok=ok,
-        degraded=degraded,
+        degraded=len(responses) - ok,
         elapsed=elapsed,
         qps=config.requests / elapsed if elapsed > 0 else 0.0,
         p50=float(percentiles[0]),

@@ -37,10 +37,11 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..config import ExperimentConfig
-from ..core import KeyRelationSelector, PKGM, PKGMServer
+from ..core import KeyRelationSelector, PKGMServer
 from ..data import generate_catalog
 from ..index.ivf import IVFFlatIndex
 from ..obs.metrics import MetricsRegistry
+from ..pipeline import untrained_server
 from .continual import ContinualConfig, ContinualTrainer
 from .deltas import (
     OP_NEW_ITEM,
@@ -136,18 +137,13 @@ class StreamPipeline:
         self.config = config if config is not None else StreamRunConfig()
         self.metrics = registry if registry is not None else MetricsRegistry()
 
-        catalog = generate_catalog(experiment.catalog)
-        self.catalog = catalog
-        item_to_category = {
-            item.entity_id: item.category_id for item in catalog.items
-        }
-        self.selector = KeyRelationSelector(
-            catalog.store, item_to_category, k=experiment.key_relations
-        )
-        if from_checkpoint is not None:
+        if from_checkpoint is None:
+            catalog, server = untrained_server(experiment)
+        else:
             # Seed every table from a trained snapshot instead of the
             # untrained smoke model: the published stream snapshots then
             # serve the trained embeddings from batch zero.
+            catalog = generate_catalog(experiment.catalog)
             server = PKGMServer.from_store(from_checkpoint)
             mismatches = []
             if server.num_entities != len(catalog.entities):
@@ -170,32 +166,19 @@ class StreamPipeline:
                     f"checkpoint {from_checkpoint!s} does not match the "
                     "experiment catalog: " + "; ".join(mismatches)
                 )
-            self.dim = server.dim
-            self.relation_table = np.array(
-                server.relation_table, dtype=np.float64
-            )
-            self.transfer = np.array(server.transfer_tensor, dtype=np.float64)
-            entity_table = np.array(server.entity_table, dtype=np.float64)
+        self.catalog = catalog
+        item_to_category = {
+            item.entity_id: item.category_id for item in catalog.items
+        }
+        self.selector = KeyRelationSelector(
+            catalog.store, item_to_category, k=experiment.key_relations
+        )
+        self.dim = server.dim
+        self.relation_table = np.array(server.relation_table, dtype=np.float64)
+        self.transfer = np.array(server.transfer_tensor, dtype=np.float64)
+        entity_table = np.array(server.entity_table, dtype=np.float64)
+        if server.store is not None:
             server.store.close()
-        else:
-            model = PKGM(
-                len(catalog.entities),
-                len(catalog.relations),
-                experiment.pkgm,
-                rng=np.random.default_rng(experiment.seed),
-            )
-            self.dim = model.config.dim
-            self.relation_table = np.array(
-                model.triple_module.relation_embeddings.weight.data,
-                dtype=np.float64,
-            )
-            self.transfer = np.array(
-                model.relation_module.transfer_matrices.data, dtype=np.float64
-            )
-            entity_table = np.asarray(
-                model.triple_module.entity_embeddings.weight.data,
-                dtype=np.float64,
-            )
         self.state = StreamState.from_catalog(catalog)
         self.stream = CatalogDeltaStream(self.state, DeltaStreamConfig())
         self.log = DeltaLog(self.run_dir / "deltas")

@@ -1,13 +1,19 @@
-"""Pool loadtest tests: every request accounted, deterministic fallback."""
+"""Pool loadtest tests: every request accounted, deterministic fallback,
+and the one seeded drive's step order against a recording fake pool."""
+
+import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.reliability.retry import StepClock
 from repro.serving import (
     PoolConfig,
+    PoolResponse,
     ServeLoadConfig,
     ServeLoadReport,
     Supervisor,
     run_serve_loadtest,
 )
+from repro.serving.loadtest import ARRIVAL_TICK, drive
 
 
 def run_once(store_dir, item_ids):
@@ -72,3 +78,122 @@ class TestLoadtest:
         rows = report.as_rows()
         assert any("10 requests" in row for row in rows)
         assert any("qps" in row for row in rows)
+
+
+class RecordingClock(StepClock):
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+
+    def advance(self, seconds):
+        self.calls.append(("advance", seconds))
+        super().advance(seconds)
+
+
+class FakePool:
+    """Records every call the drive makes.  ``pump`` answers pending
+    requests whose id is a multiple of three, newest first, and
+    ``wait_any`` the oldest, so responses arrive out of id order."""
+
+    def __init__(self):
+        self.calls = []
+        self.clock = RecordingClock(self.calls)
+        self.pending = []
+        self.emitted = []
+        self.next_id = 0
+
+    def _answer(self, request_id):
+        self.pending.remove(request_id)
+        self.emitted.append(
+            PoolResponse(
+                request_id=request_id,
+                idempotency_key=str(request_id),
+                kind="serve",
+                entity_id=request_id,
+                relation=-1,
+                outcome="ok",
+                payload=None,
+                checksum=0,
+                worker=0,
+            )
+        )
+
+    def kill_worker(self, index):
+        self.calls.append(("kill", index))
+
+    def submit(self, kind, entity_id, relation=-1, k=10):
+        self.calls.append(("submit", len(self.pending)))
+        request_id, self.next_id = self.next_id, self.next_id + 1
+        self.pending.append(request_id)
+        return request_id
+
+    def pump(self):
+        self.calls.append(("pump",))
+        for request_id in sorted(self.pending, reverse=True):
+            if request_id % 3 == 0:
+                self._answer(request_id)
+
+    def responses(self):
+        emitted, self.emitted = self.emitted, []
+        return emitted
+
+    def outstanding(self):
+        return len(self.pending)
+
+    def wait_any(self):
+        self.calls.append(("wait_any",))
+        self._answer(self.pending[0])
+
+    def drain(self):
+        self.calls.append(("drain", len(self.pending)))
+        while self.pending:
+            self._answer(self.pending[0])
+        return self.responses()
+
+
+class TestDrive:
+    REQUESTS = [("serve", entity, -1, 10) for entity in range(20)]
+
+    def run(self, window=3, kills=None):
+        pool = FakePool()
+        responses, latencies, elapsed = drive(
+            pool, self.REQUESTS, window=window, kills=kills
+        )
+        return pool.calls, responses, latencies, elapsed
+
+    def test_each_request_is_submit_then_advance_then_pump(self):
+        calls, *_ = self.run()
+        steps = [i for i, call in enumerate(calls) if call[0] == "submit"]
+        assert len(steps) == len(self.REQUESTS)
+        for i in steps:
+            assert calls[i + 1] == ("advance", ARRIVAL_TICK)
+            assert calls[i + 2] == ("pump",)
+
+    def test_a_kill_lands_just_before_its_request(self):
+        calls, *_ = self.run(kills={0: 1, 7: 0, 19: 2})
+        submits = [i for i, call in enumerate(calls) if call[0] == "submit"]
+        kills = [i for i, call in enumerate(calls) if call[0] == "kill"]
+        assert [calls[i] for i in kills] == [("kill", 1), ("kill", 0), ("kill", 2)]
+        assert [i + 1 for i in kills] == [submits[0], submits[7], submits[19]]
+
+    def test_the_window_bounds_what_is_outstanding_after_each_wait_loop(self):
+        calls, *_ = self.run(window=3)
+        assert ("wait_any",) in calls  # the window was reached
+        # The wait loop of request i ends where request i + 1 (or the
+        # final drain) begins; each records what was outstanding then.
+        after_loops = [call[1] for call in calls if call[0] in ("submit", "drain")]
+        assert max(after_loops) <= 3
+
+    def test_unwindowed_the_drive_never_waits(self):
+        calls, responses, _, _ = self.run(window=None)
+        assert ("wait_any",) not in calls
+        assert len(responses) == len(self.REQUESTS)
+
+    def test_every_response_once_in_request_id_order_with_one_latency(self):
+        calls, responses, latencies, elapsed = self.run()
+        assert [r.request_id for r in responses] == list(range(len(self.REQUESTS)))
+        assert len(latencies) == len(responses)
+        # Virtual stamps: a request the pump answers waited one tick.
+        assert latencies[3] == pytest.approx(ARRIVAL_TICK)
+        assert all(latency >= 0 for latency in latencies)
+        assert elapsed == pytest.approx(len(self.REQUESTS) * ARRIVAL_TICK)

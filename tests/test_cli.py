@@ -498,6 +498,16 @@ class TestDrillsRefuseWhatCannotFire:
         with pytest.raises(ValueError, match="repeats"):
             main(argv + ["--kills", "3"])
 
+    def test_serve_chaos_refuses_one_worker_before_writing_the_store(
+        self, tmp_path
+    ):
+        """Two kills over one worker leave no sibling to fail over to:
+        the schedule is refused before the store is written."""
+        argv = ["serve", "chaos", "--preset", "smoke", "--dir", str(tmp_path)]
+        with pytest.raises(ValueError, match="at least 2"):
+            main(argv + ["--workers", "1"])
+        assert not (tmp_path / "store").exists()
+
     def test_stream_chaos_refuses_a_kill_past_batches_minus_two(
         self, tmp_path, monkeypatch
     ):
