@@ -69,7 +69,9 @@ def _measure_inproc(server, item_ids):
 def _measure_pool(store_dir, item_ids, workers):
     pool = Supervisor(
         store_dir,
-        PoolConfig(num_workers=workers, max_batch=8, max_delay=0.002),
+        # A group flushes two arrivals after it opens (see
+        # repro.serving.loadtest.drive).
+        PoolConfig(num_workers=workers, max_batch=8, max_delay=0.0025),
     )
     pool.start()
     try:

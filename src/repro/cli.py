@@ -643,7 +643,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.serve_command == "loadtest":
         pool = Supervisor(
             store_dir,
-            PoolConfig(num_workers=args.workers, max_batch=4, max_delay=0.004),
+            # The kill drill's pool: a group flushes four arrivals after
+            # it opens (see repro.serving.loadtest.drive).
+            PoolConfig(num_workers=args.workers, max_batch=4, max_delay=0.0045),
         )
         pool.start()
         try:

@@ -131,7 +131,8 @@ def run_kill_drill(
     registry = registry if registry is not None else MetricsRegistry()
     pool = Supervisor(
         store_dir,
-        PoolConfig(num_workers=config.workers, max_batch=4, max_delay=0.004),
+        # max_delay: a group flushes four arrivals after it opens (see drive).
+        PoolConfig(num_workers=config.workers, max_batch=4, max_delay=0.0045),
         registry=registry,
     )
     pool.start()
@@ -156,6 +157,8 @@ def run_kill_drill(
         }
     finally:
         pool.shutdown()
+    # The drive returns every hand-out sorted by id, repeats and strays
+    # included: exactly once is each submitted id once and nothing else.
     exactly_once = [r.request_id for r in responses] == list(
         range(config.requests)
     ) and len({r.idempotency_key for r in responses}) == len(responses)

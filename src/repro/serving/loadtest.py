@@ -22,8 +22,8 @@ arrival order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,13 +40,13 @@ Request = Tuple[str, int, int, int]
 def mixed_requests(
     pool: Supervisor, item_ids: Sequence[int], count: int, seed: int, k: int,
     serve_prob: float, exist_prob: float, unknown_prob: float = 0.0,
-) -> List[Request]:
+) -> Iterable[Request]:
     """``count`` seeded serve / exist / retrieve requests; the remainder
     after ``serve_prob`` and ``exist_prob`` is retrieve.  The unknown-id
     draw is made even at ``unknown_prob=0``, so the request order holds;
-    an unknown id lies past the pool's entities."""
+    an unknown id lies past the pool's entities.  Drawn lazily, so a
+    timed drive pays for each draw inside its elapsed time."""
     rng = np.random.default_rng(seed)
-    requests = []
     for _ in range(count):
         draw = float(rng.random())
         if draw < serve_prob:
@@ -62,13 +62,12 @@ def mixed_requests(
         else:
             entity = int(rng.integers(0, pool.num_entities))
         relation = int(rng.integers(0, pool.num_relations))
-        requests.append((kind, entity, relation, k))
-    return requests
+        yield kind, entity, relation, k
 
 
 def drive(
     pool: Supervisor,
-    requests: Sequence[Request],
+    requests: Iterable[Request],
     window: Optional[int] = None,
     kills: Optional[Dict[int, int]] = None,
     timer: Optional[Callable[[], float]] = None,
@@ -76,9 +75,17 @@ def drive(
     """Drive a started pool through ``requests``; ``kills`` maps a
     request index to the worker slot SIGKILLed just before its submit.
 
-    Returns every response in request-id order, the latency of each
-    (submit to collection, on ``timer`` or the pool's virtual clock)
-    and the elapsed time of the whole drive.
+    The clock advances between a submit and its pump, so a coalescer
+    group is one tick old when first pumped: a ``max_delay`` of
+    ``n + 0.5`` ticks flushes a group ``n`` arrivals after the one that
+    opened it, clear of rounding in the summed ticks.
+
+    Returns every response handed out, without its payload, in
+    request-id order, the latency of each (submit to collection, on
+    ``timer`` or the pool's virtual clock) and the elapsed time of the
+    whole drive.  A repeat hand-out of an id, or one for an id the
+    drive never submitted, is returned too (latency 0), so the caller's
+    exactly-once check sees it.
     """
     clock = pool.clock
     now = timer if timer is not None else clock.now
@@ -89,7 +96,8 @@ def drive(
     def collect(responses: List[PoolResponse]) -> None:
         stamp = now()
         for response in responses:
-            answered.append((response, stamp - submitted_at.pop(response.request_id)))
+            sent = submitted_at.pop(response.request_id, stamp)
+            answered.append((replace(response, payload=None), stamp - sent))
 
     started = now()
     for index, (kind, entity, relation, k) in enumerate(requests):

@@ -173,10 +173,12 @@ class StreamPipeline:
         self.selector = KeyRelationSelector(
             catalog.store, item_to_category, k=experiment.key_relations
         )
+        # No copies: the server is dropped here, the stream only reads
+        # the relation tables, and the trainer copies its entity table.
         self.dim = server.dim
-        self.relation_table = np.array(server.relation_table, dtype=np.float64)
-        self.transfer = np.array(server.transfer_tensor, dtype=np.float64)
-        entity_table = np.array(server.entity_table, dtype=np.float64)
+        self.relation_table = np.asarray(server.relation_table, dtype=np.float64)
+        self.transfer = np.asarray(server.transfer_tensor, dtype=np.float64)
+        entity_table = np.asarray(server.entity_table, dtype=np.float64)
         if server.store is not None:
             server.store.close()
         self.state = StreamState.from_catalog(catalog)

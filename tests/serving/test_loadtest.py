@@ -13,7 +13,9 @@ from repro.serving import (
     Supervisor,
     run_serve_loadtest,
 )
+from repro.serving.coalescer import Coalescer, CoalescerConfig
 from repro.serving.loadtest import ARRIVAL_TICK, drive
+from repro.serving.protocol import PoolRequest
 
 
 def run_once(store_dir, item_ids):
@@ -90,6 +92,20 @@ class RecordingClock(StepClock):
         super().advance(seconds)
 
 
+def answer(request_id):
+    return PoolResponse(
+        request_id=request_id,
+        idempotency_key=str(request_id),
+        kind="serve",
+        entity_id=request_id,
+        relation=-1,
+        outcome="ok",
+        payload=b"vector bytes",
+        checksum=0,
+        worker=0,
+    )
+
+
 class FakePool:
     """Records every call the drive makes.  ``pump`` answers pending
     requests whose id is a multiple of three, newest first, and
@@ -104,19 +120,7 @@ class FakePool:
 
     def _answer(self, request_id):
         self.pending.remove(request_id)
-        self.emitted.append(
-            PoolResponse(
-                request_id=request_id,
-                idempotency_key=str(request_id),
-                kind="serve",
-                entity_id=request_id,
-                relation=-1,
-                outcome="ok",
-                payload=None,
-                checksum=0,
-                worker=0,
-            )
-        )
+        self.emitted.append(answer(request_id))
 
     def kill_worker(self, index):
         self.calls.append(("kill", index))
@@ -197,3 +201,66 @@ class TestDrive:
         assert latencies[3] == pytest.approx(ARRIVAL_TICK)
         assert all(latency >= 0 for latency in latencies)
         assert elapsed == pytest.approx(len(self.REQUESTS) * ARRIVAL_TICK)
+
+    def test_responses_come_back_without_their_payloads(self):
+        _, responses, _, _ = self.run()
+        assert all(r.payload is None for r in responses)
+
+    def test_a_repeat_hand_out_is_returned_not_raised(self):
+        """A pool that hands request 0 out twice fails the caller's
+        exactly-once check; the drive itself does not raise."""
+
+        class RepeatingPool(FakePool):
+            def drain(self):
+                return super().drain() + [answer(0)]
+
+        responses, latencies, _ = drive(RepeatingPool(), self.REQUESTS, window=3)
+        ids = [r.request_id for r in responses]
+        assert ids == [0] + list(range(len(self.REQUESTS)))
+        assert len(latencies) == len(responses)
+
+
+class CoalescingPool(FakePool):
+    """Submits into a real :class:`Coalescer` on the pool clock and
+    answers each flushed batch at once, recording its size."""
+
+    def __init__(self, max_delay):
+        super().__init__()
+        self.coalescer = Coalescer(
+            self.clock, CoalescerConfig(max_batch=64, max_delay=max_delay)
+        )
+        self.sizes = []
+
+    def _flush(self, batches):
+        for batch in batches:
+            self.sizes.append(len(batch.requests))
+            for request in batch.requests:
+                self._answer(request.request_id)
+
+    def submit(self, kind, entity_id, relation=-1, k=10):
+        request_id = super().submit(kind, entity_id, relation, k)
+        request = PoolRequest(
+            request_id, str(request_id), kind, entity_id, relation, k,
+            deadline_at=1e9, shard=0,
+        )
+        self._flush(self.coalescer.offer(request))
+        return request_id
+
+    def pump(self):
+        self._flush(self.coalescer.due())
+
+    def drain(self):
+        self._flush(self.coalescer.flush_all())
+        return self.responses()
+
+
+@pytest.mark.parametrize("arrivals", [2, 4])
+def test_a_half_tick_past_n_ticks_flushes_n_arrivals_after_the_opener(arrivals):
+    """The delay rule the drive's callers set ``max_delay`` by, over
+    enough ticks to meet the summed-tick rounding a whole-tick delay
+    would trip on."""
+    pool = CoalescingPool(max_delay=(arrivals + 0.5) * ARRIVAL_TICK)
+    count = 600
+    responses, _, _ = drive(pool, [("serve", 0, -1, 10)] * count)
+    assert len(responses) == count
+    assert pool.sizes == [arrivals + 1] * (count // (arrivals + 1))
