@@ -243,12 +243,13 @@ class OpSpec:
         return crc
 
 
-def _serve(server, entity_id, relation, k, deadline=None):
+def _forward(method, *args, deadline=None):
     # A deadline is only ever handed to a backend whose ``serve`` takes
-    # one (TimedBackend checks the signature); plain servers get none.
+    # one (TimedBackend checks the signature), and such a backend (the
+    # worker pool) takes it on every call; plain servers get none.
     if deadline is None:
-        return server.serve(entity_id)
-    return server.serve(entity_id, deadline=deadline)
+        return method(*args)
+    return method(*args, deadline=deadline)
 
 
 def _serve_wire(vectors):
@@ -257,7 +258,10 @@ def _serve_wire(vectors):
 
 def _retrieve(server, entity_id, relation, k, deadline=None):
     return RetrievalPayload(
-        entity_id, relation, k, *server.nearest_tails(entity_id, relation, k)
+        entity_id,
+        relation,
+        k,
+        *_forward(server.nearest_tails, entity_id, relation, k, deadline=deadline),
     )
 
 
@@ -322,7 +326,9 @@ def _recommend_degraded(request, gateway):
 #: the system, and the scenario backend is one logical service.
 OPS: Dict[str, OpSpec] = {
     "serve": OpSpec(
-        call=_serve,
+        call=lambda server, entity_id, relation, k, deadline=None: _forward(
+            server.serve, entity_id, deadline=deadline
+        ),
         fused=lambda server, entities, relations, k: [
             _serve_wire(vectors) for vectors in server.serve_batch(entities)
         ],
@@ -343,8 +349,8 @@ OPS: Dict[str, OpSpec] = {
         counter="retrievals",
     ),
     "exist": OpSpec(
-        call=lambda server, entity_id, relation, k, deadline=None: (
-            server.relation_existence_score(entity_id, relation)
+        call=lambda server, entity_id, relation, k, deadline=None: _forward(
+            server.relation_existence_score, entity_id, relation, deadline=deadline
         ),
         fused=lambda server, entities, relations, k: [
             float(s) for s in server.relation_existence_scores(entities, relations)

@@ -128,7 +128,8 @@ def run_scenarios_workload(
     rng = np.random.default_rng(seed)
     kinds: Dict[int, Tuple[str, int, int]] = {}
     responses = []
-    for _ in range(requests):
+    # A fresh gateway numbers its requests from 0, one per pass.
+    for rid in range(requests):
         draw = float(rng.random())
         entity = (
             unknown_entity
@@ -138,11 +139,9 @@ def run_scenarios_workload(
         budget = 0.0 if rng.random() < 0.10 else None
         if draw < 0.5:
             relation = int(rng.integers(num_relations))
-            rid = gateway._next_id
             kinds[rid] = ("explain", entity, relation)
             immediate = gateway.submit_explanation(entity, relation, budget=budget)
         else:
-            rid = gateway._next_id
             kinds[rid] = ("recommend", entity, -1)
             immediate = gateway.submit_recommendation(entity, k=5, budget=budget)
         if immediate is not None:

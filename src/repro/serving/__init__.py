@@ -6,8 +6,9 @@ survive *real* concurrency and *real* process death:
 
 * :class:`Supervisor` forks N workers over one embedding-store
   directory, monitors them, restarts crashes, replays or fails-fast
-  orphaned in-flight requests (exactly-once via idempotency keys), and
-  fails reads over to sibling workers during restarts;
+  orphaned in-flight requests (exactly-once: one ledger of pending
+  request ids, emptied as each is answered), and fails reads over to
+  sibling workers during restarts;
 * :class:`Coalescer` batches concurrent requests into the batched
   kernels (``nearest_tails_batch`` / ``relation_existence_scores``)
   under a max-batch/max-delay policy on the virtual StepClock;

@@ -159,9 +159,7 @@ def run_kill_drill(
         pool.shutdown()
     # The drive returns every hand-out sorted by id, repeats and strays
     # included: exactly once is each submitted id once and nothing else.
-    exactly_once = [r.request_id for r in responses] == list(
-        range(config.requests)
-    ) and len({r.idempotency_key for r in responses}) == len(responses)
+    exactly_once = [r.request_id for r in responses] == list(range(config.requests))
     outcomes: Dict[str, int] = {}
     for response in responses:
         outcomes[response.outcome] = outcomes.get(response.outcome, 0) + 1

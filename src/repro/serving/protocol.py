@@ -136,7 +136,6 @@ class PoolRequest:
     """One admitted request and its routing/deadline envelope."""
 
     request_id: int
-    idempotency_key: str
     kind: str  # one of KINDS
     entity_id: int
     relation: int
@@ -151,7 +150,6 @@ class PoolResponse:
     """Exactly one terminal answer per submitted request."""
 
     request_id: int
-    idempotency_key: str
     kind: str
     entity_id: int
     relation: int

@@ -10,19 +10,17 @@ failing a request over to the next live sibling is always correct.
 
 Exactly-once semantics under crashes come from three rules:
 
-1. **Terminal map.**  Every submitted request gets exactly one entry in
-   the terminal map, keyed by request id; a result arriving for an
-   already-terminal id (only possible through races the death handler
-   already resolved) is counted and dropped.  The entry is the
-   response without its payload: the payload lives only in the
-   response handed out (by :meth:`Supervisor.responses` or the
-   synchronous surface), so a long-lived pool holds no answer bytes
-   for requests it has answered.
+1. **One ledger of what is owed.**  A submitted request is pending,
+   keyed by its id, until its one response is recorded; the response
+   is then handed out (by :meth:`Supervisor.responses` or the
+   synchronous surface) and the pool keeps nothing of it.  A result
+   for an id that is not pending — already answered, or never issued
+   — is counted under ``pool.duplicates_dropped`` and dropped.
 2. **Drain before replay.**  When a worker dies, every *complete*
    response frame still sitting in its socket buffer is credited
-   first; only the requests that remain unanswered are orphans.  An
-   orphan is replayed to the next live sibling under its original
-   idempotency key — or failed fast (outcome ``"deadline"`` /
+   first; only the requests still pending are orphans.  An orphan is
+   replayed to the next live sibling under its original request id
+   — or failed fast (outcome ``"deadline"`` /
    ``"failed"``) if its virtual deadline passed or its attempt budget
    is spent.  Nothing is silently dropped, nothing runs twice.
 3. **Restart is async.**  The dead worker is re-forked immediately but
@@ -179,7 +177,6 @@ class Supervisor:
             WorkerHandle(index) for index in range(self.config.num_workers)
         ]
         self._ctx = multiprocessing.get_context("fork")
-        self._terminal: Dict[int, PoolResponse] = {}
         self._pending: Dict[int, PoolRequest] = {}
         self._emitted: List[PoolResponse] = []
         self._next_id = 0
@@ -333,7 +330,6 @@ class Supervisor:
         self._requests_c.inc()
         request = PoolRequest(
             request_id=request_id,
-            idempotency_key=f"{kind}:{int(entity_id)}:{int(relation)}:{int(k)}:{request_id}",
             kind=kind,
             entity_id=int(entity_id),
             relation=int(relation),
@@ -405,11 +401,6 @@ class Supervisor:
             self.wait_any()
         return self.responses()
 
-    def terminal(self) -> Dict[int, PoolResponse]:
-        """A copy of the terminal map: request id → its response without
-        the payload (every other field as handed out)."""
-        return dict(self._terminal)
-
     def _inflight_total(self) -> int:
         return sum(len(h.inflight) for h in self.workers)
 
@@ -429,7 +420,7 @@ class Supervisor:
         now = self.clock.now()
         live: List[PoolRequest] = []
         for request in batch.requests:
-            if request.request_id in self._terminal:
+            if request.request_id not in self._pending:
                 continue
             if now >= request.deadline_at:
                 self._failfast_deadline_c.inc()
@@ -531,15 +522,10 @@ class Supervisor:
         payload,
         checksum: int,
     ) -> None:
-        request = handle.inflight.pop(request_id, None)
+        handle.inflight.pop(request_id, None)
+        request = self._pending.get(request_id)
         if request is None:
-            request = self._pending.get(request_id)
-        if request_id in self._terminal:
-            self._duplicates_c.inc()
-            return
-        if request is None:
-            # A result for a request the pool never issued: protocol
-            # drift; count it with the duplicates rather than crash.
+            # Already answered, or never issued: rule 1, count and drop.
             self._duplicates_c.inc()
             return
         if status == STATUS_DEADLINE:
@@ -547,7 +533,6 @@ class Supervisor:
         self._record(
             PoolResponse(
                 request_id=request_id,
-                idempotency_key=request.idempotency_key,
                 kind=request.kind,
                 entity_id=request.entity_id,
                 relation=request.relation,
@@ -561,12 +546,6 @@ class Supervisor:
         )
 
     def _record(self, response: PoolResponse) -> None:
-        if response.request_id in self._terminal:
-            self._duplicates_c.inc()
-            return
-        self._terminal[response.request_id] = (
-            response if response.payload is None else replace(response, payload=None)
-        )
         self._pending.pop(response.request_id, None)
         self._emitted.append(response)
         self._responses_c.inc()
@@ -574,7 +553,6 @@ class Supervisor:
     def _supervisor_outcome(self, request: PoolRequest, outcome: str) -> PoolResponse:
         return PoolResponse(
             request_id=request.request_id,
-            idempotency_key=request.idempotency_key,
             kind=request.kind,
             entity_id=request.entity_id,
             relation=request.relation,
@@ -607,7 +585,7 @@ class Supervisor:
         orphans = [
             handle.inflight[request_id]
             for request_id in sorted(handle.inflight)
-            if request_id not in self._terminal
+            if request_id in self._pending
         ]
         handle.inflight = {}
         now = self.clock.now()
@@ -633,17 +611,7 @@ class Supervisor:
         groups: Dict[Tuple[int, str, int], List[PoolRequest]] = {}
         for request in requests:
             self._replays_c.inc()
-            retried = PoolRequest(
-                request_id=request.request_id,
-                idempotency_key=request.idempotency_key,
-                kind=request.kind,
-                entity_id=request.entity_id,
-                relation=request.relation,
-                k=request.k,
-                deadline_at=request.deadline_at,
-                shard=request.shard,
-                attempts=request.attempts + 1,
-            )
+            retried = replace(request, attempts=request.attempts + 1)
             self._pending[request.request_id] = retried
             key = (retried.shard, retried.kind, retried.k)
             groups.setdefault(key, []).append(retried)
@@ -726,13 +694,8 @@ class Supervisor:
         )
         for batch in self.coalescer.flush_all():
             self._dispatch(batch)
-        while request_id not in self._terminal:
-            self._poll(timeout=IO_TIMEOUT, hang_is_death=True)
-            if request_id in self._terminal:
-                break
-            if not self._inflight_total():
-                for batch in self.coalescer.flush_all():
-                    self._dispatch(batch)
+        while request_id in self._pending:
+            self.wait_any()
         # Sync calls answer inline; keep them out of the async stream.
         response = self._emitted.pop(
             next(i for i, r in enumerate(self._emitted) if r.request_id == request_id)

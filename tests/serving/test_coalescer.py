@@ -10,7 +10,6 @@ from repro.serving import Batch, Coalescer, CoalescerConfig, PoolRequest
 def request(request_id, shard=0, kind="serve", k=10, entity=1):
     return PoolRequest(
         request_id=request_id,
-        idempotency_key=f"key-{request_id}",
         kind=kind,
         entity_id=entity,
         relation=-1,

@@ -94,3 +94,22 @@ class TestPoolDeadlines:
         item = captured[0][0]
         assert len(item) == 4
         assert item[3] is not None and item[3] <= 42.0
+
+    @pytest.mark.parametrize("kind", ["serve", "retrieve", "exist"])
+    def test_gateway_budget_reaches_the_wire_for_every_pool_kind(
+        self, pool, item_ids, monkeypatch, kind
+    ):
+        captured = []
+        original = pool._send_batch
+
+        def spy(handle, batch, items):
+            captured.extend(item[3] for item in items)
+            return original(handle, batch, items)
+
+        monkeypatch.setattr(pool, "_send_batch", spy)
+        payload, _, reason = TimedBackend(pool).call_timed(
+            kind, item_ids[0], 0, 5, budget=0.5
+        )
+        assert reason is None and payload is not None
+        assert len(captured) == 1
+        assert 0.0 < captured[0] <= 0.5

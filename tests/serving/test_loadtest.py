@@ -95,7 +95,6 @@ class RecordingClock(StepClock):
 def answer(request_id):
     return PoolResponse(
         request_id=request_id,
-        idempotency_key=str(request_id),
         kind="serve",
         entity_id=request_id,
         relation=-1,
@@ -240,7 +239,7 @@ class CoalescingPool(FakePool):
     def submit(self, kind, entity_id, relation=-1, k=10):
         request_id = super().submit(kind, entity_id, relation, k)
         request = PoolRequest(
-            request_id, str(request_id), kind, entity_id, relation, k,
+            request_id, kind, entity_id, relation, k,
             deadline_at=1e9, shard=0,
         )
         self._flush(self.coalescer.offer(request))

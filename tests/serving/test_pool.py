@@ -24,7 +24,14 @@ from repro.serving import (
     run_batch,
     send_frame,
 )
-from repro.serving.protocol import STATUS_ERROR, STATUS_OK, STATUS_UNKNOWN, encode
+from repro.serving.protocol import (
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_UNKNOWN,
+    PoolRequest,
+    PoolResponse,
+    encode,
+)
 from repro.serving.worker import worker_main
 from repro.store import EmbeddingStore
 
@@ -161,21 +168,19 @@ class TestCrashRecovery:
         assert pool.metrics.counter("pool.worker_deaths").value == 1
 
     def test_exactly_once_under_repeated_kills(self, pool, item_ids):
-        submitted = []
+        submitted, answered = [], []
         for round_index in range(3):
             for entity in item_ids[:4]:
                 submitted.append(pool.submit("exist", entity, relation=1))
             pool.kill_worker(round_index % 2)
-            pool.drain()
-        terminal = pool.terminal()
-        assert sorted(terminal) == sorted(submitted)
-        keys = [terminal[rid].idempotency_key for rid in terminal]
-        assert len(set(keys)) == len(keys)
+            answered += [r.request_id for r in pool.drain()]
+        assert sorted(answered) == sorted(submitted)
         assert pool.metrics.counter("pool.duplicates_dropped").value == 0
 
     def test_expired_budget_fails_fast_before_dispatch(self, pool, item_ids):
         request_id = pool.submit("serve", item_ids[0], budget=0.0)
-        response = pool.terminal()[request_id]
+        (response,) = pool.responses()
+        assert response.request_id == request_id
         assert response.outcome == "deadline"
         assert response.worker == -1
         assert pool.metrics.counter("pool.failfast_deadline").value == 1
@@ -266,20 +271,6 @@ class TestUnencodablePayloads:
         assert pool.metrics.counter("pool.worker_deaths").value == 0
 
 
-def _fields_but_payload(response):
-    return (
-        response.request_id,
-        response.idempotency_key,
-        response.kind,
-        response.entity_id,
-        response.relation,
-        response.outcome,
-        response.checksum,
-        response.worker,
-        response.replayed,
-    )
-
-
 class TestTerminalRecords:
     def test_a_handed_out_payload_is_held_by_its_caller_alone(
         self, pool, item_ids
@@ -289,18 +280,12 @@ class TestTerminalRecords:
         responses = pool.drain()
         assert sorted(r.request_id for r in responses) == sorted(submitted)
         assert all(r.ok and r.payload is not None for r in responses)
-        terminal = pool.terminal()
-        assert sorted(terminal) == sorted(submitted)
-        for response in responses:
-            record = terminal[response.request_id]
-            assert record.payload is None
-            assert _fields_but_payload(record) == _fields_but_payload(response)
         arrays = [weakref.ref(a) for r in responses for a in r.payload]
-        del responses, response
+        del responses
         gc.collect()
         assert all(array() is None for array in arrays)
 
-    def test_a_sync_call_returns_its_payload_and_keeps_only_the_record(
+    def test_a_sync_call_returns_its_payload_and_keeps_nothing(
         self, pool, reference, item_ids
     ):
         entity = item_ids[2]
@@ -309,12 +294,66 @@ class TestTerminalRecords:
             vectors.triple_vectors, reference.serve(entity).triple_vectors
         )
         assert pool.responses() == []
-        (record,) = pool.terminal().values()
-        assert (record.entity_id, record.outcome, record.payload) == (
-            entity,
-            STATUS_OK,
-            None,
+        assert pool.outstanding() == 0
+
+    def test_an_answered_request_leaves_nothing_in_the_pool(self, pool, item_ids):
+        requests = 20
+        before = _envelopes_alive()
+        for index in range(requests):
+            entity = item_ids[index % len(item_ids)]
+            pool.submit("exist", entity, relation=1)
+            pool.relation_existence_score(entity, 1)
+        responses = pool.drain()
+        assert len(responses) == requests
+        del responses
+        assert _envelopes_alive() == before
+
+
+def _envelopes_alive():
+    gc.collect()
+    return sum(
+        isinstance(o, (PoolRequest, PoolResponse)) for o in gc.get_objects()
+    )
+
+
+def _answer_twice_then_a_stray(sock, store_dir, worker_id, cache_pages=64):
+    """A worker that answers its first batch's request twice, then an
+    id the pool never issued, then answers one heartbeat."""
+    send_frame(sock, ("ready", worker_id, 60))
+    _, _, _, ((request_id, *_),) = recv_frame(sock)
+    for answered in (request_id, request_id, 10_000):
+        send_frame(sock, ("results", worker_id, [(answered, STATUS_OK, 0.5)]))
+    _, sequence = recv_frame(sock)
+    send_frame(sock, ("pong", sequence, 1))
+    recv_frame(sock)
+
+
+class TestExactlyOnceGuard:
+    def test_a_repeated_or_stray_result_is_counted_and_dropped(
+        self, store_dir, item_ids, monkeypatch
+    ):
+        monkeypatch.setattr(
+            supervisor_module, "worker_main", _answer_twice_then_a_stray
         )
+        pool = Supervisor(
+            store_dir,
+            PoolConfig(num_workers=1, max_batch=1),
+            registry=MetricsRegistry(),
+        )
+        pool.start()
+        try:
+            request_id = pool.submit("exist", item_ids[0], relation=1)
+            responses = pool.drain()
+            # The pong is read after every result frame sent before it.
+            assert pool.ping_all(timeout=10.0) == 1
+            responses += pool.responses()
+        finally:
+            pool.shutdown()
+        assert [(r.request_id, r.outcome, r.payload) for r in responses] == [
+            (request_id, STATUS_OK, 0.5)
+        ]
+        assert pool.metrics.counter("pool.duplicates_dropped").value == 2
+        assert pool.metrics.counter("pool.worker_deaths").value == 0
 
 
 class TestIdleScrub:

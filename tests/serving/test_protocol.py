@@ -492,7 +492,6 @@ class TestEnvelopes:
         def response(outcome):
             return PoolResponse(
                 request_id=0,
-                idempotency_key="k",
                 kind="exist",
                 entity_id=1,
                 relation=0,
@@ -508,7 +507,6 @@ class TestEnvelopes:
     def test_request_is_frozen(self):
         request = PoolRequest(
             request_id=0,
-            idempotency_key="k",
             kind="serve",
             entity_id=1,
             relation=-1,
