@@ -58,6 +58,13 @@ from .shard import ShardInfo, ShardReader, StreamingShardWriter
 #: ``(table, shard, page)`` — the quarantine / cache addressing unit.
 PageKey = Tuple[str, int, int]
 
+#: Rows up to which a gather is grouped by page in Python ints rather
+#: than through the numpy sort, whose ~25 calls are a fixed toll.  Point
+#: gathers from a 65,536-row table of 512-byte rows, 8 a page, kreads/s
+#: dict / sort (``store_out_of_core.txt``): warm 2 rows 182 / 40, 32 rows
+#: 480 / 423, 64 rows 554 / 710; cold 32 rows 125 / 113, 64 rows 133 / 120.
+_POINT_ROWS = 32
+
 
 @dataclass(frozen=True)
 class ScrubReport:
@@ -543,30 +550,52 @@ class EmbeddingStore:
             self._quarantine_g.set(len(self.quarantine))
         self._cache.discard(key)
 
-    def _row(self, spec: TableSpec, index: int) -> np.ndarray:
-        """In-range row ``index`` as a flat read-only view of its page."""
-        shard, local = spec.locate(index)
-        page, slot = divmod(local, spec.rows_per_page)
-        # Unpacking runs the walk to its end, where it charges the counters.
-        (data,) = self._pages(spec, ((shard, page),), (1,))
-        return np.frombuffer(
-            data,
-            dtype=spec.dtype,
-            count=spec.row_elems,
-            offset=slot * spec.row_nbytes,
+    def _point_gather(self, spec: TableSpec, rows: List[int]) -> np.ndarray:
+        """A few ``rows`` (Python ints, negatives wrap) as a fresh, writable
+        flat array: :meth:`read_rows`' grouping with a dict in place of
+        the sort.  Each row maps to (shard, page, slot) by ``divmod``, the
+        distinct pages go through the fault loop in first-touch order, and
+        the rows leave their pages in one join of row slices."""
+        total, per_shard = spec.rows, spec.rows_per_contiguous_shard
+        per_page, width = spec.rows_per_page, spec.row_nbytes
+        # Rows wanted per (shard, page), first touch first; and per row,
+        # its page and byte offset there.
+        reads: Dict[Tuple[int, int], int] = {}
+        spans: List[Tuple[Tuple[int, int], int]] = []
+        for row in rows:
+            if not -total <= row < total:
+                raise IndexError(
+                    f"row {row} out of range for table {spec.name!r} "
+                    f"({total} rows)"
+                )
+            shard, local = divmod(row + total if row < 0 else row, per_shard)
+            page, slot = divmod(local, per_page)
+            reads[shard, page] = reads.get((shard, page), 0) + 1
+            spans.append(((shard, page), slot * width))
+        try:
+            # ``list`` runs the walk to its end, where it charges the counters.
+            data = dict(zip(reads, list(self._pages(spec, reads, reads.values()))))
+        except QuarantinedRowError as error:
+            # As in read_rows: the walk counted one denied row, the other
+            # distinct rows wanted from the page are the rest.
+            denied = (error.shard, error.page)
+            self._quarantined_reads_c.inc(
+                len({offset for key, offset in spans if key == denied}) - 1
+            )
+            raise
+        joined = bytearray().join(
+            [data[key][offset : offset + width] for key, offset in spans]
         )
+        return np.frombuffer(joined, dtype=spec.dtype)
 
     def read_row(self, name: str, row: int) -> np.ndarray:
         """One row as a fresh array of the table's row shape."""
         spec = self._table(name).spec
-        index = operator.index(row)
-        if index < 0:
-            index += spec.rows
-        if not 0 <= index < spec.rows:
-            raise IndexError(
-                f"row {row} out of range for table {name!r} ({spec.rows} rows)"
-            )
-        return self._row(spec, index).reshape(spec.row_shape).copy()
+        if isinstance(row, (bool, np.bool_)):
+            raise TypeError("boolean masks are not supported by the store")
+        return self._point_gather(spec, [operator.index(row)]).reshape(
+            spec.row_shape
+        )
 
     def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Gather ``rows`` (any integer shape) → ``rows.shape + row_shape``.
@@ -574,14 +603,16 @@ class EmbeddingStore:
         One fault loop per call: the request is grouped by page, the
         distinct pages are walked once each in the order the request
         first touches them, and every row leaves their joined bytes in
-        one fancy-index copy.  The counters are charged once per call,
-        with the totals of one read per row (a page's first read a hit
-        or a fault, the rest hits).  Damage surfaces per request: the
-        first quarantined page in request order raises
-        :class:`QuarantinedRowError` naming a row on it, with the pages
-        before it read (and cached) and nothing after it touched;
-        ``store.quarantined_reads`` advances by the distinct rows the
-        request wanted from that page.
+        one copy.  Up to ``_POINT_ROWS`` rows are grouped with Python
+        ints (:meth:`_point_gather`), more through one stable numpy
+        sort; both give the same bytes, counters and errors.  The
+        counters are charged once per call, with the totals of one read
+        per row (a page's first read a hit or a fault, the rest hits).
+        Damage surfaces per request: the first quarantined page in
+        request order raises :class:`QuarantinedRowError` naming a row on
+        it, with the pages before it read (and cached) and nothing after
+        it touched; ``store.quarantined_reads`` advances by the distinct
+        rows the request wanted from that page.
         """
         spec = self._table(name).spec
         index = np.asarray(rows)
@@ -594,6 +625,8 @@ class EmbeddingStore:
             raise IndexError(
                 "arrays used as indices must be of integer (or boolean) type"
             )
+        if index.size <= _POINT_ROWS:
+            return self._point_gather(spec, index.reshape(-1).tolist()).reshape(shape)
         requested = index.reshape(-1)
         lowest, highest = int(requested.min()), int(requested.max())
         if lowest < -spec.rows or highest >= spec.rows:
@@ -605,8 +638,6 @@ class EmbeddingStore:
         flat = requested.astype(np.int64)
         if lowest < 0:
             flat[flat < 0] += spec.rows
-        if flat.size == 1:  # nothing to group: the sort would be all it costs
-            return self._row(spec, int(flat[0])).reshape(shape).copy()
         # (shard, page, slot-in-page) of every requested row at once.
         shard, local = np.divmod(flat, spec.rows_per_contiguous_shard)
         page, slot = np.divmod(local, spec.rows_per_page)

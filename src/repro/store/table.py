@@ -71,7 +71,7 @@ class StoreTable:
                 self.name, np.arange(start, stop, step, dtype=np.int64)
             )
         if isinstance(key, (int, np.integer)):
-            return self._store.read_row(self.name, int(key))
+            return self._store.read_row(self.name, key)
         return self._store.read_rows(self.name, np.asarray(key))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:

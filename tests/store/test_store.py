@@ -126,6 +126,19 @@ class TestReads:
         with pytest.raises(TypeError, match="boolean masks"):
             store.read_rows("entity_table", np.ones(37, dtype=bool))
 
+    @pytest.mark.parametrize("row", [True, False, np.True_, np.False_])
+    def test_a_bool_row_is_refused_not_read_as_row_1_or_0(self, store, row):
+        table = StoreTable(store, "entity_table")
+        for read in (
+            lambda: store.read_row("entity_table", row),
+            lambda: store.read_rows("entity_table", row),
+            lambda: table[row],
+        ):
+            with pytest.raises(TypeError, match="boolean masks"):
+                read()
+        snapshot = store.metrics.snapshot()
+        assert snapshot["store.page_faults"] == snapshot["store.page_hits"] == 0
+
     def test_unsigned_and_narrow_integer_indices(self, store, arrays):
         for dtype in (np.uint64, np.uint8, np.int8, np.int32):
             index = np.array([0, 36, 5], dtype=dtype)
