@@ -12,13 +12,12 @@ Measures what the storage engine trades for crash safety (repro.store):
   the repeated-row case, where a page is loaded once for the ten rows
   wanted from it); plus the full-table ``read_table`` rate, the
   sequential best case;
-* **point gathers** — gathers of 1 to 64 rows, the shape a pool
-  worker's requests make, timed under both of ``read_rows``' groupings
-  (Python ints up to ``_POINT_ROWS`` rows, the numpy sort above) with the
-  pages faulting (*cold*: uniform draws, about one fault a row) and
-  resident (*warm*: draws from the rows of the cache's own pages, read
-  once before the clock starts) — where the two cross is where
-  ``_POINT_ROWS`` sits;
+* **point gathers** — gathers of 1 to 64 rows, the shapes a pool
+  worker's requests (1 to a few rows) and a ``bulk_store`` batch (64)
+  make, with the pages faulting (*cold*: uniform draws, about one fault
+  a row) and resident (*warm*: draws from the rows of the cache's own
+  pages, read once before the clock starts), so a gather's fixed cost
+  shows apart from its faults;
 * **cold start** — ``EmbeddingStore.open`` reads and verifies only the
   manifest, so start cost is proportional to the page-CRC list, not
   the catalog; compared against materializing the full table;
@@ -34,11 +33,9 @@ covers.
 import time
 
 import numpy as np
-import pytest
 
 from repro.reliability import StorageFaultPlan, inject_storage_faults
 from repro.store import EmbeddingStore
-from repro.store import store as store_module
 
 SEED = 0
 DIM = 64
@@ -50,8 +47,6 @@ QUERIES = 4_096
 BATCH = 64
 KEY_RELATIONS = 10  # repeats of each head in the service-shaped gather
 POINT_SIZES = (1, 2, 8, 32, 64)  # rows per point gather
-# ``_POINT_ROWS`` values that force each grouping at every point size.
-GROUPINGS = {"dict": POINT_SIZES[-1], "sort": 0}
 
 
 def _table(rows):
@@ -92,25 +87,20 @@ def _gather_seconds(read_batch, ids, shape=lambda batch: batch):
 
 
 def _point_gathers(store, ids):
-    """kreads/s per (cache state, grouping, rows per gather)."""
+    """kreads/s per (cache state, rows per gather)."""
     warm_ids = ids % (CACHE_PAGES * store.spec("entity_table").rows_per_page)
     rates = {}
-    with pytest.MonkeyPatch.context() as patch:
-        for state, draws in (("cold", ids), ("warm", warm_ids)):
-            if state == "warm":  # fill the cache with exactly these pages
-                store.read_rows("entity_table", np.unique(draws))
-            for size in POINT_SIZES:
-                batches = [draws[lo : lo + size] for lo in range(0, len(draws), size)]
+    for state, draws in (("cold", ids), ("warm", warm_ids)):
+        if state == "warm":  # fill the cache with exactly these pages
+            store.read_rows("entity_table", np.unique(draws))
+        for size in POINT_SIZES:
+            batches = [draws[lo : lo + size] for lo in range(0, len(draws), size)]
 
-                def sweep():
-                    for batch in batches:
-                        store.read_rows("entity_table", batch)
+            def sweep():
+                for batch in batches:
+                    store.read_rows("entity_table", batch)
 
-                # Both groupings back to back, best of five: the box is shared.
-                for grouping, point_rows in GROUPINGS.items():
-                    patch.setattr(store_module, "_POINT_ROWS", point_rows)
-                    seconds = _best_seconds(sweep, repeats=5)
-                    rates[state, grouping, size] = QUERIES / seconds / 1e3
+            rates[state, size] = QUERIES / _best_seconds(sweep, repeats=5) / 1e3
     return rates
 
 
@@ -224,25 +214,19 @@ def test_store_out_of_core(benchmark, record_table, tmp_path):
         )
     lines.append(
         f"point gathers, kreads/s ({QUERIES} draws in gathers of "
-        f"{', '.join(map(str, POINT_SIZES))} rows; dict = Python-int grouping, "
-        "sort = numpy grouping; cold = uniform draws, warm = draws from the "
-        f"{CACHE_PAGES} cached pages; read_rows takes dict up to "
-        f"{store_module._POINT_ROWS} rows)"
+        f"{', '.join(map(str, POINT_SIZES))} rows, best of 5; cold = uniform "
+        f"draws, warm = draws from the {CACHE_PAGES} cached pages)"
     )
     lines.append(
-        "rows | cache | grouping | "
-        + " | ".join(f"{size} rows" for size in POINT_SIZES)
+        "rows | cache | " + " | ".join(f"{size} rows" for size in POINT_SIZES)
     )
     for rows in SIZES:
         rates = rows_by_size[rows]["point_krps"]
         for state in ("cold", "warm"):
-            for grouping in GROUPINGS:
-                lines.append(
-                    f"{rows} | {state} | {grouping} | "
-                    + " | ".join(
-                        f"{rates[state, grouping, size]:.1f}" for size in POINT_SIZES
-                    )
-                )
+            lines.append(
+                f"{rows} | {state} | "
+                + " | ".join(f"{rates[state, size]:.1f}" for size in POINT_SIZES)
+            )
     largest = rows_by_size[SIZES[-1]]
     lines.append(
         "acceptance: every size repaired byte-identically; cache budget "

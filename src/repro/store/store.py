@@ -58,13 +58,6 @@ from .shard import ShardInfo, ShardReader, StreamingShardWriter
 #: ``(table, shard, page)`` — the quarantine / cache addressing unit.
 PageKey = Tuple[str, int, int]
 
-#: Rows up to which a gather is grouped by page in Python ints rather
-#: than through the numpy sort, whose ~25 calls are a fixed toll.  Point
-#: gathers from a 65,536-row table of 512-byte rows, 8 a page, kreads/s
-#: dict / sort (``store_out_of_core.txt``): warm 2 rows 182 / 40, 32 rows
-#: 480 / 423, 64 rows 554 / 710; cold 32 rows 125 / 113, 64 rows 133 / 120.
-_POINT_ROWS = 32
-
 
 @dataclass(frozen=True)
 class ScrubReport:
@@ -550,12 +543,11 @@ class EmbeddingStore:
             self._quarantine_g.set(len(self.quarantine))
         self._cache.discard(key)
 
-    def _point_gather(self, spec: TableSpec, rows: List[int]) -> np.ndarray:
-        """A few ``rows`` (Python ints, negatives wrap) as a fresh, writable
-        flat array: :meth:`read_rows`' grouping with a dict in place of
-        the sort.  Each row maps to (shard, page, slot) by ``divmod``, the
-        distinct pages go through the fault loop in first-touch order, and
-        the rows leave their pages in one join of row slices."""
+    def _gather(self, spec: TableSpec, rows: List[int]) -> np.ndarray:
+        """``rows`` (Python ints, negatives wrap) as a fresh, writable flat
+        array.  Each row maps to (shard, page, slot) by ``divmod``, the
+        distinct pages go through the fault loop once each in first-touch
+        order, and the rows leave their pages in one join of row slices."""
         total, per_shard = spec.rows, spec.rows_per_contiguous_shard
         per_page, width = spec.rows_per_page, spec.row_nbytes
         # Rows wanted per (shard, page), first touch first; and per row,
@@ -576,8 +568,9 @@ class EmbeddingStore:
             # ``list`` runs the walk to its end, where it charges the counters.
             data = dict(zip(reads, list(self._pages(spec, reads, reads.values()))))
         except QuarantinedRowError as error:
-            # As in read_rows: the walk counted one denied row, the other
-            # distinct rows wanted from the page are the rest.
+            # Denials are per row like hits: the walk counted one, the
+            # rest are the other rows the caller goes without (a row
+            # asked for twice is one row).
             denied = (error.shard, error.page)
             self._quarantined_reads_c.inc(
                 len({offset for key, offset in spans if key == denied}) - 1
@@ -593,26 +586,22 @@ class EmbeddingStore:
         spec = self._table(name).spec
         if isinstance(row, (bool, np.bool_)):
             raise TypeError("boolean masks are not supported by the store")
-        return self._point_gather(spec, [operator.index(row)]).reshape(
-            spec.row_shape
-        )
+        return self._gather(spec, [operator.index(row)]).reshape(spec.row_shape)
 
     def read_rows(self, name: str, rows: np.ndarray) -> np.ndarray:
         """Gather ``rows`` (any integer shape) → ``rows.shape + row_shape``.
 
-        One fault loop per call: the request is grouped by page, the
-        distinct pages are walked once each in the order the request
-        first touches them, and every row leaves their joined bytes in
-        one copy.  Up to ``_POINT_ROWS`` rows are grouped with Python
-        ints (:meth:`_point_gather`), more through one stable numpy
-        sort; both give the same bytes, counters and errors.  The
-        counters are charged once per call, with the totals of one read
-        per row (a page's first read a hit or a fault, the rest hits).
-        Damage surfaces per request: the first quarantined page in
-        request order raises :class:`QuarantinedRowError` naming a row on
-        it, with the pages before it read (and cached) and nothing after
-        it touched; ``store.quarantined_reads`` advances by the distinct
-        rows the request wanted from that page.
+        One fault loop per call: the request is grouped by page with
+        Python ints, the distinct pages are walked once each in the order
+        the request first touches them, and every row leaves their bytes
+        in one copy.  The counters are charged once per call, with the
+        totals of one read per row (a page's first read a hit or a fault,
+        the rest hits).  Damage surfaces per request: the first
+        quarantined page in request order raises
+        :class:`QuarantinedRowError` naming a row on it, with the pages
+        before it read (and cached) and nothing after it touched;
+        ``store.quarantined_reads`` advances by the distinct rows the
+        request wanted from that page.
         """
         spec = self._table(name).spec
         index = np.asarray(rows)
@@ -625,66 +614,7 @@ class EmbeddingStore:
             raise IndexError(
                 "arrays used as indices must be of integer (or boolean) type"
             )
-        if index.size <= _POINT_ROWS:
-            return self._point_gather(spec, index.reshape(-1).tolist()).reshape(shape)
-        requested = index.reshape(-1)
-        lowest, highest = int(requested.min()), int(requested.max())
-        if lowest < -spec.rows or highest >= spec.rows:
-            bad = requested[(requested < -spec.rows) | (requested >= spec.rows)]
-            raise IndexError(
-                f"row {int(bad[0])} out of range for table {name!r} "
-                f"({spec.rows} rows)"
-            )
-        flat = requested.astype(np.int64)
-        if lowest < 0:
-            flat[flat < 0] += spec.rows
-        # (shard, page, slot-in-page) of every requested row at once.
-        shard, local = np.divmod(flat, spec.rows_per_contiguous_shard)
-        page, slot = np.divmod(local, spec.rows_per_page)
-        # Group request positions by page: a stable sort keeps each
-        # group in request order, so its first member is the page's
-        # first touch and groups are visited by that.
-        span = spec.shard_pages(0)
-        page_id = shard * span + page
-        order = np.argsort(page_id, kind="stable")
-        page_id, slot = page_id[order], slot[order]
-        # Group boundaries in the sorted positions, both ends included.
-        bounds = np.empty(flat.size + 1, dtype=bool)
-        bounds[0] = bounds[-1] = True
-        np.not_equal(page_id[1:], page_id[:-1], out=bounds[1:-1])
-        bounds = np.flatnonzero(bounds)
-        starts, reads = bounds[:-1], bounds[1:] - bounds[:-1]
-        visit = np.argsort(order[starts])
-        shards, pages = np.divmod(page_id[starts[visit]], span)
-        try:
-            data = list(
-                self._pages(
-                    spec,
-                    zip(shards.tolist(), pages.tolist()),
-                    reads[visit].tolist(),
-                )
-            )
-        except QuarantinedRowError as error:
-            # Denials are per row like hits: the walk counted one, the
-            # rest are the other rows the caller goes without (a row
-            # asked for twice is one row).
-            denied = page_id == error.shard * span + error.page
-            self._quarantined_reads_c.inc(np.unique(slot[denied]).size - 1)
-            raise
-        # One copy out of the joined pages.  Each sits there at full
-        # size (a shard's short last page padded), so the v-th page
-        # visited starts at row v * rows_per_page.
-        per_page = spec.rows_per_page
-        page_nbytes = per_page * spec.row_nbytes
-        joined = b"".join(data)
-        if len(joined) < len(data) * page_nbytes:
-            joined = b"".join([page.ljust(page_nbytes, b"\0") for page in data])
-        first_row = np.empty_like(visit)
-        first_row[visit] = np.arange(0, visit.size * per_page, per_page)
-        take = np.empty_like(flat)
-        take[order] = np.repeat(first_row, reads) + slot
-        table = np.frombuffer(joined, dtype=spec.dtype).reshape(-1, spec.row_elems)
-        return table[take].reshape(shape)
+        return self._gather(spec, index.reshape(-1).tolist()).reshape(shape)
 
     def read_table(self, name: str) -> np.ndarray:
         """Materialize a whole table (through the page cache).

@@ -1,9 +1,8 @@
 """The page-grouped gather against its oracles.
 
 ``EmbeddingStore.read_rows`` groups a request by page and walks the
-distinct pages in one fault loop — with Python ints up to
-``_POINT_ROWS`` rows, through a numpy sort above that.  Four independent
-references pin both groupings down:
+distinct pages in one fault loop.  Four independent references pin it
+down:
 
 * numpy itself — ``array[idx]``, bytes and shape, over a hypothesis
   sweep of dtypes, row shapes, shard counts, page sizes and index shapes;
@@ -36,7 +35,6 @@ from repro.core import KeyRelationSelector, PKGM, PKGMConfig, PKGMServer
 from repro.kg import TripleStore
 from repro.obs.metrics import MetricsRegistry
 from repro.store import EmbeddingStore, QuarantinedRowError, shard_filename
-from repro.store.store import _POINT_ROWS
 
 #: The read-path counters the oracles compare (and ``store.cached_pages``).
 STORE_COUNTERS = (
@@ -241,24 +239,9 @@ def build(directory, array, geometry):
     )
 
 
-def both_sides_of_the_crossover(rows):
-    """Requests of exactly ``_POINT_ROWS`` and ``_POINT_ROWS + 1`` rows —
-    the largest the Python-int grouping takes and the smallest the numpy
-    sort does — with repeats and negatives."""
-    ids = [(7 * at) % rows - (at % 3) for at in range(_POINT_ROWS + 1)]
-    return [np.asarray(ids[:-1], dtype=np.int64), np.asarray(ids, dtype=np.int64)]
-
-
 class TestAgainstNumpy:
     @settings(max_examples=80, deadline=None)
     @given(gather_cases())
-    @example(
-        (
-            {"dtype": "float32", "row_shape": (3,), "rows": 50, "num_shards": 3,
-             "page_bytes": 64, "cache_pages": 2},
-            both_sides_of_the_crossover(50),
-        )
-    )
     def test_reads_equal_the_source_array(self, case):
         geometry, indices = case
         array = make_array(geometry["rows"], geometry["row_shape"], geometry["dtype"])
@@ -336,9 +319,6 @@ def damaged(tmp_path):
 
 
 class TestQuarantineParity:
-    """Damage through the Python-int grouping: every order here is at
-    most ``_POINT_ROWS`` rows."""
-
     #: Rows 4–7 sit on the bad page (0, 1), rows 28–31 on the bad page
     #: (1, 2); everything else is clean.
     ORDERS = [
@@ -352,10 +332,6 @@ class TestQuarantineParity:
         [39, 38, 31, 4],
     ]
 
-    def sent(self, order):
-        assert np.size(order) <= _POINT_ROWS
-        return np.asarray(order)
-
     @pytest.mark.parametrize("order", ORDERS)
     def test_same_error_same_quarantine(self, damaged, order):
         directory, array = damaged
@@ -368,7 +344,7 @@ class TestQuarantineParity:
                 lambda name, rows: reference_read_rows(per_row, name, rows),
             ):
                 try:
-                    outcomes.append(read("t", self.sent(order)).tobytes())
+                    outcomes.append(read("t", np.asarray(order)).tobytes())
                 except QuarantinedRowError as error:
                     outcomes.append(
                         (error.table, error.row, error.shard, error.page)
@@ -389,7 +365,7 @@ class TestQuarantineParity:
         store = EmbeddingStore.open(directory, cache_pages=8)
         try:
             with pytest.raises(QuarantinedRowError) as raised:
-                store.read_rows("t", self.sent([0, 12, 5, 36, 1]))
+                store.read_rows("t", np.array([0, 12, 5, 36, 1]))
             assert (raised.value.shard, raised.value.page) == (0, 1)
             assert raised.value.row == 4  # first row of the page
             # Pages (0,0) and (0,3) were first touched before the bad
@@ -404,11 +380,11 @@ class TestQuarantineParity:
         store = EmbeddingStore.open(directory, cache_pages=8)
         try:
             with pytest.raises(QuarantinedRowError):
-                store.read_rows("t", self.sent([0, 4, 5, 5, 6, 29]))
+                store.read_rows("t", np.array([0, 4, 5, 5, 6, 29]))
             # Rows 4, 5, 6 of the first bad page; 29 was never reached.
             assert store.metrics.snapshot()["store.quarantined_reads"] == 3
             with pytest.raises(QuarantinedRowError):
-                store.read_rows("t", self.sent([7] * 10))
+                store.read_rows("t", np.array([7] * 10))
             assert store.metrics.snapshot()["store.quarantined_reads"] == 4
         finally:
             store.close()
@@ -420,9 +396,9 @@ class TestQuarantineParity:
             per_row = PageLoop(directory, 8)
             try:
                 with pytest.raises(QuarantinedRowError) as new:
-                    grouped.read_rows("t", self.sent(order))
+                    grouped.read_rows("t", np.asarray(order))
                 with pytest.raises(QuarantinedRowError) as old:
-                    reference_read_rows(per_row, "t", self.sent(order))
+                    reference_read_rows(per_row, "t", np.asarray(order))
                 assert (new.value.row, new.value.shard, new.value.page) == (
                     old.value.row,
                     old.value.shard,
@@ -432,16 +408,6 @@ class TestQuarantineParity:
             finally:
                 grouped.close()
                 per_row.close()
-
-
-class TestQuarantineParityPastTheCrossover(TestQuarantineParity):
-    """The same damage through the numpy sort: each order padded past
-    ``_POINT_ROWS`` with repeats of its last row, which touch no new page
-    and want no new row, so every expectation above holds unchanged."""
-
-    def sent(self, order):
-        flat = np.ravel(order).tolist()
-        return np.asarray(flat + flat[-1:] * (_POINT_ROWS + 1 - len(flat)))
 
 
 # ----------------------------------------------------------------------
@@ -550,22 +516,6 @@ class TestAgainstThePageLoop:
     @given(call_sequences())
     @example(
         (
-            # Both sides of the crossover, two rows a page, a three-page
-            # cache: rows 6–7 (page (0, 3)) flipped, shard 0 torn; clean
-            # gathers over three pages (0–5) and over six (20–31), which
-            # evict mid-call.
-            {"dtype": "float64", "row_shape": (3,), "rows": 40, "num_shards": 2,
-             "page_bytes": 50, "cache_pages": 3},
-            {"flips": [3], "quarantined": [], "torn": True},
-            [("rows", ids) for ids in both_sides_of_the_crossover(40)]
-            + [("rows", ids % 6) for ids in both_sides_of_the_crossover(40)]
-            + [("row", 7), ("salvage", None)]
-            + [("rows", ids % 12 + 20) for ids in both_sides_of_the_crossover(40)]
-            + [("rows", ids) for ids in both_sides_of_the_crossover(40)],
-        )
-    )
-    @example(
-        (
             # Two shards of 5 rows, 3 to a page: each ends on a short page.
             {"dtype": "float64", "row_shape": (3,), "rows": 10, "num_shards": 2,
              "page_bytes": 80, "cache_pages": 2},
@@ -656,7 +606,6 @@ class TestExactWork:
     def test_a_point_read_loads_each_distinct_page_once(self, tmp_path, monkeypatch):
         # 401 and 402 share a page, 17 repeats, -1 wraps to 599: 8 rows, 5 pages.
         index = np.array([[401, 17], [402, 599], [17, -1], [3, 250]])
-        assert index.size <= _POINT_ROWS
         self.check_one_load_per_page(tmp_path, monkeypatch, index)
 
     def check_one_load_per_page(self, tmp_path, monkeypatch, index):
