@@ -1,8 +1,8 @@
 """Observability overhead — telemetry must be cheap enough to leave on.
 
 Times the PR-3 overload loadtest (spike profile through the gateway:
-admission control, deadlines, hedging, registry-instrumented caches)
-twice: once as shipped, with every counter/gauge/histogram update live,
+admission control, deadlines, hedging, the registry-backed gateway
+and admission counters) twice: once as shipped, with every counter/gauge/histogram update live,
 and once with the instrument mutators no-oped — the registry plumbing
 (descriptor reads, instrument lookups) stays in place, so the measured
 delta is exactly the per-update accounting cost the obs layer added.
@@ -26,7 +26,6 @@ from repro.reliability import (
     GatewayConfig,
     LoadTestConfig,
     PKGMGateway,
-    build_replicas,
 )
 from repro.reliability.loadtest import run_loadtest
 
@@ -51,7 +50,7 @@ def _build_server():
 
 def _run_loadtest(server):
     gateway = PKGMGateway(
-        build_replicas(server, 2, seed=SEED),
+        [server] * 2,
         GatewayConfig(
             deadline_budget=0.25,
             hedge_after=0.05,

@@ -21,7 +21,6 @@ from repro.reliability import (
     LoadTestConfig,
     PKGMGateway,
     StepClock,
-    build_replicas,
 )
 from repro.reliability.loadtest import run_loadtest
 
@@ -32,7 +31,7 @@ DEADLINE = 0.25
 
 def _gateway(server, admission):
     return PKGMGateway(
-        build_replicas(server, 2, seed=SEED),
+        [server] * 2,
         GatewayConfig(
             deadline_budget=DEADLINE, hedge_after=0.05, admission=admission
         ),

@@ -4,14 +4,10 @@ Measures what the storage engine trades for crash safety (repro.store):
 
 * **lookup throughput** — seeded row gathers through the mmap page
   cache vs numpy fancy-indexing on an in-RAM table, at three catalog
-  sizes with a cache budget far below the table bytes, in two shapes:
-  *uniform* (64 independent draws: about one row per page, so every
-  row pays a page fault and grouping by page cannot help) and
-  *service* (64 heads each repeated k = 10 times — the per-pair access
-  shape a block had until the server gathered each head once; kept as
-  the repeated-row case, where a page is loaded once for the ten rows
-  wanted from it); plus the full-table ``read_table`` rate, the
-  sequential best case;
+  sizes with a cache budget far below the table bytes, for gathers of
+  64 independent uniform draws (about one row per page, so every row
+  pays a page fault and grouping by page cannot help); plus the
+  full-table ``read_table`` rate, the sequential best case;
 * **point gathers** — gathers of 1 to 64 rows, the shapes a pool
   worker's requests (1 to a few rows) and a ``bulk_store`` batch (64)
   make, with the pages faulting (*cold*: uniform draws, about one fault
@@ -45,7 +41,6 @@ PAGE_BYTES = 4096
 CACHE_PAGES = 64  # 256 KiB page-cache budget at every size
 QUERIES = 4_096
 BATCH = 64
-KEY_RELATIONS = 10  # repeats of each head in the service-shaped gather
 POINT_SIZES = (1, 2, 8, 32, 64)  # rows per point gather
 
 
@@ -60,12 +55,6 @@ def _query_ids(rows):
     )
 
 
-def _service_index(heads):
-    """A ``(B, k)`` index with every head repeated k times: the per-pair
-    shape blocks once gathered heads in (they read each head once now)."""
-    return np.repeat(heads[:, None], KEY_RELATIONS, axis=1)
-
-
 def _best_seconds(call, repeats=3):
     """Fastest of ``repeats`` timed calls — the box is shared and noisy."""
     best = float("inf")
@@ -76,8 +65,8 @@ def _best_seconds(call, repeats=3):
     return best
 
 
-def _gather_seconds(read_batch, ids, shape=lambda batch: batch):
-    batches = [shape(ids[lo : lo + BATCH]) for lo in range(0, len(ids), BATCH)]
+def _gather_seconds(read_batch, ids):
+    batches = [ids[lo : lo + BATCH] for lo in range(0, len(ids), BATCH)]
 
     def sweep():
         for batch in batches:
@@ -128,8 +117,7 @@ def _measure_size(tmp_dir, rows):
     load_seconds = _best_seconds(lambda: store.read_table("entity_table"))
     assert np.array_equal(store.read_table("entity_table"), table)
 
-    # Gather throughput: mmap page cache vs in-RAM fancy index, for
-    # uniform draws and for the service-shaped (heads x k) index.
+    # Gather throughput: mmap page cache vs in-RAM fancy index.
     def read_store(batch):
         return store.read_rows("entity_table", batch)
 
@@ -138,8 +126,6 @@ def _measure_size(tmp_dir, rows):
 
     store_seconds = _gather_seconds(read_store, ids)
     ram_seconds = _gather_seconds(read_ram, ids)
-    service_store_seconds = _gather_seconds(read_store, ids, _service_index)
-    service_ram_seconds = _gather_seconds(read_ram, ids, _service_index)
     assert len(store._cache) <= CACHE_PAGES
     point_krps = _point_gathers(store, ids)
 
@@ -173,8 +159,6 @@ def _measure_size(tmp_dir, rows):
         "table_krps": rows / load_seconds / 1e3,
         "store_krps": QUERIES / store_seconds / 1e3,
         "ram_krps": QUERIES / ram_seconds / 1e3,
-        "service_store_krps": QUERIES * KEY_RELATIONS / service_store_seconds / 1e3,
-        "service_ram_krps": QUERIES * KEY_RELATIONS / service_ram_seconds / 1e3,
         "bad_pages": scrub.pages_bad,
         "scrub_s": scrub_seconds,
         "repair_s": repair_seconds,
@@ -194,12 +178,10 @@ def test_store_out_of_core(benchmark, record_table, tmp_path):
     lines = [
         "Out-of-core embedding store — crash-safe mmap shards vs in-RAM "
         f"(dim={DIM}, float64, {NUM_SHARDS} shards, {PAGE_BYTES}B pages, "
-        f"{CACHE_PAGES}-page cache, {QUERIES} row draws in gathers of {BATCH}: "
-        f"uniform, and service-shaped = each draw repeated k={KEY_RELATIONS} "
-        f"times as serve_sequence_batch does; seed {SEED})",
+        f"{CACHE_PAGES}-page cache, {QUERIES} uniform row draws in gathers of "
+        f"{BATCH}; seed {SEED})",
         "rows | table MiB | cache/table | open+1row s | full load s | "
         "read_table kreads/s | uniform store kreads/s | uniform RAM kreads/s | "
-        "service store kreads/s | service RAM kreads/s | "
         "bad pages | scrub s | repair s",
     ]
     for rows in SIZES:
@@ -209,7 +191,6 @@ def test_store_out_of_core(benchmark, record_table, tmp_path):
             f"{r['open_s']:.4f} | {r['load_s']:.4f} | "
             f"{r['table_krps']:.1f} | "
             f"{r['store_krps']:.1f} | {r['ram_krps']:.1f} | "
-            f"{r['service_store_krps']:.1f} | {r['service_ram_krps']:.1f} | "
             f"{r['bad_pages']} | {r['scrub_s']:.4f} | {r['repair_s']:.4f}"
         )
     lines.append(

@@ -263,14 +263,13 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         GatewayConfig,
         LoadTestConfig,
         PKGMGateway,
-        build_replicas,
         run_loadtest,
     )
 
     config = _load_config(args)
     _, server = untrained_server(config)
     gateway = PKGMGateway(
-        build_replicas(server, args.replicas, seed=args.load_seed),
+        [server] * args.replicas,
         GatewayConfig(
             hedge_after=args.hedge_after if args.hedge_after > 0 else None,
             admission=AdmissionConfig(
@@ -755,15 +754,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
             )
             current = pipeline.versioner.current_version()
             if current is not None:
-                from .reliability import PKGMGateway, build_replicas
+                from .reliability import PKGMGateway
 
                 gateway = PKGMGateway(
-                    build_replicas(
-                        pipeline.versioner.load_server(current),
-                        2,
-                        seed=config.seed,
-                    ),
-                    seed=config.seed,
+                    [pipeline.versioner.load_server(current)] * 2, seed=config.seed
                 )
                 server = swap_gateway(gateway, pipeline.versioner, current)
                 print(

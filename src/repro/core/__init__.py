@@ -5,7 +5,6 @@ key-relation selection, and the service-vector API that downstream
 tasks consume instead of triple data.
 """
 
-from .cache import CachedPKGMServer
 from .key_relations import KeyRelationSelector
 from .modules import RelationQueryModule, TripleQueryModule
 from .pkgm import PKGM, PKGMConfig
@@ -13,7 +12,6 @@ from .service import PKGMServer, SnapshotError
 from .trainer import PKGMTrainer, TrainerConfig, TrainingHistory, pretrain_pkgm
 
 __all__ = [
-    "CachedPKGMServer",
     "KeyRelationSelector",
     "PKGM",
     "PKGMConfig",

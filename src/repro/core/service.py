@@ -75,26 +75,6 @@ class ServiceVectors:
         return paired.mean(axis=0)
 
 
-class BatchOverServe:
-    """The batch helpers of a facade that answers one item at a time.
-
-    Each is a loop over ``self.serve``, so whatever that method does
-    for an item — cache it, retry it, degrade it — it does for every
-    item of a batch.
-    """
-
-    def serve_batch(self, entity_ids: Sequence[int]) -> List[ServiceVectors]:
-        return [self.serve(int(e)) for e in entity_ids]
-
-    def serve_sequence_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
-        """(batch, 2k, d) payload, in paper order."""
-        return np.stack([v.sequence() for v in self.serve_batch(entity_ids)])
-
-    def serve_condensed_batch(self, entity_ids: Sequence[int]) -> np.ndarray:
-        """(batch, 2d) payload (Eq. 20)."""
-        return np.stack([v.condensed() for v in self.serve_batch(entity_ids)])
-
-
 def _index_arrays(
     heads: np.ndarray, relations: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -529,8 +509,8 @@ def write_server_store(
     streaming build path in bounded chunks, so peak build memory is one
     chunk — not one table — and chunking never changes the bytes.
     """
-    # Imported lazily: repro.store sits on repro.core.cache and
-    # repro.reliability, both of which import repro.core first.
+    # Imported lazily: repro.store sits on repro.reliability, which
+    # imports repro.core first.
     from ..store import DEFAULT_PAGE_BYTES, EmbeddingStore, RowSource
 
     sources = {name: np.asarray(tables[name]) for name in _SERVER_TABLES}

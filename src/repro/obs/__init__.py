@@ -24,8 +24,7 @@ built on the same virtual-time discipline as :mod:`repro.reliability`
 
 Import order note: this is a *leaf* package — the training and serving
 stacks import it, so nothing at module level here may import them
-back.  ``metrics`` is imported first because :mod:`repro.core.cache`
-reaches for it during partial initialization.
+back.
 """
 
 from .metrics import MetricsRegistry, counter_view

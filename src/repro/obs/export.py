@@ -74,7 +74,7 @@ def run_metrics_workload(
 
     Builds an untrained PKGM server at the preset's catalog scale
     (serving mechanics do not depend on trained weights), fronts it
-    with two registry-instrumented replicas behind the admission
+    with two replicas behind the admission
     controller, and replays the spike profile with a mid-run
     drain+swap.  Returns ``(registry, loadtest_report)``; with the same
     seed the registry snapshot is byte-identical across runs.
@@ -86,14 +86,13 @@ def run_metrics_workload(
         GatewayConfig,
         LoadTestConfig,
         PKGMGateway,
-        build_replicas,
         run_loadtest,
     )
 
     _, server = untrained_server(PRESETS[preset](), seed=seed)
     registry = MetricsRegistry()
     gateway = PKGMGateway(
-        build_replicas(server, 2, seed=seed, registry=registry),
+        [server] * 2,
         GatewayConfig(
             deadline_budget=0.25,
             hedge_after=0.05,

@@ -57,7 +57,6 @@ from .gateway import (
     PKGMGateway,
     RetrievalPayload,
     TimedBackend,
-    build_replicas,
 )
 from .loadtest import PROFILES, LoadTestConfig, LoadTestReport, run_loadtest
 from .retry import (
@@ -99,7 +98,6 @@ __all__ = [
     "TokenBucket",
     "atomic_save_npz",
     "atomic_write_bytes",
-    "build_replicas",
     "inject_storage_faults",
     "restore_rng",
     "rng_state",

@@ -1,7 +1,7 @@
 """The overload-safe serving gateway: deadlines, hedging, drain/swap.
 
 :class:`PKGMGateway` fronts any PKGM-serving backend (``PKGMServer``,
-``CachedPKGMServer``, a worker-pool ``Supervisor``) the way a
+``PKGMServer.from_store``, a worker-pool ``Supervisor``) the way a
 production edge fronts a model service:
 
 * every arrival passes the :class:`~repro.reliability.admission.AdmissionController`
@@ -45,7 +45,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cache import CachedPKGMServer
 from ..core.service import ServiceVectors
 from ..obs.metrics import MetricsRegistry, counter_view
 from ..ops import OPS, RetrievalPayload
@@ -101,7 +100,7 @@ class BackendOutcome:
 class TimedBackend:
     """A serving replica: any server surface plus a virtual-latency model.
 
-    ``serve_timed`` reports how long the call took in virtual seconds
+    ``call_timed`` reports how long the call took in virtual seconds
     *instead of* advancing any clock — the gateway owns the timeline.
     A ``budget`` caps the call: a draw past the remaining budget is
     reported as cancelled at the budget (reason ``"deadline"``) without
@@ -170,23 +169,9 @@ class TimedBackend:
             return None, latency, "quarantined"
         return payload, latency, None
 
-    def serve_timed(
-        self, entity_id: int, budget: Optional[float] = None
-    ) -> Tuple[Optional[ServiceVectors], float, Optional[str]]:
-        """``(vectors, virtual_latency, reason)`` for one serve call."""
-        return self.call_timed("serve", entity_id, budget=budget)
-
     def swap(self, server) -> None:
-        """Install a refreshed snapshot on this replica.
-
-        A :class:`CachedPKGMServer` (or anything exposing ``refresh``)
-        is refreshed in place — dropping its now-stale LRU entries —
-        otherwise the server object is replaced wholesale.
-        """
-        if hasattr(self.server, "refresh"):
-            self.server.refresh(server)
-        else:
-            self.server = server
+        """Install a refreshed snapshot on this replica."""
+        self.server = server
         self._accepts_deadline = (
             "deadline" in inspect.signature(self.server.serve).parameters
         )
@@ -364,6 +349,11 @@ class PKGMGateway:
     its response then appears in a later ``step()`` (or ``drain()``)
     batch.  Every submitted request is answered exactly once, and no
     path raises.
+
+    Each of ``replicas`` that is not already a :class:`TimedBackend`
+    becomes one, named ``replica-<i>``, with latency seed ``seed + i``:
+    replicas straggle at different times, which is what makes hedging
+    win.  The same server may back every replica (``[server] * 2``).
     """
 
     def __init__(
@@ -484,9 +474,8 @@ class PKGMGateway:
         Same admission, deadline, and degraded-path treatment as
         :meth:`submit_retrieval`: shed or expired requests are answered
         with a degraded :class:`~repro.scenarios.ExplanationPayload`
-        (empty predictions, ``degraded=True``), never an exception, and
-        — the PR 3 invariant — degraded payloads are never cached by
-        the scenario backend.  Requires a scenario backend.
+        (empty predictions, ``degraded=True``), never an exception.
+        Requires a scenario backend.
         """
         return self._submit(
             "explain", entity_id, relation=relation, priority=priority, budget=budget
@@ -504,8 +493,8 @@ class PKGMGateway:
         The scenario backend ranks items by condensed service-vector
         distance, so a cold-start item is as answerable as a warm one.
         Degraded answers carry the ``(inf, -1)`` padded
-        :class:`~repro.scenarios.RecommendationPayload` and are never
-        cached.  Requires a scenario backend.
+        :class:`~repro.scenarios.RecommendationPayload`.  Requires a
+        scenario backend.
         """
         return self._submit(
             "recommend", entity_id, k=k, priority=priority, budget=budget
@@ -658,12 +647,7 @@ class PKGMGateway:
             response = self._degraded_response(request, "deadline", at)
             self._schedule(at, response, overloaded=True)
             return
-        call = (
-            self._call_backend
-            if OPS[request.kind].hedged
-            else self._call_unhedged
-        )
-        outcome = call(request, budget=request.deadline_at - at)
+        outcome = self._call(request, budget=request.deadline_at - at)
         completed_at = at + outcome.latency
         if outcome.reason == "deadline":
             self.stats.deadline_backend_misses += 1
@@ -709,10 +693,9 @@ class PKGMGateway:
         )
         self._seq += 1
 
-    def _call_unhedged(
-        self, request: GatewayRequest, budget: float
-    ) -> BackendOutcome:
-        """One unhedged call on the round-robin primary.
+    def _call(self, request: GatewayRequest, budget: float) -> BackendOutcome:
+        """One call on the round-robin primary, hedged if its kind is:
+        the first answer wins and the loser is cancelled.
 
         Scenario kinds run on the shared scenario backend but take
         their timing from the primary's latency model (the scenario
@@ -727,21 +710,12 @@ class PKGMGateway:
         primary = self.replicas[self._rr % len(self.replicas)]
         self._rr += 1
         target = self.scenarios if OPS[request.kind].scenario else None
-        payload, latency, reason = primary.call_timed(
-            request.kind, request.entity_id, request.relation, request.k, budget, target
-        )
-        return BackendOutcome(payload, latency, reason)
-
-    def _call_backend(self, request: GatewayRequest, budget: float) -> BackendOutcome:
-        """One possibly-hedged call: first answer wins, loser is cancelled."""
-        primary = self.replicas[self._rr % len(self.replicas)]
-        self._rr += 1
-        vectors, latency, reason = primary.serve_timed(
-            request.entity_id, budget=budget
-        )
+        query = (request.kind, request.entity_id, request.relation, request.k)
+        vectors, latency, reason = primary.call_timed(*query, budget, target)
         hedge_after = self.config.hedge_after
         if (
-            hedge_after is None
+            not OPS[request.kind].hedged
+            or hedge_after is None
             or len(self.replicas) < 2
             # Domain errors: every replica reads the same bytes, so a
             # hedge cannot help.
@@ -758,8 +732,8 @@ class PKGMGateway:
             return BackendOutcome(vectors, latency, reason)
         secondary = self.replicas[self._rr % len(self.replicas)]
         self.stats.hedges_sent += 1
-        h_vectors, h_latency, h_reason = secondary.serve_timed(
-            request.entity_id, budget=hedge_budget
+        h_vectors, h_latency, h_reason = secondary.call_timed(
+            *query, hedge_budget, target
         )
         hedge_total = fire_at + h_latency
         primary_usable = reason is None
@@ -806,39 +780,3 @@ class PKGMGateway:
             hedged=hedged,
             hedge_won=hedge_won,
         )
-
-
-def build_replicas(
-    server,
-    count: int,
-    seed: int = 0,
-    registry: Optional[MetricsRegistry] = None,
-) -> List[TimedBackend]:
-    """``count`` timed replicas over one snapshot, each with its own
-    512-entry LRU.
-
-    Every replica gets an independent :class:`CachedPKGMServer` (so a
-    swap refreshes per-replica caches) and an independently seeded
-    latency model — replicas straggle at different times, which is what
-    makes hedging win.  With a shared ``registry``, each replica's
-    cache counters land under a ``replica_<i>.cache.*`` prefix so one
-    snapshot shows per-replica hit rates.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [
-        TimedBackend(
-            CachedPKGMServer(
-                server,
-                capacity=512,
-                registry=(
-                    registry.child(f"replica_{index}")
-                    if registry is not None
-                    else None
-                ),
-            ),
-            latency=LatencyModel(seed=seed + index),
-            name=f"replica-{index}",
-        )
-        for index in range(count)
-    ]

@@ -52,8 +52,6 @@ from .service import (
     ScenarioService,
     ServiceRecommender,
     WorkerScenarios,
-    degraded_explanation,
-    degraded_recommendation,
 )
 from .workload import ScenarioWorkloadReport, run_scenarios_workload
 
@@ -72,8 +70,6 @@ __all__ = [
     "TransferReport",
     "WorkerScenarios",
     "category_subgraphs",
-    "degraded_explanation",
-    "degraded_recommendation",
     "evaluate_coldstart",
     "evaluate_rule_transfer",
     "generate_coldstart_split",

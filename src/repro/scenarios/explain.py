@@ -83,8 +83,7 @@ class ExplanationPayload:
     degraded payload); every prediction is backed by at least one
     :class:`Citation`.  ``existence_score`` carries the PKGM existence
     head's sigmoid score when the query kind is ``"existence"`` and a
-    server was attached.  ``degraded`` marks gateway fallback payloads,
-    which — per the PR 3 invariant — are answered, never cached.
+    server was attached.  ``degraded`` marks gateway fallback payloads.
     """
 
     entity_id: int

@@ -5,10 +5,8 @@ Three layers, mirroring how the main serve path is built:
 * :class:`ServiceRecommender` — the zero-shot engine itself: ranks
   items by condensed-service-vector distance, so an item needs only a
   KG presence (never an interaction) to be recommendable.
-* :class:`ScenarioService` — the backend the gateway calls: an LRU
-  payload cache in front of the engines that **never caches degraded
-  payloads** (the serving cache's invariant, extended to the two
-  scenario kinds).
+* :class:`ScenarioService` — the backend the gateway calls: the two
+  engines behind one object, as the gateway's ``scenarios``.
 * :class:`WorkerScenarios` — the lazy per-process bundle a forked pool
   worker builds from its store directory (recommender from the
   embedding store, explainer from the ``scenarios.json`` sidecar).
@@ -23,11 +21,10 @@ exactly like serve/retrieve traffic (``unknown-id`` / ``rpc-error``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..core.cache import LRUDict
 from ..store.errors import StoreManifestError
 from .explain import ExplanationPayload, load_sidecar
 
@@ -123,72 +120,24 @@ class ServiceRecommender:
 
 
 class ScenarioService:
-    """Cache front for the scenario engines.
+    """The scenario engines as one backend for the gateway's two
+    scenario kinds.
 
-    The gateway treats this as one logical backend for the two scenario
-    request kinds:
-
-    * successful payloads land in a 256-entry LRU keyed by the full
-      query;
-    * **degraded payloads are never cached** — the service refuses even
-      if handed one, and the test suite pins that down for both kinds;
-    * engine errors propagate unchanged, uncached, for the gateway to
-      answer degraded.
+    Every call reaches its engine: an answer depends only on the
+    snapshot and the query, and the gateway's latency is drawn before
+    the call, so a result cache would save no time.  Engine errors
+    propagate unchanged for the gateway to answer degraded.
     """
 
-    def __init__(self, explainer, recommender, registry=None) -> None:
+    def __init__(self, explainer, recommender) -> None:
         self.explainer = explainer
         self.recommender = recommender
-        self._cache = LRUDict(256)
-        self._hits_c = self._misses_c = self._skips_c = None
-        if registry is not None:
-            self._hits_c = registry.counter(
-                "scenarios.cache.hits", help="Scenario payloads served from cache"
-            )
-            self._misses_c = registry.counter(
-                "scenarios.cache.misses", help="Scenario cache misses"
-            )
-            self._skips_c = registry.counter(
-                "scenarios.cache.degraded_skips",
-                help="Degraded payloads refused by the cache",
-            )
 
-    def cached(self, key: Tuple) -> Optional[object]:
-        """Peek the cache without touching recency (for tests)."""
-        return self._cache.peek(key)
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def _through_cache(self, key: Tuple, call):
-        hit = self._cache.get(key)
-        if hit is not None:
-            if self._hits_c is not None:
-                self._hits_c.inc()
-            return hit
-        if self._misses_c is not None:
-            self._misses_c.inc()
-        payload = call()
-        if getattr(payload, "degraded", False):
-            if self._skips_c is not None:
-                self._skips_c.inc()
-            return payload
-        self._cache.put(key, payload)
-        return payload
-
-    def explain(
-        self, entity_id: int, relation: int, kind: str = "completion"
-    ) -> ExplanationPayload:
-        key = ("explain", int(entity_id), int(relation), kind)
-        return self._through_cache(
-            key, lambda: self.explainer.explain(entity_id, relation, kind=kind)
-        )
+    def explain(self, entity_id: int, relation: int) -> ExplanationPayload:
+        return self.explainer.explain(entity_id, relation)
 
     def recommend(self, entity_id: int, k: int = 10) -> RecommendationPayload:
-        key = ("recommend", int(entity_id), int(k))
-        return self._through_cache(
-            key, lambda: self.recommender.recommend(entity_id, k=k)
-        )
+        return self.recommender.recommend(entity_id, k=k)
 
 
 class WorkerScenarios:

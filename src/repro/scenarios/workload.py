@@ -4,7 +4,7 @@ Two phases exercise the new endpoints end to end on virtual time:
 
 1. **Gateway phase** — ``submit_explanation`` / ``submit_recommendation``
    ride the full PR 3 path (admission, deadline rejection, degraded
-   fallbacks, caching discipline) against a
+   fallbacks) against a
    :class:`~repro.scenarios.service.ScenarioService` built from the
    preset catalog's mined rules and an untrained server (serving
    mechanics do not depend on trained weights).  Every ok explanation
@@ -81,12 +81,7 @@ def run_scenarios_workload(
     from ..kg.rules import RuleMiner
     from ..obs import MetricsRegistry
     from ..pipeline import untrained_server
-    from ..reliability import (
-        AdmissionConfig,
-        GatewayConfig,
-        PKGMGateway,
-        build_replicas,
-    )
+    from ..reliability import AdmissionConfig, GatewayConfig, PKGMGateway
     from ..reliability.retry import StepClock
     from ..serving import PoolConfig, Supervisor
     from ..serving.loadtest import drive, transcript_line
@@ -108,9 +103,9 @@ def run_scenarios_workload(
         catalog.store, rules=rules, server=server, registry=registry
     )
     recommender = ServiceRecommender(server, registry=registry)
-    service = ScenarioService(explainer, recommender, registry=registry)
+    service = ScenarioService(explainer, recommender)
     gateway = PKGMGateway(
-        build_replicas(server, 2, seed=seed, registry=registry),
+        [server] * 2,
         GatewayConfig(
             deadline_budget=0.25,
             hedge_after=0.05,

@@ -9,8 +9,8 @@ shard files into a row-addressable table service:
   store or no manifest, never a half-described one;
 * **open** — parses and self-verifies the manifest only; shard files
   are mmap'd lazily, so cold-start cost is O(manifest), not O(catalog);
-* **read** — rows are gathered through a bounded LRU page cache
-  (:class:`repro.core.cache.LRUDict`, the serving-cache idiom); pages
+* **read** — rows are gathered through a bounded LRU page cache (an
+  ``OrderedDict`` in recency order, coldest first); pages
   are CRC-verified on first fault, and a failed page joins the
   quarantine set instead of crashing the reader — subsequent touches
   raise :class:`QuarantinedRowError`, which the serving gateway
@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import operator
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.cache import LRUDict
 from ..obs.metrics import MetricsRegistry
 from ..reliability.checkpoint import atomic_write_bytes
 from .errors import QuarantinedRowError, StoreManifestError, StoreSchemaError
@@ -165,7 +165,8 @@ class EmbeddingStore:
         self.metadata = metadata
         self.page_bytes = page_bytes
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._cache = LRUDict(max(1, cache_pages))
+        self._cache: "OrderedDict[PageKey, bytes]" = OrderedDict()
+        self._cache_pages = max(1, cache_pages)
         self.quarantine: set = set()
         self._hits_c = self.metrics.counter(
             "store.page_hits", help="Page-cache hits"
@@ -488,7 +489,7 @@ class EmbeddingStore:
         """
         name = spec.name
         readers = self._tables[name].readers
-        cache, quarantine = self._cache, self.quarantine
+        cache, quarantine, capacity = self._cache, self.quarantine, self._cache_pages
         hits = faults = nbytes = evicted = 0
         resident: Optional[int] = None
         try:
@@ -497,6 +498,7 @@ class EmbeddingStore:
                 if key not in quarantine:
                     data = cache.get(key)
                     if data is not None:
+                        cache.move_to_end(key)
                         hits += wanted
                         yield data
                         continue
@@ -505,7 +507,10 @@ class EmbeddingStore:
                     nbytes += len(data)
                     if ok:
                         hits += wanted - 1
-                        evicted += cache.put(key, data)
+                        cache[key] = data
+                        if len(cache) > capacity:
+                            cache.popitem(last=False)
+                            evicted += 1
                         resident = len(cache)
                         yield data
                         continue
@@ -541,7 +546,7 @@ class EmbeddingStore:
             self.quarantine.add(key)
             self._quarantined_c.inc()
             self._quarantine_g.set(len(self.quarantine))
-        self._cache.discard(key)
+        self._cache.pop(key, None)
 
     def _gather(self, spec: TableSpec, rows: List[int]) -> np.ndarray:
         """``rows`` (Python ints, negatives wrap) as a fresh, writable flat
@@ -769,7 +774,7 @@ class EmbeddingStore:
             for page in patched:
                 key: PageKey = (name, shard, page)
                 self.quarantine.discard(key)
-                self._cache.discard(key)
+                self._cache.pop(key, None)
                 repaired.append(key)
         if repaired:
             self._repaired_c.inc(len(repaired))

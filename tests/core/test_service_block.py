@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    CachedPKGMServer,
     KeyRelationSelector,
     PKGM,
     PKGMConfig,
@@ -222,14 +221,6 @@ class TestABlockIsNotPinned:
             vectors.relation_vectors,
         ):
             assert array.base is None or array.base.nbytes == array.nbytes
-
-    def test_the_lru_holds_items_not_batches(self, server):
-        cached = CachedPKGMServer(server, capacity=64)
-        cached.serve_sequence_batch(ITEMS)
-        for item in ITEMS:
-            held = cached._cache.peek(item)
-            for array in (held.triple_vectors, held.relation_vectors):
-                assert array.base is None or array.base.nbytes == array.nbytes
 
 
 @pytest.fixture

@@ -1,9 +1,8 @@
-"""Server retrieval surface: nearest_tails, existence scores, cache."""
+"""Server retrieval surface: nearest_tails and existence scores."""
 
 import numpy as np
 import pytest
 
-from repro.core import CachedPKGMServer
 from repro.index import FlatIndex, IVFFlatIndex
 
 K = 5
@@ -97,22 +96,3 @@ class TestExistenceScores:
     def test_shape_mismatch_rejected(self, small_server):
         with pytest.raises(ValueError, match="pair up"):
             small_server.relation_existence_scores([0, 1], [0])
-
-
-class TestCachedFacade:
-    def test_retrieval_passthroughs(self, small_server):
-        cached = CachedPKGMServer(small_server, capacity=4)
-        d, i = cached.nearest_tails(0, 0, k=K)
-        raw_d, raw_i = small_server.nearest_tails(0, 0, k=K)
-        assert np.array_equal(d, raw_d)
-        assert np.array_equal(i, raw_i)
-        batch_d, batch_i = cached.nearest_tails_batch([0, 1], [0, 0], k=K)
-        assert batch_d.shape == (2, K) and batch_i.shape == (2, K)
-        assert cached.tail_index is small_server.tail_index
-        scores = cached.relation_existence_scores([0, 1], [0, 1])
-        assert np.array_equal(
-            scores, small_server.relation_existence_scores([0, 1], [0, 1])
-        )
-        index = cached.build_tail_index(kind="flat", metric="l1")
-        assert small_server.tail_index is index
-        small_server._tail_index = None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    CachedPKGMServer,
     PKGM,
     PKGMConfig,
     PKGMTrainer,
@@ -82,31 +81,6 @@ class TestTrainerInstrumentation:
             model, TrainerConfig(epochs=1, batch_size=16, seed=0)
         ).train(store)
         assert len(history.epoch_losses) == 1
-
-
-class TestCacheInstrumentation:
-    def test_counters_and_gauges(self, server):
-        registry = MetricsRegistry()
-        cached = CachedPKGMServer(server, capacity=2, registry=registry)
-        cached.serve(0)
-        cached.serve(0)
-        cached.serve(1)
-        snapshot = registry.snapshot()
-        assert snapshot["cache.hits"] == 1
-        assert snapshot["cache.misses"] == 2
-        assert snapshot["cache.size"] == 2
-        assert snapshot["cache.capacity"] == 2
-        assert cached.hits == 1 and cached.misses == 2  # legacy views
-
-    def test_refresh_counter_survives_stat_reset(self, server):
-        registry = MetricsRegistry()
-        cached = CachedPKGMServer(server, capacity=2, registry=registry)
-        cached.serve(0)
-        cached.refresh(server)
-        snapshot = registry.snapshot()
-        assert snapshot["cache.refreshes"] == 1
-        assert snapshot["cache.misses"] == 0  # reset_stats=True default
-        assert snapshot["cache.size"] == 0
 
 
 class TestParameterServerInstrumentation:

@@ -10,7 +10,6 @@ from repro.reliability import (
     PKGMGateway,
     StepClock,
     TimedBackend,
-    build_replicas,
 )
 from repro.reliability.gateway import DRAINING, QUIESCED, SERVING
 
@@ -121,7 +120,7 @@ class TestDeadlinePaths:
         clock = StepClock()
         recorder = DeadlineRecorder(server, clock=clock)
         backend = TimedBackend(recorder, latency=ScriptedLatency([0.1]))
-        vectors, latency, reason = backend.serve_timed(0, budget=0.5)
+        vectors, latency, reason = backend.call_timed("serve", 0, budget=0.5)
         assert reason is None and not vectors.degraded
         (deadline,) = recorder.deadlines
         # The budget left once the sampled latency is spent, on the
@@ -132,7 +131,7 @@ class TestDeadlinePaths:
     def test_no_deadline_for_a_backend_without_the_parameter(self, server):
         plain = PlainRecorder(server, clock=StepClock())
         backend = TimedBackend(plain, latency=ScriptedLatency([0.1]))
-        vectors, _, reason = backend.serve_timed(0, budget=0.5)
+        vectors, _, reason = backend.call_timed("serve", 0, budget=0.5)
         assert reason is None and not vectors.degraded
         assert plain.calls == [0]  # served with the id alone
 
@@ -279,15 +278,18 @@ class TestDrainSwap:
         assert gateway.state == SERVING
         assert gateway.stats.swaps == 1
 
-    def test_swap_refreshes_replica_caches(self, server):
-        gateway = PKGMGateway(build_replicas(server, 2, seed=0))
+    def test_swap_installs_the_server_on_every_replica(self, server):
+        gateway = PKGMGateway([server] * 2)
         gateway.submit(0)
         gateway.drain()
-        assert any(r.server.stats().size > 0 for r in gateway.replicas)
-        gateway.swap(server)
-        assert all(r.server.stats().size == 0 for r in gateway.replicas)
+        fresh = DeadlineRecorder(server, clock=gateway.clock)
+        gateway.swap(fresh)
+        assert all(r.server is fresh for r in gateway.replicas)
         assert gateway.submit(0) is None  # serving again
         assert len(gateway.drain()) == 1
+        assert fresh.calls == [0]
+        # The swapped-in serve takes a deadline, and is handed one.
+        assert [d is not None for d in fresh.deadlines] == [True]
 
     def test_drain_is_reentrant_lifecycle(self, server):
         gateway = make_gateway(server, [[0.01]])
@@ -332,7 +334,7 @@ class TestExactlyOnceAndDeterminism:
         def run():
             clock = StepClock()
             gateway = PKGMGateway(
-                build_replicas(server, 2, seed=7),
+                [server] * 2,
                 GatewayConfig(admission=AdmissionConfig(rate=80.0, burst=8.0)),
                 clock=clock,
                 seed=7,
@@ -368,5 +370,3 @@ class TestGatewayConfig:
     def test_needs_replicas(self):
         with pytest.raises(ValueError):
             PKGMGateway([])
-        with pytest.raises(ValueError):
-            build_replicas(object(), 0)

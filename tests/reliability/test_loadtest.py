@@ -9,14 +9,13 @@ from repro.reliability import (
     PKGMGateway,
     PROFILES,
     StepClock,
-    build_replicas,
     run_loadtest,
 )
 
 
 def make_gateway(server, seed=0, rate=60.0):
     return PKGMGateway(
-        build_replicas(server, 2, seed=seed),
+        [server] * 2,
         GatewayConfig(
             deadline_budget=0.25,
             hedge_after=0.05,

@@ -1,17 +1,14 @@
 """Tests for the scenario serving backend: the zero-shot recommender,
-the cache discipline, and the worker-side engine bundle."""
+the gateway's engine pair, and the worker-side engine bundle."""
 
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.reliability.retry import RPCError
 from repro.scenarios import (
     ScenarioService,
     ServiceRecommender,
     WorkerScenarios,
-    degraded_explanation,
-    degraded_recommendation,
 )
 
 
@@ -77,54 +74,15 @@ class StaticRecommender:
         return self.payload
 
 
-def make_service(explainer, recommender=None, registry=None):
-    return ScenarioService(
-        explainer,
-        recommender if recommender is not None else StaticRecommender(None),
-        registry=registry,
-    )
-
-
 class TestScenarioService:
-    def test_ok_payload_cached(self):
-        from repro.scenarios.explain import ExplanationPayload
-
-        payload = ExplanationPayload(entity_id=1, relation=0)
-        explainer = FlakyExplainer(payload=payload)
-        service = make_service(explainer)
-        assert service.explain(1, 0) is payload
-        assert service.explain(1, 0) is payload
-        assert explainer.calls == 1  # second answer came from the cache
-        assert service.cached(("explain", 1, 0, "completion")) is payload
-
-    def test_degraded_payload_never_cached(self):
-        degraded = degraded_explanation(1, 0)
-        explainer = FlakyExplainer(payload=degraded)
-        registry = MetricsRegistry()
-        service = make_service(explainer, registry=registry)
-        assert service.explain(1, 0).degraded
-        assert service.explain(1, 0).degraded
-        assert explainer.calls == 2  # both calls hit the engine
-        assert len(service) == 0
-        snapshot = registry.snapshot()
-        assert snapshot["scenarios.cache.degraded_skips"] == 2
-
-    def test_degraded_recommendation_never_cached(self):
-        recommender = StaticRecommender(degraded_recommendation(1, 5))
-        service = make_service(FlakyExplainer(), recommender=recommender)
-        assert service.recommend(1, k=5).degraded
-        assert len(service) == 0
-        assert recommender.calls == 1
-
     def test_engine_errors_propagate_uncached(self):
         for error in (KeyError(99), RPCError("backend down")):
             explainer = FlakyExplainer(error=error)
-            service = make_service(explainer)
+            service = ScenarioService(explainer, StaticRecommender(None))
             for _ in range(3):
                 with pytest.raises(type(error)):
                     service.explain(99, 0)
             assert explainer.calls == 3  # every call reached the engine
-            assert len(service) == 0
 
 
 class TestWorkerScenarios:

@@ -370,7 +370,7 @@ class TestQuarantineParity:
             assert raised.value.row == 4  # first row of the page
             # Pages (0,0) and (0,3) were first touched before the bad
             # page; (1,4) — row 36 — after it.
-            assert set(store._cache._entries) == {("t", 0, 0), ("t", 0, 3)}
+            assert set(store._cache) == {("t", 0, 0), ("t", 0, 3)}
             assert store.quarantined_pages() == [("t", 0, 1)]
         finally:
             store.close()
@@ -488,7 +488,7 @@ def outcome(target, kind, argument):
 def state(target):
     """Counters, the cached-pages gauge, LRU order and the quarantine."""
     snapshot = target.metrics.snapshot()
-    cache = target._cache._entries if isinstance(target, EmbeddingStore) else target.lru
+    cache = target._cache if isinstance(target, EmbeddingStore) else target.lru
     return (
         {name: snapshot[f"store.{name}"] for name in STORE_COUNTERS},
         snapshot["store.cached_pages"],
@@ -583,15 +583,15 @@ def count_page_loads(store, monkeypatch):
                 return original(page)
 
             monkeypatch.setattr(reader, "read_page", read_page)
-    lookup = store._cache.get
 
-    def get(key):
-        data = lookup(key)
-        if data is not None:
-            loads[key] += 1
-        return data
+    class CountingCache(OrderedDict):
+        def get(self, key, default=None):
+            data = super().get(key, default)
+            if data is not None:
+                loads[key] += 1
+            return data
 
-    monkeypatch.setattr(store._cache, "get", get)
+    monkeypatch.setattr(store, "_cache", CountingCache(store._cache))
     return loads
 
 

@@ -20,7 +20,6 @@ from repro.reliability import (
     PKGMGateway,
     StorageFaultPlan,
     StorageFaultStats,
-    build_replicas,
     inject_storage_faults,
 )
 from repro.store import EmbeddingStore, QuarantinedRowError
@@ -44,10 +43,10 @@ def reference():
 
 
 def gateway_over(server, registry=None, replicas=2):
-    """The path that answers degraded: a gateway over cached replicas of
-    ``server``, with a budget no latency draw comes near."""
+    """The path that answers degraded: a gateway over ``replicas``
+    replicas of ``server``, with a budget no latency draw comes near."""
     return PKGMGateway(
-        build_replicas(server, replicas, registry=registry),
+        [server] * replicas,
         GatewayConfig(deadline_budget=5.0, hedge_after=None),
         registry=registry,
     )
@@ -178,23 +177,40 @@ class TestDegradedServing:
         assert snapshot["gateway.backend_errors"] == stats.backend_errors
         server.store.close()
 
-    def test_warm_serving_cache_masks_quarantine(self, store_dir, reference):
-        registry = MetricsRegistry()
-        server = PKGMServer.from_store(store_dir, cache_pages=8, registry=registry)
-        gateway = gateway_over(server, registry, replicas=1)
+    def test_a_warm_gateway_answers_as_the_store_does(self, store_dir, reference):
+        server = PKGMServer.from_store(store_dir, cache_pages=8)
+        # One replica: the warm-up reaches the replica that every later
+        # request reaches.
+        gateway = gateway_over(server, replicas=1)
         items = reference.known_items()
-        # Warm the replica's LRU while the disk is clean.
+        # Warm the gateway while the disk is clean.
         assert all(r.ok for r in serve_one_by_one(gateway, items))
         self.corrupt_entities(store_dir)
         server.store.close()  # drop mmaps so damage is re-read
         server.store._cache.clear()
         server.store.scrub()
-        assert set(items) & set(server.store.quarantined_rows("entity_table"))
-        # Cached payloads are valid model output — served, not degraded,
-        # even though the backing pages are quarantined.
-        assert all(r.ok for r in serve_one_by_one(gateway, items))
-        assert gateway.stats.backend_errors == 0
-        assert gateway.stats.completed_ok == 2 * len(items)
+        quarantined = []
+        for item in items:
+            try:
+                server.serve(item)
+            except QuarantinedRowError:
+                quarantined.append(item)
+        assert quarantined and len(quarantined) < len(items)
+        # A warm gateway answers every item the way the store-backed
+        # server does: degraded exactly where it raises, else its bytes.
+        for response in serve_one_by_one(gateway, items):
+            item = response.entity_id
+            if item in quarantined:
+                assert response.reason == "quarantined"
+                assert response.vectors.degraded
+                continue
+            assert response.ok
+            expected = reference.serve(item)
+            for name in ("key_relations", "triple_vectors", "relation_vectors"):
+                assert np.array_equal(
+                    getattr(response.vectors, name), getattr(expected, name)
+                ), (item, name)
+        assert gateway.stats.backend_errors == len(quarantined)
         server.store.close()
 
     def test_repair_restores_live_serving(self, tmp_path, store_dir, reference):

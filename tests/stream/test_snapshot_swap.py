@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.index import IndexSnapshotError, IVFFlatIndex
-from repro.reliability import PKGMGateway, build_replicas
+from repro.reliability import PKGMGateway
 from repro.stream import (
     SnapshotSwapError,
     SnapshotVersioner,
@@ -113,7 +113,7 @@ class TestLoadAndSwap:
         versioner = SnapshotVersioner(tmp_path)
         publish(versioner, tables, index, version=0)
         old_server = versioner.load_server(0)
-        gateway = PKGMGateway(build_replicas(old_server, 2, seed=0), seed=0)
+        gateway = PKGMGateway([old_server] * 2, seed=0)
         bumped = dict(tables)
         bumped["entity_table"] = tables["entity_table"] + 1.0
         publish(versioner, bumped, index, version=1, seq=99)

@@ -202,7 +202,7 @@ drill_gates() {
     # The seeded scenario workload: explanation and recommendation
     # requests through the gateway (with injected unknown-id and expired
     # budgets) and through the forked worker pool.  It must PASS (every
-    # request answered, degraded responses typed and never cached, every
+    # request answered, degraded responses typed, every
     # explanation entailed by its cited triples) and the transcript —
     # request ids, outcomes, payload digests, scenarios.* metrics — must
     # be byte-identical across two runs.
