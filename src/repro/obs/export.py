@@ -74,9 +74,8 @@ def run_metrics_workload(
 
     Builds an untrained PKGM server at the preset's catalog scale
     (serving mechanics do not depend on trained weights), fronts it
-    with two replicas behind the admission
-    controller, and replays the spike profile with a mid-run
-    drain+swap.  Returns ``(registry, loadtest_report)``; with the same
+    with two replicas behind the admission controller, and replays the
+    spike profile with a mid-run drain+swap.  Returns ``(registry, loadtest_report)``; with the same
     seed the registry snapshot is byte-identical across runs.
     """
     from ..config import PRESETS
