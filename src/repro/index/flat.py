@@ -132,13 +132,23 @@ def pairwise_distances(
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    power = np.abs if metric == "l1" else np.square
     out = np.empty((len(queries), len(base)), np.result_type(queries, base))
     step = max(1, _BLOCK_ELEMENTS // max(1, base.size))
     for start in range(0, len(queries), step):
         diff = queries[start : start + step, None, :] - base[None, :, :]
-        power(diff, out=diff).sum(axis=2, out=out[start : start + step])
+        reduce_terms(diff, metric, out[start : start + step])
     return out if metric == "l1" else np.sqrt(out)
+
+
+def reduce_terms(diff: np.ndarray, metric: str, out: np.ndarray) -> np.ndarray:
+    """Sum each row of ``|diff|`` (L1) or ``diff**2`` (L2) into ``out``.
+
+    The one reduction of every exact distance: the terms are formed in
+    place in ``diff`` (coordinates last) and added over that axis only.
+    The L2 square root is the caller's.
+    """
+    power = np.abs if metric == "l1" else np.square
+    return np.add.reduce(power(diff, out=diff), axis=-1, out=out)
 
 
 def paired_distances(
@@ -155,13 +165,12 @@ def paired_distances(
     coordinate axis, the reduction :func:`pairwise_distances` makes, so
     every distance has the bits it has in the full matrix.
     """
-    power = np.abs if metric == "l1" else np.square
     out = np.empty(len(rows), np.result_type(queries, base))
     step = max(1, _GATHER_ELEMENTS // max(1, queries.shape[1]))
     for start in range(0, len(rows), step):
         diff = queries[rows[start : start + step]]
         diff -= base[cols[start : start + step]]
-        power(diff, out=diff).sum(axis=1, out=out[start : start + step])
+        reduce_terms(diff, metric, out[start : start + step])
     return out if metric == "l1" else np.sqrt(out)
 
 

@@ -21,8 +21,12 @@ from typing import Collection, List, Optional, Tuple
 
 import numpy as np
 
-from .flat import METRICS, batch_top_k, pairwise_distances
+from .flat import METRICS, batch_top_k, pairwise_distances, reduce_terms
 from .kmeans import KMeansResult, kmeans
+
+#: The id of a candidate-matrix filler: above every stored id, so at
+#: NaN distance it ranks after every stored row.
+_FILLER = np.iinfo(np.int64).max
 
 
 class IVFFlatIndex:
@@ -137,26 +141,29 @@ class IVFFlatIndex:
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before add()")
         vectors, ids = self._rows(vectors, ids)
-        cells = np.argmin(
-            pairwise_distances(vectors, self.centroids, self.metric), axis=1
-        )
-        self._build_dc.inc(len(vectors) * self.nlist)
+        cells = self._assign(vectors)
         self._file(vectors, ids, cells)
         return cells
+
+    def _assign(self, vectors: np.ndarray) -> np.ndarray:
+        """Each vector's nearest cell, counted as ``nlist`` distances."""
+        distances = pairwise_distances(vectors, self.centroids, self.metric)
+        self._build_dc.inc(len(vectors) * self.nlist)
+        return np.argmin(distances, axis=1)
 
     def _rows(
         self, vectors: np.ndarray, ids: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Checked float64 vectors and their int64 ids (next free by default)."""
+        """Checked float64 vectors and their int64 ids; by default, ids
+        count up from one past the largest id held (0 when empty)."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(
                 f"expected (N, {self.dim}) vectors, got {vectors.shape}"
             )
         if ids is None:
-            return vectors, np.arange(
-                self.ntotal, self.ntotal + len(vectors), dtype=np.int64
-            )
+            first = max((int(i.max()) + 1 for i in self._list_ids if len(i)), default=0)
+            return vectors, np.arange(first, first + len(vectors), dtype=np.int64)
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape != (len(vectors),):
             raise ValueError("ids must be one id per vector")
@@ -178,6 +185,19 @@ class IVFFlatIndex:
                 [self._list_ids[cell], ids[members]]
             )
         self._set_ntotal(self._ntotal + len(ids))
+
+    def move(self, cell: int, vector_id: int, vector: np.ndarray) -> int:
+        """Cut ``vector_id``'s row out of ``cell`` and append ``vector``
+        under the same id to its nearest cell; returns that cell."""
+        vector = np.asarray(vector, dtype=np.float64)[None, :]
+        ids, vectors = self._list_ids[cell], self._list_vectors[cell]
+        at = ids.tolist().index(vector_id)
+        to = int(self._assign(vector)[0])
+        self._list_ids[cell] = np.concatenate((ids[:at], ids[at + 1 :]))
+        self._list_vectors[cell] = np.concatenate((vectors[:at], vectors[at + 1 :]))
+        self._list_ids[to] = np.concatenate((self._list_ids[to], [vector_id]))
+        self._list_vectors[to] = np.concatenate((self._list_vectors[to], vector))
+        return to
 
     def remove(self, cell: int, ids: Collection[int]) -> int:
         """Strike the rows of ``cell`` whose id is in ``ids``; returns count."""
@@ -221,8 +241,14 @@ class IVFFlatIndex:
         Distances inside a probed cell are exact; recall is governed by
         how often the true neighbors' cells are among the ``nprobe``
         probes.  Rows pad with ``(inf, -1)`` when the probed cells hold
-        fewer than ``k`` vectors.  Ids in ``drop`` are scanned, and
-        counted, like any stored row, then left out of the ranking.
+        fewer than ``k`` vectors outside ``drop``.  Ids in ``drop`` are
+        scanned, and counted, like any stored row, then left out of the
+        ranking.
+
+        Each query's probed lists are copied into one scratch block and
+        reduced there in place (:func:`~repro.index.flat.reduce_terms`)
+        into its row of the candidate matrix: the bits of
+        :func:`pairwise_distances`, without its temporaries.
         """
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before search()")
@@ -241,26 +267,33 @@ class IVFFlatIndex:
         sizes = np.asarray([len(ids) for ids in self._list_ids])
         scanned = sizes[probes].sum(axis=1)
         self._search_dc.inc(int(scanned.sum()))
-        # One (Q, widest scan) candidate matrix, ranked once.
+        # One (Q, widest scan) candidate matrix, ranked once.  Fillers
+        # (a short row's tail, a dropped row) rank after every scanned
+        # row, those at inf or NaN too, and are served as (inf, -1).
         shape = (len(queries), int(scanned.max(initial=0)))
-        cand_d = np.full(shape, np.inf)
-        cand_i = np.full(shape, -1, dtype=np.int64)
+        cand_d = np.full(shape, np.nan)
+        cand_i = np.full(shape, _FILLER, dtype=np.int64)
+        block = np.empty((shape[1], self.dim))
         for row, row_probes in enumerate(probes.tolist()):
             count = scanned[row]
-            vectors = np.concatenate(
-                [self._list_vectors[c] for c in row_probes], axis=0
-            )
+            diff = block[:count]
+            np.concatenate([self._list_vectors[c] for c in row_probes], out=diff)
             np.concatenate(
                 [self._list_ids[c] for c in row_probes], out=cand_i[row, :count]
             )
-            cand_d[row, :count] = pairwise_distances(
-                queries[row : row + 1], vectors, self.metric
-            )[0]
+            np.subtract(queries[row], diff, out=diff)
+            reduce_terms(diff, self.metric, cand_d[row, :count])
+        if self.metric == "l2":
+            np.sqrt(cand_d, out=cand_d)
         if drop:
             dropped = np.isin(cand_i, np.fromiter(drop, np.int64, len(drop)))
-            cand_d[dropped] = np.inf
-            cand_i[dropped] = -1
-        return batch_top_k(cand_d, cand_i, k)
+            cand_d[dropped] = np.nan
+            cand_i[dropped] = _FILLER
+        best_d, best_i = batch_top_k(cand_d, cand_i, k)
+        filler = best_i == _FILLER
+        best_d[filler] = np.inf
+        best_i[filler] = -1
+        return best_d, best_i
 
     # ------------------------------------------------------------------
     # Snapshot surface (see repro.index.snapshot)

@@ -9,8 +9,10 @@ incremental surface:
 * **deletes** tombstone the id: searches still scan the row but drop
   it before ranking, and the bytes stay until a compaction sweep
   rewrites each touched list once;
-* **updates** remove the old row in place and re-insert, because a
-  tombstone keyed by id would also kill the replacement;
+* **updates** move the row: it is cut out of its list and the new
+  vector appended, under the same id, to its nearest cell's list (one
+  :meth:`IVFFlatIndex.move`), because a tombstone keyed by id would
+  also kill the replacement;
 * **maintenance** runs seeded triggers — compaction when the tombstone
   ratio crosses its threshold, a full re-cluster (new seeded k-means)
   when list-size skew shows the centroids have drifted from the data.
@@ -154,8 +156,10 @@ class DeltaIndex:
         """Replace one vector's coordinates (same id, possibly new cell).
 
         A tombstone keyed by id cannot express this — it would also
-        hide the replacement — so the old row is struck in place and
-        the new one re-appended through the normal assignment path.
+        hide the replacement — so the row moves: cut out of its list,
+        appended to its nearest cell's list through the assignment
+        ``add`` uses (the bytes of ``remove`` then ``add``, for one
+        row's cost).
         """
         vector_id = int(vector_id)
         cell = self._cell_of.get(vector_id)
@@ -164,10 +168,8 @@ class DeltaIndex:
         vector = np.asarray(vector)
         if vector.shape != (self.index.dim,):  # refuse before striking the old row
             raise ValueError(f"vector is {vector.shape}, not ({self.index.dim},)")
-        self.index.remove(cell, [vector_id])
+        self._cell_of[vector_id] = self.index.move(cell, vector_id, vector)
         self.tombstones.discard(vector_id)
-        cells = self.index.add(vector[None, :], [vector_id])
-        self._cell_of[vector_id] = int(cells[0])
         self._updates_c.inc(1)
         self._update_gauges()
 

@@ -4,9 +4,13 @@
 ``pairwise_distances`` blocks over queries; both must return the bytes
 of the one-row-at-a-time code — :func:`repro.index.top_k` (a single-row
 ``lexsort``) and the one-line broadcast formula, both kept here as the
-oracles.  ``IVFFlatIndex.search`` ranks one padded candidate matrix;
-probing every cell it must be a ``FlatIndex`` over whatever was not
-dropped, and its counters must equal their formulas.
+oracles.  ``IVFFlatIndex.search`` computes each query's distances in a
+scratch block and ranks one padded candidate matrix; whatever it
+probes, it must be the formula plus ``top_k`` over the probed rows it
+did not drop, at dimensions on both sides of numpy's 8-lane and
+128-element summation blocks; probing every cell it must be a
+``FlatIndex`` over whatever was not dropped, and its counters must
+equal their formulas.
 """
 
 import numpy as np
@@ -143,6 +147,57 @@ class TestPairwiseDistances:
             pairwise_distances(queries, base, metric),
             formula_distances(queries, base, metric),
         )
+
+
+@st.composite
+def ivf_cases(draw):
+    """(metric, dim, vectors, ids, queries, nprobe, drop, k): Gaussian
+    rows and queries, some with a NaN (either sign) or ±inf coordinate;
+    every cell probed or only a few."""
+    metric = draw(st.sampled_from(["l1", "l2"]))
+    dim = draw(st.sampled_from([1, 7, 8, 9, 33, 128, 129, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vectors = rng.standard_normal((int(rng.integers(8, 90)), dim))
+    queries = rng.standard_normal((int(rng.integers(1, 5)), dim))
+    if draw(st.booleans()):
+        # One shared coordinate, so a query's NaN meets a row's NaN of
+        # the other sign: only then does q - x differ from x - q.
+        column = int(rng.integers(dim))
+        for table in (vectors, queries):
+            odd = rng.random(len(table)) < 0.3
+            table[odd, column] = rng.choice([np.nan, -np.nan, np.inf, -np.inf], odd.sum())
+    ids = rng.permutation(500)[: len(vectors)].astype(np.int64)
+    nprobe = draw(st.sampled_from([1, 2, 4]))
+    drop = set(rng.choice(ids, int(rng.integers(0, len(ids))), replace=False).tolist())
+    return metric, dim, vectors, ids, queries, nprobe, drop, draw(st.sampled_from([1, 3, 30]))
+
+
+class TestIVFScanAgainstTheFormula:
+    @settings(max_examples=200, deadline=None)
+    @given(ivf_cases())
+    def test_search_is_the_formula_over_the_probed_rows_left(self, case):
+        metric, dim, vectors, ids, queries, nprobe, drop, k = case
+        ivf = IVFFlatIndex(dim=dim, nlist=4, nprobe=1, metric=metric, seed=0)
+        finite = np.isfinite(vectors).all(axis=1)
+        ivf.train(np.concatenate([vectors[finite], np.zeros((4, dim))]))
+        ivf.add(vectors, ids)  # the non-finite rows land in some cell too
+        got_d, got_i = ivf.search(queries, k, nprobe=nprobe, drop=drop)
+        arrays = ivf.state()[0]
+        offsets = arrays["offsets"]
+        cell_ids = np.arange(4, dtype=np.int64)
+        for row, query in enumerate(queries):
+            centroid_d = formula_distances(query[None], ivf.centroids, metric)[0]
+            rows = np.concatenate(
+                [
+                    np.arange(offsets[c], offsets[c + 1])
+                    for c in top_k(centroid_d, cell_ids, nprobe)[1].tolist()
+                ]
+            ).astype(np.int64)
+            rows = rows[[i not in drop for i in arrays["ids"][rows].tolist()]]
+            distances = formula_distances(query[None], arrays["vectors"][rows], metric)
+            want_d, want_i = top_k(distances[0], arrays["ids"][rows], k)
+            assert same_bytes(got_d[row], want_d)
+            assert same_bytes(got_i[row], want_i)
 
 
 class TestIVFAgainstFlat:

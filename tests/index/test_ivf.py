@@ -108,6 +108,22 @@ class TestMechanics:
         all_ids = np.sort(np.concatenate(ivf._list_ids))
         assert np.array_equal(all_ids, np.arange(len(base)))
 
+    def test_default_ids_start_past_the_largest_id_held(self, clustered_catalog):
+        """Defaults used to start at ``ntotal``, which ``remove`` lowers,
+        so they re-issued ids still indexed."""
+        base, _ = clustered_catalog
+        ivf = build_ivf(base[:100], nlist=4, nprobe=1)
+        cell_zero = ivf._list_ids[0][:3].tolist()
+        assert ivf.remove(0, cell_zero) == 3
+        ivf.add(base[100:103])
+        ids = np.concatenate(ivf._list_ids)
+        assert len(np.unique(ids)) == len(ids) == 100
+        assert sorted(set(ids.tolist()) - set(range(100))) == [100, 101, 102]
+        empty = IVFFlatIndex(base.shape[1], nlist=4, nprobe=1)
+        empty.train(base[:100])
+        empty.add(base[:2])
+        assert sorted(np.concatenate(empty._list_ids).tolist()) == [0, 1]
+
     def test_probe_cells_orders_by_centroid_distance(self, clustered_catalog):
         base, queries = clustered_catalog
         ivf = build_ivf(base)

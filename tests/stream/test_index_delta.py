@@ -1,5 +1,7 @@
 """Delta-aware IVF: inserts, tombstones, updates, seeded maintenance."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,29 @@ class TestMutations:
         _, ids = index.search(target[None, :], k=1)
         assert ids[0, 0] == 3
         assert index.index.ntotal == 64  # moved, not duplicated
+
+    @pytest.mark.parametrize("tombstoned", [False, True])
+    def test_update_within_its_cell_moves_the_row_to_the_list_end(self, tombstoned):
+        """One-row move: the same arrays and counters as ``remove`` of
+        the old row then ``add`` of the new one, on a copy."""
+        rng = np.random.default_rng(2)
+        index, vectors = build_delta_index(rng)
+        if tombstoned:
+            index.delete(np.asarray([3]))
+        twin = copy.deepcopy(index.index)
+        cell = next(c for c, ids in enumerate(twin._list_ids) if 3 in ids)
+        assert len(twin._list_ids[cell]) > 1 and twin._list_ids[cell][-1] != 3
+        vector = vectors[3] + 1e-9
+        twin.remove(cell, [3])
+        assert twin.add(vector[None, :], [3]).tolist() == [cell]
+        index.update(3, vector)
+        assert index.index._list_ids[cell][-1] == 3
+        (got, got_meta), (want, want_meta) = index.index.state(), twin.state()
+        assert got_meta == want_meta and got.keys() == want.keys()
+        for name in want:
+            assert same_bytes(got[name], want[name]), name
+        assert index.index.metrics.snapshot() == twin.metrics.snapshot()
+        assert index.is_live(3) and index.live_count == 64
 
     def test_update_of_unknown_id_raises(self):
         rng = np.random.default_rng(2)

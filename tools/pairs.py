@@ -13,22 +13,39 @@ the parent's by more than the parent's IQR.
 Each checkout runs its own ``perf`` on its own ``src/``, so the two
 directories are two commits (``git clone`` one beside the other).
 
+With ``--record`` the run also appends one JSON object, on one line, to
+``BENCH_<workload>.json`` at the root of this repository: both commits
+(each checkout's HEAD, ``-dirty`` if a tracked file was edited), the
+date, the seeds, and for every end-to-end metric each side's raw
+per-pair values, ``[q1, median, q3]``, the change's wins, the parent's
+IQR and the verdict; then the host (CPU count and model, Python, numpy
+and ``tools/golden.py``'s arithmetic fingerprint), so drift between
+hosts or days shows as drift between rows.  The file is only ever
+appended to, and a refused run appends nothing.
+
 Usage:  python tools/pairs.py --parent ../parent --change . \\
-            --workload online_pool --seeds 1-10
+            --workload online_pool --seeds 1-10 [--record]
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from golden import fingerprint  # tools/golden.py, beside this script
+
 SIDES = ("parent", "change")
+#: Where ``--record`` appends ``BENCH_<workload>.json``.
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def seed_range(text: str) -> List[int]:
@@ -66,27 +83,94 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     return float(q1), float(median), float(q3)
 
 
-def summarise(
-    metric: dict, runs: Dict[str, List[Dict[str, float]]]
-) -> List[str]:
-    """One table row: medians [q1, q3], change, wins, parent IQR, rule."""
-    name, higher = metric["name"], metric["better"] == "higher"
+def compare(metric: dict, runs: Dict[str, List[Dict[str, float]]]) -> dict:
+    """One metric over the pairs: raw values, medians and quartiles, the
+    change's wins, the parent's IQR and whether the claim rule holds."""
+    name = metric["name"]
     parent = [run[name] for run in runs["parent"]]
     change = [run[name] for run in runs["change"]]
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-    sign = 1.0 if higher else -1.0
+    sign = 1.0 if metric["better"] == "higher" else -1.0
     wins = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
-    iqr = p3 - p1
-    holds = wins * 10 >= 9 * len(parent) and sign * (cm - pm) > iqr
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "parent": parent,
+        "change": change,
+        "parent_quartiles": [p1, pm, p3],
+        "change_quartiles": [c1, cm, c3],
+        "wins": wins,
+        "parent_iqr": p3 - p1,
+        "claim_holds": wins * 10 >= 9 * len(parent) and sign * (cm - pm) > p3 - p1,
+    }
+
+
+def summarise(name: str, figures: dict) -> List[str]:
+    """One table row: medians [q1, q3], change, wins, parent IQR, rule."""
+    p1, pm, p3 = figures["parent_quartiles"]
+    c1, cm, c3 = figures["change_quartiles"]
     return [
-        f"`{name}` ({metric['unit']})",
+        f"`{name}` ({figures['unit']})",
         f"{pm:.4g} [{p1:.4g}, {p3:.4g}]",
         f"{cm:.4g} [{c1:.4g}, {c3:.4g}]",
         f"{(cm - pm) / pm * 100:+.1f} %" if pm else "—",
-        f"{wins}/{len(parent)}",
-        f"{iqr:.4g}",
-        "yes" if holds else "no",
+        f"{figures['wins']}/{len(figures['parent'])}",
+        f"{figures['parent_iqr']:.4g}",
+        "yes" if figures["claim_holds"] else "no",
     ]
+
+
+def commit(checkout: Path) -> Optional[str]:
+    """The checkout's HEAD, ``-dirty`` if a tracked file has changed."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True
+        )
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def host() -> dict:
+    """What the figures depend on besides the two commits."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        cpuinfo = []
+    models = [
+        line.split(":", 1)[1].strip()
+        for line in cpuinfo
+        if line.startswith("model name")
+    ]
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": models[0] if models else platform.processor(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "fingerprint": fingerprint(),
+    }
+
+
+def record(args: argparse.Namespace, figures: Dict[str, dict]) -> Path:
+    """Append one row for this run to ``BENCH_<workload>.json``."""
+    row = {
+        "workload": args.workload,
+        "parent": commit(args.parent),
+        "change": commit(args.change),
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat("T", "seconds"),
+        "seeds": args.seeds,
+        "trace": 0,
+        "metrics": figures,
+        "host": host(),
+    }
+    path = ROOT / f"BENCH_{args.workload}.json"
+    with path.open("a", encoding="utf-8") as out:
+        out.write(json.dumps(row, sort_keys=True) + "\n")
+    return path
 
 
 def main(argv=None) -> int:
@@ -95,6 +179,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True)
+    parser.add_argument(
+        "--record", action="store_true",
+        help="append this run to BENCH_<workload>.json at the repository root",
+    )
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     runs: Dict[str, List[Dict[str, float]]] = {side: [] for side in SIDES}
@@ -119,8 +207,11 @@ def main(argv=None) -> int:
           f"{args.seeds[-1]}, --trace 0")
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
-    for metric in benchmark["end_to_end"]:
-        print("| " + " | ".join(summarise(metric, runs)) + " |")
+    figures = {m["name"]: compare(m, runs) for m in benchmark["end_to_end"]}
+    for name, entry in figures.items():
+        print("| " + " | ".join(summarise(name, entry)) + " |")
+    if args.record:
+        print(f"\nrecorded in {record(args, figures)}")
     return 0
 
 
