@@ -65,9 +65,9 @@ Determinism contract (shared by every index in this package):
 
 * a distance is ``sum_j |q_j - x_j|`` (L1) or the square root of
   ``sum_j (q_j - x_j)^2`` (L2) with the ``d`` terms added in one fixed
-  order: the order ``ndarray.sum`` adds a contiguous last axis, which
-  :func:`pairwise_distances` and :func:`paired_distances` both use on
-  row-major operands.  Because the reduction never spans the base or
+  order: the order ``np.add.reduce`` adds a contiguous last axis, which
+  :func:`reduce_terms` applies to row-major operands for
+  :func:`pairwise_distances`, :func:`paired_distances` and the IVF scan.  Because the reduction never spans the base or
   the query axis, blocking either one cannot perturb a float, so two
   runs on the same inputs agree and Flat and IVF agree;
 * ties are broken by ascending vector id — neighbor lists are sorted by
@@ -141,12 +141,10 @@ def pairwise_distances(
 
 
 def reduce_terms(diff: np.ndarray, metric: str, out: np.ndarray) -> np.ndarray:
-    """Sum each row of ``|diff|`` (L1) or ``diff**2`` (L2) into ``out``.
-
-    The one reduction of every exact distance: the terms are formed in
-    place in ``diff`` (coordinates last) and added over that axis only.
-    The L2 square root is the caller's.
-    """
+    """Sum each row of ``|diff|`` (L1) or ``diff**2`` (L2) into ``out``:
+    the one reduction of every exact distance, formed in place in
+    ``diff`` (coordinates last) and added over that axis only.  The L2
+    square root is the caller's."""
     power = np.abs if metric == "l1" else np.square
     return np.add.reduce(power(diff, out=diff), axis=-1, out=out)
 

@@ -24,8 +24,7 @@ import numpy as np
 from .flat import METRICS, batch_top_k, pairwise_distances, reduce_terms
 from .kmeans import KMeansResult, kmeans
 
-#: The id of a candidate-matrix filler: above every stored id, so at
-#: NaN distance it ranks after every stored row.
+#: A candidate-matrix filler's id: at NaN it ranks after every stored row.
 _FILLER = np.iinfo(np.int64).max
 
 
@@ -243,12 +242,9 @@ class IVFFlatIndex:
         probes.  Rows pad with ``(inf, -1)`` when the probed cells hold
         fewer than ``k`` vectors outside ``drop``.  Ids in ``drop`` are
         scanned, and counted, like any stored row, then left out of the
-        ranking.
-
-        Each query's probed lists are copied into one scratch block and
-        reduced there in place (:func:`~repro.index.flat.reduce_terms`)
-        into its row of the candidate matrix: the bits of
-        :func:`pairwise_distances`, without its temporaries.
+        ranking.  Each query's probed lists are copied into one scratch
+        block and reduced there in place into its candidate row: the
+        bits of :func:`pairwise_distances`, without its temporaries.
         """
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before search()")
