@@ -12,12 +12,12 @@ of :data:`OPS`, and every layer is a consumer of that row:
   payload as ``crc_bytes`` of it, in the dtypes and shapes its
   ``layout`` declares, and
   :func:`~repro.serving.protocol.payload_checksum` CRCs the same bytes;
-* the synchronous :class:`~repro.serving.Supervisor` surface returns
-  ``unpack`` of it;
 * :class:`~repro.reliability.PKGMGateway` runs the same ``call`` in
-  its timed envelope, answers ``degraded`` when the request is shed /
-  late / failed, hedges only ``hedged`` kinds, requires a scenario
-  backend for ``scenario`` kinds, and bumps ``gateway.<counter>``.
+  its timed envelope over in-process replicas, or over a worker pool
+  answers ``unpack`` of the wire payload; it answers ``degraded`` when
+  the request is shed / late / failed, hedges only ``hedged`` kinds,
+  requires a scenario backend for ``scenario`` kinds, and bumps
+  ``gateway.<counter>``.
   ``degraded`` is the stack's one producer of flagged
   ``degraded=True`` answers.
 
@@ -204,16 +204,17 @@ class JsonLayout:
 class OpSpec:
     """Everything the serving stack knows about one request kind.
 
-    ``call(backend, entity_id, relation, k, deadline=None)`` answers
-    one request in the backend's own typed form; ``wire`` turns that
+    ``call(backend, entity_id, relation, k)`` answers one request in
+    the backend's own typed form; ``wire`` turns that
     answer into the payload that crosses the worker socket, and
     ``layout`` declares that payload's bytes (:meth:`crc_bytes`, which
     are both what the frame carries and what its checksum covers) and
     how a reader rebuilds the payload from them.
     ``fused(server, entities, relations, k)`` answers a whole batch
     with one kernel call, as wire payloads in item order.
-    ``unpack(entity_id, payload)`` is what the synchronous pool surface
-    returns for a wire payload.  ``degraded(request, gateway)`` builds
+    ``unpack(request, payload)`` is the gateway's typed answer for a
+    pool's wire payload (``None``: a gateway over a pool has no endpoint
+    for this kind).  ``degraded(request, gateway)`` builds
     the gateway's typed ``degraded=True`` answer (``None``: the gateway
     has no endpoint for this kind).  ``errors`` are exceptions of this
     kind's own that degrade one item to ``STATUS_ERROR`` in the worker.
@@ -223,7 +224,7 @@ class OpSpec:
     wire: Callable
     layout: object  # an ArrayLayout, ScalarLayout or JsonLayout
     fused: Optional[Callable] = None
-    unpack: Callable = lambda entity_id, payload: payload
+    unpack: Optional[Callable] = None
     degraded: Optional[Callable] = None
     errors: Tuple[type, ...] = ()
     hedged: bool = False
@@ -243,25 +244,13 @@ class OpSpec:
         return crc
 
 
-def _forward(method, *args, deadline=None):
-    # A deadline is only ever handed to a backend whose ``serve`` takes
-    # one (TimedBackend checks the signature), and such a backend (the
-    # worker pool) takes it on every call; plain servers get none.
-    if deadline is None:
-        return method(*args)
-    return method(*args, deadline=deadline)
-
-
 def _serve_wire(vectors):
     return (vectors.key_relations, vectors.triple_vectors, vectors.relation_vectors)
 
 
-def _retrieve(server, entity_id, relation, k, deadline=None):
+def _retrieve(server, entity_id, relation, k):
     return RetrievalPayload(
-        entity_id,
-        relation,
-        k,
-        *_forward(server.nearest_tails, entity_id, relation, k, deadline=deadline),
+        entity_id, relation, k, *server.nearest_tails(entity_id, relation, k)
     )
 
 
@@ -326,15 +315,13 @@ def _recommend_degraded(request, gateway):
 #: the system, and the scenario backend is one logical service.
 OPS: Dict[str, OpSpec] = {
     "serve": OpSpec(
-        call=lambda server, entity_id, relation, k, deadline=None: _forward(
-            server.serve, entity_id, deadline=deadline
-        ),
+        call=lambda server, entity_id, relation, k: server.serve(entity_id),
         fused=lambda server, entities, relations, k: [
             _serve_wire(vectors) for vectors in server.serve_batch(entities)
         ],
         wire=_serve_wire,
         layout=_VECTORS,
-        unpack=lambda entity_id, payload: ServiceVectors(int(entity_id), *payload),
+        unpack=lambda request, payload: ServiceVectors(request.entity_id, *payload),
         degraded=_serve_degraded,
         hedged=True,
     ),
@@ -345,12 +332,15 @@ OPS: Dict[str, OpSpec] = {
         ),
         wire=_neighbors_wire,
         layout=_NEIGHBORS,
+        unpack=lambda request, payload: RetrievalPayload(
+            request.entity_id, request.relation, request.k, *payload
+        ),
         degraded=_retrieve_degraded,
         counter="retrievals",
     ),
     "exist": OpSpec(
-        call=lambda server, entity_id, relation, k, deadline=None: _forward(
-            server.relation_existence_score, entity_id, relation, deadline=deadline
+        call=lambda server, entity_id, relation, k: server.relation_existence_score(
+            entity_id, relation
         ),
         fused=lambda server, entities, relations, k: [
             float(s) for s in server.relation_existence_scores(entities, relations)
@@ -359,9 +349,7 @@ OPS: Dict[str, OpSpec] = {
         layout=ScalarLayout(">d", float),
     ),
     "explain": OpSpec(
-        call=lambda engines, entity_id, relation, k, deadline=None: (
-            engines.explain(entity_id, relation)
-        ),
+        call=lambda engines, entity_id, relation, k: engines.explain(entity_id, relation),
         wire=lambda payload: payload.canonical_dict(),
         layout=JsonLayout(),
         degraded=_explain_degraded,
@@ -371,9 +359,7 @@ OPS: Dict[str, OpSpec] = {
         counter="explanations",
     ),
     "recommend": OpSpec(
-        call=lambda engines, entity_id, relation, k, deadline=None: (
-            engines.recommend(entity_id, k=k)
-        ),
+        call=lambda engines, entity_id, relation, k: engines.recommend(entity_id, k=k),
         wire=_neighbors_wire,
         layout=_NEIGHBORS,
         degraded=_recommend_degraded,

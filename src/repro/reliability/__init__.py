@@ -13,7 +13,7 @@ the reproduction survive the same weather, deterministically:
   (atomic tmp-write → fsync → rename, checksummed manifests) with
   bit-exact RNG-state resume;
 * :mod:`repro.reliability.admission` — overload protection: token
-  bucket, AIMD concurrency limit, bounded priority queue, deadlines;
+  bucket, AIMD concurrency limit, bounded priority queue;
 * :mod:`repro.reliability.gateway` — :class:`PKGMGateway`, the
   overload-safe front door with deadline propagation, hedged requests
   and graceful drain/swap — the one producer of degraded answers: a
@@ -32,7 +32,6 @@ from .admission import (
     AdmissionStats,
     AIMDLimiter,
     BoundedPriorityQueue,
-    Deadline,
     TokenBucket,
 )
 from .checkpoint import (
@@ -77,7 +76,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "CrashEvent",
-    "Deadline",
     "FaultPlan",
     "FaultyParameterServer",
     "GatewayConfig",

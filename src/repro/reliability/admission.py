@@ -19,9 +19,6 @@ one of them deterministic on the virtual
   (priority desc, arrival asc), with deterministic shedding on
   overflow (a higher-priority arrival evicts the youngest
   lowest-priority waiter; otherwise the arrival itself is shed);
-* :class:`Deadline` — a per-request time budget that layers propagate
-  into backend calls so work is cancelled, not queued, once it cannot
-  possibly be useful;
 * :class:`AdmissionController` — composes the three mechanisms behind
   one decision API and keeps :class:`AdmissionStats`.
 
@@ -48,33 +45,6 @@ MIN_LIMIT = 1
 INCREASE = 1.0
 #: Factor an overload signal multiplies the AIMD limit by.
 DECREASE = 0.5
-
-
-class Deadline:
-    """An absolute virtual-time budget for one request.
-
-    Created from a relative ``budget`` against a :class:`StepClock`;
-    layers pass the object down (gateway → worker-pool supervisor →
-    worker) so every stage sees the *same* remaining budget instead of
-    each applying its own timeout.
-    """
-
-    def __init__(self, clock: StepClock, budget: float) -> None:
-        if budget < 0:
-            raise ValueError("deadline budget must be >= 0")
-        self.clock = clock
-        self.expires_at = clock.now() + budget
-
-    def remaining(self) -> float:
-        """Virtual seconds left before expiry (never negative)."""
-        return max(0.0, self.expires_at - self.clock.now())
-
-    def expired(self) -> bool:
-        """Whether the budget is exhausted."""
-        return self.clock.now() >= self.expires_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Deadline(expires_at={self.expires_at:.3f}, " f"remaining={self.remaining():.3f})"
 
 
 class TokenBucket:

@@ -1,7 +1,7 @@
 """The overload-safe serving gateway: deadlines, hedging, drain/swap.
 
-:class:`PKGMGateway` fronts any PKGM-serving backend (``PKGMServer``,
-``PKGMServer.from_store``, a worker-pool ``Supervisor``) the way a
+:class:`PKGMGateway` fronts PKGM-serving replicas (``PKGMServer``,
+``PKGMServer.from_store``) or one worker-pool ``Supervisor`` the way a
 production edge fronts a model service:
 
 * every arrival passes the :class:`~repro.reliability.admission.AdmissionController`
@@ -10,38 +10,43 @@ production edge fronts a model service:
   ``degraded=True`` fallback payload, never an exception; a completion
   slower than :data:`LATENCY_TARGET` (or a deadline miss) is an
   overload signal to the AIMD limit;
-* every admitted request carries a :class:`~repro.reliability.admission.Deadline`
-  budget that is propagated into the backend call (when the backend's
-  ``serve`` takes a deadline, as the pool's does), so work is cancelled
-  once it can no longer meet its deadline;
+* every admitted request carries an absolute virtual ``deadline_at``;
+  an in-process call drawn past it is cancelled at it, and a pool
+  request carries what is left of it as its ``budget``, so the pool and
+  its workers cancel work that can no longer meet its deadline;
 * a backend failure — :class:`RPCError`, an unknown id, a quarantined
   row — is answered with the same flagged payload (reason
   ``"rpc-error"`` / ``"unknown-id"`` / ``"quarantined"``): the gateway
   is the stack's one producer of degraded answers;
-* slow calls are **hedged**: after ``hedge_after`` virtual seconds the
-  same request is duplicated to the next replica and the first answer
-  wins, with cancellation accounting for the loser (the tail-latency
-  technique from Dean & Barroso's "The Tail at Scale");
+* slow in-process calls are **hedged**: after ``hedge_after`` virtual
+  seconds the same request is duplicated to the next replica and the
+  first answer wins, with cancellation accounting for the loser (the
+  tail-latency technique from Dean & Barroso's "The Tail at Scale");
 * a **graceful drain** lifecycle (``serving → draining → quiesced →
   serving`` after ``swap``) refreshes the model snapshot without
   dropping a single in-flight request.
 
 Time is entirely virtual: the gateway is a deterministic discrete-event
 simulation over the shared :class:`~repro.reliability.retry.StepClock`,
-and each replica's latency is a seeded :class:`LatencyModel` draw
-(:data:`BASE_LATENCY`, :data:`TAIL_PROB`).
+and each in-process replica's latency is a seeded :class:`LatencyModel`
+draw (:data:`BASE_LATENCY`, :data:`TAIL_PROB`).
 The load generator advances the clock between arrivals; the gateway
 schedules starts and completions at exact virtual timestamps, so two
 runs with the same seed produce byte-identical metrics.
+
+Over a pool the gateway *submits*: every request admission starts goes
+to ``Supervisor.submit`` at once, so the requests admitted together
+reach the pool's coalescer together and are batched, and each answer
+completes at the virtual instant it is harvested (``pump`` in
+:meth:`PKGMGateway.step`, ``drain`` in :meth:`PKGMGateway.drain`).
 """
 
 from __future__ import annotations
 
 import heapq
-import inspect
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +54,7 @@ from ..core.service import ServiceVectors
 from ..obs.metrics import MetricsRegistry, counter_view
 from ..ops import OPS, RetrievalPayload
 from ..store.errors import QuarantinedRowError
-from .admission import AdmissionConfig, AdmissionController, AdmissionAction, Deadline
+from .admission import AdmissionConfig, AdmissionController, AdmissionAction
 from .retry import RPCError, StepClock
 
 #: Gateway lifecycle states (the drain/refresh state machine).
@@ -62,6 +67,12 @@ TAIL_PROB = 0.03
 #: A completion slower than this many virtual seconds is an overload
 #: signal to the AIMD limiter.
 LATENCY_TARGET = 0.1
+#: A pool outcome → the reason its answer carries (``None``: ok); any
+#: other outcome (``"failed"``, ``"error"``) answers ``"rpc-error"``.
+_POOL_REASONS = {
+    "ok": None, "unknown-id": "unknown-id", "quarantined": "quarantined",
+    "deadline": "deadline",
+}
 
 
 class LatencyModel:
@@ -104,11 +115,7 @@ class TimedBackend:
     *instead of* advancing any clock — the gateway owns the timeline.
     A ``budget`` caps the call: a draw past the remaining budget is
     reported as cancelled at the budget (reason ``"deadline"``) without
-    touching the server, and for backends whose ``serve`` accepts a
-    ``deadline`` and that have a ``clock`` (the worker pool's
-    :class:`~repro.serving.Supervisor`) the budget left after the
-    sampled latency is handed over as a :class:`Deadline` on the
-    backend's own clock.
+    touching the server.
     """
 
     def __init__(self, server, latency: Optional[LatencyModel] = None, name: str = "") -> None:
@@ -117,9 +124,6 @@ class TimedBackend:
         self.name = name
         self.calls = 0
         self.cancelled = 0
-        self._accepts_deadline = (
-            "deadline" in inspect.signature(server.serve).parameters
-        )
 
     @property
     def k(self) -> int:
@@ -153,14 +157,9 @@ class TimedBackend:
         if budget is not None and latency >= budget:
             self.cancelled += 1
             return None, budget, "deadline"
-        deadline = None
-        if self._accepts_deadline and budget is not None:
-            clock = getattr(self.server, "clock", None)
-            if clock is not None:
-                deadline = Deadline(clock, budget - latency)
         backend = self.server if target is None else target
         try:
-            payload = OPS[kind].call(backend, entity_id, relation, k, deadline)
+            payload = OPS[kind].call(backend, entity_id, relation, k)
         except RPCError:
             return None, latency, "rpc-error"
         except (KeyError, IndexError):
@@ -168,13 +167,6 @@ class TimedBackend:
         except QuarantinedRowError:
             return None, latency, "quarantined"
         return payload, latency, None
-
-    def swap(self, server) -> None:
-        """Install a refreshed snapshot on this replica."""
-        self.server = server
-        self._accepts_deadline = (
-            "deadline" in inspect.signature(self.server.serve).parameters
-        )
 
 
 @dataclass(frozen=True)
@@ -354,6 +346,12 @@ class PKGMGateway:
     becomes one, named ``replica-<i>``, with latency seed ``seed + i``:
     replicas straggle at different times, which is what makes hedging
     win.  The same server may back every replica (``[server] * 2``).
+
+    A :class:`~repro.serving.Supervisor` must be the only replica: the
+    gateway then runs on the pool's clock, submits each started request
+    to the pool and answers what the pool answers, for every kind with
+    an ``unpack``; every pool answer is then the gateway's to read.  It
+    takes no ``scenarios=`` and cannot ``swap``.
     """
 
     def __init__(
@@ -367,6 +365,9 @@ class PKGMGateway:
     ) -> None:
         if not replicas:
             raise ValueError("need at least one replica")
+        self.pool = _pool_of(replicas, clock, scenarios)
+        if self.pool is not None:
+            clock, replicas = self.pool.clock, []
         # Optional ScenarioService backend for the "explain"/"recommend"
         # request kinds; without it those submissions are a config error.
         self.scenarios = scenarios
@@ -383,6 +384,8 @@ class PKGMGateway:
             )
             for index, replica in enumerate(replicas)
         ]
+        # pool request id → (the gateway request, when it was submitted)
+        self._tickets: Dict[int, Tuple[GatewayRequest, float]] = {}
         self.admission: AdmissionController[GatewayRequest] = AdmissionController(
             self.config.admission, clock=self.clock, registry=self.metrics
         )
@@ -409,16 +412,16 @@ class PKGMGateway:
     # ------------------------------------------------------------------
     @property
     def k(self) -> int:
-        return self.replicas[0].k
+        return (self.pool or self.replicas[0]).k
 
     @property
     def dim(self) -> int:
-        return self.replicas[0].dim
+        return (self.pool or self.replicas[0]).dim
 
     def inflight_count(self) -> int:
         """Requests started but not yet completed (at the current time)."""
         with self._lock:
-            return len(self._inflight)
+            return len(self._inflight) + len(self._tickets)
 
     def queued_count(self) -> int:
         with self._lock:
@@ -511,8 +514,8 @@ class PKGMGateway:
     ) -> Optional[GatewayResponse]:
         """The one submit path behind every public endpoint."""
         spec = OPS[kind]
-        if spec.degraded is None:
-            raise ValueError(f"the gateway has no endpoint for {kind!r} requests")
+        if spec.degraded is None or (self.pool is not None and spec.unpack is None):
+            raise ValueError(f"this gateway has no endpoint for {kind!r} requests")
         with self._lock:
             if spec.scenario and self.scenarios is None:
                 raise ValueError(
@@ -561,7 +564,8 @@ class PKGMGateway:
             return None
 
     def step(self) -> List[GatewayResponse]:
-        """Emit every response completed up to the current virtual time."""
+        """Emit every response completed up to the current virtual time;
+        over a pool, the answers it has so far — it never blocks."""
         with self._lock:
             self._advance(self.clock.now())
             done, self._done = self._done, []
@@ -575,15 +579,19 @@ class PKGMGateway:
 
         New submissions are shed (flagged ``"draining"``) while every
         started or queued request runs to completion; the clock is
-        advanced to each scheduled completion, so nothing is dropped.
-        Returns the responses emitted during the drain.
+        advanced to each scheduled completion, and the pool drained of
+        what it owes, so nothing is dropped.  Returns the responses
+        emitted during the drain.
         """
         with self._lock:
             self.state = DRAINING
             self.stats.drains += 1
-            while self._inflight or len(self.admission.queue):
+            while self._inflight or len(self.admission.queue) or self._tickets:
                 if not self._inflight:
-                    self._fill_slots(self.clock.now())
+                    if self._tickets:
+                        self._harvest(self.pool.drain(), self.clock.now())
+                    else:
+                        self._fill_slots(self.clock.now())
                     continue
                 next_at = self._inflight[0].at
                 if next_at > self.clock.now():
@@ -597,8 +605,11 @@ class PKGMGateway:
         """``quiesced → serving``: install a refreshed snapshot.
 
         Requires a completed :meth:`drain` first — swapping under live
-        traffic would hand in-flight requests a changing model.
+        traffic would hand in-flight requests a changing model.  A
+        gateway over a pool has nothing to swap.
         """
+        if self.pool is not None:
+            raise ValueError("a gateway over a worker pool cannot swap its snapshot")
         with self._lock:
             if self.state != QUIESCED:
                 raise RuntimeError(
@@ -606,7 +617,7 @@ class PKGMGateway:
                     "call drain() first"
                 )
             for replica in self.replicas:
-                replica.swap(server)
+                replica.server = server
             self.stats.swaps += 1
             self.state = SERVING
 
@@ -615,6 +626,9 @@ class PKGMGateway:
     # ------------------------------------------------------------------
     def _advance(self, now: float) -> None:
         """Retire completions up to ``now``; start queued work as slots free."""
+        if self.pool is not None:
+            self.pool.pump()
+            self._harvest(self.pool.responses(), now)
         while self._inflight and self._inflight[0].at <= now:
             completion = heapq.heappop(self._inflight)
             self._done.append(completion.response)
@@ -637,8 +651,8 @@ class PKGMGateway:
             self._start(request, at)
 
     def _start(self, request: GatewayRequest, at: float) -> None:
-        """Run one admitted request's backend call, scheduling its
-        completion on the virtual timeline."""
+        """Start one admitted request: submit it to the pool, or run its
+        in-process call and schedule its completion on the timeline."""
         if at >= request.deadline_at:
             # Expired while waiting in the queue: answer immediately
             # with the flagged fallback; the wasted wait is an overload
@@ -647,42 +661,70 @@ class PKGMGateway:
             response = self._degraded_response(request, "deadline", at)
             self._schedule(at, response, overloaded=True)
             return
-        outcome = self._call(request, budget=request.deadline_at - at)
-        completed_at = at + outcome.latency
-        if outcome.reason == "deadline":
-            self.stats.deadline_backend_misses += 1
-            response = self._degraded_response(
-                request,
-                "deadline",
-                request.deadline_at,
-                hedged=outcome.hedged,
-                hedge_won=outcome.hedge_won,
-            )
-            self._schedule(request.deadline_at, response, overloaded=True)
+        budget = request.deadline_at - at
+        if self.pool is not None:
+            query = (request.kind, request.entity_id, request.relation, request.k)
+            self._tickets[self.pool.submit(*query, budget=budget)] = (request, at)
             return
-        if outcome.reason is not None:
-            self.stats.backend_errors += 1
-            response = self._degraded_response(
-                request,
-                outcome.reason,
-                completed_at,
-                hedged=outcome.hedged,
-                hedge_won=outcome.hedge_won,
-            )
-            self._schedule(completed_at, response, overloaded=False)
-            return
-        response = GatewayResponse(
-            request_id=request.request_id,
-            entity_id=request.entity_id,
-            vectors=outcome.vectors,
-            reason=None,
-            latency=completed_at - request.arrival,
-            completed_at=completed_at,
+        outcome = self._run_hedged(request, budget=budget)
+        late = outcome.reason == "deadline"
+        self._complete(
+            request,
+            outcome.vectors,
+            outcome.reason,
+            request.deadline_at if late else at + outcome.latency,
+            outcome.latency,
             hedged=outcome.hedged,
             hedge_won=outcome.hedge_won,
         )
-        overloaded = outcome.latency > LATENCY_TARGET
-        self._schedule(completed_at, response, overloaded=overloaded)
+
+    def _harvest(self, responses, now: float) -> None:
+        """Complete, at ``now``, each pool answer to a submitted request."""
+        for answer in responses:
+            request, started = self._tickets.pop(answer.request_id)
+            reason = _POOL_REASONS.get(answer.outcome, "rpc-error")
+            vectors = (
+                OPS[request.kind].unpack(request, answer.payload)
+                if reason is None
+                else None
+            )
+            self._complete(request, vectors, reason, now, now - started)
+
+    def _complete(
+        self,
+        request: GatewayRequest,
+        vectors,
+        reason: Optional[str],
+        at: float,
+        service: float,
+        hedged: bool = False,
+        hedge_won: bool = False,
+    ) -> None:
+        """Schedule one backend answer at ``at``: a real one, a deadline
+        missed in the backend (an overload signal), or a backend error.
+        ``service`` is the backend's own time, judged against
+        :data:`LATENCY_TARGET`."""
+        if reason is None:
+            response = GatewayResponse(
+                request_id=request.request_id,
+                entity_id=request.entity_id,
+                vectors=vectors,
+                reason=None,
+                latency=at - request.arrival,
+                completed_at=at,
+                hedged=hedged,
+                hedge_won=hedge_won,
+            )
+            self._schedule(at, response, overloaded=service > LATENCY_TARGET)
+            return
+        if reason == "deadline":
+            self.stats.deadline_backend_misses += 1
+        else:
+            self.stats.backend_errors += 1
+        response = self._degraded_response(
+            request, reason, at, hedged=hedged, hedge_won=hedge_won
+        )
+        self._schedule(at, response, overloaded=reason == "deadline")
 
     def _schedule(
         self, at: float, response: GatewayResponse, overloaded: bool
@@ -693,7 +735,7 @@ class PKGMGateway:
         )
         self._seq += 1
 
-    def _call(self, request: GatewayRequest, budget: float) -> BackendOutcome:
+    def _run_hedged(self, request: GatewayRequest, budget: float) -> BackendOutcome:
         """One call on the round-robin primary, hedged if its kind is:
         the first answer wins and the loser is cancelled.
 
@@ -780,3 +822,19 @@ class PKGMGateway:
             hedged=hedged,
             hedge_won=hedge_won,
         )
+
+
+def _pool_of(replicas: Sequence, clock: Optional[StepClock], scenarios):
+    """The worker pool ``replicas`` name, or ``None`` for in-process ones."""
+    from ..serving.supervisor import Supervisor  # serving builds on this package
+
+    if not any(isinstance(replica, Supervisor) for replica in replicas):
+        return None
+    if len(replicas) > 1:
+        raise ValueError("a worker pool must be the gateway's only replica")
+    (pool,) = replicas
+    if clock is not None and clock is not pool.clock:
+        raise ValueError("a gateway over a worker pool runs on the pool's clock")
+    if scenarios is not None:
+        raise ValueError("a gateway over a worker pool takes no scenarios= backend")
+    return pool

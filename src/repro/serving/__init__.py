@@ -1,6 +1,6 @@
 """``repro.serving`` — the supervised multi-process serving tier.
 
-The single-process stack (PKGMServer → cache → gateway)
+The single-process stack (PKGMServer → gateway)
 survives bad inputs and simulated faults; this package makes it
 survive *real* concurrency and *real* process death:
 
@@ -19,9 +19,10 @@ survive *real* concurrency and *real* process death:
   drive :func:`repro.serving.loadtest.drive` (submit, advance one
   tick, pump; optionally windowed).
 
-The supervisor exposes ``serve`` / ``nearest_tails`` /
-``relation_existence_score`` plus ``k``/``dim``, so the PR 3 gateway's
-admission, deadlines, and drain/swap wrap a pool unchanged.
+The supervisor's surface is asynchronous (``submit``, ``pump``,
+``responses``, ``drain``); ``PKGMGateway([pool])`` fronts it with
+admission and deadlines and submits what it admits, so the coalescer
+batches the gateway's traffic.
 """
 
 from .chaos import ChaosConfig, ChaosReport, run_kill_drill

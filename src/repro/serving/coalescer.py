@@ -115,7 +115,7 @@ class Coalescer:
         return [self._close(key, "delay") for key in expired]
 
     def flush_all(self) -> List[Batch]:
-        """Flush everything (drain, sync calls, worker-death replay)."""
+        """Flush everything (a blocking wait with nothing in flight)."""
         return [self._close(key, "forced") for key in sorted(self._buffers)]
 
     def _close(self, key: GroupKey, reason: str) -> Batch:

@@ -12,8 +12,8 @@ Exactly-once semantics under crashes come from three rules:
 
 1. **One ledger of what is owed.**  A submitted request is pending,
    keyed by its id, until its one response is recorded; the response
-   is then handed out (by :meth:`Supervisor.responses` or the
-   synchronous surface) and the pool keeps nothing of it.  A result
+   is then handed out (by :meth:`Supervisor.responses` or
+   :meth:`Supervisor.drain`) and the pool keeps nothing of it.  A result
    for an id that is not pending — already answered, or never issued
    — is counted under ``pool.duplicates_dropped`` and dropped.
 2. **Drain before replay.**  When a worker dies, every *complete*
@@ -22,7 +22,8 @@ Exactly-once semantics under crashes come from three rules:
    replayed to the next live sibling under its original request id
    — or failed fast (outcome ``"deadline"`` /
    ``"failed"``) if its virtual deadline passed or its attempt budget
-   is spent.  Nothing is silently dropped, nothing runs twice.
+   is spent; a batch with no live worker to go to fails as
+   ``"failed"`` too.  Nothing is silently dropped, nothing runs twice.
 3. **Restart is async.**  The dead worker is re-forked immediately but
    routes no traffic until its ``("ready", ...)`` handshake; in the
    interim its shard's requests fail over to siblings.
@@ -45,12 +46,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.service import ServiceVectors, SnapshotError, server_store_geometry
+from ..core.service import SnapshotError, server_store_geometry
 from ..obs.metrics import MetricsRegistry
 from ..ops import OPS
 from ..reliability.retry import RPCError, StepClock
 from ..store import EmbeddingStore, ScrubScheduler
-from ..store.errors import QuarantinedRowError
 from .coalescer import Batch, Coalescer, CoalescerConfig
 from .protocol import (
     PoolRequest,
@@ -58,8 +58,6 @@ from .protocol import (
     ProtocolError,
     STATUS_DEADLINE,
     STATUS_OK,
-    STATUS_QUARANTINED,
-    STATUS_UNKNOWN,
     drain_frames,
     recv_frame,
     send_frame,
@@ -82,12 +80,13 @@ DEADLINE_BUDGET = 64.0
 
 
 class PoolError(RPCError):
-    """The pool cannot answer (no live workers / worker-side failure).
+    """The pool cannot start: its store is not a server snapshot, or a
+    worker fails its ready handshake.
 
-    An :class:`RPCError` subclass on purpose: the gateway's
-    ``TimedBackend`` already translates ``RPCError`` into degraded
-    answers (reason ``"rpc-error"``), so wrapping a pool needs no new
-    plumbing.
+    Once started the pool answers instead of raising: a request it
+    cannot serve gets a terminal ``"failed"`` / ``"deadline"`` response,
+    which a :class:`~repro.reliability.PKGMGateway` answers as
+    ``"rpc-error"`` / ``"deadline"``.
     """
 
 
@@ -429,7 +428,12 @@ class Supervisor:
             live.append(request)
         if not live:
             return
-        handle, failed_over = self._route(batch.shard)
+        try:
+            handle, failed_over = self._route(batch.shard)
+        except PoolError:
+            for request in live:
+                self._record(self._supervisor_outcome(request, "failed"))
+            return
         if failed_over:
             self._failovers_c.inc()
         # Each item carries its remaining budget for the worker's check.
@@ -674,79 +678,3 @@ class Supervisor:
 
     def alive_workers(self) -> int:
         return sum(1 for h in self.workers if h.state == UP)
-
-    # ------------------------------------------------------------------
-    # Synchronous server surface (what the gateway wraps)
-    # ------------------------------------------------------------------
-    def _call(
-        self,
-        kind: str,
-        entity_id: int,
-        relation: int = -1,
-        k: int = 10,
-        deadline=None,
-    ):
-        """One synchronous request: the kind's unpacked ok payload, or
-        the failure raised the way an in-process server would."""
-        budget = deadline.remaining() if deadline is not None else None
-        request_id = self.submit(
-            kind, entity_id, relation=relation, k=k, budget=budget
-        )
-        for batch in self.coalescer.flush_all():
-            self._dispatch(batch)
-        while request_id in self._pending:
-            self.wait_any()
-        # Sync calls answer inline; keep them out of the async stream.
-        response = self._emitted.pop(
-            next(i for i, r in enumerate(self._emitted) if r.request_id == request_id)
-        )
-        if response.outcome == STATUS_OK:
-            return OPS[kind].unpack(entity_id, response.payload)
-        if response.outcome == STATUS_UNKNOWN:
-            raise KeyError(response.entity_id)
-        if response.outcome == STATUS_QUARANTINED and isinstance(
-            response.payload, tuple
-        ):
-            table, row, shard, page = response.payload
-            raise QuarantinedRowError(table, int(row), int(shard), int(page))
-        raise PoolError(
-            f"request {response.request_id} failed with {response.outcome!r}"
-        )
-
-    def serve(self, entity_id: int, deadline=None) -> ServiceVectors:
-        """Service vectors for one item, computed by a worker process.
-
-        ``deadline`` is an optional
-        :class:`~repro.reliability.admission.Deadline`; its remaining
-        budget rides the wire with the request, so the *worker* cancels
-        expired items before touching the store.  The gateway's
-        ``TimedBackend`` detects this parameter and threads its own
-        budget through — worker pools get end-to-end deadline
-        propagation with no gateway changes.
-        """
-        return self._call("serve", entity_id, deadline=deadline)
-
-    def nearest_tails(
-        self, entity_id: int, relation: int, k: int = 10, deadline=None
-    ):
-        """One nearest-tails query, answered by a worker process."""
-        return self._call("retrieve", entity_id, relation, k, deadline)
-
-    def relation_existence_score(
-        self, entity_id: int, relation: int, deadline=None
-    ) -> float:
-        return self._call("exist", entity_id, relation=relation, deadline=deadline)
-
-    def explain(self, entity_id: int, relation: int, deadline=None) -> dict:
-        """One explanation, computed worker-side from the store sidecar.
-
-        Returns the explanation's canonical dict (the wire/CRC form);
-        a store without a ``scenarios.json`` sidecar answers every
-        explain with an ``"error"`` outcome, surfaced as
-        :class:`PoolError`.
-        """
-        return self._call("explain", entity_id, relation=relation, deadline=deadline)
-
-    def recommend(self, entity_id: int, k: int = 10, deadline=None):
-        """Top-``k`` service-vector neighbors, computed worker-side."""
-        return self._call("recommend", entity_id, k=k, deadline=deadline)

@@ -1,4 +1,4 @@
-"""Tests for admission control: deadlines, rate limit, AIMD, queue."""
+"""Tests for admission control: rate limit, AIMD, queue."""
 
 import pytest
 
@@ -9,36 +9,9 @@ from repro.reliability import (
     AdmissionStats,
     AIMDLimiter,
     BoundedPriorityQueue,
-    Deadline,
     StepClock,
     TokenBucket,
 )
-
-
-class TestDeadline:
-    def test_remaining_tracks_clock(self):
-        clock = StepClock()
-        deadline = Deadline(clock, 2.0)
-        assert deadline.remaining() == pytest.approx(2.0)
-        clock.advance(1.5)
-        assert deadline.remaining() == pytest.approx(0.5)
-        assert not deadline.expired()
-        clock.advance(0.5)
-        assert deadline.expired()
-        assert deadline.remaining() == 0.0
-
-    def test_remaining_never_negative(self):
-        clock = StepClock()
-        deadline = Deadline(clock, 0.1)
-        clock.advance(5.0)
-        assert deadline.remaining() == 0.0
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            Deadline(StepClock(), -1.0)
-
-    def test_zero_budget_expires_immediately(self):
-        assert Deadline(StepClock(), 0.0).expired()
 
 
 class TestTokenBucket:

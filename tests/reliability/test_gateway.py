@@ -28,7 +28,7 @@ class ScriptedLatency:
 
 
 class PlainRecorder:
-    """A backend whose ``serve`` takes no deadline; records each call."""
+    """A backend that records each ``serve`` call."""
 
     def __init__(self, server, clock):
         self.server = server
@@ -46,18 +46,6 @@ class PlainRecorder:
     def serve(self, entity_id):
         self.calls.append(entity_id)
         return self.server.serve(entity_id)
-
-
-class DeadlineRecorder(PlainRecorder):
-    """A backend whose ``serve`` takes a deadline; records each one."""
-
-    def __init__(self, server, clock):
-        super().__init__(server, clock)
-        self.deadlines = []
-
-    def serve(self, entity_id, deadline=None):
-        self.deadlines.append(deadline)
-        return super().serve(entity_id)
 
 
 def make_gateway(server, latencies, config=None, clock=None):
@@ -115,18 +103,6 @@ class TestDeadlinePaths:
         gateway.drain()
         assert gateway.admission.limiter.backoffs == 1
         assert gateway.admission.limiter.limit <= before
-
-    def test_deadline_handed_to_a_backend_that_takes_one(self, server):
-        clock = StepClock()
-        recorder = DeadlineRecorder(server, clock=clock)
-        backend = TimedBackend(recorder, latency=ScriptedLatency([0.1]))
-        vectors, latency, reason = backend.call_timed("serve", 0, budget=0.5)
-        assert reason is None and not vectors.degraded
-        (deadline,) = recorder.deadlines
-        # The budget left once the sampled latency is spent, on the
-        # backend's own clock.
-        assert deadline.clock is clock
-        assert deadline.remaining() == pytest.approx(0.5 - latency)
 
     def test_no_deadline_for_a_backend_without_the_parameter(self, server):
         plain = PlainRecorder(server, clock=StepClock())
@@ -282,14 +258,12 @@ class TestDrainSwap:
         gateway = PKGMGateway([server] * 2)
         gateway.submit(0)
         gateway.drain()
-        fresh = DeadlineRecorder(server, clock=gateway.clock)
+        fresh = PlainRecorder(server, clock=gateway.clock)
         gateway.swap(fresh)
         assert all(r.server is fresh for r in gateway.replicas)
         assert gateway.submit(0) is None  # serving again
         assert len(gateway.drain()) == 1
         assert fresh.calls == [0]
-        # The swapped-in serve takes a deadline, and is handed one.
-        assert [d is not None for d in fresh.deadlines] == [True]
 
     def test_drain_is_reentrant_lifecycle(self, server):
         gateway = make_gateway(server, [[0.01]])

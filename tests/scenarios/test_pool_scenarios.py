@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.serving import PoolConfig, PoolError, Supervisor, payload_checksum, run_batch
+from repro.serving import PoolConfig, Supervisor, payload_checksum, run_batch
 from repro.serving.protocol import KINDS, STATUS_ERROR, STATUS_OK, STATUS_UNKNOWN
 from repro.scenarios import (
     Explainer,
@@ -14,6 +14,7 @@ from repro.scenarios import (
     WorkerScenarios,
     save_sidecar,
 )
+from tests.serving.conftest import ask
 
 
 class TestProtocol:
@@ -148,14 +149,13 @@ class TestForkedPool:
         pool = Supervisor(scenario_store, PoolConfig(num_workers=2, max_batch=4))
         pool.start()
         try:
-            payload = pool.explain(item, relation)
+            payload = ask(pool, "explain", item, relation).payload
             assert payload == explainer.explain(item, relation).canonical_dict()
-            distances, neighbor_ids = pool.recommend(item, k=5)
+            distances, neighbor_ids = ask(pool, "recommend", item, k=5).payload
             direct = recommender.recommend(item, k=5)
             assert np.array_equal(distances, direct.distances)
             assert np.array_equal(neighbor_ids, direct.neighbor_ids)
-            with pytest.raises(KeyError):
-                pool.explain(10**6, relation)
+            assert ask(pool, "explain", 10**6, relation).outcome == STATUS_UNKNOWN
         finally:
             pool.shutdown()
 
@@ -176,13 +176,11 @@ class TestForkedPool:
         pool.start()
         try:
             for _ in range(12):
-                with pytest.raises(PoolError, match="error"):
-                    pool.explain(item, 0)
+                assert ask(pool, "explain", item, 0).outcome == STATUS_ERROR
             assert pool.metrics.counter("pool.worker_deaths").value == 0
             assert pool.alive_workers() == 2
-            assert np.array_equal(
-                pool.serve(item).triple_vectors, server.serve(item).triple_vectors
-            )
+            _, triple_vectors, _ = ask(pool, "serve", item).payload
+            assert np.array_equal(triple_vectors, server.serve(item).triple_vectors)
         finally:
             pool.shutdown()
 
@@ -193,9 +191,8 @@ class TestForkedPool:
         pool = Supervisor(bare_store, PoolConfig(num_workers=1, max_batch=4))
         pool.start()
         try:
-            with pytest.raises(PoolError, match="error"):
-                pool.explain(item, 0)
-            distances, neighbor_ids = pool.recommend(item, k=5)
+            assert ask(pool, "explain", item, 0).outcome == STATUS_ERROR
+            distances, neighbor_ids = ask(pool, "recommend", item, k=5).payload
             assert len(distances) == len(neighbor_ids) == 5
         finally:
             pool.shutdown()

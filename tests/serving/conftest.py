@@ -3,7 +3,8 @@
 The pool forks real processes, so the store is built once per module
 (via ``tmp_path_factory``) and every test forks its own short-lived
 supervisor over it.  The in-RAM ``reference`` server is the oracle:
-anything the pool answers must match it bit-for-bit.
+anything the pool answers must match it bit-for-bit.  :func:`ask` is
+one request on the pool's asynchronous surface, start to answer.
 """
 
 import numpy as np
@@ -39,3 +40,11 @@ def store_dir(tmp_path_factory, reference):
     path = tmp_path_factory.mktemp("serving") / "store"
     reference.save_store(path, num_shards=2, page_bytes=512).close()
     return path
+
+
+def ask(pool, kind, entity_id, relation=-1, k=10, budget=None):
+    """Submit one request, drain the pool, return its ``PoolResponse``."""
+    request_id = pool.submit(kind, entity_id, relation=relation, k=k, budget=budget)
+    (response,) = pool.drain()
+    assert response.request_id == request_id
+    return response

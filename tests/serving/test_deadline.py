@@ -3,11 +3,10 @@
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.reliability.admission import Deadline
-from repro.reliability.gateway import TimedBackend
 from repro.reliability.retry import StepClock
-from repro.serving import PoolConfig, PoolError, Supervisor, run_batch
+from repro.serving import PoolConfig, Supervisor, run_batch
 from repro.serving.protocol import STATUS_DEADLINE, STATUS_OK
+from tests.serving.conftest import ask
 
 
 @pytest.fixture()
@@ -62,23 +61,17 @@ class TestRunBatch:
 
 class TestPoolDeadlines:
     def test_expired_deadline_fails_fast(self, pool, item_ids):
-        deadline = Deadline(pool.clock, 0.0)
-        with pytest.raises(PoolError, match="deadline"):
-            pool.serve(item_ids[0], deadline=deadline)
+        response = ask(pool, "serve", item_ids[0], budget=0.0)
+        assert (response.outcome, response.worker) == (STATUS_DEADLINE, -1)
         assert (
             pool.metrics.counter("pool.failfast_deadline").value >= 1
         )
 
     def test_live_deadline_answers(self, pool, reference, item_ids):
-        deadline = Deadline(pool.clock, 60.0)
-        got = pool.serve(item_ids[0], deadline=deadline)
-        assert got.triple_vectors.shape == (
-            reference.k, reference.dim
-        )
-
-    def test_gateway_backend_detects_deadline_support(self, pool):
-        backend = TimedBackend(pool)
-        assert backend._accepts_deadline is True
+        response = ask(pool, "serve", item_ids[0], budget=60.0)
+        assert response.ok
+        _, triple_vectors, _ = response.payload
+        assert triple_vectors.shape == (reference.k, reference.dim)
 
     def test_batch_frames_carry_budget(self, pool, item_ids, monkeypatch):
         captured = []
@@ -89,7 +82,7 @@ class TestPoolDeadlines:
             return original(handle, batch, items)
 
         monkeypatch.setattr(pool, "_send_batch", spy)
-        pool.serve(item_ids[0], deadline=Deadline(pool.clock, 42.0))
+        ask(pool, "serve", item_ids[0], budget=42.0)
         assert captured
         item = captured[0][0]
         assert len(item) == 4
@@ -99,6 +92,7 @@ class TestPoolDeadlines:
     def test_gateway_budget_reaches_the_wire_for_every_pool_kind(
         self, pool, item_ids, monkeypatch, kind
     ):
+        """The budget a gateway submits with is what the worker checks."""
         captured = []
         original = pool._send_batch
 
@@ -107,9 +101,7 @@ class TestPoolDeadlines:
             return original(handle, batch, items)
 
         monkeypatch.setattr(pool, "_send_batch", spy)
-        payload, _, reason = TimedBackend(pool).call_timed(
-            kind, item_ids[0], 0, 5, budget=0.5
-        )
-        assert reason is None and payload is not None
+        response = ask(pool, kind, item_ids[0], 0, 5, budget=0.5)
+        assert response.ok and response.payload is not None
         assert len(captured) == 1
         assert 0.0 < captured[0] <= 0.5

@@ -5,7 +5,7 @@ is exercised the day it is added — and has to bring its own row in
 ``DIRECT`` / ``DEGRADED_SHAPE`` below, the test suite's independent
 statement of what the kind answers.  The last test adds a sixth kind
 by table entry alone and drives it through a forked pool and the
-gateway.
+gateway, in process and over the pool.
 """
 
 import struct
@@ -175,14 +175,16 @@ class Echo:
 def test_a_sixth_kind_is_one_table_entry(world, monkeypatch):
     """``echo`` exists nowhere but in this entry, yet a forked worker
     answers it, the protocol checksums it, and the gateway serves and
-    degrades it — no edit to gateway, supervisor, worker or protocol."""
+    degrades it, in process and over the pool — no edit to gateway,
+    supervisor, worker or protocol."""
     monkeypatch.setitem(
         OPS,
         "echo",
         OpSpec(
-            call=lambda backend, entity_id, relation, k, deadline=None: Echo(entity_id),
+            call=lambda backend, entity_id, relation, k: Echo(entity_id),
             wire=lambda answer: answer.entity_id,
             layout=ScalarLayout(">q", int),
+            unpack=lambda request, payload: Echo(payload),
             degraded=lambda request, gateway: Echo(request.entity_id, degraded=True),
         ),
     )
@@ -191,8 +193,14 @@ def test_a_sixth_kind_is_one_table_entry(world, monkeypatch):
     try:
         request_id = pool.submit("echo", 41)
         (response,) = pool.drain()
+        fronted = PKGMGateway([pool])
+        spent = fronted._submit("echo", 40, budget=0.0)
+        assert fronted._submit("echo", 43) is None
+        (pooled,) = fronted.drain()
     finally:
         pool.shutdown()
+    assert spent.reason == "deadline" and spent.vectors == Echo(40, degraded=True)
+    assert pooled.ok and pooled.vectors == Echo(43)
     assert (response.request_id, response.outcome) == (request_id, STATUS_OK)
     assert response.payload == 41
     assert response.checksum == zlib.crc32(struct.pack(">q", 41))

@@ -34,6 +34,7 @@ from repro.serving.protocol import (
 )
 from repro.serving.worker import worker_main
 from repro.store import EmbeddingStore
+from tests.serving.conftest import ask
 
 
 @pytest.fixture()
@@ -52,21 +53,19 @@ class TestBitIdentity:
     def test_serve_matches_in_ram_reference(self, pool, reference, item_ids):
         for entity in item_ids[:6]:
             expected = reference.serve(entity)
-            got = pool.serve(entity)
+            response = ask(pool, "serve", entity)
+            assert response.ok
+            key_relations, triple_vectors, relation_vectors = response.payload
+            np.testing.assert_array_equal(key_relations, expected.key_relations)
+            np.testing.assert_array_equal(triple_vectors, expected.triple_vectors)
             np.testing.assert_array_equal(
-                got.key_relations, expected.key_relations
-            )
-            np.testing.assert_array_equal(
-                got.triple_vectors, expected.triple_vectors
-            )
-            np.testing.assert_array_equal(
-                got.relation_vectors, expected.relation_vectors
+                relation_vectors, expected.relation_vectors
             )
 
     def test_retrieval_matches_in_ram_reference(self, pool, reference, item_ids):
         entity = item_ids[0]
         expected_d, expected_i = reference.nearest_tails(entity, 0, k=5)
-        got_d, got_i = pool.nearest_tails(entity, 0, k=5)
+        got_d, got_i = ask(pool, "retrieve", entity, 0, k=5).payload
         np.testing.assert_array_equal(got_d, expected_d)
         np.testing.assert_array_equal(got_i, expected_i)
 
@@ -77,11 +76,11 @@ class TestBitIdentity:
                 np.array([entity]), np.array([1])
             )[0]
         )
-        assert pool.relation_existence_score(entity, 1) == expected
+        assert ask(pool, "exist", entity, 1).payload == expected
 
-    def test_unknown_entity_raises_keyerror(self, pool):
-        with pytest.raises(KeyError):
-            pool.serve(10_000)
+    def test_unknown_entity_answers_unknown_id(self, pool):
+        response = ask(pool, "serve", 10_000)
+        assert (response.outcome, response.payload) == (STATUS_UNKNOWN, None)
 
 
 class TestForkedWorkersInheritTheirModules:
@@ -163,8 +162,8 @@ class TestCrashRecovery:
         entity = next(e for e in item_ids if e % 2 == 0)
         pool.kill_worker(0)
         expected = reference.serve(entity)
-        got = pool.serve(entity)
-        np.testing.assert_array_equal(got.triple_vectors, expected.triple_vectors)
+        _, triple_vectors, _ = ask(pool, "serve", entity).payload
+        np.testing.assert_array_equal(triple_vectors, expected.triple_vectors)
         assert pool.metrics.counter("pool.worker_deaths").value == 1
 
     def test_exactly_once_under_repeated_kills(self, pool, item_ids):
@@ -252,7 +251,7 @@ class TestUnencodablePayloads:
             OPS,
             "halfwidth",
             OpSpec(
-                call=lambda backend, entity_id, relation, k, deadline=None: entity_id,
+                call=lambda backend, entity_id, relation, k: entity_id,
                 wire=lambda answer: (np.zeros(3, dtype=np.float32),),
                 layout=ArrayLayout(("<f8", ("k",))),
             ),
@@ -262,12 +261,12 @@ class TestUnencodablePayloads:
         try:
             submitted = [pool.submit("halfwidth", e) for e in item_ids[:3]]
             responses = pool.drain()
-            vectors = pool.serve(item_ids[0])
+            _, triple_vectors, _ = ask(pool, "serve", item_ids[0]).payload
         finally:
             pool.shutdown()
         assert sorted(r.request_id for r in responses) == submitted
         assert {r.outcome for r in responses} == {STATUS_ERROR}
-        assert vectors.triple_vectors.dtype == np.float64
+        assert triple_vectors.dtype == np.float64
         assert pool.metrics.counter("pool.worker_deaths").value == 0
 
 
@@ -289,9 +288,9 @@ class TestTerminalRecords:
         self, pool, reference, item_ids
     ):
         entity = item_ids[2]
-        vectors = pool.serve(entity)
+        _, triple_vectors, _ = ask(pool, "serve", entity).payload
         np.testing.assert_array_equal(
-            vectors.triple_vectors, reference.serve(entity).triple_vectors
+            triple_vectors, reference.serve(entity).triple_vectors
         )
         assert pool.responses() == []
         assert pool.outstanding() == 0
@@ -299,10 +298,11 @@ class TestTerminalRecords:
     def test_an_answered_request_leaves_nothing_in_the_pool(self, pool, item_ids):
         requests = 20
         before = _envelopes_alive()
-        for index in range(requests):
-            entity = item_ids[index % len(item_ids)]
+        entities = [item_ids[index % len(item_ids)] for index in range(requests)]
+        for entity in entities:
+            ask(pool, "exist", entity, 1)
+        for entity in entities:
             pool.submit("exist", entity, relation=1)
-            pool.relation_existence_score(entity, 1)
         responses = pool.drain()
         assert len(responses) == requests
         del responses

@@ -7,6 +7,8 @@ append exactly one JSON line to ``BENCH_<workload>.json`` holding both
 commits, the seeds, every end-to-end metric's raw values and verdict,
 and the host; a second run must leave the first line as it was; and a
 refused run (a non-zero exit, ``correct: false``) must write nothing.
+Two checkouts of one clean commit make an A/A row: ``"aa": true`` and
+a noise floor per metric in place of the claim verdict.
 """
 
 import importlib.util
@@ -101,6 +103,7 @@ def test_a_run_appends_one_row(pairs, checkouts, tmp_path):
     assert row["seeds"] == [1, 2, 3, 4]
     assert row["parent"] == git(parent, "rev-parse", "HEAD")
     assert row["change"] == git(change, "rev-parse", "HEAD")
+    assert row["aa"] is False
     assert len(row["parent"]) == 40 and row["date"].endswith("+00:00")
     throughput = row["metrics"]["throughput_items_s"]
     assert throughput["parent"] == [11.0, 12.0, 13.0, 14.0]
@@ -145,3 +148,35 @@ def test_a_refused_run_writes_nothing(pairs, checkouts, tmp_path, refusal):
     with pytest.raises(SystemExit):
         run(pairs, checkouts)
     assert bench.read_bytes() == before
+
+
+def test_one_clean_commit_on_both_sides_is_an_a_a_row(pairs, tmp_path, capsys):
+    parent = fake_checkout(tmp_path / "parent", 10.0)
+    twin = tmp_path / "twin"
+    subprocess.run(
+        ["git", "clone", "-q", str(parent), str(twin)], check=True, capture_output=True
+    )
+    (twin / "BASE").write_text("10.0")
+    assert run(pairs, (parent, twin)) == 0
+    (row,) = [json.loads(line) for line in (tmp_path / "BENCH_toy.json").open()]
+    assert row["aa"] is True
+    assert row["parent"] == row["change"] == git(parent, "rev-parse", "HEAD")
+    for figures in row["metrics"].values():
+        assert "claim_holds" not in figures
+        assert figures["noise_pct"] == [0.0, 0.0, 0.0]
+    printed = capsys.readouterr().out
+    assert "A/A" in printed and "+0.0 … +0.0 %" in printed
+    assert "| yes |" not in printed and "| no |" not in printed
+
+
+def test_an_edited_twin_is_not_an_a_a_row(pairs, tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 10.0)
+    twin = tmp_path / "twin"
+    subprocess.run(
+        ["git", "clone", "-q", str(parent), str(twin)], check=True, capture_output=True
+    )
+    (twin / "BASE").write_text("11.0")  # a tracked file edited: "-dirty"
+    run(pairs, (parent, twin))
+    (row,) = [json.loads(line) for line in (tmp_path / "BENCH_toy.json").open()]
+    assert row["aa"] is False and row["change"].endswith("-dirty")
+    assert "claim_holds" in row["metrics"]["throughput_items_s"]

@@ -23,6 +23,11 @@ and ``tools/golden.py``'s arithmetic fingerprint), so drift between
 hosts or days shows as drift between rows.  The file is only ever
 appended to, and a refused run appends nothing.
 
+When both checkouts are the same clean commit the run is an A/A run:
+its row says ``"aa": true``, each metric carries the quartiles of the
+paired differences in percent (``noise_pct``) instead of a claim
+verdict, and the table prints that noise floor.
+
 Usage:  python tools/pairs.py --parent ../parent --change . \\
             --workload online_pool --seeds 1-10 [--record]
 """
@@ -83,16 +88,19 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     return float(q1), float(median), float(q3)
 
 
-def compare(metric: dict, runs: Dict[str, List[Dict[str, float]]]) -> dict:
+def compare(
+    metric: dict, runs: Dict[str, List[Dict[str, float]]], aa: bool = False
+) -> dict:
     """One metric over the pairs: raw values, medians and quartiles, the
-    change's wins, the parent's IQR and whether the claim rule holds."""
+    change's wins, the parent's IQR and whether the claim rule holds,
+    or for an A/A run the quartiles of the paired differences in %."""
     name = metric["name"]
     parent = [run[name] for run in runs["parent"]]
     change = [run[name] for run in runs["change"]]
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     sign = 1.0 if metric["better"] == "higher" else -1.0
     wins = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
-    return {
+    figures = {
         "unit": metric["unit"],
         "better": metric["better"],
         "parent": parent,
@@ -101,14 +109,26 @@ def compare(metric: dict, runs: Dict[str, List[Dict[str, float]]]) -> dict:
         "change_quartiles": [c1, cm, c3],
         "wins": wins,
         "parent_iqr": p3 - p1,
-        "claim_holds": wins * 10 >= 9 * len(parent) and sign * (cm - pm) > p3 - p1,
     }
+    if aa:
+        deltas = [(new - old) / old * 100 for old, new in zip(parent, change) if old]
+        figures["noise_pct"] = list(quartiles(deltas)) if deltas else None
+    else:
+        holds = wins * 10 >= 9 * len(parent) and sign * (cm - pm) > p3 - p1
+        figures["claim_holds"] = holds
+    return figures
 
 
 def summarise(name: str, figures: dict) -> List[str]:
-    """One table row: medians [q1, q3], change, wins, parent IQR, rule."""
+    """One table row: medians [q1, q3], change, wins, parent IQR, then
+    the claim rule, or an A/A run's paired differences [q1, q3]."""
     p1, pm, p3 = figures["parent_quartiles"]
     c1, cm, c3 = figures["change_quartiles"]
+    if "noise_pct" in figures:
+        noise = figures["noise_pct"]
+        verdict = f"{noise[0]:+.1f} … {noise[2]:+.1f} %" if noise else "—"
+    else:
+        verdict = "yes" if figures["claim_holds"] else "no"
     return [
         f"`{name}` ({figures['unit']})",
         f"{pm:.4g} [{p1:.4g}, {p3:.4g}]",
@@ -116,7 +136,7 @@ def summarise(name: str, figures: dict) -> List[str]:
         f"{(cm - pm) / pm * 100:+.1f} %" if pm else "—",
         f"{figures['wins']}/{len(figures['parent'])}",
         f"{figures['parent_iqr']:.4g}",
-        "yes" if figures["claim_holds"] else "no",
+        verdict,
     ]
 
 
@@ -155,12 +175,21 @@ def host() -> dict:
     }
 
 
-def record(args: argparse.Namespace, figures: Dict[str, dict]) -> Path:
+def same_clean_commit(commits: Dict[str, Optional[str]]) -> bool:
+    """Whether both sides are one commit with no tracked file edited."""
+    parent, change = commits["parent"], commits["change"]
+    return parent is not None and parent == change and not parent.endswith("-dirty")
+
+
+def record(
+    args: argparse.Namespace, commits: Dict[str, Optional[str]], figures: Dict[str, dict]
+) -> Path:
     """Append one row for this run to ``BENCH_<workload>.json``."""
     row = {
         "workload": args.workload,
-        "parent": commit(args.parent),
-        "change": commit(args.change),
+        "parent": commits["parent"],
+        "change": commits["change"],
+        "aa": same_clean_commit(commits),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat("T", "seconds"),
         "seeds": args.seeds,
         "trace": 0,
@@ -199,19 +228,22 @@ def main(argv=None) -> int:
             flush=True,
         )
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
+    commits = {side: commit(checkouts[side]) for side in SIDES}
+    aa = same_clean_commit(commits)
     header = [
         "metric", "parent median [q1, q3]", "change median [q1, q3]",
-        "change", "wins", "parent IQR", "≥ 9/10 and gap > IQR",
+        "change", "wins", "parent IQR",
+        "A/A paired Δ [q1, q3]" if aa else "≥ 9/10 and gap > IQR",
     ]
     print(f"\n{args.workload}, {len(args.seeds)} pairs, seeds {args.seeds[0]}–"
-          f"{args.seeds[-1]}, --trace 0")
+          f"{args.seeds[-1]}, --trace 0" + (", A/A: one commit on both sides" if aa else ""))
     print("| " + " | ".join(header) + " |")
     print("|" + "---|" * len(header))
-    figures = {m["name"]: compare(m, runs) for m in benchmark["end_to_end"]}
+    figures = {m["name"]: compare(m, runs, aa) for m in benchmark["end_to_end"]}
     for name, entry in figures.items():
         print("| " + " | ".join(summarise(name, entry)) + " |")
     if args.record:
-        print(f"\nrecorded in {record(args, figures)}")
+        print(f"\nrecorded in {record(args, commits, figures)}")
     return 0
 
 
