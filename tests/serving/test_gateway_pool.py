@@ -14,6 +14,7 @@ from repro.ops import OPS
 from repro.reliability import PKGMGateway, StepClock
 from repro.serving import PoolConfig, Supervisor
 from repro.serving.loadtest import drive, mixed_requests
+from tests.serving.conftest import ask
 
 
 @pytest.fixture()
@@ -90,12 +91,15 @@ class TestGatewayOverPool:
         )
         pool.start()
         try:
+            damaged = ask(pool, "serve", item_ids[0])
             gateway = PKGMGateway([pool])
             assert gateway.submit(item_ids[0]) is None
             assert gateway.submit(item_ids[-1]) is None
             responses = sorted(gateway.drain(), key=lambda r: r.entity_id)
         finally:
             pool.shutdown()
+        assert damaged.outcome == "quarantined"
+        assert damaged.payload == ("entity_table", item_ids[0], 0, 0)
         assert [r.reason for r in responses] == ["quarantined", None]
         assert not responses[0].ok and responses[1].ok
         assert gateway.stats.backend_errors == 1
