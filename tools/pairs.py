@@ -111,8 +111,8 @@ def compare(
         "parent_iqr": p3 - p1,
     }
     if aa:
-        deltas = [(new - old) / old * 100 for old, new in zip(parent, change) if old]
-        figures["noise_pct"] = list(quartiles(deltas)) if deltas else None
+        deltas = [(new - old) / old * 100 for old, new in zip(parent, change)]
+        figures["noise_pct"] = list(quartiles(deltas))
     else:
         holds = wins * 10 >= 9 * len(parent) and sign * (cm - pm) > p3 - p1
         figures["claim_holds"] = holds
@@ -125,8 +125,8 @@ def summarise(name: str, figures: dict) -> List[str]:
     p1, pm, p3 = figures["parent_quartiles"]
     c1, cm, c3 = figures["change_quartiles"]
     if "noise_pct" in figures:
-        noise = figures["noise_pct"]
-        verdict = f"{noise[0]:+.1f} … {noise[2]:+.1f} %" if noise else "—"
+        n1, _, n3 = figures["noise_pct"]
+        verdict = f"{n1:+.1f} … {n3:+.1f} %"
     else:
         verdict = "yes" if figures["claim_holds"] else "no"
     return [
