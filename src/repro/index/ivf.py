@@ -233,18 +233,19 @@ class IVFFlatIndex:
         queries: np.ndarray,
         k: int,
         nprobe: Optional[int] = None,
-        drop: Optional[Collection[int]] = None,
+        drop: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Approximate ``(distances, ids)`` over the probed cells.
 
         Distances inside a probed cell are exact; recall is governed by
         how often the true neighbors' cells are among the ``nprobe``
         probes.  Rows pad with ``(inf, -1)`` when the probed cells hold
-        fewer than ``k`` vectors outside ``drop``.  Ids in ``drop`` are
-        scanned, and counted, like any stored row, then left out of the
-        ranking.  Each query's probed lists are copied into one scratch
-        block and reduced there in place into its candidate row: the
-        bits of :func:`pairwise_distances`, without its temporaries.
+        fewer than ``k`` vectors outside ``drop``.  Ids in ``drop`` (an
+        int64 array) are scanned, and counted, like any stored row, then
+        left out of the ranking.  Each query's probed lists are copied
+        into one scratch block and reduced there in place into its
+        candidate row: the bits of :func:`pairwise_distances`, without
+        its temporaries.
         """
         if not self.is_trained:
             raise RuntimeError("train() the coarse quantizer before search()")
@@ -281,8 +282,8 @@ class IVFFlatIndex:
             reduce_terms(diff, self.metric, cand_d[row, :count])
         if self.metric == "l2":
             np.sqrt(cand_d, out=cand_d)
-        if drop:
-            dropped = np.isin(cand_i, np.fromiter(drop, np.int64, len(drop)))
+        if drop is not None and len(drop):
+            dropped = np.isin(cand_i, drop)
             cand_d[dropped] = np.nan
             cand_i[dropped] = _FILLER
         best_d, best_i = batch_top_k(cand_d, cand_i, k)

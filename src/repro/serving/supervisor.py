@@ -23,7 +23,8 @@ Exactly-once semantics under crashes come from three rules:
    — or failed fast (outcome ``"deadline"`` /
    ``"failed"``) if its virtual deadline passed or its attempt budget
    is spent; a batch with no live worker to go to fails as
-   ``"failed"`` too.  Nothing is silently dropped, nothing runs twice.
+   ``"failed"`` too, one ``pool.failfast_no_route`` per request.
+   Nothing is silently dropped, nothing runs twice.
 3. **Restart is async.**  The dead worker is re-forked immediately but
    routes no traffic until its ``("ready", ...)`` handshake; in the
    interim its shard's requests fail over to siblings.
@@ -203,6 +204,9 @@ class Supervisor:
         )
         self._failfast_attempts_c = self.metrics.counter(
             "pool.failfast_attempts", help="Requests failed fast: attempts spent"
+        )
+        self._failfast_no_route_c = self.metrics.counter(
+            "pool.failfast_no_route", help="Requests failed fast: no live worker"
         )
         self._duplicates_c = self.metrics.counter(
             "pool.duplicates_dropped", help="Late results for terminal requests"
@@ -432,6 +436,7 @@ class Supervisor:
             handle, failed_over = self._route(batch.shard)
         except PoolError:
             for request in live:
+                self._failfast_no_route_c.inc()
                 self._record(self._supervisor_outcome(request, "failed"))
             return
         if failed_over:

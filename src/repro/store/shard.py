@@ -169,6 +169,7 @@ class ShardReader:
         # fault is a multiplication and a ``min``, never a walk over it.
         self._page_nbytes = spec.rows_per_page * spec.row_nbytes
         self._nbytes = spec.shard_nbytes(shard)
+        self._whole = spec.shard_pages(shard) == len(info.page_crcs)
         self._mmap: Optional[mmap.mmap] = None
         self._file = None
         self._size = 0
@@ -217,6 +218,15 @@ class ShardReader:
         if zlib.crc32(data) != self.info.page_crcs[page]:
             return data, False
         return data, True
+
+    def view(self) -> Tuple[Optional[mmap.mmap], int, Tuple[int, ...]]:
+        """``(mapping, page_nbytes, page_crcs)``: page ``p`` is
+        ``mapping[p * page_nbytes : (p + 1) * page_nbytes]``, good if its
+        CRC is ``page_crcs[p]``.  ``mapping`` is ``None`` unless the file
+        and the CRC list are the manifest's length: :meth:`read_page` then."""
+        self._ensure_open()
+        whole = self._whole and self._size == self._nbytes
+        return self._mmap if whole else None, self._page_nbytes, self.info.page_crcs
 
     def raw_bytes(self) -> bytes:
         """Whatever is on disk right now (may be short; repair input)."""

@@ -35,7 +35,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -467,59 +467,64 @@ class EmbeddingStore:
     # Reads
     # ------------------------------------------------------------------
     def _pages(
-        self,
-        spec: TableSpec,
-        keys: Iterable[Tuple[int, int]],
-        reads: Iterable[int],
-        *,
-        tolerant: bool = False,
-    ) -> Iterator[Optional[bytes]]:
-        """The one fault loop: each ``(shard, page)`` of ``keys``, in
-        order, through the quarantine set, the LRU and the CRC check.
+        self, name: str, wanted: Dict[PageKey, int], *, tolerant: bool = False
+    ) -> Dict[PageKey, Optional[bytes]]:
+        """The one fault loop: each page of table ``name`` in ``wanted``,
+        in order, through the quarantine set, the LRU and the CRC check;
+        returns each page's bytes by key.
 
-        ``reads`` pairs each page with the row reads the caller makes
-        from it: a resident page charges them all as hits, a faulted
-        one a fault and the rest as hits.  A damaged page — quarantined
+        ``wanted`` maps each page to the row reads the caller makes from
+        it: a resident page charges them all as hits, a faulted one a
+        fault and the rest as hits.  A fault is sliced from its shard's
+        :meth:`ShardReader.view` (resolved once a call) and CRC-checked
+        inline; without a view, or failing the CRC, it is left to
+        :meth:`ShardReader.read_page`.  A damaged page — quarantined
         already, or failing its CRC now and quarantined — counts one
         denied read, then raises :class:`QuarantinedRowError` naming its
-        first row or, when ``tolerant``, yields ``None`` and walks on.
-        Hits, faults, bytes and evictions are charged once, when the
-        walk ends or raises, with the totals a page-at-a-time walk
-        reaches; ``store.cached_pages`` is set if a page was inserted.
+        first row or, when ``tolerant``, maps to ``None``.  Hits, faults,
+        bytes and evictions are charged once, when the walk ends or
+        raises, with the totals a page-at-a-time walk reaches;
+        ``store.cached_pages`` is set if a page was inserted.
         """
-        name = spec.name
         readers = self._tables[name].readers
         cache, quarantine, capacity = self._cache, self.quarantine, self._cache_pages
+        crc32, views = zlib.crc32, {}
+        got: Dict[PageKey, Optional[bytes]] = {}
         hits = faults = nbytes = evicted = 0
         resident: Optional[int] = None
         try:
-            for (shard, page), wanted in zip(keys, reads):
-                key: PageKey = (name, shard, page)
+            for key, reads in wanted.items():
                 if key not in quarantine:
                     data = cache.get(key)
                     if data is not None:
                         cache.move_to_end(key)
-                        hits += wanted
-                        yield data
+                        hits += reads
+                        got[key] = data
                         continue
-                    data, ok = readers[shard].read_page(page)
+                    _, shard, page = key
+                    if shard not in views:
+                        views[shard] = readers[shard].view()
+                    mapping, step, crcs = views[shard]
+                    data = mapping and mapping[page * step : page * step + step]
+                    ok = data is not None and crc32(data) == crcs[page]
+                    if not ok:
+                        data, ok = readers[shard].read_page(page)
                     faults += 1
                     nbytes += len(data)
                     if ok:
-                        hits += wanted - 1
-                        cache[key] = data
+                        hits += reads - 1
+                        cache[key] = got[key] = data
                         if len(cache) > capacity:
                             cache.popitem(last=False)
                             evicted += 1
                         resident = len(cache)
-                        yield data
                         continue
                     self._crc_failures_c.inc()
                     self._quarantine_page(key)
                 denied = self._denied(key)
                 if not tolerant:
                     raise denied
-                yield None
+                got[key] = None
         finally:
             if hits:
                 self._hits_c.inc(hits)
@@ -530,6 +535,7 @@ class EmbeddingStore:
                 self._evictions_c.inc(evicted)
             if resident is not None:
                 self._cache_g.set(resident)
+        return got
 
     def _denied(self, key: PageKey) -> QuarantinedRowError:
         """Count one read refused by quarantine; the error names the
@@ -553,30 +559,30 @@ class EmbeddingStore:
         array.  Each row maps to (shard, page, slot) by ``divmod``, the
         distinct pages go through the fault loop once each in first-touch
         order, and the rows leave their pages in one join of row slices."""
-        total, per_shard = spec.rows, spec.rows_per_contiguous_shard
+        name, total, per_shard = spec.name, spec.rows, spec.rows_per_contiguous_shard
         per_page, width = spec.rows_per_page, spec.row_nbytes
-        # Rows wanted per (shard, page), first touch first; and per row,
-        # its page and byte offset there.
-        reads: Dict[Tuple[int, int], int] = {}
-        spans: List[Tuple[Tuple[int, int], int]] = []
+        # Rows wanted per page, first touch first; and per row, its page
+        # and byte offset there.
+        reads: Dict[PageKey, int] = {}
+        spans: List[Tuple[PageKey, int]] = []
         for row in rows:
             if not -total <= row < total:
                 raise IndexError(
-                    f"row {row} out of range for table {spec.name!r} "
+                    f"row {row} out of range for table {name!r} "
                     f"({total} rows)"
                 )
             shard, local = divmod(row + total if row < 0 else row, per_shard)
             page, slot = divmod(local, per_page)
-            reads[shard, page] = reads.get((shard, page), 0) + 1
-            spans.append(((shard, page), slot * width))
+            key = (name, shard, page)
+            reads[key] = reads.get(key, 0) + 1
+            spans.append((key, slot * width))
         try:
-            # ``list`` runs the walk to its end, where it charges the counters.
-            data = dict(zip(reads, list(self._pages(spec, reads, reads.values()))))
+            data = self._pages(name, reads)
         except QuarantinedRowError as error:
-            # Denials are per row like hits: the walk counted one, the
+            # Denials are per row like hits: the loop counted one, the
             # rest are the other rows the caller goes without (a row
             # asked for twice is one row).
-            denied = (error.shard, error.page)
+            denied = (name, error.shard, error.page)
             self._quarantined_reads_c.inc(
                 len({offset for key, offset in spans if key == denied}) - 1
             )
@@ -625,10 +631,11 @@ class EmbeddingStore:
         """Materialize a whole table (through the page cache).
 
         One walk of the table's pages in file order through the same
-        fault loop as :meth:`read_rows`: each page lands in the output
-        as one row slice — no index array, no sort — is loaded
-        exactly once whatever the cache budget, and is let go before
-        the next, so nothing beyond the output and one page is held.
+        fault loop as :meth:`read_rows`, fed a cache's worth of pages
+        per call: each page lands in the output as one row slice — no
+        index array, no sort — and is loaded exactly once whatever the
+        cache budget.  Beyond the output, nothing but one call's pages
+        is held: at most ``cache_pages`` pages besides the cache itself.
         The first damaged page raises :class:`QuarantinedRowError`.
         """
         rows, _ = self._walk_table(name, tolerant=False)
@@ -649,19 +656,21 @@ class EmbeddingStore:
         spec = self._table(name).spec
         out = np.empty((spec.rows, spec.row_elems), dtype=spec.dtype)
         readable = np.ones(spec.rows, dtype=bool)
-        held = [spec.page_global_rows(shard, page) for shard, page in spec.pages()]
-        walk = self._pages(spec, spec.pages(), map(len, held), tolerant=tolerant)
-        for position, data in enumerate(walk):
-            rows = held[position]
-            on_page = slice(rows.start, rows.stop)
-            if data is None:
-                out[on_page] = 0
-                readable[on_page] = False
-                self._quarantined_reads_c.inc(len(rows) - 1)
-            else:
-                out[on_page] = np.frombuffer(data, dtype=spec.dtype).reshape(
-                    -1, spec.row_elems
-                )
+        held = {(name, s, p): spec.page_global_rows(s, p) for s, p in spec.pages()}
+        keys, step = list(held), self._cache_pages
+        for start in range(0, len(keys), step):
+            chunk = {key: len(held[key]) for key in keys[start : start + step]}
+            for key, data in self._pages(name, chunk, tolerant=tolerant).items():
+                rows = held[key]
+                on_page = slice(rows.start, rows.stop)
+                if data is None:
+                    out[on_page] = 0
+                    readable[on_page] = False
+                    self._quarantined_reads_c.inc(len(rows) - 1)
+                else:
+                    out[on_page] = np.frombuffer(data, dtype=spec.dtype).reshape(
+                        -1, spec.row_elems
+                    )
         return out.reshape(spec.shape), readable
 
     # ------------------------------------------------------------------

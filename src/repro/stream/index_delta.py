@@ -57,6 +57,8 @@ class DeltaIndex:
         self.index = base
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.tombstones: Set[int] = set()
+        #: ``tombstones`` as the int64 array searches drop.
+        self._dropped = np.empty(0, dtype=np.int64)
         self._cell_of = self._map_cells()
         self.recluster_count = 0
         self._inserts_c = self.metrics.counter(
@@ -118,6 +120,10 @@ class DeltaIndex:
         }
 
     def _update_gauges(self) -> None:
+        # Every mutation adds ids, discards one or clears, then lands
+        # here: a set of another size is a changed set.
+        if len(self._dropped) != len(self.tombstones):
+            self._dropped = np.fromiter(self.tombstones, np.int64, len(self.tombstones))
         self._tombstones_g.set(len(self.tombstones))
         self._live_g.set(self.live_count)
 
@@ -188,7 +194,7 @@ class DeltaIndex:
         fully-poisoned probe set still yields ``k`` live answers when
         they exist; rows pad with ``(inf, -1)`` like the base index.
         """
-        return self.index.search(queries, k, nprobe=nprobe, drop=self.tombstones)
+        return self.index.search(queries, k, nprobe=nprobe, drop=self._dropped)
 
     # ------------------------------------------------------------------
     # Maintenance triggers

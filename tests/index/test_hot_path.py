@@ -181,7 +181,9 @@ class TestIVFScanAgainstTheFormula:
         finite = np.isfinite(vectors).all(axis=1)
         ivf.train(np.concatenate([vectors[finite], np.zeros((4, dim))]))
         ivf.add(vectors, ids)  # the non-finite rows land in some cell too
-        got_d, got_i = ivf.search(queries, k, nprobe=nprobe, drop=drop)
+        got_d, got_i = ivf.search(
+            queries, k, nprobe=nprobe, drop=np.fromiter(drop, np.int64, len(drop))
+        )
         arrays = ivf.state()[0]
         offsets = arrays["offsets"]
         cell_ids = np.arange(4, dtype=np.int64)
@@ -219,7 +221,9 @@ class TestIVFAgainstFlat:
         exact = FlatIndex(dim=3, metric=metric, block_size=50)
         exact.add(vectors[kept], ids[kept])
         queries = rng.integers(-2, 3, size=(7, 3)).astype(np.float64)
-        got = ivf.search(queries, k, nprobe=6, drop=dropped)
+        got = ivf.search(
+            queries, k, nprobe=6, drop=np.fromiter(dropped, np.int64, len(dropped))
+        )
         want = exact.search(queries, k)
         assert same_bytes(got[0], want[0])
         assert same_bytes(got[1], want[1])
@@ -243,6 +247,6 @@ class TestIVFAgainstFlat:
         search = ivf.metrics.counter("index.search.distance_computations")
         before = search.value
         # Dropped ids are scanned all the same: their bytes are still there.
-        ivf.search(queries, 10, drop=set(range(0, len(base), 2)))
+        ivf.search(queries, 10, drop=np.arange(0, len(base), 2))
         scanned = int(sizes[probes].sum())
         assert search.value - before == len(queries) * nlist + scanned

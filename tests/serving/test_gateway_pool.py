@@ -155,6 +155,7 @@ class TestGatewayOverPool:
         assert sorted(r.request_id for r in responses) == list(range(5))
         assert {r.reason for r in responses} == {"rpc-error"}
         assert gateway.stats.backend_errors == 5
+        assert pool.metrics.counter("pool.failfast_no_route").value == 5
         assert pool.outstanding() == 0
         assert gateway.drain() == [] and gateway.step() == []
 

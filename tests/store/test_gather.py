@@ -23,6 +23,7 @@ through the same walk; its quarantine tolerance is checked last.
 
 import itertools
 import tempfile
+import zlib
 from collections import Counter, OrderedDict
 from pathlib import Path
 
@@ -570,18 +571,164 @@ class TestAgainstThePageLoop:
                 loop.close()
 
 
+# ----------------------------------------------------------------------
+# The inline page read against ShardReader.read_page, on three kinds of
+# damage
+# ----------------------------------------------------------------------
+#: 4 shards of 10 rows, 3 rows (72 of 80 bytes) to a page, so each shard
+#: is pages of 3, 3, 3 and 1 rows.
+THREE_DAMAGES = {"rows": 40, "row_shape": (3,), "num_shards": 4, "page_bytes": 80}
+
+
+@pytest.fixture(scope="module")
+def three_damages(tmp_path_factory):
+    """Shard 0 has one flipped bit (page 1), shard 1 a torn tail (its last
+    page loses a byte), shard 2 no file at all; shard 3 is clean."""
+    directory = tmp_path_factory.mktemp("three") / "s"
+    array = make_array(THREE_DAMAGES["rows"], THREE_DAMAGES["row_shape"], "float64", 9)
+    built = EmbeddingStore.build(
+        directory,
+        {"t": array},
+        num_shards=THREE_DAMAGES["num_shards"],
+        page_bytes=THREE_DAMAGES["page_bytes"],
+    )
+    spec = built.spec("t")
+    built.close()
+    flipped = directory / shard_filename("t", 0)
+    blob = bytearray(flipped.read_bytes())
+    blob[spec.page_byte_range(0, 1)[0] + 3] ^= 0x01
+    flipped.write_bytes(bytes(blob))
+    torn = directory / shard_filename("t", 1)
+    torn.write_bytes(torn.read_bytes()[:-1])
+    (directory / shard_filename("t", 2)).unlink()
+    return directory, array
+
+
+def every_store_metric(target):
+    """Every ``store.*`` counter and gauge; for :class:`PageLoop`, the
+    ones it keeps plus the zeros and quarantine size the store reports."""
+    snapshot = target.metrics.snapshot()
+    if isinstance(target, PageLoop):
+        snapshot = {
+            **{
+                f"store.{name}": 0
+                for name in ("scrub_pages", "pages_repaired", "pages_unrepairable")
+            },
+            **snapshot,
+            "store.quarantine_size": len(target.quarantine),
+        }
+    return {key: value for key, value in snapshot.items() if key.startswith("store.")}
+
+
+class TestThreeKindsOfDamage:
+    def test_the_inline_read_is_read_page_wherever_it_is_offered(self, three_damages):
+        directory, _ = three_damages
+        store = EmbeddingStore.open(directory)
+        try:
+            spec = store.spec("t")
+            offered = []
+            for shard, reader in store._table("t").readers.items():
+                mapping, page_nbytes, crcs = reader.view()
+                offered.append(mapping is not None)
+                for page in range(spec.shard_pages(shard)):
+                    expected = reader.read_page(page)
+                    if mapping is not None:
+                        data = mapping[page * page_nbytes : (page + 1) * page_nbytes]
+                        assert (data, zlib.crc32(data) == crcs[page]) == expected
+            # Only the torn and the deleted shard fall back to read_page.
+            assert offered == [True, False, False, True]
+        finally:
+            store.close()
+
+    def test_the_fault_loop_reads_what_read_page_reads(self, three_damages):
+        directory, _ = three_damages
+        store = EmbeddingStore.open(directory, cache_pages=1)
+        reference = EmbeddingStore.open(directory)
+        try:
+            damaged = []
+            for key in store.iter_page_keys():
+                got = store._pages("t", {key: 1}, tolerant=True)[key]
+                data, ok = reference._table("t").readers[key[1]].read_page(key[2])
+                assert got == (data if ok else None), key
+                if not ok:
+                    damaged.append(key[1:])
+            # One flipped page, the torn last page, all of the deleted shard.
+            assert damaged == [(0, 1), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3)]
+        finally:
+            store.close()
+            reference.close()
+
+    CALLS = [
+        [("rows", [0, -1, 39, 30, 30, -10, 2]), ("table", None), ("salvage", None)],
+        [("rows", [3, 4, 3]), ("rows", [-30, 0]), ("row", -21), ("salvage", None)],
+        [("rows", [[13, 12], [-27, 9]]), ("rows", [20, 0]), ("table", None)],
+        [("salvage", None), ("rows", [31, 32, -8, 31]), ("table", None), ("row", 0)],
+        [("row", 19), ("rows", [9, 19, 29]), ("rows", [-31, -1, -31]), ("salvage", None)],
+    ]
+
+    @pytest.mark.parametrize("cache_pages", [1, 3, 64])
+    @pytest.mark.parametrize("calls", CALLS)
+    def test_every_call_matches_the_page_at_a_time_walk(
+        self, three_damages, calls, cache_pages
+    ):
+        directory, _ = three_damages
+        store = EmbeddingStore.open(directory, cache_pages=cache_pages)
+        loop = PageLoop(directory, cache_pages)
+        try:
+            for kind, argument in calls:
+                if kind == "rows":
+                    argument = np.asarray(argument, dtype=np.int64)
+                assert outcome(store, kind, argument) == outcome(
+                    loop, kind, argument
+                ), (kind, argument)
+                assert state(store) == state(loop), (kind, argument)
+                assert every_store_metric(store) == every_store_metric(loop)
+        finally:
+            store.close()
+            loop.close()
+
+    def test_salvage_reads_the_clean_rows_and_zeros_the_rest(self, three_damages):
+        directory, array = three_damages
+        store = EmbeddingStore.open(directory, cache_pages=2)
+        try:
+            rows, readable = store.salvage_table("t")
+            lost = [3, 4, 5, 19, *range(20, 30)]
+            assert np.flatnonzero(~readable).tolist() == lost
+            assert np.array_equal(rows[readable], array[readable])
+            assert not rows[~readable].any()
+        finally:
+            store.close()
+
+
 def count_page_loads(store, monkeypatch):
     """Count page loads per page key from here on: reads from a shard
-    file (``ShardReader.read_page``) plus refreshes of a resident page
-    (a page-cache ``get`` that finds it)."""
+    file — a page sliced from the mapping the fault loop gets from
+    ``ShardReader.view``, or a ``ShardReader.read_page`` — plus refreshes
+    of a resident page (a page-cache ``get`` that finds it)."""
     loads = Counter()
+
+    class CountingMapping:
+        def __init__(self, mapping, key, page_nbytes):
+            self.mapping, self.key, self.page_nbytes = mapping, key, page_nbytes
+
+        def __getitem__(self, span):
+            loads[(*self.key, span.start // self.page_nbytes)] += 1
+            return self.mapping[span]
+
     for name in store.table_names():
         for shard, reader in store._table(name).readers.items():
+
+            def view(key=(name, shard), original=reader.view):
+                mapping, page_nbytes, crcs = original()
+                if mapping is not None:
+                    mapping = CountingMapping(mapping, key, page_nbytes)
+                return mapping, page_nbytes, crcs
 
             def read_page(page, key=(name, shard), original=reader.read_page):
                 loads[(*key, page)] += 1
                 return original(page)
 
+            monkeypatch.setattr(reader, "view", view)
             monkeypatch.setattr(reader, "read_page", read_page)
 
     class CountingCache(OrderedDict):
