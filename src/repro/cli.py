@@ -671,7 +671,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     ``--workload serving`` (the default) drives the single-process
     gateway overload drill; ``--workload pool`` forks the supervised
     worker pool and surfaces the per-worker ``pool.*`` counters plus
-    the background ``store.scrub.*`` accounting.  Stdout carries *only*
+    the idle page sweep's ``store.scrub_pages``.  Stdout carries *only*
     the export (Prometheus text or JSON), so two runs with the same
     seed are byte-identical — the check.sh obs gate diffs exactly
     this.  ``--verbose`` adds the workload summary on stderr.

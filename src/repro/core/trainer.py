@@ -203,8 +203,17 @@ class PKGMTrainer:
         history = TrainingHistory()
         start_epoch = 0
         if self._manager is not None:
+            # reliability builds on core, so it is imported at use.
+            from ..reliability.checkpoint import load_tables, save_tables
+
             if self.resume and self._manager.latest() is not None:
-                start_epoch = self._restore(rng, history)
+                start_epoch, losses = load_tables(
+                    self._manager,
+                    self.optimizer,
+                    lambda name, state: self.optimizer[name].load_state(state),
+                    rng,
+                )
+                history.epoch_losses.extend(losses)
             else:
                 self._manager.clear()
         for epoch in range(start_epoch, self.config.epochs):
@@ -253,7 +262,13 @@ class PKGMTrainer:
             if progress is not None:
                 progress(epoch, mean_loss)
             if self._manager is not None:
-                self._save_checkpoint(epoch + 1, rng, history)
+                save_tables(
+                    self._manager,
+                    epoch + 1,
+                    {name: adam.state() for name, adam in self.optimizer.items()},
+                    rng,
+                    history.epoch_losses,
+                )
         return history
 
     def _update(self, grads: MarginGradients) -> None:
@@ -271,45 +286,6 @@ class PKGMTrainer:
             self.model.triple_module.entity_embeddings.renormalize(
                 max_norm, rows=grads.entity_rows
             )
-
-    # ------------------------------------------------------------------
-    # Crash-consistent checkpointing (repro.reliability.checkpoint)
-    # ------------------------------------------------------------------
-    def _save_checkpoint(
-        self, completed_epochs: int, rng: np.random.Generator, history: TrainingHistory
-    ) -> None:
-        from ..reliability.checkpoint import rng_state
-
-        arrays = {
-            f"{name}.{key}": value
-            for name, adam in self.optimizer.items()
-            for key, value in adam.state().items()
-        }
-        self._manager.save(
-            completed_epochs,
-            arrays,
-            metadata={
-                "epoch": completed_epochs,
-                "rng": rng_state(rng),
-                "losses": list(history.epoch_losses),
-            },
-        )
-
-    def _restore(self, rng: np.random.Generator, history: TrainingHistory) -> int:
-        from ..reliability.checkpoint import restore_rng
-
-        arrays, metadata = self._manager.load()
-        # Every array is looked up before any is loaded: a checkpoint in
-        # another layout fails on the first name it lacks, changing nothing.
-        states = {
-            name: {key: arrays[f"{name}.{key}"] for key in LazyAdam.STATE_KEYS}
-            for name in self.optimizer
-        }
-        for name, adam in self.optimizer.items():
-            adam.load_state(states[name])
-        restore_rng(rng, metadata["rng"])
-        history.epoch_losses.extend(float(x) for x in metadata["losses"])
-        return int(metadata["epoch"])
 
 
 def pretrain_pkgm(

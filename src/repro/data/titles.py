@@ -95,10 +95,6 @@ class TitleGenerator:
             words = [words[i] for i in order]
         return words
 
-    def titles_for_all(self) -> Dict[int, List[str]]:
-        """One title per catalog item, keyed by item_id."""
-        return {item.item_id: self.title_of(item) for item in self.catalog.items}
-
 
 def title_vocabulary(catalog: Catalog) -> List[str]:
     """Every word that can appear in any title of ``catalog``.

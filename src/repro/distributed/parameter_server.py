@@ -528,33 +528,18 @@ class DistributedPKGMTrainer:
     # Crash-consistent checkpointing
     # ------------------------------------------------------------------
     def _save_checkpoint(self, epoch: int, rng, losses: List[float]) -> None:
-        from ..reliability.checkpoint import rng_state
+        from ..reliability.checkpoint import save_tables
 
-        arrays = {}
-        for name in self.server.table_names():
-            state = self.server.state(name)
-            for key, value in state.items():
-                arrays[f"{name}.{key}"] = value
-        self._manager.save(
-            epoch,
-            arrays,
-            metadata={
-                "epoch": epoch,
-                "rng": rng_state(rng),
-                "losses": list(losses),
-            },
-        )
+        names = self.server.table_names()
+        states = {name: self.server.state(name) for name in names}
+        save_tables(self._manager, epoch, states, rng, losses)
 
     def _restore(self, rng):
-        from ..reliability.checkpoint import restore_rng
+        from ..reliability.checkpoint import load_tables
 
-        arrays, metadata = self._manager.load()
-        for name in self.server.table_names():
-            self.server.load_state(
-                name, {key: arrays[f"{name}.{key}"] for key in LazyAdam.STATE_KEYS}
-            )
-        restore_rng(rng, metadata["rng"])
-        return int(metadata["epoch"]), [float(x) for x in metadata["losses"]]
+        return load_tables(
+            self._manager, self.server.table_names(), self.server.load_state, rng
+        )
 
     def export_to_model(self) -> PKGM:
         """Copy the trained tables back into the wrapped PKGM."""

@@ -9,7 +9,6 @@ completion-during-service capability.
 
 from .graph import (
     connected_component_sizes,
-    degree_statistics,
     shared_value_neighbors,
     to_networkx,
 )
@@ -18,7 +17,7 @@ from .queries import QueryEngine, recover_all_triples
 from .rules import Rule, RuleCompleter, RuleMiner
 from .sampling import EdgeSampler
 from .splits import holdout_incompleteness, split_triples
-from .stats import kg_statistics, relation_frequency_table
+from .stats import kg_statistics
 from .store import Triple, TripleStore
 from .vocab import EntityVocabulary, RelationVocabulary, Vocabulary
 
@@ -34,13 +33,11 @@ __all__ = [
     "TripleStore",
     "UniformNegativeSampler",
     "connected_component_sizes",
-    "degree_statistics",
     "shared_value_neighbors",
     "to_networkx",
     "Vocabulary",
     "holdout_incompleteness",
     "kg_statistics",
     "recover_all_triples",
-    "relation_frequency_table",
     "split_triples",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from .store import TripleStore
 from .vocab import EntityVocabulary, RelationVocabulary
@@ -60,19 +59,6 @@ def connected_component_sizes(store: TripleStore) -> List[int]:
     return sorted(
         (len(c) for c in nx.weakly_connected_components(graph)), reverse=True
     )
-
-
-def degree_statistics(store: TripleStore) -> Dict[str, float]:
-    """Degree audit: head out-degree and tail in-degree distributions."""
-    out_degrees = [len(store.triples_with_head(h)) for h in store.heads()]
-    tails = {t.tail for t in store}
-    in_degrees = [len(store.triples_with_tail(t)) for t in tails]
-    return {
-        "mean_out_degree": float(np.mean(out_degrees)) if out_degrees else 0.0,
-        "max_out_degree": float(np.max(out_degrees)) if out_degrees else 0.0,
-        "mean_in_degree": float(np.mean(in_degrees)) if in_degrees else 0.0,
-        "max_in_degree": float(np.max(in_degrees)) if in_degrees else 0.0,
-    }
 
 
 def shared_value_neighbors(

@@ -221,28 +221,3 @@ class RuleCompleter:
             if body in facts:
                 support.append((rule, (item, body[0], body[1])))
         return support
-
-    def complete_store(
-        self, store: TripleStore, min_score: float = 0.7
-    ) -> TripleStore:
-        """Materialize inferred triples above ``min_score``.
-
-        Only fills (item, relation) slots that are empty in ``store``,
-        mirroring how the production system repairs incomplete listings.
-        Head relations retired from the store's schema (no longer borne
-        by any triple) are skipped: completion never resurrects a
-        relation the catalog has dropped.
-        """
-        completed = TripleStore((t.head, t.relation, t.tail) for t in store)
-        if not self._by_head_relation:
-            return completed
-        live_relations = {triple.relation for triple in store}
-        for item in store.heads():
-            have = store.relations_of(item)
-            for relation in sorted(self._by_head_relation):
-                if relation in have or relation not in live_relations:
-                    continue
-                predictions = self.predict(store, item, relation, top_k=1)
-                if predictions and predictions[0][1] >= min_score:
-                    completed.add(item, relation, predictions[0][0])
-        return completed

@@ -8,7 +8,6 @@ the Table II bench prints it next to the paper's numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -53,10 +52,3 @@ def kg_statistics(
         mean_triples_per_item=float(np.mean(triples_per_item)) if len(item_ids) else 0.0,
         median_relation_frequency=float(np.median(relation_freq)) if relation_freq else 0.0,
     )
-
-
-def relation_frequency_table(store: TripleStore, relations: RelationVocabulary) -> Dict[str, int]:
-    """Relation label -> triple count, sorted descending by count."""
-    counts = store.relation_counts()
-    named = {relations.label_of(r): c for r, c in counts.items()}
-    return dict(sorted(named.items(), key=lambda kv: -kv[1]))

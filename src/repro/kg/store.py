@@ -94,10 +94,6 @@ class TripleStore:
         """Relation query: all ``?r`` such that ``(head, ?r, ?t)`` exists."""
         return set(self._relations_of_head.get(head, ()))
 
-    def has_relation(self, head: int, relation: int) -> bool:
-        """Whether ``head`` has at least one triple with ``relation``."""
-        return relation in self._relations_of_head.get(head, ())
-
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------

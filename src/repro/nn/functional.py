@@ -109,14 +109,6 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return x * mask
 
 
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Dense one-hot encoding of integer ``indices``."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((indices.size, num_classes), dtype=np.float64)
-    out[np.arange(indices.size), indices.reshape(-1)] = 1.0
-    return out.reshape(*indices.shape, num_classes)
-
-
 def _maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max of two tensors via relu identity."""
     return (a - b).relu() + b

@@ -29,20 +29,6 @@ def xavier_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """Glorot/Xavier normal: std = sqrt(2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """He uniform, appropriate before ReLU layers."""
-    fan_in, _ = _fans(shape)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def transe_embedding(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
     """The TransE paper's embedding init: uniform(-6/sqrt(d), 6/sqrt(d))."""
     dim = shape[-1]

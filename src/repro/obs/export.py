@@ -42,16 +42,26 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     """Prometheus text exposition of every registered instrument.
 
     Instruments sharing a name (labeled variants) form one family with
-    a single ``# HELP`` / ``# TYPE`` header.  Output is sorted and
-    deterministic — two same-seed runs export identical bytes.
+    a single ``# HELP`` / ``# TYPE`` header.  Two names that sanitise to
+    one Prometheus name (``a.b_c`` and ``a.b.c``) would export one family
+    twice, which is not valid exposition: that raises ``ValueError``.
+    Output is sorted and deterministic — two same-seed runs export
+    identical bytes.
     """
     families: Dict[str, List] = {}
     for instrument in registry.instruments():
         families.setdefault(instrument.name, []).append(instrument)
+    exported: Dict[str, str] = {}
     lines: List[str] = []
     for name in sorted(families):
         instruments = families[name]
         prom_name = name.replace(".", "_")
+        if prom_name in exported:
+            raise ValueError(
+                f"instruments {exported[prom_name]!r} and {name!r} "
+                f"both export as {prom_name!r}"
+            )
+        exported[prom_name] = name
         help_text = next((i.help for i in instruments if i.help), "")
         if help_text:
             lines.append(f"# HELP {prom_name} {help_text}")
@@ -118,12 +128,15 @@ def run_pool_workload(
     Forks a two-worker :class:`~repro.serving.Supervisor` over a
     freshly built store, drives a seeded mixed workload (serve / exist
     / retrieve) through the pool drive, unwindowed, on the virtual
-    clock, then runs idle ticks so the background scrubber sweeps the
-    whole store.  The export surfaces
-    the supervision counters (``pool.*``), per-worker served totals
-    (``pool.worker.served{worker=...}``), and the scrub accounting
-    (``store.scrub.*``).  Routing is pure shard affinity and no worker
-    dies, so the snapshot is byte-identical across same-seed runs.
+    clock, then runs idle ticks so the supervisor's page sweep checks
+    the whole store.  The export surfaces the supervision counters
+    (``pool.*``, the idle ticks as ``pool.idle_scrub_ticks``), per-worker
+    served totals (``pool.worker.served{worker=...}``), and the store
+    counters of the supervisor's own store handle (pages checked as
+    ``store.scrub_pages``; damage as ``store.crc_failures`` /
+    ``store.pages_quarantined``, which change no worker's reads).
+    Routing is pure shard affinity and no worker dies, so the snapshot
+    is byte-identical across same-seed runs.
     Returns ``(registry, summary_lines)``.
     """
     import tempfile

@@ -27,9 +27,11 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
+
+from ..nn.optim import LazyAdam
 
 
 class CheckpointError(RuntimeError):
@@ -122,6 +124,61 @@ def rng_state(rng: np.random.Generator) -> Dict:
 def restore_rng(rng: np.random.Generator, state: Mapping) -> None:
     """Restore a Generator to a state captured by :func:`rng_state`."""
     rng.bit_generator.state = dict(state)
+
+
+# ----------------------------------------------------------------------
+# The PKGM trainers' snapshot layout
+# ----------------------------------------------------------------------
+def save_tables(
+    manager: "CheckpointManager",
+    epoch: int,
+    states: Mapping[str, Mapping[str, np.ndarray]],
+    rng: np.random.Generator,
+    losses: Iterable[float],
+) -> None:
+    """Write one trainer snapshot: every table's state plus resume metadata.
+
+    ``states`` maps each table name to its :meth:`repro.nn.LazyAdam.state`;
+    each array is stored as ``{table}.{key}`` (``table``, ``m``, ``v``,
+    ``step``).  The manifest metadata holds the completed ``epoch``, the
+    sampler RNG's state and the per-epoch ``losses``.  Both PKGM trainers
+    (:class:`repro.core.PKGMTrainer` and the parameter-server one) write
+    this one layout and read it back with :func:`load_tables`.
+    """
+    arrays = {
+        f"{name}.{key}": value
+        for name, state in states.items()
+        for key, value in state.items()
+    }
+    manager.save(
+        epoch,
+        arrays,
+        metadata={"epoch": epoch, "rng": rng_state(rng), "losses": list(losses)},
+    )
+
+
+def load_tables(
+    manager: "CheckpointManager",
+    names: Iterable[str],
+    load: Callable[[str, Dict[str, np.ndarray]], None],
+    rng: np.random.Generator,
+) -> Tuple[int, List[float]]:
+    """Restore the latest :func:`save_tables` snapshot of ``names``.
+
+    Every array of every table is looked up before any is handed to
+    ``load(name, state)``: a checkpoint in another layout fails with
+    ``KeyError`` on the first name it lacks, changing nothing.  The RNG
+    is restored last.  Returns ``(epoch, losses)``.
+    """
+    arrays, metadata = manager.load()
+    states = {
+        name: {key: arrays[f"{name}.{key}"] for key in LazyAdam.STATE_KEYS}
+        for name in names
+    }
+    for name, state in states.items():
+        load(name, state)
+    restore_rng(rng, metadata["rng"])
+    return int(metadata["epoch"]), [float(x) for x in metadata["losses"]]
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ from ..core.service import SnapshotError, server_store_geometry
 from ..obs.metrics import MetricsRegistry
 from ..ops import OPS
 from ..reliability.retry import RPCError, StepClock
-from ..store import EmbeddingStore, ScrubScheduler
+from ..store import EmbeddingStore
 from .coalescer import Batch, Coalescer, CoalescerConfig
 from .protocol import (
     PoolRequest,
@@ -99,11 +99,13 @@ class PoolConfig:
     max_batch: int = 16
     max_delay: float = 0.002  # virtual seconds, see Coalescer
     cache_pages: int = 64  # per-worker page-cache budget
-    scrub_pages_per_tick: int = 0  # 0 disables background scrubbing
+    scrub_pages_per_tick: int = 0  # 0 disables the idle page sweep
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        if self.scrub_pages_per_tick < 0:
+            raise ValueError("scrub_pages_per_tick must be >= 0")
 
 
 class WorkerHandle:
@@ -151,7 +153,8 @@ class Supervisor:
         )
         # The supervisor reads only geometry/metadata from the store
         # (workers own the data plane); the handle stays open when the
-        # background scrubber needs pages to sweep.
+        # idle page sweep needs pages to check.  Each worker opens its
+        # own store, so what this handle quarantines no worker sees.
         store = EmbeddingStore.open(self.store_dir, registry=self.metrics)
         try:
             self.k, self.dim, self.num_entities, self.num_relations = (
@@ -162,17 +165,14 @@ class Supervisor:
             raise PoolError(
                 f"store at {self.store_dir} is not a pkgm-server snapshot: {error}"
             ) from error
-        self.scrubber: Optional[ScrubScheduler] = None
+        self._store: Optional[EmbeddingStore] = None
         if self.config.scrub_pages_per_tick > 0:
             self._store = store
-            self.scrubber = ScrubScheduler(
-                store,
-                pages_per_tick=self.config.scrub_pages_per_tick,
-                registry=self.metrics,
-            )
+            # A sealed store never changes, so the sweep order is taken once.
+            self._scrub_keys = store.iter_page_keys()
+            self._scrub_cursor = 0
         else:
             store.close()
-            self._store = None
         self.workers = [
             WorkerHandle(index) for index in range(self.config.num_workers)
         ]
@@ -356,20 +356,31 @@ class Supervisor:
         self._poll(timeout=0.0)
 
     def tick(self) -> None:
-        """One idle tick: housekeeping plus a background scrub slice.
+        """One idle tick: housekeeping plus a slice of the page sweep.
 
-        The scrubber runs only when the pool is actually idle — no
-        in-flight batches, nothing buffered — so sweeps never compete
-        with foreground traffic for the supervisor loop.
+        When the pool is idle — no in-flight batches, nothing buffered —
+        and ``scrub_pages_per_tick`` is set, the next that many pages go
+        through :meth:`EmbeddingStore.check_page`, wrapping at the end
+        of the store.  The sweep runs on the supervisor's own store
+        handle, while every worker opens its own store in
+        :func:`~repro.serving.worker.worker_main`: a damaged page it
+        finds is counted (``store.crc_failures``,
+        ``store.pages_quarantined``) in the pool registry, but no
+        worker's quarantine changes.  The sweep reports latent damage;
+        it protects no read — each worker quarantines a page on its own
+        fault-time CRC.
         """
         self.pump()
         if (
-            self.scrubber is not None
+            self._store is not None
             and not self._inflight_total()
             and not self.coalescer.pending()
         ):
             self._idle_scrub_c.inc()
-            self.scrubber.tick()
+            keys = self._scrub_keys
+            for _ in range(min(self.config.scrub_pages_per_tick, len(keys))):
+                self._store.check_page(keys[self._scrub_cursor])
+                self._scrub_cursor = (self._scrub_cursor + 1) % len(keys)
 
     def outstanding(self) -> int:
         """Requests submitted but not yet terminal."""
@@ -680,6 +691,3 @@ class Supervisor:
         return [
             h.process.pid if h.process is not None else None for h in self.workers
         ]
-
-    def alive_workers(self) -> int:
-        return sum(1 for h in self.workers if h.state == UP)

@@ -31,7 +31,6 @@ from .layout import (
     seal_manifest,
     shard_filename,
 )
-from .scrub import ScrubScheduler, ScrubTick
 from .shard import (
     ShardInfo,
     ShardReader,
@@ -49,8 +48,6 @@ __all__ = [
     "RepairReport",
     "RowSource",
     "ScrubReport",
-    "ScrubScheduler",
-    "ScrubTick",
     "ShardInfo",
     "ShardReader",
     "STORE_VERSION",

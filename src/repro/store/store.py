@@ -679,8 +679,9 @@ class EmbeddingStore:
     def iter_page_keys(self) -> List[PageKey]:
         """Every ``(table, shard, page)`` key, in sweep order.
 
-        The canonical enumeration shared by the eager sweeps below and
-        the incremental :class:`~repro.store.scrub.ScrubScheduler`.
+        The one enumeration behind the eager sweeps below and the worker
+        pool's idle sweep (:meth:`repro.serving.Supervisor.tick`), which
+        checks a few of these pages per idle tick.
         """
         return [
             (name, shard, page)
@@ -692,10 +693,13 @@ class EmbeddingStore:
         """CRC-verify one page without touching the row-read path.
 
         Reads go through the shard reader directly — never the fault
-        loop — so a background sweep neither pollutes the LRU
-        page cache nor shows up in the foreground hit/fault counters.
-        An already-quarantined page reports ``False`` without a read;
-        a fresh CRC failure is quarantined when ``quarantine`` is set.
+        loop — so a sweep neither pollutes the LRU page cache nor shows
+        up in the foreground hit/fault counters.  Every call counts one
+        ``store.scrub_pages``.  An already-quarantined page reports
+        ``False`` without a read, so a later pass counts no second CRC
+        failure or quarantine; a fresh CRC failure counts one
+        ``store.crc_failures`` and, when ``quarantine`` is set, one
+        ``store.pages_quarantined``.
         """
         name, shard, page = key
         table = self._table(name)

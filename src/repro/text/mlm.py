@@ -150,17 +150,3 @@ class MLMTrainer:
                 batches += 1
             losses.append(epoch_loss / max(batches, 1))
         return losses
-
-    def predict_masked(
-        self, words: Sequence[str], masked_position: int, max_length: Optional[int] = None
-    ) -> np.ndarray:
-        """Vocabulary logits for one masked position (diagnostics)."""
-        max_length = max_length or self.model.config.max_length
-        ids, mask, _ = self.tokenizer.encode(words, max_length)
-        ids = ids.copy()
-        ids[masked_position] = self.tokenizer.mask_id
-        self.model.eval()
-        hidden = self.model(ids[None, :], attention_mask=mask[None, :])
-        logits = self.head(hidden)
-        self.model.train()
-        return logits.data[0, masked_position]

@@ -140,31 +140,3 @@ class PairPretrainer:
                 count += 1
             losses.append(total / max(count, 1))
         return losses
-
-    def pretext_accuracy(
-        self,
-        title_fn,
-        num_items: int,
-        categories: Optional[Sequence[int]] = None,
-        num_pairs: int = 300,
-    ) -> float:
-        """Held-out accuracy on freshly sampled pretext pairs."""
-        probe = PairPretrainConfig(
-            num_pairs=num_pairs,
-            epochs=1,
-            batch_size=self.config.batch_size,
-            learning_rate=self.config.learning_rate,
-            max_length=self.config.max_length,
-            same_category_negatives=self.config.same_category_negatives,
-            seed=self.config.seed + 99,
-        )
-        prober = PairPretrainer.__new__(PairPretrainer)
-        prober.config = probe
-        pairs, labels = PairPretrainer.build_pairs(
-            prober, title_fn, num_items, categories
-        )
-        ids, mask, seg = self.tokenizer.encode_pair_batch(pairs, probe.max_length)
-        probabilities = self.head.predict_proba(
-            ids, attention_mask=mask, segment_ids=seg
-        )
-        return float(((probabilities >= 0.5) == labels).mean())

@@ -90,10 +90,6 @@ class TestTitleGenerator:
         generated = [tuple(titles.title_of(item)) for _ in range(10)]
         assert len(set(generated)) > 1
 
-    def test_titles_for_all_covers_catalog(self, catalog, titles):
-        got = titles.titles_for_all()
-        assert set(got) == {item.item_id for item in catalog.items}
-
     def test_vocabulary_closed(self, catalog, titles):
         vocab = set(title_vocabulary(catalog))
         for item in catalog.items:

@@ -8,7 +8,6 @@ from repro.data import CatalogConfig, generate_catalog
 from repro.kg import (
     TripleStore,
     connected_component_sizes,
-    degree_statistics,
     shared_value_neighbors,
     to_networkx,
 )
@@ -66,15 +65,6 @@ class TestAudits:
         sizes = connected_component_sizes(catalog.store)
         assert sizes == sorted(sizes, reverse=True)
         assert sum(sizes) == len(catalog.store.entities())
-
-    def test_degree_statistics_keys_and_bounds(self, catalog):
-        stats = degree_statistics(catalog.store)
-        assert stats["max_out_degree"] >= stats["mean_out_degree"] > 0
-        assert stats["max_in_degree"] >= stats["mean_in_degree"] > 0
-
-    def test_degree_statistics_empty_store(self):
-        stats = degree_statistics(TripleStore())
-        assert stats["mean_out_degree"] == 0.0
 
     def test_shared_value_neighbors_finds_siblings(self, catalog):
         """Listings of the same product top the shared-value ranking."""

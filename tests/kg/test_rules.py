@@ -104,18 +104,6 @@ class TestRuleCompleter:
         # 200 gets 1.7 votes, 201 gets 0.95.
         assert predictions[0] == (200, pytest.approx(1.7))
 
-    def test_complete_store_fills_only_missing(self, completer):
-        store = TripleStore([(20, 0, 100), (21, 0, 101), (21, 1, 999)])
-        completed = completer.complete_store(store, min_score=0.9)
-        assert (20, 1, 200) in completed  # inferred
-        assert (21, 1, 999) in completed  # existing kept
-        assert len(completed.tails(21, 1)) == 1  # not overwritten
-
-    def test_complete_store_respects_min_score(self, completer):
-        store = TripleStore([(20, 0, 100)])
-        nothing = completer.complete_store(store, min_score=5.0)
-        assert len(nothing) == len(store)
-
     def test_num_rules(self, completer):
         assert completer.num_rules > 0
 
@@ -132,7 +120,6 @@ class TestRuleCompleterHardening:
         assert completer.head_relations() == []
         assert completer.predict(store, 0, 1) == []
         assert completer.supporting_rules(store, 0, 1, 200) == []
-        assert len(completer.complete_store(store)) == len(store)
 
     def test_duplicate_signatures_collapse_to_best(self):
         weak = Rule(0, 100, 1, 200, support=3, confidence=0.7)
@@ -190,15 +177,6 @@ class TestRuleCompleterHardening:
         store = TripleStore([(7, 0, 100)])
         predictions = RuleCompleter(rules).predict(store, 7, 1)
         assert [value for value, _ in predictions] == [204, 205]
-
-    def test_complete_store_skips_retired_head_relations(self):
-        # Relation 1 appears in the rules but no longer in the store:
-        # completion must not resurrect it.
-        rules = [Rule(0, 100, 1, 200, support=3, confidence=0.9)]
-        store = TripleStore([(20, 0, 100)])
-        completed = RuleCompleter(rules).complete_store(store, min_score=0.5)
-        assert (20, 1, 200) not in completed
-        assert len(completed) == len(store)
 
     def test_supporting_rules_cite_concrete_triples(self):
         rules = [

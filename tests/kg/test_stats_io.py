@@ -7,7 +7,6 @@ from repro.kg import (
     RelationVocabulary,
     TripleStore,
     kg_statistics,
-    relation_frequency_table,
 )
 
 
@@ -48,12 +47,6 @@ class TestStatistics:
         store, entities, relations = kg
         row = kg_statistics(store, entities, relations).as_table_row("X")
         assert row.startswith("X | 3 | 5 | 3 | 5")
-
-    def test_relation_frequency_sorted(self, kg):
-        store, entities, relations = kg
-        table = relation_frequency_table(store, relations)
-        assert list(table) == ["brandIs", "colorIs", "same_product_as"]
-        assert table["brandIs"] == 3
 
     def test_empty_kg(self):
         stats = kg_statistics(TripleStore(), EntityVocabulary(), RelationVocabulary())

@@ -94,10 +94,6 @@ class TestTripleStore:
         assert small_store.relations_of(1) == {10}
         assert small_store.relations_of(999) == set()
 
-    def test_has_relation(self, small_store):
-        assert small_store.has_relation(0, 11)
-        assert not small_store.has_relation(1, 11)
-
     def test_triples_with_head_tail_relation(self, small_store):
         assert len(small_store.triples_with_head(0)) == 2
         assert len(small_store.triples_with_tail(100)) == 2

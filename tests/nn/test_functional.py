@@ -156,13 +156,5 @@ class TestDropoutAndUtils:
         with pytest.raises(ValueError):
             F.dropout(randt(2), 1.0, training=True, rng=np.random.default_rng(0))
 
-    def test_one_hot(self):
-        out = F.one_hot(np.array([0, 2]), 3)
-        assert np.allclose(out, [[1, 0, 0], [0, 0, 1]])
-
-    def test_one_hot_preserves_leading_shape(self):
-        out = F.one_hot(np.array([[0, 1], [2, 0]]), 3)
-        assert out.shape == (2, 2, 3)
-
     def test_mse(self):
         assert F.mse_loss(Tensor([1.0, 3.0]), np.array([1.0, 1.0])).item() == pytest.approx(2.0)

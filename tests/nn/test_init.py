@@ -31,15 +31,6 @@ class TestXavierKaiming:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         assert np.abs(out).max() <= bound
 
-    def test_xavier_normal_std(self):
-        out = init.xavier_normal(RNG, (300, 300))
-        expected = np.sqrt(2.0 / 600)
-        assert abs(out.std() - expected) < expected * 0.1
-
-    def test_kaiming_uniform_bound(self):
-        out = init.kaiming_uniform(RNG, (50, 80))
-        assert np.abs(out).max() <= np.sqrt(6.0 / 80)
-
     def test_1d_shape_fans(self):
         out = init.xavier_uniform(RNG, (64,))
         assert out.shape == (64,)

@@ -44,10 +44,6 @@ class TestModule:
             "scale",
         }
 
-    def test_num_parameters(self):
-        model = TinyModel()
-        assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2 + 1
-
     def test_train_eval_recursive(self):
         model = Sequential(Dropout(0.5), Linear(2, 2))
         model.eval()

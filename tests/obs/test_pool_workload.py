@@ -24,8 +24,13 @@ class TestPoolWorkload:
     def test_scrub_metrics_surface(self):
         registry, _ = run_pool_workload(seed=0, requests=48)
         snapshot = registry.snapshot()
-        assert snapshot["store.scrub.ticks"] > 0
-        assert snapshot["store.scrub.pages"] > 0
+        # 64 idle ticks of 4 pages: each fact is counted once, by one name.
+        assert snapshot["pool.idle_scrub_ticks"] == 64
+        assert snapshot["store.scrub_pages"] == 256
+        assert [key for key in snapshot if "scrub" in key] == [
+            "pool.idle_scrub_ticks",
+            "store.scrub_pages",
+        ]
         assert snapshot["pool.requests"] == 48
 
     def test_summary_lines_report_counts(self):

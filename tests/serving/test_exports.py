@@ -26,7 +26,6 @@ from repro.serving import (
     shard_of,
     worker_main,
 )
-from repro.store import ScrubScheduler, ScrubTick
 
 
 def test_all_names_resolve():
@@ -62,8 +61,3 @@ def test_all_is_sorted_and_complete():
         worker_main,
     }
     assert len(exported) == len(serving.__all__)
-
-
-def test_scrub_scheduler_is_a_store_export():
-    assert ScrubScheduler is not None
-    assert ScrubTick is not None

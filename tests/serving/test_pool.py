@@ -35,6 +35,7 @@ from repro.serving.protocol import (
 from repro.serving.worker import worker_main
 from repro.store import EmbeddingStore
 from tests.serving.conftest import ask
+from tests.store.test_store import flip_byte
 
 
 @pytest.fixture()
@@ -105,7 +106,6 @@ class TestForkedWorkersInheritTheirModules:
 
 class TestLifecycle:
     def test_start_brings_all_workers_up(self, pool):
-        assert pool.alive_workers() == 2
         assert pool.metrics.gauge("pool.workers_up").value == 2
         assert all(pid is not None for pid in pool.worker_pids())
 
@@ -356,7 +356,119 @@ class TestExactlyOnceGuard:
         assert pool.metrics.counter("pool.worker_deaths").value == 0
 
 
+@pytest.fixture()
+def checked(monkeypatch):
+    """Every page key ``check_page`` is called with, in call order."""
+    seen = []
+    check = EmbeddingStore.check_page
+
+    def recording(self, key, *, quarantine=True):
+        seen.append(key)
+        return check(self, key, quarantine=quarantine)
+
+    monkeypatch.setattr(EmbeddingStore, "check_page", recording)
+    return seen
+
+
 class TestIdleScrub:
+    """``Supervisor.tick``'s page sweep.  An idle tick of a pool that was
+    never started is just the sweep, so most of these fork nothing."""
+
+    @pytest.fixture()
+    def paged(self, tmp_path, reference):
+        """A server snapshot with several small pages in every shard."""
+        path = tmp_path / "paged"
+        reference.save_store(path, num_shards=3, page_bytes=128).close()
+        return path
+
+    @staticmethod
+    def sweeper(path, pages_per_tick):
+        return Supervisor(
+            path,
+            PoolConfig(num_workers=1, scrub_pages_per_tick=pages_per_tick),
+            registry=MetricsRegistry(),
+        )
+
+    @staticmethod
+    def page_keys(path):
+        store = EmbeddingStore.open(path)
+        try:
+            return store.iter_page_keys()
+        finally:
+            store.close()
+
+    @staticmethod
+    def count(pool, name):
+        return pool.metrics.counter(name).value
+
+    def test_ticks_cover_the_store_exactly_once_per_sweep(self, paged, checked):
+        keys = self.page_keys(paged)
+        pool = self.sweeper(paged, 3)
+        for _ in range(-(-2 * len(keys) // 3)):
+            pool.tick()
+        pool.shutdown()
+        # Each wrap checks every page once, in sweep order.
+        assert checked[: len(keys)] == keys
+        assert checked[len(keys) : 2 * len(keys)] == keys
+        assert checked == (keys * 3)[: len(checked)]
+
+    def test_cursor_wraps_and_persists_across_ticks(self, paged, checked):
+        keys = self.page_keys(paged)
+        pool = self.sweeper(paged, len(keys) - 1)
+        pool.tick()
+        pool.tick()
+        # A tick never checks a page twice, however large its slice.
+        big = self.sweeper(paged, len(keys) + 5)
+        big.tick()
+        pool.shutdown()
+        big.shutdown()
+        assert checked == keys[:-1] + keys[-1:] + keys[:-2] + keys
+        assert self.count(big, "store.scrub_pages") == len(keys)
+
+    def test_clean_store_sweeps_clean(self, paged):
+        pool = self.sweeper(paged, 4)
+        for _ in range(10):
+            pool.tick()
+        pool.shutdown()
+        assert self.count(pool, "pool.idle_scrub_ticks") == 10
+        assert self.count(pool, "store.scrub_pages") == 40
+        assert self.count(pool, "store.crc_failures") == 0
+        assert self.count(pool, "store.pages_quarantined") == 0
+
+    def test_negative_pages_per_tick_refused(self, paged):
+        with pytest.raises(ValueError, match="scrub_pages_per_tick"):
+            PoolConfig(scrub_pages_per_tick=-1)
+        idle = self.sweeper(paged, 0)
+        idle.tick()
+        idle.shutdown()
+        assert self.count(idle, "pool.idle_scrub_ticks") == 0
+        assert self.count(idle, "store.scrub_pages") == 0
+
+    def test_planted_damage_is_quarantined_in_background(self, paged):
+        """Idle ticks alone find and quarantine a bad page, without a
+        single foreground read."""
+        flip_byte(paged / "entity_table-0001.bin")
+        pool = self.sweeper(paged, 3)
+        for _ in range(-(-len(self.page_keys(paged)) // 3)):
+            pool.tick()
+        pool.shutdown()
+        assert self.count(pool, "store.crc_failures") == 1
+        assert self.count(pool, "store.pages_quarantined") == 1
+        # Zero foreground interference: no cache traffic at all.
+        assert self.count(pool, "store.page_hits") == 0
+        assert self.count(pool, "store.page_faults") == 0
+
+    def test_second_sweep_does_not_requarantine(self, paged):
+        flip_byte(paged / "entity_table-0001.bin")
+        keys = self.page_keys(paged)
+        pool = self.sweeper(paged, len(keys))
+        pool.tick()
+        pool.tick()
+        pool.shutdown()
+        assert self.count(pool, "store.scrub_pages") == 2 * len(keys)
+        assert self.count(pool, "store.crc_failures") == 1
+        assert self.count(pool, "store.pages_quarantined") == 1
+
     def test_idle_ticks_scrub_the_store(self, store_dir):
         supervisor = Supervisor(
             store_dir,
@@ -368,9 +480,34 @@ class TestIdleScrub:
             for _ in range(3):
                 supervisor.tick()
             assert supervisor.metrics.counter("pool.idle_scrub_ticks").value == 3
-            assert supervisor.metrics.counter("store.scrub.pages").value == 12
+            assert supervisor.metrics.counter("store.scrub_pages").value == 12
         finally:
             supervisor.shutdown()
+
+    def test_sweep_reports_damage_but_protects_no_read(
+        self, tmp_path, reference, item_ids
+    ):
+        """The sweep runs on the supervisor's own store handle: it counts
+        a damaged page in the pool registry, and the worker, which opened
+        its own store, still finds the damage through its own CRC."""
+        store_dir = tmp_path / "damaged"
+        reference.save_store(store_dir, num_shards=2, page_bytes=512).close()
+        flip_byte(store_dir / "entity_table-0000.bin")  # page 0: rows 0-7
+        pool = Supervisor(
+            store_dir,
+            PoolConfig(num_workers=1, scrub_pages_per_tick=4),
+            registry=MetricsRegistry(),
+        )
+        pool.start()
+        try:
+            pool.tick()  # checks pages 0-3 of entity_table, first in sweep order
+            assert pool.metrics.counter("store.crc_failures").value == 1
+            assert pool.metrics.counter("store.pages_quarantined").value == 1
+            damaged = ask(pool, "serve", item_ids[0])
+        finally:
+            pool.shutdown()
+        assert damaged.outcome == "quarantined"
+        assert damaged.payload == ("entity_table", item_ids[0], 0, 0)
 
 
 class TestRunBatch:

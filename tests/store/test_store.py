@@ -294,6 +294,27 @@ class TestQuarantine:
         assert store.quarantined_rows("entity_table") == expected
 
 
+class TestCheckPage:
+    def test_iter_page_keys_is_sorted_and_complete(self, store):
+        keys = store.iter_page_keys()
+        assert keys == sorted(keys)
+        assert len(keys) == len(set(keys))
+        assert all(name in store.table_names() for name, _, _ in keys)
+
+    def test_check_page_true_on_clean_false_on_damage(self, store):
+        keys = store.iter_page_keys()
+        assert store.check_page(keys[0], quarantine=True)
+        flip_byte(store.directory / shard_filename("entity_table", 1))
+        damaged = [
+            key
+            for key in keys
+            if not store.check_page(key, quarantine=False)
+        ]
+        assert damaged
+        # quarantine=False probes without convicting.
+        assert store.quarantine == set()
+
+
 class TestRepair:
     @pytest.fixture()
     def replica(self, tmp_path, arrays):

@@ -358,6 +358,28 @@ class TestChaosTraining:
             trainer.train(_chaos_store())
         assert all(np.array_equal(a, b) for a, b in zip(params, before))
 
+    def test_the_ps_resume_looks_up_every_array_before_loading_any(self, tmp_path):
+        """A checkpoint lacking the last table's ``v`` is refused before
+        the first table is loaded: the PS tables stay as they were."""
+        store = _chaos_store()
+        DistributedPKGMTrainer(
+            _chaos_model(), _chaos_config(1), checkpoint_dir=tmp_path
+        ).train(store)
+        manager = CheckpointManager(tmp_path)
+        arrays, metadata = manager.load()
+        del arrays["matrices.v"]
+        manager.save(manager.latest() + 1, arrays, metadata=metadata)
+        trainer = DistributedPKGMTrainer(
+            _chaos_model(), _chaos_config(2), checkpoint_dir=tmp_path
+        )
+        names = trainer.server.table_names()
+        assert names[-1] == "matrices"
+        before = {name: trainer.server.snapshot(name) for name in names}
+        with pytest.raises(KeyError, match="matrices.v"):
+            trainer.train(store)
+        for name, table in before.items():
+            assert np.array_equal(trainer.server.snapshot(name), table)
+
     def test_killed_single_process_run_resumes_bit_exactly(self, tmp_path):
         """PKGMTrainer: kill after 3 of 6 epochs, resume, same result."""
         store = _chaos_store()

@@ -204,13 +204,6 @@ class TestMLMTraining:
         with pytest.raises(ValueError):
             trainer.train([])
 
-    def test_predict_masked_returns_vocab_logits(self, tok):
-        bert = make_bert(tok, service_dim=None)
-        trainer = MLMTrainer(bert, tok, MLMConfig(epochs=1))
-        trainer.train([["w1", "w2", "w3"]] * 4, max_length=8)
-        logits = trainer.predict_masked(["w1", "w2", "w3"], masked_position=2)
-        assert logits.shape == (tok.vocab_size,)
-
 
 class TestHeads:
     def test_classifier_shapes(self, tok):

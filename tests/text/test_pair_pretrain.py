@@ -92,8 +92,16 @@ class TestPairPretrainer:
         )
         title_fn = make_title_fn(np.random.default_rng(3))
         trainer.train(title_fn, num_items=25)
-        accuracy = trainer.pretext_accuracy(title_fn, num_items=25, num_pairs=200)
-        assert accuracy > 0.6
+        # Held-out pairs from another sampler seed, scored by the trained head.
+        held_out = PairPretrainer(
+            encoder, tok, PairPretrainConfig(num_pairs=200, max_length=14, seed=99)
+        )
+        pairs, labels = held_out.build_pairs(title_fn, num_items=25)
+        ids, mask, seg = tok.encode_pair_batch(pairs, 14)
+        probabilities = trainer.head.predict_proba(
+            ids, attention_mask=mask, segment_ids=seg
+        )
+        assert ((probabilities >= 0.5) == labels).mean() > 0.6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -122,8 +122,8 @@ drill_gates() {
     golden metrics
     byte_gate trace "" python -m repro.cli trace --preset smoke --format chrome
     golden trace
-    # The worker-pool workload surfaces per-worker pool.* and
-    # store.scrub.* series; it forks real processes, yet the export must
+    # The worker-pool workload surfaces per-worker pool.* series and the
+    # idle page sweep's store.* counters; it forks real processes, yet the export must
     # still be byte-identical across reruns.
     byte_gate pool "" python -m repro.cli metrics --workload pool --requests 240
     golden pool
