@@ -33,7 +33,7 @@ from repro.serving.protocol import (
     encode,
 )
 from repro.serving.worker import worker_main
-from repro.store import EmbeddingStore
+from repro.store import EmbeddingStore, QuarantinedRowError
 from tests.serving.conftest import ask
 from tests.store.test_store import flip_byte
 
@@ -457,6 +457,23 @@ class TestIdleScrub:
         # Zero foreground interference: no cache traffic at all.
         assert self.count(pool, "store.page_hits") == 0
         assert self.count(pool, "store.page_faults") == 0
+
+    def test_quarantined_page_fails_future_reads(self, paged):
+        """A page the sweep quarantines stays unreadable on the handle it
+        swept: every later read of one of its rows is refused."""
+        flip_byte(paged / "entity_table-0001.bin")
+        pool = self.sweeper(paged, len(self.page_keys(paged)))
+        try:
+            pool.tick()
+            store = pool._store  # the sweep's own handle; workers open theirs
+            rows = store.quarantined_rows("entity_table")
+            assert rows
+            for row in (rows[0], rows[-1]):
+                with pytest.raises(QuarantinedRowError):
+                    store.read_row("entity_table", row)
+        finally:
+            pool.shutdown()
+        assert self.count(pool, "store.pages_quarantined") == 1
 
     def test_second_sweep_does_not_requarantine(self, paged):
         flip_byte(paged / "entity_table-0001.bin")
