@@ -8,9 +8,8 @@ the facts the KG is missing.
 """
 
 import numpy as np
-import pytest
 
-from repro.core import PKGMConfig, TrainerConfig, pretrain_pkgm
+from repro.core import pretrain_pkgm
 from repro.kg import holdout_incompleteness
 
 FRACTIONS = (0.05, 0.15, 0.3)

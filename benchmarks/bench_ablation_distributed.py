@@ -8,11 +8,9 @@ reference trainer and reports the RPC accounting.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import PKGM, PKGMTrainer, TrainerConfig
 from repro.distributed import DistributedConfig, DistributedPKGMTrainer
-from repro.kg import split_triples
 
 STALENESS_SWEEP = (0, 2, 8)
 

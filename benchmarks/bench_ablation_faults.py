@@ -10,7 +10,6 @@ checkpoint) must land within 10% of the fault-free final loss.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import PKGM
 from repro.distributed import DistributedConfig, DistributedPKGMTrainer

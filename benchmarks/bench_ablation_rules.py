@@ -8,7 +8,6 @@ trade-off — the motivation for serving knowledge from vector space.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import pretrain_pkgm
 from repro.kg import RuleCompleter, RuleMiner, holdout_incompleteness

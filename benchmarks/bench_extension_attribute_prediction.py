@@ -15,8 +15,6 @@ does at smoke scale — see the unit tests — but dilutes at bench scale
 where 476 codes compete in a 24-dim space).  Both regimes are recorded.
 """
 
-import pytest
-
 from repro.core import pretrain_pkgm
 from repro.tasks import AttributePredictionTask
 

@@ -14,7 +14,6 @@ never a symbolic query).
 """
 
 import numpy as np
-import pytest
 
 
 def service_quality(workbench):

@@ -12,8 +12,6 @@ are roughly twice the -R splits because every ranking positive also
 appears in -C alongside one sampled negative.
 """
 
-import pytest
-
 from repro.data import build_alignment_dataset
 
 PAPER_ROWS = [

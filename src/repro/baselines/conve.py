@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..nn import Embedding, Linear, Module, Parameter, Tensor, concat
+from ..nn import Embedding, Linear, Parameter, Tensor, concat
 from ..nn import init
 from .scorers import KGEModel
 

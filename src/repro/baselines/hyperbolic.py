@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Embedding, Module, Parameter, Tensor, no_grad
+from ..nn import Embedding, Parameter, Tensor, no_grad
 from ..nn import functional as F
 from ..nn import init
 from .scorers import KGEModel

@@ -505,31 +505,25 @@ def write_server_store(
     :meth:`PKGMServer.save_store` and the stream layer's snapshot
     publisher both come through here, the latter with its own extra
     ``metadata``; ``k`` and ``dim`` are read off the table shapes, so
-    they cannot disagree with them.  The tables go through the
-    streaming build path in bounded chunks, so peak build memory is one
-    chunk — not one table — and chunking never changes the bytes.
+    they cannot disagree with them.  :meth:`EmbeddingStore.build`
+    writes each shard straight from a byte view of its rows, so a
+    C-contiguous table is never copied on its way to disk.
     """
     # Imported lazily: repro.store sits on repro.reliability, which
     # imports repro.core first.
-    from ..store import DEFAULT_PAGE_BYTES, EmbeddingStore, RowSource
+    from ..store import DEFAULT_PAGE_BYTES, EmbeddingStore
 
-    sources = {name: np.asarray(tables[name]) for name in _SERVER_TABLES}
-    return EmbeddingStore.build_from_rows(
+    arrays = {name: np.asarray(tables[name]) for name in _SERVER_TABLES}
+    return EmbeddingStore.build(
         directory,
-        {
-            name: RowSource.from_array(
-                array,
-                chunk_rows=max(1, (1 << 20) // max(1, array[:1].nbytes)),
-            )
-            for name, array in sources.items()
-        },
+        arrays,
         num_shards=num_shards,
         page_bytes=DEFAULT_PAGE_BYTES if page_bytes is None else page_bytes,
         metadata={
             **(metadata if metadata is not None else {}),
             "kind": _SERVER_KIND,
-            "k": int(sources["key_relations"].shape[1]),
-            "dim": int(sources["entity_table"].shape[1]),
+            "k": int(arrays["key_relations"].shape[1]),
+            "dim": int(arrays["entity_table"].shape[1]),
         },
         registry=registry,
     )

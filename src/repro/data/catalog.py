@@ -23,13 +23,13 @@ their KG triples are what let PKGM answer it from the graph side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..kg import EntityVocabulary, RelationVocabulary, TripleStore
-from .schema import AttributeSpec, CategorySpec, build_default_schema
+from .schema import CategorySpec, build_default_schema
 
 MODEL_RELATION = "modelIs"
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .catalog import Catalog, ItemRecord
+from .catalog import Catalog
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,9 @@ class DistributedPKGMTrainer:
             PKGMWorker.MATRIX, model.relation_module.transfer_matrices.data
         )
         self.workers = [
-            PKGMWorker(self.server, margin=2.0, retrier=self._retrier)
+            PKGMWorker(
+                self.server, margin=model.config.margin, retrier=self._retrier
+            )
             for _ in range(self.config.num_workers)
         ]
 

@@ -16,8 +16,8 @@ is property-tested against the store contents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from dataclasses import dataclass
+from typing import Set, Tuple
 
 from .store import TripleStore
 

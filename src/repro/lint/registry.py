@@ -100,5 +100,6 @@ def create_rules() -> List[Rule]:
 
 def _load_builtin_rules() -> None:
     """Import the built-in rule modules so their ``@register`` runs."""
-    from . import rules  # noqa: F401  (import side effect registers rules)
-    from .program import passes  # noqa: F401
+    # Imported for the side effect alone: each module's ``@register``.
+    from . import rules  # repro-lint: disable=unused-import
+    from .program import passes  # repro-lint: disable=unused-import

@@ -8,6 +8,7 @@ from . import (  # noqa: F401
     defaults,
     exceptions,
     exports,
+    imports,
     pickles,
     prints,
     randomness,

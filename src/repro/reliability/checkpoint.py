@@ -52,8 +52,8 @@ def atomic_tmp_path(path: Union[str, Path]) -> Path:
     """A unique same-directory temp name for an atomic write to ``path``.
 
     Carries the pid *and* the process-wide sequence number so
-    concurrent writers (threads or a streaming builder holding many
-    open shards) never collide; callers must finish with
+    concurrent writers (threads of one process, or processes sharing a
+    directory) never collide; callers must finish with
     ``os.replace(tmp, path)`` after flushing and fsyncing.
     """
     path = Path(path)
@@ -77,10 +77,12 @@ def fsync_directory(path: Union[str, Path]) -> None:
 def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> str:
     """Write ``payload`` to ``path`` atomically; returns its SHA-256.
 
-    The bytes go to a same-directory temp file which is flushed, fsynced
-    and then renamed over the destination (``os.replace`` is atomic on
-    POSIX and Windows).  The directory entry is fsynced too, so the
-    rename itself survives power loss.
+    ``payload`` is any C-contiguous bytes-like object — a numpy byte
+    view is written and hashed in place, without a copy.  The bytes go
+    to a same-directory temp file which is flushed, fsynced and then
+    renamed over the destination (``os.replace`` is atomic on POSIX
+    and Windows).  The directory entry is fsynced too, so the rename
+    itself survives power loss.
     """
     path = Path(path)
     tmp = atomic_tmp_path(path)

@@ -162,8 +162,7 @@ def run_loadtest(
     for index in range(config.requests):
         if index == drain_index:
             responses.extend(gateway.drain())
-            primary = gateway.replicas[0].server
-            gateway.swap(getattr(primary, "_server", primary))
+            gateway.swap(gateway.replicas[0].server)
         rate = config.base_rate * shape(index / config.requests)
         gateway.clock.advance(float(rng.exponential(1.0 / rate)))
         responses.extend(gateway.step())

@@ -31,13 +31,8 @@ from .layout import (
     seal_manifest,
     shard_filename,
 )
-from .shard import (
-    ShardInfo,
-    ShardReader,
-    StreamingShardWriter,
-    page_crc32s,
-)
-from .store import EmbeddingStore, RepairReport, RowSource, ScrubReport
+from .shard import ShardInfo, ShardReader, page_crc32s
+from .store import EmbeddingStore, RepairReport, ScrubReport
 from .table import StoreTable
 
 __all__ = [
@@ -46,7 +41,6 @@ __all__ = [
     "MANIFEST_NAME",
     "QuarantinedRowError",
     "RepairReport",
-    "RowSource",
     "ScrubReport",
     "ShardInfo",
     "ShardReader",
@@ -55,7 +49,6 @@ __all__ = [
     "StoreManifestError",
     "StoreSchemaError",
     "StoreTable",
-    "StreamingShardWriter",
     "TableSpec",
     "manifest_checksum",
     "page_crc32s",

@@ -1,10 +1,11 @@
-"""Shard files: atomic writes, mmap reads, per-page CRC verification.
+"""Shard files: integrity records, mmap reads, per-page CRC verification.
 
 A shard file is nothing but the raw fixed-width rows of its table
-slice — no header, no framing.  All integrity metadata (page CRC32s,
-whole-file SHA-256, byte size) lives in the store manifest, written
-strictly after every payload in the ``tmp → fsync → rename``
-discipline of :mod:`repro.reliability.checkpoint`.  That split keeps
+slice — no header, no framing — written by
+:meth:`repro.store.EmbeddingStore.build` in one
+:func:`repro.reliability.checkpoint.atomic_write_bytes`.  All integrity
+metadata (page CRC32s, whole-file SHA-256, byte size) lives in the
+store manifest, written strictly after every payload.  That split keeps
 the data path dense and mmap-friendly while making damage *detectable*
 at page granularity: a torn write shortens the file (every page past
 the tear fails), a bit flip fails exactly one page.
@@ -17,7 +18,6 @@ catalog.
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 import os
 import zlib
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from ..reliability.checkpoint import atomic_tmp_path, fsync_directory
 from .layout import TableSpec
 
 
@@ -64,92 +63,6 @@ class ShardInfo:
             sha256=str(doc["sha256"]),
             page_crcs=tuple(int(c) for c in doc["page_crcs"]),
         )
-
-
-class StreamingShardWriter:
-    """The one shard writer: atomic, incremental, bounded memory.
-
-    ``write`` chunks append to a same-directory temp file while the
-    SHA-256 and page CRCs accumulate incrementally; a partial trailing
-    page is carried between chunks so CRC boundaries never depend on
-    chunk sizes (:func:`page_crc32s` of the concatenated chunks is the
-    reference).  ``finish`` flushes, fsyncs, renames over the
-    destination and fsyncs the directory — the identical crash contract
-    to :func:`repro.reliability.checkpoint.atomic_write_bytes` — and
-    returns the shard's :class:`ShardInfo`.  A crash (or ``abort``)
-    before ``finish`` leaves only a temp file the manifest never names.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        filename: str,
-        page_nbytes: int,
-    ) -> None:
-        if page_nbytes < 1:
-            raise ValueError("page_nbytes must be >= 1")
-        self.directory = Path(directory)
-        self.filename = filename
-        self.page_nbytes = page_nbytes
-        self._path = self.directory / filename
-        self._tmp = atomic_tmp_path(self._path)
-        self._handle = open(self._tmp, "wb")
-        self._digest = hashlib.sha256()
-        self._crcs: List[int] = []
-        self._carry = b""
-        self._nbytes = 0
-        self._done = False
-
-    def write(self, data: bytes) -> None:
-        """Append one chunk (any size, including empty)."""
-        if self._done:
-            raise RuntimeError("writer already finished/aborted")
-        data = bytes(data)
-        if not data:
-            return
-        self._handle.write(data)
-        self._digest.update(data)
-        self._nbytes += len(data)
-        buffered = self._carry + data
-        full = (len(buffered) // self.page_nbytes) * self.page_nbytes
-        for start in range(0, full, self.page_nbytes):
-            self._crcs.append(
-                zlib.crc32(buffered[start : start + self.page_nbytes])
-            )
-        self._carry = buffered[full:]
-
-    def finish(self) -> ShardInfo:
-        """Seal the shard: fsync, rename, dir-fsync; return its record."""
-        if self._done:
-            raise RuntimeError("writer already finished/aborted")
-        self._done = True
-        if self._carry:
-            self._crcs.append(zlib.crc32(self._carry))
-            self._carry = b""
-        try:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-            os.replace(self._tmp, self._path)
-        finally:
-            if self._tmp.exists():
-                self._tmp.unlink()
-        fsync_directory(self.directory)
-        return ShardInfo(
-            file=self.filename,
-            nbytes=self._nbytes,
-            sha256=self._digest.hexdigest(),
-            page_crcs=tuple(self._crcs),
-        )
-
-    def abort(self) -> None:
-        """Discard the temp file; the destination is untouched."""
-        if self._done:
-            return
-        self._done = True
-        self._handle.close()
-        if self._tmp.exists():
-            self._tmp.unlink()
 
 
 class ShardReader:

@@ -3,10 +3,12 @@
 :class:`EmbeddingStore` turns a directory of checksummed, fixed-width
 shard files into a row-addressable table service:
 
-* **build** — arrays land shard-by-shard through the atomic
-  ``tmp → fsync → rename`` path, then a self-checksummed manifest is
-  written strictly last; a crash anywhere leaves either the previous
-  store or no manifest, never a half-described one;
+* **build** — each shard is one atomic ``tmp → fsync → rename`` write
+  of a byte view of its rows (no copy of a C-contiguous table), then a
+  self-checksummed manifest is written strictly last; a crash into an
+  empty directory leaves no manifest, and a crash over an older store
+  leaves its manifest naming replaced shards, whose changed pages fail
+  their CRCs and are quarantined, never served;
 * **open** — parses and self-verifies the manifest only; shard files
   are mmap'd lazily, so cold-start cost is O(manifest), not O(catalog);
 * **read** — rows are gathered through a bounded LRU page cache (an
@@ -53,7 +55,7 @@ from .layout import (
     shard_filename,
     specs_from_manifest,
 )
-from .shard import ShardInfo, ShardReader, StreamingShardWriter
+from .shard import ShardInfo, ShardReader, page_crc32s
 
 #: ``(table, shard, page)`` — the quarantine / cache addressing unit.
 PageKey = Tuple[str, int, int]
@@ -107,45 +109,6 @@ class _Table:
     spec: TableSpec
     shards: List[ShardInfo]
     readers: Dict[int, ShardReader] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RowSource:
-    """Declared geometry plus a row-chunk iterator for a streamed build.
-
-    ``chunks`` is a zero-argument callable returning an iterable of 2-D+
-    row blocks (``(n, *row_shape)``, dtype exactly ``dtype``) that
-    concatenate to the full table.  A callable — not a bare iterator —
-    so a failed build can be retried and so sources stay reusable;
-    chunk sizing is the producer's RAM knob and never changes the bytes
-    on disk.
-    """
-
-    dtype: str
-    row_shape: Tuple[int, ...]
-    rows: int
-    chunks: "object"  # Callable[[], Iterable[np.ndarray]]
-
-    @classmethod
-    def from_array(cls, array: np.ndarray, chunk_rows: int = 0) -> "RowSource":
-        """Wrap an in-RAM array (optionally re-chunked for tests)."""
-        if np.ndim(array) < 1:  # before ascontiguousarray, which promotes scalars
-            raise StoreSchemaError("a row source must be at least 1-D")
-        array = np.ascontiguousarray(array)
-        step = chunk_rows if chunk_rows > 0 else max(1, int(array.shape[0]))
-
-        def _chunks() -> List[np.ndarray]:
-            return [
-                array[start : start + step]
-                for start in range(0, array.shape[0], step)
-            ]
-
-        return cls(
-            dtype=str(array.dtype),
-            row_shape=tuple(int(d) for d in array.shape[1:]),
-            rows=int(array.shape[0]),
-            chunks=_chunks,
-        )
 
 
 class EmbeddingStore:
@@ -220,67 +183,52 @@ class EmbeddingStore:
         cache_pages: int = 64,
         registry: Optional[MetricsRegistry] = None,
     ) -> "EmbeddingStore":
-        """Write a store for in-RAM ``arrays`` and return it opened.
+        """Write a store for ``arrays`` and return it opened.
 
-        :meth:`build_from_rows` over :meth:`RowSource.from_array` — one
-        write path, so same arrays, same parameters → byte-identical
-        files however the rows were chunked (the chaos gate diffs them
+        Each shard file is one :func:`atomic_write_bytes` of a byte view
+        of its rows, and its page CRCs are :func:`page_crc32s` of the
+        same view, so a C-contiguous table is never copied (any other
+        is made contiguous once).  Shard payloads land first, the sealed
+        manifest strictly last — the checkpoint discipline: a crash
+        mid-build into an empty directory leaves no manifest, so it
+        reads as "no store" rather than a torn one.  Same arrays, same
+        parameters → byte-identical files (the chaos gate diffs them
         across runs).
-        """
-        return cls.build_from_rows(
-            directory,
-            {name: RowSource.from_array(array) for name, array in arrays.items()},
-            num_shards=num_shards,
-            page_bytes=page_bytes,
-            metadata=metadata,
-            cache_pages=cache_pages,
-            registry=registry,
-        )
-
-    @classmethod
-    def build_from_rows(
-        cls,
-        directory: Union[str, Path],
-        sources: Mapping[str, "RowSource"],
-        *,
-        num_shards: int = 1,
-        page_bytes: int = DEFAULT_PAGE_BYTES,
-        metadata: Optional[Mapping] = None,
-        cache_pages: int = 64,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> "EmbeddingStore":
-        """Write a store from row iterators and return it opened —
-        bounded by chunk size, not table size.
-
-        Each table streams through one pass of its source: chunks are
-        split at shard boundaries into per-shard
-        :class:`StreamingShardWriter`\\ s, so peak memory is one chunk
-        plus one partial page per shard, and chunk sizes never change the bytes
-        on disk — the storage-chaos gate relies on it.  Shard payloads
-        land first (each atomically), the sealed manifest strictly
-        last — the checkpoint discipline, so a crash mid-build leaves
-        no manifest and the directory reads as "no store" rather than
-        a torn one.  Dtype, row shape, and row count are enforced
-        against the declared geometry; any mismatch aborts every open
-        temp file and leaves no manifest.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if not sources:
+        if not arrays:
             raise StoreSchemaError("a store needs at least one table")
         tables: Dict[str, _Table] = {}
         manifest_tables: Dict[str, dict] = {}
-        for name in sorted(sources):
-            source = sources[name]
+        for name in sorted(arrays):
+            # Checked before ascontiguousarray, which promotes a scalar.
+            if np.ndim(arrays[name]) < 1:
+                raise StoreSchemaError(f"table {name!r} must be at least 1-D")
+            array = np.ascontiguousarray(arrays[name])
             spec = TableSpec(
                 name=name,
-                dtype=str(source.dtype),
-                row_shape=tuple(int(d) for d in source.row_shape),
-                rows=int(source.rows),
+                dtype=str(array.dtype),
+                row_shape=array.shape[1:],
+                rows=int(array.shape[0]),
                 num_shards=num_shards,
                 page_bytes=page_bytes,
             )
-            infos = cls._stream_table(directory, spec, source)
+            page_nbytes = spec.rows_per_page * spec.row_nbytes
+            infos = []
+            for shard in range(num_shards):
+                first = spec.global_row(shard, 0)
+                rows = array[first : first + spec.shard_rows(shard)]
+                view = rows.reshape(-1).view(np.uint8)
+                filename = shard_filename(name, shard)
+                infos.append(
+                    ShardInfo(
+                        file=filename,
+                        nbytes=view.nbytes,
+                        sha256=atomic_write_bytes(directory / filename, view),
+                        page_crcs=tuple(page_crc32s(view, page_nbytes)),
+                    )
+                )
             entry = spec.to_manifest()
             entry["shards"] = [info.to_manifest() for info in infos]
             manifest_tables[name] = entry
@@ -307,62 +255,6 @@ class EmbeddingStore:
         )
         store._attach_readers()
         return store
-
-    @staticmethod
-    def _stream_table(
-        directory: Path,
-        spec: TableSpec,
-        source: "RowSource",
-    ) -> List[ShardInfo]:
-        """One streaming pass of ``source`` into per-shard writers."""
-        page_nbytes = spec.rows_per_page * spec.row_nbytes
-        dtype = np.dtype(spec.dtype)
-        writers = [
-            StreamingShardWriter(
-                directory, shard_filename(spec.name, shard), page_nbytes
-            )
-            for shard in range(spec.num_shards)
-        ]
-        per = spec.rows_per_contiguous_shard
-        offset = 0
-        try:
-            for chunk in source.chunks():
-                chunk = np.ascontiguousarray(chunk)
-                if chunk.dtype != dtype:
-                    raise StoreSchemaError(
-                        f"table {spec.name!r}: chunk dtype {chunk.dtype} "
-                        f"!= declared {dtype}"
-                    )
-                if tuple(chunk.shape[1:]) != spec.row_shape:
-                    raise StoreSchemaError(
-                        f"table {spec.name!r}: chunk row shape "
-                        f"{tuple(chunk.shape[1:])} != declared {spec.row_shape}"
-                    )
-                n = int(chunk.shape[0])
-                if offset + n > spec.rows:
-                    raise StoreSchemaError(
-                        f"table {spec.name!r}: source yielded more than the "
-                        f"declared {spec.rows} rows"
-                    )
-                start = 0
-                while start < n:
-                    shard = (offset + start) // per
-                    stop = min(n, (shard + 1) * per - offset)
-                    writers[shard].write(
-                        np.ascontiguousarray(chunk[start:stop]).tobytes()
-                    )
-                    start = stop
-                offset += n
-            if offset != spec.rows:
-                raise StoreSchemaError(
-                    f"table {spec.name!r}: source yielded {offset} rows, "
-                    f"declared {spec.rows}"
-                )
-        except BaseException:
-            for writer in writers:
-                writer.abort()
-            raise
-        return [writer.finish() for writer in writers]
 
     @classmethod
     def open(

@@ -3,7 +3,7 @@
 The stream pipeline periodically freezes its live state into a
 *version*::
 
-    <root>/versions/v000003/store/...      repro.store (streamed build)
+    <root>/versions/v000003/store/...      repro.store (server schema)
     <root>/versions/v000003/index/...      ANN snapshot (also a store)
     <root>/versions/v000003/version.json   sealed: seq, counts, checksums
     <root>/CURRENT                         the promoted version name
@@ -97,10 +97,11 @@ class SnapshotVersioner:
 
         ``tables`` must be the five pkgm-server tables that
         :meth:`repro.core.PKGMServer.from_store` expects.  The store
-        goes through the server's own schema writer (streamed build,
-        bounded memory), the index through :func:`save_index` (a store
-        directory too, pinned by its manifest SHA), and CURRENT is
-        rewritten only after the sealed version manifest lands.
+        goes through the server's own schema writer (one atomic write
+        per shard, no copy of the tables), the index through
+        :func:`save_index` (a store directory too, pinned by its
+        manifest SHA), and CURRENT is rewritten only after the sealed
+        version manifest lands.
         Deterministic inputs → byte-identical version directories,
         even when re-published over a torn previous attempt.
         """

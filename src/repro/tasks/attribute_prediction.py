@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core import PKGM
 from ..data import Catalog
-from ..kg import TripleStore, holdout_incompleteness
+from ..kg import TripleStore
 
 
 @dataclass(frozen=True)

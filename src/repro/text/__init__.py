@@ -18,7 +18,7 @@ from .integration import (
 )
 from .mlm import MLMConfig, MLMTrainer, mask_tokens
 from .pair_pretrain import PairPretrainConfig, PairPretrainer
-from .tokenizer import SPECIAL_TOKENS, WordTokenizer
+from .tokenizer import WordTokenizer
 
 __all__ = [
     "MLMConfig",
@@ -28,7 +28,6 @@ __all__ = [
     "PairClassifier",
     "PairPretrainConfig",
     "PairPretrainer",
-    "SPECIAL_TOKENS",
     "TextClassifier",
     "VARIANTS",
     "WordTokenizer",

@@ -14,7 +14,7 @@ arrays the :class:`repro.text.bert.MiniBert` injection path consumes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -13,9 +13,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Adam, Linear, Module, Parameter, Tensor
+from ..nn import Adam, Linear, Module, Tensor
 from ..nn import functional as F
-from ..nn import init
 from .bert import MiniBert
 from .tokenizer import WordTokenizer
 

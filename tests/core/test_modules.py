@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PKGM, PKGMConfig, RelationQueryModule, TripleQueryModule
-from repro.nn import Tensor, no_grad
+from repro.nn import no_grad
 
 
 RNG = np.random.default_rng(0)

@@ -334,6 +334,54 @@ class TestDistributedTraining:
         ).train(store)
         assert dist_losses[-1] < ref_losses[-1] * 2.0 + 0.1
 
+    def test_workers_train_with_the_model_margin(self, store, monkeypatch):
+        """The first packet's loss is Eq. 4 at the model's margin on the
+        rows that packet pulled (nothing is pushed before it)."""
+        from repro.core.margin_kernel import MarginStep
+
+        model = PKGM(
+            28, 3, PKGMConfig(dim=8, margin=0.5), rng=np.random.default_rng(0)
+        )
+        tables = (
+            model.triple_module.entity_embeddings.weight.data.copy(),
+            model.triple_module.relation_embeddings.weight.data.copy(),
+            model.relation_module.transfer_matrices.data.copy(),
+        )
+        calls = []
+        compute = PKGMWorker.compute
+
+        def recording(worker, positives, negatives):
+            packet = compute(worker, positives, negatives)
+            calls.append((positives, negatives, packet))
+            return packet
+
+        monkeypatch.setattr(PKGMWorker, "compute", recording)
+        DistributedPKGMTrainer(
+            model, DistributedConfig(epochs=1, batch_size=16, seed=0)
+        ).train(store)
+        positives, negatives, packet = calls[0]
+        e_rows = packet.rows[PKGMWorker.ENTITY]
+        r_rows = packet.rows[PKGMWorker.RELATION]
+
+        def local(triples):
+            triples = np.asarray(triples)
+            return np.stack(
+                [
+                    np.searchsorted(e_rows, triples[..., 0]),
+                    np.searchsorted(r_rows, triples[..., 1]),
+                    np.searchsorted(e_rows, triples[..., 2]),
+                ],
+                axis=-1,
+            )
+
+        entity, relation, transfer = tables
+        expected = MarginStep(
+            entity[e_rows], relation[r_rows], transfer[r_rows],
+            local(positives), local(negatives), 0.5,
+        ).loss
+        assert packet.loss > 0
+        assert packet.loss == expected
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DistributedConfig(num_shards=0)

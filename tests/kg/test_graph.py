@@ -1,7 +1,5 @@
 """Tests for the networkx graph view and audit utilities."""
 
-import networkx as nx
-import numpy as np
 import pytest
 
 from repro.data import CatalogConfig, generate_catalog

@@ -1,6 +1,5 @@
 """Property-based tests for rule mining invariants."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -12,6 +12,7 @@ EXPECTED_RULES = {
     "export-drift",
     "no-print-in-src",
     "no-pickle-in-src",
+    "unused-import",
     "determinism-taint",
     "concurrent-mutation",
     "signature-mismatch",

@@ -11,7 +11,7 @@ from repro.reliability import (
     StepClock,
     TimedBackend,
 )
-from repro.reliability.gateway import DRAINING, QUIESCED, SERVING
+from repro.reliability.gateway import QUIESCED, SERVING
 
 
 class ScriptedLatency:

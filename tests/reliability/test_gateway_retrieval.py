@@ -1,18 +1,10 @@
 """Gateway retrieval path: admission, deadlines, degraded payloads."""
 
 import numpy as np
-import pytest
 
-from repro.reliability import (
-    AdmissionConfig,
-    GatewayConfig,
-    PKGMGateway,
-    RetrievalPayload,
-    StepClock,
-    TimedBackend,
-)
+from repro.reliability import AdmissionConfig, GatewayConfig, RetrievalPayload
 
-from .test_gateway import ScriptedLatency, make_gateway
+from .test_gateway import make_gateway
 
 
 class TestRetrievalOkPath:

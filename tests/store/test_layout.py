@@ -1,10 +1,8 @@
 """Geometry and manifest self-checksum invariants."""
 
-import numpy as np
 import pytest
 
 from repro.store import (
-    RowSource,
     STORE_VERSION,
     StoreManifestError,
     StoreSchemaError,
@@ -104,10 +102,6 @@ class TestTableSpec:
     def test_manifest_roundtrip(self):
         spec = make_spec()
         assert TableSpec.from_manifest("entity_table", spec.to_manifest()) == spec
-
-    def test_row_source_rejects_scalars(self):
-        with pytest.raises(StoreSchemaError):
-            RowSource.from_array(np.float64(3.0))
 
 
 class TestManifestChecksum:

@@ -5,10 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.reliability import atomic_write_bytes
 from repro.store import (
     ShardInfo,
     ShardReader,
-    StreamingShardWriter,
     TableSpec,
     page_crc32s,
     shard_filename,
@@ -16,10 +16,14 @@ from repro.store import (
 
 
 def write_shard(directory, filename, data, page_nbytes):
-    """One whole shard through the (only) writer."""
-    writer = StreamingShardWriter(directory, filename, page_nbytes)
-    writer.write(data)
-    return writer.finish()
+    """One shard the way ``EmbeddingStore.build`` writes it: one atomic
+    write, and the record of what was written."""
+    return ShardInfo(
+        file=filename,
+        nbytes=len(data),
+        sha256=atomic_write_bytes(directory / filename, data),
+        page_crcs=tuple(page_crc32s(data, page_nbytes)),
+    )
 
 
 def make_spec(rows=16, page_bytes=64):

@@ -1,7 +1,6 @@
 """Engine behaviour: roundtrips, cache, quarantine, scrub, repair."""
 
 import itertools
-import os
 
 import numpy as np
 import pytest

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.stream import StreamPipeline, StreamReport, StreamRunConfig

@@ -1,9 +1,8 @@
 """Tests for the attribute-prediction extension task."""
 
-import numpy as np
 import pytest
 
-from repro.core import PKGMConfig, TrainerConfig, pretrain_pkgm
+from repro.core import pretrain_pkgm
 from repro.tasks import AttributePredictionTask
 
 

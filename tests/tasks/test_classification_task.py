@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import build_classification_dataset
-from repro.tasks import FineTuneConfig, ItemClassificationTask
+from repro.tasks import ItemClassificationTask
 from repro.text import service_payload, vectors_per_item
 
 

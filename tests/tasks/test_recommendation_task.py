@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import generate_interactions
-from repro.nn import Tensor
 from repro.tasks import NCF, NCFConfig, RecommendationTask
 
 

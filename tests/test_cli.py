@@ -5,7 +5,6 @@ import shlex
 from itertools import product
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.cli

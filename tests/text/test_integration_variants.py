@@ -1,6 +1,5 @@
 """Unit tests for the integration-variant helpers (paper §II-E)."""
 
-import numpy as np
 import pytest
 
 from repro.text import VARIANTS, validate_variant, vectors_per_item

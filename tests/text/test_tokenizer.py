@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.text import SPECIAL_TOKENS, WordTokenizer
+from repro.text import WordTokenizer
 
 
 @pytest.fixture
