@@ -1,9 +1,9 @@
 """Shard files: integrity records, mmap reads, per-page CRC verification.
 
 A shard file is nothing but the raw fixed-width rows of its table
-slice — no header, no framing — written by
-:meth:`repro.store.EmbeddingStore.build` in one
-:func:`repro.reliability.checkpoint.atomic_write_bytes`.  All integrity
+slice — no header, no framing — written atomically by
+:meth:`repro.store.EmbeddingStore.build` through
+:func:`repro.reliability.checkpoint.atomic_write_files`.  All integrity
 metadata (page CRC32s, whole-file SHA-256, byte size) lives in the
 store manifest, written strictly after every payload.  That split keeps
 the data path dense and mmap-friendly while making damage *detectable*

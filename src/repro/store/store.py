@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
-from ..reliability.checkpoint import atomic_write_bytes
+from ..reliability.checkpoint import atomic_write_bytes, atomic_write_files
 from .errors import QuarantinedRowError, StoreManifestError, StoreSchemaError
 from .layout import (
     DEFAULT_PAGE_BYTES,
@@ -185,15 +185,15 @@ class EmbeddingStore:
     ) -> "EmbeddingStore":
         """Write a store for ``arrays`` and return it opened.
 
-        Each shard file is one :func:`atomic_write_bytes` of a byte view
-        of its rows, and its page CRCs are :func:`page_crc32s` of the
-        same view, so a C-contiguous table is never copied (any other
-        is made contiguous once).  Shard payloads land first, the sealed
-        manifest strictly last — the checkpoint discipline: a crash
-        mid-build into an empty directory leaves no manifest, so it
-        reads as "no store" rather than a torn one.  Same arrays, same
-        parameters → byte-identical files (the chaos gate diffs them
-        across runs).
+        Each shard file is a byte view of its rows, and its page CRCs
+        are :func:`page_crc32s` of the same view, so a C-contiguous
+        table is never copied (any other is made contiguous once).  A
+        table's shards are one :func:`atomic_write_files` call.  Shard
+        payloads land first, the sealed manifest strictly last — the
+        checkpoint discipline: a crash mid-build into an empty directory
+        leaves no manifest, so it reads as "no store" rather than a torn
+        one.  Same arrays, same parameters → byte-identical files (the
+        chaos gate diffs them across runs).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -215,20 +215,23 @@ class EmbeddingStore:
                 page_bytes=page_bytes,
             )
             page_nbytes = spec.rows_per_page * spec.row_nbytes
-            infos = []
+            views = {}
             for shard in range(num_shards):
                 first = spec.global_row(shard, 0)
                 rows = array[first : first + spec.shard_rows(shard)]
-                view = rows.reshape(-1).view(np.uint8)
-                filename = shard_filename(name, shard)
-                infos.append(
-                    ShardInfo(
-                        file=filename,
-                        nbytes=view.nbytes,
-                        sha256=atomic_write_bytes(directory / filename, view),
-                        page_crcs=tuple(page_crc32s(view, page_nbytes)),
-                    )
+                views[shard_filename(name, shard)] = rows.reshape(-1).view(np.uint8)
+            digests = atomic_write_files(
+                (directory / filename, view) for filename, view in views.items()
+            )
+            infos = [
+                ShardInfo(
+                    file=filename,
+                    nbytes=view.nbytes,
+                    sha256=digest,
+                    page_crcs=tuple(page_crc32s(view, page_nbytes)),
                 )
+                for (filename, view), digest in zip(views.items(), digests)
+            ]
             entry = spec.to_manifest()
             entry["shards"] = [info.to_manifest() for info in infos]
             manifest_tables[name] = entry

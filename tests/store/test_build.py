@@ -1,6 +1,6 @@
 """``EmbeddingStore.build`` is the one write path: each shard file is
-exactly its rows' bytes, written in one atomic write straight from a
-byte view of them, and the manifest lands strictly last."""
+exactly its rows' bytes, written atomically straight from a byte view
+of them, and the manifest lands strictly last."""
 
 import hashlib
 import json

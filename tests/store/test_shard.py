@@ -16,7 +16,7 @@ from repro.store import (
 
 
 def write_shard(directory, filename, data, page_nbytes):
-    """One shard the way ``EmbeddingStore.build`` writes it: one atomic
+    """One shard the way ``EmbeddingStore.build`` writes it: an atomic
     write, and the record of what was written."""
     return ShardInfo(
         file=filename,
